@@ -9,8 +9,8 @@ iterations over a 4-view keyframe window at fixed poses, executed through a
 ``StreamingMapper`` whose engine runs the ``sharded`` backend with 4 workers
 and a toleranced worker-resident geometry cache.
 
-Before timing, an exact-mode composed window (zero tolerance, no refinement)
-is asserted to replay the serial uncached window's losses bit-for-bit — the
+Before timing, an exact-mode composed window (zero tolerance) is asserted
+to replay the serial uncached window's losses bit-for-bit — the
 worker-resident cache tiers are pinned bitwise to the parent cache by the
 differential suite, so the timed comparison cannot drift into different
 math.  The composed window must then be **>= 1.8x** faster than the serial
@@ -57,8 +57,6 @@ COMPOSED_EXACT = dict(
     shard_workers=N_WORKERS,
     geom_cache=True,
     cache_tolerance_px=0.0,
-    cache_refine_margin=0.0,
-    cache_termination_margin=0.0,
 )
 
 
@@ -125,8 +123,8 @@ def test_sharded_cache_composed_window_speedup():
     cloud, frames = _window_scene()
     config = _mapper_config(cloud.n_total)
 
-    # Agreement first: the composed path in exact mode (zero tolerance, no
-    # refinement — only the bit-identical reuse tiers) must replay the serial
+    # Agreement first: the composed path in exact mode (zero tolerance: only
+    # the bit-identical reuse tiers) must replay the serial
     # uncached window loss-for-loss.  This also spawns and warms the worker
     # pool, keeping the one-off spawn cost out of the timed region.
     _, exact_result = _run_window(cloud.copy(), frames, config, COMPOSED_EXACT)

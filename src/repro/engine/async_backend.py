@@ -33,10 +33,9 @@ the shard workers sit idle — yet window *k+1*'s Step 1-2 planning touches a
 
 Consumed-or-discarded is the whole correctness story: a speculation is the
 same pure function evaluated early, and it is only ever used when its inputs
-provably did not change.  At most ``EngineConfig.async_depth`` speculations
-may be in flight; exceeding the depth raises
-:class:`~repro.engine.engine.ArenaInUseError` because it would require a
-third live arena the engine does not own.
+provably did not change.  At most one speculation may be in flight; a second
+raises :class:`~repro.engine.engine.ArenaInUseError` because it would require
+a third live arena the engine does not own.
 
 A single internal pool lock serialises all worker-pool traffic (speculative
 forwards vs. backward passes), so pipe protocols never interleave.
@@ -108,7 +107,6 @@ class AsyncBackend:
     def __init__(self, config: "EngineConfig"):
         self.config = config
         self._inner = ShardedBackend(config)
-        self.depth = max(1, int(getattr(config, "async_depth", 1)))
         # _state guards the pending list / spare arenas; _pool serialises all
         # traffic over the inner backend's worker pipes (a speculation thread
         # dispatching concurrently with a backward pass would interleave
@@ -151,9 +149,9 @@ class AsyncBackend:
         Returns a :class:`SpeculativePlanHandle` whose key must still match
         at the next :meth:`render_batch` for the early result to be adopted.
         Speculating the same key twice is an idempotent no-op (the existing
-        handle is returned).  Exceeding ``async_depth`` in-flight speculations
-        raises :class:`ArenaInUseError`: each slot owns a live arena, and the
-        engine only double-buffers — it does not own unbounded arenas.
+        handle is returned).  Speculating a second key while one is in flight
+        raises :class:`ArenaInUseError`: the pending speculation owns the
+        shadow arena, and the engine only double-buffers.
         """
         from repro.engine.engine import ArenaInUseError
 
@@ -162,12 +160,11 @@ class AsyncBackend:
             for speculation in self._pending:
                 if speculation.handle.key == key and speculation.handle.pending:
                     return speculation.handle
-            if len(self._pending) >= self.depth:
+            if self._pending:
                 raise ArenaInUseError(
-                    f"async backend already has {len(self._pending)} speculative "
-                    f"plan(s) in flight (async_depth={self.depth}); consume or "
-                    "drain() before speculating further — each slot aliases a "
-                    "live shadow arena"
+                    "async backend already has a speculative plan in flight; "
+                    "consume or drain() it before speculating further — it "
+                    "aliases the live shadow arena"
                 )
             shadow = self._spare_arenas.pop() if self._spare_arenas else None
             speculation = _Speculation(

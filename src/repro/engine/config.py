@@ -26,14 +26,6 @@ Environment variables (the full table also lives in the README):
                          sharded batches keep worker-resident cache entries
                          (one cache per worker), so both knobs apply to the
                          same render.
-``REPRO_GEOM_CACHE_POSE_QUANTUM``
-                         Pose quantisation step for geometry-cache keys
-                         (default 0 = off).  When > 0, cached entries are
-                         keyed by the pose rounded to this step, so small
-                         cross-window tracking deltas re-key onto the
-                         existing entry and reuse it through the toleranced
-                         stale-geometry tier instead of rebuilding.  Requires
-                         a non-zero ``cache_tolerance_px``.
 ``REPRO_SHARD_RETRIES``  Redispatch rounds the sharded backend attempts for
                          views lost to a dead/hung/poisoned worker before
                          escalating them to serial flat execution in the
@@ -87,12 +79,6 @@ Environment variables (the full table also lives in the README):
                          batch-capable backend (conflicts with
                          ``backend="tile"``) and a multi-process worker pool
                          (conflicts with ``shard_workers=0``).
-``REPRO_ASYNC_DEPTH``    Speculation depth of the ``async`` backend (default
-                         1): how many mapping windows may be planned ahead of
-                         consumption, each against its own shadow arena.
-                         Speculating beyond the depth raises
-                         :class:`repro.engine.ArenaInUseError`.  Must be a
-                         positive integer.
 ======================== ====================================================
 """
 
@@ -113,12 +99,10 @@ ENV_SHARD_WORKERS = "REPRO_SHARD_WORKERS"
 ENV_SHARD_RETRIES = "REPRO_SHARD_RETRIES"
 ENV_SHARD_DEADLINE_S = "REPRO_SHARD_DEADLINE_S"
 ENV_SHARD_BACKOFF_S = "REPRO_SHARD_BACKOFF_S"
-ENV_CACHE_POSE_QUANTUM = "REPRO_GEOM_CACHE_POSE_QUANTUM"
 ENV_SERVICE_MAX_SESSIONS = "REPRO_SERVICE_MAX_SESSIONS"
 ENV_SERVICE_CACHE_BUDGET = "REPRO_SERVICE_CACHE_BUDGET"
 ENV_SERVICE_FAIR_WEIGHTS = "REPRO_SERVICE_FAIR_WEIGHTS"
 ENV_ASYNC_PIPELINE = "REPRO_ASYNC_PIPELINE"
-ENV_ASYNC_DEPTH = "REPRO_ASYNC_DEPTH"
 
 ENGINE_ENV_VARS = (
     ENV_RASTER_BACKEND,
@@ -129,12 +113,10 @@ ENGINE_ENV_VARS = (
     ENV_SHARD_RETRIES,
     ENV_SHARD_DEADLINE_S,
     ENV_SHARD_BACKOFF_S,
-    ENV_CACHE_POSE_QUANTUM,
     ENV_SERVICE_MAX_SESSIONS,
     ENV_SERVICE_CACHE_BUDGET,
     ENV_SERVICE_FAIR_WEIGHTS,
     ENV_ASYNC_PIPELINE,
-    ENV_ASYNC_DEPTH,
 )
 
 _FALSEY = ("0", "false", "off")
@@ -255,14 +237,7 @@ class EngineConfig:
     shard_deadline_s: float = 600.0
     shard_backoff_s: float = 30.0
     cache_tolerance_px: float = 0.5
-    cache_refine_margin: float = 8.0
-    cache_termination_margin: float = 0.25
     cache_max_entries: int = 8
-    # Pose quantisation step for cache keys (0 disables).  Entries built at a
-    # nearby pose re-key onto the same quantised bucket and are served through
-    # the toleranced stale-geometry tier, so cross-window tracking deltas
-    # smaller than the quantum reuse cached geometry instead of rebuilding.
-    cache_pose_quantum: float = 0.0
     # Multi-tenant render-service knobs (repro.service.RenderService).  They
     # only matter for engines owned by a service: admission cap on open
     # sessions, global cross-session geometry-cache byte budget (0 =
@@ -277,11 +252,7 @@ class EngineConfig:
     # scheduling: the mapper speculates the next window while the parent
     # finishes the current one, and the pipeline tracks against the last
     # published cloud snapshot while mapping runs in the background.
-    # ``async_depth`` bounds how many windows the async backend may plan
-    # ahead of consumption (each pending speculation owns a shadow arena;
-    # exceeding the depth raises ArenaInUseError).
     async_pipeline: bool = False
-    async_depth: int = 1
     profiling_sink: Callable[..., None] | None = None
 
     def __post_init__(self) -> None:
@@ -320,29 +291,8 @@ class EngineConfig:
             )
         if self.cache_tolerance_px < 0:
             raise ValueError(f"cache_tolerance_px must be >= 0, got {self.cache_tolerance_px}")
-        if self.cache_termination_margin < 0:
-            raise ValueError(
-                f"cache_termination_margin must be >= 0, got {self.cache_termination_margin}"
-            )
-        if self.cache_refine_margin != 0 and self.cache_refine_margin < 1:
-            raise ValueError(
-                "cache_refine_margin must be 0 (disabled) or >= 1, "
-                f"got {self.cache_refine_margin}"
-            )
         if self.cache_max_entries < 1:
             raise ValueError(f"cache_max_entries must be >= 1, got {self.cache_max_entries}")
-        if self.cache_pose_quantum < 0:
-            raise ValueError(
-                f"cache_pose_quantum must be >= 0, got {self.cache_pose_quantum}"
-            )
-        if self.cache_pose_quantum > 0 and self.cache_tolerance_px == 0:
-            raise ValueError(
-                "cache_pose_quantum > 0 (REPRO_GEOM_CACHE_POSE_QUANTUM) requires a "
-                "non-zero cache_tolerance_px: pose-requantised entries are served "
-                "through the toleranced stale-geometry tier, which "
-                "cache_tolerance_px=0 disables — raise cache_tolerance_px or set "
-                "cache_pose_quantum=0"
-            )
         if self.service_max_sessions < 1:
             raise ValueError(
                 f"service_max_sessions (REPRO_SERVICE_MAX_SESSIONS) must be >= 1, "
@@ -364,12 +314,6 @@ class EngineConfig:
             raise ValueError(
                 f"service_default_weight (REPRO_SERVICE_FAIR_WEIGHTS) must be > 0, "
                 f"got {self.service_default_weight}"
-            )
-        if self.async_depth < 1:
-            raise ValueError(
-                f"async_depth (REPRO_ASYNC_DEPTH) must be >= 1, got "
-                f"{self.async_depth}: the async backend needs at least one "
-                "speculation slot"
             )
         if self.async_pipeline and self.backend == "tile":
             raise ValueError(
@@ -457,21 +401,6 @@ class EngineConfig:
                 f"{ENV_SHARD_BACKOFF_S}={env.get(ENV_SHARD_BACKOFF_S)!r} must be "
                 ">= 0 seconds"
             )
-        quantum_raw = env.get(ENV_CACHE_POSE_QUANTUM)
-        if quantum_raw is None or quantum_raw == "":
-            pose_quantum = 0.0
-        else:
-            try:
-                pose_quantum = float(quantum_raw)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_CACHE_POSE_QUANTUM}={quantum_raw!r} is not a valid number"
-                ) from None
-            if pose_quantum < 0:
-                raise ValueError(
-                    f"{ENV_CACHE_POSE_QUANTUM}={quantum_raw!r} must be >= 0 "
-                    "(0 disables pose-quantised cache keys)"
-                )
         max_sessions = _int_from_env(env, ENV_SERVICE_MAX_SESSIONS, 8)
         if max_sessions < 1:
             raise ValueError(
@@ -491,12 +420,6 @@ class EngineConfig:
             and async_raw != ""
             and async_raw.lower() not in _FALSEY
         )
-        async_depth = _int_from_env(env, ENV_ASYNC_DEPTH, 1)
-        if async_depth < 1:
-            raise ValueError(
-                f"{ENV_ASYNC_DEPTH}={env.get(ENV_ASYNC_DEPTH)!r} must be >= 1 "
-                "(the async backend needs at least one speculation slot)"
-            )
         config = cls(
             backend=backend,
             tile_size=_int_from_env(env, ENV_TILE_SIZE, 16),
@@ -506,13 +429,11 @@ class EngineConfig:
             shard_retry_limit=retry_limit,
             shard_deadline_s=deadline_s,
             shard_backoff_s=backoff_s,
-            cache_pose_quantum=pose_quantum,
             service_max_sessions=max_sessions,
             service_cache_budget_bytes=cache_budget,
             service_default_weight=default_weight,
             service_fair_weights=fair_weights,
             async_pipeline=async_pipeline,
-            async_depth=async_depth,
         )
         return replace(config, **overrides) if overrides else config
 
@@ -522,8 +443,5 @@ class EngineConfig:
 
         return GeomCacheConfig(
             tolerance_px=self.cache_tolerance_px,
-            refine_margin=self.cache_refine_margin,
-            termination_margin=self.cache_termination_margin,
             max_entries=self.cache_max_entries,
-            pose_quantum=self.cache_pose_quantum,
         )

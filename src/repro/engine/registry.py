@@ -74,86 +74,6 @@ class BackendCapabilities:
     description: str = ""
     availability: str | None = None
 
-    # Legacy field names, kept readable (silently — the test suite promotes
-    # DeprecationWarning to error inside repro.*) so pre-redesign callers
-    # keep working while they migrate to the short names.
-    @property
-    def supports_batch(self) -> bool:
-        return self.batch
-
-    @property
-    def supports_cache(self) -> bool:
-        return self.cache
-
-    @property
-    def available(self) -> bool:
-        return self.availability is None
-
-
-#: Keys a legacy dict-shaped capabilities() payload may carry; anything else
-#: is a typo the adapter must surface instead of silently dropping.
-_LEGACY_CAPABILITY_KEYS = frozenset(
-    {
-        "batch",
-        "cache",
-        "distributed_planning",
-        "worker_resident_cache",
-        "reference",
-        "description",
-        "availability",
-        "supports_batch",
-        "supports_cache",
-    }
-)
-
-
-def _adapt_legacy_capabilities(name: str, payload: dict) -> BackendCapabilities:
-    """Convert a pre-redesign ``capabilities()`` dict into the typed dataclass.
-
-    Emits a :class:`DeprecationWarning` so dict-returning backends keep
-    working but are visibly on the way out.
-    """
-    import warnings
-
-    unknown = set(payload) - _LEGACY_CAPABILITY_KEYS
-    if unknown:
-        raise ValueError(
-            f"backend {name!r} returned a capabilities dict with unknown keys "
-            f"{sorted(unknown)}; expected a subset of "
-            f"{sorted(_LEGACY_CAPABILITY_KEYS)}"
-        )
-    warnings.warn(
-        f"backend {name!r} returned a capabilities dict; return a typed "
-        "repro.engine.BackendCapabilities instead (dict support will be removed)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    fields = dict(payload)
-    # Legacy spelling maps onto the short field names.
-    if "supports_batch" in fields:
-        fields["batch"] = bool(fields.pop("supports_batch"))
-    if "supports_cache" in fields:
-        fields["cache"] = bool(fields.pop("supports_cache"))
-    return BackendCapabilities(**fields)
-
-
-class _LegacyCapabilitiesAdapter:
-    """Wraps a backend whose ``capabilities()`` returns a legacy dict.
-
-    Every other protocol method passes straight through, so the adapter is
-    invisible except at the capability probe.
-    """
-
-    def __init__(self, inner: "RenderBackend"):
-        self._inner = inner
-        self.name = inner.name
-
-    def capabilities(self) -> BackendCapabilities:
-        return _adapt_legacy_capabilities(self.name, self._inner.capabilities())
-
-    def __getattr__(self, attribute: str):
-        return getattr(self._inner, attribute)
-
 
 @dataclass(frozen=True)
 class RenderRequest:
@@ -284,21 +204,15 @@ class BackendRegistry:
     def _validate(name: str, backend: RenderBackend) -> RenderBackend:
         """Check the capability contract once, at instantiation.
 
-        Typed :class:`BackendCapabilities` pass through; legacy dict payloads
-        get the deprecation adapter; anything else is a registration bug and
-        fails loudly here rather than deep inside skip planning.
+        Anything but a typed :class:`BackendCapabilities` is a registration
+        bug and fails loudly here rather than deep inside skip planning.
         """
         payload = backend.capabilities()
         if isinstance(payload, BackendCapabilities):
             return backend
-        if isinstance(payload, dict):
-            # Probe the adapter once so malformed dicts fail at create time.
-            adapter = _LegacyCapabilitiesAdapter(backend)
-            adapter.capabilities()
-            return adapter
         raise TypeError(
-            f"backend {name!r}.capabilities() must return BackendCapabilities "
-            f"(or a legacy dict), got {type(payload).__name__}"
+            f"backend {name!r}.capabilities() must return BackendCapabilities, "
+            f"got {type(payload).__name__}"
         )
 
     def names(self) -> tuple[str, ...]:

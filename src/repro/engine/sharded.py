@@ -344,7 +344,6 @@ class _WorkerCloudView:
         self.unbounded_epoch = meta["unbounded_epoch"]
         self.cum_position_delta = meta["cum_position_delta"]
         self.cum_log_scale_delta = meta["cum_log_scale_delta"]
-        self.cum_opacity_delta = meta["cum_opacity_delta"]
         self.colors = colors
         self._opacities = opacities
 
@@ -457,7 +456,7 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
                 }
             )
         ctx.batches[token] = {"results": results, "slot": slot, "namespace": None}
-        return {"views": view_replies, "evicted": [], "truncation_fallbacks": 0}
+        return {"views": view_replies, "evicted": []}
 
     # Cached path: plan/build/render through this namespace's worker-resident
     # cache.  The previous retained batch of the namespace aliases the cache
@@ -503,17 +502,13 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
                 active_only,
                 shared=shared,
             )
-        # Capture the fragment schedule now: rendering refines entries in
-        # place, and the cumulative bases must match this snapshot.
-        plans.append((plan, plan.fragments_used, time.perf_counter() - start))
-    total = sum(fragments.n_fragments for _, fragments, _ in plans)
-    arena = cache.ensure_arena(total)
-    truncation_before = cache.stats.truncation_fallbacks
+        plans.append((plan, time.perf_counter() - start))
+    arena = cache.ensure_arena(sum(plan.entry.n_fragments for plan, _ in plans))
     base = 0
-    for meta, (plan, fragments, plan_seconds) in zip(views, plans):
+    for meta, (plan, plan_seconds) in zip(views, plans):
         start = time.perf_counter()
         result = cache.render_view(plan, meta["background"], arena, base)
-        base += fragments.n_fragments
+        base += plan.entry.n_fragments
         _write_view_outputs(shm, meta["outputs"], result)
         results[meta["index"]] = result
         view_replies.append(
@@ -531,7 +526,6 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
     return {
         "views": view_replies,
         "evicted": [key for key in known_keys if key not in cache.entry_keys()],
-        "truncation_fallbacks": cache.stats.truncation_fallbacks - truncation_before,
     }
 
 
@@ -1429,7 +1423,6 @@ class ShardedBackend:
                     request.tile_size,
                     request.subtile_size,
                     request.active_only,
-                    pose_quantum=cache.config.pose_quantum,
                 )
                 for camera, pose_cw in zip(request.cameras, request.poses_cw)
             ]
@@ -1441,13 +1434,10 @@ class ShardedBackend:
             }
             need_shared = any(
                 classify_reuse(
-                    cache.config,
-                    self._mirror.get((worker_of[index], key)),
-                    cloud,
-                    pose_cw,
+                    cache.config, self._mirror.get((worker_of[index], key)), cloud
                 )
                 == "miss"
-                for index, (key, pose_cw) in enumerate(zip(keys, request.poses_cw))
+                for index, key in enumerate(keys)
             )
         else:
             need_shared = True
@@ -1567,7 +1557,6 @@ class ShardedBackend:
                 "unbounded_epoch": cloud.unbounded_epoch,
                 "cum_position_delta": cloud.cum_position_delta,
                 "cum_log_scale_delta": cloud.cum_log_scale_delta,
-                "cum_opacity_delta": cloud.cum_opacity_delta,
             }
             # Appearance splicing (the refresh tier) gathers from the full
             # cloud arrays, so they ship every cached batch.
@@ -1748,9 +1737,6 @@ class ShardedBackend:
                         for key in payload["evicted"]:
                             self._mirror.pop((worker_id, key), None)
                         cache.stats.evictions += len(payload["evicted"])
-                        cache.stats.truncation_fallbacks += payload[
-                            "truncation_fallbacks"
-                        ]
                 if desync:
                     return None
                 if not lost:

@@ -450,7 +450,7 @@ def plan_batch_views(
         units = []
         base = 0
         for index, view_plan in enumerate(cache_plans):
-            fragments = view_plan.fragments_used
+            fragments = view_plan.entry.fragments
             units.append(
                 ViewWorkUnit(
                     index=index,
@@ -521,9 +521,8 @@ def execute_view(
 
     Units are independent: they may run in any order and (uncached) in any
     process, as long as each writes its own reserved arena slice.  Cached
-    units route through :meth:`GeometryCache.render_view` so refinement,
-    truncation verification and hit/miss accounting happen exactly as on the
-    pre-split path.
+    units route through :meth:`GeometryCache.render_view` so hit/miss
+    accounting happens exactly as on the pre-split path.
     """
     if unit.cache_plan is not None:
         if cache is None:

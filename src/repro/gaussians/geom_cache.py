@@ -31,28 +31,11 @@ tiers ordered from exact to approximate:
     masking, ``notify_removed``) — rebuilds the full Step 1-2 pipeline and
     replaces the entry.
 
-On top of tier reuse the cache recycles two render-to-render artefacts:
-
-* the **flat fragment arena** is shared grow-only across *all* renders and
-  batches served by one cache (``ensure_flat_arena`` keeps the high-water
-  mark), not just within one ``rasterize_batch`` call;
-* the previous render's per-tile alphas and transmittances (the software
-  analogue of reading the R&B Buffer back) refine the **fragment schedule**
-  of the next render of the same view two ways:
-
-  - *contributing-pair refinement*: Gaussians whose bounding box touched a
-    tile but whose alpha stayed below ``ALPHA_CUTOFF / refine_margin`` for
-    every pixel of that tile are dropped — fragments below the cutoff are
-    exactly zero in the compositor, so this is exact at the epoch it was
-    measured and drifts only as far as the tolerance allows between
-    rebuilds (``refine_margin=0`` disables it);
-  - *termination-depth truncation*: each tile's depth-sorted list is capped
-    at the deepest fragment any of its pixels actually processed before
-    early termination, plus ``termination_margin`` headroom.  Every cached
-    render verifies the cap — a capped tile where any pixel's final
-    transmittance is still above the termination threshold triggers a dense
-    re-render of the view — so surviving renders are exact, including the
-    per-pixel fragment counts (``termination_margin=0`` disables it).
+Every render replays the entry's full fragment list, so ``hit`` and
+``refresh`` renders equal a cache-off render bit for bit, per-pixel fragment
+counts included.  The **flat fragment arena** is shared grow-only across
+*all* renders and batches served by one cache (``ensure_flat_arena`` keeps
+the high-water mark), not just within one ``rasterize_batch`` call.
 
 Because cached renders share one arena, a render must be fully consumed
 (backward pass included) before the next render is requested from the same
@@ -62,7 +45,7 @@ offset, so all views of one batch coexist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,7 +63,7 @@ from repro.gaussians.projection import (
     SharedGaussianData,
     project_gaussians,
 )
-from repro.gaussians.rasterizer import ALPHA_CUTOFF, TRANSMITTANCE_EPS, RenderResult
+from repro.gaussians.rasterizer import RenderResult
 from repro.gaussians.se3 import SE3
 from repro.gaussians.sorting import TileIntersections, build_tile_lists
 from repro.gaussians.tiling import TileGrid
@@ -106,53 +89,15 @@ class GeomCacheConfig:
 
     ``tolerance_px`` bounds the screen-space drift (pixels) under which stale
     geometry may be reused; 0 restricts the cache to its exact tiers.
-    ``refine_margin`` is the headroom factor on the alpha cutoff for
-    contributing-pair refinement (a pair is kept while its best per-pixel
-    alpha is at least ``ALPHA_CUTOFF / refine_margin``); 0 disables
-    refinement, keeping cached renders bit-identical to uncached ones on the
-    exact tiers.  ``termination_margin`` is the fractional headroom on the
-    per-tile termination depth used to truncate fragment lists (0 disables
-    truncation); truncated renders self-verify and fall back to a dense
-    re-render when the headroom was exceeded.  ``max_entries`` caps the
-    number of cached views (LRU).
+    ``max_entries`` caps the number of cached views (LRU).
     """
 
     tolerance_px: float = 0.5
-    refine_margin: float = 8.0
-    termination_margin: float = 0.25
     max_entries: int = 8
-    # Pose quantisation step for view keys (0 disables).  When > 0, the key
-    # uses the pose rounded to this step, so a lookup from a *nearby* pose
-    # (tracking drift across windows) lands on the existing entry and is
-    # served through the toleranced stale-geometry tier — the pose-induced
-    # screen drift is added to the entry's staleness bound, and cross-pose
-    # reuse never reports the exact tiers.  Requires ``tolerance_px > 0``.
-    pose_quantum: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tolerance_px < 0:
             raise ValueError(f"tolerance_px must be >= 0, got {self.tolerance_px}")
-        if self.pose_quantum < 0:
-            raise ValueError(f"pose_quantum must be >= 0, got {self.pose_quantum}")
-        if self.pose_quantum > 0 and self.tolerance_px == 0:
-            raise ValueError(
-                "pose_quantum > 0 requires a non-zero tolerance_px: cross-pose "
-                "reuse is served through the toleranced stale-geometry tier, "
-                "which tolerance_px=0 disables — raise tolerance_px or set "
-                "pose_quantum=0"
-            )
-        # A margin below 1 would raise the keep threshold above ALPHA_CUTOFF
-        # and silently drop fragments that DO contribute (alpha drops are not
-        # verified at render time the way truncation is).
-        if self.refine_margin != 0 and self.refine_margin < 1:
-            raise ValueError(
-                "refine_margin must be 0 (disabled) or >= 1 (cutoff headroom), "
-                f"got {self.refine_margin}"
-            )
-        if self.termination_margin < 0:
-            raise ValueError(
-                f"termination_margin must be >= 0, got {self.termination_margin}"
-            )
         if self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
 
@@ -167,7 +112,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     budget_evictions: int = 0  # entries evicted to satisfy a byte budget
-    truncation_fallbacks: int = 0  # capped renders that re-ran dense
 
     def count(self, status: str) -> None:
         if status == "hit":
@@ -200,7 +144,6 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "budget_evictions": self.budget_evictions,
-            "truncation_fallbacks": self.truncation_fallbacks,
             "reuse_fraction": self.reuse_fraction,
         }
 
@@ -229,22 +172,12 @@ def view_key(
     tile_size: int,
     subtile_size: int,
     active_only: bool,
-    pose_quantum: float = 0.0,
 ) -> tuple:
     """Cache key of one view; shared with the sharded parent-side mirror.
 
-    With ``pose_quantum > 0`` the pose enters the key as integer buckets
-    (``round(value / quantum)``), so any two poses inside the same bucket —
-    e.g. consecutive tracking estimates of one keyframe across windows — map
-    to the same key and the lookup lands on the existing entry, which
-    classification then serves through the toleranced stale-geometry tier.
+    The pose enters the key exactly, so an entry is only ever looked up from
+    the pose it was built at.
     """
-    if pose_quantum > 0.0:
-        rotation = np.round(pose_cw.rotation / pose_quantum).astype(np.int64).tobytes()
-        translation = np.round(pose_cw.translation / pose_quantum).astype(np.int64).tobytes()
-    else:
-        rotation = pose_cw.rotation.tobytes()
-        translation = pose_cw.translation.tobytes()
     return (
         camera.width,
         camera.height,
@@ -252,8 +185,8 @@ def view_key(
         float(camera.fy),
         float(camera.cx),
         float(camera.cy),
-        rotation,
-        translation,
+        pose_cw.rotation.tobytes(),
+        pose_cw.translation.tobytes(),
         int(tile_size),
         int(subtile_size),
         bool(active_only),
@@ -272,32 +205,16 @@ class _CacheEntry:
     built_epoch: int
     built_position_delta: float
     built_log_scale_delta: float
-    built_opacity_delta: float
     # Screen-space conversion factors captured at build time.
     min_depth: float
     max_radius: float
     px_per_unit: float
-    # Exact pose the geometry was built at (the key may be pose-quantised)
-    # and the largest camera-frame point norm, which converts a rotation
-    # delta into a worst-case point displacement for cross-pose reuse.
-    build_rotation: np.ndarray
-    build_translation: np.ndarray
-    max_cam_norm: float
     projected: ProjectedGaussians
     intersections: TileIntersections
     fragments: FlatFragments
     # Epoch the appearance (colours/opacities) of ``projected`` reflects, so
     # repeated lookups at one epoch splice at most once.
     current_epoch: int = 0
-    # Refined fragment schedule measured from the last render of this entry:
-    # contributing-pair tile lists, the tiles whose lists were additionally
-    # truncated at their termination depth (those need per-render
-    # verification), and the cloud's cumulative opacity movement at
-    # measurement time (a later opacity swing past the refine margin's
-    # headroom voids the lists).
-    refined: FlatFragments | None = field(default=None, repr=False)
-    capped_tile_ids: frozenset[int] = frozenset()
-    refined_opacity_delta: float = 0.0
     last_used: int = 0
 
     @property
@@ -321,13 +238,9 @@ class EntryMeta:
     built_epoch: int
     built_position_delta: float
     built_log_scale_delta: float
-    built_opacity_delta: float
     min_depth: float
     max_radius: float
     px_per_unit: float
-    build_rotation: np.ndarray
-    build_translation: np.ndarray
-    max_cam_norm: float
 
 
 def entry_meta(entry: "_CacheEntry") -> EntryMeta:
@@ -338,77 +251,38 @@ def entry_meta(entry: "_CacheEntry") -> EntryMeta:
         built_epoch=entry.built_epoch,
         built_position_delta=entry.built_position_delta,
         built_log_scale_delta=entry.built_log_scale_delta,
-        built_opacity_delta=entry.built_opacity_delta,
         min_depth=entry.min_depth,
         max_radius=entry.max_radius,
         px_per_unit=entry.px_per_unit,
-        build_rotation=entry.build_rotation,
-        build_translation=entry.build_translation,
-        max_cam_norm=entry.max_cam_norm,
     )
 
 
-def pose_drift(entry, pose_cw: SE3) -> float:
-    """Worst-case camera-frame point displacement (world units) between the
-    entry's build pose and ``pose_cw``.
-
-    For relative rotation ``Q = R' R^T`` with angle ``theta`` and relative
-    translation ``dt = t' - Q t``, a point at camera-frame distance ``r``
-    moves by at most ``|dt| + 2 sin(theta/2) r``; the entry's largest build
-    distance bounds ``r``.  Exactly equal poses return 0.0, keeping the
-    bitwise tiers reachable only for same-pose lookups.
-    """
-    rotation = entry.build_rotation
-    translation = entry.build_translation
-    if np.array_equal(rotation, pose_cw.rotation) and np.array_equal(
-        translation, pose_cw.translation
-    ):
-        return 0.0
-    relative = pose_cw.rotation @ rotation.T
-    cos_theta = float(np.clip((np.trace(relative) - 1.0) / 2.0, -1.0, 1.0))
-    half_sine = float(np.sqrt(max(0.0, (1.0 - cos_theta) / 2.0)))
-    delta_t = pose_cw.translation - relative @ translation
-    return float(np.linalg.norm(delta_t)) + 2.0 * half_sine * entry.max_cam_norm
-
-
-def screen_drift(
-    entry, moved_position: float, moved_log_scale: float, pose_moved: float = 0.0
-) -> float:
+def screen_drift(entry, moved_position: float, moved_log_scale: float) -> float:
     """Conservative screen-space bound (pixels) on the entry's staleness.
 
     A position shift of ``d`` world units moves a splat centre by at most
     ``d * focal / depth`` pixels; the nearest cached depth (shrunk by the
     shift itself, since points may have moved toward the camera) gives the
     worst case.  A log-scale shift of ``s`` grows every splat radius by at
-    most a factor ``e^s``.  ``pose_moved`` (camera motion expressed as an
-    equivalent point displacement, see :func:`pose_drift`) adds to the
-    position shift.
+    most a factor ``e^s``.
     """
-    if (
-        not np.isfinite(moved_position)
-        or not np.isfinite(moved_log_scale)
-        or not np.isfinite(pose_moved)
-    ):
+    if not np.isfinite(moved_position) or not np.isfinite(moved_log_scale):
         return float("inf")
-    total_shift = moved_position + pose_moved
-    depth = entry.min_depth - total_shift
+    depth = entry.min_depth - moved_position
     if depth <= 1e-3:
         return float("inf")
-    shift = total_shift * entry.px_per_unit / depth
+    shift = moved_position * entry.px_per_unit / depth
     growth = entry.max_radius * float(np.expm1(moved_log_scale))
     return shift + growth
 
 
-def classify_reuse(config: GeomCacheConfig, entry, cloud, pose_cw: SE3) -> str:
+def classify_reuse(config: GeomCacheConfig, entry, cloud) -> str:
     """Classify one lookup against an entry (or :class:`EntryMeta` mirror).
 
     ``entry`` is duck-typed over the :class:`EntryMeta` fields and ``cloud``
     over the mutation-epoch attributes of :class:`GaussianCloud`, so the
     sharded parent can run the *same* decision procedure over its metadata
-    mirror that workers run over their resident entries.  A lookup whose pose
-    differs from the entry's build pose (possible only under pose-quantised
-    keys) is capped at the ``incremental`` tier: the cached geometry belongs
-    to another pose, so the exact tiers are unreachable by construction.
+    mirror that workers run over their resident entries.
     """
     if (
         entry is None
@@ -419,18 +293,16 @@ def classify_reuse(config: GeomCacheConfig, entry, cloud, pose_cw: SE3) -> str:
         or entry.built_epoch < cloud.unbounded_epoch
     ):
         return "miss"
-    pose_moved = pose_drift(entry, pose_cw)
+    if entry.built_epoch == cloud.epoch:
+        return "hit"
     moved_position = cloud.cum_position_delta - entry.built_position_delta
     moved_log_scale = cloud.cum_log_scale_delta - entry.built_log_scale_delta
-    if pose_moved == 0.0:
-        if entry.built_epoch == cloud.epoch:
-            return "hit"
-        if moved_position == 0.0 and moved_log_scale == 0.0:
-            return "refresh"
+    if moved_position == 0.0 and moved_log_scale == 0.0:
+        return "refresh"
     tolerance = config.tolerance_px
     if tolerance <= 0.0:
         return "miss"
-    if screen_drift(entry, moved_position, moved_log_scale, pose_moved) <= tolerance:
+    if screen_drift(entry, moved_position, moved_log_scale) <= tolerance:
         return "incremental"
     return "miss"
 
@@ -442,13 +314,6 @@ class _ViewPlan:
     key: tuple
     status: str  # "hit" | "refresh" | "incremental" | "miss"
     entry: _CacheEntry | None  # None until a miss is built
-    opacity_delta: float = 0.0  # cloud.cum_opacity_delta at plan time
-
-    @property
-    def fragments_used(self) -> FlatFragments:
-        if self.entry.refined is not None and self.status != "miss":
-            return self.entry.refined
-        return self.entry.fragments
 
 
 class GeometryCache:
@@ -505,7 +370,7 @@ class GeometryCache:
         plan = self.plan_view(cloud, camera, pose_cw, tile_size, subtile_size, active_only)
         if plan.status == "miss":
             self.build_view(plan, cloud, camera, pose_cw, tile_size, subtile_size, active_only)
-        arena = self.ensure_arena(plan.fragments_used.n_fragments)
+        arena = self.ensure_arena(plan.entry.n_fragments)
         return self.render_view(plan, background, arena, 0)
 
     def plan_view(
@@ -523,31 +388,15 @@ class GeometryCache:
         :meth:`build_view`, optionally donating shared preprocessing) or one
         of the reuse tiers, in which case ``entry`` is ready to render.
         """
-        key = view_key(
-            camera, pose_cw, tile_size, subtile_size, active_only,
-            pose_quantum=self.config.pose_quantum,
-        )
+        key = view_key(camera, pose_cw, tile_size, subtile_size, active_only)
         entry = self._entries.get(key)
-        status = classify_reuse(self.config, entry, cloud, pose_cw)
+        status = classify_reuse(self.config, entry, cloud)
         if status == "miss":
-            return _ViewPlan(
-                key=key, status=status, entry=None, opacity_delta=cloud.cum_opacity_delta
-            )
+            return _ViewPlan(key=key, status=status, entry=None)
         self._touch(entry)
         if entry.current_epoch != cloud.epoch:
             self._splice_appearance(entry, cloud)
-        if entry.refined is not None and self.config.refine_margin > 0:
-            # Refinement masks were measured under older opacities; once the
-            # cumulative logit movement exceeds the margin's headroom
-            # (sigmoid(x + d) <= sigmoid(x) * e^d), a dropped pair could have
-            # crossed the cutoff, so fall back to the full tile lists.
-            headroom = float(np.log(max(self.config.refine_margin, 1.0)))
-            if cloud.cum_opacity_delta - entry.refined_opacity_delta > headroom:
-                entry.refined = None
-                entry.capped_tile_ids = frozenset()
-        return _ViewPlan(
-            key=key, status=status, entry=entry, opacity_delta=cloud.cum_opacity_delta
-        )
+        return _ViewPlan(key=key, status=status, entry=entry)
 
     def build_view(
         self,
@@ -574,17 +423,9 @@ class GeometryCache:
             built_epoch=cloud.epoch,
             built_position_delta=cloud.cum_position_delta,
             built_log_scale_delta=cloud.cum_log_scale_delta,
-            built_opacity_delta=cloud.cum_opacity_delta,
             min_depth=float(projected.depths.min()) if projected.n_visible else float("inf"),
             max_radius=float(projected.radii.max()) if projected.n_visible else 0.0,
             px_per_unit=float(max(camera.fx, camera.fy)),
-            build_rotation=pose_cw.rotation.copy(),
-            build_translation=pose_cw.translation.copy(),
-            max_cam_norm=(
-                float(np.linalg.norm(projected.points_cam, axis=1).max())
-                if projected.n_visible
-                else 0.0
-            ),
             projected=projected,
             intersections=intersections,
             fragments=fragments,
@@ -603,36 +444,17 @@ class GeometryCache:
         arena: FlatArena,
         base: int,
     ) -> RenderResult:
-        """Render one planned view into ``arena[base:]`` with verified reuse.
+        """Render one planned view into ``arena[base:]`` and count its tier.
 
-        Runs the flat forward on the entry's (possibly refined/truncated)
-        fragment schedule; if the truncation verification fails — some pixel
-        of a capped tile did not terminate within the cap — the view is
-        re-rendered densely into a private arena, so the returned result is
-        always exact up to the reuse tier's own contract.  Records cache
-        accounting and refreshes the fragment schedule for the next render.
+        Runs the flat forward on the entry's full fragment list, so the
+        result is exact up to the reuse tier's own contract.
         """
         entry = plan.entry
-        fragments = plan.fragments_used
         result = rasterize_flat_into(
-            entry.projected, entry.intersections, fragments, background, arena, base
+            entry.projected, entry.intersections, entry.fragments, background, arena, base
         )
-        if self._under_terminated(entry, fragments, result):
-            self.stats.truncation_fallbacks += 1
-            fragments = entry.fragments
-            result = rasterize_flat_into(
-                entry.projected,
-                entry.intersections,
-                fragments,
-                background,
-                ensure_flat_arena(None, fragments.n_fragments),
-                0,
-            )
         result.cache_status = plan.status
         self.stats.count(plan.status)
-        if self.config.refine_margin > 0 or self.config.termination_margin > 0:
-            self._refine(entry, fragments, result)
-            entry.refined_opacity_delta = plan.opacity_delta
         return result
 
     # -- internals ----------------------------------------------------------
@@ -656,96 +478,6 @@ class GeometryCache:
             projected=projected,
         )
         entry.current_epoch = cloud.epoch
-
-    def _under_terminated(
-        self, entry: _CacheEntry, rendered: FlatFragments, result: RenderResult
-    ) -> bool:
-        """True when a truncated tile left some pixel's compositing unfinished.
-
-        Only tiles whose lists were capped at a termination depth need the
-        check (contributing-pair drops have zero alpha and cannot absorb
-        transmittance); for those, any pixel whose transmittance after the
-        last rendered fragment is still at or above the termination threshold
-        would have processed more fragments in a dense render.
-        """
-        if not entry.capped_tile_ids or rendered is entry.fragments:
-            return False
-        for cache in result.tile_caches:
-            if cache.tile_id not in entry.capped_tile_ids:
-                continue
-            trans_end = cache.transmittance_before[:, -1] * (1.0 - cache.alphas[:, -1])
-            if np.any(trans_end >= TRANSMITTANCE_EPS):
-                return True
-        return False
-
-    def _refine(
-        self, entry: _CacheEntry, rendered: FlatFragments, result: RenderResult
-    ) -> None:
-        """Rebuild the entry's fragment schedule from the render's buffers.
-
-        Two reductions over the per-tile caches (the software analogue of
-        reading the R&B Buffer back):
-
-        * a pair whose best per-pixel raw alpha stays below ``ALPHA_CUTOFF /
-          refine_margin`` composites to exactly zero everywhere in the tile,
-          so dropping it leaves the output unchanged at this epoch, and the
-          margin's headroom covers the drift the tolerance admits before the
-          next full rebuild;
-        * fragments deeper than the tile's termination depth (the deepest
-          per-pixel processed count) were visited by no pixel; the kept list
-          is capped there plus ``termination_margin`` headroom, and capped
-          tiles are recorded for the per-render verification.
-
-        Schedules measured on an already-refined render only refine further;
-        a miss resets the schedule to the full lists.
-        """
-        refine_margin = self.config.refine_margin
-        termination_margin = self.config.termination_margin
-        cutoff = ALPHA_CUTOFF / refine_margin if refine_margin > 0 else 0.0
-        opacities = result.projected.opacities
-        keep_rows: list[np.ndarray] = []
-        keep_lin: list[np.ndarray] = []
-        slices: list[tuple[int, int, int]] = []
-        capped: set[int] = set()
-        offset = 0
-        max_per_pixel = 0
-        # ``result.tile_caches`` aligns one-to-one with the non-empty tiles of
-        # the fragment list the render actually used.
-        for cache, pixel_lin in zip(result.tile_caches, rendered.tile_pixel_lin):
-            rows = cache.rows
-            if refine_margin > 0:
-                best_alpha = cache.gauss_values.max(axis=0) * opacities[rows]
-                keep = best_alpha >= cutoff
-                kept = rows[keep]
-            else:
-                keep = None
-                kept = rows
-            if termination_margin > 0 and kept.size:
-                depth = int(cache.processed.sum(axis=1).max())
-                kept_in_prefix = (
-                    int(np.count_nonzero(keep[:depth])) if keep is not None else depth
-                )
-                cap = kept_in_prefix + max(4, int(np.ceil(termination_margin * kept_in_prefix)))
-                if cap < kept.shape[0]:
-                    kept = kept[:cap]
-                    capped.add(cache.tile_id)
-            if kept.size == 0:
-                continue
-            n_frag = pixel_lin.shape[0] * kept.shape[0]
-            slices.append((cache.tile_id, offset, offset + n_frag))
-            keep_rows.append(kept)
-            keep_lin.append(pixel_lin)
-            offset += n_frag
-            max_per_pixel = max(max_per_pixel, kept.shape[0])
-        entry.refined = FlatFragments(
-            width=entry.fragments.width,
-            tile_slices=slices,
-            tile_rows=keep_rows,
-            tile_pixel_lin=keep_lin,
-            n_fragments=offset,
-            max_per_pixel=max_per_pixel,
-        )
-        entry.capped_tile_ids = frozenset(capped)
 
     def _touch(self, entry: _CacheEntry) -> None:
         if self._shared_clock is not None:
@@ -801,15 +533,15 @@ class GeometryCache:
 def _entry_nbytes(obj, seen: set[int]) -> int:
     """Recursively sum ndarray bytes under ``obj``, deduplicating buffers.
 
-    Cached products alias each other aggressively (refined fragment
-    schedules share the builder's arrays, ``intersections.projected`` *is*
-    the entry's ``projected``), so every array is resolved to its owning
+    Cached products alias each other aggressively (the fragment list's
+    ``tile_rows`` are the tile lists' arrays, ``intersections.projected``
+    *is* the entry's ``projected``), so every array is resolved to its owning
     base buffer and each buffer is counted once per ``seen`` set — pass one
     set across all entries of a cache for resident-set semantics.
     """
     import dataclasses as _dc
 
-    if obj is None or isinstance(obj, (bool, int, float, str, bytes, frozenset)):
+    if obj is None or isinstance(obj, (bool, int, float, str, bytes)):
         return 0
     if isinstance(obj, np.ndarray):
         root = obj

@@ -105,17 +105,6 @@ class MappingConfig:
     # Screen-space staleness (pixels) under which cached geometry may be
     # reused after position/scale steps; 0 keeps only the exact reuse tiers.
     geom_cache_tolerance_px: float = 0.5
-    # Alpha-cutoff headroom for contributing-pair refinement; 0 disables it.
-    geom_cache_refine_margin: float = 8.0
-    # Headroom on the verified per-tile termination depth; 0 disables
-    # fragment-list truncation.
-    geom_cache_termination_margin: float = 0.25
-    # Pose quantisation step for cache keys (0 disables): cross-window
-    # tracking deltas smaller than the quantum re-key onto the previous
-    # window's entries and reuse them through the toleranced stale-geometry
-    # tier instead of rebuilding at each new pose.  Requires a non-zero
-    # geom_cache_tolerance_px.
-    geom_cache_pose_quantum: float = 0.0
 
 
 @dataclass
@@ -183,10 +172,7 @@ class StreamingMapper:
                 ),
                 geom_cache=base.geom_cache and config.geom_cache and config.batched,
                 cache_tolerance_px=config.geom_cache_tolerance_px,
-                cache_refine_margin=config.geom_cache_refine_margin,
-                cache_termination_margin=config.geom_cache_termination_margin,
                 cache_max_entries=max(8, config.batch_views or config.keyframe_window),
-                cache_pose_quantum=config.geom_cache_pose_quantum,
             )
         )
 

@@ -23,11 +23,11 @@ with the fused backward equal to the per-view gradient sum.
 
 Every scenario also runs a cached-vs-uncached equivalence check against the
 geometry cache (:mod:`repro.gaussians.geom_cache`) in its exact configuration
-(zero tolerance, no refinement): renders and gradients served from an
-engine-managed cache must be **bit-identical** to uncached renders before any
-mutation, after a repeat lookup (cache hit), after an appearance-only update
-(refresh tier), and after every invalidation path — an Adam-style parameter
-step, densification, pruning, masking and ``notify_removed``-style removal.
+(zero tolerance): renders and gradients served from an engine-managed cache
+must be **bit-identical** to uncached renders before any mutation, after a
+repeat lookup (cache hit), after an appearance-only update (refresh tier),
+and after every invalidation path — an Adam-style parameter step,
+densification, pruning, masking and ``notify_removed``-style removal.
 
 Finally, :meth:`DifferentialRunner.verify_engine` pins the engine-mediated
 path itself: for both backends *plus* the ``sharded`` multi-process backend,
@@ -37,13 +37,11 @@ to the legacy free-function implementation it wraps, and
 views, fragment counts, fused backward gradients and per-view pose twists —
 bitwise against the flat batch on every scenario, cache off *and* on: the
 sharded backend's worker-resident geometry caches must stay bit-identical to
-the parent-resident flat cache through miss, hit and refresh rounds, and the
-pose-quantised cross-window re-key tier must agree bitwise between the two
-cache sites while staying within its documented screen-space tolerance of an
-exact render.  A runner constructed with a ``fault_schedule``
-(:mod:`repro.engine.faults` grammar) additionally re-renders each scenario's
-window under that schedule and requires the self-healing sharded dispatch to
-complete it bitwise-identical to the healthy run — the CI chaos job and the
+the parent-resident flat cache through miss, hit and refresh rounds.  A
+runner constructed with a ``fault_schedule`` (:mod:`repro.engine.faults`
+grammar) additionally re-renders each scenario's window under that schedule
+and requires the self-healing sharded dispatch to complete it
+bitwise-identical to the healthy run — the CI chaos job and the
 fault-injection tests drive this phase.
 
 A runner constructed with ``n_service_sessions > 0`` adds a multi-tenant
@@ -87,10 +85,8 @@ GRADIENT_FIELDS = (
 )
 
 # Exact-mode cache configuration: only the bit-identical reuse tiers.
-_EXACT_CACHE = dict(tolerance_px=0.0, refine_margin=0.0, termination_margin=0.0)
-_EXACT_ENGINE_CACHE = dict(
-    cache_tolerance_px=0.0, cache_refine_margin=0.0, cache_termination_margin=0.0
-)
+_EXACT_CACHE = dict(tolerance_px=0.0)
+_EXACT_ENGINE_CACHE = dict(cache_tolerance_px=0.0)
 
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -399,15 +395,14 @@ class DifferentialRunner:
         """Pin engine-cached renders bit-identical to uncached ones across mutations.
 
         Runs an engine whose geometry cache is in its exact configuration
-        (``tolerance_px=0``, ``refine_margin=0``) on a private copy of the
-        scenario cloud and, for every stage of a mutation sequence covering
-        all invalidation paths — repeat render (hit), appearance-only step
-        (refresh), Adam-style parameter step, densify, prune, mask +
-        ``remove_inactive`` (the ``notify_removed`` path) — asserts the
-        cached forward outputs equal an uncached render *bitwise* and the
-        backward gradients match to ``grad_tol`` (the flat backward on
-        identical caches is bit-identical in practice).  Returns worst diffs
-        and failure descriptions.
+        (``tolerance_px=0``) on a private copy of the scenario cloud and, for
+        every stage of a mutation sequence covering all invalidation paths —
+        repeat render (hit), appearance-only step (refresh), Adam-style
+        parameter step, densify, prune, mask + ``remove_inactive`` (the
+        ``notify_removed`` path) — asserts the cached forward outputs equal an
+        uncached render *bitwise* and the backward gradients match to
+        ``grad_tol`` (the flat backward on identical caches is bit-identical
+        in practice).  Returns worst diffs and failure descriptions.
         """
         failures: list[str] = []
         diffs = {"cache_image": 0.0, "cache_grad": 0.0}
@@ -416,9 +411,7 @@ class DifferentialRunner:
             EngineConfig(
                 backend=self.candidate_backend,
                 geom_cache=True,
-                cache_tolerance_px=0.0,
-                cache_refine_margin=0.0,
-                cache_termination_margin=0.0,
+                **_EXACT_ENGINE_CACHE,
             )
         )
         plain_engine = self.engine_for(self.candidate_backend)
@@ -808,15 +801,8 @@ class DifferentialRunner:
         resident cache, same configuration) must agree bitwise on every
         forward output, report identical per-view cache statuses, and produce
         bitwise-equal fused backward gradients — across a miss round, a hit
-        round and a refresh round (appearance-only mutation).  A second pair
-        of engines with pose-quantised keys then re-renders the window at
-        nudged poses: both cache sites must make the same re-key decision
-        (predicted parent-side from the quantised buckets), agree bitwise
-        with each other, and stay within the configured screen-space
-        tolerance of an exact uncached render.
+        round and a refresh round (appearance-only mutation).
         """
-        from repro.gaussians.geom_cache import view_key
-
         failures: list[str] = []
         poses = spec.view_poses(self.n_batch_views)
         cameras = [spec.camera] * self.n_batch_views
@@ -921,122 +907,6 @@ class DifferentialRunner:
         # Eagerly free the per-scenario worker-resident entries (also
         # exercises the cross-process invalidation broadcast).
         sharded_engine.invalidate_cache()
-
-        # Pose-quantised cross-window re-keying: nudged poses must re-key
-        # onto the built entries and serve the toleranced stale-geometry
-        # tier, identically at both cache sites.
-        quantum, tolerance_px = 0.05, 2.0
-        quantised_config = dict(
-            geom_cache=True,
-            cache_tolerance_px=tolerance_px,
-            cache_refine_margin=0.0,
-            cache_termination_margin=0.0,
-            cache_pose_quantum=quantum,
-        )
-        sharded_quantised = RenderEngine(
-            EngineConfig(
-                backend=self.sharded_backend,
-                shard_workers=self.n_shard_workers,
-                **quantised_config,
-            )
-        )
-        flat_quantised = RenderEngine(
-            EngineConfig(backend=self.candidate_backend, **quantised_config)
-        )
-        build_cloud = spec.cloud.copy()
-        nudge = 1e-5
-        nudged_poses = [
-            type(pose)(pose.rotation, pose.translation + nudge) for pose in poses
-        ]
-        # Pose buckets predict each view's tier: a nudge that stays inside
-        # the build pose's quantised bucket re-keys (incremental); the rare
-        # boundary crossing is an honest miss at both sites.
-        expected = [
-            "incremental"
-            if view_key(
-                camera, built, spec.tile_size, spec.subtile_size, True,
-                pose_quantum=quantum,
-            )
-            == view_key(
-                camera, nudged, spec.tile_size, spec.subtile_size, True,
-                pose_quantum=quantum,
-            )
-            else "miss"
-            for camera, built, nudged in zip(cameras, poses, nudged_poses)
-        ]
-        for engine in (sharded_quantised, flat_quantised):
-            built = engine.render_batch(
-                build_cloud,
-                cameras,
-                poses,
-                backgrounds=backgrounds,
-                tile_size=spec.tile_size,
-                subtile_size=spec.subtile_size,
-            )
-            engine.release(built)
-        sharded_nudged = sharded_quantised.render_batch(
-            build_cloud,
-            cameras,
-            nudged_poses,
-            backgrounds=backgrounds,
-            tile_size=spec.tile_size,
-            subtile_size=spec.subtile_size,
-        )
-        flat_nudged = flat_quantised.render_batch(
-            build_cloud,
-            cameras,
-            nudged_poses,
-            backgrounds=backgrounds,
-            tile_size=spec.tile_size,
-            subtile_size=spec.subtile_size,
-        )
-        statuses = [view.cache_status for view in sharded_nudged.views]
-        if statuses != expected:
-            failures.append(
-                f"sharded pose-quantised re-key: statuses {statuses} != "
-                f"bucket-predicted {expected}"
-            )
-        if statuses != [view.cache_status for view in flat_nudged.views]:
-            failures.append(
-                "sharded pose-quantised re-key: statuses diverge from the "
-                "flat-cached engine"
-            )
-        uncached_engine = self.engine_for(self.candidate_backend)
-        exact = uncached_engine.render_batch(
-            build_cloud,
-            cameras,
-            nudged_poses,
-            backgrounds=backgrounds,
-            tile_size=spec.tile_size,
-            subtile_size=spec.subtile_size,
-            managed=False,
-        )
-        # The re-keyed tier serves geometry built at the quantised pose: it
-        # is approximate, bounded by the configured screen-space tolerance
-        # (generous here, so the documented bound is what gates).
-        documented_bound = 0.05
-        for index, (sharded_view, flat_view, exact_view) in enumerate(
-            zip(sharded_nudged.views, flat_nudged.views, exact.views)
-        ):
-            for name in ("image", "depth", "alpha"):
-                a = getattr(sharded_view, name)
-                if not np.array_equal(a, getattr(flat_view, name)):
-                    worst = _max_abs_diff(a, getattr(flat_view, name))
-                    diffs["sharded_image"] = max(diffs["sharded_image"], worst)
-                    failures.append(
-                        f"sharded pose-quantised view {index}: {name} differs "
-                        f"from the flat-cached engine (max diff {worst:.3e})"
-                    )
-            drift = _max_abs_diff(sharded_view.image, exact_view.image)
-            if not drift <= documented_bound:
-                failures.append(
-                    f"sharded pose-quantised view {index}: image drift "
-                    f"{drift:.3e} vs an exact render exceeds the documented "
-                    f"bound {documented_bound:.1e} (tolerance_px={tolerance_px})"
-                )
-        sharded_quantised.release(sharded_nudged)
-        flat_quantised.release(flat_nudged)
-        sharded_quantised.invalidate_cache()
         return failures
 
     def verify_async(self, spec: SceneSpec) -> tuple[dict[str, float], list[str]]:

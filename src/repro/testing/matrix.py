@@ -384,7 +384,7 @@ class ScenarioMatrix:
         ):
             # A fault irrecoverably loses worker-resident cache entries, so
             # later iterations legitimately rebuild tiers the healthy cached
-            # reference serves from its retained fragment schedule; the
+            # reference serves from its retained entries; the
             # cached backward's last-ulp regrouping then diverges, and Adam
             # amplifies it unboundedly on near-degenerate scenes (the same
             # reason cache-on mapper cells are pinned against an independent

@@ -2,7 +2,7 @@
 
 Covers the speculation lifecycle end to end: consume on an exact
 SpeculationKey match, discard-whole (never stitch) on any intervening cloud
-mutation or window change, the ``drain()`` barrier, depth exhaustion raising
+mutation or window change, the ``drain()`` barrier, a second speculation raising
 ``ArenaInUseError``, idempotent re-speculation, and the engine-level
 ``speculate_batch``/``drain`` passthroughs on non-pipelining backends.  A
 hypothesis property pins the SLAM-side publication invariant: a tracker
@@ -177,17 +177,17 @@ class TestSpeculationLifecycle:
         engine.drain()
 
     def test_depth_exhaustion_raises_arena_in_use(self):
-        # Each in-flight speculation owns a live shadow arena; exceeding
-        # async_depth would require arenas the engine does not double-buffer.
+        # The in-flight speculation owns the live shadow arena; a second one
+        # would require an arena the engine does not double-buffer.
         spec = DEFAULT_LIBRARY.get("dense_random").build()
         cameras_a, poses_a = _window(spec, 3)
         cameras_b, poses_b = _window(spec, 2)
-        engine = _async_engine(async_depth=1)
+        engine = _async_engine()
         _speculate(engine, spec, cameras_a, poses_a)
-        with pytest.raises(ArenaInUseError, match="async_depth=1"):
+        with pytest.raises(ArenaInUseError, match="speculative plan in flight"):
             _speculate(engine, spec, cameras_b, poses_b)
         engine.drain()
-        # Drained slots free the depth again.
+        # Draining frees the slot again.
         handle = _speculate(engine, spec, cameras_b, poses_b)
         assert handle.pending
         engine.drain()

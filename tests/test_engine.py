@@ -209,24 +209,11 @@ class TestEngineConfig:
     def test_from_env_async_pipeline_knobs(self):
         config = EngineConfig.from_env({})
         assert not config.async_pipeline
-        assert config.async_depth == 1
-        config = EngineConfig.from_env(
-            {"REPRO_ASYNC_PIPELINE": "1", "REPRO_ASYNC_DEPTH": "3"}
-        )
-        assert config.async_pipeline
-        assert config.async_depth == 3
+        assert EngineConfig.from_env({"REPRO_ASYNC_PIPELINE": "1"}).async_pipeline
         # Falsey spellings and the empty string keep the overlap off, like
         # the other boolean env knobs.
         for raw in ("", "0", "off", "false", "OFF"):
             assert not EngineConfig.from_env({"REPRO_ASYNC_PIPELINE": raw}).async_pipeline
-
-    def test_from_env_rejects_bad_async_depth(self):
-        with pytest.raises(ValueError, match="REPRO_ASYNC_DEPTH"):
-            EngineConfig.from_env({"REPRO_ASYNC_DEPTH": "deep"})
-        with pytest.raises(ValueError, match="REPRO_ASYNC_DEPTH"):
-            EngineConfig.from_env({"REPRO_ASYNC_DEPTH": "0"})
-        with pytest.raises(ValueError, match="REPRO_ASYNC_DEPTH"):
-            EngineConfig(async_depth=0)
 
     def test_async_pipeline_conflicts_with_tile_backend(self):
         # The tile reference loop has no batch path, so the overlap could
@@ -268,8 +255,6 @@ class TestEngineConfig:
         # REPRO_SUBTILE_SIZE is caught at construction, not mid-render.
         with pytest.raises(ValueError, match="multiple of"):
             EngineConfig(tile_size=16, subtile_size=3)
-        with pytest.raises(ValueError, match="cache_refine_margin"):
-            EngineConfig(cache_refine_margin=0.5)
         with pytest.raises(ValueError, match="cache_max_entries"):
             EngineConfig(cache_max_entries=0)
         with pytest.raises(ValueError, match="shard_workers"):
@@ -323,40 +308,6 @@ class TestEngineConfig:
         assert geom_cache_enabled_from_env({})
         for value in ("0", "false", "OFF"):
             assert not geom_cache_enabled_from_env({"REPRO_GEOM_CACHE": value})
-
-    def test_from_env_cache_pose_quantum(self):
-        assert EngineConfig.from_env({}).cache_pose_quantum == 0.0
-        assert (
-            EngineConfig.from_env({"REPRO_GEOM_CACHE_POSE_QUANTUM": ""}).cache_pose_quantum
-            == 0.0
-        )
-        config = EngineConfig.from_env({"REPRO_GEOM_CACHE_POSE_QUANTUM": "0.05"})
-        assert config.cache_pose_quantum == 0.05
-        assert config.cache_config().pose_quantum == 0.05
-
-    def test_from_env_rejects_bad_cache_pose_quantum(self):
-        with pytest.raises(ValueError, match="REPRO_GEOM_CACHE_POSE_QUANTUM"):
-            EngineConfig.from_env({"REPRO_GEOM_CACHE_POSE_QUANTUM": "tiny"})
-        with pytest.raises(ValueError, match="REPRO_GEOM_CACHE_POSE_QUANTUM"):
-            EngineConfig.from_env({"REPRO_GEOM_CACHE_POSE_QUANTUM": "-0.1"})
-
-    def test_pose_quantum_without_tolerance_is_a_named_conflict(self):
-        # Pose-requantised entries are served through the toleranced tier;
-        # with cache_tolerance_px=0 that tier is disabled, so the combination
-        # must fail at config time naming BOTH knobs, not silently miss on
-        # every cross-window lookup.
-        with pytest.raises(ValueError, match="cache_pose_quantum") as excinfo:
-            EngineConfig(cache_pose_quantum=0.05, cache_tolerance_px=0.0)
-        assert "cache_tolerance_px" in str(excinfo.value)
-        assert "REPRO_GEOM_CACHE_POSE_QUANTUM" in str(excinfo.value)
-        # Same conflict surfaced when assembled purely from the environment.
-        with pytest.raises(ValueError, match="cache_tolerance_px"):
-            EngineConfig.from_env(
-                {"REPRO_GEOM_CACHE_POSE_QUANTUM": "0.05"}, cache_tolerance_px=0.0
-            )
-        # A non-zero tolerance resolves it.
-        config = EngineConfig(cache_pose_quantum=0.05, cache_tolerance_px=1.0)
-        assert config.cache_config().pose_quantum == 0.05
 
     # -- render-service knobs -------------------------------------------------
     def test_from_env_service_knobs(self):
@@ -634,34 +585,8 @@ class TestBackendRegistry:
         assert not capabilities.distributed_planning
         assert not capabilities.worker_resident_cache
         assert capabilities.availability is None
-        # Legacy spellings stay readable while callers migrate.
-        assert capabilities.supports_batch and capabilities.supports_cache
-        assert capabilities.available
         tile = engine.capabilities("tile")
         assert tile.reference and not tile.batch
-
-    def test_legacy_dict_capabilities_adapted_with_deprecation_warning(self):
-        class _DictBackend(_EchoBackend):
-            name = "dictcaps"
-
-            def capabilities(self):
-                return {"supports_batch": True, "supports_cache": False,
-                        "description": "legacy dict payload"}
-
-        register_backend("dictcaps", _DictBackend)
-        try:
-            with pytest.warns(DeprecationWarning, match="capabilities dict"):
-                engine = RenderEngine(EngineConfig(backend="dictcaps", geom_cache=False))
-                capabilities = engine.capabilities("dictcaps")
-            assert capabilities.batch
-            assert not capabilities.cache
-            assert capabilities.description == "legacy dict payload"
-            # The adapter is invisible past the probe: renders pass through.
-            spec = _spec("single_gaussian")
-            render = _render(engine, spec)
-            assert np.isfinite(render.image).all()
-        finally:
-            REGISTRY.unregister("dictcaps")
 
     def test_legacy_dict_capabilities_with_unknown_keys_rejected(self):
         class _TypoBackend(_EchoBackend):
@@ -673,7 +598,7 @@ class TestBackendRegistry:
         register_backend("typocaps", _TypoBackend)
         try:
             engine = RenderEngine(EngineConfig(backend="typocaps", geom_cache=False))
-            with pytest.raises(ValueError, match="unknown keys"):
+            with pytest.raises(TypeError, match="must return BackendCapabilities"):
                 engine.capabilities("typocaps")
         finally:
             REGISTRY.unregister("typocaps")

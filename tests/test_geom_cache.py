@@ -19,37 +19,11 @@ from repro.gaussians import (
 from repro.slam import Frame, MappingConfig, StreamingMapper
 from repro.testing.scenarios import DEFAULT_LIBRARY
 
-EXACT = GeomCacheConfig(tolerance_px=0.0, refine_margin=0.0, termination_margin=0.0)
+EXACT = GeomCacheConfig(tolerance_px=0.0)
 
 
 def _spec(name: str = "dense_random"):
     return DEFAULT_LIBRARY.get(name).build()
-
-
-def _deep_stack_spec(n: int = 64, opacity: float = 0.99):
-    """A deep stack of near-opaque full-frame splats: early termination bites.
-
-    Every pixel's transmittance collapses within a few fragments while the
-    per-tile lists hold ``n``, so termination-depth truncation has real work.
-    """
-    from repro.gaussians import Camera, SE3
-    from repro.testing.scenarios import SceneSpec
-
-    points = np.zeros((n, 3))
-    points[:, 2] = np.linspace(-0.3, 0.5, n)
-    rng = np.random.default_rng(7)
-    colors = rng.uniform(0.1, 0.9, size=(n, 3))
-    # Wide splats: even the image corners sit within ~1.5 sigma, so every
-    # pixel's transmittance collapses well before the list ends.
-    cloud = GaussianCloud.from_points(points, colors, scale=1.0, opacity=opacity)
-    return SceneSpec(
-        cloud=cloud,
-        camera=Camera.from_fov(32, 24, fov_x_degrees=70.0),
-        pose_cw=SE3.look_at(
-            np.array([0.0, 0.0, -2.0]), np.array([0.0, 0.0, 0.0]), up=(0, 1, 0)
-        ),
-        background=np.array([0.1, 0.1, 0.1]),
-    )
 
 
 def _render(cloud, spec, cache=None):
@@ -139,12 +113,8 @@ class TestCloudEpochs:
         assert other.epoch == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="refine_margin"):
-            GeomCacheConfig(refine_margin=0.5)
         with pytest.raises(ValueError, match="tolerance_px"):
             GeomCacheConfig(tolerance_px=-1.0)
-        with pytest.raises(ValueError, match="termination_margin"):
-            GeomCacheConfig(termination_margin=-0.1)
         with pytest.raises(ValueError, match="max_entries"):
             GeomCacheConfig(max_entries=0)
 
@@ -182,10 +152,16 @@ class TestArenaRecycling:
 
 
 class TestCacheTiers:
-    def test_statuses_and_bitwise_equality(self):
+    @pytest.mark.parametrize(
+        "config", [EXACT, GeomCacheConfig()], ids=["exact", "default"]
+    )
+    def test_statuses_and_bitwise_equality(self, config):
+        """Exact tiers replay the full fragment list under any configuration,
+        so hits and refreshes equal a cache-off render bit for bit, fragment
+        counts included."""
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache(config)
         first = _render(cloud, spec, cache)
         assert first.cache_status == "miss"
         _assert_bitwise_equal(first, _render(cloud, spec))
@@ -196,16 +172,17 @@ class TestCacheTiers:
         third = _render(cloud, spec, cache)
         assert third.cache_status == "refresh"
         _assert_bitwise_equal(third, _render(cloud, spec))
-        cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 1e-4))
+        # A move past any tolerance: geometry moved, so the view rebuilds.
+        cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 0.5))
         fourth = _render(cloud, spec, cache)
-        assert fourth.cache_status == "miss"  # tolerance 0: geometry moved
+        assert fourth.cache_status == "miss"
         _assert_bitwise_equal(fourth, _render(cloud, spec))
         assert cache.stats.as_dict()["reuse_fraction"] == pytest.approx(0.5)
 
     def test_incremental_tier_within_tolerance(self):
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(GeomCacheConfig(tolerance_px=2.0, refine_margin=0.0))
+        cache = GeometryCache(GeomCacheConfig(tolerance_px=2.0))
         _render(cloud, spec, cache)
         cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 1e-4))
         stale = _render(cloud, spec, cache)
@@ -273,79 +250,9 @@ class TestCacheTiers:
             d_opacity_logits=rng.normal(0.0, scale, size=n),
             d_colors=rng.normal(0.0, scale, size=(n, 3)),
         )
-        _assert_bitwise_equal(_render(cloud, spec, cache), _render(cloud, spec))
-
-
-class TestRefinement:
-    def test_refined_rerender_matches_dense(self):
-        spec = _spec()
-        cloud = spec.cloud.copy()
-        cache = GeometryCache(GeomCacheConfig(tolerance_px=0.0, refine_margin=8.0))
-        first = _render(cloud, spec, cache)
-        second = _render(cloud, spec, cache)  # hit, on the refined tile lists
-        assert second.cache_status == "hit"
-        # Dropped pairs composite to exactly zero; only BLAS summation order
-        # can differ.
-        np.testing.assert_allclose(second.image, first.image, atol=1e-12)
-        np.testing.assert_allclose(second.depth, first.depth, atol=1e-12)
-        # Refined renders process no more fragments than dense ones.
-        assert second.n_fragments <= first.n_fragments
-
-    def test_termination_truncation_exact_counts(self):
-        spec = _deep_stack_spec()
-        cloud = spec.cloud.copy()
-        cache = GeometryCache(
-            GeomCacheConfig(tolerance_px=0.0, refine_margin=0.0, termination_margin=0.25)
-        )
-        first = _render(cloud, spec, cache)
-        second = _render(cloud, spec, cache)
-        assert second.cache_status == "hit"
-        # Truncation strips only fragments no pixel processed, so the
-        # workload counts stay exact (and the compositing values identical).
-        np.testing.assert_array_equal(
-            second.fragments_per_pixel, first.fragments_per_pixel
-        )
-        np.testing.assert_allclose(second.image, first.image, atol=1e-12)
-        (entry,) = cache._entries.values()
-        assert entry.refined is not None
-        assert entry.refined.n_fragments < entry.fragments.n_fragments
-
-    def test_truncation_fallback_on_opacity_collapse(self):
-        """A capped tile whose occluders vanish must re-render densely."""
-        spec = _deep_stack_spec()
-        cloud = spec.cloud.copy()
-        cache = GeometryCache(
-            GeomCacheConfig(tolerance_px=0.0, refine_margin=0.0, termination_margin=0.25)
-        )
-        _render(cloud, spec, cache)
-        (entry,) = cache._entries.values()
-        if not entry.capped_tile_ids:
-            pytest.skip("scenario produced no capped tiles")
-        # Collapse every opacity: fragments past the old termination depth
-        # now matter, so the capped schedule under-terminates.  (Logit drop
-        # keeps the refinement-validity headroom: only opacity *increases*
-        # can resurrect refined-away pairs, but truncation must catch this.)
-        cloud.apply_parameter_step(d_opacity_logits=np.full(len(cloud), -6.0))
-        refreshed = _render(cloud, spec, cache)
-        assert cache.stats.truncation_fallbacks == 1
-        _assert_bitwise_equal(refreshed, _render(cloud, spec))
-
-    def test_opacity_surge_voids_refinement(self):
-        spec = _spec()
-        cloud = spec.cloud.copy()
-        margin = 8.0
-        cache = GeometryCache(GeomCacheConfig(tolerance_px=0.0, refine_margin=margin))
-        _render(cloud, spec, cache)
-        (entry,) = cache._entries.values()
-        assert entry.refined is not None
-        # A logit surge past the margin's headroom could push dropped pairs
-        # over the cutoff, so the cache must fall back to the full lists.
-        cloud.apply_parameter_step(
-            d_opacity_logits=np.full(len(cloud), np.log(margin) + 0.5)
-        )
-        refreshed = _render(cloud, spec, cache)
-        assert refreshed.cache_status == "refresh"
-        _assert_bitwise_equal(refreshed, _render(cloud, spec))
+        cached = _render(cloud, spec, cache)
+        assert cached.cache_status == "miss"  # tolerance 0: geometry moved
+        _assert_bitwise_equal(cached, _render(cloud, spec))
 
 
 class TestBatchCache:

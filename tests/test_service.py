@@ -29,9 +29,7 @@ from repro.testing.scenarios import DEFAULT_LIBRARY
 N_WORKERS = 2
 
 # Exact cache configuration: cached sessions stay bitwise against uncached.
-_EXACT = dict(
-    cache_tolerance_px=0.0, cache_refine_margin=0.0, cache_termination_margin=0.0
-)
+_EXACT = dict(cache_tolerance_px=0.0)
 
 
 def _spec(name: str = "dense_random"):

@@ -295,29 +295,29 @@ class TestShardedBackend:
         engine.release(batch)
 
     def test_cache_carrying_requests_shard_with_worker_resident_entries(self):
-        """Cached batches shard: planning and cache entries live in the workers."""
+        """Cached batches shard: planning and cache entries live in the workers.
+
+        Exact and default configurations alike serve hits bitwise against
+        uncached, fragment counts included.
+        """
         spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
         engine = _sharded_engine()
-        # Exact configuration: every tier is bitwise against uncached (the
-        # default refinement drops zero-contribution pairs, a documented
-        # 1-ulp regrouping shared with the parent-resident cache).
-        cache = GeometryCache(
-            GeomCacheConfig(tolerance_px=0.0, refine_margin=0.0, termination_margin=0.0)
-        )
-        batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-        assert batch.sharding is not None
-        assert batch.sharding.plan_site == "worker"
-        assert [view.cache_status for view in batch.views] == ["miss", "miss"]
         uncached = rasterize_batch_views(*args, **kwargs)
-        _assert_views_equal(batch.views, uncached.views)
-        # Parent-side stats mirror the worker-reported statuses, and the
-        # repeat window is served from the worker-resident entries.
-        assert cache.stats.misses == 2
-        repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-        assert [view.cache_status for view in repeat.views] == ["hit", "hit"]
-        assert cache.stats.hits == 2
-        _assert_views_equal(repeat.views, uncached.views)
+        for config in (GeomCacheConfig(tolerance_px=0.0), GeomCacheConfig()):
+            cache = GeometryCache(config)
+            batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
+            assert batch.sharding is not None
+            assert batch.sharding.plan_site == "worker"
+            assert [view.cache_status for view in batch.views] == ["miss", "miss"]
+            _assert_views_equal(batch.views, uncached.views)
+            # Parent-side stats mirror the worker-reported statuses, and the
+            # repeat window is served from the worker-resident entries.
+            assert cache.stats.misses == 2
+            repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
+            assert [view.cache_status for view in repeat.views] == ["hit", "hit"]
+            assert cache.stats.hits == 2
+            _assert_views_equal(repeat.views, uncached.views)
 
     def test_sharded_capabilities_are_honest(self):
         engine = _sharded_engine()
@@ -637,8 +637,6 @@ class TestFaultInjection:
                 geom_cache=True,
                 shard_workers=N_WORKERS,
                 cache_tolerance_px=0.0,
-                cache_refine_margin=0.0,
-                cache_termination_margin=0.0,
                 shard_deadline_s=10.0,
                 shard_backoff_s=0.5,
             )
@@ -886,15 +884,13 @@ class TestWorkerResidentCache:
     def _cached_sharded_engine(self) -> RenderEngine:
         # Exact cache configuration: every served tier must be bitwise
         # against an uncached render, so a stale worker entry cannot hide
-        # behind refinement's documented 1-ulp regrouping.
+        # behind the toleranced tier.
         return RenderEngine(
             EngineConfig(
                 backend="sharded",
                 geom_cache=True,
                 shard_workers=N_WORKERS,
                 cache_tolerance_px=0.0,
-                cache_refine_margin=0.0,
-                cache_termination_margin=0.0,
             )
         )
 
@@ -981,8 +977,6 @@ class TestWorkerResidentCache:
                 backend="flat",
                 geom_cache=True,
                 cache_tolerance_px=0.0,
-                cache_refine_margin=0.0,
-                cache_termination_margin=0.0,
             )
         )
         n_views = 3
@@ -1008,67 +1002,6 @@ class TestWorkerResidentCache:
         round_trip("hit")
         cloud.apply_parameter_step(d_colors=np.full((len(cloud), 3), 0.015))
         round_trip("refresh")
-
-
-class TestPoseQuantisedKeys:
-    """Property: pose-quantised view keys bucket poses stably."""
-
-    def _key(self, translation, quantum):
-        from repro.gaussians.camera import Camera
-        from repro.gaussians.geom_cache import view_key
-        from repro.gaussians.se3 import SE3
-
-        camera = Camera.from_fov(16, 12, fov_x_degrees=60.0)
-        pose = SE3(np.eye(3), np.asarray(translation, dtype=np.float64))
-        return view_key(camera, pose, 16, 4, True, pose_quantum=quantum)
-
-    @given(
-        base=st.lists(
-            st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-            min_size=3,
-            max_size=3,
-        ),
-        quantum=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
-        jitter=st.floats(min_value=-1.0, max_value=1.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_in_bucket_nudges_preserve_the_key(self, base, quantum, jitter):
-        translation = np.asarray(base)
-        buckets = np.round(translation / quantum)
-        # Keep the sample safely inside its bucket so a sub-half-quantum
-        # nudge provably cannot cross a rounding boundary.
-        centred = (buckets + 0.2 * jitter) * quantum
-        nudge = 0.2 * jitter * quantum
-        assert self._key(centred, quantum) == self._key(centred + nudge, quantum)
-
-    @given(
-        base=st.lists(
-            st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-            min_size=3,
-            max_size=3,
-        ),
-        quantum=st.sampled_from([0.01, 0.05, 0.25, 1.0]),
-        shift_buckets=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_cross_bucket_shifts_change_the_key(self, base, quantum, shift_buckets):
-        translation = (np.round(np.asarray(base) / quantum) + 0.1) * quantum
-        shifted = translation + shift_buckets * quantum
-        assert self._key(translation, quantum) != self._key(shifted, quantum)
-
-    @given(
-        base=st.lists(
-            st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
-            min_size=3,
-            max_size=3,
-        ),
-        nudge=st.floats(min_value=1e-12, max_value=1e-3),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_zero_quantum_keys_are_exact(self, base, nudge):
-        translation = np.asarray(base)
-        assert self._key(translation, 0.0) == self._key(translation.copy(), 0.0)
-        assert self._key(translation, 0.0) != self._key(translation + nudge, 0.0)
 
 
 class TestShardedMapping:
