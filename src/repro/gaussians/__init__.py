@@ -67,7 +67,6 @@ from repro.gaussians.fast_raster import (  # noqa: F401
     build_flat_fragments,
     ensure_flat_arena,
     rasterize_flat,
-    segmented_exclusive_cumprod,
 )
 from repro.gaussians.projection import (  # noqa: F401
     SharedGaussianData,

@@ -8,38 +8,42 @@ outer-product tensor per tile.  For the hot SLAM loop this memory traffic is
 the wall-clock, not the flops.
 
 This module keeps the same mathematical pipeline but restructures it around a
-single flat fragment arena for the whole image:
+single flat fragment arena for the whole image and around the fact that a
+tile's pixel centres form a grid:
 
-* all tile intersections are flattened into one ``(n_fragments,)`` fragment
-  list (Gaussian row, linear pixel id, tile id, depth rank) —
-  :class:`FlatFragments`;
-* every forward intermediate (deltas, Gaussian values, alphas, transmittance,
-  weights, processed/clamp masks) lives in one preallocated flat arena;
-  per-tile compute writes *into* contiguous views of it (in-place ufuncs, an
-  exclusive ``cumprod`` with an ``out=`` target, no concatenates), so the
-  per-tile caches the backward pass / hardware model / profiling consume are
-  free reshaped views of the arena rather than per-tile copies;
-* the segmented exclusive cumulative product over per-pixel fragment
-  segments is computed blockwise (segments of one tile share their length, so
-  each tile block is one ``np.cumprod`` call — bit-identical to the reference
-  backend); :func:`segmented_exclusive_cumprod` provides the general
-  Hillis-Steele doubling scan for arbitrary segment layouts and is pinned to
-  the blocked variant by the property tests;
-* the flat backward pass (:func:`rasterize_backward_flat`) folds the colour
-  and depth suffix terms into one ``(P, 3) @ (3, M)`` BLAS product and a
-  single suffix scan over a ``(P, M)`` matrix, computes the conic gradient
-  component-wise instead of materialising the ``(P, M, 2, 2)`` outer tensor,
-  and scatters with unique-index fancy assignment instead of ``np.add.at``.
+* all tile intersections are flattened into one fragment layout — per tile,
+  the fragments of its ``P`` pixels times its ``M`` depth-sorted Gaussians,
+  pixel-major (:class:`FlatFragments`);
+* every dense forward intermediate (Gaussian values, alphas, transmittance,
+  weights, processed/clamp masks) lives in one preallocated flat arena of
+  34 bytes per fragment (:class:`FlatArena`); per-tile compute writes *into*
+  contiguous views of it (in-place ufuncs, an exclusive ``cumprod`` with an
+  ``out=`` target, no concatenates), so the per-tile caches the backward
+  pass / hardware model / profiling consume are free reshaped views of the
+  arena rather than per-tile copies;
+* Gaussians are evaluated separably: the pixel-to-mean offsets split into a
+  ``(W_t, M)`` column term ``dx`` and an ``(H_t, M)`` row term ``dy``, the
+  quadratic form ``-0.5 (a dx^2 + 2b dx dy + c dy^2)`` is assembled from
+  axis-sized terms in three broadcast passes, and no per-fragment offset
+  array exists — the tile caches carry ``dx``/``dy`` and expand ``deltas``
+  only on access;
+* the flat backward pass (:func:`rasterize_backward_flat`) carries colour
+  and depth as one 4-vector per pixel (one BLAS product each for the blend
+  term and the direct gradients), and merges the pixel contributions to the
+  opacity, mean and conic gradients per tile axis before the scatter —
+  ``M``-length dot products with ``dx``, ``dy``, ``dx^2`` and ``dy^2``
+  instead of dense per-fragment reductions.  It scatters with unique-index
+  fancy assignment instead of ``np.add.at``.
 
-Numerically the forward pass is bit-compatible with the tile backend except
-for per-pixel accumulation order; the backward factorisation regroups sums
-and stays well below the 1e-8 differential-test tolerance.  The differential
-harness in :mod:`repro.testing` pins both.
+Numerically every forward array is bitwise identical to the tile backend
+(scaling by ``-0.5`` is exact and the association order is the reference's);
+the backward regrouping changes only summation order.  The differential
+harness in :mod:`repro.testing` and ``tests/test_fast_raster.py`` pin both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,10 +72,8 @@ class FlatFragments:
 
     Fragments are pixel-major: all fragments of one pixel are contiguous and
     front-to-back depth ordered, pixels of one tile are contiguous, tiles
-    appear in ascending tile id.  The per-fragment index arrays are built
-    lazily (the forward pass only needs the block layout); accessing
-    ``rows`` / ``pixel_ids`` / ``tile_ids`` / ``pos_in_pixel`` materialises
-    them once and caches the result.
+    appear in ascending tile id.  Only the per-tile block layout is stored;
+    the forward pass never needs per-fragment index arrays.
     """
 
     width: int
@@ -79,65 +81,6 @@ class FlatFragments:
     tile_rows: list[np.ndarray]  # per non-empty tile: (M,) projected rows
     tile_pixel_lin: list[np.ndarray]  # per non-empty tile: (P,) linear pixel ids
     n_fragments: int
-    max_per_pixel: int  # longest per-pixel segment (bounds the scan depth)
-    _rows: np.ndarray | None = field(default=None, repr=False)
-    _pixel_ids: np.ndarray | None = field(default=None, repr=False)
-    _tile_ids: np.ndarray | None = field(default=None, repr=False)
-    _pos_in_pixel: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """(F,) projected-Gaussian row of each fragment."""
-        if self._rows is None:
-            self._rows = _concat_or_empty(
-                [
-                    np.tile(rows, lin.shape[0])
-                    for rows, lin in zip(self.tile_rows, self.tile_pixel_lin)
-                ]
-            )
-        return self._rows
-
-    @property
-    def pixel_ids(self) -> np.ndarray:
-        """(F,) linear pixel id (``v * width + u``) of each fragment."""
-        if self._pixel_ids is None:
-            self._pixel_ids = _concat_or_empty(
-                [
-                    np.repeat(lin, rows.shape[0])
-                    for rows, lin in zip(self.tile_rows, self.tile_pixel_lin)
-                ]
-            )
-        return self._pixel_ids
-
-    @property
-    def tile_ids(self) -> np.ndarray:
-        """(F,) tile id of each fragment."""
-        if self._tile_ids is None:
-            self._tile_ids = _concat_or_empty(
-                [
-                    np.full(stop - start, tile_id, dtype=np.int64)
-                    for tile_id, start, stop in self.tile_slices
-                ]
-            )
-        return self._tile_ids
-
-    @property
-    def pos_in_pixel(self) -> np.ndarray:
-        """(F,) depth rank of each fragment within its pixel's segment."""
-        if self._pos_in_pixel is None:
-            self._pos_in_pixel = _concat_or_empty(
-                [
-                    np.tile(np.arange(rows.shape[0], dtype=np.int64), lin.shape[0])
-                    for rows, lin in zip(self.tile_rows, self.tile_pixel_lin)
-                ]
-            )
-        return self._pos_in_pixel
-
-
-def _concat_or_empty(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
 
 
 def build_flat_fragments(intersections: TileIntersections) -> FlatFragments:
@@ -148,7 +91,6 @@ def build_flat_fragments(intersections: TileIntersections) -> FlatFragments:
     tile_rows: list[np.ndarray] = []
     tile_pixel_lin: list[np.ndarray] = []
     offset = 0
-    max_per_pixel = 0
 
     for tile_id, rows in enumerate(intersections.per_tile):
         m_count = int(rows.size)
@@ -163,7 +105,6 @@ def build_flat_fragments(intersections: TileIntersections) -> FlatFragments:
         tile_rows.append(rows)
         tile_pixel_lin.append(pixel_lin)
         offset += n_frag
-        max_per_pixel = max(max_per_pixel, m_count)
 
     return FlatFragments(
         width=width,
@@ -171,43 +112,7 @@ def build_flat_fragments(intersections: TileIntersections) -> FlatFragments:
         tile_rows=tile_rows,
         tile_pixel_lin=tile_pixel_lin,
         n_fragments=offset,
-        max_per_pixel=max_per_pixel,
     )
-
-
-def segmented_exclusive_cumprod(
-    values: np.ndarray, pos_in_segment: np.ndarray, max_segment: int
-) -> np.ndarray:
-    """Exclusive cumulative product within contiguous segments.
-
-    ``pos_in_segment`` gives each element's rank inside its segment; segments
-    must be contiguous.  Uses Hillis-Steele doubling: ``ceil(log2(max_segment))``
-    fully vectorised passes over the array instead of one sequential
-    ``np.cumprod`` per segment.  The production forward pass uses the
-    bit-exact blocked variant (per-tile ``cumprod`` on arena views, possible
-    because segments of one tile share their length); this general scan
-    handles arbitrary segment layouts and cross-checks the blocked one in the
-    property tests.
-    """
-    n = values.shape[0]
-    if n == 0:
-        return values.copy()
-    inclusive = values.copy()
-    shift = 1
-    while shift < max_segment:
-        shifted = np.empty_like(inclusive)
-        shifted[:shift] = 1.0
-        shifted[shift:] = inclusive[:-shift]
-        # Elements fewer than `shift` steps into their segment would read
-        # across the segment boundary; multiply by the identity instead.
-        np.copyto(shifted, 1.0, where=pos_in_segment < shift)
-        inclusive = inclusive * shifted
-        shift <<= 1
-    exclusive = np.empty_like(inclusive)
-    exclusive[0] = 1.0
-    exclusive[1:] = inclusive[:-1]
-    exclusive[pos_in_segment == 0] = 1.0
-    return exclusive
 
 
 @dataclass
@@ -220,7 +125,6 @@ class FlatArena:
     the whole multi-view forward pass shares one set of allocations.
     """
 
-    deltas: np.ndarray  # (F, 2)
     gauss: np.ndarray  # (F,)
     alphas: np.ndarray  # (F,)
     trans: np.ndarray  # (F,)
@@ -236,7 +140,6 @@ class FlatArena:
 def allocate_flat_arena(n_fragments: int) -> FlatArena:
     """Allocate an uninitialised arena for ``n_fragments`` fragments."""
     return FlatArena(
-        deltas=np.empty((n_fragments, 2)),
         gauss=np.empty(n_fragments),
         alphas=np.empty(n_fragments),
         trans=np.empty(n_fragments),
@@ -343,7 +246,6 @@ def rasterize_flat_into(
 
     # Per-tile compute below writes into contiguous views of the arena, so the
     # TileRenderCache entries are free views rather than per-tile copies.
-    deltas_flat = arena.deltas
     gauss_flat = arena.gauss
     alphas_flat = arena.alphas
     trans_flat = arena.trans
@@ -364,12 +266,9 @@ def rasterize_flat_into(
         p_count = pixel_lin.shape[0]
         m_count = rows.shape[0]
         shape = (p_count, m_count)
-        pixel_coords = grid.tile_pixel_coordinates(tile_id)
+        xs, ys = grid.tile_pixel_axes(tile_id)
         lo, hi = base + start, base + stop
 
-        deltas = deltas_flat[lo:hi].reshape(p_count, m_count, 2)
-        dx = deltas[:, :, 0]
-        dy = deltas[:, :, 1]
         gauss = gauss_flat[lo:hi].reshape(shape)
         alphas = alphas_flat[lo:hi].reshape(shape)
         trans_before = trans_flat[lo:hi].reshape(shape)
@@ -377,18 +276,25 @@ def rasterize_flat_into(
         processed = processed_flat[lo:hi].reshape(shape)
         clamp_mask = clamp_flat[lo:hi].reshape(shape)
 
-        # Step 3-1 Alpha computing (in-place into the arena views).  The
-        # association order matches the tile backend exactly.
-        np.subtract(pixel_coords[:, :1], means2d[rows, 0][None, :], out=dx)
-        np.subtract(pixel_coords[:, 1:], means2d[rows, 1][None, :], out=dy)
+        # Step 3-1 Alpha computing, separably.  Pixel p = (row y, column x)
+        # sits at (xs[x], ys[y]), so its power -0.5 (a dx^2 + 2b dx dy + c dy^2)
+        # is built from (W_t, M) column terms and (H_t, M) row terms in three
+        # broadcast passes.  Scaling by -0.5 is exact and the association order
+        # is the tile backend's, so the result is bitwise identical to it.
+        means = means2d[rows]
+        dx = xs[:, None] - means[None, :, 0]  # (W_t, M)
+        dy = ys[:, None] - means[None, :, 1]  # (H_t, M)
         conic = conics[rows]
-        np.multiply(conic[:, 0, 0][None, :], np.square(dx), out=gauss)
-        cross = (2.0 * conic[:, 0, 1])[None, :] * dx
-        cross *= dy
-        gauss += cross
-        tail = conic[:, 1, 1][None, :] * np.square(dy)
-        gauss += tail
-        gauss *= -0.5
+        sq_x = conic[:, 0, 0] * np.square(dx)
+        sq_x *= -0.5
+        lin_x = (2.0 * conic[:, 0, 1]) * dx
+        lin_x *= -0.5
+        sq_y = conic[:, 1, 1] * np.square(dy)
+        sq_y *= -0.5
+        power = gauss.reshape(ys.shape[0], xs.shape[0], m_count)
+        np.multiply(lin_x[None, :, :], dy[:, None, :], out=power)
+        power += sq_x[None, :, :]
+        power += sq_y[:, None, :]
         np.minimum(gauss, 0.0, out=gauss)
         np.exp(gauss, out=gauss)
 
@@ -421,9 +327,10 @@ def rasterize_flat_into(
             TileRenderCache(
                 tile_id=tile_id,
                 rows=rows,
-                pixel_coords=pixel_coords,
+                pixel_coords=grid.tile_pixel_coordinates(tile_id),
                 pixel_indices=(v_idx, u_idx),
-                deltas=deltas,
+                dx=dx,
+                dy=dy,
                 gauss_values=gauss,
                 alphas=alphas,
                 transmittance_before=trans_before,
@@ -453,20 +360,24 @@ def rasterize_backward_flat(
     dL_dimage: np.ndarray,
     dL_ddepth: np.ndarray | None = None,
 ):
-    """Step 4 Rendering BP, restructured for memory traffic.
+    """Step 4 Rendering BP, with pixel-level gradients merged per tile axis.
 
     Produces the same :class:`~repro.gaussians.backward.ScreenSpaceGradients`
-    as the reference ``rasterize_backward`` (the differential harness pins
-    agreement to 1e-8) while avoiding its large temporaries:
+    as the reference ``rasterize_backward`` up to summation order (the
+    differential harness pins agreement) while avoiding its large
+    temporaries:
 
-    * the colour *and* depth suffix terms are folded into one per-tile
-      ``(P, M)`` matrix ``B[p, k] = dL/dC_p . c_k + dL/dD_p * d_k`` computed
-      with a single BLAS product, so ``dL/dalpha = T * B - suffix(w * B) /
-      (1 - alpha)`` needs one suffix scan over a 2D matrix instead of a
-      ``(P, M, 3)`` stack;
-    * the conic gradient is reduced component-wise (three ``einsum``
-      contractions) instead of materialising the ``(P, M, 2, 2)`` outer
-      tensor;
+    * colour and depth travel together as 4-vectors: one ``(P, 4) @ (4, M)``
+      product gives the per-fragment blend term ``B[p, k] = dL/dC_p . c_k +
+      dL/dD_p * d_k`` and one ``(M, P) @ (P, 4)`` product the direct colour
+      and depth gradients, so ``dL/dalpha = T * B - suffix(w * B) / (1 -
+      alpha)`` needs one suffix scan over a 2D matrix;
+    * the Gaussian-parameter chains only need ``q = dL/dalpha * G`` weighted
+      by the separable offsets ``dx`` (per column) and ``dy`` (per row), so
+      ``q`` is summed over the tile's rows and columns first and the opacity,
+      mean and conic gradients become ``M``-length dot products with ``dx``,
+      ``dy``, ``dx^2`` and ``dy^2`` — pixel contributions merge per axis
+      before the scatter, the software form of RTGS's gradient merging unit;
     * per-tile Gaussian rows are unique, so scatters use fancy-indexed
       ``+=`` rather than ``np.add.at``.
     """
@@ -493,67 +404,77 @@ def rasterize_backward_flat(
                 f"dL_ddepth shape {dL_ddepth.shape} does not match depth {result.depth.shape}"
             )
 
+    # (H, W, 4) per-pixel [dL/dC | dL/dD] and (N, 4) per-Gaussian [c | d].
+    pixel_grads = np.zeros(dL_dimage.shape[:2] + (4,))
+    pixel_grads[:, :, :3] = dL_dimage
+    if dL_ddepth is not None:
+        pixel_grads[:, :, 3] = dL_ddepth
+    features = np.concatenate([projected.colors, projected.depths[:, None]], axis=1)
+
     for cache in result.tile_caches:
         rows = cache.rows
         v_idx, u_idx = cache.pixel_indices
-        pixel_color_grad = dL_dimage[v_idx, u_idx]  # (P, 3)
-
-        colors = projected.colors[rows]  # (M, 3)
-        depths = projected.depths[rows]  # (M,)
+        pixel_grad = pixel_grads[v_idx, u_idx]  # (P, 4)
         opacities = projected.opacities[rows]  # (M,)
         conic = projected.conics[rows]  # (M, 2, 2)
 
         weights = cache.weights  # (P, M)
         alphas = cache.alphas
-        gauss = cache.gauss_values
-        trans_before = cache.transmittance_before
-        deltas = cache.deltas
+        dx = cache.dx  # (W_t, M)
+        dy = cache.dy  # (H_t, M)
 
         # Direct colour / depth gradients: dL/dc_k = w_k * dL/dC_P.
-        grads_colors[rows] += weights.T @ pixel_color_grad
-        if dL_ddepth is not None:
-            pixel_depth_grad = dL_ddepth[v_idx, u_idx]  # (P,)
-            grads_depths[rows] += weights.T @ pixel_depth_grad
-            # Fold colour and depth into one per-fragment blend gradient.
-            blend = pixel_color_grad @ colors.T + pixel_depth_grad[:, None] * depths[None, :]
-        else:
-            blend = pixel_color_grad @ colors.T  # (P, M)
+        direct = weights.T @ pixel_grad  # (M, 4)
+        grads_colors[rows] += direct[:, :3]
+        grads_depths[rows] += direct[:, 3]
 
         # dL/dalpha_k = T_k * B_k - (sum_{n>k} w_n B_n) / (1 - alpha_k).
+        # alpha <= ALPHA_CLAMP < 1, so the division needs no floor.
+        blend = pixel_grad @ features[rows].T  # (P, M)
         weighted_blend = weights * blend
-        suffix = np.cumsum(weighted_blend[:, ::-1], axis=1)[:, ::-1] - weighted_blend
-        one_minus_alpha = np.maximum(1.0 - alphas, 1.0 - 0.995)
-        dL_dalpha = trans_before * blend
-        dL_dalpha -= suffix / one_minus_alpha
+        suffix = np.cumsum(weighted_blend[:, ::-1], axis=1)[:, ::-1]
+        suffix -= weighted_blend
+        suffix /= 1.0 - alphas
+        dL_dalpha = cache.transmittance_before * blend
+        dL_dalpha -= suffix
 
-        valid = cache.processed & (alphas > 0.0) & (~cache.clamp_mask)
-        dL_dalpha *= valid
+        # weights > 0 exactly where the fragment was processed with alpha > 0.
+        contributes = weights > 0.0
+        dL_dalpha *= contributes & ~cache.clamp_mask
 
-        # alpha = opacity * G  ->  opacity and Gaussian-value chains.
-        grads_opacity[rows] += np.einsum("pm,pm->m", gauss, dL_dalpha)
-        common = dL_dalpha * gauss
-        common *= opacities[None, :]  # == dL/dG * G
+        # alpha = opacity * G and G = exp(-0.5 d^T A d), so every parameter
+        # gradient is a sum over pixels of q = dL/dalpha * G times 1, dx, dy
+        # or their products (times opacity).  Merge q per tile axis first.
+        q = dL_dalpha
+        q *= cache.gauss_values
+        q_grid = q.reshape(dy.shape[0], dx.shape[0], -1)  # (H_t, W_t, M)
+        q_cols = q_grid.sum(axis=0)  # (W_t, M)
+        q_rows = q_grid.sum(axis=1)  # (H_t, M)
+        q_rows_dx = np.einsum("yxm,xm->ym", q_grid, dx)  # (H_t, M)
 
-        # G = exp(-0.5 d^T A d): dG/dmu = G * (A d), dG/dA = -0.5 * G * d d^T.
-        dx = deltas[:, :, 0]
-        dy = deltas[:, :, 1]
-        a = conic[:, 0, 0][None, :]
-        b = conic[:, 0, 1][None, :]
-        c = conic[:, 1, 1][None, :]
-        a_dx0 = a * dx + b * dy
-        a_dx1 = b * dx + c * dy
-        grads_means2d[rows, 0] += np.einsum("pm,pm->m", common, a_dx0)
-        grads_means2d[rows, 1] += np.einsum("pm,pm->m", common, a_dx1)
-        gxx = -0.5 * np.einsum("pm,pm,pm->m", common, dx, dx)
-        gxy = -0.5 * np.einsum("pm,pm,pm->m", common, dx, dy)
-        gyy = -0.5 * np.einsum("pm,pm,pm->m", common, dy, dy)
-        grads_conics[rows, 0, 0] += gxx
+        sum_q = q_cols.sum(axis=0)
+        sum_dx = np.einsum("xm,xm->m", q_cols, dx)
+        sum_dy = np.einsum("ym,ym->m", q_rows, dy)
+        sum_dxdx = np.einsum("xm,xm,xm->m", q_cols, dx, dx)
+        sum_dxdy = np.einsum("ym,ym->m", q_rows_dx, dy)
+        sum_dydy = np.einsum("ym,ym,ym->m", q_rows, dy, dy)
+
+        # dG/dmu = G * (A d), dG/dA = -0.5 * G * d d^T.
+        a = conic[:, 0, 0]
+        b = conic[:, 0, 1]
+        c = conic[:, 1, 1]
+        grads_opacity[rows] += sum_q
+        grads_means2d[rows, 0] += opacities * (a * sum_dx + b * sum_dy)
+        grads_means2d[rows, 1] += opacities * (b * sum_dx + c * sum_dy)
+        neg_half_opacity = -0.5 * opacities
+        gxy = neg_half_opacity * sum_dxdy
+        grads_conics[rows, 0, 0] += neg_half_opacity * sum_dxdx
         grads_conics[rows, 0, 1] += gxy
         grads_conics[rows, 1, 0] += gxy
-        grads_conics[rows, 1, 1] += gyy
+        grads_conics[rows, 1, 1] += neg_half_opacity * sum_dydy
 
         # Trace of pixel-level contributions for the hardware model.
-        contributions = (weights > 0.0).sum(axis=0)
+        contributions = contributes.sum(axis=0)
         has_grad = contributions > 0
         if np.any(has_grad):
             trace.tile_ids.append(cache.tile_id)

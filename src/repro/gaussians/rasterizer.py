@@ -113,7 +113,8 @@ class TileRenderCache:
     rows: np.ndarray  # (M,) projected-Gaussian rows, depth sorted
     pixel_coords: np.ndarray  # (P, 2) pixel centres
     pixel_indices: tuple[np.ndarray, np.ndarray]  # (v_idx, u_idx) into the image
-    deltas: np.ndarray  # (P, M, 2) pixel - mean2d
+    dx: np.ndarray  # (W_t, M) pixel-centre column u - mean2d x
+    dy: np.ndarray  # (H_t, M) pixel-centre row v - mean2d y
     gauss_values: np.ndarray  # (P, M) exp(power)
     alphas: np.ndarray  # (P, M) clipped opacities * gauss
     transmittance_before: np.ndarray  # (P, M)
@@ -128,6 +129,16 @@ class TileRenderCache:
     @property
     def n_gaussians(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def deltas(self) -> np.ndarray:
+        """(P, M, 2) pixel - mean2d offsets, expanded from the ``dx``/``dy`` axes."""
+        h_t, m_count = self.dy.shape
+        w_t = self.dx.shape[0]
+        deltas = np.empty((h_t, w_t, m_count, 2))
+        deltas[:, :, :, 0] = self.dx[None, :, :]
+        deltas[:, :, :, 1] = self.dy[:, None, :]
+        return deltas.reshape(h_t * w_t, m_count, 2)
 
     def fragments_per_pixel(self) -> np.ndarray:
         """Number of fragments actually processed for each pixel of the tile."""
@@ -302,6 +313,7 @@ def _render_tile(
     vs = np.arange(y0, y1)
     grid_u, grid_v = np.meshgrid(us, vs)
     pixel_indices = (grid_v.ravel(), grid_u.ravel())
+    axis_u, axis_v = grid.tile_pixel_axes(tile_id)
 
     means = projected.means2d[rows]  # (M, 2)
     conics = projected.conics[rows]  # (M, 2, 2)
@@ -339,7 +351,8 @@ def _render_tile(
         rows=rows,
         pixel_coords=pixel_coords,
         pixel_indices=pixel_indices,
-        deltas=deltas,
+        dx=axis_u[:, None] - means[None, :, 0],
+        dy=axis_v[:, None] - means[None, :, 1],
         gauss_values=gauss_values,
         alphas=alphas,
         transmittance_before=trans_before,

@@ -36,10 +36,11 @@ class TileGrid:
                 f"tile_size ({self.tile_size}) must be a multiple of subtile_size "
                 f"({self.subtile_size})"
             )
-        # Per-tile pixel-coordinate memo: pure view geometry, so renders that
+        # Per-tile pixel-coordinate memos: pure view geometry, so renders that
         # share a grid instance (the geometry cache keeps one per view entry)
         # build each tile's coordinate block once instead of per render.  The
         # dataclass is frozen, hence the object.__setattr__.
+        object.__setattr__(self, "_pixel_axes", {})
         object.__setattr__(self, "_pixel_coords", {})
 
     # -- tile level ---------------------------------------------------------
@@ -64,6 +65,23 @@ class TileGrid:
         y0 = ty * self.tile_size
         return x0, y0, min(x0 + self.tile_size, self.width), min(y0 + self.tile_size, self.height)
 
+    def tile_pixel_axes(self, tile_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return the tile's pixel-centre column ``us`` (W_t,) and row ``vs`` (H_t,) axes.
+
+        A tile's pixel centres are the grid ``us x vs``, so any per-pixel
+        quantity that splits into a column term and a row term can be
+        evaluated on these axes.  Memoised per tile (callers must not mutate
+        the returned arrays).
+        """
+        cached = self._pixel_axes.get(tile_id)
+        if cached is not None:
+            return cached
+        x0, y0, x1, y1 = self.tile_bounds(tile_id)
+        us = np.arange(x0, x1, dtype=np.float64) + 0.5
+        vs = np.arange(y0, y1, dtype=np.float64) + 0.5
+        self._pixel_axes[tile_id] = (us, vs)
+        return us, vs
+
     def tile_pixel_coordinates(self, tile_id: int) -> np.ndarray:
         """Return the ``(P, 2)`` pixel-centre (u, v) coordinates inside a tile.
 
@@ -72,10 +90,7 @@ class TileGrid:
         cached = self._pixel_coords.get(tile_id)
         if cached is not None:
             return cached
-        x0, y0, x1, y1 = self.tile_bounds(tile_id)
-        us = np.arange(x0, x1, dtype=np.float64) + 0.5
-        vs = np.arange(y0, y1, dtype=np.float64) + 0.5
-        grid_u, grid_v = np.meshgrid(us, vs)
+        grid_u, grid_v = np.meshgrid(*self.tile_pixel_axes(tile_id))
         coords = np.stack([grid_u.ravel(), grid_v.ravel()], axis=1)
         self._pixel_coords[tile_id] = coords
         return coords

@@ -13,11 +13,38 @@ from repro.gaussians import (
     get_default_backend,
     rasterize,
     render_backward,
-    segmented_exclusive_cumprod,
     set_default_backend,
     use_backend,
 )
+from repro.gaussians.backward import rasterize_backward
 from repro.gaussians.fast_raster import rasterize_flat
+from repro.gaussians.rasterizer import rasterize_tile
+from repro.testing.scenarios import DEFAULT_LIBRARY
+
+# Every array the forward pass exposes per tile; the flat kernel must
+# reproduce the tile reference's values bit for bit.
+TILE_CACHE_ARRAYS = (
+    "deltas",
+    "gauss_values",
+    "alphas",
+    "transmittance_before",
+    "weights",
+    "processed",
+    "clamp_mask",
+)
+
+
+def _render_scenario(name: str, backend: str):
+    spec = DEFAULT_LIBRARY.get(name).build()
+    render = {"tile": rasterize_tile, "flat": rasterize_flat}[backend]
+    return render(
+        spec.cloud,
+        spec.camera,
+        spec.pose_cw,
+        background=spec.background,
+        tile_size=spec.tile_size,
+        subtile_size=spec.subtile_size,
+    )
 
 
 @pytest.fixture()
@@ -72,22 +99,56 @@ class TestFlatMatchesTile:
         assert np.array_equal(flat.fragments_per_pixel, tile.fragments_per_pixel)
         assert flat.n_fragments == tile.n_fragments
 
-    def test_tile_caches_match(self, scene):
-        cloud, camera, pose = scene
-        tile = rasterize(cloud, camera, pose, backend="tile")
-        flat = rasterize(cloud, camera, pose, backend="flat")
-        assert len(flat.tile_caches) == len(tile.tile_caches)
-        for ct, cf in zip(tile.tile_caches, flat.tile_caches):
-            assert ct.tile_id == cf.tile_id
-            assert np.array_equal(ct.rows, cf.rows)
-            np.testing.assert_allclose(cf.deltas, ct.deltas, atol=1e-12)
-            np.testing.assert_allclose(cf.alphas, ct.alphas, atol=1e-12)
-            np.testing.assert_allclose(
-                cf.transmittance_before, ct.transmittance_before, atol=1e-12
-            )
-            np.testing.assert_allclose(cf.weights, ct.weights, atol=1e-12)
-            assert np.array_equal(cf.processed, ct.processed)
-            assert np.array_equal(cf.clamp_mask, ct.clamp_mask)
+    def test_tile_caches_match(self):
+        # The flat forward pass is bitwise identical to the tile reference
+        # on every scenario: separable evaluation keeps the reference's
+        # association order and only rescales by the exact factor -0.5.
+        for name in DEFAULT_LIBRARY.names():
+            tile = _render_scenario(name, "tile")
+            flat = _render_scenario(name, "flat")
+            for output in ("image", "depth", "alpha", "fragments_per_pixel"):
+                assert np.array_equal(getattr(flat, output), getattr(tile, output)), (
+                    name,
+                    output,
+                )
+            assert len(flat.tile_caches) == len(tile.tile_caches), name
+            for ct, cf in zip(tile.tile_caches, flat.tile_caches):
+                assert ct.tile_id == cf.tile_id
+                assert np.array_equal(ct.rows, cf.rows)
+                for array in TILE_CACHE_ARRAYS:
+                    assert np.array_equal(getattr(cf, array), getattr(ct, array)), (
+                        name,
+                        ct.tile_id,
+                        array,
+                    )
+
+    @pytest.mark.parametrize("with_depth", [False, True], ids=["color", "color+depth"])
+    @pytest.mark.parametrize("name", DEFAULT_LIBRARY.names())
+    def test_backward_matches_tile_on_every_scenario(self, name, with_depth):
+        # The flat backward merges pixel contributions per tile axis; only
+        # summation order may differ from the dense tile reference.
+        tile = _render_scenario(name, "tile")
+        flat = _render_scenario(name, "flat")
+        rng = np.random.default_rng(11)
+        dL_dimage = rng.uniform(-1.0, 1.0, size=tile.image.shape)
+        dL_ddepth = rng.uniform(-1.0, 1.0, size=tile.depth.shape) if with_depth else None
+        reference = rasterize_backward(tile, dL_dimage, dL_ddepth, backend="tile")
+        candidate = rasterize_backward(flat, dL_dimage, dL_ddepth, backend="flat")
+        for field in ("colors", "opacities", "means2d", "conics", "depths"):
+            expected = getattr(reference, field)
+            actual = getattr(candidate, field)
+            assert actual.shape == expected.shape
+            scale = np.abs(expected).max() if expected.size else 0.0
+            np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12 * max(scale, 1e-300))
+        assert candidate.trace.tile_ids == reference.trace.tile_ids
+        for got, want in zip(
+            candidate.trace.per_tile_source_indices, reference.trace.per_tile_source_indices
+        ):
+            assert np.array_equal(got, want)
+        for got, want in zip(
+            candidate.trace.per_tile_pixel_counts, reference.trace.per_tile_pixel_counts
+        ):
+            assert np.array_equal(got, want)
 
     def test_backward_dispatches_on_result_backend(self, scene):
         cloud, camera, pose = scene
@@ -185,61 +246,28 @@ class TestFlatFragments:
             c.n_pixels * c.n_gaussians for c in result.tile_caches
         )
         assert fragments.n_fragments == expected
-        assert fragments.rows.shape == (expected,)
-        assert fragments.pixel_ids.shape == (expected,)
-        assert fragments.tile_ids.shape == (expected,)
-        # Each pixel's segment is depth-ordered 0..M-1.
-        assert fragments.pos_in_pixel.max() == fragments.max_per_pixel - 1
-        # Every fragment's pixel belongs to its tile's pixel rectangle.
+        # Tile blocks are contiguous, ascending and sized P_t * M_t, and each
+        # block's pixels lie inside its tile's pixel rectangle.
         grid = result.grid
-        for tile_id, start, stop in fragments.tile_slices:
+        offset = 0
+        for (tile_id, start, stop), rows, pix in zip(
+            fragments.tile_slices, fragments.tile_rows, fragments.tile_pixel_lin
+        ):
+            assert start == offset and stop - start == pix.size * rows.size
+            offset = stop
             x0, y0, x1, y1 = grid.tile_bounds(tile_id)
-            pix = fragments.pixel_ids[start:stop]
             us, vs = pix % camera.width, pix // camera.width
             assert us.min() >= x0 and us.max() < x1
             assert vs.min() >= y0 and vs.max() < y1
+        assert offset == fragments.n_fragments
 
     def test_empty_intersections(self):
         camera = Camera.from_fov(8, 8, fov_x_degrees=70.0)
         result = rasterize(GaussianCloud.empty(), camera, SE3.identity())
         fragments = build_flat_fragments(result.intersections)
         assert fragments.n_fragments == 0
-        assert fragments.rows.size == 0
-        assert fragments.pos_in_pixel.size == 0
-
-
-class TestSegmentedCumprod:
-    def test_matches_per_segment_numpy_cumprod(self):
-        rng = np.random.default_rng(0)
-        lengths = [1, 4, 7, 2, 31, 1, 16]
-        values = rng.uniform(0.1, 1.0, size=sum(lengths))
-        pos = np.concatenate([np.arange(n) for n in lengths])
-        out = segmented_exclusive_cumprod(values, pos, max(lengths))
-        start = 0
-        for n in lengths:
-            seg = values[start : start + n]
-            expected = np.concatenate([[1.0], np.cumprod(seg)[:-1]])
-            np.testing.assert_allclose(out[start : start + n], expected, rtol=1e-12)
-            start += n
-
-    def test_empty_input(self):
-        out = segmented_exclusive_cumprod(np.zeros(0), np.zeros(0, dtype=int), 0)
-        assert out.size == 0
-
-    def test_matches_flat_render_transmittance(self, scene):
-        # The generic scan must agree with the blocked per-tile cumprod the
-        # flat forward pass uses.
-        cloud, camera, pose = scene
-        result = rasterize(cloud, camera, pose, backend="flat")
-        fragments = build_flat_fragments(result.intersections)
-        one_minus_parts = [1.0 - c.alphas.ravel() for c in result.tile_caches]
-        trans_parts = [c.transmittance_before.ravel() for c in result.tile_caches]
-        one_minus = np.concatenate(one_minus_parts)
-        expected = np.concatenate(trans_parts)
-        scanned = segmented_exclusive_cumprod(
-            one_minus, fragments.pos_in_pixel, fragments.max_per_pixel
-        )
-        np.testing.assert_allclose(scanned, expected, rtol=1e-12, atol=1e-15)
+        assert fragments.tile_slices == []
+        assert fragments.tile_rows == []
 
 
 def test_rasterize_flat_direct_call(scene):
