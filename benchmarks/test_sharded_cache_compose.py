@@ -158,7 +158,7 @@ def test_sharded_cache_composed_window_speedup():
     stats = mapper.engine.cache.stats.as_dict()
     statuses = [snapshot.cache_status for snapshot in composed_result.snapshots]
     reused = sum(1 for s in statuses if s in ("hit", "refresh", "incremental"))
-    plan_sites = {snapshot.plan_site for snapshot in composed_result.snapshots}
+    plan_sites = {sharding.plan_site for sharding in composed_result.shardings if sharding}
 
     print_table(
         f"Sharded x geometry cache on a {N_ITERATIONS}-iteration fixed-pose "
@@ -182,6 +182,9 @@ def test_sharded_cache_composed_window_speedup():
     # The composition must actually be exercised: planning in the workers,
     # the window carried by the worker-resident reuse tiers, and convergence
     # on par with the serial uncached run.
+    assert composed_result.shardings and all(composed_result.shardings), (
+        "a fused iteration of the composed window did not run sharded"
+    )
     assert plan_sites == {"worker"}, f"planning ran at {plan_sites}"
     assert reused >= len(statuses) * 0.7, f"cache barely used: {statuses}"
     assert composed_result.losses[-1] <= uncached_result.losses[0], (

@@ -453,23 +453,6 @@ class RenderEngine:
         trace=None,
         batch_size: int = 1,
         view_index: int = 0,
-        shard_workers: int = 1,
-        shard_worker_id: int = 0,
-        shard_seconds: float = 0.0,
-        shard_stitch_seconds: float = 0.0,
-        shard_plan_seconds: float = 0.0,
-        plan_site: str = "parent",
-        fault_events: int = 0,
-        fault_retries: int = 0,
-        fault_quarantines: int = 0,
-        fault_escalated: bool = False,
-        session_id: str = "",
-        queue_wait_seconds: float = 0.0,
-        service_seconds: float = 0.0,
-        async_published: bool = False,
-        published_epoch: int = -1,
-        async_overlap_seconds: float = 0.0,
-        async_mapping_seconds: float = 0.0,
     ) -> "WorkloadSnapshot":
         """Build the workload snapshot of a render and forward it to the sink."""
         from repro.slam.records import WorkloadSnapshot
@@ -488,23 +471,6 @@ class RenderEngine:
             trace=trace,
             batch_size=batch_size,
             view_index=view_index,
-            shard_workers=shard_workers,
-            shard_worker_id=shard_worker_id,
-            shard_seconds=shard_seconds,
-            shard_stitch_seconds=shard_stitch_seconds,
-            shard_plan_seconds=shard_plan_seconds,
-            plan_site=plan_site,
-            fault_events=fault_events,
-            fault_retries=fault_retries,
-            fault_quarantines=fault_quarantines,
-            fault_escalated=fault_escalated,
-            session_id=session_id,
-            queue_wait_seconds=queue_wait_seconds,
-            service_seconds=service_seconds,
-            async_published=async_published,
-            published_epoch=published_epoch,
-            async_overlap_seconds=async_overlap_seconds,
-            async_mapping_seconds=async_mapping_seconds,
         )
         if self.config.profiling_sink is not None:
             self.config.profiling_sink(snap)

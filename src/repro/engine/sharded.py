@@ -1595,7 +1595,6 @@ class ShardedBackend:
         worker_seconds: dict[int, float] = {}
         to_escalate: set[int] = set()
         retries = 0
-        shard_wall = 0.0
         desync = False
         try:
             live = pool.live_worker_ids()
@@ -1640,11 +1639,9 @@ class ShardedBackend:
                     )
                     for worker_id, view_ids in pending.items()
                 }
-                shard_start = time.perf_counter()
                 replies, faults = pool.gather(
                     messages, timeout=deadline_s + round_index * backoff_s
                 )
-                shard_wall += time.perf_counter() - shard_start
                 self._disarm_fault_sites(plan, fault_sites)
 
                 lost: list[int] = []
@@ -1893,13 +1890,10 @@ class ShardedBackend:
                     -1 if index in local_results else handle_info[index][0]
                     for index in range(n_views)
                 ],
-                view_shard_seconds=raster_seconds,
                 worker_seconds=worker_seconds,
                 dispatch_seconds=dispatch_seconds,
                 stitch_seconds=time.perf_counter() - stitch_start,
-                shard_wall_seconds=shard_wall,
                 plan_site="worker",
-                view_plan_seconds=plan_seconds,
                 fault_events=fault_log,
                 fault_retries=retries,
                 fault_quarantined_workers=quarantined,

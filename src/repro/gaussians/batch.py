@@ -90,38 +90,33 @@ if TYPE_CHECKING:
 
 @dataclass
 class ShardAttribution:
-    """Per-shard accounting of one sharded batch render.
+    """How one sharded batch render was executed.
 
     Present on :class:`BatchRenderResult` only when the batch was actually
-    executed across worker processes; the profiling layer threads it into the
-    per-view :class:`~repro.slam.records.WorkloadSnapshot` fields
-    (``shard_workers`` / ``shard_worker_id`` / ``shard_seconds`` /
-    ``shard_stitch_seconds``) consumed by ``batch_amortization_report`` and
-    the hardware model.
+    executed across worker processes, and the only record of that execution:
+    :class:`~repro.slam.records.WorkloadSnapshot` records the rendered work,
+    which is the same whatever ran it.  ``StreamingMapper`` keeps one
+    reference per fused iteration in ``MappingResult.shardings``; the
+    benchmark's per-layer ``engine.sharded.*`` metrics read the timing and
+    fault fields from here.
     """
 
     n_workers: int  # worker processes that executed this batch
     worker_ids: list[int]  # per view: the worker that rasterized it
-    view_shard_seconds: list[float]  # per view: wall-clock inside its worker
     worker_seconds: dict[int, float]  # per worker: total wall-clock of its shard
-    # Parent-side shared-memory pack + message construction overhead.  The
-    # pipe sends themselves overlap with worker execution and are part of
-    # shard_wall_seconds (the send->last-reply critical path).
+    # Parent-side shared-memory pack + message construction overhead (the
+    # pipe sends themselves overlap with worker execution).
     dispatch_seconds: float
     stitch_seconds: float  # parent-side gather + result assembly overhead
-    shard_wall_seconds: float = 0.0  # wall-clock of the parallel phase (critical path)
     # Where per-view Step 1-2 planning ran: "parent" (pre-planned units
     # shipped to workers) or "worker" (workers project/tile/cache themselves).
     plan_site: str = "parent"
-    # Per view: worker-side Step 1-2 plan + cache lookup wall-clock; empty
-    # when planning ran in the parent (plan time then lives in view_seconds).
-    view_plan_seconds: list[float] = field(default_factory=list)
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
     # send-failed | poisoned | slow | worker-error | respawn | escalated |
     # stale-handle), ``worker``, ``phase`` ("render" | "backward") and
-    # ``views``.  The backward pass appends to this same list, so snapshots
-    # built after a mapping iteration see both phases.
+    # ``views``.  The backward pass appends to this same list, so a record
+    # read after a mapping iteration sees both phases.
     fault_events: list = field(default_factory=list)
     fault_retries: int = 0  # redispatch rounds beyond the first
     fault_quarantined_workers: list[int] = field(default_factory=list)
@@ -129,11 +124,10 @@ class ShardAttribution:
     # Views that fell back to serial flat execution in the parent (their
     # worker_ids entry is -1 and they carry no worker handle).
     escalated_views: list[int] = field(default_factory=list)
-    # -- multi-tenant attribution (render service) ---------------------------
-    # The owning service session and its per-view scheduler timings: how long
-    # each view waited in the session queue before dispatch and how long its
-    # dispatch round took.  Empty / "" outside repro.service.RenderService.
-    session_id: str = ""
+    # -- render service ------------------------------------------------------
+    # Per-view scheduler timings of a repro.service.RenderService job: how
+    # long each view waited in its session queue before dispatch and how
+    # long its dispatch round took.  Empty outside the service.
     view_queue_wait_seconds: list[float] = field(default_factory=list)
     view_service_seconds: list[float] = field(default_factory=list)
 

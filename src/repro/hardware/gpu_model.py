@@ -86,14 +86,6 @@ class GPUCostParameters:
     # skipping Step 2 sorting entirely.
     cache_hit_step12_fraction: float = 0.03
     cache_splice_preprocess_fraction: float = 0.15
-    # Sharded-backend amortisation (repro.engine.sharded).  The fragment-
-    # parallel stages — Step 3 Rendering and Step 4 Rendering BP — execute
-    # concurrently across shard workers, so a view of a sharded batch is
-    # charged 1 / (1 + e * (workers - 1)) of them: linear scaling damped by
-    # an efficiency factor covering dispatch, stitch and memory-bandwidth
-    # sharing.  Step 1-2 (planned serially in the parent) and Step 5 (fused
-    # in the parent) are charged in full.
-    shard_parallel_efficiency: float = 0.85
 
 
 class EdgeGPUModel:
@@ -162,15 +154,6 @@ class EdgeGPUModel:
             preprocessing_bp = n_projected * params.preprocess_bp_cycles_per_gaussian
             if snapshot.stage == "tracking":
                 preprocessing_bp += n_projected * params.pose_reduce_cycles_per_gaussian
-
-        if snapshot.shard_workers > 1:
-            # Sharded batch: the per-fragment stages of this view overlapped
-            # with the other shards' views, so they cost 1/denominator of
-            # their serial latency; at most one worker per view helps.
-            parallel = min(snapshot.shard_workers, max(snapshot.batch_size, 1))
-            denominator = 1.0 + params.shard_parallel_efficiency * (parallel - 1)
-            rendering /= denominator
-            rendering_bp /= denominator
 
         # Atomic serialisation stalls the whole SM, so it does not parallelise
         # across cores the way the other terms do; approximate by charging it

@@ -69,18 +69,18 @@ def rendering_dominance(shares: dict[str, float]) -> float:
 def batch_amortization_report(
     snapshots: list[WorkloadSnapshot], model: EdgeGPUModel | None = None
 ) -> dict[str, float]:
-    """Modelled effect of batching, geometry caching *and* sharding on mapping.
+    """Modelled effect of batching and geometry caching on mapping.
 
     Compares the mapping iterations as recorded (per-view snapshots carrying
-    their window's ``batch_size``, geometry-cache status and per-shard
-    attribution, all of which the hardware model amortises) against the same
-    workload re-priced as sequential, uncached, unsharded single-view
-    iterations.  ``speedup`` is the combined modelled amortisation;
-    ``step12_amortization`` isolates the cache's share by re-pricing only the
-    cache statuses, and ``shard_amortization`` isolates the sharded backend's
-    share by re-pricing only ``shard_workers``.  The cache
-    hit/refresh/incremental/miss counts and the shard worker/stitch
-    aggregates make the Fig. 3-style latency breakdown attributable.
+    their window's ``batch_size`` and geometry-cache status, both of which
+    the hardware model amortises) against the same workload re-priced as
+    sequential, uncached single-view iterations.  ``speedup`` is the
+    combined modelled amortisation; ``step12_amortization`` isolates the
+    cache's share by re-pricing only the cache statuses.  The cache
+    hit/refresh/incremental/miss counts make the Fig. 3-style latency
+    breakdown attributable.  Which backend executed the work does not enter
+    the model: sharded execution and its fault handling are recorded on
+    ``ShardAttribution`` (``MappingResult.shardings``), not on snapshots.
     Wall-clock speedups of the software rasterizer are measured separately in
     ``benchmarks/test_batched_mapping.py``, ``benchmarks/test_geom_cache_reuse.py``
     and ``benchmarks/test_sharded_speedup.py``.
@@ -91,26 +91,17 @@ def batch_amortization_report(
     sequential = 0.0
     cached_step12 = 0.0
     uncached_step12 = 0.0
-    unsharded = 0.0
     for snapshot in mapping:
         latency = model.iteration_latency(snapshot)
         batched += latency.total
         cached_step12 += latency.preprocessing + latency.sorting
         sequential += model.iteration_latency(
-            replace(snapshot, batch_size=1, cache_status="uncached", shard_workers=1)
+            replace(snapshot, batch_size=1, cache_status="uncached")
         ).total
         as_uncached = model.iteration_latency(replace(snapshot, cache_status="uncached"))
         uncached_step12 += as_uncached.preprocessing + as_uncached.sorting
-        # Unsharded re-pricing is a no-op for serial snapshots (the default);
-        # skip the extra model evaluation there.
-        if snapshot.shard_workers > 1:
-            unsharded += model.iteration_latency(replace(snapshot, shard_workers=1)).total
-        else:
-            unsharded += latency.total
     batch_sizes = [s.batch_size for s in mapping]
     statuses = [s.cache_status for s in mapping]
-    shard_workers = [s.shard_workers for s in mapping]
-    sharded_views = [s for s in mapping if s.shard_workers > 1]
     report = {
         "batched_s": batched,
         "sequential_s": sequential,
@@ -128,26 +119,6 @@ def batch_amortization_report(
         "step12_amortization": (
             uncached_step12 / cached_step12 if cached_step12 > 0 else 1.0
         ),
-        # -- sharded-backend accounting -------------------------------------
-        "mean_shard_workers": float(np.mean(shard_workers)) if shard_workers else 0.0,
-        "n_sharded_views": float(len(sharded_views)),
-        "shard_s": float(sum(s.shard_seconds for s in sharded_views)),
-        "stitch_s": float(sum(s.shard_stitch_seconds for s in sharded_views)),
-        "unsharded_s": unsharded,
-        "shard_amortization": unsharded / batched if batched > 0 else 1.0,
-        # -- fault accounting (zero on a healthy run) ------------------------
-        # Batch-level counts are duplicated on every view of a batch, so sum
-        # them from the view_index == 0 snapshots only; escalation is per view.
-        "fault_events": float(
-            sum(s.fault_events for s in mapping if s.view_index == 0)
-        ),
-        "fault_retries": float(
-            sum(s.fault_retries for s in mapping if s.view_index == 0)
-        ),
-        "fault_quarantines": float(
-            sum(s.fault_quarantines for s in mapping if s.view_index == 0)
-        ),
-        "fault_escalated_views": float(sum(s.fault_escalated for s in mapping)),
     }
     # -- async-pipeline accounting (zero on a serial run) ---------------------
     # One publication marker per background mapping job (its last snapshot):
@@ -163,25 +134,6 @@ def batch_amortization_report(
     report["async_overlap_fraction"] = (
         overlap_seconds / mapping_seconds if mapping_seconds > 0 else 0.0
     )
-    # -- multi-tenant rollup (render service) --------------------------------
-    # Only snapshots attributed to a service session contribute, and the key
-    # is added only when at least one exists, so single-tenant consumers see
-    # the exact flat report they always did.  The rollup spans *all* stages
-    # (service tenants render outside the mapping loop too).
-    session_ids = sorted({s.session_id for s in snapshots if s.session_id})
-    if session_ids:
-        sessions: dict[str, dict[str, float]] = {}
-        for session_id in session_ids:
-            views = [s for s in snapshots if s.session_id == session_id]
-            sessions[session_id] = {
-                "n_views": float(len(views)),
-                "queue_wait_s": float(sum(s.queue_wait_seconds for s in views)),
-                "service_s": float(sum(s.service_seconds for s in views)),
-                "modelled_s": float(
-                    sum(model.iteration_latency(s).total for s in views)
-                ),
-            }
-        report["sessions"] = sessions
     return report
 
 

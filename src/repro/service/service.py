@@ -84,8 +84,8 @@ class ServiceJob:
     service scheduler until every unit of *this* job has been dispatched
     (other sessions' units are interleaved fairly in between) and stitches
     the per-view results into one :class:`BatchRenderResult` whose
-    ``sharding`` attribution carries the session id and the per-view
-    queue-wait / service seconds.
+    ``sharding`` attribution carries the per-view queue-wait / service
+    seconds (the session's totals live on :class:`SessionStats`).
     """
 
     def __init__(
@@ -159,12 +159,9 @@ class ServiceJob:
     def _merged_attribution(self) -> ShardAttribution:
         n = self.n_views
         worker_ids = [-1] * n
-        view_shard_seconds = [0.0] * n
-        view_plan_seconds = [0.0] * n
         worker_seconds: dict[int, float] = {}
         dispatch_seconds = 0.0
         stitch_seconds = 0.0
-        shard_wall_seconds = 0.0
         plan_site = "parent"
         fault_events: list = []
         fault_retries = 0
@@ -178,16 +175,12 @@ class ServiceJob:
             plan_site = sharding.plan_site
             for slot, index in enumerate(indices):
                 worker_ids[index] = sharding.worker_ids[slot]
-                view_shard_seconds[index] = sharding.view_shard_seconds[slot]
-                if sharding.view_plan_seconds:
-                    view_plan_seconds[index] = sharding.view_plan_seconds[slot]
             for worker_id, seconds in sharding.worker_seconds.items():
                 worker_seconds[worker_id] = (
                     worker_seconds.get(worker_id, 0.0) + seconds
                 )
             dispatch_seconds += sharding.dispatch_seconds
             stitch_seconds += sharding.stitch_seconds
-            shard_wall_seconds += sharding.shard_wall_seconds
             for event in sharding.fault_events:
                 event = dict(event)
                 views = event.get("views")
@@ -201,24 +194,18 @@ class ServiceJob:
             quarantined.update(sharding.fault_quarantined_workers)
             respawned.update(sharding.fault_respawned_workers)
             escalated.extend(indices[v] for v in sharding.escalated_views)
-        if self.plan is not None:
-            view_plan_seconds = [unit.plan_seconds for unit in self.plan.units]
         return ShardAttribution(
             n_workers=max(1, len({w for w in worker_ids if w >= 0})),
             worker_ids=worker_ids,
-            view_shard_seconds=view_shard_seconds,
             worker_seconds=worker_seconds,
             dispatch_seconds=dispatch_seconds,
             stitch_seconds=stitch_seconds,
-            shard_wall_seconds=shard_wall_seconds,
             plan_site=plan_site,
-            view_plan_seconds=view_plan_seconds,
             fault_events=fault_events,
             fault_retries=fault_retries,
             fault_quarantined_workers=sorted(quarantined),
             fault_respawned_workers=sorted(respawned),
             escalated_views=sorted(escalated),
-            session_id=self.session.session_id,
             view_queue_wait_seconds=list(self._queue_wait),
             view_service_seconds=list(self._service_seconds),
         )
@@ -390,28 +377,6 @@ class RenderSession:
             dL_ddepths,
             compute_pose_gradient=compute_pose_gradient,
             backend=backend,
-        )
-
-    def snapshot(self, render, gradients=None, *, view_index=0, batch=None, **kwargs):
-        """Engine snapshot stamped with this session's attribution.
-
-        When ``batch`` is a service-stitched result, the view's queue-wait
-        and service seconds are read from its attribution.
-        """
-        queue_wait = 0.0
-        service_seconds = 0.0
-        sharding = getattr(batch, "sharding", None)
-        if sharding is not None and sharding.view_queue_wait_seconds:
-            queue_wait = sharding.view_queue_wait_seconds[view_index]
-            service_seconds = sharding.view_service_seconds[view_index]
-        return self.engine.snapshot(
-            render,
-            gradients,
-            view_index=view_index,
-            session_id=self.session_id,
-            queue_wait_seconds=queue_wait,
-            service_seconds=service_seconds,
-            **kwargs,
         )
 
     def cache_stats(self):

@@ -32,7 +32,9 @@ round-robining one view per iteration:
 
 The per-view workload snapshots it emits feed the same profiling and hardware
 models as tracking; they carry ``batch_size``/``view_index`` so those
-consumers can amortise the shared preprocessing across the window.
+consumers can amortise the shared preprocessing across the window.  How
+each window was executed is not copied onto them: ``MappingResult.shardings``
+keeps each fused iteration's :class:`~repro.gaussians.batch.ShardAttribution`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians.batch import ShardAttribution
 from repro.gaussians.gaussian_model import GaussianCloud
 from repro.slam.frame import Frame
 from repro.slam.losses import photometric_geometric_loss
@@ -116,6 +119,9 @@ class MappingResult:
     n_pruned: int
     snapshots: list[WorkloadSnapshot] = field(default_factory=list)
     batch_sizes: list[int] = field(default_factory=list)  # window size per iteration
+    # Execution record of each fused iteration's batch (None when it ran
+    # unsharded): workers, plan site, worker/stitch seconds and fault events.
+    shardings: list[ShardAttribution | None] = field(default_factory=list)
 
     @property
     def max_batch_size(self) -> int:
@@ -203,6 +209,7 @@ class StreamingMapper:
         losses: list[float] = []
         snapshots: list[WorkloadSnapshot] = []
         batch_sizes: list[int] = []
+        shardings: list[ShardAttribution | None] = []
         # On a pipelining backend (``async``), hint each *next* iteration's
         # window right after the optimiser update lands: the workers plan
         # window k+1's Step 1-2 (geometry-cache lookups included) against a
@@ -217,7 +224,9 @@ class StreamingMapper:
         for iteration in range(config.n_iterations):
             if config.batched:
                 window = self._select_window(keyframes)
-                loss = self._fused_iteration(cloud, window, newest, iteration, snapshots)
+                loss = self._fused_iteration(
+                    cloud, window, newest, iteration, snapshots, shardings
+                )
             else:
                 trailing = keyframes[-config.keyframe_window :]
                 window = [trailing[iteration % len(trailing)]]
@@ -251,6 +260,7 @@ class StreamingMapper:
             n_pruned=n_pruned,
             snapshots=snapshots,
             batch_sizes=batch_sizes,
+            shardings=shardings,
         )
 
     def notify_removed(self, keep_mask: np.ndarray) -> None:
@@ -390,12 +400,14 @@ class StreamingMapper:
         newest: Frame,
         iteration: int,
         snapshots: list[WorkloadSnapshot],
+        shardings: list[ShardAttribution | None],
     ) -> float:
         """Render the window as one batch and apply one fused Adam update.
 
         The managed batch claims the engine's arena (or geometry-cache
         arena); the fused backward below consumes and releases it before the
-        next iteration renders.
+        next iteration renders.  The batch's execution record
+        (``batch.sharding``) is appended to ``shardings`` as is.
         """
         config = self.config
         poses = [frame.estimated_pose_cw or frame.gt_pose_cw for frame in window]
@@ -423,9 +435,9 @@ class StreamingMapper:
             compute_pose_gradient=False,
         )
         self._record_visibility(window, batch.views)
+        shardings.append(batch.sharding)
         if config.record_workloads:
             traces = gradients.per_view_traces
-            sharding = batch.sharding
             for view_index, (render, loss) in enumerate(zip(batch.views, loss_results)):
                 snapshots.append(
                     self.engine.snapshot(
@@ -442,49 +454,6 @@ class StreamingMapper:
                         trace=traces[view_index],
                         batch_size=len(window),
                         view_index=view_index,
-                        # Per-shard attribution of a sharded window: which
-                        # worker rendered this view, its shard wall-clock and
-                        # its share of the parent-side stitch overhead.
-                        shard_workers=1 if sharding is None else sharding.n_workers,
-                        shard_worker_id=(
-                            0 if sharding is None else sharding.worker_ids[view_index]
-                        ),
-                        shard_seconds=(
-                            0.0
-                            if sharding is None
-                            else sharding.view_shard_seconds[view_index]
-                        ),
-                        shard_stitch_seconds=(
-                            0.0
-                            if sharding is None
-                            else sharding.stitch_seconds / max(len(window), 1)
-                        ),
-                        shard_plan_seconds=(
-                            sharding.view_plan_seconds[view_index]
-                            if sharding is not None and sharding.view_plan_seconds
-                            else 0.0
-                        ),
-                        plan_site=(
-                            "parent" if sharding is None else sharding.plan_site
-                        ),
-                        # Batch-level fault counts ride on every view of the
-                        # window (aggregate from view_index == 0 to avoid
-                        # double counting); escalation is per view.
-                        fault_events=(
-                            0 if sharding is None else len(sharding.fault_events)
-                        ),
-                        fault_retries=(
-                            0 if sharding is None else sharding.fault_retries
-                        ),
-                        fault_quarantines=(
-                            0
-                            if sharding is None
-                            else len(sharding.fault_quarantined_workers)
-                        ),
-                        fault_escalated=(
-                            sharding is not None
-                            and view_index in sharding.escalated_views
-                        ),
                     )
                 )
         # The fused gradients are summed over views; average them so the

@@ -26,6 +26,14 @@ class WorkloadSnapshot:
     ``batch_size`` and ``view_index`` identify the window so the hardware
     model can amortise the shared per-Gaussian preprocessing (Step 1) across
     the views of one batch.  Single-view iterations keep the defaults.
+
+    A snapshot records the work that was rendered, never where it ran: a
+    flat and a sharded render of the same window give equal snapshots.  How
+    a batch was executed (workers, plan site, shard/stitch seconds, faults)
+    lives on its :class:`~repro.gaussians.batch.ShardAttribution`
+    (``BatchRenderResult.sharding``, collected per fused mapping iteration in
+    ``MappingResult.shardings``); per-tenant queueing lives on
+    ``repro.service.SessionStats``.
     """
 
     stage: str  # "tracking" or "mapping"
@@ -53,37 +61,6 @@ class WorkloadSnapshot:
     # to amortise the Step 1-2 cost the cache skipped, and profiling
     # aggregates it into hit/miss accounting.
     cache_status: str = "uncached"
-    # Per-shard attribution of a sharded batch render (repro.engine.sharded):
-    # how many workers executed the batch, which worker rasterized this view,
-    # its measured shard wall-clock, and this view's share of the parent-side
-    # stitch overhead.  The hardware model amortises the fragment-parallel
-    # stages across shard_workers; batch_amortization_report aggregates the
-    # rest.  Serial renders keep the defaults.
-    shard_workers: int = 1
-    shard_worker_id: int = 0
-    shard_seconds: float = 0.0
-    shard_stitch_seconds: float = 0.0
-    # Where this view's Step 1-2 planning ran: "parent" (serial and
-    # parent-planned batches) or "worker" (sharded batches with
-    # worker-resident planning), with the measured per-view planning time.
-    shard_plan_seconds: float = 0.0
-    plan_site: str = "parent"
-    # Fault accounting of the sharded batch behind this snapshot (engine
-    # ShardAttribution.fault_*).  The batch-level counts are carried on every
-    # view of the batch — aggregate them from ``view_index == 0`` snapshots to
-    # avoid double counting.  ``fault_escalated`` is per view: True when this
-    # view fell back to serial flat execution in the parent.
-    fault_events: int = 0
-    fault_retries: int = 0
-    fault_quarantines: int = 0
-    fault_escalated: bool = False
-    # Multi-tenant attribution (repro.service.RenderService): the owning
-    # session, how long this view waited in the session queue before its
-    # dispatch round, and the wall-clock of that round.  Defaults outside
-    # the service; batch_amortization_report rolls these up per session.
-    session_id: str = ""
-    queue_wait_seconds: float = 0.0
-    service_seconds: float = 0.0
     # Async-pipeline publication points (repro.slam.SLAMPipeline with
     # ``async_pipeline``): ``async_published`` marks the snapshot of a mapping
     # job whose result cloud was published for the tracker, ``published_epoch``
@@ -114,31 +91,12 @@ class WorkloadSnapshot:
         trace: GradientTrace | None = None,
         batch_size: int = 1,
         view_index: int = 0,
-        shard_workers: int = 1,
-        shard_worker_id: int = 0,
-        shard_seconds: float = 0.0,
-        shard_stitch_seconds: float = 0.0,
-        shard_plan_seconds: float = 0.0,
-        plan_site: str = "parent",
-        fault_events: int = 0,
-        fault_retries: int = 0,
-        fault_quarantines: int = 0,
-        fault_escalated: bool = False,
-        session_id: str = "",
-        queue_wait_seconds: float = 0.0,
-        service_seconds: float = 0.0,
-        async_published: bool = False,
-        published_epoch: int = -1,
-        async_overlap_seconds: float = 0.0,
-        async_mapping_seconds: float = 0.0,
     ) -> "WorkloadSnapshot":
         """Build a snapshot from a render result and (optionally) its gradients.
 
         ``trace`` overrides the gradient trace; batched mapping passes each
         view's own trace because the fused gradients only carry the merged
-        one.  The ``shard_*`` fields carry the per-shard attribution of a
-        sharded batch (worker count, owning worker, shard wall-clock, stitch
-        share); serial renders keep the defaults.
+        one.
         """
         grid = render.grid
         if trace is None and gradients is not None:
@@ -173,23 +131,6 @@ class WorkloadSnapshot:
             batch_size=batch_size,
             view_index=view_index,
             cache_status=render.cache_status,
-            shard_workers=shard_workers,
-            shard_worker_id=shard_worker_id,
-            shard_seconds=shard_seconds,
-            shard_stitch_seconds=shard_stitch_seconds,
-            shard_plan_seconds=shard_plan_seconds,
-            plan_site=plan_site,
-            fault_events=fault_events,
-            fault_retries=fault_retries,
-            fault_quarantines=fault_quarantines,
-            fault_escalated=fault_escalated,
-            session_id=session_id,
-            queue_wait_seconds=queue_wait_seconds,
-            service_seconds=service_seconds,
-            async_published=async_published,
-            published_epoch=published_epoch,
-            async_overlap_seconds=async_overlap_seconds,
-            async_mapping_seconds=async_mapping_seconds,
         )
 
     # -- aggregate statistics -------------------------------------------------

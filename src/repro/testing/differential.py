@@ -1286,11 +1286,10 @@ class DifferentialRunner:
 
         def compare(label, sessions, batches, image_key, grad_key) -> None:
             for s, (session, batch, solo) in enumerate(zip(sessions, batches, solos)):
-                sharding = batch.sharding
-                if sharding is None or sharding.session_id != session.session_id:
+                if batch.sharding is None:
                     failures.append(
-                        f"service {label} session {s}: attribution does not "
-                        "carry its session id"
+                        f"service {label} session {s}: the stitched batch "
+                        "carries no attribution"
                     )
                 for v, (view, solo_view) in enumerate(zip(batch.views, solo.views)):
                     for name in ("image", "depth", "alpha"):

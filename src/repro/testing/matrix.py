@@ -52,10 +52,11 @@ level instead.
 A matrix constructed with a ``fault_schedule`` (the
 :mod:`repro.engine.faults` grammar, also reachable via ``--faults`` or the
 ``REPRO_SHARD_FAULTS`` environment variable) runs every cell with that fault
-plan active: sharded cells exercise the self-healing dispatch
-(retry/redispatch/quarantine/escalation) and must still pass their bitwise
-gates, and each cell's fault-event counts land in the attribution of the
-markdown/JSON reports — this is the CI ``chaos`` job.
+plan active, its random seed re-derived per cell
+(:meth:`ScenarioMatrix.fault_plan_for`): sharded cells exercise the
+self-healing dispatch (retry/redispatch/quarantine/escalation) and must
+still pass their bitwise gates, and each cell's fault-event counts land in
+the attribution of the markdown/JSON reports — this is the CI ``chaos`` job.
 
 CLI::
 
@@ -69,18 +70,20 @@ from __future__ import annotations
 import argparse
 import json
 import time
+import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.engine import EngineConfig, RenderEngine, fault_plan
+from repro.engine import EngineConfig, FaultPlan, RenderEngine, fault_plan
 from repro.testing.differential import (
     _EXACT_ENGINE_CACHE,
     DifferentialRunner,
     _max_abs_diff,
 )
 from repro.testing.scenarios import ScenarioLibrary, SceneSpec, matrix_library
+from repro.utils.random import derive_seed
 
 # The declarative axes every scenario is crossed against, in display order.
 AXES: dict[str, tuple[str, ...]] = {
@@ -166,7 +169,10 @@ class ScenarioCellResult:
     n_views: int = 1
     failures: list[str] = field(default_factory=list)
     notes: str = ""  # e.g. cache statuses observed, degradation remarks
-    snapshots: list = field(default_factory=list)  # WorkloadSnapshot attribution
+    snapshots: list = field(default_factory=list)  # per-view WorkloadSnapshots
+    # Execution record of each batch the cell rendered (ShardAttribution, or
+    # None for a batch that ran unsharded).
+    shardings: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -178,51 +184,43 @@ class ScenarioCellResult:
         return self.status != "skip" or bool(self.skip_reason)
 
     @property
+    def _executed(self) -> list:
+        return [sharding for sharding in self.shardings if sharding is not None]
+
+    @property
     def plan_site(self) -> str:
         """Where Step 1-2 planning ran for this cell's renders.
 
-        ``worker`` when any snapshot reports worker-resident planning (sharded
+        ``worker`` when any batch reports worker-resident planning (sharded
         batches), ``parent`` for executed serial/parent-planned cells, ``-``
         for skips and cells that emitted no snapshots.
         """
-        sites = {snap.plan_site for snap in self.snapshots}
-        if not sites:
+        if not self.snapshots:
             return "-"
+        sites = {sharding.plan_site for sharding in self._executed}
         return "worker" if "worker" in sites else "parent"
 
     @property
     def fault_events(self) -> int:
         """Total fault events of this cell's batches (0 on a healthy run)."""
-        return sum(snap.fault_events for snap in self.snapshots if snap.view_index == 0)
+        return sum(len(sharding.fault_events) for sharding in self._executed)
 
     def attribution(self) -> dict[str, object]:
-        """Aggregate of the per-view workload snapshots (JSON-friendly)."""
-        workers = {snap.shard_workers for snap in self.snapshots}
+        """Workload and execution summary of the cell (JSON-friendly)."""
+        executed = self._executed
         statuses: dict[str, int] = {}
         for snap in self.snapshots:
             statuses[snap.cache_status] = statuses.get(snap.cache_status, 0) + 1
         return {
             "n_snapshots": len(self.snapshots),
-            "shard_workers": sorted(workers) if workers else [1],
+            "shard_workers": sorted({s.n_workers for s in executed}) or [1],
             "cache_statuses": statuses,
             "plan_site": self.plan_site,
-            # Batch-level fault counts ride on every view of a batch, so sum
-            # them from view_index == 0 snapshots; escalation is per view.
             "faults": {
                 "events": self.fault_events,
-                "retries": sum(
-                    snap.fault_retries
-                    for snap in self.snapshots
-                    if snap.view_index == 0
-                ),
-                "quarantines": sum(
-                    snap.fault_quarantines
-                    for snap in self.snapshots
-                    if snap.view_index == 0
-                ),
-                "escalated_views": sum(
-                    1 for snap in self.snapshots if snap.fault_escalated
-                ),
+                "retries": sum(s.fault_retries for s in executed),
+                "quarantines": sum(len(s.fault_quarantined_workers) for s in executed),
+                "escalated_views": sum(len(s.escalated_views) for s in executed),
             },
         }
 
@@ -560,6 +558,25 @@ class ScenarioMatrix:
         return self._mapper_refs[key]
 
     # -- execution -----------------------------------------------------------
+    def fault_plan_for(self, cell: MatrixCell) -> FaultPlan | None:
+        """The fault plan ``cell`` executes under, if the matrix has one.
+
+        A sharded backend restarts its operation counter for every new plan,
+        so one random seed shared by all cells would replay the same draws
+        (operation 0, 1, ...) in each of them.  The schedule's random seed is
+        therefore re-derived per cell from a stable digest of the cell id:
+        every cell draws its own faults, and the same schedule still yields
+        the same faults on every run.
+        """
+        if not self.fault_schedule:
+            return None
+        plan = FaultPlan.parse(self.fault_schedule)
+        if plan.seed is None:
+            return plan
+        return replace(
+            plan, seed=derive_seed(plan.seed, zlib.crc32(cell.id.encode()))
+        )
+
     def run_cell(self, cell: MatrixCell) -> ScenarioCellResult:
         """Execute one cell (or skip it with its machine-readable reason)."""
         skip_reason = self.plan_cell(cell)
@@ -573,7 +590,8 @@ class ScenarioMatrix:
         )
         start = time.perf_counter()
         try:
-            with fault_plan(self.fault_schedule) if self.fault_schedule else nullcontext():
+            plan = self.fault_plan_for(cell)
+            with fault_plan(plan) if plan is not None else nullcontext():
                 if cell.mapping == "render":
                     self._execute_render_cell(cell, result)
                 else:
@@ -601,7 +619,6 @@ class ScenarioMatrix:
                     managed=managed,
                 )
             ]
-            sharding = None
             claimed = renders[0] if managed else None
         else:
             n_views = self.options_for(cell.scenario).n_views
@@ -615,7 +632,7 @@ class ScenarioMatrix:
                 managed=managed,
             )
             renders = list(batch.views)
-            sharding = batch.sharding
+            result.shardings.append(batch.sharding)
             claimed = batch if managed else None
         try:
             result.n_views = len(renders)
@@ -651,39 +668,6 @@ class ScenarioMatrix:
                         n_gaussians_active=spec.cloud.n_active,
                         batch_size=len(renders),
                         view_index=index,
-                        shard_workers=1 if sharding is None else sharding.n_workers,
-                        shard_worker_id=(
-                            0 if sharding is None else sharding.worker_ids[index]
-                        ),
-                        shard_seconds=(
-                            0.0 if sharding is None else sharding.view_shard_seconds[index]
-                        ),
-                        shard_stitch_seconds=(
-                            0.0
-                            if sharding is None
-                            else sharding.stitch_seconds / max(len(renders), 1)
-                        ),
-                        shard_plan_seconds=(
-                            sharding.view_plan_seconds[index]
-                            if sharding is not None and sharding.view_plan_seconds
-                            else 0.0
-                        ),
-                        plan_site="parent" if sharding is None else sharding.plan_site,
-                        fault_events=(
-                            0 if sharding is None else len(sharding.fault_events)
-                        ),
-                        fault_retries=(
-                            0 if sharding is None else sharding.fault_retries
-                        ),
-                        fault_quarantines=(
-                            0
-                            if sharding is None
-                            else len(sharding.fault_quarantined_workers)
-                        ),
-                        fault_escalated=(
-                            sharding is not None
-                            and index in sharding.escalated_views
-                        ),
                     )
                 )
         finally:
@@ -695,6 +679,7 @@ class ScenarioMatrix:
         reference_cloud, reference_mapped = self._mapper_reference(cell)
         result.n_views = len(self.frames(cell.scenario))
         result.snapshots = list(mapped.snapshots)
+        result.shardings = list(mapped.shardings)
         result.n_fragments = sum(
             int(snap.fragments_per_pixel.sum()) for snap in mapped.snapshots
         )

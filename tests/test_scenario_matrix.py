@@ -51,6 +51,9 @@ FAST_CELLS = MATRIX.cells(tier="fast")
 
 SKIP_REASON = re.compile(r"^(capability|backend-unavailable):")
 
+# The seeded fault schedule the CI chaos job runs the fast tier under.
+CI_CHAOS_SCHEDULE = "random:20250807:0.25"
+
 
 @pytest.mark.parametrize("cell", FAST_CELLS, ids=[cell.id for cell in FAST_CELLS])
 def test_matrix_cell(cell):
@@ -220,6 +223,33 @@ class TestFiltersAndReporting:
         assert payload["tolerance"] == 0.0
         assert payload["attribution"]["n_snapshots"] == 1
         json.dumps(payload)  # JSON-serializable end to end
+
+
+class TestChaosSchedule:
+    def test_every_cell_draws_its_own_stable_fault_seed(self):
+        chaos = ScenarioMatrix(fault_schedule=CI_CHAOS_SCHEDULE)
+        cells = chaos.cells(filters={"backend": {"sharded", "async"}})
+        seeds = [chaos.fault_plan_for(cell).seed for cell in cells]
+        assert len(set(seeds)) == len(cells)
+        assert seeds == [chaos.fault_plan_for(cell).seed for cell in cells]
+        assert ScenarioMatrix().fault_plan_for(cells[0]) is None
+
+    def test_async_multi_view_cells_see_faults(self):
+        # Async multi-view cells must actually be exercised by the chaos
+        # schedule, not just pass because no fault ever fired in them.
+        chaos = ScenarioMatrix(fault_schedule=CI_CHAOS_SCHEDULE)
+        results = chaos.run(
+            filters={
+                "scenario": {"empty_cloud", "single_gaussian", "alpha_clamp"},
+                "backend": {"async"},
+                "batch": {"multi"},
+            }
+        )
+        executed = [result for result in results if result.status != "skip"]
+        assert executed
+        for result in executed:
+            assert result.passed, f"{result.cell.id}: " + "; ".join(result.failures)
+        assert sum(result.fault_events for result in executed) >= 1
 
 
 class TestCLI:

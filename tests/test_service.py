@@ -6,9 +6,10 @@ the starvation bound), graceful close (drain vs cancel), cross-session
 geometry-cache byte budgets (global and per-session LRU eviction, evicted
 sessions re-plan and stay bitwise), the differential service phase
 (interleaved sessions bitwise vs solo engines, cache off/on and under an
-injected fault schedule), per-tenant attribution (session-stamped snapshots
-and the ``batch_amortization_report`` per-session rollup), and running a
-whole ``SLAMPipeline`` as one service tenant.
+injected fault schedule), per-tenant attribution (per-view queue-wait and
+service seconds on the batch's ``ShardAttribution``, per-session totals on
+``SessionStats``), and running a whole ``SLAMPipeline`` as one service
+tenant.
 
 Pool-touching tests share the process-wide 2-worker pool with the sharded
 tests, so the spawn cost is paid once per pytest session.
@@ -20,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.engine import ArenaInUseError, EngineConfig, RenderEngine
-from repro.profiling.latency import batch_amortization_report
 from repro.service import AdmissionError, RenderService, SessionClosedError
 from repro.slam import SLAMPipeline, mono_gs
 from repro.testing.differential import DifferentialRunner
@@ -363,56 +363,25 @@ class TestDifferentialServicePhase:
 
 
 class TestAttribution:
-    def test_snapshots_and_amortization_report_roll_up_per_session(self):
+    def test_batch_attribution_carries_per_view_service_timings(self):
         spec = _spec("single_gaussian")
         args, kwargs = _window(spec, n_views=4)
         service = _service()
-        snapshots = []
         for sid in ("tenant-a", "tenant-b"):
             session = service.open_session(sid)
             batch = session.submit(*args, **kwargs).result()
             sharding = batch.sharding
-            assert sharding.session_id == sid
             assert len(sharding.view_queue_wait_seconds) == 4
             assert all(s >= 0.0 for s in sharding.view_queue_wait_seconds)
             assert all(s > 0.0 for s in sharding.view_service_seconds)
-            for index, view in enumerate(batch.views):
-                snapshot = session.snapshot(
-                    view,
-                    stage="mapping",
-                    frame_index=0,
-                    iteration=index,
-                    is_keyframe=True,
-                    loss=0.0,
-                    n_gaussians_total=len(spec.cloud),
-                    n_gaussians_active=len(spec.cloud),
-                    batch_size=4,
-                    view_index=index,
-                    batch=batch,
-                )
-                assert snapshot.session_id == sid
-                assert snapshot.service_seconds > 0.0
-                snapshots.append(snapshot)
-        report = batch_amortization_report(snapshots)
-        assert set(report["sessions"]) == {"tenant-a", "tenant-b"}
-        for rollup in report["sessions"].values():
-            assert rollup["n_views"] == 4.0
-            assert rollup["service_s"] > 0.0
-            assert rollup["modelled_s"] > 0.0
-        # Snapshots without a session id keep the legacy report shape.
-        engine = _solo_engine()
-        plain = engine.render_batch(*args, **kwargs, managed=False)
-        legacy_snapshot = engine.snapshot(
-            plain.views[0],
-            stage="mapping",
-            frame_index=0,
-            iteration=0,
-            is_keyframe=True,
-            loss=0.0,
-            n_gaussians_total=len(spec.cloud),
-            n_gaussians_active=len(spec.cloud),
-        )
-        assert "sessions" not in batch_amortization_report([legacy_snapshot])
+            # The session's own totals roll the per-view timings up.
+            assert session.stats.units_done == 4
+            assert session.stats.queue_wait_seconds == pytest.approx(
+                sum(sharding.view_queue_wait_seconds)
+            )
+            assert session.stats.service_seconds == pytest.approx(
+                sum(sharding.view_service_seconds)
+            )
         service.close()
 
     def test_session_stats_track_dispatches(self):

@@ -4,8 +4,9 @@ Covers: work-unit self-containment (pickling round-trip, out-of-order
 execution, disjoint arena reservations), the sharded backend's bitwise
 equivalence to the flat path (forward + fused backward), its graceful
 degradations (workers<=1, cached batches, single views), worker-side batch
-eviction, the shard attribution threaded through ``StreamingMapper``
-snapshots, and the self-healing dispatch: injected crash/hang/slow/poison
+eviction, the shard attribution ``StreamingMapper`` keeps per fused
+iteration (and snapshots that stay equal to the flat backend's), and the
+self-healing dispatch: injected crash/hang/slow/poison
 faults (``repro.engine.faults``) must never lose a batch — every schedule
 completes bitwise-identical to the healthy flat path, with retries,
 quarantines, respawns and serial escalations surfaced on the attribution.
@@ -269,8 +270,8 @@ class TestShardedBackend:
         assert sharding.n_workers == N_WORKERS
         assert len(sharding.worker_ids) == batch.n_views
         assert set(sharding.worker_ids) <= set(range(N_WORKERS))
-        assert len(sharding.view_shard_seconds) == batch.n_views
-        assert all(seconds >= 0.0 for seconds in sharding.view_shard_seconds)
+        assert sorted(sharding.worker_seconds) == sorted(set(sharding.worker_ids))
+        assert all(seconds >= 0.0 for seconds in sharding.worker_seconds.values())
         assert sharding.stitch_seconds >= 0.0 and sharding.dispatch_seconds >= 0.0
         timings = batch.timings()
         assert timings["n_shard_workers"] == N_WORKERS
@@ -1046,22 +1047,62 @@ class TestShardedMapping:
         cloud, keyframes = self._seeded(sequence, mapper)
         result = mapper.map(cloud, keyframes)
         assert result.snapshots
-        for snapshot in result.snapshots:
-            assert snapshot.shard_workers == N_WORKERS
-            assert 0 <= snapshot.shard_worker_id < N_WORKERS
-            assert snapshot.shard_seconds >= 0.0
-            assert snapshot.shard_stitch_seconds >= 0.0
-            # Step 1-2 planning ran inside the workers, and the measured
-            # per-view plan time rides along on the snapshot.
-            assert snapshot.plan_site == "worker"
-            assert snapshot.shard_plan_seconds >= 0.0
+        # One execution record per fused iteration, covering every view.
+        assert len(result.shardings) == config.n_iterations
+        for sharding in result.shardings:
+            assert sharding is not None
+            assert sharding.n_workers == N_WORKERS
+            assert len(sharding.worker_ids) == config.batch_views
+            assert set(sharding.worker_ids) <= set(range(N_WORKERS))
+            assert all(seconds >= 0.0 for seconds in sharding.worker_seconds.values())
+            assert sharding.stitch_seconds >= 0.0
+            # Step 1-2 planning ran inside the workers.
+            assert sharding.plan_site == "worker"
+
+    def test_snapshots_and_modelled_latency_are_backend_independent(self, sequence):
+        """A snapshot records the rendered work, not where it ran.
+
+        Flat and 2-worker sharded mapping of the same window must emit equal
+        snapshots in every field, so the hardware model prices them equally.
+        """
+        from dataclasses import fields
+
+        from repro.hardware.gpu_model import EdgeGPUModel
+        from repro.slam import MappingConfig, StreamingMapper
+        from repro.slam.records import WorkloadSnapshot
+
+        config = MappingConfig(n_iterations=2, batch_views=3, geom_cache=False)
+        flat_mapper = StreamingMapper(config, engine=_flat_engine())
+        cloud_flat, keyframes = self._seeded(sequence, flat_mapper)
+        sharded_mapper = StreamingMapper(config, engine=_sharded_engine())
+        cloud_sharded = cloud_flat.copy()
+
+        result_flat = flat_mapper.map(cloud_flat, keyframes)
+        result_sharded = sharded_mapper.map(cloud_sharded, keyframes)
+        assert result_flat.shardings == [None] * config.n_iterations
+        assert all(sharding is not None for sharding in result_sharded.shardings)
+        assert result_flat.snapshots
+        assert len(result_sharded.snapshots) == len(result_flat.snapshots)
+        model = EdgeGPUModel("onx")
+        for flat, sharded in zip(result_flat.snapshots, result_sharded.snapshots):
+            for field in fields(WorkloadSnapshot):
+                a = getattr(flat, field.name)
+                b = getattr(sharded, field.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), field.name
+                elif isinstance(a, list):
+                    assert len(a) == len(b), field.name
+                    assert all(np.array_equal(x, y) for x, y in zip(a, b)), field.name
+                else:
+                    assert a == b, field.name
+            assert model.iteration_latency(sharded) == model.iteration_latency(flat)
 
     def test_mapping_window_heals_under_faults(self, sequence):
         """A worker crash mid-window never perturbs the optimization.
 
         The sharded mapper under a crash schedule must produce the same
         losses and the same cloud, bit for bit, as the flat mapper — and the
-        snapshots must carry the fault accounting for the profiling report.
+        window's execution records must carry the fault accounting.
         """
         from repro.slam import MappingConfig, StreamingMapper
 
@@ -1086,12 +1127,10 @@ class TestShardedMapping:
         assert result_sharded.losses == result_flat.losses
         np.testing.assert_array_equal(cloud_sharded.positions, cloud_flat.positions)
         np.testing.assert_array_equal(cloud_sharded.colors, cloud_flat.colors)
-        # Batch-level fault counts ride on every view's snapshot; aggregate
-        # from view 0 only (the batch_amortization_report convention).
         total_events = sum(
-            snapshot.fault_events
-            for snapshot in result_sharded.snapshots
-            if snapshot.view_index == 0
+            len(sharding.fault_events)
+            for sharding in result_sharded.shardings
+            if sharding is not None
         )
         assert total_events >= 1
 
@@ -1100,57 +1139,3 @@ class TestShardedMapping:
 
         mapper = StreamingMapper(MappingConfig(shard_workers=3))
         assert mapper.engine.config.shard_workers == 3
-
-
-class TestShardAccounting:
-    def _snapshot(self, **overrides):
-        from repro.slam.records import WorkloadSnapshot
-
-        fields = dict(
-            stage="mapping",
-            frame_index=0,
-            iteration=0,
-            is_keyframe=True,
-            height=8,
-            width=8,
-            tile_size=8,
-            subtile_size=4,
-            resolution_fraction=1.0,
-            n_gaussians_total=16,
-            n_gaussians_active=16,
-            n_projected=16,
-            n_tile_pairs=16,
-            loss=0.1,
-            fragments_per_pixel=np.full((8, 8), 4, dtype=np.int64),
-            batch_size=4,
-        )
-        fields.update(overrides)
-        return WorkloadSnapshot(**fields)
-
-    def test_gpu_model_amortises_fragment_stages_across_shards(self):
-        from repro.hardware.gpu_model import EdgeGPUModel
-
-        model = EdgeGPUModel("onx")
-        serial = model.iteration_latency(self._snapshot(shard_workers=1))
-        sharded = model.iteration_latency(self._snapshot(shard_workers=4))
-        assert sharded.rendering < serial.rendering
-        assert sharded.preprocessing == serial.preprocessing  # plan stays serial
-        # At most one worker per view helps.
-        capped = model.iteration_latency(self._snapshot(batch_size=2, shard_workers=8))
-        wide = model.iteration_latency(self._snapshot(batch_size=8, shard_workers=8))
-        assert wide.rendering < capped.rendering
-
-    def test_batch_amortization_report_isolates_shard_share(self):
-        from repro.profiling import batch_amortization_report
-
-        snapshots = [
-            self._snapshot(shard_workers=4, shard_worker_id=index % 4, shard_seconds=0.01,
-                           shard_stitch_seconds=0.002, view_index=index)
-            for index in range(4)
-        ]
-        report = batch_amortization_report(snapshots)
-        assert report["mean_shard_workers"] == 4.0
-        assert report["n_sharded_views"] == 4.0
-        assert report["shard_amortization"] > 1.0
-        assert report["stitch_s"] == pytest.approx(0.008)
-        assert report["speedup"] > report["shard_amortization"]  # batching adds more
