@@ -423,7 +423,7 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
             projected = project_gaussians(
                 None, meta["camera"], meta["pose_cw"], active_only=active_only, shared=shared
             )
-            grid = TileGrid(
+            grid = TileGrid.interned(
                 meta["camera"].width,
                 meta["camera"].height,
                 meta["tile_size"],
@@ -1493,7 +1493,7 @@ class ShardedBackend:
             active_only=request.active_only,
             shared=shared,
         )
-        grid = TileGrid(
+        grid = TileGrid.interned(
             meta["camera"].width,
             meta["camera"].height,
             meta["tile_size"],
@@ -1822,7 +1822,7 @@ class ShardedBackend:
                     else np.asarray(backgrounds[index], dtype=np.float64).reshape(3)
                 )
                 projected = _stitched_projection(indices_by_view[index], camera, pose_cw)
-                grid = TileGrid(
+                grid = TileGrid.interned(
                     camera.width, camera.height, request.tile_size, request.subtile_size
                 )
                 view = RenderResult(

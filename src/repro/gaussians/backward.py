@@ -24,7 +24,6 @@ import numpy as np
 from repro.gaussians.gaussian_model import GaussianCloud
 from repro.gaussians.projection import ProjectedGaussians
 from repro.gaussians.rasterizer import RenderResult
-from repro.gaussians.se3 import hat
 
 _EPS = 1e-12
 
@@ -265,11 +264,17 @@ def preprocess_backward_batch(
     Concatenates every view's screen-space gradients into one row set (with
     per-row camera rotations and intrinsics, since views differ in pose and
     possibly camera) and runs the Step 5 chain *once* over the whole batch.
-    Row-wise arithmetic is identical to :func:`preprocess_backward`, and the
-    scatter accumulates contributions in the same view-major order a
-    sequential loop would, so the fused result matches the per-view sum to
-    floating-point regrouping error (pinned at 1e-8 by the differential
-    harness).
+    This is the only copy of the chain: :func:`preprocess_backward` and the
+    shard workers call it.  Over M ~ 200-400 rows the chain is bound by
+    per-call NumPy overhead, so it is written as ``@`` products on the
+    ``(M, 2, 3)``/``(M, 3, 3)`` stacks and explicit component arithmetic
+    (the quaternion chain as four written-out sums, the pose rotation term
+    as the antisymmetric part of ``J^T dL/dJ``) rather than chains of small
+    einsums.  The scatter accumulates contributions in the same view-major
+    order a sequential loop would, so the fused result matches the per-view
+    sum to floating-point regrouping error (pinned at 1e-8 by the
+    differential harness; ``tests/test_backward.py`` pins the chain at
+    1e-12 against the einsum form it replaced).
 
     Returns the summed :class:`CloudGradients` (its ``pose_twist`` is the sum
     over views) plus a ``(V, 6)`` array of per-view pose twists.
@@ -319,9 +324,6 @@ def preprocess_backward_batch(
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
 
     indices = _concat(lambda s: s.projected.indices)
-    view_ids = np.concatenate(
-        [np.full(screen.projected.n_visible, view, dtype=int) for view, screen in populated]
-    )
     points_cam = _concat(lambda s: s.projected.points_cam)
     jac = _concat(lambda s: s.projected.jacobians)
     cov3d = _concat(lambda s: s.projected.cov3d)
@@ -332,37 +334,26 @@ def preprocess_backward_batch(
     g_means2d = _concat(lambda s: s.means2d)
     g_conics = _concat(lambda s: s.conics)
     g_depths = _concat(lambda s: s.depths)
-    # Per-row view-dependent constants: camera rotation and intrinsics.  For
-    # one view the broadcast stays a zero-copy view; only a true multi-view
-    # batch materialises the concatenation.
-    rot_parts = [
-        np.broadcast_to(screen.projected.rotation_cw, (screen.projected.n_visible, 3, 3))
-        for _, screen in populated
-    ]
-    rot_rows = rot_parts[0] if len(rot_parts) == 1 else np.concatenate(rot_parts, axis=0)
-    fx_parts = [
-        np.full(screen.projected.n_visible, screen.projected.camera.fx)
-        for _, screen in populated
-    ]
-    fy_parts = [
-        np.full(screen.projected.n_visible, screen.projected.camera.fy)
-        for _, screen in populated
-    ]
-    fx_rows = fx_parts[0] if len(fx_parts) == 1 else np.concatenate(fx_parts)
-    fy_rows = fy_parts[0] if len(fy_parts) == 1 else np.concatenate(fy_parts)
+    # Per-row view-dependent constants: camera rotation and intrinsics.
+    counts = [screen.projected.n_visible for _, screen in populated]
+    rot_rows = np.repeat(
+        np.stack([screen.projected.rotation_cw for _, screen in populated]), counts, axis=0
+    )
+    fx_rows = np.repeat([screen.projected.camera.fx for _, screen in populated], counts)
+    fy_rows = np.repeat([screen.projected.camera.fy for _, screen in populated], counts)
 
     # conic = inv(cov2d): dL/dcov2d = -conic^T dL/dconic conic^T (conic symmetric).
-    dL_dcov2d = -np.einsum("mij,mjk,mkl->mil", conics, g_conics, conics)
+    dL_dcov2d = -(conics @ g_conics @ conics)
 
     # mean2d chain: dL/dp_cam = J^T dL/dmean2d.
-    dL_dpcam = np.einsum("mij,mi->mj", jac, g_means2d)
+    dL_dpcam = jac[:, 0, :] * g_means2d[:, 0:1] + jac[:, 1, :] * g_means2d[:, 1:2]
 
-    # cov2d = M Sigma M^T with M = J R_cw (R_cw now varies per row).
-    m_lin = np.einsum("mij,mjk->mik", jac, rot_rows)
-    dL_dsigma = np.einsum("mia,mij,mjb->mab", m_lin, dL_dcov2d, m_lin)
-    dL_dmlin = 2.0 * np.einsum("mij,mjk,mkl->mil", dL_dcov2d, m_lin, cov3d)
-    dL_djac = np.einsum("mij,mkj->mik", dL_dmlin, rot_rows)
-    dL_drot_cw = np.einsum("mki,mkj->mij", jac, dL_dmlin)
+    # cov2d = M Sigma M^T with M = J R_cw (R_cw varies per view).
+    m_lin = jac @ rot_rows
+    dL_dsigma = m_lin.transpose(0, 2, 1) @ dL_dcov2d @ m_lin
+    dL_dmlin = dL_dcov2d @ m_lin @ cov3d
+    dL_dmlin *= 2.0
+    dL_djac = dL_dmlin @ rot_rows.transpose(0, 2, 1)
 
     # J depends on p_cam; add those terms to dL/dp_cam.
     x, y, z = points_cam[:, 0], points_cam[:, 1], points_cam[:, 2]
@@ -380,51 +371,56 @@ def preprocess_backward_batch(
     dL_dpcam[:, 2] += g_depths
 
     # p_cam = R_cw p_world + t: position gradient in world frame.
-    dL_dpos = np.einsum("mi,mij->mj", dL_dpcam, rot_rows)
+    dL_dpos = (dL_dpcam[:, None, :] @ rot_rows)[:, 0, :]
 
     # Sigma_world = A A^T with A = R_q S: scale and rotation gradients.
     rot_g = cloud.rotation_matrices(rows=indices)
     scales = cloud.scales(rows=indices)
-    a_mat = rot_g * scales[:, None, :]
-    dL_da = 2.0 * np.einsum("mij,mjk->mik", dL_dsigma, a_mat)
-    dL_dscales = np.einsum("mij,mij->mj", dL_da, rot_g)
-    dL_dlog_scales = dL_dscales * scales
-    dL_drot_g = dL_da * scales[:, None, :]
-    dL_dquat = _rotation_gradient_to_quaternion(dL_drot_g, cloud.rotations[indices])
+    dL_da = dL_dsigma @ (rot_g * scales[:, None, :])
+    dL_da *= 2.0
+    dL_dlog_scales = (dL_da * rot_g).sum(axis=1) * scales
+    dL_da *= scales[:, None, :]
+    dL_dquat = _rotation_gradient_to_quaternion(dL_da, cloud.rotations[indices])
 
     # Opacity logit chain through the sigmoid.
     dL_dlogit = g_opacities * opac * (1.0 - opac)
 
-    # One fused scatter per field over the concatenated (view, Gaussian) rows.
-    np.add.at(out_positions, indices, dL_dpos)
-    np.add.at(out_log_scales, indices, dL_dlog_scales)
-    np.add.at(out_rotations, indices, dL_dquat)
-    np.add.at(out_opacity_logits, indices, dL_dlogit)
-    np.add.at(out_colors, indices, g_colors)
-    np.add.at(out_cov3d, indices, dL_dsigma)
+    # Scatter to the cloud rows.  A view's rows are unique, so each view adds
+    # with one fancy-indexed ``+=``; views go in order, which is exactly the
+    # accumulation order ``np.add.at`` over the concatenated rows would use.
+    row_blocks = []
+    stop = 0
+    for view, screen in populated:
+        start, stop = stop, stop + screen.projected.n_visible
+        row_blocks.append((view, indices[start:stop], slice(start, stop)))
+    for out, values in (
+        (out_positions, dL_dpos),
+        (out_log_scales, dL_dlog_scales),
+        (out_rotations, dL_dquat),
+        (out_opacity_logits, dL_dlogit),
+        (out_colors, g_colors),
+        (out_cov3d, dL_dsigma),
+    ):
+        for _, rows, block in row_blocks:
+            out[rows] += values[block]
 
     pose_twist = np.zeros(6)
     if compute_pose_gradient:
-        per_rho = dL_dpcam
-        per_phi = np.cross(points_cam, dL_dpcam)
-        generators = [hat(e) for e in np.eye(3)]
-        rot_terms = np.stack(
-            [
-                np.einsum(
-                    "mij,mij->m",
-                    dL_drot_cw,
-                    np.einsum("ij,mjk->mik", gen, rot_rows),
-                )
-                for gen in generators
-            ],
-            axis=1,
-        )
-        per_pose = np.concatenate([per_rho, per_phi + rot_terms], axis=1)
-        np.add.at(per_gaussian_pose, indices, per_pose)
-        for component in range(6):
-            per_view_twists[:, component] = np.bincount(
-                view_ids, weights=per_pose[:, component], minlength=n_views
-            )
+        # Left perturbation R_cw <- exp(phi^) R_cw: the rotation term for
+        # generator G_k is <dL/dR_cw, G_k R_cw> = <P, G_k> with
+        # P = dL/dR_cw R_cw^T = J^T dL/dJ, i.e. the antisymmetric part of P.
+        p = jac.transpose(0, 2, 1) @ dL_djac
+        # Translation part dL/dp_cam; rotation part p_cam x dL/dp_cam plus
+        # the rotation term.
+        per_pose = np.empty((indices.shape[0], 6))
+        per_pose[:, :3] = dL_dpcam
+        g0, g1, g2 = dL_dpcam[:, 0], dL_dpcam[:, 1], dL_dpcam[:, 2]
+        per_pose[:, 3] = (y * g2 - z * g1) + (p[:, 2, 1] - p[:, 1, 2])
+        per_pose[:, 4] = (z * g0 - x * g2) + (p[:, 0, 2] - p[:, 2, 0])
+        per_pose[:, 5] = (x * g1 - y * g0) + (p[:, 1, 0] - p[:, 0, 1])
+        for view, rows, block in row_blocks:
+            per_gaussian_pose[rows] += per_pose[block]
+            per_view_twists[view] = per_pose[block].sum(axis=0)
         pose_twist = per_view_twists.sum(axis=0)
 
     return (
@@ -489,25 +485,21 @@ def _rotation_gradient_to_quaternion(
     norms = np.where(norms < _EPS, 1.0, norms)
     unit = quats / norms
     w, x, y, z = unit[:, 0], unit[:, 1], unit[:, 2], unit[:, 3]
-    zeros = np.zeros_like(w)
+    d00, d01, d02 = dL_drot[:, 0, 0], dL_drot[:, 0, 1], dL_drot[:, 0, 2]
+    d10, d11, d12 = dL_drot[:, 1, 0], dL_drot[:, 1, 1], dL_drot[:, 1, 2]
+    d20, d21, d22 = dL_drot[:, 2, 0], dL_drot[:, 2, 1], dL_drot[:, 2, 2]
 
-    def _stack(rows):
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    dR_dw = 2.0 * _stack([[zeros, -z, y], [z, zeros, -x], [-y, x, zeros]])
-    dR_dx = 2.0 * _stack([[zeros, y, z], [y, -2 * x, -w], [z, w, -2 * x]])
-    dR_dy = 2.0 * _stack([[-2 * y, x, w], [x, zeros, z], [-w, z, -2 * y]])
-    dR_dz = 2.0 * _stack([[-2 * z, -w, x], [w, -2 * z, y], [x, y, zeros]])
-
-    dL_dunit = np.stack(
-        [
-            np.einsum("mij,mij->m", dL_drot, dR_dw),
-            np.einsum("mij,mij->m", dL_drot, dR_dx),
-            np.einsum("mij,mij->m", dL_drot, dR_dy),
-            np.einsum("mij,mij->m", dL_drot, dR_dz),
-        ],
-        axis=1,
-    )
+    # <dL/dR, dR/dq_i> for R(q_hat) written out component by component
+    # (the zero entries of each dR/dq_i dropped, the factor 2 applied last).
+    # Symmetric and antisymmetric off-diagonal pairs appear in every sum.
+    s01, s02, s12 = d01 + d10, d02 + d20, d12 + d21
+    a01, a02, a12 = d10 - d01, d02 - d20, d21 - d12
+    dL_dunit = np.empty_like(unit)
+    dL_dunit[:, 0] = y * a02 + z * a01 + x * a12
+    dL_dunit[:, 1] = y * s01 + z * s02 + w * a12 - 2.0 * x * (d11 + d22)
+    dL_dunit[:, 2] = x * s01 + z * s12 + w * a02 - 2.0 * y * (d00 + d22)
+    dL_dunit[:, 3] = x * s02 + y * s12 + w * a01 - 2.0 * z * (d00 + d11)
+    dL_dunit *= 2.0
     # q_hat = q / ||q||: dq_hat/dq = (I - q_hat q_hat^T) / ||q||.
-    projection = np.eye(4)[None, :, :] - unit[:, :, None] * unit[:, None, :]
-    return np.einsum("mij,mi->mj", projection, dL_dunit) / norms
+    radial = (unit * dL_dunit).sum(axis=1, keepdims=True)
+    return (dL_dunit - unit * radial) / norms

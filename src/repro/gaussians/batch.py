@@ -481,7 +481,7 @@ def plan_batch_views(
         projected = project_gaussians(
             cloud, camera, pose_cw, active_only=active_only, shared=shared
         )
-        grid = TileGrid(camera.width, camera.height, tile_size, subtile_size)
+        grid = TileGrid.interned(camera.width, camera.height, tile_size, subtile_size)
         intersections = build_tile_lists(projected, grid)
         fragments = build_flat_fragments(intersections)
         plan_seconds[index] += time.perf_counter() - start

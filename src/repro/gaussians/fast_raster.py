@@ -27,6 +27,11 @@ tile's pixel centres form a grid:
   axis-sized terms in three broadcast passes, and no per-fragment offset
   array exists — the tile caches carry ``dx``/``dy`` and expand ``deltas``
   only on access;
+* per-tile view geometry (pixel axes, coordinates, linear pixel ids and
+  ``(v, u)`` image indices) comes read-only from the
+  :meth:`~repro.gaussians.tiling.TileGrid.interned` grid of the view shape,
+  so the tracking loop's repeated renders of one downsampled shape build it
+  once;
 * the flat backward pass (:func:`rasterize_backward_flat`) carries colour
   and depth as one 4-vector per pixel (one BLAS product each for the blend
   term and the direct gradients), and merges the pixel contributions to the
@@ -96,10 +101,7 @@ def build_flat_fragments(intersections: TileIntersections) -> FlatFragments:
         m_count = int(rows.size)
         if m_count == 0:
             continue
-        x0, y0, x1, y1 = grid.tile_bounds(tile_id)
-        pixel_lin = (
-            np.arange(y0, y1)[:, None] * width + np.arange(x0, x1)[None, :]
-        ).ravel()
+        pixel_lin = grid.tile_pixel_lin(tile_id)
         n_frag = pixel_lin.shape[0] * m_count
         tile_slices.append((tile_id, offset, offset + n_frag))
         tile_rows.append(rows)
@@ -204,7 +206,7 @@ def rasterize_flat(
         projected, intersections = precomputed
     else:
         projected = project_gaussians(cloud, camera, pose_cw, active_only=active_only)
-        grid = TileGrid(camera.width, camera.height, tile_size, subtile_size)
+        grid = TileGrid.interned(camera.width, camera.height, tile_size, subtile_size)
         intersections = build_tile_lists(projected, grid)
     fragments = build_flat_fragments(intersections)
     arena = allocate_flat_arena(fragments.n_fragments)
@@ -301,11 +303,12 @@ def rasterize_flat_into(
         np.multiply(opacities[rows][None, :], gauss, out=alphas)
         np.greater(alphas, ALPHA_CLAMP, out=clamp_mask)
         np.minimum(alphas, ALPHA_CLAMP, out=alphas)
-        alphas[alphas < ALPHA_CUTOFF] = 0.0
+        alphas *= alphas >= ALPHA_CUTOFF
 
         # Step 3-2 Alpha blending: exclusive cumprod written straight into the
         # arena (no concatenate), then termination masking.
-        one_minus = 1.0 - alphas
+        # ``weights`` is not yet written, so it holds 1 - alpha for the scan.
+        one_minus = np.subtract(1.0, alphas, out=weights)
         trans_before[:, 0] = 1.0
         if m_count > 1:
             np.cumprod(one_minus[:, :-1], axis=1, out=trans_before[:, 1:])
@@ -317,11 +320,11 @@ def rasterize_flat_into(
         pixel_color = weights @ colors[rows]
         pixel_depth = weights @ depths[rows]
         pixel_alpha = weights.sum(axis=1)
-        v_idx, u_idx = pixel_lin // width, pixel_lin % width
+        v_idx, u_idx = grid.tile_pixel_indices(tile_id)
         image[v_idx, u_idx] = pixel_color + (1.0 - pixel_alpha)[:, None] * background
         depth[v_idx, u_idx] = pixel_depth
         alpha_map[v_idx, u_idx] = pixel_alpha
-        frag_counts[v_idx, u_idx] = processed.sum(axis=1)
+        frag_counts[v_idx, u_idx] = np.count_nonzero(processed, axis=1)
 
         tile_caches.append(
             TileRenderCache(

@@ -413,7 +413,7 @@ class GeometryCache:
         projected = project_gaussians(
             cloud, camera, pose_cw, active_only=active_only, shared=shared
         )
-        grid = TileGrid(camera.width, camera.height, tile_size, subtile_size)
+        grid = TileGrid.interned(camera.width, camera.height, tile_size, subtile_size)
         intersections = build_tile_lists(projected, grid)
         fragments = build_flat_fragments(intersections)
         entry = _CacheEntry(

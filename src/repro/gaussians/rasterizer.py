@@ -257,7 +257,7 @@ def rasterize_tile(
         grid = intersections.grid
     else:
         projected = project_gaussians(cloud, camera, pose_cw, active_only=active_only)
-        grid = TileGrid(camera.width, camera.height, tile_size, subtile_size)
+        grid = TileGrid.interned(camera.width, camera.height, tile_size, subtile_size)
         intersections = build_tile_lists(projected, grid)
 
     height, width = camera.height, camera.width

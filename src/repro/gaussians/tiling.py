@@ -9,6 +9,7 @@ rasterizer agree on the pixel-to-unit mapping.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,15 @@ DEFAULT_SUBTILE_SIZE = 4
 
 @dataclass(frozen=True)
 class TileGrid:
-    """Partition of a ``width`` x ``height`` image into square tiles and subtiles."""
+    """Partition of a ``width`` x ``height`` image into square tiles and subtiles.
+
+    A grid is pure view geometry, so render paths obtain it through
+    :meth:`interned`, which hands every render of the same ``(width, height,
+    tile_size, subtile_size)`` one shared instance.  The per-tile pixel axes,
+    coordinates and pixel ids are memoised on that instance and built once
+    per view shape instead of once per render; the memoised arrays are
+    read-only, since every later render reads them.
+    """
 
     width: int
     height: int
@@ -36,12 +45,36 @@ class TileGrid:
                 f"tile_size ({self.tile_size}) must be a multiple of subtile_size "
                 f"({self.subtile_size})"
             )
-        # Per-tile pixel-coordinate memos: pure view geometry, so renders that
-        # share a grid instance (the geometry cache keeps one per view entry)
-        # build each tile's coordinate block once instead of per render.  The
-        # dataclass is frozen, hence the object.__setattr__.
-        object.__setattr__(self, "_pixel_axes", {})
-        object.__setattr__(self, "_pixel_coords", {})
+        # Per-tile memos, keyed by (kind, tile_id).  The dataclass is frozen,
+        # hence the object.__setattr__.
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def interned(
+        cls,
+        width: int,
+        height: int,
+        tile_size: int = DEFAULT_TILE_SIZE,
+        subtile_size: int = DEFAULT_SUBTILE_SIZE,
+    ) -> "TileGrid":
+        """Return the shared grid for this view shape (bounded LRU of shapes)."""
+        return _interned_grid(int(width), int(height), int(tile_size), int(subtile_size))
+
+    def _memoised(self, kind: str, tile_id: int, build):
+        """Return ``build()`` for ``(kind, tile_id)``, computed once and frozen.
+
+        Every array of the result is made read-only: the grid is shared by
+        all renders of its view shape, so a stray write would corrupt them.
+        """
+        key = (kind, tile_id)
+        cached = self._memo.get(key)
+        if cached is None:
+            cached = build()
+            for array in cached if isinstance(cached, tuple) else (cached,):
+                array.setflags(write=False)
+            # setdefault: threads racing on a miss all get the first result.
+            cached = self._memo.setdefault(key, cached)
+        return cached
 
     # -- tile level ---------------------------------------------------------
     @property
@@ -70,30 +103,54 @@ class TileGrid:
 
         A tile's pixel centres are the grid ``us x vs``, so any per-pixel
         quantity that splits into a column term and a row term can be
-        evaluated on these axes.  Memoised per tile (callers must not mutate
-        the returned arrays).
+        evaluated on these axes.  Memoised per tile; the arrays are read-only.
         """
-        cached = self._pixel_axes.get(tile_id)
-        if cached is not None:
-            return cached
-        x0, y0, x1, y1 = self.tile_bounds(tile_id)
-        us = np.arange(x0, x1, dtype=np.float64) + 0.5
-        vs = np.arange(y0, y1, dtype=np.float64) + 0.5
-        self._pixel_axes[tile_id] = (us, vs)
-        return us, vs
+
+        def build():
+            x0, y0, x1, y1 = self.tile_bounds(tile_id)
+            us = np.arange(x0, x1, dtype=np.float64) + 0.5
+            vs = np.arange(y0, y1, dtype=np.float64) + 0.5
+            return us, vs
+
+        return self._memoised("axes", tile_id, build)
 
     def tile_pixel_coordinates(self, tile_id: int) -> np.ndarray:
         """Return the ``(P, 2)`` pixel-centre (u, v) coordinates inside a tile.
 
-        Memoised per tile (callers must not mutate the returned array).
+        Memoised per tile; the array is read-only.
         """
-        cached = self._pixel_coords.get(tile_id)
-        if cached is not None:
-            return cached
-        grid_u, grid_v = np.meshgrid(*self.tile_pixel_axes(tile_id))
-        coords = np.stack([grid_u.ravel(), grid_v.ravel()], axis=1)
-        self._pixel_coords[tile_id] = coords
-        return coords
+
+        def build():
+            grid_u, grid_v = np.meshgrid(*self.tile_pixel_axes(tile_id))
+            return np.stack([grid_u.ravel(), grid_v.ravel()], axis=1)
+
+        return self._memoised("coords", tile_id, build)
+
+    def tile_pixel_lin(self, tile_id: int) -> np.ndarray:
+        """Return the ``(P,)`` row-major linear image ids ``v * width + u`` of a tile.
+
+        Aligned with :meth:`tile_pixel_coordinates`.  Memoised per tile; the
+        array is read-only.
+        """
+
+        def build():
+            x0, y0, x1, y1 = self.tile_bounds(tile_id)
+            return (np.arange(y0, y1)[:, None] * self.width + np.arange(x0, x1)[None, :]).ravel()
+
+        return self._memoised("lin", tile_id, build)
+
+    def tile_pixel_indices(self, tile_id: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return the tile's ``(v_idx, u_idx)`` image indices, each ``(P,)``.
+
+        Aligned with :meth:`tile_pixel_lin`.  Memoised per tile; the arrays
+        are read-only.
+        """
+
+        def build():
+            pixel_lin = self.tile_pixel_lin(tile_id)
+            return pixel_lin // self.width, pixel_lin % self.width
+
+        return self._memoised("indices", tile_id, build)
 
     # -- subtile level --------------------------------------------------------
     @property
@@ -138,6 +195,17 @@ class TileGrid:
         ys = np.arange(y_min, y_max + 1)
         grid_x, grid_y = np.meshgrid(xs, ys)
         return (grid_y * self.n_tiles_x + grid_x).ravel()
+
+
+# Bound on interned view shapes.  A SLAM process sees a handful (full
+# resolution plus the dynamic-downsampling levels per camera); the bound caps
+# memory for callers that sweep shapes, evicting the least recently used.
+INTERNED_GRIDS = 64
+
+
+@functools.lru_cache(maxsize=INTERNED_GRIDS)
+def _interned_grid(width: int, height: int, tile_size: int, subtile_size: int) -> TileGrid:
+    return TileGrid(width, height, tile_size, subtile_size)
 
 
 def assign_tiles(projected: ProjectedGaussians, grid: TileGrid) -> list[np.ndarray]:

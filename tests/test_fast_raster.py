@@ -18,7 +18,10 @@ from repro.gaussians import (
 )
 from repro.gaussians.backward import rasterize_backward
 from repro.gaussians.fast_raster import rasterize_flat
+from repro.gaussians.projection import project_gaussians
 from repro.gaussians.rasterizer import rasterize_tile
+from repro.gaussians.sorting import build_tile_lists
+from repro.gaussians.tiling import INTERNED_GRIDS, TileGrid, _interned_grid
 from repro.testing.scenarios import DEFAULT_LIBRARY
 
 # Every array the forward pass exposes per tile; the flat kernel must
@@ -276,3 +279,109 @@ def test_rasterize_flat_direct_call(scene):
     assert result.backend == "flat"
     reference = rasterize(cloud, camera, pose)
     np.testing.assert_allclose(result.image, reference.image, atol=1e-10)
+
+
+class TestInternedTileGrid:
+    """Render paths share one TileGrid per view shape; its memos are frozen."""
+
+    # The six per-fragment forward arrays every tile cache exposes.
+    FORWARD_CACHE_ARRAYS = (
+        "gauss_values",
+        "alphas",
+        "transmittance_before",
+        "weights",
+        "processed",
+        "clamp_mask",
+    )
+
+    def test_memoised_arrays_are_read_only(self):
+        grid = TileGrid.interned(40, 24, 16, 4)
+        memoised = [
+            *grid.tile_pixel_axes(1),
+            grid.tile_pixel_coordinates(1),
+            grid.tile_pixel_lin(1),
+            *grid.tile_pixel_indices(1),
+        ]
+        for array in memoised:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_memos_are_returned_not_rebuilt(self):
+        grid = TileGrid.interned(40, 24, 16, 4)
+        assert grid.tile_pixel_lin(2) is grid.tile_pixel_lin(2)
+        assert grid.tile_pixel_indices(2)[0] is grid.tile_pixel_indices(2)[0]
+
+    def test_memoised_pixel_ids_match_tile_bounds(self):
+        grid = TileGrid(40, 24, 16, 4)
+        for tile_id in range(grid.n_tiles):
+            x0, y0, x1, y1 = grid.tile_bounds(tile_id)
+            grid_u, grid_v = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+            v_idx, u_idx = grid.tile_pixel_indices(tile_id)
+            assert np.array_equal(v_idx, grid_v.ravel())
+            assert np.array_equal(u_idx, grid_u.ravel())
+            assert np.array_equal(grid.tile_pixel_lin(tile_id), v_idx * 40 + u_idx)
+            coords = grid.tile_pixel_coordinates(tile_id)
+            assert np.array_equal(coords, np.stack([u_idx, v_idx], axis=1) + 0.5)
+
+    def test_same_shape_renders_share_one_grid(self, scene):
+        cloud, camera, pose = scene
+        first = rasterize_flat(cloud, camera, pose)
+        second = rasterize_flat(cloud, camera, pose.retract(np.full(6, 1e-3)))
+        assert first.intersections.grid is second.intersections.grid
+        tile = rasterize_tile(cloud, camera, pose)
+        assert tile.intersections.grid is first.intersections.grid
+        other_tile = rasterize_flat(cloud, camera, pose, tile_size=8, subtile_size=4)
+        other_subtile = rasterize_flat(cloud, camera, pose, tile_size=16, subtile_size=8)
+        grids = {
+            id(first.intersections.grid),
+            id(other_tile.intersections.grid),
+            id(other_subtile.intersections.grid),
+        }
+        assert len(grids) == 3
+
+    def test_interning_is_bounded(self):
+        first = TileGrid.interned(7, 5, 4, 2)
+        for width in range(8, 8 + INTERNED_GRIDS):
+            TileGrid.interned(width, 5, 4, 2)
+        assert _interned_grid.cache_info().currsize <= INTERNED_GRIDS
+        # The least recently used shape was evicted: a fresh grid comes back.
+        assert TileGrid.interned(7, 5, 4, 2) is not first
+        assert TileGrid.interned(7, 5, 4, 2) == first
+
+    @pytest.mark.parametrize("name", DEFAULT_LIBRARY.names())
+    def test_interned_grid_renders_bitwise_like_a_fresh_grid(self, name):
+        spec = DEFAULT_LIBRARY.get(name).build()
+        kwargs = dict(
+            background=spec.background,
+            tile_size=spec.tile_size,
+            subtile_size=spec.subtile_size,
+        )
+        # Render twice so the second render reads every memo warm.
+        rasterize_flat(spec.cloud, spec.camera, spec.pose_cw, **kwargs)
+        interned = rasterize_flat(spec.cloud, spec.camera, spec.pose_cw, **kwargs)
+        projected = project_gaussians(spec.cloud, spec.camera, spec.pose_cw)
+        fresh_grid = TileGrid(
+            spec.camera.width, spec.camera.height, spec.tile_size, spec.subtile_size
+        )
+        assert fresh_grid is not interned.intersections.grid
+        fresh = rasterize_flat(
+            spec.cloud,
+            spec.camera,
+            spec.pose_cw,
+            background=spec.background,
+            precomputed=(projected, build_tile_lists(projected, fresh_grid)),
+        )
+        for output in ("image", "depth", "alpha", "fragments_per_pixel"):
+            assert np.array_equal(getattr(interned, output), getattr(fresh, output)), output
+        assert len(interned.tile_caches) == len(fresh.tile_caches)
+        for ci, cf in zip(interned.tile_caches, fresh.tile_caches):
+            assert ci.tile_id == cf.tile_id
+            for index_i, index_f in zip(ci.pixel_indices, cf.pixel_indices):
+                assert np.array_equal(index_i, index_f)
+            for array in self.FORWARD_CACHE_ARRAYS:
+                assert np.array_equal(getattr(ci, array), getattr(cf, array)), (
+                    ci.tile_id,
+                    array,
+                )
+
