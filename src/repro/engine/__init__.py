@@ -54,7 +54,6 @@ from repro.engine.faults import (  # noqa: E402
 )
 from repro.engine.sharded import (  # noqa: E402
     ShardedBackend,
-    ShardPoolLostError,
     ShardWorkerError,
     shutdown_shard_pools,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "RenderBackend",
     "RenderEngine",
     "RenderRequest",
-    "ShardPoolLostError",
     "ShardWorkerError",
     "ShardedBackend",
     "TileBackend",

@@ -26,22 +26,12 @@ Environment variables (the full table also lives in the README):
                          sharded batches keep worker-resident cache entries
                          (one cache per worker), so both knobs apply to the
                          same render.
-``REPRO_SHARD_RETRIES``  Redispatch rounds the sharded backend attempts for
-                         views lost to a dead/hung/poisoned worker before
-                         escalating them to serial flat execution in the
-                         parent (default 2; 0 escalates immediately).  Must
-                         be a non-negative integer.
 ``REPRO_SHARD_DEADLINE_S``
-                         Base per-dispatch reply deadline in seconds for
-                         sharded requests (default 600).  A worker that has
-                         not replied by the deadline is quarantined and its
-                         views redispatched.  Must be a positive number.
-``REPRO_SHARD_BACKOFF_S``
-                         Additive deadline growth per redispatch round in
-                         seconds (default 30): round *r* waits
-                         ``deadline + r * backoff``, so genuinely slow
-                         workers get more headroom before the serial
-                         escalation.  Must be a non-negative number.
+                         Per-dispatch reply deadline in seconds for sharded
+                         requests (default 600).  A worker that has not
+                         replied by the deadline counts as a fault: the pool
+                         is closed and the parent renders the lost views
+                         itself.  Must be a positive number.
 ``REPRO_SHARD_FAULTS``   Deterministic fault-injection plan for the sharded
                          backend (test/chaos-CI only; see
                          :mod:`repro.engine.faults` for the grammar).  Not
@@ -96,9 +86,7 @@ ENV_GEOM_CACHE = "REPRO_GEOM_CACHE"
 ENV_TILE_SIZE = "REPRO_TILE_SIZE"
 ENV_SUBTILE_SIZE = "REPRO_SUBTILE_SIZE"
 ENV_SHARD_WORKERS = "REPRO_SHARD_WORKERS"
-ENV_SHARD_RETRIES = "REPRO_SHARD_RETRIES"
 ENV_SHARD_DEADLINE_S = "REPRO_SHARD_DEADLINE_S"
-ENV_SHARD_BACKOFF_S = "REPRO_SHARD_BACKOFF_S"
 ENV_SERVICE_MAX_SESSIONS = "REPRO_SERVICE_MAX_SESSIONS"
 ENV_SERVICE_CACHE_BUDGET = "REPRO_SERVICE_CACHE_BUDGET"
 ENV_SERVICE_FAIR_WEIGHTS = "REPRO_SERVICE_FAIR_WEIGHTS"
@@ -110,9 +98,7 @@ ENGINE_ENV_VARS = (
     ENV_TILE_SIZE,
     ENV_SUBTILE_SIZE,
     ENV_SHARD_WORKERS,
-    ENV_SHARD_RETRIES,
     ENV_SHARD_DEADLINE_S,
-    ENV_SHARD_BACKOFF_S,
     ENV_SERVICE_MAX_SESSIONS,
     ENV_SERVICE_CACHE_BUDGET,
     ENV_SERVICE_FAIR_WEIGHTS,
@@ -226,16 +212,10 @@ class EngineConfig:
     # pool from ``os.cpu_count()`` at first use; ``0`` / ``1`` degrade
     # sharded batches to the serial flat path.
     shard_workers: int | None = None
-    # Fault-tolerance policy of the ``sharded`` backend.  Views lost to a
-    # dead, hung or poisoned worker are redispatched to the survivors for up
-    # to ``shard_retry_limit`` rounds; round ``r`` waits
-    # ``shard_deadline_s + r * shard_backoff_s`` for replies before
-    # quarantining the laggard.  Views still unfinished after the last round
-    # are escalated to serial flat execution in the parent, so a dispatched
-    # batch always completes.
-    shard_retry_limit: int = 2
+    # Reply deadline of each ``sharded`` dispatch.  A dead, hung or
+    # poisoned worker closes the pool and the parent renders the lost views
+    # serially, so a dispatched batch always completes.
     shard_deadline_s: float = 600.0
-    shard_backoff_s: float = 30.0
     cache_tolerance_px: float = 0.5
     cache_max_entries: int = 8
     # Multi-tenant render-service knobs (repro.service.RenderService).  They
@@ -277,17 +257,9 @@ class EngineConfig:
                 f"shard_workers must be >= 0 (or None for the cpu-count default), "
                 f"got {self.shard_workers}"
             )
-        if self.shard_retry_limit < 0:
-            raise ValueError(
-                f"shard_retry_limit must be >= 0, got {self.shard_retry_limit}"
-            )
         if self.shard_deadline_s <= 0:
             raise ValueError(
                 f"shard_deadline_s must be > 0, got {self.shard_deadline_s}"
-            )
-        if self.shard_backoff_s < 0:
-            raise ValueError(
-                f"shard_backoff_s must be >= 0, got {self.shard_backoff_s}"
             )
         if self.cache_tolerance_px < 0:
             raise ValueError(f"cache_tolerance_px must be >= 0, got {self.cache_tolerance_px}")
@@ -383,23 +355,11 @@ class EngineConfig:
                     f"{ENV_SHARD_WORKERS}={shard_raw!r} must be >= 0 "
                     "(0/1 degrade the sharded backend to the serial flat path)"
                 )
-        retry_limit = _int_from_env(env, ENV_SHARD_RETRIES, 2)
-        if retry_limit < 0:
-            raise ValueError(
-                f"{ENV_SHARD_RETRIES}={env.get(ENV_SHARD_RETRIES)!r} must be >= 0 "
-                "(0 escalates lost views to serial execution without a retry)"
-            )
         deadline_s = _float_from_env(env, ENV_SHARD_DEADLINE_S, 600.0)
         if deadline_s <= 0:
             raise ValueError(
                 f"{ENV_SHARD_DEADLINE_S}={env.get(ENV_SHARD_DEADLINE_S)!r} must be "
                 "a positive number of seconds"
-            )
-        backoff_s = _float_from_env(env, ENV_SHARD_BACKOFF_S, 30.0)
-        if backoff_s < 0:
-            raise ValueError(
-                f"{ENV_SHARD_BACKOFF_S}={env.get(ENV_SHARD_BACKOFF_S)!r} must be "
-                ">= 0 seconds"
             )
         max_sessions = _int_from_env(env, ENV_SERVICE_MAX_SESSIONS, 8)
         if max_sessions < 1:
@@ -426,9 +386,7 @@ class EngineConfig:
             subtile_size=_int_from_env(env, ENV_SUBTILE_SIZE, 4),
             geom_cache=geom_cache_enabled_from_env(env),
             shard_workers=shard_workers,
-            shard_retry_limit=retry_limit,
             shard_deadline_s=deadline_s,
-            shard_backoff_s=backoff_s,
             service_max_sessions=max_sessions,
             service_cache_budget_bytes=cache_budget,
             service_default_weight=default_weight,

@@ -1,6 +1,7 @@
 """Deterministic fault injection for the sharded backend.
 
-The self-healing dispatch loop in :mod:`repro.engine.sharded` is only
+The sharded backend's one failure path — close the whole pool and finish the
+lost views in the parent (:mod:`repro.engine.sharded`) — is only
 trustworthy if every failure mode it claims to survive can be produced on
 demand, deterministically, in tests and in the CI chaos job.  This module is
 that switchboard: a :class:`FaultPlan` names *sites* — (worker, batch
@@ -8,7 +9,7 @@ operation, optional view) coordinates — at which a shard worker should
 **crash** (hard ``os._exit``), **hang** (sleep past the dispatch deadline),
 run **slow** (sleep, then answer normally) or return a **poisoned**
 (structurally invalid) reply.  The parent resolves the plan against each
-dispatch round and ships the matching sites to the workers inside the
+dispatch and ships the matching sites to the workers inside the
 request payload; workers apply them blindly before touching shared memory.
 Nothing here runs unless a plan is activated, so the production hot path
 pays only a ``None`` check.
@@ -29,11 +30,11 @@ Spec grammar (``;``-separated entries)::
 integers or ``*`` (any).  ``BATCH`` counts *dispatch operations* on the
 backend instance (each sharded forward dispatch and each sharded backward
 dispatch increments it), so ``crash@1.0`` means "worker 1 crashes on the
-first sharded operation".  ``VIEW`` restricts the site to rounds where that
-view index is part of the worker's assignment.  Options: ``delay=SECONDS``
+first sharded operation".  ``VIEW`` restricts the site to dispatches where
+that view index is part of the worker's assignment.  Options: ``delay=SECONDS``
 (sleep length for ``slow``/``hang``), ``sticky`` (fire every time instead
 of once), ``wedge`` (ignore ``SIGTERM`` first, so only ``kill()`` can stop
-the worker — exercises the quarantine/close escalation),
+the worker — exercises the pool close's terminate -> kill escalation),
 ``phase=render|backward`` (restrict to one dispatch phase).
 
 ``random`` mode seeds a per-(operation, worker) draw through
@@ -71,7 +72,7 @@ class FaultSite:
     kind: str
     worker: int | None  # None = any worker
     batch: int | None  # None = any dispatch operation
-    view: int | None = None  # only when the worker's round includes this view
+    view: int | None = None  # only when the worker's dispatch includes this view
     delay_s: float = 0.0
     sticky: bool = False
     wedge: bool = False
@@ -207,13 +208,13 @@ class FaultPlan:
         assignment: Mapping[int, Sequence[int]],
         fired: set,
     ) -> dict[int, list[dict]]:
-        """Resolve the plan for one dispatch round.
+        """Resolve the plan for one dispatch.
 
         ``assignment`` maps worker id -> the view indices it is about to
         receive.  ``fired`` is the caller-owned set of already-consumed
         (non-sticky) site keys; keys returned here are *not* added to it —
-        the caller disarms sites once the round's outcome is observed, so a
-        desync-aborted round does not silently eat a fault.
+        the caller disarms sites once the dispatch's outcome is observed, so
+        a desync-aborted dispatch does not silently eat a fault.
         Returns worker id -> wire payloads (possibly empty dict).
         """
         out: dict[int, list[dict]] = {}

@@ -44,7 +44,7 @@ Execution model
   :func:`~repro.gaussians.geom_cache.classify_reuse` decision the workers
   run — predicts at least one miss.  A worker that must rebuild without the
   shared payload (mirror desync: a replaced pool, reassigned views) replies
-  with a ``desync`` marker and the parent retries once with the full
+  with a ``desync`` marker and the parent resends once with the full
   payload.  :meth:`ShardedBackend.invalidate_worker_caches` broadcasts
   cache invalidation (densify / prune / ``notify_removed``) to every live
   pool — epoch keying already makes stale entries unservable; the broadcast
@@ -59,38 +59,35 @@ Execution model
 * **Degradation** — ``workers <= 1``, single-view batches and platforms
   whose spawn fails all fall back to the serial flat execution of the same
   request (cache included, served by the parent-resident cache).
-* **Fault tolerance** — a dispatched batch *always completes*.  Each
-  dispatch round waits ``shard_deadline_s + round * shard_backoff_s``
-  (:class:`~repro.engine.config.EngineConfig` /
-  ``REPRO_SHARD_DEADLINE_S``/``REPRO_SHARD_BACKOFF_S``) for replies; a
-  worker that dies, times out, or returns a structurally invalid
-  ("poisoned") reply is **quarantined** (killed, pipe closed) and its views
-  are **redispatched** to the surviving workers under a fresh token, with
-  dead slots respawned between rounds (each respawn bumps the slot's
-  *epoch*, which purges the parent's classification-mirror entries for that
-  worker so a rebuilt worker is never predicted to hold geometry it lost).
-  After ``shard_retry_limit`` redispatch rounds (``REPRO_SHARD_RETRIES``) —
-  or when no live worker remains — the unfinished views **escalate to
-  serial flat execution in the parent**, which runs the exact plan+raster
-  sequence a worker would have run, so the stitched batch is bitwise
-  identical to an all-healthy run (cached batches served through exact-tier
-  cache configs included; toleranced tiers degrade lost views to a rebuild,
-  which is *more* accurate, not less).  Every retry, quarantine, respawn
-  and escalation is recorded on
-  :attr:`~repro.gaussians.batch.ShardAttribution.fault_events` and flows
-  into :class:`~repro.slam.records.WorkloadSnapshot` ``fault_*`` fields.
-  A worker-*reported* error (an ``("error", traceback)`` reply from a
-  healthy worker) is not a fault: render errors re-raise from the parent's
-  serial re-execution of those views, and backward errors (e.g. a
-  legitimately superseded batch) raise :class:`ShardWorkerError` with the
-  worker traceback.  Deterministic fault injection for all of the above
-  lives in :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
-* **Backward under faults** — a view whose owning worker was quarantined,
-  respawned (epoch mismatch) or had its retained batch superseded by an
-  in-batch redispatch recomputes its backward pass in the parent
-  (re-deriving the worker's exact tile caches from the cloud, which is
-  unchanged between forward and backward in every engine consumer), again
-  bitwise-identical to the worker result.
+* **Fault tolerance** — a dispatched batch *always completes*, through one
+  failure path.  Each render or backward dispatch waits once, for
+  ``shard_deadline_s`` (:class:`~repro.engine.config.EngineConfig` /
+  ``REPRO_SHARD_DEADLINE_S``).  On any fault — a worker that dies, hangs
+  past the deadline, cannot be sent to, returns a structurally invalid
+  ("poisoned") reply or reports a render error — the parent **closes the
+  whole pool** (shutdown, then ``terminate()``, then ``kill()``, so a
+  SIGTERM-ignoring worker cannot leak) and **finishes the lost views
+  itself**, running the exact plan+raster sequence a worker would have run,
+  so the stitched batch is bitwise identical to an all-healthy run (cached
+  batches served through exact-tier cache configs included; toleranced
+  tiers degrade lost views to a rebuild, which is *more* accurate, not
+  less).  The next batch gets a fresh pool from :func:`_shared_pool`, and
+  the fresh pool empties the parent's classification mirror, so no view is
+  ever predicted to hit geometry a closed worker held.  Every fault and
+  escalated view is recorded on
+  :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
+  worker-*reported* backward error still raises :class:`ShardWorkerError`
+  with the worker traceback: it signals a caller bug (e.g. a legitimately
+  superseded batch), not a fault.  Deterministic fault injection for all of
+  the above lives in :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
+* **Backward under faults** — a view whose pool was closed (by a fault in
+  its own batch or in any later batch on the shared pool), or whose batch
+  rotated out of its worker's retained set, recomputes its backward pass in
+  the parent (re-deriving the worker's exact tile caches from the cloud,
+  which is unchanged between forward and backward in every engine
+  consumer), again bitwise-identical to the worker result.  A fault during
+  a backward dispatch closes the pool and recomputes that dispatch's views
+  the same way.
 
 Sharded per-view results carry no parent-side tile caches or per-tile lists
 (those are worker-resident); their backward pass must run through the
@@ -182,15 +179,6 @@ _BACKWARD_PROJECTED_FIELDS = (
 
 class ShardWorkerError(RuntimeError):
     """A shard worker died, timed out, or reported an error mid-request."""
-
-
-class ShardPoolLostError(ShardWorkerError):
-    """Every worker slot is gone and could not be respawned.
-
-    Internal control flow: :meth:`ShardedBackend.render_batch` catches it
-    and completes the batch on the serial flat path, so callers never see
-    it for plain worker faults.
-    """
 
 
 @dataclass(frozen=True)
@@ -534,9 +522,9 @@ def _apply_worker_faults(faults) -> tuple[list, "str | None"]:
 
     Returns ``(fired slow/hang site keys, poison site key or None)``.
     ``crash`` never returns; an un-delayed ``hang`` sleeps until the
-    parent's deadline quarantines (and kills) this worker.  ``wedge`` makes
-    the process ignore ``SIGTERM`` first, so only ``kill()`` can stop it —
-    that is what exercises the terminate->kill escalation paths.
+    parent's deadline closes the pool (and kills) this worker.  ``wedge``
+    makes the process ignore ``SIGTERM`` first, so only ``kill()`` can stop
+    it — that is what exercises the pool close's terminate->kill escalation.
     """
     if not faults:
         return [], None
@@ -596,9 +584,9 @@ def _worker_handle_backward(ctx: _WorkerContext, payload) -> tuple:
     shm = _attach_shm(shm_name)
     try:
         replies = []
-        # Items carry per-view tokens: after an in-batch redispatch one
-        # worker can hold views of the same logical batch under several
-        # tokens.
+        # Items carry per-view tokens: a batch stitched from several
+        # dispatches (the render service's rounds) holds views of one
+        # worker under several tokens.
         for token, view_index, image_spec, depth_spec, projected_specs in items:
             entry = ctx.batches.get(token)
             if entry is None:
@@ -729,22 +717,15 @@ class _Worker:
     process: object
     conn: object
     worker_id: int
-    # Bumped on every respawn of this slot.  A handle/mirror entry recorded
-    # against an older epoch refers to state the rebuilt worker no longer
-    # holds.
-    epoch: int = 0
-    quarantined: bool = False
 
 
 class ShardedPool:
     """Persistent pool of spawn-started shard workers with pipe transports.
 
-    Worker failures no longer condemn the pool: a dead/hung worker is
-    *quarantined* (killed, pipe closed, slot marked) and
-    :meth:`ensure_workers` respawns quarantined slots — deterministically,
-    same ``worker_id`` and ``seed_base`` — bumping the slot's epoch.  The
-    pool is ``broken`` only once closed or when every slot is quarantined
-    and respawn failed.
+    A pool is all-or-nothing: any worker fault closes it (see
+    :meth:`ShardedBackend._dispatch_sharded`), and a pool with a dead worker
+    reads ``broken`` so :func:`_shared_pool` replaces it before the next
+    dispatch.
     """
 
     def __init__(
@@ -806,29 +787,9 @@ class ShardedPool:
 
     @property
     def broken(self) -> bool:
-        """True when the pool cannot serve requests and must be replaced."""
-        return self._closed or not self.live_worker_ids()
-
-    def live_worker_ids(self) -> list[int]:
-        """Ids of workers currently able to take requests."""
-        return [
-            worker.worker_id
-            for worker in self._workers
-            if not worker.quarantined and worker.process.is_alive()
-        ]
-
-    def worker_epoch(self, worker_id: int) -> int:
-        return self._workers[worker_id].epoch
-
-    def worker_usable(self, worker_id: int, epoch: int) -> bool:
-        """Can worker ``worker_id`` still serve state recorded at ``epoch``?"""
-        if self._closed or worker_id >= len(self._workers):
-            return False
-        worker = self._workers[worker_id]
-        return (
-            not worker.quarantined
-            and worker.epoch == epoch
-            and worker.process.is_alive()
+        """True when the pool is closed or lost a worker and must be replaced."""
+        return self._closed or not all(
+            worker.process.is_alive() for worker in self._workers
         )
 
     def note_resident(self, worker_id: int, token: int, namespace=None) -> None:
@@ -860,67 +821,6 @@ class ShardedPool:
             worker_id, ()
         ) or token in self._resident_cached.get(worker_id, {}).values()
 
-    def quarantine(self, worker_id: int) -> None:
-        """Take a worker out of service: kill it and close its pipe.
-
-        Escalates ``terminate()`` -> ``kill()`` so a SIGTERM-ignoring hung
-        worker cannot leak; idempotent.  The slot stays in the pool for
-        :meth:`ensure_workers` to respawn.
-        """
-        worker = self._workers[worker_id]
-        if worker.quarantined:
-            return
-        worker.quarantined = True
-        process = worker.process
-        if process.is_alive():
-            process.terminate()
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
-    def ensure_workers(self) -> list[int]:
-        """Health-check every slot and respawn the quarantined/dead ones.
-
-        Returns the ids respawned (their epochs are bumped).  A slot whose
-        respawn fails stays quarantined; callers work around it via
-        :meth:`live_worker_ids` and the pool reads ``broken`` once no slot
-        is live.
-        """
-        if self._closed:
-            raise ShardWorkerError("shard pool is closed")
-        for worker in self._workers:
-            if not worker.quarantined and not worker.process.is_alive():
-                self.quarantine(worker.worker_id)
-        respawned: list[int] = []
-        for index, worker in enumerate(self._workers):
-            if not worker.quarantined:
-                continue
-            try:
-                with _single_threaded_blas_for_children():
-                    fresh = self._spawn(worker.worker_id)
-            except Exception:
-                continue
-            try:
-                self._handshake(fresh)
-            except Exception:
-                if fresh.process.is_alive():
-                    fresh.process.kill()
-                    fresh.process.join(timeout=5.0)
-                try:
-                    fresh.conn.close()
-                except OSError:
-                    pass
-                continue
-            fresh.epoch = worker.epoch + 1
-            self._workers[index] = fresh
-            respawned.append(worker.worker_id)
-        return respawned
-
     def gather(
         self, messages: dict[int, tuple], timeout: float = _REQUEST_TIMEOUT_S
     ) -> tuple[dict[int, object], list[WorkerFault]]:
@@ -928,26 +828,18 @@ class ShardedPool:
 
         All sends complete before the first receive so the shards execute
         concurrently; ``timeout`` is one absolute deadline for the whole
-        drain.  Transport failures (send failure, death, timeout, EOF)
-        quarantine the worker and come back as :class:`WorkerFault` records;
-        an ``("error", traceback)`` reply comes back as a kind-``"error"``
-        fault but leaves the worker in service — the worker is healthy, the
-        request was bad.  Successful payloads land in the first mapping.
+        drain.  Transport failures (send failure, death, timeout, EOF) and
+        ``("error", traceback)`` replies come back as :class:`WorkerFault`
+        records; the caller decides whether to close the pool.  Successful
+        payloads land in the first mapping.
         """
         faults: list[WorkerFault] = []
         sent: list[int] = []
         for worker_id, message in messages.items():
-            worker = self._workers[worker_id]
-            if worker.quarantined:
-                faults.append(
-                    WorkerFault("send-failed", worker_id, "worker is quarantined")
-                )
-                continue
             try:
-                worker.conn.send(message)
+                self._workers[worker_id].conn.send(message)
                 sent.append(worker_id)
             except (BrokenPipeError, OSError) as error:
-                self.quarantine(worker_id)
                 faults.append(
                     WorkerFault(
                         "send-failed",
@@ -962,7 +854,6 @@ class ShardedPool:
             try:
                 reply = self._receive_until(worker, deadline)
             except _WorkerGone as error:
-                self.quarantine(worker_id)
                 faults.append(WorkerFault(error.kind, worker_id, str(error)))
                 continue
             if reply and reply[0] == "error":
@@ -977,8 +868,7 @@ class ShardedPool:
         """Raising wrapper over :meth:`gather` (invalidation/ping paths).
 
         Any fault raises :class:`ShardWorkerError` after every healthy
-        reply has been drained (the pipes stay in sync); transport-level
-        losses have already quarantined the worker by then.
+        reply has been drained; the caller closes the pool.
         """
         replies, faults = self.gather(messages, timeout=timeout)
         if faults:
@@ -1026,23 +916,20 @@ class ShardedPool:
     def close(self) -> None:
         """Shut every worker down; escalate terminate() -> kill() on stragglers."""
         for worker in self._workers:
-            if worker.quarantined:
-                continue
             try:
                 worker.conn.send(("shutdown",))
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers:
-            if not worker.quarantined:
+            worker.process.join(timeout=2.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
                 worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    worker.process.terminate()
-                    worker.process.join(timeout=2.0)
-                if worker.process.is_alive():
-                    # A wedged (SIGTERM-ignoring) worker must not outlive the
-                    # pool: SIGKILL cannot be ignored.
-                    worker.process.kill()
-                    worker.process.join(timeout=5.0)
+            if worker.process.is_alive():
+                # A wedged (SIGTERM-ignoring) worker must not outlive the
+                # pool: SIGKILL cannot be ignored.
+                worker.process.kill()
+                worker.process.join(timeout=5.0)
             try:
                 worker.conn.close()
             except OSError:
@@ -1093,28 +980,22 @@ atexit.register(shutdown_shard_pools)
 class _ShardHandle:
     """Links a parent-side view result to the worker holding its tile caches.
 
-    ``epoch`` pins the worker incarnation that rendered the view; ``lost``
-    marks a handle whose retained batch was superseded worker-side by an
-    in-batch redispatch.  Backward treats an unusable handle (lost, stale
-    epoch, quarantined/dead worker, closed pool, or a token that later
-    dispatches on the shared pool rotated out of the worker's retained set —
-    the pool mirrors that rotation parent-side) as a fault and recomputes
-    the view's backward pass in the parent instead of asking the worker.
+    Backward treats an unusable handle (a closed or broken pool, or a token
+    that later dispatches on the shared pool rotated out of the worker's
+    retained set — the pool mirrors that rotation parent-side) as lost and
+    recomputes the view's backward pass in the parent instead of asking the
+    worker.
     """
 
     pool: ShardedPool
     token: int
     worker_id: int
     view_index: int
-    epoch: int = 0
     active_only: bool = True
-    lost: bool = False
 
     def usable(self) -> bool:
-        return (
-            not self.lost
-            and self.pool.worker_usable(self.worker_id, self.epoch)
-            and self.pool.token_resident(self.worker_id, self.token)
+        return not self.pool.broken and self.pool.token_resident(
+            self.worker_id, self.token
         )
 
 
@@ -1123,16 +1004,13 @@ def default_shard_workers() -> int:
     return max(1, min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS))
 
 
-def _assign_round_robin(
-    worker_ids: Sequence[int], view_ids: Sequence[int]
-) -> dict[int, list[int]]:
-    """Deal ``view_ids`` round-robin over ``worker_ids`` (at most one worker
-    per view); preserves the historical ``index % n_active`` assignment when
-    every worker is live."""
-    active = list(worker_ids)[: max(1, min(len(worker_ids), len(view_ids)))]
+def _assign_round_robin(n_workers: int, n_views: int) -> dict[int, list[int]]:
+    """Deal views ``0..n_views-1`` round-robin: view ``i`` to worker
+    ``i % min(n_workers, n_views)``."""
+    n_active = max(1, min(n_workers, n_views))
     assignment: dict[int, list[int]] = {}
-    for slot, view_id in enumerate(view_ids):
-        assignment.setdefault(active[slot % len(active)], []).append(view_id)
+    for view_id in range(n_views):
+        assignment.setdefault(view_id % n_active, []).append(view_id)
     return assignment
 
 
@@ -1150,8 +1028,8 @@ def _validate_render_reply(payload, expected_views: Sequence[int]) -> "str | Non
     """Structural check of one worker render reply; a reason string if bad.
 
     A reply that fails this check is *poisoned*: the parent cannot trust
-    anything about the worker's state, so the caller quarantines it and
-    recovers the views elsewhere.
+    anything about the worker's state, so the caller closes the pool and
+    finishes the views itself.
     """
     if not isinstance(payload, dict):
         return f"reply payload is {type(payload).__name__}, not a mapping"
@@ -1222,10 +1100,6 @@ class ShardedBackend:
         # the same classify_reuse the workers run.
         self._mirror: dict[tuple[int, tuple], "EntryMeta"] = {}
         self._mirror_pool: ShardedPool | None = None
-        # Worker epochs the mirror entries were recorded against; an epoch
-        # change (respawn) purges that worker's entries so a rebuilt worker
-        # is never predicted to hold geometry it lost.
-        self._mirror_epochs: dict[int, int] = {}
         # Fault-injection bookkeeping (no-ops unless a FaultPlan is active):
         # dispatch-operation counter and the once-sites already consumed.
         self._fault_op_counter = 0
@@ -1276,8 +1150,8 @@ class ShardedBackend:
         """The pool to shard over, or ``None`` when serial execution is right.
 
         Spawn failures (platforms without working process support) latch the
-        backend into serial mode; runtime worker failures do *not* — they
-        raise and the next batch retries with a fresh pool.
+        backend into serial mode; runtime worker faults do *not* — they
+        close the pool and the next batch gets a fresh one.
         """
         workers = self.resolved_workers()
         if workers <= 1 or n_views <= 1 or self._unavailable_reason is not None:
@@ -1343,15 +1217,7 @@ class ShardedBackend:
         pool = self._pool_for(len(request.cameras))
         if pool is None:
             return self.execute_units(self.plan_batch(request), request)
-        try:
-            return self._render_batch_sharded(request, pool)
-        except ShardPoolLostError:
-            # Completion guarantee, last line of defence: every worker slot
-            # is gone and respawn failed, so finish the batch on the serial
-            # flat path.  The next batch starts a fresh pool.
-            if pool.broken:
-                _discard_pool(pool)
-            return self.execute_units(self.plan_batch(request), request)
+        return self._render_batch_sharded(request, pool)
 
     def _next_fault_op(self):
         """The active fault plan (if any) and this dispatch's operation index.
@@ -1378,44 +1244,20 @@ class ShardedBackend:
                 if site["key"] not in sticky:
                     self._fault_fired.add(site["key"])
 
-    def _sync_mirror_epochs(self, pool: ShardedPool) -> None:
-        """Purge mirror entries of workers whose epoch moved (respawned)."""
-        for worker_id in range(pool.n_workers):
-            epoch = pool.worker_epoch(worker_id)
-            if self._mirror_epochs.get(worker_id) != epoch:
-                self._mirror = {
-                    key: meta
-                    for key, meta in self._mirror.items()
-                    if key[0] != worker_id
-                }
-                self._mirror_epochs[worker_id] = epoch
-
     def _render_batch_sharded(
         self, request: BatchRenderRequest, pool: ShardedPool
     ) -> BatchRenderResult:
-        """Worker-planned execution: heal the pool, predict misses, dispatch."""
+        """Worker-planned execution: predict misses, dispatch."""
         cache = request.cache
         cloud = request.cloud
         n_views = len(request.cameras)
-        fault_log: list[dict] = []
-        for worker_id in pool.ensure_workers():
-            fault_log.append(
-                {"event": "respawn", "worker": worker_id, "phase": "render"}
-            )
-        live = pool.live_worker_ids()
-        if not live:
-            raise ShardPoolLostError(
-                "no live shard worker remains and respawn failed"
-            )
         keys: list[tuple] | None = None
         if cache is not None:
             if pool is not self._mirror_pool:
                 # A fresh pool means fresh (empty) worker caches; predictions
                 # from the previous pool's entries would desync immediately.
                 self._mirror = {}
-                self._mirror_epochs = {}
                 self._mirror_pool = pool
-            self._sync_mirror_epochs(pool)
             keys = [
                 view_key(
                     camera,
@@ -1426,7 +1268,7 @@ class ShardedBackend:
                 )
                 for camera, pose_cw in zip(request.cameras, request.poses_cw)
             ]
-            predicted = _assign_round_robin(live, list(range(n_views)))
+            predicted = _assign_round_robin(pool.n_workers, n_views)
             worker_of = {
                 view: worker_id
                 for worker_id, views in predicted.items()
@@ -1450,9 +1292,7 @@ class ShardedBackend:
             shared_seconds = time.perf_counter() - start
 
         for _attempt in range(2):
-            batch = self._dispatch_sharded(
-                request, pool, shared, shared_seconds, keys, fault_log
-            )
+            batch = self._dispatch_sharded(request, pool, shared, shared_seconds, keys)
             if batch is not None:
                 return batch
             # Worker cache state diverged from the prediction mirror (view
@@ -1516,15 +1356,16 @@ class ShardedBackend:
         shared: SharedGaussianData | None,
         shared_seconds: float,
         keys: "list[tuple] | None",
-        fault_log: list[dict],
     ) -> BatchRenderResult | None:
-        """One self-healing dispatch attempt; ``None`` signals a cache desync.
+        """One dispatch of the batch; ``None`` signals a cache desync.
 
-        Round 0 fans the views out over the live workers; views lost to a
-        quarantined worker are redispatched (fresh token, grown deadline)
-        for up to ``shard_retry_limit`` rounds with dead slots respawned in
-        between, then escalate to serial parent execution.  The stitched
-        result is total: every view completes on some path.
+        Fans the views out over the pool and waits once, for
+        ``shard_deadline_s``.  On any fault (a crash, a hang, a failed send,
+        a poisoned reply or a worker-reported render error) the whole pool
+        is closed and the lost views run in the parent
+        (:meth:`_render_view_serial`); views a healthy worker finished keep
+        their outputs.  The stitched result is total: every view completes
+        on one of the two paths.
         """
         from repro.gaussians.rasterizer import RenderResult
 
@@ -1533,9 +1374,6 @@ class ShardedBackend:
         poses_cw = list(request.poses_cw)
         n_views = len(cameras)
         backgrounds = _normalise_backgrounds(request.backgrounds, n_views)
-        retry_limit = self.config.shard_retry_limit
-        deadline_s = self.config.shard_deadline_s
-        backoff_s = self.config.shard_backoff_s
         plan, op_index = self._next_fault_op()
 
         dispatch_start = time.perf_counter()
@@ -1590,185 +1428,123 @@ class ShardedBackend:
         indices_by_view: dict[int, np.ndarray] = {}
         n_pairs_by_view: dict[int, int] = {}
         local_results: dict[int, "RenderResult"] = {}  # escalated views
-        handle_info: dict[int, tuple[int, int, int]] = {}  # view -> (worker, token, epoch)
-        rendered_tokens: dict[int, list[int]] = {}  # worker -> tokens it rendered
-        worker_seconds: dict[int, float] = {}
-        to_escalate: set[int] = set()
-        retries = 0
-        desync = False
+        fault_log: list[dict] = []
+        lost: list[int] = []  # views of faulted workers
+        unfinished: list[int] = []  # views of workers that reported a desync
         try:
-            live = pool.live_worker_ids()
-            pending = _assign_round_robin(live, list(range(n_views)))
-            n_active = len(pending)
-            for worker_id in pending:
-                worker_seconds.setdefault(worker_id, 0.0)
+            assignment = _assign_round_robin(pool.n_workers, n_views)
+            worker_of = {
+                view: worker_id for worker_id, views in assignment.items() for view in views
+            }
+            worker_seconds = {worker_id: 0.0 for worker_id in assignment}
             dispatch_seconds = time.perf_counter() - dispatch_start
-            round_index = 0
-            while pending:
-                # A fresh token per round: a worker surviving round 0 must
-                # not have a redispatched round-1 payload collide with the
-                # batch entry it already retains under the old token.
-                token = next(_TOKENS)
-                fault_sites = (
-                    {}
-                    if plan is None
-                    else plan.sites_for(
-                        op_index=op_index,
-                        phase="render",
-                        assignment=pending,
-                        fired=self._fault_fired,
-                    )
+            token = next(_TOKENS)
+            fault_sites = (
+                {}
+                if plan is None
+                else plan.sites_for(
+                    op_index=op_index,
+                    phase="render",
+                    assignment=assignment,
+                    fired=self._fault_fired,
                 )
-                messages = {
-                    worker_id: (
-                        "render",
-                        (
-                            token,
-                            shm.name,
-                            {
-                                "namespace": namespace,
-                                "cache_config": cache_config,
-                                "cloud_meta": cloud_meta,
-                                "shared": shared_specs,
-                                "appearance": appearance_specs,
-                                "active_only": request.active_only,
-                                "views": [view_metas[i] for i in view_ids],
-                                "faults": fault_sites.get(worker_id),
-                            },
-                        ),
-                    )
-                    for worker_id, view_ids in pending.items()
-                }
-                replies, faults = pool.gather(
-                    messages, timeout=deadline_s + round_index * backoff_s
+            )
+            messages = {
+                worker_id: (
+                    "render",
+                    (
+                        token,
+                        shm.name,
+                        {
+                            "namespace": namespace,
+                            "cache_config": cache_config,
+                            "cloud_meta": cloud_meta,
+                            "shared": shared_specs,
+                            "appearance": appearance_specs,
+                            "active_only": request.active_only,
+                            "views": [view_metas[i] for i in view_ids],
+                            "faults": fault_sites.get(worker_id),
+                        },
+                    ),
                 )
-                self._disarm_fault_sites(plan, fault_sites)
+                for worker_id, view_ids in assignment.items()
+            }
+            replies, faults = pool.gather(messages, timeout=self.config.shard_deadline_s)
+            self._disarm_fault_sites(plan, fault_sites)
 
-                lost: list[int] = []
-                for fault in faults:
-                    fault_views = pending[fault.worker_id]
-                    if fault.kind == "error":
-                        # Healthy worker, failed render: escalate so a
-                        # deterministic render bug re-raises with a clean
-                        # parent-side traceback instead of burning retries.
-                        fault_log.append(
-                            {
-                                "event": "worker-error",
-                                "worker": fault.worker_id,
-                                "phase": "render",
-                                "views": list(fault_views),
-                                "detail": fault.detail,
-                            }
-                        )
-                        to_escalate.update(fault_views)
-                        # The worker rotates its retained-batch window before
-                        # planning, so a failed render still consumed a slot
-                        # (uncached) or dropped the namespace's previous token
-                        # (cached); mirror that with a sentinel no real token
-                        # can match, keeping token_resident pessimistic.
-                        pool.note_resident(fault.worker_id, -1, namespace)
-                    else:
-                        fault_log.append(
-                            {
-                                "event": fault.kind,
-                                "worker": fault.worker_id,
-                                "phase": "render",
-                                "views": list(fault_views),
-                                "detail": fault.detail,
-                            }
-                        )
-                        lost.extend(fault_views)
-                for worker_id, payload in replies.items():
-                    reply_views = pending[worker_id]
-                    problem = _validate_render_reply(payload, reply_views)
-                    if problem is not None:
-                        # Poisoned/malformed reply: the worker's state can't
-                        # be trusted — quarantine it and recover the views.
-                        pool.quarantine(worker_id)
-                        fault_log.append(
-                            {
-                                "event": "poisoned",
-                                "worker": worker_id,
-                                "phase": "render",
-                                "views": list(reply_views),
-                                "detail": problem,
-                            }
-                        )
-                        lost.extend(reply_views)
-                        continue
-                    if payload.get("fault_sites"):
-                        fault_log.append(
-                            {
-                                "event": "slow",
-                                "worker": worker_id,
-                                "phase": "render",
-                                "views": list(reply_views),
-                                "detail": ",".join(map(str, payload["fault_sites"])),
-                            }
-                        )
-                    if payload.get("desync"):
-                        # The worker dropped the namespace's retained batch
-                        # before reporting the desync — mirror the drop.
-                        pool.note_resident(worker_id, -1, namespace)
-                        desync = True
-                        continue
-                    epoch = pool.worker_epoch(worker_id)
-                    rendered_tokens.setdefault(worker_id, []).append(token)
-                    pool.note_resident(worker_id, token, namespace)
-                    for view in payload["views"]:
-                        index = view["index"]
-                        plan_seconds[index] = view["plan_seconds"]
-                        raster_seconds[index] = view["raster_seconds"]
-                        statuses[index] = view["cache_status"]
-                        indices_by_view[index] = np.asarray(view["indices"])
-                        n_pairs_by_view[index] = view["n_pairs"]
-                        worker_seconds[worker_id] = (
-                            worker_seconds.get(worker_id, 0.0)
-                            + view["plan_seconds"]
-                            + view["raster_seconds"]
-                        )
-                        handle_info[index] = (worker_id, token, epoch)
-                        if cache is not None:
-                            self._mirror[(worker_id, keys[index])] = view["meta"]
-                    if cache is not None:
-                        for key in payload["evicted"]:
-                            self._mirror.pop((worker_id, key), None)
-                        cache.stats.evictions += len(payload["evicted"])
-                if desync:
-                    return None
-                if not lost:
-                    break
-                if round_index >= retry_limit:
-                    to_escalate.update(lost)
-                    break
-                for worker_id in pool.ensure_workers():
+            for fault in faults:
+                fault_log.append(
+                    {
+                        "event": "worker-error" if fault.kind == "error" else fault.kind,
+                        "worker": fault.worker_id,
+                        "phase": "render",
+                        "views": list(assignment[fault.worker_id]),
+                        "detail": fault.detail,
+                    }
+                )
+                lost.extend(assignment[fault.worker_id])
+            for worker_id, payload in replies.items():
+                reply_views = assignment[worker_id]
+                problem = _validate_render_reply(payload, reply_views)
+                if problem is not None:
                     fault_log.append(
-                        {"event": "respawn", "worker": worker_id, "phase": "render"}
+                        {
+                            "event": "poisoned",
+                            "worker": worker_id,
+                            "phase": "render",
+                            "views": list(reply_views),
+                            "detail": problem,
+                        }
                     )
+                    lost.extend(reply_views)
+                    continue
+                if payload.get("fault_sites"):
+                    fault_log.append(
+                        {
+                            "event": "slow",
+                            "worker": worker_id,
+                            "phase": "render",
+                            "views": list(reply_views),
+                            "detail": ",".join(map(str, payload["fault_sites"])),
+                        }
+                    )
+                if payload.get("desync"):
+                    # The worker dropped the namespace's retained batch
+                    # before reporting the desync — mirror the drop.
+                    pool.note_resident(worker_id, -1, namespace)
+                    unfinished.extend(reply_views)
+                    continue
+                pool.note_resident(worker_id, token, namespace)
+                for view in payload["views"]:
+                    index = view["index"]
+                    plan_seconds[index] = view["plan_seconds"]
+                    raster_seconds[index] = view["raster_seconds"]
+                    statuses[index] = view["cache_status"]
+                    indices_by_view[index] = np.asarray(view["indices"])
+                    n_pairs_by_view[index] = view["n_pairs"]
+                    worker_seconds[worker_id] += view["plan_seconds"] + view["raster_seconds"]
+                    if cache is not None:
+                        self._mirror[(worker_id, keys[index])] = view["meta"]
                 if cache is not None:
-                    # Epoch re-broadcast: a respawned worker holds nothing —
-                    # purge its mirror entries so no future batch predicts a
-                    # hit against geometry it lost.
-                    self._sync_mirror_epochs(pool)
-                live = pool.live_worker_ids()
-                if not live:
-                    to_escalate.update(lost)
-                    break
-                round_index += 1
-                retries += 1
-                pending = _assign_round_robin(live, sorted(lost))
+                    for key in payload["evicted"]:
+                        self._mirror.pop((worker_id, key), None)
+                    cache.stats.evictions += len(payload["evicted"])
+            if not lost and unfinished:
+                return None
 
-            # Escalation: finish every unrecovered view in the parent,
-            # running exactly the worker's uncached plan+raster sequence so
-            # the batch output stays bitwise-identical.
-            if to_escalate:
+            if lost:
+                # The one failure path: close the whole pool (the next batch
+                # gets a fresh one) and finish every unrendered view here,
+                # running exactly the worker's uncached plan+raster sequence
+                # so the batch output stays bitwise-identical.
+                _discard_pool(pool)
                 if shared is None:
                     start = time.perf_counter()
                     shared = shared_preprocess(
                         request.cloud, active_only=request.active_only
                     )
                     shared_seconds += time.perf_counter() - start
-                for index in sorted(to_escalate):
+                for index in sorted(lost + unfinished):
                     fault_log.append(
                         {
                             "event": "escalated",
@@ -1784,19 +1560,6 @@ class ShardedBackend:
                     local_results[index] = result
                     plan_seconds[index] = view_plan_s
                     raster_seconds[index] = view_raster_s
-                    statuses[index] = "uncached"
-
-            # Handles superseded worker-side by an in-batch redispatch: a
-            # cached batch keeps only a worker's most recent token (the new
-            # render rewrote the namespace's cache arena), an uncached batch
-            # its last _MAX_RETAINED_BATCHES arena slots.  Marking them lost
-            # here routes their backward pass to the parent recompute path
-            # instead of a worker that would answer "no longer resident".
-            retained = 1 if cache is not None else _MAX_RETAINED_BATCHES
-            valid_tokens = {
-                worker_id: set(tokens[-retained:])
-                for worker_id, tokens in rendered_tokens.items()
-            }
 
             stitch_start = time.perf_counter()
             views: list[RenderResult] = []
@@ -1843,15 +1606,14 @@ class ShardedBackend:
                     backend="sharded",
                     cache_status=statuses[index],
                 )
-                worker_id, view_token, epoch = handle_info[index]
+                # After a fault this handle points at the closed pool, so it
+                # reads unusable and backward recomputes the view here.
                 view.shard_info = _ShardHandle(
                     pool=pool,
-                    token=view_token,
-                    worker_id=worker_id,
+                    token=token,
+                    worker_id=worker_of[index],
                     view_index=index,
-                    epoch=epoch,
                     active_only=request.active_only,
-                    lost=view_token not in valid_tokens.get(worker_id, set()),
                 )
                 views.append(view)
                 if cache is not None:
@@ -1863,16 +1625,6 @@ class ShardedBackend:
             except FileNotFoundError:
                 pass
 
-        quarantined = sorted(
-            {
-                event["worker"]
-                for event in fault_log
-                if event["event"] in ("died", "timeout", "poisoned", "send-failed")
-            }
-        )
-        respawned = sorted(
-            {event["worker"] for event in fault_log if event["event"] == "respawn"}
-        )
         return BatchRenderResult(
             views=views,
             shared=shared,
@@ -1885,9 +1637,9 @@ class ShardedBackend:
                 plan_seconds[index] + raster_seconds[index] for index in range(n_views)
             ],
             sharding=ShardAttribution(
-                n_workers=n_active,
+                n_workers=len(assignment),
                 worker_ids=[
-                    -1 if index in local_results else handle_info[index][0]
+                    -1 if index in local_results else worker_of[index]
                     for index in range(n_views)
                 ],
                 worker_seconds=worker_seconds,
@@ -1895,9 +1647,6 @@ class ShardedBackend:
                 stitch_seconds=time.perf_counter() - stitch_start,
                 plan_site="worker",
                 fault_events=fault_log,
-                fault_retries=retries,
-                fault_quarantined_workers=quarantined,
-                fault_respawned_workers=respawned,
                 escalated_views=sorted(local_results),
             ),
         )
@@ -1910,12 +1659,12 @@ class ShardedBackend:
         *served* after a structural mutation; the broadcast eagerly frees
         their memory and drops retained cached batches whose backward state
         aliases them.  ``cache=None`` clears every namespace; passing a cache
-        that never rode a sharded batch is a no-op.  Best-effort: a broken
-        pool is discarded, not raised through (invalidation sites sit inside
-        densify/prune paths that must not fail on pool hiccups).
+        that never rode a sharded batch is a no-op.  Best-effort: a pool
+        that fails the broadcast is closed, not raised through (invalidation
+        sites sit inside densify/prune paths that must not fail on pool
+        hiccups).
         """
         self._mirror.clear()
-        self._mirror_epochs.clear()
         namespace = None
         if cache is not None:
             namespace = getattr(cache, "_shard_namespace", None)
@@ -1928,13 +1677,12 @@ class ShardedBackend:
                 pool.request_all(
                     {
                         worker_id: ("invalidate", namespace)
-                        for worker_id in pool.live_worker_ids()
+                        for worker_id in range(pool.n_workers)
                     }
                 )
                 pool.note_invalidated(namespace)
             except ShardWorkerError:
-                if pool.broken:
-                    _discard_pool(pool)
+                _discard_pool(pool)
 
     # -- backward ------------------------------------------------------------
     def _shard_backward(
@@ -1953,12 +1701,12 @@ class ShardedBackend:
         ship parent-ward through one shared-memory block; the small
         screen-gradient arrays and traces ride the reply pipes.
 
-        A worker that dies, times out or replies poisoned is quarantined and
-        its views come back in the failed list for the caller's parent-side
-        recompute.  A worker-*reported* error raises
+        A worker that dies, times out or replies poisoned closes the pool,
+        and its views come back in the failed list for the caller's
+        parent-side recompute.  A worker-*reported* error raises
         :class:`ShardWorkerError` — the worker is healthy and the request
         was bad (e.g. a legitimately superseded batch), a usage error the
-        healing paths must not mask.
+        fault path must not mask.
         """
         from repro.gaussians.backward import GradientTrace, ScreenSpaceGradients
 
@@ -1981,8 +1729,8 @@ class ShardedBackend:
                 for name, trailing in _BACKWARD_PROJECTED_FIELDS
             }
             projected_specs_by_view[view_index] = projected_specs
-            # Per-item tokens: after an in-batch redispatch one worker can
-            # hold views of this batch under several tokens.  The index sent
+            # Per-item tokens: a batch stitched from several dispatches holds
+            # one worker's views under several tokens.  The index sent
             # worker-ward is the handle's *dispatch-local* one — the key the
             # worker stored the view under — which differs from the caller's
             # batch index when several dispatches were stitched into one
@@ -2017,11 +1765,10 @@ class ShardedBackend:
                 messages, timeout=self.config.shard_deadline_s
             )
             self._disarm_fault_sites(plan, fault_sites)
+            error = next((fault for fault in faults if fault.kind == "error"), None)
             for fault in faults:
                 if fault.kind == "error":
-                    raise ShardWorkerError(
-                        f"shard worker {fault.worker_id} failed:\n{fault.detail}"
-                    )
+                    continue
                 fault_log.append(
                     {
                         "event": fault.kind,
@@ -2037,7 +1784,6 @@ class ShardedBackend:
                     payload, [item[1] for item in per_worker[worker_id]]
                 )
                 if problem is not None:
-                    pool.quarantine(worker_id)
                     fault_log.append(
                         {
                             "event": "poisoned",
@@ -2101,6 +1847,12 @@ class ShardedBackend:
                             fragments_per_pixel=view_result.fragments_per_pixel.copy(),
                         ),
                     )
+            if failed:
+                _discard_pool(pool)
+            if error is not None:
+                raise ShardWorkerError(
+                    f"shard worker {error.worker_id} failed:\n{error.detail}"
+                )
         finally:
             shm.close()
             try:
@@ -2185,8 +1937,8 @@ class ShardedBackend:
             if handle.view_index not in failed:
                 screen = screens[handle.view_index]
         if screen is None:
-            # Worker quarantined, respawned (stale epoch), lost to an
-            # in-batch redispatch, or failed mid-request: recompute locally.
+            # Pool closed, batch evicted, or a fault mid-request: recompute
+            # locally.
             screen = self._recompute_backward_view(
                 cloud, result, dL_dimage, dL_ddepth, handle.active_only
             )
@@ -2249,8 +2001,8 @@ class ShardedBackend:
         )
         # Partition: worker-resident views run Step 4 where the tile caches
         # live; escalated/local views run it here; views whose worker state
-        # is gone (stale handle, in-batch supersession, mid-request fault)
-        # recompute here — same gradients, different path.
+        # is gone (closed pool, evicted batch, mid-request fault) recompute
+        # here — same gradients, different path.
         worker_entries = []
         recompute: list[int] = []
         screens: dict[int, object] = {}
@@ -2269,7 +2021,7 @@ class ShardedBackend:
                         "phase": "backward",
                         "views": [index],
                         "detail": (
-                            "worker state lost (quarantine/respawn/supersession); "
+                            "worker state lost (pool closed or batch evicted); "
                             "recomputing backward in the parent"
                         ),
                     }
@@ -2299,17 +2051,6 @@ class ShardedBackend:
                     handle.active_only,
                     shared,
                 )
-        if sharding is not None and recompute:
-            quarantined = {
-                event["worker"]
-                for event in fault_log
-                if event["phase"] == "backward"
-                and event["event"] in ("died", "timeout", "poisoned", "send-failed")
-            }
-            sharding.fault_quarantined_workers = sorted(
-                set(sharding.fault_quarantined_workers) | quarantined
-            )
-
         screen = [screens[index] for index in range(batch.n_views)]
         cloud_grads, per_view_twists = preprocess_backward_batch(
             screen, cloud, compute_pose_gradient=compute_pose_gradient

@@ -113,14 +113,14 @@ class ShardAttribution:
     plan_site: str = "parent"
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
-    # send-failed | poisoned | slow | worker-error | respawn | escalated |
+    # send-failed | poisoned | slow | worker-error | escalated |
     # stale-handle), ``worker``, ``phase`` ("render" | "backward") and
     # ``views``.  The backward pass appends to this same list, so a record
     # read after a mapping iteration sees both phases.
     fault_events: list = field(default_factory=list)
-    fault_retries: int = 0  # redispatch rounds beyond the first
-    fault_quarantined_workers: list[int] = field(default_factory=list)
-    fault_respawned_workers: list[int] = field(default_factory=list)
+    # Always 0 (no fault is retried); kept because the benchmark's
+    # ``engine.sharded.retries`` metric reads it.
+    fault_retries: int = 0
     # Views that fell back to serial flat execution in the parent (their
     # worker_ids entry is -1 and they carry no worker handle).
     escalated_views: list[int] = field(default_factory=list)

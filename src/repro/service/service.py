@@ -9,7 +9,8 @@ of letting every tenant monopolise a private backend:
   configs resolve to one OS pool) — the service adds the scheduling layer
   that interleaves tenants over it.  Cache-off sessions dispatch each round
   as a sub-batch through ``RenderEngine.render_batch(..., managed=False)``
-  (worker-side planning, parallel execution, PR 8 self-healing); cache-on
+  (worker-side planning, parallel execution, serial fallback on worker
+  faults); cache-on
   sessions plan through the public ``plan_batch`` seam against their
   parent-resident geometry cache and execute elected units in the parent,
   which is what makes cross-session byte budgets observable and enforceable.
@@ -164,9 +165,6 @@ class ServiceJob:
         stitch_seconds = 0.0
         plan_site = "parent"
         fault_events: list = []
-        fault_retries = 0
-        quarantined: set[int] = set()
-        respawned: set[int] = set()
         escalated: list[int] = []
         for indices, sub in self._rounds:
             sharding = sub.sharding
@@ -190,9 +188,6 @@ class ServiceJob:
                         indices[v] for v in views if 0 <= v < len(indices)
                     ]
                 fault_events.append(event)
-            fault_retries += sharding.fault_retries
-            quarantined.update(sharding.fault_quarantined_workers)
-            respawned.update(sharding.fault_respawned_workers)
             escalated.extend(indices[v] for v in sharding.escalated_views)
         return ShardAttribution(
             n_workers=max(1, len({w for w in worker_ids if w >= 0})),
@@ -202,9 +197,6 @@ class ServiceJob:
             stitch_seconds=stitch_seconds,
             plan_site=plan_site,
             fault_events=fault_events,
-            fault_retries=fault_retries,
-            fault_quarantined_workers=sorted(quarantined),
-            fault_respawned_workers=sorted(respawned),
             escalated_views=sorted(escalated),
             view_queue_wait_seconds=list(self._queue_wait),
             view_service_seconds=list(self._service_seconds),
@@ -704,6 +696,3 @@ class RenderService:
             job._view_seconds[index] = unit.plan_seconds + (
                 time.perf_counter() - started
             )
-        # Refinement during cached renders can change an entry's resident
-        # footprint; re-check the budgets while the hot entries are fresh.
-        self._budget.enforce()

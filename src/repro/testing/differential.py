@@ -40,8 +40,8 @@ sharded backend's worker-resident geometry caches must stay bit-identical to
 the parent-resident flat cache through miss, hit and refresh rounds.  A
 runner constructed with a ``fault_schedule`` (:mod:`repro.engine.faults`
 grammar) additionally re-renders each scenario's window under that schedule
-and requires the self-healing sharded dispatch to complete it
-bitwise-identical to the healthy run — the CI chaos job and the
+and requires the sharded dispatch's fault path (close the pool, finish the
+lost views in the parent) to complete it bitwise-identical to the healthy run — the CI chaos job and the
 fault-injection tests drive this phase.
 
 A runner constructed with ``n_service_sessions > 0`` adds a multi-tenant
@@ -720,7 +720,7 @@ class DifferentialRunner:
 
         Re-renders the same window through a dedicated sharded engine (short
         deadline, so injected hangs cost seconds, not minutes) while the
-        runner's fault schedule is active.  The self-healing dispatch must
+        runner's fault schedule is active.  The sharded fault path must
         complete the batch with forward outputs and fused backward gradients
         **bit-identical** to the healthy flat batch, and any events it logged
         must be visible on the attribution.
@@ -734,7 +734,6 @@ class DifferentialRunner:
                 geom_cache=False,
                 shard_workers=self.n_shard_workers,
                 shard_deadline_s=self.fault_deadline_s,
-                shard_backoff_s=1.0,
             )
         )
         poses = spec.view_poses(self.n_batch_views)
@@ -1072,7 +1071,7 @@ class DifferentialRunner:
 
         The speculation thread dispatches over the pool while the fault plan
         is active, so injected worker deaths/hangs/poisons hit the
-        speculative path itself; the self-healing dispatch must deliver a
+        speculative path itself; the sharded fault path must deliver a
         bit-identical batch through the consume anyway.
         """
         from repro.engine import fault_plan
@@ -1084,7 +1083,6 @@ class DifferentialRunner:
                 geom_cache=False,
                 shard_workers=self.n_shard_workers,
                 shard_deadline_s=self.fault_deadline_s,
-                shard_backoff_s=1.0,
             )
         )
         poses = spec.view_poses(self.n_batch_views)
@@ -1406,7 +1404,6 @@ class DifferentialRunner:
                     geom_cache=False,
                     shard_workers=self.n_shard_workers,
                     shard_deadline_s=self.fault_deadline_s,
-                    shard_backoff_s=1.0,
                 ),
                 round_quantum=2,
             )

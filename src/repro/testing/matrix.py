@@ -54,8 +54,8 @@ A matrix constructed with a ``fault_schedule`` (the
 ``REPRO_SHARD_FAULTS`` environment variable) runs every cell with that fault
 plan active, its random seed re-derived per cell
 (:meth:`ScenarioMatrix.fault_plan_for`): sharded cells exercise the
-self-healing dispatch (retry/redispatch/quarantine/escalation) and must
-still pass their bitwise gates, and each cell's fault-event counts land in
+fault path (pool close plus serial parent execution of the lost views) and
+must still pass their bitwise gates, and each cell's fault-event counts land in
 the attribution of the markdown/JSON reports — this is the CI ``chaos`` job.
 
 CLI::
@@ -218,8 +218,6 @@ class ScenarioCellResult:
             "plan_site": self.plan_site,
             "faults": {
                 "events": self.fault_events,
-                "retries": sum(s.fault_retries for s in executed),
-                "quarantines": sum(len(s.fault_quarantined_workers) for s in executed),
                 "escalated_views": sum(len(s.escalated_views) for s in executed),
             },
         }
@@ -272,7 +270,8 @@ class ScenarioMatrix:
         )
         self.backends = backends if backends is not None else AXES["backend"]
         # A repro.engine.faults schedule kept active while cells execute (the
-        # chaos job): sharded cells must heal and still pass their gates.
+        # chaos job): sharded cells must survive the faults and still pass
+        # their gates.
         self.fault_schedule = fault_schedule
         self._cache_engines: dict[str, RenderEngine] = {}
         self._specs: dict[str, SceneSpec] = {}
@@ -826,7 +825,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="SCHEDULE",
         default=None,
         help="run every cell under this fault schedule (repro.engine.faults "
-        "grammar, e.g. 'random:1234:0.25'); sharded cells must self-heal and "
+        "grammar, e.g. 'random:1234:0.25'); sharded cells must survive the faults and "
         "still pass their bitwise gates (the CI chaos job)",
     )
     parser.add_argument("--list", action="store_true", help="list selected cell ids and exit")

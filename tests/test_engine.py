@@ -95,57 +95,36 @@ class TestEngineConfig:
             EngineConfig.from_env({"REPRO_SHARD_WORKERS": "-1"})
 
     def test_from_env_fault_tolerance_knobs(self):
-        config = EngineConfig.from_env({})
-        assert config.shard_retry_limit == 2
-        assert config.shard_deadline_s == 600.0
-        assert config.shard_backoff_s == 30.0
-        config = EngineConfig.from_env(
-            {
-                "REPRO_SHARD_RETRIES": "5",
-                "REPRO_SHARD_DEADLINE_S": "12.5",
-                "REPRO_SHARD_BACKOFF_S": "0",
-            }
-        )
-        assert config.shard_retry_limit == 5
+        """One deadline is the whole fault-tolerance policy."""
+        from repro.engine.config import ENGINE_ENV_VARS
+
+        assert EngineConfig.from_env({}).shard_deadline_s == 600.0
+        config = EngineConfig.from_env({"REPRO_SHARD_DEADLINE_S": "12.5"})
         assert config.shard_deadline_s == 12.5
-        assert config.shard_backoff_s == 0.0
-        # Empty values fall back to the defaults, like the other env knobs.
-        config = EngineConfig.from_env(
-            {
-                "REPRO_SHARD_RETRIES": "",
-                "REPRO_SHARD_DEADLINE_S": "",
-                "REPRO_SHARD_BACKOFF_S": "",
-            }
-        )
-        assert config.shard_retry_limit == 2
+        # Empty values fall back to the default, like the other env knobs.
+        config = EngineConfig.from_env({"REPRO_SHARD_DEADLINE_S": ""})
         assert config.shard_deadline_s == 600.0
+        # No retry or backoff knob exists: neither a field nor an env variable.
+        assert "REPRO_SHARD_DEADLINE_S" in ENGINE_ENV_VARS
+        assert "REPRO_SHARD_RETRIES" not in ENGINE_ENV_VARS
+        assert "REPRO_SHARD_BACKOFF_S" not in ENGINE_ENV_VARS
+        assert len(ENGINE_ENV_VARS) == 10
+        for name in ("shard_retry_limit", "shard_backoff_s"):
+            assert not hasattr(config, name)
+            with pytest.raises(TypeError, match=name):
+                EngineConfig(**{name: 1})
 
     def test_from_env_rejects_bad_fault_tolerance_knobs(self):
-        with pytest.raises(ValueError, match="REPRO_SHARD_RETRIES"):
-            EngineConfig.from_env({"REPRO_SHARD_RETRIES": "lots"})
-        with pytest.raises(ValueError, match="REPRO_SHARD_RETRIES"):
-            EngineConfig.from_env({"REPRO_SHARD_RETRIES": "-1"})
         with pytest.raises(ValueError, match="REPRO_SHARD_DEADLINE_S"):
             EngineConfig.from_env({"REPRO_SHARD_DEADLINE_S": "slow"})
         with pytest.raises(ValueError, match="REPRO_SHARD_DEADLINE_S"):
             EngineConfig.from_env({"REPRO_SHARD_DEADLINE_S": "0"})
-        with pytest.raises(ValueError, match="REPRO_SHARD_BACKOFF_S"):
-            EngineConfig.from_env({"REPRO_SHARD_BACKOFF_S": "-0.5"})
 
     def test_fault_tolerance_overrides_beat_env(self):
         config = EngineConfig.from_env(
-            {
-                "REPRO_SHARD_RETRIES": "7",
-                "REPRO_SHARD_DEADLINE_S": "99",
-                "REPRO_SHARD_BACKOFF_S": "9",
-            },
-            shard_retry_limit=1,
-            shard_deadline_s=3.0,
-            shard_backoff_s=0.5,
+            {"REPRO_SHARD_DEADLINE_S": "99"}, shard_deadline_s=3.0
         )
-        assert config.shard_retry_limit == 1
         assert config.shard_deadline_s == 3.0
-        assert config.shard_backoff_s == 0.5
 
     # -- conflicting-knob precedence -----------------------------------------
     def test_shard_workers_with_non_sharded_backend_is_recorded_but_inert(self):
@@ -259,12 +238,8 @@ class TestEngineConfig:
             EngineConfig(cache_max_entries=0)
         with pytest.raises(ValueError, match="shard_workers"):
             EngineConfig(shard_workers=-2)
-        with pytest.raises(ValueError, match="shard_retry_limit"):
-            EngineConfig(shard_retry_limit=-1)
         with pytest.raises(ValueError, match="shard_deadline_s"):
             EngineConfig(shard_deadline_s=0.0)
-        with pytest.raises(ValueError, match="shard_backoff_s"):
-            EngineConfig(shard_backoff_s=-1.0)
 
     def test_use_backend_overrides_env_through_default_engines(self, monkeypatch):
         """REPRO_RASTER_BACKEND seeds the process default; scoping still wins."""

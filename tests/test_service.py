@@ -331,6 +331,35 @@ class TestCacheBudgets:
         solo.release(reference)
         service.close()
 
+    def test_budgets_hold_after_every_round(self):
+        """Scheduler rounds never grow a cache past its budget.
+
+        Budgets are enforced when a cached job is planned; its rounds only
+        execute the planned units, so the global and the per-session budget
+        both still hold after every ``run_round`` of a two-session run.
+        """
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        one_session = self._session_bytes(spec, args, kwargs)
+        service = _service(geom_cache=True, cache_budget_bytes=one_session * 3 // 2)
+        alpha = service.open_session("alpha", cache_budget_bytes=one_session // 2)
+        beta = service.open_session("beta")
+        rounds = 0
+        for _ in range(2):
+            jobs = [alpha.submit(*args, **kwargs), beta.submit(*args, **kwargs)]
+            while service.run_round() > 0:
+                rounds += 1
+                report = service.cache_report()
+                assert report["total_bytes"] <= report["global_budget_bytes"]
+                capped = report["sessions"]["alpha"]
+                assert capped["resident_bytes"] <= capped["budget_bytes"]
+            for session, job in zip((alpha, beta), jobs):
+                self._consume(session, spec, job.result())
+        # Two 4-view jobs per pass at 2 units per round.
+        assert rounds == 8
+        assert report["sessions"]["alpha"]["budget_evictions"] > 0
+        service.close()
+
 
 class TestDifferentialServicePhase:
     def test_interleaved_sessions_bitwise_vs_solo(self):

@@ -6,28 +6,32 @@ equivalence to the flat path (forward + fused backward), its graceful
 degradations (workers<=1, cached batches, single views), worker-side batch
 eviction, the shard attribution ``StreamingMapper`` keeps per fused
 iteration (and snapshots that stay equal to the flat backend's), and the
-self-healing dispatch: injected crash/hang/slow/poison
-faults (``repro.engine.faults``) must never lose a batch — every schedule
-completes bitwise-identical to the healthy flat path, with retries,
-quarantines, respawns and serial escalations surfaced on the attribution.
-The ``_no_shm_leak`` fixture additionally pins every failure path to "no
-shared-memory segment left behind in /dev/shm".
+one failure path: an injected crash/hang/slow/poison fault
+(``repro.engine.faults``) closes the whole pool and the parent finishes the
+lost views, so every schedule completes bitwise-identical to the healthy
+flat path, with the faults and escalated views surfaced on the attribution.
+The ``_no_leak`` fixture additionally pins every failure path to "no
+shared-memory segment in /dev/shm, no process of a closed pool and no
+non-daemon thread left behind".
 
 All sharded tests run on a small shared 2-worker pool (pools are shared
 process-wide per worker count), so the spawn cost is paid once per session.
-Fault tests use engines with short deadlines/backoffs so injected hangs
-cost seconds; the pool they share self-heals before each dispatch, so
-leaving it quarantined never poisons a later test.
+Fault tests use engines with short deadlines so injected hangs cost
+seconds; a fault closes the shared pool and the next batch spawns a fresh
+one, so a faulted test never poisons a later one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -113,26 +117,56 @@ def _shm_segments() -> set[str] | None:
     return {entry.name for entry in shm_dir.iterdir() if entry.name.startswith("psm_")}
 
 
-@pytest.fixture
-def _no_shm_leak():
-    """Fail the test if it leaves a shared-memory segment behind.
+def _live_pool_pids() -> set[int]:
+    """Pids of the workers of every open process-wide shard pool."""
+    from repro.engine.sharded import _POOLS
+
+    return {
+        worker.process.pid
+        for pool in _POOLS.values()
+        if not pool.closed
+        for worker in pool._workers
+    }
+
+
+@contextmanager
+def _leak_guard():
+    """Fail if the block leaves shm segments, pool processes or threads behind.
 
     Every dispatch creates one segment and must unlink it on *every* path —
-    healthy, faulted, escalated.  Unlink is parent-side and immediate, but a
-    short grace loop absorbs segments owned by a concurrently-respawning
-    worker handshake.
+    healthy, faulted, escalated.  Every child process still alive afterwards
+    must belong to an open shard pool: a process of a closed pool (a worker
+    that survived ``close()``, e.g. a SIGTERM-ignoring one) is a leak.  So is
+    any non-daemon thread the block started and did not join.  A short grace
+    loop absorbs teardown that is already under way.
     """
-    before = _shm_segments()
+    shm_before = _shm_segments()
+    threads_before = set(threading.enumerate())
     yield
-    if before is None:
-        return
-    leaked: set[str] = set()
     for _ in range(50):
-        leaked = (_shm_segments() or set()) - before
-        if not leaked:
+        leaked_shm = (
+            set() if shm_before is None else (_shm_segments() or set()) - shm_before
+        )
+        live = _live_pool_pids()
+        orphans = [p for p in multiprocessing.active_children() if p.pid not in live]
+        threads = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in threads_before and not thread.daemon
+        ]
+        if not (leaked_shm or orphans or threads):
             return
         time.sleep(0.1)
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    assert not leaked_shm, f"leaked shared-memory segments: {sorted(leaked_shm)}"
+    assert not orphans, f"processes of closed shard pools still alive: {orphans}"
+    assert not threads, f"leaked non-daemon threads: {threads}"
+
+
+@pytest.fixture
+def _no_leak():
+    """:func:`_leak_guard` around the whole test."""
+    with _leak_guard():
+        yield
 
 
 class TestPlanExecute:
@@ -381,14 +415,14 @@ class TestShardedBackend:
         )
         assert np.isfinite(grads.cloud.positions).all()
 
-    def test_worker_crash_before_render_heals_and_completes(self):
-        """Externally killed workers are respawned, not surfaced as errors.
+    def test_worker_crash_before_render_heals_and_completes(self, _no_leak):
+        """An externally killed worker gets its whole pool replaced.
 
-        One dead slot: the pre-dispatch health check (``ensure_workers``)
-        respawns it in place — same pool, a ``respawn`` event, no ``died``
-        because no request was lost mid-flight.  Every slot dead: the shared
-        pool reads ``broken`` and is replaced wholesale.  Either way the
-        batch completes bitwise-identical to flat.
+        A dead worker makes the shared pool read ``broken``: every handle on
+        it reads unusable, and the next batch closes it and spawns a fresh
+        pool before dispatching.  No request was lost mid-flight, so no
+        fault event is logged, and the batch completes bitwise-identical to
+        flat.
         """
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec, n_views=2)
@@ -396,32 +430,22 @@ class TestShardedBackend:
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
         warm = engine.render_batch(*args, **kwargs, managed=False)
         pool = warm.views[0].shard_info.pool
+        processes = [worker.process for worker in pool._workers]
 
-        # -- one worker killed: in-place respawn keeps the pool ------------
-        pool._workers[0].process.terminate()
-        pool._workers[0].process.join(timeout=5.0)
+        processes[0].terminate()
+        processes[0].join(timeout=5.0)
+        assert pool.broken
+        assert not any(view.shard_info.usable() for view in warm.views)
         healed = engine.render_batch(*args, **kwargs, managed=False)
         sharding = healed.sharding
         assert sharding is not None
         _assert_views_equal(healed.views, flat.views)
-        events = [event["event"] for event in sharding.fault_events]
-        assert events == ["respawn"]
-        assert sharding.fault_respawned_workers == [0]
-        assert sharding.fault_retries == 0
+        assert sharding.fault_events == []
         assert not sharding.escalated_views
-        assert healed.views[0].shard_info.pool is pool
-        assert sorted(pool.live_worker_ids()) == list(range(N_WORKERS))
-
-        # -- every worker killed: the broken pool is replaced wholesale ----
-        for worker in pool._workers:
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
-        replaced = engine.render_batch(*args, **kwargs, managed=False)
-        assert replaced.sharding is not None
-        _assert_views_equal(replaced.views, flat.views)
-        fresh_pool = replaced.views[0].shard_info.pool
-        assert fresh_pool is not pool
-        assert sorted(fresh_pool.live_worker_ids()) == list(range(N_WORKERS))
+        fresh_pool = healed.views[0].shard_info.pool
+        assert fresh_pool is not pool and pool.closed
+        assert not any(process.is_alive() for process in processes)
+        assert not fresh_pool.broken
 
     def test_worker_crash_during_backward_recomputes_in_parent(self):
         """A managed batch whose workers died still completes its backward.
@@ -490,28 +514,24 @@ class TestFaultInjection:
     Every schedule — crash, hang, slow, poison, sticky total loss — must
     leave ``render_batch``/``backward_batch`` total: same bits as the
     healthy flat path, fault events on the attribution, no leaked shared
-    memory, no leaked processes.
+    memory, processes or threads.  Every fault but ``slow`` closes the whole
+    pool; the parent finishes the lost views, and the next batch runs on a
+    fresh pool.
     """
 
-    def _engine(
-        self,
-        deadline: float = 10.0,
-        backoff: float = 0.5,
-        retries: int = 2,
-    ) -> RenderEngine:
+    def _engine(self, deadline: float = 10.0, geom_cache: bool = False) -> RenderEngine:
         return RenderEngine(
             EngineConfig(
                 backend="sharded",
-                geom_cache=False,
+                geom_cache=geom_cache,
                 shard_workers=N_WORKERS,
                 shard_deadline_s=deadline,
-                shard_backoff_s=backoff,
-                shard_retry_limit=retries,
+                cache_tolerance_px=0.0,
             )
         )
 
     @pytest.mark.parametrize(
-        "schedule, expected_event, heals",
+        "schedule, expected_event, closes_pool",
         [
             ("crash@0.*", "died", True),
             ("hang@0.*:delay=30", "timeout", True),
@@ -520,29 +540,41 @@ class TestFaultInjection:
         ],
     )
     def test_render_faults_heal_bitwise(
-        self, schedule, expected_event, heals, _no_shm_leak
+        self, schedule, expected_event, closes_pool, _no_leak
     ):
         spec = _spec()
         args, kwargs = _batch_args(spec)
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
-        engine = self._engine(deadline=3.0, backoff=0.2)
+        engine = self._engine(deadline=3.0)
+        warm = engine.render_batch(*args, **kwargs, managed=False)
+        pool = warm.views[0].shard_info.pool
+        processes = [worker.process for worker in pool._workers]
         with fault_plan(schedule):
             batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
         sharding = batch.sharding
         events = [event["event"] for event in sharding.fault_events]
         assert expected_event in events
-        assert not sharding.escalated_views  # healed in-batch, never serial
-        if heals:
-            # The faulted worker was quarantined, respawned, and the lost
-            # views redispatched within the same batch.
-            assert sharding.fault_retries >= 1
-            assert 0 in sharding.fault_quarantined_workers
-            assert 0 in sharding.fault_respawned_workers
+        assert sharding.fault_retries == 0
+        after = engine.render_batch(*args, **kwargs, managed=False)
+        _assert_views_equal(after.views, flat.views)
+        assert after.sharding.fault_events == []
+        if closes_pool:
+            # Worker 0's views (0 and 2) ran in the parent; worker 1's view
+            # kept its output but lost its worker state with the pool.
+            assert sharding.escalated_views == [0, 2]
+            assert sharding.worker_ids == [-1, 1, -1]
+            assert events.count("escalated") == 2
+            assert batch.views[1].shard_info.pool is pool
+            assert not batch.views[1].shard_info.usable()
+            assert pool.closed
+            assert not any(process.is_alive() for process in processes)
+            assert after.views[0].shard_info.pool is not pool
         else:
-            # A slow worker is an observation, not a failure: no retry.
-            assert sharding.fault_retries == 0
-            assert not sharding.fault_quarantined_workers
+            # A slow worker is an observation, not a failure.
+            assert not sharding.escalated_views
+            assert not pool.closed
+            assert after.views[0].shard_info.pool is pool
 
     @pytest.mark.parametrize(
         "schedule, expected_event",
@@ -552,15 +584,16 @@ class TestFaultInjection:
         ],
     )
     def test_backward_faults_recompute_bitwise(
-        self, schedule, expected_event, _no_shm_leak
+        self, schedule, expected_event, _no_leak
     ):
         spec = _spec()
         args, kwargs = _batch_args(spec)
         flat_engine = _flat_engine()
         flat = flat_engine.render_batch(*args, **kwargs, managed=False)
-        engine = self._engine(deadline=5.0, backoff=0.2)
+        engine = self._engine(deadline=5.0)
         batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
+        pool = batch.views[0].shard_info.pool
         rng = np.random.default_rng(13)
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
         dL_ddepths = [rng.uniform(-1, 1, size=v.depth.shape) for v in flat.views]
@@ -581,37 +614,35 @@ class TestFaultInjection:
             grads.per_view_pose_twists, flat_grads.per_view_pose_twists
         )
         # Backward fault events ride on the same attribution list the render
-        # started, tagged with their phase.
+        # started, tagged with their phase; the fault closed the pool.
         backward_events = [
             event["event"]
             for event in batch.sharding.fault_events
             if event["phase"] == "backward"
         ]
         assert expected_event in backward_events
+        assert pool.closed
 
-    def test_sticky_total_crash_escalates_to_serial(self, _no_shm_leak):
-        """Sticky all-worker crashes exhaust retries, then the parent takes over.
+    def test_sticky_total_crash_escalates_to_serial(self, _no_leak):
+        """Both workers crash: the parent renders every view of the batch.
 
-        Round 0 loses both workers; the retry respawns them and the sticky
-        sites kill them again; the retry budget is spent, so every view
-        escalates to serial parent execution — and the batch still matches
-        the flat path bitwise, forward and backward.
+        The batch still matches the flat path bitwise, forward and backward.
         """
         spec = _spec()
         args, kwargs = _batch_args(spec)
         flat_engine = _flat_engine()
         flat = flat_engine.render_batch(*args, **kwargs, managed=False)
-        engine = self._engine(deadline=5.0, backoff=0.1, retries=1)
+        engine = self._engine(deadline=5.0)
         with fault_plan("crash@*.*:sticky"):
             batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
         sharding = batch.sharding
         assert sorted(sharding.escalated_views) == list(range(batch.n_views))
         assert sharding.worker_ids == [-1] * batch.n_views
-        assert sharding.fault_retries == 1
+        assert sharding.fault_retries == 0
         events = [event["event"] for event in sharding.fault_events]
         assert events.count("escalated") == batch.n_views
-        assert "died" in events and "respawn" in events
+        assert events.count("died") == N_WORKERS
         # Escalated views stay routable: backend "sharded" so the batch
         # backward flows through the mixed sharded handling, no worker
         # handles, purely local gradients — still bitwise.
@@ -628,20 +659,60 @@ class TestFaultInjection:
                 err_msg=name,
             )
 
-    def test_crash_with_cache_rewarns_worker_entries(self, _no_shm_leak):
-        """A respawned worker serves rebuilt cache entries, never stale ones."""
+    def test_fault_in_another_engine_drops_retained_batches(self, _no_leak):
+        """A fault closes the pool under every engine that shares it.
+
+        Engine A's batch is retained on the process-wide pool when engine
+        B's batch faults; A's handles then read unusable and its backward
+        recomputes every view in the parent — bitwise against flat.
+        """
         spec = _spec()
         args, kwargs = _batch_args(spec)
-        engine = RenderEngine(
-            EngineConfig(
-                backend="sharded",
-                geom_cache=True,
-                shard_workers=N_WORKERS,
-                cache_tolerance_px=0.0,
-                shard_deadline_s=10.0,
-                shard_backoff_s=0.5,
+        flat_engine = _flat_engine()
+        flat = flat_engine.render_batch(*args, **kwargs, managed=False)
+        engine_a, engine_b = self._engine(), self._engine()
+        batch_a = engine_a.render_batch(*args, **kwargs, managed=False)
+        pool = batch_a.views[0].shard_info.pool
+        assert all(view.shard_info.usable() for view in batch_a.views)
+        with fault_plan("crash@0.*"):
+            batch_b = engine_b.render_batch(*args, **kwargs, managed=False)
+        _assert_views_equal(batch_b.views, flat.views)
+        assert batch_b.views[1].shard_info.pool is pool and pool.closed
+        assert not any(view.shard_info.usable() for view in batch_a.views)
+        rng = np.random.default_rng(19)
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
+        grads = engine_a.backward_batch(batch_a, spec.cloud, dL_dimages)
+        flat_grads = flat_engine.backward_batch(flat, spec.cloud, dL_dimages)
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_array_equal(
+                np.asarray(getattr(grads.cloud, name)),
+                np.asarray(getattr(flat_grads.cloud, name)),
+                err_msg=name,
             )
-        )
+        events = [event["event"] for event in batch_a.sharding.fault_events]
+        assert events == ["stale-handle"] * batch_a.n_views
+
+    def test_crash_with_cache_rewarns_worker_entries(self, monkeypatch, _no_leak):
+        """After a close, cached views rebuild on the fresh pool, then hit.
+
+        The fresh pool empties the parent's classification mirror, so the
+        first batch after the close predicts every view a miss and ships the
+        shared Step 1 payload up front: one dispatch, no desync resend, and
+        never a stale "hit" against worker state the close destroyed.
+        """
+        from repro.engine.sharded import ShardedBackend
+
+        dispatches = []
+        original = ShardedBackend._dispatch_sharded
+
+        def counting_dispatch(backend, *dispatch_args, **dispatch_kwargs):
+            dispatches.append(1)
+            return original(backend, *dispatch_args, **dispatch_kwargs)
+
+        monkeypatch.setattr(ShardedBackend, "_dispatch_sharded", counting_dispatch)
+        spec = _spec()
+        args, kwargs = _batch_args(spec)
+        engine = self._engine(geom_cache=True)
         uncached = rasterize_batch_views(*args, **kwargs)
         warm = engine.render_batch(*args, **kwargs)
         assert [view.cache_status for view in warm.views] == ["miss"] * 3
@@ -651,43 +722,50 @@ class TestFaultInjection:
             batch = engine.render_batch(*args, **kwargs)
         _assert_views_equal(batch.views, uncached.views)
         events = [event["event"] for event in batch.sharding.fault_events]
-        assert "died" in events and "respawn" in events
-        # The respawned worker lost its entries: its views rebuild as misses
-        # (epoch re-broadcast purged the parent's mirror), the surviving
-        # worker's views may still hit — a stale "hit" against lost worker
-        # state is the failure mode this pins down.
-        assert set(view.cache_status for view in batch.views) <= {"hit", "miss"}
+        assert "died" in events
+        # Worker 1 served its entry before the close; worker 0's views ran
+        # uncached in the parent.
+        assert [view.cache_status for view in batch.views] == ["uncached", "hit", "uncached"]
+        closed_pool = batch.views[1].shard_info.pool
+        assert closed_pool.closed
         engine.release(batch)
-        # The repeat window re-warms: views that stayed on their pre-crash
-        # worker hit, views the redispatch moved to a new worker rebuild as
-        # misses once more — and every tier stays bitwise against uncached.
+
+        dispatches.clear()
+        rebuilt = engine.render_batch(*args, **kwargs)
+        assert [view.cache_status for view in rebuilt.views] == ["miss"] * 3
+        assert len(dispatches) == 1
+        assert rebuilt.views[0].shard_info.pool is not closed_pool
+        _assert_views_equal(rebuilt.views, uncached.views)
+        engine.release(rebuilt)
         repeat = engine.render_batch(*args, **kwargs)
-        assert set(view.cache_status for view in repeat.views) <= {"hit", "miss"}
-        assert any(view.cache_status == "hit" for view in repeat.views)
+        assert [view.cache_status for view in repeat.views] == ["hit"] * 3
         _assert_views_equal(repeat.views, uncached.views)
         engine.release(repeat)
 
-    def test_wedged_worker_is_killed_not_leaked(self, _no_shm_leak):
-        """A SIGTERM-ignoring hung worker is killed by quarantine escalation."""
+    def test_wedged_worker_is_killed_not_leaked(self, _no_leak):
+        """A SIGTERM-ignoring hung worker is killed by the pool close."""
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec, n_views=2)
-        engine = self._engine(deadline=2.0, backoff=0.1, retries=1)
+        engine = self._engine(deadline=2.0)
         warm = engine.render_batch(*args, **kwargs, managed=False)
         pool = warm.views[0].shard_info.pool
-        wedged = pool._workers[0].process
+        processes = [worker.process for worker in pool._workers]
         with fault_plan("hang@0.*:delay=60,wedge"):
             batch = engine.render_batch(*args, **kwargs, managed=False)
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
-        sharding = batch.sharding
-        events = [event["event"] for event in sharding.fault_events]
+        events = [event["event"] for event in batch.sharding.fault_events]
         assert "timeout" in events
-        assert 0 in sharding.fault_quarantined_workers
-        # terminate() was ignored (the wedge), so quarantine escalated to
+        assert batch.sharding.escalated_views == [0]
+        # terminate() was ignored (the wedge), so the close escalated to
         # kill(): the 60s-sleep process must be dead, not orphaned.
-        assert not wedged.is_alive()
+        assert pool.closed
+        assert not any(process.is_alive() for process in processes)
+        after = engine.render_batch(*args, **kwargs, managed=False)
+        assert after.views[0].shard_info.pool is not pool
+        _assert_views_equal(after.views, flat.views)
 
-    def test_close_kills_wedged_worker(self):
+    def test_close_kills_wedged_worker(self, _no_leak):
         """Pool shutdown escalates terminate -> kill on a wedged worker."""
         from repro.engine.sharded import ShardedPool
 
@@ -725,7 +803,7 @@ class TestFaultInjection:
         # + kill: well under the 120s the wedge would otherwise sleep.
         assert elapsed < 30.0
 
-    def test_shard_pools_shut_down_at_interpreter_exit(self, tmp_path):
+    def test_shard_pools_shut_down_at_interpreter_exit(self, tmp_path, _no_leak):
         """Exiting without shutdown_shard_pools() must not hang or orphan.
 
         The atexit guard (and daemonized workers) reap the pool: the child
@@ -782,7 +860,7 @@ class TestFaultInjection:
         assert result.returncode == 0, result.stderr
         assert "rendered" in result.stdout
 
-    def test_differential_runner_fault_phase(self):
+    def test_differential_runner_fault_phase(self, _no_leak):
         """The runner's fault phase re-renders the window under the schedule."""
         from repro.testing.differential import DifferentialRunner
         from repro.testing.scenarios import DEFAULT_LIBRARY
@@ -808,9 +886,12 @@ class TestFaultInjection:
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec)
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
-        engine = self._engine(deadline=5.0, backoff=0.2)
-        with fault_plan(f"random:{seed}:0.3"):
-            batch = engine.render_batch(*args, **kwargs, managed=False)
+        engine = self._engine(deadline=5.0)
+        # Per example, not a fixture: hypothesis runs every example inside
+        # one function-scoped fixture.
+        with _leak_guard():
+            with fault_plan(f"random:{seed}:0.3"):
+                batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
 
 
@@ -1097,7 +1178,7 @@ class TestShardedMapping:
                     assert a == b, field.name
             assert model.iteration_latency(sharded) == model.iteration_latency(flat)
 
-    def test_mapping_window_heals_under_faults(self, sequence):
+    def test_mapping_window_heals_under_faults(self, sequence, _no_leak):
         """A worker crash mid-window never perturbs the optimization.
 
         The sharded mapper under a crash schedule must produce the same
@@ -1115,7 +1196,6 @@ class TestShardedMapping:
                 geom_cache=False,
                 shard_workers=N_WORKERS,
                 shard_deadline_s=10.0,
-                shard_backoff_s=0.5,
             )
         )
         sharded_mapper = StreamingMapper(config, engine=faulted_engine)
