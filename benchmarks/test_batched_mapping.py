@@ -1,12 +1,12 @@
 """Wall-clock of the batched multi-keyframe mapping iteration (Fig. 15 scene).
 
-One fused 4-keyframe mapping iteration — ``rasterize_batch`` over the window,
+One fused 4-keyframe mapping iteration — ``RenderEngine.render_batch`` over the window,
 one fused backward, one averaged Adam update, exactly what the
 ``StreamingMapper`` scheduler runs — is compared against two sequential
 baselines covering the same four views:
 
 * **seed mapping path**: four single-view iterations through the tile
-  backend with one Adam step each — what ``Mapper.map`` executed before the
+  backend with one Adam step each — what the mapper executed before the
   backend flip and the scheduler rework.  This is the primary gate: the
   batched path must be ≥1.5x faster (acceptance criterion of the scheduler
   PR) and must not regress >20% against the committed baseline.

@@ -89,9 +89,8 @@ def test_flat_backend_speeds_up_slam_segment():
         config.tracking.n_iterations = 3
         config.mapping.n_iterations = 3
         # One injected engine drives the whole pipeline; batched mapping
-        # falls back to the flat batch path under the tile engine, exactly
-        # as the legacy use_backend("tile") scoping behaved.  Seeding from
-        # the environment keeps the REPRO_GEOM_CACHE escape hatch working.
+        # falls back to the flat batch path under the tile engine.  Seeding
+        # from the environment keeps the REPRO_GEOM_CACHE escape hatch working.
         engine = RenderEngine(EngineConfig.from_env(backend=backend))
         start = time.perf_counter()
         result = SLAMPipeline(config, engine=engine).run(sequence, n_frames=4)

@@ -1,8 +1,6 @@
 """Unified render-session API: ``RenderEngine`` over a pluggable backend registry.
 
-This package is the owned execution object the free-function render surface
-(`rasterize` / `rasterize_batch` / `render_backward` / `render_backward_batch`)
-collapsed into:
+This package is the one way to render:
 
 * :class:`EngineConfig` — every knob (backend, tile/subtile sizes, geometry
   cache policy, profiling sink) in one validated object;
@@ -20,9 +18,10 @@ collapsed into:
   strategies implement :class:`RenderBackend` and register without touching
   callers.
 
-The legacy free functions remain as deprecated shims delegating to
-:func:`default_engine`, so existing call sites keep working bit-identically
-while new code injects an engine.
+An engine's backend is chosen in one place, its :class:`EngineConfig`;
+:meth:`EngineConfig.from_env` reads ``REPRO_RASTER_BACKEND`` when the engine
+is built.  :func:`default_engine` is one such engine, for callers that are
+not handed one.
 """
 
 from repro.engine.config import (

@@ -2,8 +2,8 @@
 
 Both are thin strategy wrappers over the existing rasterizer internals —
 ``rasterize_flat`` / ``rasterize_batch_views`` and ``rasterize_tile`` — so an
-engine-mediated render is the *same code path* as the legacy free functions
-and stays bit-identical (pinned by ``DifferentialRunner.verify_engine``).
+engine-mediated render is the *same code path* as calling them directly and
+stays bit-identical (pinned by ``DifferentialRunner.verify_engine``).
 """
 
 from __future__ import annotations

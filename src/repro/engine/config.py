@@ -1,11 +1,9 @@
 """Engine configuration: every rendering knob in one owned, validated object.
 
-Before the engine rework these knobs were spread over a module-global default
-backend seeded by ``REPRO_RASTER_BACKEND``, a ``REPRO_GEOM_CACHE`` read in
-``repro.gaussians.geom_cache``, and per-call ``tile_size=`` / ``subtile_size=``
-threading at every render site.  :class:`EngineConfig` consolidates them, and
+:class:`EngineConfig` holds every rendering knob, the backend included, and
 :meth:`EngineConfig.from_env` is the single place environment variables are
-parsed and validated.
+parsed and validated.  An engine reads them once, when it is built; there is
+no process-wide backend to change afterwards.
 
 Environment variables (the full table also lives in the README):
 
@@ -188,11 +186,9 @@ def _fair_weights_from_env(
 class EngineConfig:
     """Immutable configuration of one :class:`repro.engine.RenderEngine`.
 
-    ``backend=None`` means *follow the process default*
-    (:func:`repro.gaussians.rasterizer.get_default_backend`, itself seeded by
-    ``REPRO_RASTER_BACKEND``), resolved at render time so the legacy
-    ``use_backend`` / ``set_default_backend`` scoping keeps working through a
-    default-configured engine.  Naming a backend pins the engine to it.
+    ``backend`` names the engine's backend; ``None`` means ``flat``, the
+    default fast path.  :meth:`from_env` seeds it from
+    ``REPRO_RASTER_BACKEND``.
 
     The ``cache_*`` knobs mirror
     :class:`repro.gaussians.geom_cache.GeomCacheConfig`; they only matter

@@ -1,12 +1,11 @@
 """``RenderEngine``: one owned session object for the whole render surface.
 
-The engine owns everything the free-function era threaded by hand through
-~16 call sites:
+The engine owns everything a render needs besides its inputs:
 
 * **backend selection** — resolved per call through the
   :class:`repro.engine.registry.BackendRegistry` (``EngineConfig.backend``
-  pins a backend; ``None`` follows the process default so the legacy
-  ``use_backend`` scoping still works);
+  names the backend, ``None`` means ``flat``; a per-call ``backend=``
+  overrides it);
 * **the geometry cache** — one :class:`repro.gaussians.geom_cache.GeometryCache`
   built lazily from the config's ``cache_*`` knobs and handed to every
   *managed* render on a cache-capable backend;
@@ -20,10 +19,8 @@ The engine owns everything the free-function era threaded by hand through
 
 Managed vs unmanaged: ``managed=True`` asks the engine to supply its own
 scratch state (cache or recycled arena) and to track ownership; it is the
-mode the SLAM stack runs in.  ``managed=False`` reproduces the stateless
-legacy free-function semantics — fresh arena, caller-supplied ``cache=`` /
-``arena=`` passed through verbatim — and is what the deprecated shims use,
-keeping them bit-identical to the pre-engine behaviour.
+mode the SLAM stack runs in.  ``managed=False`` is stateless — fresh arena,
+caller-supplied ``cache=`` / ``arena=`` passed through verbatim.
 """
 
 from __future__ import annotations
@@ -83,11 +80,7 @@ class RenderEngine:
     def _resolve_backend_name(self, override: str | None) -> str:
         if override is not None:
             return override
-        if self.config.backend is not None:
-            return self.config.backend
-        from repro.gaussians.rasterizer import get_default_backend
-
-        return get_default_backend()
+        return self.config.backend or "flat"
 
     def backend(self, name: str | None = None) -> RenderBackend:
         """The (cached) backend instance ``name`` resolves to for this engine."""
@@ -112,34 +105,25 @@ class RenderEngine:
         Otherwise a short machine-readable reason (``kind:detail``) naming
         what is missing — e.g. the sharded backend resolving to fewer than two
         worker processes reports ``workers:...`` with the knob and the host
-        core count.  Backends opt in by exposing an ``availability()`` method;
-        backends without one are always available.  This is what
-        capability-aware harnesses (the scenario matrix) consult to *skip*
-        a configuration with an explained reason instead of silently running
-        a degraded substitute.
+        core count.  Backends report it as ``BackendCapabilities.availability``.
+        This is what capability-aware harnesses (the scenario matrix) consult
+        to *skip* a configuration with an explained reason instead of
+        silently running a degraded substitute.
         """
         try:
             impl = self.backend(name)
         except ValueError as error:
             return f"unknown-backend:{error}"
-        capabilities = impl.capabilities()
-        if capabilities.availability is not None:
-            return capabilities.availability
-        # Legacy backends that predate availability-in-capabilities expose a
-        # bare availability() method instead.
-        probe = getattr(impl, "availability", None)
-        if callable(probe):
-            return probe()
-        return None
+        return impl.capabilities().availability
 
     def _batch_capable(self, impl: RenderBackend, override: str | None) -> RenderBackend:
-        """Resolve a batch-capable backend, mirroring the legacy contract.
+        """Resolve a batch-capable backend.
 
-        Batched rendering was flat *by design* before the engine: even under
-        ``use_backend("tile")`` the batch path stayed flat.  So when the
-        resolved backend lacks batch support and the caller did not name one
-        explicitly, fall back to the first registered batch-capable backend;
-        an explicit batch-incapable override is an error.
+        Batched rendering is flat *by design*: even on a ``tile`` engine the
+        batch path stays flat.  So when the resolved backend lacks batch
+        support and the caller did not name one explicitly, fall back to the
+        first registered batch-capable backend; an explicit batch-incapable
+        override is an error.
         """
         if impl.capabilities().batch:
             return impl
@@ -249,8 +233,7 @@ class RenderEngine:
         ``managed=True`` routes the render through the engine-owned geometry
         cache (when enabled and supported by the backend) and claims arena
         ownership for it; ``cache=`` passes an external cache through
-        unmanaged (the legacy shim path).  Tile/subtile sizes default to the
-        engine config.
+        unmanaged.  Tile/subtile sizes default to the engine config.
         """
         impl = self.backend(backend)
         if managed:
@@ -297,8 +280,8 @@ class RenderEngine:
         the geometry cache when enabled, else the recycled grow-only arena —
         and claims ownership until the batch is consumed by
         :meth:`backward_batch` (or :meth:`release`).  ``managed=False``
-        reproduces the legacy free-function semantics with caller-supplied
-        ``cache`` / ``arena`` passed through verbatim.
+        passes caller-supplied ``cache`` / ``arena`` through verbatim and
+        allocates a fresh arena when neither is given.
         """
         impl = self._batch_capable(self.backend(backend), backend)
         if managed:
@@ -401,9 +384,9 @@ class RenderEngine:
     ) -> "CloudGradients":
         """Steps 4-5 for one render; releases its arena claim when managed.
 
-        ``backend=None`` follows the backend that produced ``result`` (the
-        legacy ``render_backward`` contract), falling back to the engine's
-        default for results tagged with an unregistered name.
+        ``backend=None`` follows the backend that produced ``result``,
+        falling back to the engine's default for results tagged with an
+        unregistered name.
         """
         if backend is None:
             produced_by = getattr(result, "backend", None)
@@ -482,18 +465,15 @@ _default_engine: RenderEngine | None = None
 
 
 def default_engine() -> RenderEngine:
-    """The lazily created process-default engine the deprecated shims use.
+    """The lazily created engine for callers that are not handed one.
 
-    Its config comes from :meth:`EngineConfig.from_env` but with
-    ``backend=None``: ``REPRO_RASTER_BACKEND`` *seeds* the process default
-    (via :func:`repro.gaussians.rasterizer.get_default_backend`) rather than
-    pinning this engine, so ``use_backend`` / ``set_default_backend``
-    scoping keeps overriding the environment exactly like the free
-    functions did.
+    Its config comes from :meth:`EngineConfig.from_env` when it is first
+    built, like any engine's: ``REPRO_RASTER_BACKEND`` picks its backend
+    then, and later changes to the environment do not move it.
     """
     global _default_engine
     if _default_engine is None:
-        _default_engine = RenderEngine(EngineConfig.from_env(backend=None))
+        _default_engine = RenderEngine()
     return _default_engine
 
 

@@ -6,12 +6,12 @@ A backend is a strategy object implementing the five-method
 :mod:`repro.engine.backends` and the multi-process ``sharded`` executor in
 :mod:`repro.engine.sharded`; future execution strategies (e.g. ``async``)
 register the same way (:func:`register_backend`) and become addressable by
-every engine and by ``set_default_backend`` without touching any caller
-code.
+every engine without touching any caller code.
 
 This module is deliberately dependency-light: it must be importable from
-``repro.gaussians.rasterizer`` (for backend-name validation) without pulling
-the rendering stack back in, so every heavy type appears only in annotations.
+:meth:`repro.engine.EngineConfig.from_env` (for backend-name validation)
+without pulling the rendering stack back in, so every heavy type appears only
+in annotations.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class BackendCapabilities:
     ``batch``
         ``render_batch`` / ``backward_batch`` are implemented.  Engines fall
         back to the first batch-capable registered backend when a batch is
-        requested from a backend without one (the legacy behaviour: batched
-        mapping is flat by design even under ``use_backend("tile")``).
+        requested from a backend without one (batched mapping is flat by
+        design even on a ``tile`` engine).
     ``cache``
         The backend consumes a :class:`GeometryCache`; backends without it
         silently render uncached (the reference loop's legacy contract).
@@ -225,7 +225,7 @@ class BackendRegistry:
         return len(self._factories)
 
 
-#: Process-wide registry the engines and the legacy backend validation share.
+#: Process-wide registry the engines and ``EngineConfig.from_env`` share.
 REGISTRY = BackendRegistry()
 
 
@@ -234,8 +234,8 @@ def register_backend(name: str, factory: BackendFactory, overwrite: bool = False
 
     ``factory`` receives the engine's :class:`EngineConfig` and returns a
     :class:`RenderBackend`.  Once registered, the name is accepted by
-    ``EngineConfig(backend=...)``, ``RenderEngine.render(..., backend=...)``,
-    ``set_default_backend`` and ``REPRO_RASTER_BACKEND``.
+    ``EngineConfig(backend=...)``, ``RenderEngine.render(..., backend=...)``
+    and ``REPRO_RASTER_BACKEND``.
     """
     REGISTRY.register(name, factory, overwrite=overwrite)
 

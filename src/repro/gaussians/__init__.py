@@ -9,45 +9,19 @@ of the paper:
 * Step 4 Rendering BP and Step 5 Preprocessing BP: :mod:`backward`
 
 Rendering is driven through :class:`repro.engine.RenderEngine` (re-exported
-here for convenience); the free functions ``rasterize`` /
-``rasterize_batch`` / ``render_backward`` / ``render_backward_batch`` are
-deprecated shims delegating to the process-default engine.  Implementation
+here for convenience), the one render entry point.  Implementation
 internals (flat arenas, fragment lists, shared preprocessing, per-backend
 entry points) remain importable from their submodules but are no longer part
 of the public surface declared by ``__all__``.
 """
 
-from repro.gaussians.backward import (
-    CloudGradients,
-    GradientTrace,
-    ScreenSpaceGradients,
-    render_backward,
-)
-from repro.gaussians.batch import (
-    BatchGradients,
-    BatchRenderResult,
-    rasterize_batch,
-    render_backward_batch,
-)
+from repro.gaussians.backward import CloudGradients, GradientTrace, ScreenSpaceGradients
+from repro.gaussians.batch import BatchGradients, BatchRenderResult
 from repro.gaussians.camera import Camera
 from repro.gaussians.gaussian_model import BYTES_PER_GAUSSIAN, GaussianCloud
-from repro.gaussians.geom_cache import (
-    CacheStats,
-    GeomCacheConfig,
-    GeometryCache,
-    geom_cache_enabled,
-)
+from repro.gaussians.geom_cache import CacheStats, GeomCacheConfig, GeometryCache
 from repro.gaussians.projection import ProjectedGaussians
-from repro.gaussians.rasterizer import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    RenderResult,
-    TileRenderCache,
-    get_default_backend,
-    rasterize,
-    set_default_backend,
-    use_backend,
-)
+from repro.gaussians.rasterizer import RenderResult, TileRenderCache
 from repro.gaussians.se3 import SE3, quaternion_to_rotation, rotation_to_quaternion
 from repro.gaussians.sorting import TileIntersections
 from repro.gaussians.tiling import TileGrid
@@ -102,13 +76,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# The public surface: scene/render data types, the engine entry points, the
-# backend-default helpers and the deprecated free-function shims.  Everything
-# else (arena/fragment plumbing, shared preprocessing, per-backend internals)
-# is implementation detail reachable via the submodules.
+# The public surface: scene/render data types and the engine entry points.
+# Everything else (arena/fragment plumbing, shared preprocessing, per-backend
+# internals) is implementation detail reachable via the submodules.
 __all__ = [
     "ArenaInUseError",
-    "BACKENDS",
     "BYTES_PER_GAUSSIAN",
     "BackendCapabilities",
     "BackendRegistry",
@@ -117,7 +89,6 @@ __all__ = [
     "CacheStats",
     "Camera",
     "CloudGradients",
-    "DEFAULT_BACKEND",
     "EngineConfig",
     "GaussianCloud",
     "GeomCacheConfig",
@@ -133,16 +104,8 @@ __all__ = [
     "TileIntersections",
     "TileRenderCache",
     "default_engine",
-    "geom_cache_enabled",
-    "get_default_backend",
     "quaternion_to_rotation",
-    "rasterize",
-    "rasterize_batch",
     "register_backend",
-    "render_backward",
-    "render_backward_batch",
     "rotation_to_quaternion",
-    "set_default_backend",
     "set_default_engine",
-    "use_backend",
 ]

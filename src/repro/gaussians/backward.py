@@ -439,34 +439,6 @@ def preprocess_backward_batch(
     )
 
 
-def render_backward(
-    result: RenderResult,
-    cloud: GaussianCloud,
-    dL_dimage: np.ndarray,
-    dL_ddepth: np.ndarray | None = None,
-    compute_pose_gradient: bool = True,
-    backend: str | None = None,
-) -> CloudGradients:
-    """Deprecated shim: Steps 4-5 through the process-default engine.
-
-    ``backend=None`` follows the backend that produced ``result``, exactly as
-    before.  New code should call :meth:`repro.engine.RenderEngine.backward`
-    on an injected engine.
-    """
-    from repro.engine import default_engine
-    from repro.utils.deprecation import warn_render_shim
-
-    warn_render_shim("render_backward", "RenderEngine.backward")
-    return default_engine().backward(
-        result,
-        cloud,
-        dL_dimage,
-        dL_ddepth,
-        compute_pose_gradient=compute_pose_gradient,
-        backend=backend,
-    )
-
-
 # -- helpers ----------------------------------------------------------------
 def _reverse_exclusive_cumsum(values: np.ndarray, axis: int) -> np.ndarray:
     """Return ``S[k] = sum_{n > k} values[n]`` along ``axis``."""

@@ -7,7 +7,7 @@ assembly, the opacity sigmoid, colour (SH DC) evaluation, output allocation,
 and — in the backward pass — the whole Step 5 einsum chain and one optimiser
 scatter per view.
 
-:func:`rasterize_batch` renders ``V`` views of one cloud while paying those
+:func:`rasterize_batch_views` renders ``V`` views of one cloud while paying those
 costs once:
 
 * the view-independent per-Gaussian preprocessing is computed a single time
@@ -38,7 +38,7 @@ seam the ``sharded`` backend (:mod:`repro.engine.sharded`) executes in
 parallel across a worker pool.  The flat backend executes the *same* plan
 serially, so both backends are behaviour-preserving by construction.
 
-:func:`render_backward_batch` runs the per-view Step 4 Rendering BP (tile
+:func:`render_backward_batch_views` runs the per-view Step 4 Rendering BP (tile
 caches are per-view by construction) and then folds every view's screen-space
 gradients into **one** fused Step 5 pass
 (:func:`repro.gaussians.backward.preprocess_backward_batch`), accumulating
@@ -203,7 +203,7 @@ def _normalise_backgrounds(
         return [None] * n_views
     if isinstance(backgrounds, (list, tuple)):
         # A 3-element sequence of scalars is one shared colour — the same
-        # thing ``rasterize(background=(r, g, b))`` accepts — not three
+        # thing ``RenderEngine.render(background=(r, g, b))`` accepts — not three
         # per-view entries (per-view entries are (3,) colours or None).
         if len(backgrounds) == 3 and all(
             entry is not None and np.ndim(entry) == 0 for entry in backgrounds
@@ -580,9 +580,8 @@ def rasterize_batch_views(
     """Render ``cloud`` from every (camera, pose) view with shared preprocessing.
 
     This is the flat-backend batch implementation behind
-    :meth:`repro.engine.RenderEngine.render_batch` (and the deprecated
-    :func:`rasterize_batch` shim): :func:`plan_batch_views` followed by the
-    serial :func:`execute_plan`.  Parameters mirror the single-view render;
+    :meth:`repro.engine.RenderEngine.render_batch`: :func:`plan_batch_views`
+    followed by the serial :func:`execute_plan`.  Parameters mirror the single-view render;
     ``backgrounds`` may be ``None``, one shared ``(3,)`` colour, or one entry
     per view.  Views may differ in camera intrinsics and resolution.
 
@@ -652,62 +651,4 @@ def render_backward_batch_views(
     )
     return BatchGradients(
         cloud=cloud_grads, screen=screen, per_view_pose_twists=per_view_twists
-    )
-
-
-# -- deprecated shims ---------------------------------------------------------
-def rasterize_batch(
-    cloud: GaussianCloud,
-    cameras: Sequence[Camera],
-    poses_cw: Sequence[SE3],
-    backgrounds: np.ndarray | Sequence[np.ndarray | None] | None = None,
-    tile_size: int = 16,
-    subtile_size: int = 4,
-    active_only: bool = True,
-    arena: FlatArena | None = None,
-    cache: "GeometryCache | None" = None,
-) -> BatchRenderResult:
-    """Deprecated shim: batch render through the process-default engine.
-
-    Delegates unmanaged (caller-supplied ``arena`` / ``cache`` pass through
-    verbatim, a fresh arena is allocated when neither is given), so legacy
-    call sites stay bit-identical.  New code should render through an
-    injected :class:`repro.engine.RenderEngine` and let it own the arena.
-    """
-    from repro.engine import default_engine
-    from repro.utils.deprecation import warn_render_shim
-
-    warn_render_shim("rasterize_batch", "RenderEngine.render_batch")
-    return default_engine().render_batch(
-        cloud,
-        cameras,
-        poses_cw,
-        backgrounds=backgrounds,
-        tile_size=tile_size,
-        subtile_size=subtile_size,
-        active_only=active_only,
-        arena=arena,
-        cache=cache,
-        managed=False,
-    )
-
-
-def render_backward_batch(
-    batch: BatchRenderResult,
-    cloud: GaussianCloud,
-    dL_dimages: Sequence[np.ndarray],
-    dL_ddepths: Sequence[np.ndarray | None] | None = None,
-    compute_pose_gradient: bool = False,
-) -> BatchGradients:
-    """Deprecated shim: fused batch backward through the process-default engine."""
-    from repro.engine import default_engine
-    from repro.utils.deprecation import warn_render_shim
-
-    warn_render_shim("render_backward_batch", "RenderEngine.backward_batch")
-    return default_engine().backward_batch(
-        batch,
-        cloud,
-        dL_dimages,
-        dL_ddepths,
-        compute_pose_gradient=compute_pose_gradient,
     )

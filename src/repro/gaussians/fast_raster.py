@@ -185,7 +185,7 @@ def rasterize_flat(
     precomputed: tuple[ProjectedGaussians, TileIntersections] | None = None,
     cache: "GeometryCache | None" = None,
 ) -> RenderResult:
-    """Flat-arena render; drop-in equivalent of ``rasterize(backend="tile")``.
+    """Flat-arena render; drop-in equivalent of the reference ``rasterize_tile``.
 
     Passing a :class:`repro.gaussians.geom_cache.GeometryCache` as ``cache``
     memoises the Step 1-2 pipeline across calls keyed by ``(view, cloud

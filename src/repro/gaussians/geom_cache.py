@@ -35,7 +35,7 @@ Every render replays the entry's full fragment list, so ``hit`` and
 ``refresh`` renders equal a cache-off render bit for bit, per-pixel fragment
 counts included.  The **flat fragment arena** is shared grow-only across
 *all* renders and batches served by one cache (``ensure_flat_arena`` keeps
-the high-water mark), not just within one ``rasterize_batch`` call.
+the high-water mark), not just within one batch.
 
 Because cached renders share one arena, a render must be fully consumed
 (backward pass included) before the next render is requested from the same
@@ -69,18 +69,6 @@ from repro.gaussians.sorting import TileIntersections, build_tile_lists
 from repro.gaussians.tiling import TileGrid
 
 CACHE_STATUSES = ("uncached", "miss", "hit", "refresh", "incremental")
-
-
-def geom_cache_enabled() -> bool:
-    """True unless the ``REPRO_GEOM_CACHE=0`` escape hatch disables caching.
-
-    The environment parsing itself is consolidated in
-    :meth:`repro.engine.EngineConfig.from_env`; this wrapper survives for
-    callers that only need the boolean (engines read the full config).
-    """
-    from repro.engine.config import geom_cache_enabled_from_env
-
-    return geom_cache_enabled_from_env()
 
 
 @dataclass(frozen=True)

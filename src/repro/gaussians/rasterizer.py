@@ -18,9 +18,7 @@ Two aspects matter for the rest of the reproduction:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -31,9 +29,6 @@ from repro.gaussians.se3 import SE3
 from repro.gaussians.sorting import TileIntersections, build_tile_lists
 from repro.gaussians.tiling import TileGrid
 
-if TYPE_CHECKING:
-    from repro.gaussians.geom_cache import GeometryCache
-
 # Fragments with alpha below this threshold contribute nothing (1/255, as in
 # the reference implementation).
 ALPHA_CUTOFF = 1.0 / 255.0
@@ -41,68 +36,6 @@ ALPHA_CUTOFF = 1.0 / 255.0
 ALPHA_CLAMP = 0.99
 # Early termination: stop compositing a pixel once transmittance drops below this.
 TRANSMITTANCE_EPS = 1e-4
-
-# The built-in rasterizer implementations: "flat" is the flat fragment-list
-# fast path (repro.gaussians.fast_raster) and the production default; "tile"
-# is the reference per-tile loop, retired to a reference-only role behind the
-# differential harness (repro.testing) and the golden fixtures.  The full set
-# of available backends (built-ins plus anything registered through
-# repro.engine.register_backend) lives in the engine's BackendRegistry.
-BACKENDS = ("tile", "flat")
-
-# The flat backend soaked behind DifferentialRunner through PR 1 and is now
-# the process-wide default; REPRO_RASTER_BACKEND=tile is the escape hatch back
-# to the reference loop.
-DEFAULT_BACKEND = "flat"
-
-# Process-default backend name; seeded lazily from EngineConfig.from_env()
-# (the consolidated REPRO_RASTER_BACKEND read) on first use.
-_default_backend: str | None = None
-
-
-def _registered_backends() -> tuple[str, ...]:
-    from repro.engine.registry import REGISTRY
-
-    return REGISTRY.names()
-
-
-def get_default_backend() -> str:
-    """Return the backend used when no backend is named explicitly."""
-    global _default_backend
-    if _default_backend is None:
-        from repro.engine.config import EngineConfig
-
-        _default_backend = EngineConfig.from_env().backend or DEFAULT_BACKEND
-    return _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide default backend; returns the previous one.
-
-    Lets whole-pipeline callers (SLAM runs, benchmarks) opt into the flat
-    fast path without threading an argument through every call site.  The
-    ``REPRO_RASTER_BACKEND`` environment variable seeds the initial default
-    (via :meth:`repro.engine.EngineConfig.from_env`); any backend registered
-    through :func:`repro.engine.register_backend` is accepted.
-    """
-    global _default_backend
-    if name not in _registered_backends():
-        raise ValueError(
-            f"unknown rasterizer backend {name!r}; expected one of {_registered_backends()}"
-        )
-    previous = get_default_backend()
-    _default_backend = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Context manager scoping :func:`set_default_backend` to a block."""
-    previous = set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
 
 
 @dataclass
@@ -149,7 +82,7 @@ class TileRenderCache:
 
 @dataclass
 class RenderResult:
-    """Output of :func:`rasterize` plus everything the backward pass needs."""
+    """Output of one render plus everything the backward pass needs."""
 
     image: np.ndarray  # (H, W, 3)
     depth: np.ndarray  # (H, W)
@@ -190,44 +123,6 @@ class RenderResult:
             subtile_ids = grid.subtile_of_pixel_offsets(cache.tile_id)[: len(per_pixel)]
             np.add.at(counts[cache.tile_id], subtile_ids, per_pixel)
         return counts
-
-
-def rasterize(
-    cloud: GaussianCloud,
-    camera: Camera,
-    pose_cw: SE3,
-    background: np.ndarray | None = None,
-    tile_size: int = 16,
-    subtile_size: int = 4,
-    active_only: bool = True,
-    precomputed: tuple[ProjectedGaussians, TileIntersections] | None = None,
-    backend: str | None = None,
-    cache: "GeometryCache | None" = None,
-) -> RenderResult:
-    """Deprecated shim: render one view through the process-default engine.
-
-    Equivalent to ``repro.engine.default_engine().render(...)`` with the same
-    arguments (``backend=None`` follows :func:`get_default_backend`, an
-    explicit ``cache`` is passed through unmanaged), so existing call sites
-    stay bit-identical.  New code should construct or inject a
-    :class:`repro.engine.RenderEngine` instead.
-    """
-    from repro.engine import default_engine
-    from repro.utils.deprecation import warn_render_shim
-
-    warn_render_shim("rasterize", "RenderEngine.render")
-    return default_engine().render(
-        cloud,
-        camera,
-        pose_cw,
-        background=background,
-        tile_size=tile_size,
-        subtile_size=subtile_size,
-        active_only=active_only,
-        precomputed=precomputed,
-        backend=backend,
-        cache=cache,
-    )
 
 
 def rasterize_tile(

@@ -19,7 +19,7 @@ from repro.slam.keyframes import (
     make_keyframe_policy,
 )
 from repro.slam.losses import LossResult, image_difference_metrics, photometric_geometric_loss
-from repro.slam.mapping import Mapper, MappingConfig, MappingResult, StreamingMapper
+from repro.slam.mapping import MappingConfig, MappingResult, StreamingMapper
 from repro.slam.optimizer import Adam
 from repro.slam.pipeline import SLAMPipeline, SLAMResult
 from repro.slam.records import FrameRecord, WorkloadSnapshot
@@ -44,7 +44,6 @@ __all__ = [
     "IntervalKeyframePolicy",
     "KeyframePolicy",
     "LossResult",
-    "Mapper",
     "MappingConfig",
     "MappingResult",
     "PhotometricKeyframePolicy",

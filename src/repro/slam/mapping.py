@@ -165,10 +165,6 @@ class StreamingMapper:
         return RenderEngine(
             replace(
                 base,
-                # backend=None: REPRO_RASTER_BACKEND seeds the *process*
-                # default, so use_backend()/set_default_backend() keep
-                # overriding it through a mapper-built engine.
-                backend=None,
                 tile_size=base.tile_size if config.tile_size is None else config.tile_size,
                 subtile_size=(
                     base.subtile_size if config.subtile_size is None else config.subtile_size
@@ -353,7 +349,7 @@ class StreamingMapper:
 
         Unlike the batched path (flat by design — the arena layout *is* the
         batch), this goes through the regular backend dispatch, so
-        ``REPRO_RASTER_BACKEND=tile`` / ``use_backend("tile")`` gives a full
+        a ``tile`` engine (``REPRO_RASTER_BACKEND=tile``) gives a full
         reference-backend mapping stage when combined with ``batched=False``.
         """
         config = self.config
@@ -593,7 +589,3 @@ class StreamingMapper:
     def _resize_optimizer(self, cloud: GaussianCloud) -> None:
         for name in _PARAMETER_BLOCKS:
             self._optimizer.resize(name, cloud.n_total)
-
-
-# Backwards-compatible alias: the pre-scheduler class name.
-Mapper = StreamingMapper

@@ -33,7 +33,7 @@ from repro.metrics.trajectory import ate_rmse, cumulative_ate
 from repro.slam.algorithms import SLAMConfig
 from repro.slam.frame import Frame, downsample_frame
 from repro.slam.keyframes import make_keyframe_policy
-from repro.slam.mapping import Mapper
+from repro.slam.mapping import StreamingMapper
 from repro.slam.records import FrameRecord, WorkloadSnapshot
 from repro.slam.tracking import GeometricTracker, GradientTracker, TrackingHook
 
@@ -185,7 +185,7 @@ class SLAMPipeline:
     # Duck-typed (anything with an .engine) to keep slam/ free of a service
     # import.
     session: object | None = None
-    _mapper: Mapper = field(init=False, repr=False)
+    _mapper: StreamingMapper = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.session is not None:
@@ -195,7 +195,7 @@ class SLAMPipeline:
                     "already owns its engine"
                 )
             self.engine = self.session.engine
-        self._mapper = Mapper(self.config.mapping, engine=self.engine)
+        self._mapper = StreamingMapper(self.config.mapping, engine=self.engine)
         if self.engine is None:
             self.engine = self._mapper.engine
         # Async tracking/mapping overlap (EngineConfig.async_pipeline /

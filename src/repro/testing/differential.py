@@ -32,7 +32,7 @@ densification, pruning, masking and ``notify_removed``-style removal.
 Finally, :meth:`DifferentialRunner.verify_engine` pins the engine-mediated
 path itself: for both backends *plus* the ``sharded`` multi-process backend,
 cache on and off, an engine render (and its backward) must be bit-identical
-to the legacy free-function implementation it wraps, and
+to the direct implementation it wraps, and
 :meth:`DifferentialRunner.verify_sharded` pins the sharded batch — forward
 views, fragment counts, fused backward gradients and per-view pose twists —
 bitwise against the flat batch on every scenario, cache off *and* on: the
@@ -497,18 +497,18 @@ class DifferentialRunner:
         compare("remove-inactive")
         return diffs, failures
 
-    # -- engine-vs-legacy equivalence ----------------------------------------
-    def _legacy_render(
+    # -- engine-vs-direct equivalence ----------------------------------------
+    def _direct_render(
         self, backend: str, spec: SceneSpec, cache: GeometryCache | None
     ) -> RenderResult | None:
-        """The pre-engine free-function implementation of ``backend``, if known."""
+        """The direct implementation an engine render of ``backend`` wraps, if known."""
         kwargs = dict(
             background=spec.background,
             tile_size=spec.tile_size,
             subtile_size=spec.subtile_size,
         )
         if backend == "tile":
-            # The reference loop ignores caches (its legacy contract).
+            # The reference loop ignores caches by contract.
             return rasterize_tile(spec.cloud, spec.camera, spec.pose_cw, **kwargs)
         if backend == "flat":
             if cache is not None:
@@ -523,16 +523,18 @@ class DifferentialRunner:
         return None
 
     def verify_engine(self, spec: SceneSpec) -> tuple[dict[str, float], list[str]]:
-        """Pin engine-mediated renders bit-identical to the legacy path.
+        """Pin engine-mediated renders bit-identical to the direct implementations.
 
         For each of the runner's backends — reference, candidate and the
         ``sharded`` multi-process backend (whose single-view renders degrade
         to the flat fast path by contract) — with the geometry cache off and
         on (exact configuration), the engine render — first call (miss) and
-        repeat call (hit) — must equal the legacy free-function
-        implementation bitwise on every forward output, agree on
-        ``cache_status``, and produce bitwise-equal backward gradients.
-        Backends the runner does not recognise as built-ins are skipped.
+        repeat call (hit) — must equal the implementation it wraps
+        (``rasterize_tile``, ``rasterize_flat`` or
+        ``GeometryCache.render_single``) bitwise on every forward output,
+        agree on ``cache_status``, and produce gradients bitwise equal to
+        ``rasterize_backward`` + ``preprocess_backward``.  Backends the
+        runner does not recognise as built-ins are skipped.
         """
         failures: list[str] = []
         diffs = {"engine_image": 0.0, "engine_grad": 0.0}
@@ -551,7 +553,7 @@ class DifferentialRunner:
                     )
                 )
                 supports_cache = engine.capabilities().cache
-                legacy_cache = (
+                direct_cache = (
                     GeometryCache(GeomCacheConfig(**_EXACT_CACHE))
                     if cached and supports_cache
                     else None
@@ -559,25 +561,25 @@ class DifferentialRunner:
                 for round_label in ("first", "repeat"):
                     label = f"engine {backend} cache={'on' if cached else 'off'} {round_label}"
                     engine_render = self._render(engine, spec, managed=cached)
-                    legacy_render = self._legacy_render(backend, spec, legacy_cache)
+                    direct_render = self._direct_render(backend, spec, direct_cache)
                     for name in ("image", "depth", "alpha"):
                         a = getattr(engine_render, name)
-                        b = getattr(legacy_render, name)
+                        b = getattr(direct_render, name)
                         if not np.array_equal(a, b):
                             worst = _max_abs_diff(a, b)
                             diffs["engine_image"] = max(diffs["engine_image"], worst)
                             failures.append(
-                                f"{label}: {name} differs from the legacy path "
+                                f"{label}: {name} differs from the direct path "
                                 f"(max diff {worst:.3e})"
                             )
                     if not np.array_equal(
-                        engine_render.fragments_per_pixel, legacy_render.fragments_per_pixel
+                        engine_render.fragments_per_pixel, direct_render.fragments_per_pixel
                     ):
-                        failures.append(f"{label}: fragment counts differ from the legacy path")
-                    if engine_render.cache_status != legacy_render.cache_status:
+                        failures.append(f"{label}: fragment counts differ from the direct path")
+                    if engine_render.cache_status != direct_render.cache_status:
                         failures.append(
                             f"{label}: cache status {engine_render.cache_status!r} != "
-                            f"legacy {legacy_render.cache_status!r}"
+                            f"direct {direct_render.cache_status!r}"
                         )
                     dL_dimage, dL_ddepth = self._loss_arrays(
                         spec, engine_render.image.shape, engine_render.depth.shape, salt=29
@@ -585,23 +587,23 @@ class DifferentialRunner:
                     engine_grads = engine.backward(
                         engine_render, spec.cloud, dL_dimage, dL_ddepth
                     )
-                    # The sharded backend's single-view legacy equivalent is
+                    # The sharded backend's single-view direct equivalent is
                     # the flat pipeline, Step 4 included.
-                    legacy_step4 = "flat" if backend == "sharded" else backend
-                    legacy_screen = rasterize_backward(
-                        legacy_render, dL_dimage, dL_ddepth, backend=legacy_step4
+                    direct_step4 = "flat" if backend == "sharded" else backend
+                    direct_screen = rasterize_backward(
+                        direct_render, dL_dimage, dL_ddepth, backend=direct_step4
                     )
-                    legacy_grads = preprocess_backward(
-                        legacy_screen, spec.cloud, compute_pose_gradient=True
+                    direct_grads = preprocess_backward(
+                        direct_screen, spec.cloud, compute_pose_gradient=True
                     )
                     for name in GRADIENT_FIELDS:
                         a = np.asarray(getattr(engine_grads, name))
-                        b = np.asarray(getattr(legacy_grads, name))
+                        b = np.asarray(getattr(direct_grads, name))
                         if not np.array_equal(a, b):
                             worst = _max_abs_diff(a, b)
                             diffs["engine_grad"] = max(diffs["engine_grad"], worst)
                             failures.append(
-                                f"{label}: gradient {name} differs from the legacy "
+                                f"{label}: gradient {name} differs from the direct "
                                 f"path (max diff {worst:.3e})"
                             )
         return diffs, failures

@@ -36,7 +36,7 @@ def _look_at_origin(distance: float = 2.0) -> SE3:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything :func:`repro.gaussians.rasterize` needs for one render.
+    """Everything :meth:`repro.engine.RenderEngine.render` needs for one render.
 
     ``extra_view_poses`` / ``extra_view_cameras`` let a scenario prescribe
     its *own* multi-view geometry (trajectory scenarios, mixed-resolution

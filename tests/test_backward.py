@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gaussians import GaussianCloud, SE3, rasterize, render_backward
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import GaussianCloud, SE3
 from repro.gaussians.backward import (
     CloudGradients,
     GradientTrace,
@@ -15,6 +16,8 @@ from repro.gaussians.backward import (
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.se3 import hat
 from repro.testing.scenarios import DEFAULT_LIBRARY
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 _EPS = 1e-12
 
@@ -37,15 +40,15 @@ def scene(small_camera):
 
 
 def _loss(cloud, camera, pose, target_image, target_depth):
-    result = rasterize(cloud, camera, pose)
+    result = ENGINE.render(cloud, camera, pose)
     return 0.5 * np.sum((result.image - target_image) ** 2) + 0.5 * np.sum(
         (result.depth - target_depth) ** 2
     )
 
 
 def _analytic_gradients(cloud, camera, pose, target_image, target_depth):
-    result = rasterize(cloud, camera, pose)
-    return render_backward(
+    result = ENGINE.render(cloud, camera, pose)
+    return ENGINE.backward(
         result, cloud, result.image - target_image, result.depth - target_depth
     )
 
@@ -107,7 +110,7 @@ def test_per_gaussian_pose_contributions_sum_to_total(scene, small_camera):
 
 def test_gradient_trace_counts_consistent(scene, small_camera):
     cloud, pose, target_image, target_depth = scene
-    result = rasterize(cloud, small_camera, pose)
+    result = ENGINE.render(cloud, small_camera, pose)
     screen = rasterize_backward(result, result.image - target_image)
     trace = screen.trace
     assert trace.total_pixel_level_updates > 0
@@ -118,15 +121,15 @@ def test_gradient_trace_counts_consistent(scene, small_camera):
 
 def test_zero_loss_gives_zero_gradients(scene, small_camera):
     cloud, pose, _, _ = scene
-    result = rasterize(cloud, small_camera, pose)
-    grads = render_backward(result, cloud, np.zeros_like(result.image), np.zeros_like(result.depth))
+    result = ENGINE.render(cloud, small_camera, pose)
+    grads = ENGINE.backward(result, cloud, np.zeros_like(result.image), np.zeros_like(result.depth))
     assert np.allclose(grads.positions, 0.0)
     assert np.allclose(grads.pose_twist, 0.0)
 
 
 def test_backward_shape_validation(scene, small_camera):
     cloud, pose, _, _ = scene
-    result = rasterize(cloud, small_camera, pose)
+    result = ENGINE.render(cloud, small_camera, pose)
     with pytest.raises(ValueError):
         rasterize_backward(result, np.zeros((3, 3, 3)))
 

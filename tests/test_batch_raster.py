@@ -5,15 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gaussians import (
-    allocate_flat_arena,
-    rasterize,
-    rasterize_batch,
-    render_backward,
-    render_backward_batch,
-    shared_preprocess,
-)
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import allocate_flat_arena, shared_preprocess
 from repro.testing.scenarios import DEFAULT_LIBRARY
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 GRADIENT_FIELDS = (
     "positions",
@@ -33,7 +29,7 @@ def _spec(name: str = "dense_random"):
 def _batch_for(spec, n_views: int, **kwargs):
     poses = spec.view_poses(n_views)
     return (
-        rasterize_batch(
+        ENGINE.render_batch(
             spec.cloud,
             [spec.camera] * n_views,
             poses,
@@ -41,6 +37,7 @@ def _batch_for(spec, n_views: int, **kwargs):
             tile_size=spec.tile_size,
             subtile_size=spec.subtile_size,
             **kwargs,
+            managed=False,
         ),
         poses,
     )
@@ -50,7 +47,7 @@ class TestForwardEquivalence:
     def test_batch_of_one_matches_single_view_bitwise(self):
         spec = _spec()
         batch, _ = _batch_for(spec, 1)
-        single = rasterize(
+        single = ENGINE.render(
             spec.cloud,
             spec.camera,
             spec.pose_cw,
@@ -71,7 +68,7 @@ class TestForwardEquivalence:
         batch, poses = _batch_for(spec, 3)
         assert batch.n_views == 3
         for view, pose in zip(batch.views, poses):
-            single = rasterize(
+            single = ENGINE.render(
                 spec.cloud,
                 spec.camera,
                 pose,
@@ -124,11 +121,11 @@ class TestBackwardEquivalence:
         spec = _spec()
         batch, poses = _batch_for(spec, 3)
         images, depths = self._gradients(spec, 3)
-        fused = render_backward_batch(
+        fused = ENGINE.backward_batch(
             batch, spec.cloud, images, depths, compute_pose_gradient=True
         )
         sequential = [
-            render_backward(view, spec.cloud, image, depth, compute_pose_gradient=True)
+            ENGINE.backward(view, spec.cloud, image, depth, compute_pose_gradient=True)
             for view, image, depth in zip(batch.views, images, depths)
         ]
         for name in GRADIENT_FIELDS:
@@ -151,11 +148,11 @@ class TestBackwardEquivalence:
         spec = _spec()
         batch, _ = _batch_for(spec, 2)
         images, depths = self._gradients(spec, 2)
-        fused = render_backward_batch(batch, spec.cloud, images, depths)
+        fused = ENGINE.backward_batch(batch, spec.cloud, images, depths)
         for view, image, depth, trace in zip(
             batch.views, images, depths, fused.per_view_traces
         ):
-            single = render_backward(view, spec.cloud, image, depth)
+            single = ENGINE.backward(view, spec.cloud, image, depth)
             assert trace.tile_ids == single.trace.tile_ids
             for got, expected in zip(
                 trace.per_tile_pixel_counts, single.trace.per_tile_pixel_counts
@@ -170,7 +167,7 @@ class TestBackwardEquivalence:
         spec = _spec("single_gaussian")
         batch, _ = _batch_for(spec, 2)
         images, depths = self._gradients(spec, 2)
-        fused = render_backward_batch(batch, spec.cloud, images, depths)
+        fused = ENGINE.backward_batch(batch, spec.cloud, images, depths)
         assert np.all(fused.per_view_pose_twists == 0.0)
         assert np.all(fused.cloud.pose_twist == 0.0)
 
@@ -179,28 +176,35 @@ class TestValidationAndReuse:
     def test_mismatched_view_lists_rejected(self):
         spec = _spec("single_gaussian")
         with pytest.raises(ValueError, match="one pose per view"):
-            rasterize_batch(spec.cloud, [spec.camera, spec.camera], [spec.pose_cw])
+            ENGINE.render_batch(
+                spec.cloud, [spec.camera, spec.camera], [spec.pose_cw], managed=False
+            )
         with pytest.raises(ValueError, match="at least one view"):
-            rasterize_batch(spec.cloud, [], [])
+            ENGINE.render_batch(spec.cloud, [], [], managed=False)
         with pytest.raises(ValueError, match="backgrounds"):
-            rasterize_batch(
+            ENGINE.render_batch(
                 spec.cloud,
                 [spec.camera],
                 [spec.pose_cw],
                 backgrounds=[spec.background, spec.background],
+                managed=False,
             )
         with pytest.raises(ValueError, match="shape"):
-            rasterize_batch(
-                spec.cloud, [spec.camera], [spec.pose_cw], backgrounds=np.zeros((2, 3))
+            ENGINE.render_batch(
+                spec.cloud,
+                [spec.camera],
+                [spec.pose_cw],
+                backgrounds=np.zeros((2, 3)),
+                managed=False,
             )
 
     def test_scalar_tuple_background_is_shared(self):
         spec = _spec("single_gaussian")
         poses = spec.view_poses(2)
-        batch = rasterize_batch(
-            spec.cloud, [spec.camera] * 2, poses, backgrounds=(0.2, 0.3, 0.4)
+        batch = ENGINE.render_batch(
+            spec.cloud, [spec.camera] * 2, poses, backgrounds=(0.2, 0.3, 0.4), managed=False
         )
-        single = rasterize(
+        single = ENGINE.render(
             spec.cloud,
             spec.camera,
             spec.pose_cw,
@@ -212,8 +216,8 @@ class TestValidationAndReuse:
     def test_per_view_none_backgrounds_allowed(self):
         spec = _spec("single_gaussian")
         poses = spec.view_poses(3)
-        batch = rasterize_batch(
-            spec.cloud, [spec.camera] * 3, poses, backgrounds=[None, None, None]
+        batch = ENGINE.render_batch(
+            spec.cloud, [spec.camera] * 3, poses, backgrounds=[None, None, None], managed=False
         )
         assert batch.n_views == 3
 
@@ -222,9 +226,9 @@ class TestValidationAndReuse:
         batch, _ = _batch_for(spec, 2)
         one_image = np.zeros(batch.views[0].image.shape)
         with pytest.raises(ValueError, match="image gradients"):
-            render_backward_batch(batch, spec.cloud, [one_image])
+            ENGINE.backward_batch(batch, spec.cloud, [one_image])
         with pytest.raises(ValueError, match="depth gradients"):
-            render_backward_batch(
+            ENGINE.backward_batch(
                 batch, spec.cloud, [one_image, one_image], dL_ddepths=[None]
             )
 

@@ -20,16 +20,18 @@ from repro.core import (
     build_pipeline,
     make_pruner,
 )
-from repro.gaussians import rasterize, render_backward
+from repro.engine import EngineConfig, RenderEngine
 from repro.slam import Frame, mono_gs, photo_slam, photometric_geometric_loss
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 
 def _gradients_for(sequence, frame_index=1):
     cloud = sequence.scene.cloud.copy()
     frame = Frame.from_rgbd(sequence.frame(frame_index))
-    render = rasterize(cloud, frame.camera, sequence.frame(frame_index - 1).gt_pose_cw)
+    render = ENGINE.render(cloud, frame.camera, sequence.frame(frame_index - 1).gt_pose_cw)
     loss = photometric_geometric_loss(render, frame)
-    grads = render_backward(render, cloud, loss.dL_dimage, loss.dL_ddepth)
+    grads = ENGINE.backward(render, cloud, loss.dL_dimage, loss.dL_ddepth)
     return cloud, frame, render, grads
 
 

@@ -2,9 +2,10 @@
 
 Covers: EngineConfig validation + env consolidation, backend registry
 plumbing (including an end-to-end dummy third backend), managed arena
-ownership (the `rasterize_batch` aliasing footgun regression), the batch
-fallback that keeps batched rendering flat under a tile default, shim
-deprecation + delegation, and profiling-sink snapshot emission.
+ownership (the unmanaged-batch aliasing footgun regression), the batch
+fallback that keeps batched rendering flat under a tile default, the backend
+read from the environment once per engine, and profiling-sink snapshot
+emission.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ from repro.engine import (
     REGISTRY,
     RenderEngine,
     register_backend,
-)
-from repro.gaussians import (
-    GaussianCloud,
-    get_default_backend,
-    rasterize,
-    rasterize_batch,
-    render_backward,
-    set_default_backend,
 )
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.rasterizer import rasterize_tile
@@ -241,25 +234,46 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="shard_deadline_s"):
             EngineConfig(shard_deadline_s=0.0)
 
-    def test_use_backend_overrides_env_through_default_engines(self, monkeypatch):
-        """REPRO_RASTER_BACKEND seeds the process default; scoping still wins."""
-        from repro.engine import set_default_engine
-        from repro.gaussians import use_backend
-        from repro.gaussians import rasterizer as rasterizer_module
+    def test_backend_env_is_read_when_the_engine_is_built(self, monkeypatch):
+        """REPRO_RASTER_BACKEND picks an engine's backend once, at construction."""
+        import repro.gaussians
+        from repro.engine import default_engine, set_default_engine
+        from repro.gaussians import rasterizer
+        from repro.slam import MappingConfig, StreamingMapper
 
+        spec = _spec("single_gaussian")
         monkeypatch.setenv("REPRO_RASTER_BACKEND", "tile")
-        # Reset the lazily seeded process default and the shim engine so the
-        # patched environment is actually consulted.
-        monkeypatch.setattr(rasterizer_module, "_default_backend", None)
         previous_engine = set_default_engine(None)
         try:
-            spec = _spec("single_gaussian")
-            assert get_default_backend() == "tile"
-            assert rasterize(spec.cloud, spec.camera, spec.pose_cw).backend == "tile"
-            with use_backend("flat"):
-                assert rasterize(spec.cloud, spec.camera, spec.pose_cw).backend == "flat"
+            built = [
+                RenderEngine(EngineConfig.from_env(geom_cache=False)),
+                StreamingMapper(MappingConfig()).engine,
+                default_engine(),
+            ]
+            # Changing the variable afterwards moves none of them.
+            for env_value in ("tile", "flat"):
+                monkeypatch.setenv("REPRO_RASTER_BACKEND", env_value)
+                for engine in built:
+                    assert engine.backend_name == "tile"
+                    assert engine.render(spec.cloud, spec.camera, spec.pose_cw).backend == "tile"
+            assert default_engine() is built[2]
         finally:
             set_default_engine(previous_engine)
+        # No free-function render shim, process-wide backend or dead export
+        # is left beside the engine.
+        for name in (
+            "rasterize",
+            "rasterize_batch",
+            "render_backward",
+            "render_backward_batch",
+            "BACKENDS",
+            "DEFAULT_BACKEND",
+            "geom_cache_enabled",
+        ):
+            assert not hasattr(repro.gaussians, name)
+            assert name not in repro.gaussians.__all__
+        for module in (repro.gaussians, rasterizer):
+            assert not [name for name in dir(module) if name.endswith("_backend")]
 
     def test_tile_size_env_flows_through_engine_and_mapper(self, monkeypatch):
         from repro.slam import MappingConfig, StreamingMapper
@@ -385,17 +399,6 @@ class TestEngineRendering:
         np.testing.assert_array_equal(flat.image, direct_flat.image)
         np.testing.assert_array_equal(tile.image, direct_tile.image)
 
-    def test_default_engine_follows_process_default_backend(self):
-        spec = _spec("single_gaussian")
-        engine = RenderEngine(EngineConfig(geom_cache=False))
-        assert engine.backend_name == get_default_backend()
-        previous = set_default_backend("tile")
-        try:
-            assert _render(engine, spec).backend == "tile"
-        finally:
-            set_default_backend(previous)
-        assert _render(engine, spec).backend == get_default_backend()
-
     def test_unknown_backend_rejected(self):
         spec = _spec("single_gaussian")
         engine = RenderEngine(EngineConfig(geom_cache=False))
@@ -474,12 +477,13 @@ class TestArenaOwnership:
         engine.render_batch(spec.cloud, [spec.camera], [spec.pose_cw])
 
     def test_unmanaged_legacy_path_keeps_fresh_arenas(self):
-        """Two unconsumed shim batches must not alias (legacy semantics)."""
+        """Two unconsumed unmanaged batches must not alias."""
         spec = _spec()
+        engine = RenderEngine(EngineConfig(backend="flat", geom_cache=False))
         poses = spec.view_poses(2)
-        first = rasterize_batch(spec.cloud, [spec.camera] * 2, poses)
+        first = engine.render_batch(spec.cloud, [spec.camera] * 2, poses, managed=False)
         expected = [view.image.copy() for view in first.views]
-        rasterize_batch(spec.cloud, [spec.camera] * 2, poses)
+        engine.render_batch(spec.cloud, [spec.camera] * 2, poses, managed=False)
         for view, image in zip(first.views, expected):
             np.testing.assert_array_equal(view.image, image)
 
@@ -537,12 +541,8 @@ class TestBackendRegistry:
             engine.backward_batch(
                 batch, spec.cloud, [np.zeros_like(view.image) for view in batch.views]
             )
-            # The registered name is also accepted process-wide.
-            previous = set_default_backend("echo")
-            try:
-                assert get_default_backend() == "echo"
-            finally:
-                set_default_backend(previous)
+            # The registered name is also accepted from the environment.
+            assert EngineConfig.from_env({"REPRO_RASTER_BACKEND": "echo"}).backend == "echo"
         finally:
             REGISTRY.unregister("echo")
 
@@ -577,29 +577,6 @@ class TestBackendRegistry:
                 engine.capabilities("typocaps")
         finally:
             REGISTRY.unregister("typocaps")
-
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_delegate_bitwise(self):
-        spec = _spec()
-        engine = RenderEngine(EngineConfig(geom_cache=False))
-        with pytest.warns(DeprecationWarning, match="rasterize"):
-            shim = rasterize(
-                spec.cloud, spec.camera, spec.pose_cw, background=spec.background,
-                tile_size=spec.tile_size, subtile_size=spec.subtile_size,
-            )
-        direct = _render(engine, spec)
-        np.testing.assert_array_equal(shim.image, direct.image)
-        dL = np.ones_like(shim.image)
-        with pytest.warns(DeprecationWarning, match="render_backward"):
-            shim_grads = render_backward(shim, spec.cloud, dL)
-        direct_grads = engine.backward(direct, spec.cloud, dL)
-        np.testing.assert_array_equal(shim_grads.positions, direct_grads.positions)
-
-    def test_batch_shim_warns(self):
-        spec = _spec("single_gaussian")
-        with pytest.warns(DeprecationWarning, match="rasterize_batch"):
-            rasterize_batch(spec.cloud, [spec.camera], [spec.pose_cw])
 
 
 class TestSnapshotEmission:

@@ -5,17 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gaussians import (
-    Camera,
-    GaussianCloud,
-    SE3,
-    build_flat_fragments,
-    get_default_backend,
-    rasterize,
-    render_backward,
-    set_default_backend,
-    use_backend,
-)
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import Camera, GaussianCloud, SE3, build_flat_fragments
 from repro.gaussians.backward import rasterize_backward
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.projection import project_gaussians
@@ -23,6 +14,8 @@ from repro.gaussians.rasterizer import rasterize_tile
 from repro.gaussians.sorting import build_tile_lists
 from repro.gaussians.tiling import INTERNED_GRIDS, TileGrid, _interned_grid
 from repro.testing.scenarios import DEFAULT_LIBRARY
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 # Every array the forward pass exposes per tile; the flat kernel must
 # reproduce the tile reference's values bit for bit.
@@ -60,42 +53,27 @@ class TestBackendSelection:
         # The flat fast path is the production default since the backend
         # flip; REPRO_RASTER_BACKEND=tile is the escape hatch back to the
         # reference loop.
-        assert get_default_backend() == "flat"
+        assert RenderEngine(EngineConfig()).backend_name == "flat"
 
     def test_backend_argument_selects_implementation(self, scene):
         cloud, camera, pose = scene
-        assert rasterize(cloud, camera, pose, backend="tile").backend == "tile"
-        assert rasterize(cloud, camera, pose, backend="flat").backend == "flat"
+        assert ENGINE.render(cloud, camera, pose, backend="tile").backend == "tile"
+        assert ENGINE.render(cloud, camera, pose, backend="flat").backend == "flat"
 
     def test_unknown_backend_rejected(self, scene):
         cloud, camera, pose = scene
         with pytest.raises(ValueError, match="unknown rasterizer backend"):
-            rasterize(cloud, camera, pose, backend="cuda")
+            ENGINE.render(cloud, camera, pose, backend="cuda")
         with pytest.raises(ValueError, match="unknown rasterizer backend"):
-            set_default_backend("cuda")
-
-    def test_use_backend_scopes_the_default(self, scene):
-        cloud, camera, pose = scene
-        with use_backend("tile"):
-            assert get_default_backend() == "tile"
-            assert rasterize(cloud, camera, pose).backend == "tile"
-        assert get_default_backend() == "flat"
-
-    def test_set_default_backend_returns_previous(self):
-        previous = set_default_backend("tile")
-        try:
-            assert previous == "flat"
-            assert get_default_backend() == "tile"
-        finally:
-            set_default_backend(previous)
+            RenderEngine(EngineConfig(backend="cuda")).render(cloud, camera, pose)
 
 
 class TestFlatMatchesTile:
     def test_forward_outputs_match(self, scene):
         cloud, camera, pose = scene
         bg = np.array([0.1, 0.2, 0.3])
-        tile = rasterize(cloud, camera, pose, background=bg, backend="tile")
-        flat = rasterize(cloud, camera, pose, background=bg, backend="flat")
+        tile = ENGINE.render(cloud, camera, pose, background=bg, backend="tile")
+        flat = ENGINE.render(cloud, camera, pose, background=bg, backend="flat")
         np.testing.assert_allclose(flat.image, tile.image, atol=1e-10)
         np.testing.assert_allclose(flat.depth, tile.depth, atol=1e-10)
         np.testing.assert_allclose(flat.alpha, tile.alpha, atol=1e-10)
@@ -155,19 +133,19 @@ class TestFlatMatchesTile:
 
     def test_backward_dispatches_on_result_backend(self, scene):
         cloud, camera, pose = scene
-        flat = rasterize(cloud, camera, pose, backend="flat")
-        tile = rasterize(cloud, camera, pose, backend="tile")
+        flat = ENGINE.render(cloud, camera, pose, backend="flat")
+        tile = ENGINE.render(cloud, camera, pose, backend="tile")
         rng = np.random.default_rng(3)
         dL = rng.uniform(-1, 1, size=tile.image.shape)
-        grads_tile = render_backward(tile, cloud, dL)
-        grads_flat = render_backward(flat, cloud, dL)  # auto-selects flat BP
+        grads_tile = ENGINE.backward(tile, cloud, dL)
+        grads_flat = ENGINE.backward(flat, cloud, dL)  # auto-selects flat BP
         np.testing.assert_allclose(grads_flat.positions, grads_tile.positions, atol=1e-8)
         np.testing.assert_allclose(grads_flat.pose_twist, grads_tile.pose_twist, atol=1e-8)
 
     def test_precomputed_projection_reuse(self, scene):
         cloud, camera, pose = scene
-        tile = rasterize(cloud, camera, pose, backend="tile")
-        flat = rasterize(
+        tile = ENGINE.render(cloud, camera, pose, backend="tile")
+        flat = ENGINE.render(
             cloud,
             camera,
             pose,
@@ -186,7 +164,7 @@ class TestDegenerateInputs:
         camera = Camera.from_fov(20, 12, fov_x_degrees=70.0)
         pose = SE3.identity()
         bg = np.array([0.2, 0.4, 0.6])
-        result = rasterize(GaussianCloud.empty(), camera, pose, background=bg, backend=backend)
+        result = ENGINE.render(GaussianCloud.empty(), camera, pose, background=bg, backend=backend)
         assert result.n_fragments == 0
         assert result.tile_caches == []
         np.testing.assert_allclose(result.image, np.tile(bg, (12, 20, 1)))
@@ -200,7 +178,7 @@ class TestDegenerateInputs:
         points = np.array([[0.0, 0.0, -5.0], [0.2, -0.1, -3.0], [1.0, 1.0, -9.0]])
         cloud = GaussianCloud.from_points(points, np.full((3, 3), 0.5), scale=0.1)
         camera = Camera.from_fov(20, 12, fov_x_degrees=70.0)
-        result = rasterize(cloud, camera, SE3.identity(), backend=backend)
+        result = ENGINE.render(cloud, camera, SE3.identity(), backend=backend)
         assert result.projected.n_visible == 0
         assert result.n_fragments == 0
         assert result.tile_caches == []
@@ -212,7 +190,7 @@ class TestDegenerateInputs:
             np.array([[0.0, 0.0, 1.0]]), np.array([[0.9, 0.1, 0.1]]), scale=0.3, opacity=0.8
         )
         camera = Camera.from_fov(1, 1, fov_x_degrees=70.0)
-        result = rasterize(
+        result = ENGINE.render(
             cloud, camera, SE3.identity(), tile_size=1, subtile_size=1, backend=backend
         )
         assert result.image.shape == (1, 1, 3)
@@ -227,14 +205,14 @@ class TestDegenerateInputs:
             np.array([[0.0, 0.0, 1.5]]), np.array([[0.2, 0.9, 0.3]]), scale=0.2
         )
         camera = Camera.from_fov(16, 16, fov_x_degrees=70.0)
-        result = rasterize(cloud, camera, SE3.identity(), backend=backend)
+        result = ENGINE.render(cloud, camera, SE3.identity(), backend=backend)
         assert result.grid.n_tiles == 1
         assert len(result.tile_caches) == 1
 
     def test_empty_cloud_backward(self):
         camera = Camera.from_fov(8, 8, fov_x_degrees=70.0)
-        result = rasterize(GaussianCloud.empty(), camera, SE3.identity(), backend="flat")
-        grads = render_backward(result, GaussianCloud.empty(), np.zeros((8, 8, 3)))
+        result = ENGINE.render(GaussianCloud.empty(), camera, SE3.identity(), backend="flat")
+        grads = ENGINE.backward(result, GaussianCloud.empty(), np.zeros((8, 8, 3)))
         assert grads.positions.shape == (0, 3)
         np.testing.assert_array_equal(grads.pose_twist, np.zeros(6))
 
@@ -242,7 +220,7 @@ class TestDegenerateInputs:
 class TestFlatFragments:
     def test_layout_covers_all_intersections(self, scene):
         cloud, camera, pose = scene
-        result = rasterize(cloud, camera, pose, backend="flat")
+        result = ENGINE.render(cloud, camera, pose, backend="flat")
         fragments = build_flat_fragments(result.intersections)
         # Dense fragment count = sum over tiles of P_t * M_t.
         expected = sum(
@@ -266,7 +244,7 @@ class TestFlatFragments:
 
     def test_empty_intersections(self):
         camera = Camera.from_fov(8, 8, fov_x_degrees=70.0)
-        result = rasterize(GaussianCloud.empty(), camera, SE3.identity())
+        result = ENGINE.render(GaussianCloud.empty(), camera, SE3.identity())
         fragments = build_flat_fragments(result.intersections)
         assert fragments.n_fragments == 0
         assert fragments.tile_slices == []
@@ -277,7 +255,7 @@ def test_rasterize_flat_direct_call(scene):
     cloud, camera, pose = scene
     result = rasterize_flat(cloud, camera, pose)
     assert result.backend == "flat"
-    reference = rasterize(cloud, camera, pose)
+    reference = ENGINE.render(cloud, camera, pose)
     np.testing.assert_allclose(result.image, reference.image, atol=1e-10)
 
 

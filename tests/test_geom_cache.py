@@ -8,16 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import make_sequence
-from repro.gaussians import (
-    GaussianCloud,
-    GeomCacheConfig,
-    GeometryCache,
-    ensure_flat_arena,
-    rasterize,
-    rasterize_batch,
-)
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import GaussianCloud, GeomCacheConfig, GeometryCache, ensure_flat_arena
 from repro.slam import Frame, MappingConfig, StreamingMapper
 from repro.testing.scenarios import DEFAULT_LIBRARY
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 EXACT = GeomCacheConfig(tolerance_px=0.0)
 
@@ -27,7 +23,7 @@ def _spec(name: str = "dense_random"):
 
 
 def _render(cloud, spec, cache=None):
-    return rasterize(
+    return ENGINE.render(
         cloud,
         spec.camera,
         spec.pose_cw,
@@ -137,16 +133,16 @@ class TestArenaRecycling:
     def test_batch_arena_grow_only_across_window_sizes(self):
         spec = _spec()
         poses = spec.view_poses(3)
-        small = rasterize_batch(spec.cloud, [spec.camera], poses[:1])
-        bigger = rasterize_batch(
-            spec.cloud, [spec.camera] * 3, poses, arena=small.arena
+        small = ENGINE.render_batch(spec.cloud, [spec.camera], poses[:1], managed=False)
+        bigger = ENGINE.render_batch(
+            spec.cloud, [spec.camera] * 3, poses, arena=small.arena, managed=False
         )
         assert bigger.arena.n_fragments >= 3 * small.views[0].n_fragments or (
             bigger.arena.n_fragments >= sum(v.n_fragments for v in bigger.views)
         )
         # Shrinking back reuses the high-water-mark buffer outright.
-        again_small = rasterize_batch(
-            spec.cloud, [spec.camera], poses[:1], arena=bigger.arena
+        again_small = ENGINE.render_batch(
+            spec.cloud, [spec.camera], poses[:1], arena=bigger.arena, managed=False
         )
         assert again_small.arena is bigger.arena
 
@@ -215,11 +211,11 @@ class TestCacheTiers:
             for k in range(3)
         ]
         for pose in poses:
-            rasterize(cloud, spec.camera, pose, backend="flat", cache=cache)
+            ENGINE.render(cloud, spec.camera, pose, backend="flat", cache=cache)
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         # The oldest view was evicted; rendering it again is a miss.
-        again = rasterize(cloud, spec.camera, poses[0], backend="flat", cache=cache)
+        again = ENGINE.render(cloud, spec.camera, poses[0], backend="flat", cache=cache)
         assert again.cache_status == "miss"
 
     def test_clear_drops_entries(self):
@@ -262,13 +258,13 @@ class TestBatchCache:
         cache = GeometryCache(EXACT)
         poses = spec.view_poses(3)
         cameras = [spec.camera] * 3
-        first = rasterize_batch(cloud, cameras, poses, cache=cache)
+        first = ENGINE.render_batch(cloud, cameras, poses, cache=cache, managed=False)
         assert [view.cache_status for view in first.views] == ["miss"] * 3
         assert first.shared is not None
-        second = rasterize_batch(cloud, cameras, poses, cache=cache)
+        second = ENGINE.render_batch(cloud, cameras, poses, cache=cache, managed=False)
         assert [view.cache_status for view in second.views] == ["hit"] * 3
         assert second.shared is None  # nothing needed rebuilding
-        plain = rasterize_batch(cloud, cameras, poses)
+        plain = ENGINE.render_batch(cloud, cameras, poses, managed=False)
         for cached_view, plain_view in zip(second.views, plain.views):
             _assert_bitwise_equal(cached_view, plain_view)
 
@@ -277,7 +273,7 @@ class TestBatchCache:
         cloud = spec.cloud.copy()
         cache = GeometryCache(EXACT)
         poses = spec.view_poses(2)
-        batch = rasterize_batch(cloud, [spec.camera] * 2, poses, cache=cache)
+        batch = ENGINE.render_batch(cloud, [spec.camera] * 2, poses, cache=cache, managed=False)
         assert batch.arena is cache._arena
         # The cache's grow-only arena is shared across windows: a later
         # single-view cached render (needing fewer fragments than the batch)

@@ -22,7 +22,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gaussians import Camera, GaussianCloud, SE3, rasterize, render_backward
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import Camera, GaussianCloud, SE3
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 H_STEP = 1e-6
 RTOL = 5e-4
@@ -44,7 +47,7 @@ def _scene():
 
 
 def _loss(cloud, camera, pose, weight_img, weight_depth, backend):
-    result = rasterize(cloud, camera, pose, backend=backend)
+    result = ENGINE.render(cloud, camera, pose, backend=backend)
     return float(np.sum(result.image * weight_img) + np.sum(result.depth * weight_depth))
 
 
@@ -52,8 +55,8 @@ def _loss(cloud, camera, pose, weight_img, weight_depth, backend):
 def grads_and_scene(request):
     backend = request.param
     cloud, camera, pose, weight_img, weight_depth = _scene()
-    result = rasterize(cloud, camera, pose, backend=backend)
-    grads = render_backward(result, cloud, weight_img, weight_depth, backend=backend)
+    result = ENGINE.render(cloud, camera, pose, backend=backend)
+    grads = ENGINE.backward(result, cloud, weight_img, weight_depth, backend=backend)
     return backend, cloud, camera, pose, weight_img, weight_depth, grads
 
 
@@ -144,8 +147,8 @@ def test_backends_produce_matching_gradients():
     cloud, camera, pose, wi, wd = _scene()
     grads = {}
     for backend in ("tile", "flat"):
-        result = rasterize(cloud, camera, pose, backend=backend)
-        grads[backend] = render_backward(result, cloud, wi, wd, backend=backend)
+        result = ENGINE.render(cloud, camera, pose, backend=backend)
+        grads[backend] = ENGINE.backward(result, cloud, wi, wd, backend=backend)
     for name in ("positions", "log_scales", "rotations", "opacity_logits", "colors", "pose_twist"):
         np.testing.assert_allclose(
             getattr(grads["flat"], name), getattr(grads["tile"], name), atol=1e-8,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gaussians import rasterize, render_backward
+from repro.engine import EngineConfig, RenderEngine
 from repro.profiling import (
     frame_similarity_series,
     gradient_distribution,
@@ -18,6 +18,8 @@ from repro.profiling.latency import per_frame_latency_series, rendering_dominanc
 from repro.profiling.similarity import similarity_by_keyframe_distance
 from repro.profiling.workload import cross_frame_workload_similarity
 from repro.slam import Frame, photometric_geometric_loss
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 
 class TestLatencyProfiling:
@@ -45,9 +47,9 @@ class TestGradientProfiling:
     def _distribution(self, sequence):
         cloud = sequence.scene.cloud
         frame = Frame.from_rgbd(sequence.frame(1))
-        render = rasterize(cloud, frame.camera, sequence.frame(0).gt_pose_cw)
+        render = ENGINE.render(cloud, frame.camera, sequence.frame(0).gt_pose_cw)
         loss = photometric_geometric_loss(render, frame)
-        grads = render_backward(render, cloud, loss.dL_dimage, loss.dL_ddepth)
+        grads = ENGINE.backward(render, cloud, loss.dL_dimage, loss.dL_ddepth)
         return gradient_distribution(grads)
 
     def test_distribution_is_heavily_skewed(self, tiny_sequence):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import EngineConfig, RenderEngine
 from repro.gaussians import (
     GaussianCloud,
     SE3,
@@ -10,9 +11,10 @@ from repro.gaussians import (
     build_tile_lists,
     intersection_change_ratio,
     project_gaussians,
-    rasterize,
 )
 from repro.gaussians.projection import perspective_jacobian
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 
 class TestProjection:
@@ -120,7 +122,7 @@ class TestSorting:
 
 class TestRasterizer:
     def test_output_shapes_and_ranges(self, small_cloud, small_camera, simple_pose):
-        result = rasterize(small_cloud, small_camera, simple_pose)
+        result = ENGINE.render(small_cloud, small_camera, simple_pose)
         assert result.image.shape == (small_camera.height, small_camera.width, 3)
         assert result.depth.shape == (small_camera.height, small_camera.width)
         assert np.all(result.image >= 0.0) and np.all(result.image <= 1.0)
@@ -128,7 +130,7 @@ class TestRasterizer:
         assert result.n_fragments > 0
 
     def test_empty_cloud_renders_background(self, small_camera, simple_pose):
-        result = rasterize(
+        result = ENGINE.render(
             GaussianCloud.empty(), small_camera, simple_pose, background=np.array([0.2, 0.4, 0.6])
         )
         assert np.allclose(result.image, [0.2, 0.4, 0.6])
@@ -140,7 +142,7 @@ class TestRasterizer:
         xs, ys = np.meshgrid(np.linspace(-1.5, 1.5, 30), np.linspace(-1.0, 1.0, 20))
         points = np.stack([xs.ravel(), ys.ravel(), np.full(xs.size, 2.0)], axis=1)
         cloud = GaussianCloud.from_points(points, np.full((xs.size, 3), 0.7), scale=0.12, opacity=0.95)
-        result = rasterize(cloud, small_camera, SE3.identity())
+        result = ENGINE.render(cloud, small_camera, SE3.identity())
         centre_alpha = result.alpha[10:22, 16:32]
         centre_depth = result.depth[10:22, 16:32]
         assert centre_alpha.mean() > 0.95
@@ -150,7 +152,7 @@ class TestRasterizer:
         points = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
         colors = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         cloud = GaussianCloud.from_points(points, colors, scale=0.5, opacity=0.95)
-        result = rasterize(cloud, small_camera, SE3.identity())
+        result = ENGINE.render(cloud, small_camera, SE3.identity())
         centre = result.image[small_camera.height // 2, small_camera.width // 2]
         assert centre[0] > centre[2]
 
@@ -161,13 +163,13 @@ class TestRasterizer:
         points = np.tile(np.array([[0.0, 0.0, 2.0]]), (n, 1))
         points[:, 2] += np.linspace(0, 0.5, n)
         cloud = GaussianCloud.from_points(points, np.full((n, 3), 0.5), scale=0.4, opacity=0.9)
-        result = rasterize(cloud, small_camera, SE3.identity())
+        result = ENGINE.render(cloud, small_camera, SE3.identity())
         centre_fragments = result.fragments_per_pixel[small_camera.height // 2, small_camera.width // 2]
         assert centre_fragments < n
 
     def test_precomputed_projection_reuse_matches(self, small_cloud, small_camera, simple_pose):
-        baseline = rasterize(small_cloud, small_camera, simple_pose)
-        reused = rasterize(
+        baseline = ENGINE.render(small_cloud, small_camera, simple_pose)
+        reused = ENGINE.render(
             small_cloud,
             small_camera,
             simple_pose,
@@ -177,5 +179,5 @@ class TestRasterizer:
         assert np.allclose(baseline.depth, reused.depth)
 
     def test_fragments_per_subtile_sums_to_total(self, small_cloud, small_camera, simple_pose):
-        result = rasterize(small_cloud, small_camera, simple_pose)
+        result = ENGINE.render(small_cloud, small_camera, simple_pose)
         assert result.fragments_per_subtile().sum() == result.n_fragments

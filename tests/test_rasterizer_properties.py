@@ -17,7 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.gaussians import Camera, GaussianCloud, SE3, rasterize
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import Camera, GaussianCloud, SE3
+
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
 scene_strategy = st.fixed_dictionaries(
     {
@@ -55,7 +58,7 @@ def _build_scene(params):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_rasterizer_invariants(backend, params):
     cloud, camera, pose, tile_size = _build_scene(params)
-    result = rasterize(
+    result = ENGINE.render(
         cloud, camera, pose, tile_size=tile_size, subtile_size=tile_size // 2 or 1,
         backend=backend,
     )
@@ -99,8 +102,8 @@ def test_backends_agree_on_random_scenes(params):
     """Differential property: both backends agree on arbitrary scenes."""
     cloud, camera, pose, tile_size = _build_scene(params)
     kwargs = dict(tile_size=tile_size, subtile_size=tile_size // 2 or 1)
-    tile = rasterize(cloud, camera, pose, backend="tile", **kwargs)
-    flat = rasterize(cloud, camera, pose, backend="flat", **kwargs)
+    tile = ENGINE.render(cloud, camera, pose, backend="tile", **kwargs)
+    flat = ENGINE.render(cloud, camera, pose, backend="flat", **kwargs)
     np.testing.assert_allclose(flat.image, tile.image, atol=1e-10)
     np.testing.assert_allclose(flat.depth, tile.depth, atol=1e-10)
     np.testing.assert_allclose(flat.alpha, tile.alpha, atol=1e-10)

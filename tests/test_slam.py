@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.gaussians import GaussianCloud, SE3, rasterize
+from repro.engine import EngineConfig, RenderEngine
+from repro.gaussians import GaussianCloud, SE3
 from repro.slam import (
     Adam,
     EveryFramePolicy,
     Frame,
     GradientTracker,
     IntervalKeyframePolicy,
-    Mapper,
     MappingConfig,
     PhotometricKeyframePolicy,
     PoseDistanceKeyframePolicy,
     SLAMPipeline,
+    StreamingMapper,
     TrackingConfig,
     downsample_frame,
     make_algorithm,
@@ -27,6 +28,8 @@ from repro.slam import (
 )
 from repro.slam.tracking import GeometricTracker
 
+ENGINE = RenderEngine(EngineConfig(geom_cache=False))
+
 
 def _frame_from(sequence, index):
     return Frame.from_rgbd(sequence.frame(index))
@@ -36,7 +39,7 @@ class TestLosses:
     def test_zero_loss_for_perfect_render(self, tiny_sequence):
         frame = _frame_from(tiny_sequence, 0)
         cloud = tiny_sequence.scene.cloud
-        render = rasterize(cloud, frame.camera, frame.gt_pose_cw)
+        render = ENGINE.render(cloud, frame.camera, frame.gt_pose_cw)
         # Compare the render against itself (no sensor noise).
         perfect = Frame(
             index=0, image=render.image, depth=render.depth, camera=frame.camera
@@ -48,7 +51,7 @@ class TestLosses:
     def test_lambda_weighting(self, tiny_sequence):
         frame = _frame_from(tiny_sequence, 1)
         cloud = tiny_sequence.scene.cloud
-        render = rasterize(cloud, frame.camera, tiny_sequence.frame(0).gt_pose_cw)
+        render = ENGINE.render(cloud, frame.camera, tiny_sequence.frame(0).gt_pose_cw)
         pho_only = photometric_geometric_loss(render, frame, lambda_photometric=1.0)
         mixed = photometric_geometric_loss(render, frame, lambda_photometric=0.5)
         assert pho_only.geometric == 0.0
@@ -57,14 +60,14 @@ class TestLosses:
     def test_resolution_mismatch_raises(self, tiny_sequence):
         frame = _frame_from(tiny_sequence, 0)
         cloud = tiny_sequence.scene.cloud
-        render = rasterize(cloud, frame.camera, frame.gt_pose_cw)
+        render = ENGINE.render(cloud, frame.camera, frame.gt_pose_cw)
         small = downsample_frame(frame, 0.25)
         with pytest.raises(ValueError):
             photometric_geometric_loss(render, small)
 
     def test_invalid_lambda(self, tiny_sequence):
         frame = _frame_from(tiny_sequence, 0)
-        render = rasterize(tiny_sequence.scene.cloud, frame.camera, frame.gt_pose_cw)
+        render = ENGINE.render(tiny_sequence.scene.cloud, frame.camera, frame.gt_pose_cw)
         with pytest.raises(ValueError):
             photometric_geometric_loss(render, frame, lambda_photometric=1.5)
 
@@ -192,7 +195,7 @@ class TestTracking:
 class TestMapping:
     def test_initialize_and_densify(self, tiny_sequence):
         cloud = GaussianCloud.empty()
-        mapper = Mapper(MappingConfig(n_iterations=3, densify_stride=6))
+        mapper = StreamingMapper(MappingConfig(n_iterations=3, densify_stride=6))
         frame = _frame_from(tiny_sequence, 0).with_pose(tiny_sequence.frame(0).gt_pose_cw)
         added = mapper.initialize_map(cloud, frame, stride=6)
         assert added > 0
@@ -202,7 +205,7 @@ class TestMapping:
 
     def test_max_gaussians_budget_respected(self, tiny_sequence):
         cloud = GaussianCloud.empty()
-        mapper = Mapper(MappingConfig(n_iterations=1, densify_stride=2, max_gaussians=100))
+        mapper = StreamingMapper(MappingConfig(n_iterations=1, densify_stride=2, max_gaussians=100))
         frame = _frame_from(tiny_sequence, 0).with_pose(tiny_sequence.frame(0).gt_pose_cw)
         seeded = mapper.initialize_map(cloud, frame, stride=2)
         mapper.map(cloud, [frame])

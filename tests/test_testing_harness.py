@@ -93,7 +93,7 @@ class TestDifferentialRunner:
 
     @pytest.mark.parametrize("name", DEFAULT_LIBRARY.names())
     def test_verify_engine_bit_identical_on_every_scenario(self, name):
-        # Engine-mediated renders must equal the legacy free-function path
+        # Engine-mediated renders must equal the direct implementations
         # bitwise — both backends, cache on and off, miss and hit rounds.
         runner = DifferentialRunner()
         diffs, failures = runner.verify_engine(DEFAULT_LIBRARY.get(name).build())
