@@ -90,7 +90,7 @@ def test_flat_backend_speeds_up_slam_segment():
         config.mapping.n_iterations = 3
         # One injected engine drives the whole pipeline; batched mapping
         # falls back to the flat batch path under the tile engine.  Seeding
-        # from the environment keeps the REPRO_GEOM_CACHE escape hatch working.
+        # from the environment keeps the REPRO_TILE_SIZE knobs working.
         engine = RenderEngine(EngineConfig.from_env(backend=backend))
         start = time.perf_counter()
         result = SLAMPipeline(config, engine=engine).run(sequence, n_frames=4)

@@ -7,9 +7,10 @@ This package is the one way to render:
   :meth:`EngineConfig.from_env` consolidates the ``REPRO_*`` environment
   variables.
 * :class:`RenderEngine` — the session object owning backend selection, the
-  Step 1-2 :class:`~repro.gaussians.geom_cache.GeometryCache`, the grow-only
-  fragment arena (with aliasing protection via :class:`ArenaInUseError`) and
-  workload-snapshot emission.
+  grow-only fragment arena (with aliasing protection via
+  :class:`ArenaInUseError`), an optional Step 1-2
+  :class:`~repro.gaussians.geom_cache.GeometryCache` for callers that pass
+  it in, and workload-snapshot emission.
 * :class:`BackendRegistry` / :func:`register_backend` — the pluggable
   strategy seam.  ``flat``, ``tile``, ``sharded`` (multi-process execution
   of the flat batch plan, :mod:`repro.engine.sharded`) and ``async``
@@ -24,11 +25,7 @@ is built.  :func:`default_engine` is one such engine, for callers that are
 not handed one.
 """
 
-from repro.engine.config import (
-    ENGINE_ENV_VARS,
-    EngineConfig,
-    geom_cache_enabled_from_env,
-)
+from repro.engine.config import ENGINE_ENV_VARS, EngineConfig
 from repro.engine.registry import (
     BackendCapabilities,
     BackendRegistry,
@@ -87,7 +84,6 @@ __all__ = [
     "backend_names",
     "default_engine",
     "fault_plan",
-    "geom_cache_enabled_from_env",
     "register_backend",
     "set_default_engine",
     "set_fault_plan",

@@ -28,8 +28,8 @@ the shard workers sit idle — yet window *k+1*'s Step 1-2 planning touches a
 * :meth:`drain` is the barrier: it retires every in-flight speculation
   (statuses become ``drained``) so subsequent renders are exactly the serial
   sharded/flat computation.  The differential harness pins ``async == flat``
-  bitwise after ``drain()`` on every scenario, cache on/off, under seeded
-  fault schedules.
+  bitwise after ``drain()`` on every scenario, under seeded fault
+  schedules.
 
 Consumed-or-discarded is the whole correctness story: a speculation is the
 same pure function evaluated early, and it is only ever used when its inputs
@@ -63,7 +63,6 @@ if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
     from repro.gaussians.batch import BatchGradients, BatchRenderResult, RenderPlan
     from repro.gaussians.gaussian_model import GaussianCloud
-    from repro.gaussians.geom_cache import GeometryCache
     from repro.gaussians.rasterizer import RenderResult
 
 
@@ -126,7 +125,6 @@ class AsyncBackend:
             batch=True,
             cache=True,
             distributed_planning=True,
-            worker_resident_cache=True,
             reference=False,
             description=(
                 "double-buffered speculative planning over the sharded pool "
@@ -293,14 +291,6 @@ class AsyncBackend:
             return self._inner.backward_batch(
                 batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient
             )
-
-    # -- cache invalidation ---------------------------------------------------
-    def invalidate_worker_caches(self, cache: "GeometryCache | None" = None) -> None:
-        """Discard in-flight speculation (its epochs are stale by definition)
-        and forward the invalidation broadcast to the worker-resident caches."""
-        self._discard_pending()
-        with self._pool:
-            self._inner.invalidate_worker_caches(cache)
 
 
 register_backend("async", AsyncBackend)

@@ -11,19 +11,15 @@ Environment variables (the full table also lives in the README):
 ``REPRO_RASTER_BACKEND`` Backend name: ``flat`` (default fast path), ``tile``
                          (reference loop) or any name registered through
                          :func:`repro.engine.register_backend`.
-``REPRO_GEOM_CACHE``     ``0`` / ``false`` / ``off`` disables the
-                         engine-owned Step 1-2 geometry cache (default on).
 ``REPRO_TILE_SIZE``      Tile edge in pixels (default 16).
 ``REPRO_SUBTILE_SIZE``   Subtile edge in pixels (default 4; must divide the
                          tile edge).
 ``REPRO_SHARD_WORKERS``  Worker processes of the ``sharded`` backend.  Unset
                          sizes the pool from ``os.cpu_count()``; ``0`` or
                          ``1`` degrade sharded batches to the serial flat
-                         path.  Must be a non-negative integer.  Composes
-                         with the cache knobs: with the geometry cache on,
-                         sharded batches keep worker-resident cache entries
-                         (one cache per worker), so both knobs apply to the
-                         same render.
+                         path.  Must be a non-negative integer.  A batch
+                         that carries a geometry cache runs serially in the
+                         parent, against that cache.
 ``REPRO_SHARD_DEADLINE_S``
                          Per-dispatch reply deadline in seconds for sharded
                          requests (default 600).  A worker that has not
@@ -47,7 +43,7 @@ Environment variables (the full table also lives in the README):
                          the open sessions' caches exceed it, the service
                          evicts the globally least-recently-used entry —
                          whichever session owns it — until back under
-                         budget.  Requires the geometry cache to be enabled.
+                         budget.  Requires ``EngineConfig.geom_cache``.
                          Must be a non-negative integer.
 ``REPRO_SERVICE_FAIR_WEIGHTS``
                          Weighted-fair-queuing weights for service sessions.
@@ -80,7 +76,6 @@ if TYPE_CHECKING:
     from repro.gaussians.geom_cache import GeomCacheConfig
 
 ENV_RASTER_BACKEND = "REPRO_RASTER_BACKEND"
-ENV_GEOM_CACHE = "REPRO_GEOM_CACHE"
 ENV_TILE_SIZE = "REPRO_TILE_SIZE"
 ENV_SUBTILE_SIZE = "REPRO_SUBTILE_SIZE"
 ENV_SHARD_WORKERS = "REPRO_SHARD_WORKERS"
@@ -92,7 +87,6 @@ ENV_ASYNC_PIPELINE = "REPRO_ASYNC_PIPELINE"
 
 ENGINE_ENV_VARS = (
     ENV_RASTER_BACKEND,
-    ENV_GEOM_CACHE,
     ENV_TILE_SIZE,
     ENV_SUBTILE_SIZE,
     ENV_SHARD_WORKERS,
@@ -104,12 +98,6 @@ ENGINE_ENV_VARS = (
 )
 
 _FALSEY = ("0", "false", "off")
-
-
-def geom_cache_enabled_from_env(env: Mapping[str, str] | None = None) -> bool:
-    """Parse the ``REPRO_GEOM_CACHE`` escape hatch (default: enabled)."""
-    env = os.environ if env is None else env
-    return env.get(ENV_GEOM_CACHE, "1").lower() not in _FALSEY
 
 
 def _int_from_env(env: Mapping[str, str], name: str, default: int) -> int:
@@ -190,10 +178,11 @@ class EngineConfig:
     default fast path.  :meth:`from_env` seeds it from
     ``REPRO_RASTER_BACKEND``.
 
-    The ``cache_*`` knobs mirror
-    :class:`repro.gaussians.geom_cache.GeomCacheConfig`; they only matter
-    when ``geom_cache`` is true and the selected backend reports geometry
-    cache support in its capabilities.
+    ``geom_cache`` gives the engine a
+    :class:`repro.gaussians.geom_cache.GeometryCache` (:attr:`RenderEngine.cache`)
+    of ``cache_max_entries`` views.  The engine's own render paths never
+    consult it; a caller passes it in where exact Step 1-2 reuse pays, as the
+    render service's cached sessions do.
 
     ``profiling_sink``, when set, receives every
     :class:`repro.slam.records.WorkloadSnapshot` built through
@@ -212,7 +201,6 @@ class EngineConfig:
     # poisoned worker closes the pool and the parent renders the lost views
     # serially, so a dispatched batch always completes.
     shard_deadline_s: float = 600.0
-    cache_tolerance_px: float = 0.5
     cache_max_entries: int = 8
     # Multi-tenant render-service knobs (repro.service.RenderService).  They
     # only matter for engines owned by a service: admission cap on open
@@ -257,8 +245,6 @@ class EngineConfig:
             raise ValueError(
                 f"shard_deadline_s must be > 0, got {self.shard_deadline_s}"
             )
-        if self.cache_tolerance_px < 0:
-            raise ValueError(f"cache_tolerance_px must be >= 0, got {self.cache_tolerance_px}")
         if self.cache_max_entries < 1:
             raise ValueError(f"cache_max_entries must be >= 1, got {self.cache_max_entries}")
         if self.service_max_sessions < 1:
@@ -275,7 +261,7 @@ class EngineConfig:
             raise ValueError(
                 "service_cache_budget_bytes > 0 (REPRO_SERVICE_CACHE_BUDGET) "
                 "requires the geometry cache: a cache byte budget cannot apply "
-                "when REPRO_GEOM_CACHE is off — enable geom_cache or set "
+                "when geom_cache is off — enable geom_cache or set "
                 "service_cache_budget_bytes=0"
             )
         if not (self.service_default_weight > 0):
@@ -380,7 +366,6 @@ class EngineConfig:
             backend=backend,
             tile_size=_int_from_env(env, ENV_TILE_SIZE, 16),
             subtile_size=_int_from_env(env, ENV_SUBTILE_SIZE, 4),
-            geom_cache=geom_cache_enabled_from_env(env),
             shard_workers=shard_workers,
             shard_deadline_s=deadline_s,
             service_max_sessions=max_sessions,
@@ -395,7 +380,4 @@ class EngineConfig:
         """The ``GeomCacheConfig`` equivalent of this config's cache knobs."""
         from repro.gaussians.geom_cache import GeomCacheConfig
 
-        return GeomCacheConfig(
-            tolerance_px=self.cache_tolerance_px,
-            max_entries=self.cache_max_entries,
-        )
+        return GeomCacheConfig(max_entries=self.cache_max_entries)

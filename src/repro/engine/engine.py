@@ -6,21 +6,24 @@ The engine owns everything a render needs besides its inputs:
   :class:`repro.engine.registry.BackendRegistry` (``EngineConfig.backend``
   names the backend, ``None`` means ``flat``; a per-call ``backend=``
   overrides it);
-* **the geometry cache** — one :class:`repro.gaussians.geom_cache.GeometryCache`
-  built lazily from the config's ``cache_*`` knobs and handed to every
-  *managed* render on a cache-capable backend;
 * **the flat fragment arena** — recycled grow-only across managed batches,
   with ownership tracking: rendering a new managed batch while a previous
   one's ``RenderResult`` caches still alias the arena raises
   :class:`ArenaInUseError` instead of silently corrupting them;
+* **the geometry cache** — one :class:`repro.gaussians.geom_cache.GeometryCache`
+  built lazily from the config's ``cache_*`` knobs (:attr:`RenderEngine.cache`).
+  No engine path consults it on its own: a render uses a cache only when the
+  caller passes one, as the render service's cached sessions do;
 * **workload snapshot emission** — :meth:`RenderEngine.snapshot` builds the
   :class:`~repro.slam.records.WorkloadSnapshot` of a render and forwards it
   to the config's ``profiling_sink``.
 
-Managed vs unmanaged: ``managed=True`` asks the engine to supply its own
-scratch state (cache or recycled arena) and to track ownership; it is the
-mode the SLAM stack runs in.  ``managed=False`` is stateless — fresh arena,
-caller-supplied ``cache=`` / ``arena=`` passed through verbatim.
+Managed vs unmanaged batches: ``render_batch(managed=True)`` asks the engine
+to supply its recycled arena and to track ownership; it is the mode the SLAM
+mapper runs in.  ``managed=False`` is stateless — fresh arena,
+caller-supplied ``cache=`` / ``arena=`` passed through verbatim.  Single-view
+:meth:`RenderEngine.render` is always unmanaged: each render gets a fresh
+arena, or the arena of the cache passed in.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ if TYPE_CHECKING:
 
 
 class ArenaInUseError(RuntimeError):
-    """A managed render was requested while a previous one still aliases the arena."""
+    """A managed batch was requested while a previous one still aliases the arena."""
 
 
 class RenderEngine:
@@ -66,9 +69,8 @@ class RenderEngine:
         self._backends: dict[str, RenderBackend] = {}
         self._cache: GeometryCache | None = None
         self._arena: "FlatArena | None" = None
-        # Weakrefs to the managed render/batch whose tile caches currently
-        # alias the engine-owned arena (or the cache's shared arena): the
-        # result object itself plus, for a batch, every per-view
+        # Weakrefs to the managed batch whose tile caches currently alias the
+        # engine-owned arena: the result object itself plus every per-view
         # RenderResult — a caller may keep `batch.views` alive after
         # dropping the wrapper, and those views alias the arena just the
         # same.  A new managed render must not start until the claim is
@@ -151,19 +153,9 @@ class RenderEngine:
         return self._cache.stats if self._cache is not None else None
 
     def invalidate_cache(self) -> None:
-        """Drop every cached Step 1-2 entry (arena high-water mark is kept).
-
-        Backends holding worker-resident mirrors of the engine cache (the
-        sharded backend's per-worker caches) are told to drop theirs too, so
-        densify/prune invalidation reaches every process that caches this
-        engine's geometry.
-        """
+        """Drop every cached Step 1-2 entry (arena high-water mark is kept)."""
         if self._cache is not None:
             self._cache.clear()
-            for impl in self._backends.values():
-                broadcast = getattr(impl, "invalidate_worker_caches", None)
-                if callable(broadcast):
-                    broadcast(self._cache)
 
     @property
     def arena(self) -> "FlatArena | None":
@@ -183,12 +175,12 @@ class RenderEngine:
             f"cannot start {operation}: the result of a previous managed "
             f"{self._outstanding_label} still aliases this engine's fragment "
             "arena and would be silently overwritten.  Consume it first "
-            "(RenderEngine.backward / backward_batch) or drop it explicitly "
-            "with RenderEngine.release()."
+            "(RenderEngine.backward_batch) or drop it explicitly with "
+            "RenderEngine.release()."
         )
 
-    def _claim(self, result: object, label: str) -> None:
-        referents = [result] + list(getattr(result, "views", ()))
+    def _claim(self, batch: "BatchRenderResult", label: str) -> None:
+        referents = [batch, *batch.views]
         self._outstanding = [weakref.ref(referent) for referent in referents]
         self._outstanding_label = label
 
@@ -201,7 +193,7 @@ class RenderEngine:
             self._outstanding = None
 
     def release(self, result: object | None = None) -> None:
-        """Mark a managed render/batch as consumed, freeing the arena.
+        """Mark a managed batch as consumed, freeing the arena.
 
         With ``result`` the release only applies if that object is the
         outstanding one (safe to call unconditionally); without arguments the
@@ -226,23 +218,13 @@ class RenderEngine:
         precomputed: "tuple[ProjectedGaussians, TileIntersections] | None" = None,
         backend: str | None = None,
         cache: GeometryCache | None = None,
-        managed: bool = False,
     ) -> "RenderResult":
         """Render one view.
 
-        ``managed=True`` routes the render through the engine-owned geometry
-        cache (when enabled and supported by the backend) and claims arena
-        ownership for it; ``cache=`` passes an external cache through
-        unmanaged.  Tile/subtile sizes default to the engine config.
+        ``cache=`` renders through that geometry cache.  Tile/subtile sizes
+        default to the engine config.
         """
         impl = self.backend(backend)
-        if managed:
-            if cache is not None:
-                raise ValueError("pass either managed=True or an explicit cache, not both")
-            if impl.capabilities().cache:
-                cache = self.cache
-            if cache is not None:
-                self._claim_guard("render")
         request = RenderRequest(
             cloud=cloud,
             camera=camera,
@@ -254,10 +236,7 @@ class RenderEngine:
             precomputed=precomputed,
             cache=cache,
         )
-        result = impl.render(request)
-        if managed and cache is not None:
-            self._claim(result, "render")
-        return result
+        return impl.render(request)
 
     def render_batch(
         self,
@@ -276,9 +255,8 @@ class RenderEngine:
     ) -> "BatchRenderResult":
         """Render a multi-view batch through a batch-capable backend.
 
-        ``managed=True`` (the default) supplies engine-owned scratch state —
-        the geometry cache when enabled, else the recycled grow-only arena —
-        and claims ownership until the batch is consumed by
+        ``managed=True`` (the default) supplies the engine's recycled
+        grow-only arena and claims ownership until the batch is consumed by
         :meth:`backward_batch` (or :meth:`release`).  ``managed=False``
         passes caller-supplied ``cache`` / ``arena`` through verbatim and
         allocates a fresh arena when neither is given.
@@ -290,10 +268,7 @@ class RenderEngine:
                     "pass either managed=True or explicit cache/arena state, not both"
                 )
             self._claim_guard("render_batch")
-            if impl.capabilities().cache:
-                cache = self.cache
-            if cache is None:
-                arena = self._arena
+            arena = self._arena
         request = BatchRenderRequest(
             cloud=cloud,
             cameras=cameras,
@@ -309,7 +284,7 @@ class RenderEngine:
         if managed:
             # Sharded batches return arena=None (worker-owned arenas) or the
             # recycled arena untouched; only adopt a real parent-side arena.
-            if cache is None and batch.arena is not None:
+            if batch.arena is not None:
                 self._arena = batch.arena
             self._claim(batch, "render_batch")
         return batch
@@ -345,7 +320,6 @@ class RenderEngine:
         speculate = getattr(impl, "speculate_batch", None)
         if speculate is None:
             return None
-        cache = self.cache if impl.capabilities().cache else None
         request = BatchRenderRequest(
             cloud=cloud,
             cameras=cameras,
@@ -354,8 +328,6 @@ class RenderEngine:
             tile_size=self.config.tile_size if tile_size is None else tile_size,
             subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
             active_only=active_only,
-            arena=None,
-            cache=cache,
         )
         return speculate(request)
 
@@ -382,7 +354,7 @@ class RenderEngine:
         compute_pose_gradient: bool = True,
         backend: str | None = None,
     ) -> "CloudGradients":
-        """Steps 4-5 for one render; releases its arena claim when managed.
+        """Steps 4-5 for one render.
 
         ``backend=None`` follows the backend that produced ``result``,
         falling back to the engine's default for results tagged with an
@@ -393,9 +365,7 @@ class RenderEngine:
             if produced_by in REGISTRY:
                 backend = produced_by
         impl = self.backend(backend)
-        gradients = impl.backward(result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient)
-        self._release_if_claimed(result)
-        return gradients
+        return impl.backward(result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient)
 
     def backward_batch(
         self,

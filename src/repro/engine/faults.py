@@ -213,8 +213,7 @@ class FaultPlan:
         ``assignment`` maps worker id -> the view indices it is about to
         receive.  ``fired`` is the caller-owned set of already-consumed
         (non-sticky) site keys; keys returned here are *not* added to it —
-        the caller disarms sites once the dispatch's outcome is observed, so
-        a desync-aborted dispatch does not silently eat a fault.
+        the caller disarms sites once the dispatch's outcome is observed.
         Returns worker id -> wire payloads (possibly empty dict).
         """
         out: dict[int, list[dict]] = {}

@@ -39,8 +39,8 @@ if TYPE_CHECKING:
 class BackendCapabilities:
     """Typed description of what a backend supports and whether it can run.
 
-    The engine routes managed state (arena, geometry cache) and the scenario
-    matrix plans its skips from these fields — no magic strings.
+    The engine picks a batch-capable backend and the scenario matrix plans
+    its skips from these fields — no magic strings.
 
     ``batch``
         ``render_batch`` / ``backward_batch`` are implemented.  Engines fall
@@ -48,16 +48,13 @@ class BackendCapabilities:
         requested from a backend without one (batched mapping is flat by
         design even on a ``tile`` engine).
     ``cache``
-        The backend consumes a :class:`GeometryCache`; backends without it
-        silently render uncached (the reference loop's legacy contract).
+        The backend renders through a caller-passed :class:`GeometryCache`;
+        backends without it silently render uncached (the reference loop's
+        legacy contract).
     ``distributed_planning``
         Per-view Step 1-2 planning (projection, tiling, fragment build) runs
         inside the backend's workers rather than the parent process; batch
         attribution then reports ``plan_site="worker"``.
-    ``worker_resident_cache``
-        Geometry-cache entries live inside the backend's workers, keyed by
-        the same :class:`GaussianCloud` mutation epochs as the parent cache;
-        the engine broadcasts invalidation to such backends.
     ``reference``
         Marks the bit-exact reference implementation golden fixtures pin.
     ``availability``
@@ -69,7 +66,6 @@ class BackendCapabilities:
     batch: bool = False
     cache: bool = False
     distributed_planning: bool = False
-    worker_resident_cache: bool = False
     reference: bool = False
     description: str = ""
     availability: str | None = None

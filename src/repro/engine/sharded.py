@@ -6,10 +6,7 @@ Step 1-2 (projection, tiling, fragment build) in the parent and shipped the
 finished work units to a worker pool; planning is now *worker-resident*: the
 parent computes only the view-independent Step 1 half
 (:func:`~repro.gaussians.projection.shared_preprocess`) and each worker runs
-its views' projection, tile assignment, sorting and fragment build itself —
-optionally through a worker-resident
-:class:`~repro.gaussians.geom_cache.GeometryCache`, which is what lets the
-sharded backend and the geometry cache compose on one render.
+its views' projection, tile assignment, sorting and fragment build itself.
 
 Execution model
 ---------------
@@ -22,33 +19,21 @@ Execution model
   regardless of scheduling order.  Worker BLAS pools are pinned to one
   thread at spawn so shards do not oversubscribe the cores they were created
   to use.
-* **Forward** — the parent packs the shared per-Gaussian Step 1 arrays (when
-  any worker will need to rebuild) plus per-view camera/pose metadata and
-  per-view output reservations into one :mod:`multiprocessing.shared_memory`
-  block; workers plan and rasterize their views, write the forward outputs
-  (image, depth, alpha, fragment counts) into the block and reply with the
-  small per-view planning products the parent-side bookkeeping needs
-  (visible-row indices, intersection pair counts, cache statuses, timings).
-  The parent stitches per-view
+* **Forward** — the parent packs the shared per-Gaussian Step 1 arrays plus
+  per-view camera/pose metadata and per-view output reservations into one
+  :mod:`multiprocessing.shared_memory` block; workers plan and rasterize
+  their views, write the forward outputs (image, depth, alpha, fragment
+  counts) into the block and reply with the small per-view planning products
+  the parent-side bookkeeping needs (visible-row indices, intersection pair
+  counts, timings).  The parent stitches per-view
   :class:`~repro.gaussians.rasterizer.RenderResult` objects in view order,
   attaching per-shard attribution with ``plan_site="worker"``
   (:class:`~repro.gaussians.batch.ShardAttribution`).
-* **Worker-resident geometry cache** — when the request carries a
-  :class:`GeometryCache`, each worker holds its own cache (one per parent
-  cache, addressed by a namespace id) keyed by the *same*
-  :class:`GaussianCloud` mutation epochs; the parent ships the epoch scalars
-  and the full-cloud appearance arrays every batch (appearance splicing on
-  the refresh tier needs them) and the shared Step 1 arrays only when its
-  **classification mirror** — per-(worker, view-key)
-  :class:`~repro.gaussians.geom_cache.EntryMeta` records running the same
-  :func:`~repro.gaussians.geom_cache.classify_reuse` decision the workers
-  run — predicts at least one miss.  A worker that must rebuild without the
-  shared payload (mirror desync: a replaced pool, reassigned views) replies
-  with a ``desync`` marker and the parent resends once with the full
-  payload.  :meth:`ShardedBackend.invalidate_worker_caches` broadcasts
-  cache invalidation (densify / prune / ``notify_removed``) to every live
-  pool — epoch keying already makes stale entries unservable; the broadcast
-  eagerly frees their memory and keeps the mirror honest.
+* **Geometry cache** — workers hold no cache.  A request that carries a
+  :class:`~repro.gaussians.geom_cache.GeometryCache` runs the serial parent
+  path (:meth:`ShardedBackend.plan_batch` then
+  :meth:`ShardedBackend.execute_units`) against that cache, so the pool
+  serves only uncached batches.
 * **Backward** — each worker retains the per-fragment tile caches of the
   views it rendered, so Step 4 *Rendering BP* runs in parallel where the
   data already lives; workers return screen-space gradients and fill
@@ -58,7 +43,7 @@ Execution model
   (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads.
 * **Degradation** — ``workers <= 1``, single-view batches and platforms
   whose spawn fails all fall back to the serial flat execution of the same
-  request (cache included, served by the parent-resident cache).
+  request.
 * **Fault tolerance** — a dispatched batch *always completes*, through one
   failure path.  Each render or backward dispatch waits once, for
   ``shard_deadline_s`` (:class:`~repro.engine.config.EngineConfig` /
@@ -68,12 +53,8 @@ Execution model
   whole pool** (shutdown, then ``terminate()``, then ``kill()``, so a
   SIGTERM-ignoring worker cannot leak) and **finishes the lost views
   itself**, running the exact plan+raster sequence a worker would have run,
-  so the stitched batch is bitwise identical to an all-healthy run (cached
-  batches served through exact-tier cache configs included; toleranced
-  tiers degrade lost views to a rebuild, which is *more* accurate, not
-  less).  The next batch gets a fresh pool from :func:`_shared_pool`, and
-  the fresh pool empties the parent's classification mirror, so no view is
-  ever predicted to hit geometry a closed worker held.  Every fault and
+  so the stitched batch is bitwise identical to an all-healthy run.  The
+  next batch gets a fresh pool from :func:`_shared_pool`.  Every fault and
   escalated view is recorded on
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
@@ -127,7 +108,6 @@ from repro.gaussians.batch import (
     render_backward_batch_views,
 )
 from repro.gaussians.fast_raster import rasterize_flat
-from repro.gaussians.geom_cache import classify_reuse, view_key
 from repro.gaussians.projection import (
     ProjectedGaussians,
     SharedGaussianData,
@@ -141,7 +121,6 @@ if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
     from repro.gaussians.backward import CloudGradients, ScreenSpaceGradients
     from repro.gaussians.gaussian_model import GaussianCloud
-    from repro.gaussians.geom_cache import EntryMeta, GeometryCache
     from repro.gaussians.rasterizer import RenderResult
 
 # Pool sizing/behaviour knobs.  The default worker count is cpu-count aware
@@ -150,20 +129,15 @@ if TYPE_CHECKING:
 DEFAULT_MAX_WORKERS = 8
 _READY_TIMEOUT_S = 120.0
 _REQUEST_TIMEOUT_S = 600.0
-# Worker-retained uncached batches (each holds its views' tile caches).  Two
+# Worker-retained batches (each holds its views' tile caches).  Two
 # tolerates an interleaved second engine without letting a long run
-# accumulate arenas.  Cached batches are retained per namespace instead: a
-# new cached render of a namespace supersedes (and drops) its predecessor,
-# whose tile caches alias the same worker-cache arena.
+# accumulate arenas.
 _MAX_RETAINED_BATCHES = 2
 _SHM_ALIGN = 64
 
 _TOKENS = itertools.count(1)
-# Namespace ids link one parent GeometryCache to its worker-resident
-# counterparts; assigned lazily, the first time a cache rides a sharded batch.
-_NAMESPACE_IDS = itertools.count(1)
 
-#: Shared Step 1 arrays shipped parent -> worker when any view must rebuild.
+#: Shared Step 1 arrays shipped parent -> worker with every batch.
 _SHARED_FIELDS = ("indices", "positions", "cov3d", "opacities", "colors")
 #: Heavy per-view projection intermediates shipped worker -> parent at
 #: backward time (everything Step 5 reads beyond what the parent already
@@ -304,61 +278,19 @@ class _StitchedIntersections(TileIntersections):
         return self._n_pairs
 
 
-def _cache_namespace(cache) -> int:
-    """The worker-side namespace id of ``cache``, assigned on first use."""
-    namespace = getattr(cache, "_shard_namespace", None)
-    if namespace is None:
-        namespace = next(_NAMESPACE_IDS)
-        cache._shard_namespace = namespace
-    return namespace
-
-
 # -- worker process ------------------------------------------------------------
-class _WorkerCloudView:
-    """Duck-typed stand-in for :class:`GaussianCloud` inside shard workers.
-
-    Carries exactly what the geometry cache reads when planning/building with
-    donated shared preprocessing: the mutation-epoch scalars classification
-    keys on, plus the full-cloud colours and post-sigmoid opacities that
-    appearance splicing gathers on the refresh tier.  Projection geometry
-    never touches it (``project_gaussians`` reads only the donated shared
-    arrays).
-    """
-
-    def __init__(self, meta: dict, colors: np.ndarray, opacities: np.ndarray):
-        self.uid = meta["uid"]
-        self.epoch = meta["epoch"]
-        self.structure_epoch = meta["structure_epoch"]
-        self.unbounded_epoch = meta["unbounded_epoch"]
-        self.cum_position_delta = meta["cum_position_delta"]
-        self.cum_log_scale_delta = meta["cum_log_scale_delta"]
-        self.colors = colors
-        self._opacities = opacities
-
-    def opacities(self, rows: np.ndarray | None = None) -> np.ndarray:
-        if rows is None:
-            return np.array(self._opacities)
-        return self._opacities[rows]
-
-
 class _WorkerContext:
-    """Per-worker persistent state: retained batches, arenas, geometry caches.
+    """Per-worker persistent state: retained batches and their arenas.
 
-    Uncached batches rotate over ``_MAX_RETAINED_BATCHES`` grow-only arena
-    slots (the worker-side mirror of the parent's ``ensure_flat_arena``
-    recycling); the batch occupying a slot is dropped before its arena is
-    reused.  Cached batches render into their namespace's worker-resident
-    :class:`GeometryCache` arena instead, so a new cached batch of a
-    namespace drops that namespace's previous retained batch (whose tile
-    caches alias the same arena) rather than consuming a slot.
+    Batches rotate over ``_MAX_RETAINED_BATCHES`` grow-only arena slots (the
+    worker-side mirror of the parent's ``ensure_flat_arena`` recycling); the
+    batch occupying a slot is dropped before its arena is reused.
     """
 
     def __init__(self) -> None:
-        # token -> {"results": {index: RenderResult}, "slot": int | None,
-        #           "namespace": int | None}
+        # token -> {"results": {index: RenderResult}, "slot": int}
         self.batches: OrderedDict = OrderedDict()
         self.arenas: dict[int, object] = {}  # slot -> FlatArena
-        self.caches: dict[int, object] = {}  # namespace -> GeometryCache
         self.render_count = 0
 
 
@@ -376,145 +308,62 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
         ensure_flat_arena,
         rasterize_flat_into,
     )
-    from repro.gaussians.geom_cache import GeometryCache, entry_meta
     from repro.gaussians.projection import project_gaussians
     from repro.gaussians.sorting import build_tile_lists
 
-    namespace = batch["namespace"]
     active_only = batch["active_only"]
     views = batch["views"]
-    shared = None
-    if batch["shared"] is not None:
-        shared = SharedGaussianData(
-            **{name: _shm_view(shm, batch["shared"][name]) for name in _SHARED_FIELDS}
-        )
-
-    view_replies: list[dict] = []
-    results: dict[int, object] = {}
-
-    if namespace is None:
-        if shared is None:
-            raise RuntimeError(
-                "uncached sharded batch arrived without shared preprocessing data"
-            )
-        slot = ctx.render_count % _MAX_RETAINED_BATCHES
-        ctx.render_count += 1
-        for stale_token, entry in list(ctx.batches.items()):
-            if entry["namespace"] is None and entry["slot"] == slot:
-                _worker_drop_batch(ctx, stale_token)
-        planned = []
-        total = 0
-        for meta in views:
-            start = time.perf_counter()
-            # ``project_gaussians`` reads nothing from the cloud once shared
-            # data is donated, so no cloud object crosses the process line.
-            projected = project_gaussians(
-                None, meta["camera"], meta["pose_cw"], active_only=active_only, shared=shared
-            )
-            grid = TileGrid.interned(
-                meta["camera"].width,
-                meta["camera"].height,
-                meta["tile_size"],
-                meta["subtile_size"],
-            )
-            intersections = build_tile_lists(projected, grid)
-            fragments = build_flat_fragments(intersections)
-            planned.append((projected, intersections, fragments, time.perf_counter() - start))
-            total += fragments.n_fragments
-        arena = ensure_flat_arena(ctx.arenas.get(slot), total)
-        ctx.arenas[slot] = arena
-        base = 0
-        for meta, (projected, intersections, fragments, plan_seconds) in zip(views, planned):
-            start = time.perf_counter()
-            result = rasterize_flat_into(
-                projected, intersections, fragments, meta["background"], arena, base
-            )
-            base += fragments.n_fragments
-            _write_view_outputs(shm, meta["outputs"], result)
-            results[meta["index"]] = result
-            view_replies.append(
-                {
-                    "index": meta["index"],
-                    "indices": projected.indices,
-                    "n_pairs": int(intersections.n_pairs),
-                    "plan_seconds": plan_seconds,
-                    "raster_seconds": time.perf_counter() - start,
-                    "cache_status": "uncached",
-                    "meta": None,
-                }
-            )
-        ctx.batches[token] = {"results": results, "slot": slot, "namespace": None}
-        return {"views": view_replies, "evicted": []}
-
-    # Cached path: plan/build/render through this namespace's worker-resident
-    # cache.  The previous retained batch of the namespace aliases the cache
-    # arena this render writes, so it is dropped first.
-    for stale_token, entry in list(ctx.batches.items()):
-        if entry["namespace"] == namespace:
-            _worker_drop_batch(ctx, stale_token)
-    cache = ctx.caches.get(namespace)
-    if cache is None or cache.config != batch["cache_config"]:
-        cache = GeometryCache(batch["cache_config"])
-        ctx.caches[namespace] = cache
-    cloud = _WorkerCloudView(
-        batch["cloud_meta"],
-        colors=_shm_view(shm, batch["appearance"]["colors"]),
-        opacities=_shm_view(shm, batch["appearance"]["opacities"]),
+    shared = SharedGaussianData(
+        **{name: _shm_view(shm, batch["shared"][name]) for name in _SHARED_FIELDS}
     )
-    known_keys = cache.entry_keys()
-    plans = []
+    slot = ctx.render_count % _MAX_RETAINED_BATCHES
+    ctx.render_count += 1
+    for stale_token, entry in list(ctx.batches.items()):
+        if entry["slot"] == slot:
+            _worker_drop_batch(ctx, stale_token)
+    planned = []
+    total = 0
     for meta in views:
         start = time.perf_counter()
-        plan = cache.plan_view(
-            cloud,
-            meta["camera"],
-            meta["pose_cw"],
+        # ``project_gaussians`` reads nothing from the cloud once shared
+        # data is donated, so no cloud object crosses the process line.
+        projected = project_gaussians(
+            None, meta["camera"], meta["pose_cw"], active_only=active_only, shared=shared
+        )
+        grid = TileGrid.interned(
+            meta["camera"].width,
+            meta["camera"].height,
             meta["tile_size"],
             meta["subtile_size"],
-            active_only,
         )
-        if plan.status == "miss":
-            if shared is None:
-                # The parent's mirror predicted pure reuse and withheld the
-                # shared Step 1 payload; report the desync (a structured
-                # reply, not an error — the pool stays healthy) so it
-                # resends with the full payload.
-                return {"desync": [meta["index"]]}
-            cache.build_view(
-                plan,
-                cloud,
-                meta["camera"],
-                meta["pose_cw"],
-                meta["tile_size"],
-                meta["subtile_size"],
-                active_only,
-                shared=shared,
-            )
-        plans.append((plan, time.perf_counter() - start))
-    arena = cache.ensure_arena(sum(plan.entry.n_fragments for plan, _ in plans))
+        intersections = build_tile_lists(projected, grid)
+        fragments = build_flat_fragments(intersections)
+        planned.append((projected, intersections, fragments, time.perf_counter() - start))
+        total += fragments.n_fragments
+    arena = ensure_flat_arena(ctx.arenas.get(slot), total)
+    ctx.arenas[slot] = arena
     base = 0
-    for meta, (plan, plan_seconds) in zip(views, plans):
+    view_replies: list[dict] = []
+    results: dict[int, object] = {}
+    for meta, (projected, intersections, fragments, plan_seconds) in zip(views, planned):
         start = time.perf_counter()
-        result = cache.render_view(plan, meta["background"], arena, base)
-        base += plan.entry.n_fragments
+        result = rasterize_flat_into(
+            projected, intersections, fragments, meta["background"], arena, base
+        )
+        base += fragments.n_fragments
         _write_view_outputs(shm, meta["outputs"], result)
         results[meta["index"]] = result
         view_replies.append(
             {
                 "index": meta["index"],
-                "indices": result.projected.indices,
-                "n_pairs": int(result.intersections.n_pairs),
+                "indices": projected.indices,
+                "n_pairs": int(intersections.n_pairs),
                 "plan_seconds": plan_seconds,
                 "raster_seconds": time.perf_counter() - start,
-                "cache_status": plan.status,
-                "meta": entry_meta(plan.entry),
             }
         )
-    ctx.batches[token] = {"results": results, "slot": None, "namespace": namespace}
-    return {
-        "views": view_replies,
-        "evicted": [key for key in known_keys if key not in cache.entry_keys()],
-    }
+    ctx.batches[token] = {"results": results, "slot": slot}
+    return {"views": view_replies}
 
 
 def _apply_worker_faults(faults) -> tuple[list, "str | None"]:
@@ -631,19 +480,6 @@ def _worker_handle_backward(ctx: _WorkerContext, payload) -> tuple:
             pass
 
 
-def _worker_handle_invalidate(ctx: _WorkerContext, payload) -> tuple:
-    """Drop worker-resident cache state for one namespace (or all of them)."""
-    namespace = payload
-    if namespace is None:
-        ctx.caches.clear()
-    else:
-        ctx.caches.pop(namespace, None)
-    for token, entry in list(ctx.batches.items()):
-        if entry["namespace"] is not None and namespace in (None, entry["namespace"]):
-            _worker_drop_batch(ctx, token)
-    return ("ok", None)
-
-
 def _worker_drop_batch(ctx: _WorkerContext, token: int) -> None:
     entry = ctx.batches.pop(token)
     entry["results"].clear()
@@ -671,10 +507,6 @@ def _worker_main(conn, worker_id: int, seed_base: int | None) -> None:
                 reply = _worker_handle_render(ctx, message[1])
             elif command == "backward":
                 reply = _worker_handle_backward(ctx, message[1])
-            elif command == "invalidate":
-                reply = _worker_handle_invalidate(ctx, message[1])
-            elif command == "ping":
-                reply = ("ok", worker_id)
             else:
                 raise ValueError(f"unknown shard command {command!r}")
         except BaseException:
@@ -743,14 +575,12 @@ class ShardedPool:
         self._closed = False
         self._workers: list[_Worker] = []
         # Parent-side mirror of each worker's retained-batch window (see
-        # _worker_render_batch): uncached tokens rotate out FIFO once a worker
-        # has acknowledged _MAX_RETAINED_BATCHES newer uncached renders, and
-        # each cache namespace retains only its latest token.  Handles consult
+        # _worker_render_batch): tokens rotate out FIFO once a worker has
+        # acknowledged _MAX_RETAINED_BATCHES newer renders.  Handles consult
         # the mirror (token_resident) before a backward request is sent, so a
         # batch the worker already evicted heals through the parent-recompute
         # path instead of surfacing the worker's residency error.
-        self._resident_uncached: dict[int, deque] = {}
-        self._resident_cached: dict[int, dict] = {}
+        self._resident: dict[int, deque] = {}
         try:
             with _single_threaded_blas_for_children():
                 for worker_id in range(self.n_workers):
@@ -792,34 +622,19 @@ class ShardedPool:
             worker.process.is_alive() for worker in self._workers
         )
 
-    def note_resident(self, worker_id: int, token: int, namespace=None) -> None:
+    def note_resident(self, worker_id: int, token: int) -> None:
         """Mirror a successful render ack: ``token`` is now worker-resident.
 
-        Mimics the worker's own retention policy exactly: uncached batches
-        share a FIFO window of ``_MAX_RETAINED_BATCHES`` slots, cached batches
-        supersede the namespace's previous token.
+        Mimics the worker's own retention policy exactly: batches share a
+        FIFO window of ``_MAX_RETAINED_BATCHES`` slots.
         """
-        if namespace is None:
-            window = self._resident_uncached.setdefault(
-                worker_id, deque(maxlen=_MAX_RETAINED_BATCHES)
-            )
-            window.append(token)
-        else:
-            self._resident_cached.setdefault(worker_id, {})[namespace] = token
-
-    def note_invalidated(self, namespace=None) -> None:
-        """Mirror a cache invalidation: the namespace's batches are gone."""
-        for retained in self._resident_cached.values():
-            if namespace is None:
-                retained.clear()
-            else:
-                retained.pop(namespace, None)
+        self._resident.setdefault(
+            worker_id, deque(maxlen=_MAX_RETAINED_BATCHES)
+        ).append(token)
 
     def token_resident(self, worker_id: int, token: int) -> bool:
         """Does the parent-side mirror still consider ``token`` retained?"""
-        return token in self._resident_uncached.get(
-            worker_id, ()
-        ) or token in self._resident_cached.get(worker_id, {}).values()
+        return token in self._resident.get(worker_id, ())
 
     def gather(
         self, messages: dict[int, tuple], timeout: float = _REQUEST_TIMEOUT_S
@@ -861,24 +676,6 @@ class ShardedPool:
             else:
                 replies[worker_id] = reply[1] if reply else None
         return replies, faults
-
-    def request_all(
-        self, messages: dict[int, tuple], timeout: float = _REQUEST_TIMEOUT_S
-    ) -> dict[int, object]:
-        """Raising wrapper over :meth:`gather` (invalidation/ping paths).
-
-        Any fault raises :class:`ShardWorkerError` after every healthy
-        reply has been drained; the caller closes the pool.
-        """
-        replies, faults = self.gather(messages, timeout=timeout)
-        if faults:
-            fault = faults[0]
-            if fault.kind == "error":
-                raise ShardWorkerError(
-                    f"shard worker {fault.worker_id} failed:\n{fault.detail}"
-                )
-            raise ShardWorkerError(fault.detail)
-        return replies
 
     def _receive_until(self, worker: _Worker, deadline: float):
         while not worker.conn.poll(0.02):
@@ -940,8 +737,7 @@ class ShardedPool:
 
 # Pools are shared process-wide per (worker count, seed): spawn + numpy import
 # costs seconds per worker, and every engine pinned to the same configuration
-# can safely share workers because batch state is token-keyed and cache state
-# is namespace-keyed.
+# can safely share workers because batch state is token-keyed.
 _POOLS: dict[tuple[int, int | None], ShardedPool] = {}
 
 
@@ -1019,8 +815,6 @@ _RENDER_REPLY_VIEW_FIELDS = (
     "n_pairs",
     "plan_seconds",
     "raster_seconds",
-    "cache_status",
-    "meta",
 )
 
 
@@ -1035,13 +829,9 @@ def _validate_render_reply(payload, expected_views: Sequence[int]) -> "str | Non
         return f"reply payload is {type(payload).__name__}, not a mapping"
     if payload.get("poisoned"):
         return "worker returned a poisoned reply"
-    if payload.get("desync"):
-        return None
     views = payload.get("views")
     if not isinstance(views, list):
         return "reply carries no view list"
-    if not isinstance(payload.get("evicted"), list):
-        return "reply carries no eviction list"
     got: list[int] = []
     for view in views:
         if not isinstance(view, dict) or "index" not in view:
@@ -1080,12 +870,10 @@ def _validate_backward_reply(payload, expected_views: Sequence[int]) -> "str | N
 class ShardedBackend:
     """Multi-process worker-planned batch execution behind the backend seam.
 
-    Batches plan *and* rasterize inside the worker pool
-    (``distributed_planning``); geometry-cache entries live in the workers
-    (``worker_resident_cache``) keyed by the same cloud mutation epochs as
-    the parent cache, so sharding and caching compose on one render.
-    Single-view renders and degraded batches (no usable pool) run the serial
-    flat path with the parent-resident cache unchanged.
+    Uncached batches plan *and* rasterize inside the worker pool
+    (``distributed_planning``).  Single-view renders, batches that carry a
+    geometry cache and degraded batches (no usable pool) run the serial flat
+    path in the parent.
     """
 
     name = "sharded"
@@ -1093,13 +881,6 @@ class ShardedBackend:
     def __init__(self, config: "EngineConfig"):
         self.config = config
         self._unavailable_reason: str | None = None
-        # Classification mirror: (worker_id, view key) -> EntryMeta of the
-        # entry that worker holds, valid for ``_mirror_pool`` only.  Lets the
-        # parent predict which views of the next batch will miss (and
-        # therefore whether the shared Step 1 payload must ship) by running
-        # the same classify_reuse the workers run.
-        self._mirror: dict[tuple[int, tuple], "EntryMeta"] = {}
-        self._mirror_pool: ShardedPool | None = None
         # Fault-injection bookkeeping (no-ops unless a FaultPlan is active):
         # dispatch-operation counter and the once-sites already consumed.
         self._fault_op_counter = 0
@@ -1112,11 +893,10 @@ class ShardedBackend:
             batch=True,
             cache=True,
             distributed_planning=True,
-            worker_resident_cache=True,
             reference=False,
             description=(
                 "multi-process sharded execution with worker-resident Step 1-2 "
-                "planning and geometry caches (repro.engine.sharded)"
+                "planning (repro.engine.sharded)"
             ),
             availability=self.availability(),
         )
@@ -1192,9 +972,9 @@ class ShardedBackend:
         """Parent-side Step 1-2 planning (the serial/external-scheduler seam).
 
         With a live pool :meth:`render_batch` does *not* go through this plan
-        — planning is distributed to the workers (``distributed_planning``);
-        this seam covers the degraded serial path and callers that schedule
-        the units themselves.
+        for an uncached batch — planning is distributed to the workers
+        (``distributed_planning``); this seam covers cached batches, the
+        degraded serial path and callers that schedule the units themselves.
         """
         return plan_batch_views(
             request.cloud,
@@ -1214,7 +994,8 @@ class ShardedBackend:
         return execute_plan(plan, arena=request.arena)
 
     def render_batch(self, request: BatchRenderRequest) -> BatchRenderResult:
-        pool = self._pool_for(len(request.cameras))
+        # A cache holds parent-resident entries, so a cached batch runs here.
+        pool = None if request.cache is not None else self._pool_for(len(request.cameras))
         if pool is None:
             return self.execute_units(self.plan_batch(request), request)
         return self._render_batch_sharded(request, pool)
@@ -1247,117 +1028,7 @@ class ShardedBackend:
     def _render_batch_sharded(
         self, request: BatchRenderRequest, pool: ShardedPool
     ) -> BatchRenderResult:
-        """Worker-planned execution: predict misses, dispatch."""
-        cache = request.cache
-        cloud = request.cloud
-        n_views = len(request.cameras)
-        keys: list[tuple] | None = None
-        if cache is not None:
-            if pool is not self._mirror_pool:
-                # A fresh pool means fresh (empty) worker caches; predictions
-                # from the previous pool's entries would desync immediately.
-                self._mirror = {}
-                self._mirror_pool = pool
-            keys = [
-                view_key(
-                    camera,
-                    pose_cw,
-                    request.tile_size,
-                    request.subtile_size,
-                    request.active_only,
-                )
-                for camera, pose_cw in zip(request.cameras, request.poses_cw)
-            ]
-            predicted = _assign_round_robin(pool.n_workers, n_views)
-            worker_of = {
-                view: worker_id
-                for worker_id, views in predicted.items()
-                for view in views
-            }
-            need_shared = any(
-                classify_reuse(
-                    cache.config, self._mirror.get((worker_of[index], key)), cloud
-                )
-                == "miss"
-                for index, key in enumerate(keys)
-            )
-        else:
-            need_shared = True
-
-        shared = None
-        shared_seconds = 0.0
-        if need_shared:
-            start = time.perf_counter()
-            shared = shared_preprocess(cloud, active_only=request.active_only)
-            shared_seconds = time.perf_counter() - start
-
-        for _attempt in range(2):
-            batch = self._dispatch_sharded(request, pool, shared, shared_seconds, keys)
-            if batch is not None:
-                return batch
-            # Worker cache state diverged from the prediction mirror (view
-            # reassignment, a recreated worker cache): resync by clearing the
-            # mirror and resending with the full Step 1 payload, after which
-            # every worker can rebuild and desync is impossible.
-            self._mirror.clear()
-            if shared is None:
-                start = time.perf_counter()
-                shared = shared_preprocess(cloud, active_only=request.active_only)
-                shared_seconds = time.perf_counter() - start
-        raise ShardWorkerError(
-            "shard workers reported a cache desync even with the full shared "
-            "payload; this is a bug in the sharded backend"
-        )
-
-    def _render_view_serial(self, request, meta: dict, shared: SharedGaussianData):
-        """Escalated serial execution of one lost view.
-
-        Runs exactly the worker's uncached plan+raster sequence
-        (project -> tile -> fragments -> ``rasterize_flat_into``) against a
-        private arena, so the escalated result is bitwise-identical to what
-        a healthy worker would have stitched in.
-        """
-        from repro.gaussians.fast_raster import (
-            allocate_flat_arena,
-            build_flat_fragments,
-            rasterize_flat_into,
-        )
-        from repro.gaussians.projection import project_gaussians
-        from repro.gaussians.sorting import build_tile_lists
-
-        start = time.perf_counter()
-        projected = project_gaussians(
-            None,
-            meta["camera"],
-            meta["pose_cw"],
-            active_only=request.active_only,
-            shared=shared,
-        )
-        grid = TileGrid.interned(
-            meta["camera"].width,
-            meta["camera"].height,
-            meta["tile_size"],
-            meta["subtile_size"],
-        )
-        intersections = build_tile_lists(projected, grid)
-        fragments = build_flat_fragments(intersections)
-        plan_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        arena = allocate_flat_arena(fragments.n_fragments)
-        result = rasterize_flat_into(
-            projected, intersections, fragments, meta["background"], arena, 0
-        )
-        return result, plan_seconds, time.perf_counter() - start
-
-    def _dispatch_sharded(
-        self,
-        request: BatchRenderRequest,
-        pool: ShardedPool,
-        shared: SharedGaussianData | None,
-        shared_seconds: float,
-        keys: "list[tuple] | None",
-    ) -> BatchRenderResult | None:
-        """One dispatch of the batch; ``None`` signals a cache desync.
+        """Worker-planned execution: ship the shared Step 1 arrays, dispatch.
 
         Fans the views out over the pool and waits once, for
         ``shard_deadline_s``.  On any fault (a crash, a hang, a failed send,
@@ -1369,7 +1040,10 @@ class ShardedBackend:
         """
         from repro.gaussians.rasterizer import RenderResult
 
-        cache = request.cache
+        start = time.perf_counter()
+        shared = shared_preprocess(request.cloud, active_only=request.active_only)
+        shared_seconds = time.perf_counter() - start
+
         cameras = list(request.cameras)
         poses_cw = list(request.poses_cw)
         n_views = len(cameras)
@@ -1378,30 +1052,7 @@ class ShardedBackend:
 
         dispatch_start = time.perf_counter()
         layout = _ShmLayout()
-        shared_specs = None
-        if shared is not None:
-            shared_specs = {
-                name: layout.add(getattr(shared, name)) for name in _SHARED_FIELDS
-            }
-        namespace = cloud_meta = appearance_specs = cache_config = None
-        if cache is not None:
-            namespace = _cache_namespace(cache)
-            cache_config = cache.config
-            cloud = request.cloud
-            cloud_meta = {
-                "uid": cloud.uid,
-                "epoch": cloud.epoch,
-                "structure_epoch": cloud.structure_epoch,
-                "unbounded_epoch": cloud.unbounded_epoch,
-                "cum_position_delta": cloud.cum_position_delta,
-                "cum_log_scale_delta": cloud.cum_log_scale_delta,
-            }
-            # Appearance splicing (the refresh tier) gathers from the full
-            # cloud arrays, so they ship every cached batch.
-            appearance_specs = {
-                "colors": layout.add(cloud.colors),
-                "opacities": layout.add(cloud.opacities()),
-            }
+        shared_specs = {name: layout.add(getattr(shared, name)) for name in _SHARED_FIELDS}
         view_metas = []
         for index, (camera, pose_cw) in enumerate(zip(cameras, poses_cw)):
             height, width = camera.height, camera.width
@@ -1424,13 +1075,11 @@ class ShardedBackend:
         shm = layout.create()
         plan_seconds = [0.0] * n_views
         raster_seconds = [0.0] * n_views
-        statuses = ["uncached"] * n_views
         indices_by_view: dict[int, np.ndarray] = {}
         n_pairs_by_view: dict[int, int] = {}
         local_results: dict[int, "RenderResult"] = {}  # escalated views
         fault_log: list[dict] = []
         lost: list[int] = []  # views of faulted workers
-        unfinished: list[int] = []  # views of workers that reported a desync
         try:
             assignment = _assign_round_robin(pool.n_workers, n_views)
             worker_of = {
@@ -1456,11 +1105,7 @@ class ShardedBackend:
                         token,
                         shm.name,
                         {
-                            "namespace": namespace,
-                            "cache_config": cache_config,
-                            "cloud_meta": cloud_meta,
                             "shared": shared_specs,
-                            "appearance": appearance_specs,
                             "active_only": request.active_only,
                             "views": [view_metas[i] for i in view_ids],
                             "faults": fault_sites.get(worker_id),
@@ -1508,29 +1153,14 @@ class ShardedBackend:
                             "detail": ",".join(map(str, payload["fault_sites"])),
                         }
                     )
-                if payload.get("desync"):
-                    # The worker dropped the namespace's retained batch
-                    # before reporting the desync — mirror the drop.
-                    pool.note_resident(worker_id, -1, namespace)
-                    unfinished.extend(reply_views)
-                    continue
-                pool.note_resident(worker_id, token, namespace)
+                pool.note_resident(worker_id, token)
                 for view in payload["views"]:
                     index = view["index"]
                     plan_seconds[index] = view["plan_seconds"]
                     raster_seconds[index] = view["raster_seconds"]
-                    statuses[index] = view["cache_status"]
                     indices_by_view[index] = np.asarray(view["indices"])
                     n_pairs_by_view[index] = view["n_pairs"]
                     worker_seconds[worker_id] += view["plan_seconds"] + view["raster_seconds"]
-                    if cache is not None:
-                        self._mirror[(worker_id, keys[index])] = view["meta"]
-                if cache is not None:
-                    for key in payload["evicted"]:
-                        self._mirror.pop((worker_id, key), None)
-                    cache.stats.evictions += len(payload["evicted"])
-            if not lost and unfinished:
-                return None
 
             if lost:
                 # The one failure path: close the whole pool (the next batch
@@ -1538,13 +1168,7 @@ class ShardedBackend:
                 # running exactly the worker's uncached plan+raster sequence
                 # so the batch output stays bitwise-identical.
                 _discard_pool(pool)
-                if shared is None:
-                    start = time.perf_counter()
-                    shared = shared_preprocess(
-                        request.cloud, active_only=request.active_only
-                    )
-                    shared_seconds += time.perf_counter() - start
-                for index in sorted(lost + unfinished):
+                for index in sorted(lost):
                     fault_log.append(
                         {
                             "event": "escalated",
@@ -1572,7 +1196,6 @@ class ShardedBackend:
                     # honest: an escalated view of an empty/all-culled scene
                     # legitimately has no tile caches AND no worker handle.
                     view.backend = "sharded"
-                    view.cache_status = "uncached"
                     view.shard_escalated = True
                     views.append(view)
                     continue
@@ -1604,7 +1227,6 @@ class ShardedBackend:
                     pose_cw=pose_cw,
                     background=background,
                     backend="sharded",
-                    cache_status=statuses[index],
                 )
                 # After a fault this handle points at the closed pool, so it
                 # reads unusable and backward recomputes the view here.
@@ -1616,8 +1238,6 @@ class ShardedBackend:
                     active_only=request.active_only,
                 )
                 views.append(view)
-                if cache is not None:
-                    cache.stats.count(statuses[index])
         finally:
             shm.close()
             try:
@@ -1651,38 +1271,45 @@ class ShardedBackend:
             ),
         )
 
-    # -- invalidation ---------------------------------------------------------
-    def invalidate_worker_caches(self, cache: "GeometryCache | None" = None) -> None:
-        """Broadcast geometry-cache invalidation to every live shard pool.
+    def _render_view_serial(self, request, meta: dict, shared: SharedGaussianData):
+        """Escalated serial execution of one lost view.
 
-        Epoch keying already guarantees stale worker entries can never be
-        *served* after a structural mutation; the broadcast eagerly frees
-        their memory and drops retained cached batches whose backward state
-        aliases them.  ``cache=None`` clears every namespace; passing a cache
-        that never rode a sharded batch is a no-op.  Best-effort: a pool
-        that fails the broadcast is closed, not raised through (invalidation
-        sites sit inside densify/prune paths that must not fail on pool
-        hiccups).
+        Runs exactly the worker's uncached plan+raster sequence
+        (project -> tile -> fragments -> ``rasterize_flat_into``) against a
+        private arena, so the escalated result is bitwise-identical to what
+        a healthy worker would have stitched in.
         """
-        self._mirror.clear()
-        namespace = None
-        if cache is not None:
-            namespace = getattr(cache, "_shard_namespace", None)
-            if namespace is None:
-                return
-        for pool in list(_POOLS.values()):
-            if pool.broken:
-                continue
-            try:
-                pool.request_all(
-                    {
-                        worker_id: ("invalidate", namespace)
-                        for worker_id in range(pool.n_workers)
-                    }
-                )
-                pool.note_invalidated(namespace)
-            except ShardWorkerError:
-                _discard_pool(pool)
+        from repro.gaussians.fast_raster import (
+            allocate_flat_arena,
+            build_flat_fragments,
+            rasterize_flat_into,
+        )
+        from repro.gaussians.projection import project_gaussians
+        from repro.gaussians.sorting import build_tile_lists
+
+        start = time.perf_counter()
+        projected = project_gaussians(
+            None,
+            meta["camera"],
+            meta["pose_cw"],
+            active_only=request.active_only,
+            shared=shared,
+        )
+        grid = TileGrid.interned(
+            meta["camera"].width,
+            meta["camera"].height,
+            meta["tile_size"],
+            meta["subtile_size"],
+        )
+        intersections = build_tile_lists(projected, grid)
+        fragments = build_flat_fragments(intersections)
+        plan_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        arena = allocate_flat_arena(fragments.n_fragments)
+        result = rasterize_flat_into(
+            projected, intersections, fragments, meta["background"], arena, 0
+        )
+        return result, plan_seconds, time.perf_counter() - start
 
     # -- backward ------------------------------------------------------------
     def _shard_backward(

@@ -90,8 +90,9 @@ class GaussianCloud:
         # the row set / active mask changes (densify, prune, mask).  The
         # cumulative deltas upper-bound how far parameters drifted since any
         # given epoch (sum of per-step max |delta|, by the triangle
-        # inequality), which is what the cache's screen-space tolerance check
-        # consumes without re-projecting.
+        # inequality); the cache's refresh tier reads an unchanged position
+        # and log-scale total as "geometry did not move", and speculation
+        # keys pin all three.
         self._uid = next(_CLOUD_UIDS)
         self._epoch = 0
         self._structure_epoch = 0
@@ -146,8 +147,8 @@ class GaussianCloud:
         (use it after resizing arrays or editing ``active`` in place).  The
         mutating methods below call this automatically.  Either way the edit
         carries no movement bound, so epoch-keyed caches rebuild anything
-        predating it instead of reusing under a tolerance; state built
-        *afterwards* is unaffected.
+        predating it instead of refreshing it; state built *afterwards* is
+        unaffected.
         """
         self._epoch += 1
         self._unbounded_epoch = self._epoch

@@ -1,41 +1,34 @@
-"""Cross-iteration geometry cache: RTGS-style Step 1-2 reuse across renders.
+"""Geometry cache: exact Step 1-2 reuse across renders of a fixed view.
 
-Consecutive SLAM mapping iterations re-render the *same* keyframe window
-against a cloud that moves only slightly per Adam step, so the view-dependent
-preprocessing — Step 1 projection and Step 2 tile intersection / sorting /
-flat fragment build — is largely redundant work (the reuse the paper applies
-across the iterations of one pruning window, Sec. 4.1).  This module memoises
-that pipeline per view, keyed by the cloud's mutation epoch
-(:attr:`repro.gaussians.gaussian_model.GaussianCloud.epoch`), with four reuse
-tiers ordered from exact to approximate:
+A caller that renders the *same* view again against a cloud whose geometry
+has not changed — a render-service tenant re-reading a fixed map, say —
+re-runs the view-dependent preprocessing (Step 1 projection and Step 2 tile
+intersection / sorting / flat fragment build) for nothing.  This module
+memoises that pipeline per view, keyed by the cloud's mutation epoch
+(:attr:`repro.gaussians.gaussian_model.GaussianCloud.epoch`), with three
+tiers, all exact:
 
 ``hit``
     The cloud has not mutated since the entry was built: every Step 1-2
     product (:class:`ProjectedGaussians`, :class:`TileIntersections`,
-    :class:`FlatFragments`) is reused as-is.  Bit-identical.
+    :class:`FlatFragments`) is reused as-is.
 ``refresh``
     Only colours and/or opacities changed.  Geometry (means, covariances,
     culling, tile lists, depth order) is untouched by those parameters, so
     the cached entry is reused with the fresh appearance values gathered from
-    the cloud.  Bit-identical to a full rebuild.
-``incremental``
-    Means and/or scales also moved, but the cloud's cumulative per-epoch
-    movement bounds (:attr:`GaussianCloud.cum_position_delta` /
-    ``cum_log_scale_delta`` — the per-epoch dirty flags) translate to a
-    screen-space drift below ``tolerance_px``.  Tile assignment and fragment
-    ordering are reused with the stale geometry; only the per-fragment
-    alpha/colour inputs (opacities, colours) are recomputed.  Approximate,
-    bounded by the tolerance; ``tolerance_px=0`` disables this tier.
+    the cloud.
 ``miss``
-    Anything else — in particular any structural change (densify, prune,
-    masking, ``notify_removed``) — rebuilds the full Step 1-2 pipeline and
-    replaces the entry.
+    Anything else — any position or scale step, however small, and any
+    structural change (densify, prune, masking, ``notify_removed``) —
+    rebuilds the full Step 1-2 pipeline and replaces the entry.
 
 Every render replays the entry's full fragment list, so ``hit`` and
 ``refresh`` renders equal a cache-off render bit for bit, per-pixel fragment
-counts included.  The **flat fragment arena** is shared grow-only across
-*all* renders and batches served by one cache (``ensure_flat_arena`` keeps
-the high-water mark), not just within one batch.
+counts included.  A cache is used only where a caller passes one: the render
+service's cached sessions do; SLAM renders uncached.  The **flat fragment
+arena** is shared grow-only across *all* renders and batches served by one
+cache (``ensure_flat_arena`` keeps the high-water mark), not just within one
+batch.
 
 Because cached renders share one arena, a render must be fully consumed
 (backward pass included) before the next render is requested from the same
@@ -68,24 +61,14 @@ from repro.gaussians.se3 import SE3
 from repro.gaussians.sorting import TileIntersections, build_tile_lists
 from repro.gaussians.tiling import TileGrid
 
-CACHE_STATUSES = ("uncached", "miss", "hit", "refresh", "incremental")
-
-
 @dataclass(frozen=True)
 class GeomCacheConfig:
-    """Knobs of the geometry cache.
+    """Knobs of the geometry cache: ``max_entries`` caps the number of cached
+    views (LRU)."""
 
-    ``tolerance_px`` bounds the screen-space drift (pixels) under which stale
-    geometry may be reused; 0 restricts the cache to its exact tiers.
-    ``max_entries`` caps the number of cached views (LRU).
-    """
-
-    tolerance_px: float = 0.5
     max_entries: int = 8
 
     def __post_init__(self) -> None:
-        if self.tolerance_px < 0:
-            raise ValueError(f"tolerance_px must be >= 0, got {self.tolerance_px}")
         if self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
 
@@ -96,7 +79,6 @@ class CacheStats:
 
     hits: int = 0
     refreshes: int = 0
-    incremental: int = 0
     misses: int = 0
     evictions: int = 0
     budget_evictions: int = 0  # entries evicted to satisfy a byte budget
@@ -106,8 +88,6 @@ class CacheStats:
             self.hits += 1
         elif status == "refresh":
             self.refreshes += 1
-        elif status == "incremental":
-            self.incremental += 1
         elif status == "miss":
             self.misses += 1
         else:
@@ -115,20 +95,19 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.refreshes + self.incremental + self.misses
+        return self.hits + self.refreshes + self.misses
 
     @property
     def reuse_fraction(self) -> float:
         """Fraction of lookups that skipped the Step 2 rebuild."""
         if self.lookups == 0:
             return 0.0
-        return (self.hits + self.refreshes + self.incremental) / self.lookups
+        return (self.hits + self.refreshes) / self.lookups
 
     def as_dict(self) -> dict[str, float]:
         return {
             "hits": self.hits,
             "refreshes": self.refreshes,
-            "incremental": self.incremental,
             "misses": self.misses,
             "evictions": self.evictions,
             "budget_evictions": self.budget_evictions,
@@ -161,7 +140,7 @@ def view_key(
     subtile_size: int,
     active_only: bool,
 ) -> tuple:
-    """Cache key of one view; shared with the sharded parent-side mirror.
+    """Cache key of one view.
 
     The pose enters the key exactly, so an entry is only ever looked up from
     the pose it was built at.
@@ -188,15 +167,12 @@ class _CacheEntry:
     key: tuple
     cloud_uid: int
     structure_epoch: int
-    # Epoch and cumulative movement bounds at *build* time: staleness of the
-    # geometry is always measured against these, not against later splices.
+    # Epoch and cumulative movement bounds at *build* time: whether the
+    # geometry moved is always measured against these, not against later
+    # splices.
     built_epoch: int
     built_position_delta: float
     built_log_scale_delta: float
-    # Screen-space conversion factors captured at build time.
-    min_depth: float
-    max_radius: float
-    px_per_unit: float
     projected: ProjectedGaussians
     intersections: TileIntersections
     fragments: FlatFragments
@@ -210,68 +186,8 @@ class _CacheEntry:
         return self.fragments.n_fragments
 
 
-@dataclass(frozen=True)
-class EntryMeta:
-    """Classification-relevant metadata of one cache entry.
-
-    Everything :func:`classify_reuse` reads, and nothing heavy — shard
-    workers report one of these per built entry so the parent can mirror
-    worker-cache classification (predicting which views of the next batch
-    will miss and therefore need the shared preprocessing payload) without
-    holding the entries themselves.
-    """
-
-    cloud_uid: int
-    structure_epoch: int
-    built_epoch: int
-    built_position_delta: float
-    built_log_scale_delta: float
-    min_depth: float
-    max_radius: float
-    px_per_unit: float
-
-
-def entry_meta(entry: "_CacheEntry") -> EntryMeta:
-    """Extract the classification metadata of a cache entry."""
-    return EntryMeta(
-        cloud_uid=entry.cloud_uid,
-        structure_epoch=entry.structure_epoch,
-        built_epoch=entry.built_epoch,
-        built_position_delta=entry.built_position_delta,
-        built_log_scale_delta=entry.built_log_scale_delta,
-        min_depth=entry.min_depth,
-        max_radius=entry.max_radius,
-        px_per_unit=entry.px_per_unit,
-    )
-
-
-def screen_drift(entry, moved_position: float, moved_log_scale: float) -> float:
-    """Conservative screen-space bound (pixels) on the entry's staleness.
-
-    A position shift of ``d`` world units moves a splat centre by at most
-    ``d * focal / depth`` pixels; the nearest cached depth (shrunk by the
-    shift itself, since points may have moved toward the camera) gives the
-    worst case.  A log-scale shift of ``s`` grows every splat radius by at
-    most a factor ``e^s``.
-    """
-    if not np.isfinite(moved_position) or not np.isfinite(moved_log_scale):
-        return float("inf")
-    depth = entry.min_depth - moved_position
-    if depth <= 1e-3:
-        return float("inf")
-    shift = moved_position * entry.px_per_unit / depth
-    growth = entry.max_radius * float(np.expm1(moved_log_scale))
-    return shift + growth
-
-
-def classify_reuse(config: GeomCacheConfig, entry, cloud) -> str:
-    """Classify one lookup against an entry (or :class:`EntryMeta` mirror).
-
-    ``entry`` is duck-typed over the :class:`EntryMeta` fields and ``cloud``
-    over the mutation-epoch attributes of :class:`GaussianCloud`, so the
-    sharded parent can run the *same* decision procedure over its metadata
-    mirror that workers run over their resident entries.
-    """
+def classify_reuse(entry: "_CacheEntry | None", cloud: GaussianCloud) -> str:
+    """Classify one lookup against an entry: ``hit``, ``refresh`` or ``miss``."""
     if (
         entry is None
         or entry.cloud_uid != cloud.uid
@@ -287,11 +203,6 @@ def classify_reuse(config: GeomCacheConfig, entry, cloud) -> str:
     moved_log_scale = cloud.cum_log_scale_delta - entry.built_log_scale_delta
     if moved_position == 0.0 and moved_log_scale == 0.0:
         return "refresh"
-    tolerance = config.tolerance_px
-    if tolerance <= 0.0:
-        return "miss"
-    if screen_drift(entry, moved_position, moved_log_scale) <= tolerance:
-        return "incremental"
     return "miss"
 
 
@@ -300,7 +211,7 @@ class _ViewPlan:
     """Outcome of planning one view's render against the cache."""
 
     key: tuple
-    status: str  # "hit" | "refresh" | "incremental" | "miss"
+    status: str  # "hit" | "refresh" | "miss"
     entry: _CacheEntry | None  # None until a miss is built
 
 
@@ -333,11 +244,6 @@ class GeometryCache:
     def clear(self) -> None:
         """Drop every cached entry (the arena's high-water mark is kept)."""
         self._entries.clear()
-
-    def entry_keys(self) -> set[tuple]:
-        """The view keys currently resident (shard workers diff these across
-        a batch to report LRU evictions back to the parent's mirror)."""
-        return set(self._entries)
 
     def ensure_arena(self, n_fragments: int) -> FlatArena:
         """Return the shared grow-only arena, grown to at least ``n_fragments``."""
@@ -378,7 +284,7 @@ class GeometryCache:
         """
         key = view_key(camera, pose_cw, tile_size, subtile_size, active_only)
         entry = self._entries.get(key)
-        status = classify_reuse(self.config, entry, cloud)
+        status = classify_reuse(entry, cloud)
         if status == "miss":
             return _ViewPlan(key=key, status=status, entry=None)
         self._touch(entry)
@@ -411,9 +317,6 @@ class GeometryCache:
             built_epoch=cloud.epoch,
             built_position_delta=cloud.cum_position_delta,
             built_log_scale_delta=cloud.cum_log_scale_delta,
-            min_depth=float(projected.depths.min()) if projected.n_visible else float("inf"),
-            max_radius=float(projected.radii.max()) if projected.n_visible else 0.0,
-            px_per_unit=float(max(camera.fx, camera.fy)),
             projected=projected,
             intersections=intersections,
             fragments=fragments,
@@ -435,7 +338,7 @@ class GeometryCache:
         """Render one planned view into ``arena[base:]`` and count its tier.
 
         Runs the flat forward on the entry's full fragment list, so the
-        result is exact up to the reuse tier's own contract.
+        result equals an uncached render bit for bit.
         """
         entry = plan.entry
         result = rasterize_flat_into(

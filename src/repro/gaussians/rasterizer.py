@@ -96,9 +96,9 @@ class RenderResult:
     background: np.ndarray = field(default_factory=lambda: np.zeros(3))
     backend: str = "tile"  # which rasterizer implementation produced this result
     # How the geometry cache served this render: "uncached" (no cache in
-    # play), "miss" (full Step 1-2 rebuild), "hit", "refresh" or
-    # "incremental" (see repro.gaussians.geom_cache).  Consumed by workload
-    # snapshots, the hardware cost model and profiling.
+    # play), "miss" (full Step 1-2 rebuild), "hit" or "refresh" (see
+    # repro.gaussians.geom_cache).  Consumed by workload snapshots, the
+    # hardware cost model and profiling.
     cache_status: str = "uncached"
 
     @property

@@ -81,7 +81,7 @@ class GPUCostParameters:
     shared_preprocess_fraction: float = 0.6
     # Geometry-cache amortisation (repro.gaussians.geom_cache).  A cache hit
     # reuses the full Step 1-2 pipeline, paying only the epoch check and the
-    # buffer handoff; a refresh/incremental render additionally gathers fresh
+    # buffer handoff; a refresh render additionally gathers fresh
     # per-Gaussian colours/opacities (a fraction of Step 1) while still
     # skipping Step 2 sorting entirely.
     cache_hit_step12_fraction: float = 0.03
@@ -138,7 +138,7 @@ class EdgeGPUModel:
             # Step 1-2 served from the geometry cache: only revalidation cost.
             preprocessing *= params.cache_hit_step12_fraction
             sorting *= params.cache_hit_step12_fraction
-        elif snapshot.cache_status in ("refresh", "incremental"):
+        elif snapshot.cache_status == "refresh":
             # Cached geometry with a fresh appearance gather; sorting and
             # tiling are reused wholesale.
             preprocessing *= params.cache_splice_preprocess_fraction

@@ -77,13 +77,13 @@ def batch_amortization_report(
     sequential, uncached single-view iterations.  ``speedup`` is the
     combined modelled amortisation; ``step12_amortization`` isolates the
     cache's share by re-pricing only the cache statuses.  The cache
-    hit/refresh/incremental/miss counts make the Fig. 3-style latency
+    hit/refresh/miss counts make the Fig. 3-style latency
     breakdown attributable.  Which backend executed the work does not enter
     the model: sharded execution and its fault handling are recorded on
     ``ShardAttribution`` (``MappingResult.shardings``), not on snapshots.
     Wall-clock speedups of the software rasterizer are measured separately in
-    ``benchmarks/test_batched_mapping.py``, ``benchmarks/test_geom_cache_reuse.py``
-    and ``benchmarks/test_sharded_speedup.py``.
+    ``benchmarks/test_batched_mapping.py`` and
+    ``benchmarks/test_sharded_speedup.py``.
     """
     model = model or EdgeGPUModel("onx")
     mapping = [s for s in snapshots if s.stage == "mapping"]
@@ -111,7 +111,6 @@ def batch_amortization_report(
         # -- geometry-cache accounting --------------------------------------
         "cache_hits": float(statuses.count("hit")),
         "cache_refreshes": float(statuses.count("refresh")),
-        "cache_incremental": float(statuses.count("incremental")),
         "cache_misses": float(statuses.count("miss")),
         "cache_uncached": float(statuses.count("uncached")),
         "step12_cached_s": cached_step12,

@@ -434,8 +434,7 @@ class RenderService:
         if budget > 0 and not config.geom_cache:
             raise ValueError(
                 "cache_budget_bytes > 0 (REPRO_SERVICE_CACHE_BUDGET) requires "
-                "the geometry cache: enable geom_cache (REPRO_GEOM_CACHE) or "
-                "set the budget to 0"
+                "the geometry cache: enable geom_cache or set the budget to 0"
             )
         # Units dispatched per scheduling round: the fairness granularity.
         # Defaults to the shard worker count so one round can occupy the

@@ -23,12 +23,11 @@ round-robining one view per iteration:
   :meth:`StreamingMapper.notify_removed` — must remap them; a batched
   iteration issued right after a prune would otherwise index stale rows;
 * the mapper renders through an injected :class:`repro.engine.RenderEngine`
-  (building one from its own config when none is given) whose managed state
-  includes the per-window Step 1-2 geometry cache: poses are fixed within a
-  window, so Step 1-2 products are reused across all iterations of the
-  window, keyed by the cloud's mutation epoch and invalidated on the
-  densify/prune/removal paths (``MappingConfig.geom_cache=False`` or
-  ``REPRO_GEOM_CACHE=0`` disable it).
+  (building one from its own config when none is given).  Every render
+  rebuilds its Step 1-2 geometry: each Adam step moves the cloud, and the
+  engine's managed batches recycle only the fragment arena, never a
+  geometry cache, so mapping is exact whatever the engine's ``geom_cache``
+  setting.
 
 The per-view workload snapshots it emits feed the same profiling and hardware
 models as tracking; they carry ``batch_size``/``view_index`` so those
@@ -97,17 +96,6 @@ class MappingConfig:
     # None inherits the engine/env default (REPRO_SHARD_WORKERS, else
     # cpu-count-aware); forwarded into the mapper-built engine only.
     shard_workers: int | None = None
-    # -- geometry cache -----------------------------------------------------
-    # Per-window Step 1-2 cache (repro.gaussians.geom_cache): poses are fixed
-    # within a window and the cloud moves by at most ~learning-rate per
-    # iteration, so projection/tiling/sorting results are reused across all
-    # iterations of the window and invalidated by densify/prune/
-    # notify_removed via the cloud's mutation epochs.  ``geom_cache=False``
-    # or REPRO_GEOM_CACHE=0 restores the uncached PR 2 path.
-    geom_cache: bool = True
-    # Screen-space staleness (pixels) under which cached geometry may be
-    # reused after position/scale steps; 0 keeps only the exact reuse tiers.
-    geom_cache_tolerance_px: float = 0.5
 
 
 @dataclass
@@ -133,16 +121,13 @@ class StreamingMapper:
 
     All rendering flows through ``self.engine``: an injected
     :class:`repro.engine.RenderEngine`, or one the mapper builds from its
-    own config.  An *injected* engine's configuration wins outright — its
-    ``geom_cache`` setting replaces ``MappingConfig.geom_cache`` and the
-    ``REPRO_GEOM_CACHE`` escape hatch (seed injected engines with
-    ``EngineConfig.from_env()`` to keep the env knobs live).  The engine
-    owns the recycled fragment arena (fused
-    iterations consume each batch via the fused backward before the next
-    render may overwrite the storage — enforced by the engine's arena
-    ownership tracking) and the per-window Step 1-2 geometry cache,
-    invalidated on every removal path.  The legacy round-robin loop renders
-    unmanaged, so no cache entries are built that nothing ever reuses.
+    own config.  An *injected* engine's configuration wins outright (seed
+    injected engines with ``EngineConfig.from_env()`` to keep the env knobs
+    live).  The engine owns the recycled fragment arena: fused iterations
+    consume each batch via the fused backward before the next render may
+    overwrite the storage, enforced by the engine's arena ownership
+    tracking.  The legacy round-robin loop and the densify render are
+    single-view renders, which never touch that arena.
     """
 
     def __init__(self, config: MappingConfig | None = None, engine: RenderEngine | None = None):
@@ -155,12 +140,7 @@ class StreamingMapper:
 
     @staticmethod
     def _build_engine(config: MappingConfig) -> RenderEngine:
-        """Engine matching this mapper's config, seeded from the environment.
-
-        The geometry cache follows both the config switch and the
-        ``REPRO_GEOM_CACHE`` escape hatch (via ``EngineConfig.from_env``),
-        and is disabled for the legacy round-robin loop.
-        """
+        """Engine matching this mapper's config, seeded from the environment."""
         base = EngineConfig.from_env()
         return RenderEngine(
             replace(
@@ -172,9 +152,6 @@ class StreamingMapper:
                 shard_workers=(
                     base.shard_workers if config.shard_workers is None else config.shard_workers
                 ),
-                geom_cache=base.geom_cache and config.geom_cache and config.batched,
-                cache_tolerance_px=config.geom_cache_tolerance_px,
-                cache_max_entries=max(8, config.batch_views or config.keyframe_window),
             )
         )
 
@@ -208,8 +185,7 @@ class StreamingMapper:
         shardings: list[ShardAttribution | None] = []
         # On a pipelining backend (``async``), hint each *next* iteration's
         # window right after the optimiser update lands: the workers plan
-        # window k+1's Step 1-2 (geometry-cache lookups included) against a
-        # shadow arena while the parent still runs window k's visibility
+        # window k+1's Step 1-2 against a shadow arena while the parent still runs window k's visibility
         # recording, snapshot emission and window re-selection.  The hint is
         # issued only once the cloud is final for the next iteration, so the
         # speculation key matches at consume time; any structural surprise
@@ -270,10 +246,6 @@ class StreamingMapper:
         for name in _PARAMETER_BLOCKS:
             self._optimizer.keep_rows(name, keep_mask)
         self._remap_cached_rows(keep_mask)
-        # The removal bumped the cloud's structure epoch (keep_only), so the
-        # engine's cached Step 1-2 entries can never be reused; drop them
-        # eagerly to free the per-view arrays.
-        self.engine.invalidate_cache()
 
     # -- internals -----------------------------------------------------------
     def _select_window(self, keyframes: list[Frame]) -> list[Frame]:
@@ -400,9 +372,8 @@ class StreamingMapper:
     ) -> float:
         """Render the window as one batch and apply one fused Adam update.
 
-        The managed batch claims the engine's arena (or geometry-cache
-        arena); the fused backward below consumes and releases it before the
-        next iteration renders.  The batch's execution record
+        The managed batch claims the engine's arena; the fused backward below
+        consumes and releases it before the next iteration renders.  The batch's execution record
         (``batch.sharding``) is appended to ``shardings`` as is.
         """
         config = self.config
@@ -538,7 +509,6 @@ class StreamingMapper:
             pose,
             tile_size=config.tile_size,
             subtile_size=config.subtile_size,
-            managed=True,
         )
         # The densify render is the newest keyframe's first visibility sample,
         # so window selection has an overlap estimate before iteration 0.
@@ -547,9 +517,6 @@ class StreamingMapper:
         alpha = render.alpha[::stride, ::stride]
         depth_err = np.abs(render.depth - frame.depth)[::stride, ::stride]
         observed = frame.depth[::stride, ::stride] > 0.15
-        # Forward-only render: nothing reads its tile caches past this point,
-        # so free the engine arena for the first fused iteration.
-        self.engine.release(render)
         needs_coverage = (alpha < config.densify_alpha_threshold) & observed
         needs_geometry = (depth_err > config.densify_depth_error) & observed
         mask = needs_coverage | needs_geometry
@@ -583,7 +550,6 @@ class StreamingMapper:
                 self._optimizer.keep_rows(name, keep)
             self._remap_cached_rows(keep)
             cloud.keep_only(keep)
-            self.engine.invalidate_cache()
         return n_pruned
 
     def _resize_optimizer(self, cloud: GaussianCloud) -> None:

@@ -50,10 +50,10 @@ class PublicationBoard:
     * a reader can never observe a half-updated cloud: it either sees the
       previous publication whole or the new one whole (the hypothesis
       property in ``tests/test_async_backend.py`` pins this), and
-    * geometry-cache keys stay coherent: the snapshot answers to the same
-      ``(uid, epochs, cumulative deltas)`` the live cloud had at publication
-      time, so the tracker's cache hits its exact tier within one publication
-      and the toleranced incremental tier across publications.
+    * the snapshot answers to the same ``(uid, epochs, cumulative deltas)``
+      the live cloud had at publication time, so anything keyed on them (a
+      geometry cache, a speculation key) treats the snapshot as that cloud.
+      The tracker itself renders unmanaged and uncached.
     """
 
     def __init__(self) -> None:
@@ -170,8 +170,8 @@ class SLAMPipeline:
     """Runs a configured 3DGS-SLAM algorithm over an RGB-D sequence.
 
     ``engine`` injects one :class:`repro.engine.RenderEngine` shared by
-    tracking and mapping (backend pinning, profiling sink, managed cache and
-    arena in one place); when ``None`` the mapper builds an engine from
+    tracking and mapping (backend pinning, profiling sink and the mapper's
+    recycled arena in one place); when ``None`` the mapper builds an engine from
     ``config.mapping`` and the tracker shares it.
     """
 
@@ -181,7 +181,7 @@ class SLAMPipeline:
     engine: RenderEngine | None = None
     # A repro.service.RenderSession this pipeline runs as: the session's
     # engine becomes the pipeline engine, so tracking and mapping render
-    # under the session's identity (shared pool, fair weight, cache budget).
+    # under the session's identity (shared pool, fair weight).
     # Duck-typed (anything with an .engine) to keep slam/ free of a service
     # import.
     session: object | None = None

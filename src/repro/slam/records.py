@@ -57,7 +57,7 @@ class WorkloadSnapshot:
     batch_size: int = 1  # views rendered by the fused iteration this belongs to
     view_index: int = 0  # position of this view within its batch
     # Geometry-cache outcome of the render behind this snapshot ("uncached",
-    # "miss", "hit", "refresh" or "incremental"); the hardware model uses it
+    # "miss", "hit" or "refresh"); the hardware model uses it
     # to amortise the Step 1-2 cost the cache skipped, and profiling
     # aggregates it into hit/miss accounting.
     cache_status: str = "uncached"

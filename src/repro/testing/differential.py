@@ -22,9 +22,9 @@ to ``grad_tol``, fragment counts exactly), and a 3-view batch over
 with the fused backward equal to the per-view gradient sum.
 
 Every scenario also runs a cached-vs-uncached equivalence check against the
-geometry cache (:mod:`repro.gaussians.geom_cache`) in its exact configuration
-(zero tolerance): renders and gradients served from an engine-managed cache
-must be **bit-identical** to uncached renders before any mutation, after a
+geometry cache (:mod:`repro.gaussians.geom_cache`), whose tiers are all
+exact: renders and gradients served from an engine's cache must be
+**bit-identical** to uncached renders before any mutation, after a
 repeat lookup (cache hit), after an appearance-only update (refresh tier),
 and after every invalidation path — an Adam-style parameter step,
 densification, pruning, masking and ``notify_removed``-style removal.
@@ -35,9 +35,9 @@ cache on and off, an engine render (and its backward) must be bit-identical
 to the direct implementation it wraps, and
 :meth:`DifferentialRunner.verify_sharded` pins the sharded batch — forward
 views, fragment counts, fused backward gradients and per-view pose twists —
-bitwise against the flat batch on every scenario, cache off *and* on: the
-sharded backend's worker-resident geometry caches must stay bit-identical to
-the parent-resident flat cache through miss, hit and refresh rounds.  A
+bitwise against the flat batch on every scenario, cache off *and* on: a
+cached sharded batch runs in the parent and must equal the flat cached batch,
+cache statuses included, through miss, hit and refresh rounds.  A
 runner constructed with a ``fault_schedule`` (:mod:`repro.engine.faults`
 grammar) additionally re-renders each scenario's window under that schedule
 and requires the sharded dispatch's fault path (close the pool, finish the
@@ -50,7 +50,7 @@ phase (:meth:`DifferentialRunner.verify_service`): that many concurrent
 the weighted-fair scheduler genuinely interleaves their work units over the
 shared pool — must each produce a batch bitwise-identical to a solo private
 engine rendering the same window, forward and fused backward, with the
-geometry cache off and on (exact configuration, miss and hit rounds), and,
+geometry cache off and on (miss and hit rounds), and,
 when the runner also carries a ``fault_schedule``, under injected faults
 against the healthy solo run.
 """
@@ -69,7 +69,7 @@ from repro.gaussians.backward import (
 )
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.gaussian_model import GaussianCloud
-from repro.gaussians.geom_cache import GeomCacheConfig, GeometryCache
+from repro.gaussians.geom_cache import GeometryCache
 from repro.gaussians.rasterizer import RenderResult, rasterize_tile
 from repro.testing.scenarios import DEFAULT_LIBRARY, Scenario, ScenarioLibrary, SceneSpec
 
@@ -83,10 +83,6 @@ GRADIENT_FIELDS = (
     "pose_twist",
     "per_gaussian_pose",
 )
-
-# Exact-mode cache configuration: only the bit-identical reuse tiers.
-_EXACT_CACHE = dict(tolerance_px=0.0)
-_EXACT_ENGINE_CACHE = dict(cache_tolerance_px=0.0)
 
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -122,7 +118,6 @@ class ScenarioReport:
     async_image_diff: float = 0.0
     async_gradient_diff: float = 0.0
     async_fault_diff: float = 0.0
-    async_cached_diff: float = 0.0
     fault_image_diff: float = 0.0
     fault_gradient_diff: float = 0.0
     fault_events: int = 0  # fault events observed during the fault phase
@@ -394,8 +389,8 @@ class DifferentialRunner:
     def verify_cache(self, spec: SceneSpec) -> tuple[dict[str, float], list[str]]:
         """Pin engine-cached renders bit-identical to uncached ones across mutations.
 
-        Runs an engine whose geometry cache is in its exact configuration
-        (``tolerance_px=0``) on a private copy of the scenario cloud and, for
+        Renders through an engine's geometry cache on a private copy of the
+        scenario cloud and, for
         every stage of a mutation sequence covering all invalidation paths —
         repeat render (hit), appearance-only step (refresh), Adam-style
         parameter step, densify, prune, mask + ``remove_inactive`` (the
@@ -408,11 +403,7 @@ class DifferentialRunner:
         diffs = {"cache_image": 0.0, "cache_grad": 0.0}
         cloud = spec.cloud.copy()
         cached_engine = RenderEngine(
-            EngineConfig(
-                backend=self.candidate_backend,
-                geom_cache=True,
-                **_EXACT_ENGINE_CACHE,
-            )
+            EngineConfig(backend=self.candidate_backend, geom_cache=True)
         )
         plain_engine = self.engine_for(self.candidate_backend)
         expected_statuses = {
@@ -423,7 +414,7 @@ class DifferentialRunner:
         }
 
         def compare(label: str) -> None:
-            cached = self._render(cached_engine, spec, cloud=cloud, managed=True)
+            cached = self._render(cached_engine, spec, cloud=cloud, cache=cached_engine.cache)
             plain = self._render(plain_engine, spec, cloud=cloud)
             expected = expected_statuses.get(label, "miss")
             if cached.cache_status != expected:
@@ -443,8 +434,7 @@ class DifferentialRunner:
             if not np.array_equal(cached.fragments_per_pixel, plain.fragments_per_pixel):
                 failures.append(f"cache {label}: fragment counts differ from uncached")
             # Backward on the cached render before the next lookup reuses the
-            # arena its tile caches alias (this also releases the engine's
-            # arena claim).
+            # arena its tile caches alias.
             dL_dimage, dL_ddepth = self._loss_arrays(
                 spec, plain.image.shape, plain.depth.shape, salt=17
             )
@@ -472,7 +462,7 @@ class DifferentialRunner:
             compare("opacity-step")
             cloud.apply_parameter_step(d_colors=rng.normal(0.0, 0.02, size=(n, 3)))
             compare("color-step")
-            # A full Adam-style step moves geometry too: exact mode must rebuild.
+            # A full Adam-style step moves geometry too: the view must rebuild.
             cloud.apply_parameter_step(
                 d_positions=rng.normal(0.0, 1e-3, size=(n, 3)),
                 d_log_scales=rng.normal(0.0, 1e-3, size=(n, 3)),
@@ -527,8 +517,8 @@ class DifferentialRunner:
 
         For each of the runner's backends — reference, candidate and the
         ``sharded`` multi-process backend (whose single-view renders degrade
-        to the flat fast path by contract) — with the geometry cache off and
-        on (exact configuration), the engine render — first call (miss) and
+        to the flat fast path by contract) — with the engine's geometry cache
+        off and passed in, the engine render — first call (miss) and
         repeat call (hit) — must equal the implementation it wraps
         (``rasterize_tile``, ``rasterize_flat`` or
         ``GeometryCache.render_single``) bitwise on every forward output,
@@ -549,18 +539,14 @@ class DifferentialRunner:
                         backend=backend,
                         geom_cache=cached,
                         shard_workers=self.n_shard_workers,
-                        **_EXACT_ENGINE_CACHE,
                     )
                 )
                 supports_cache = engine.capabilities().cache
-                direct_cache = (
-                    GeometryCache(GeomCacheConfig(**_EXACT_CACHE))
-                    if cached and supports_cache
-                    else None
-                )
+                engine_cache = engine.cache if supports_cache else None
+                direct_cache = GeometryCache() if engine_cache is not None else None
                 for round_label in ("first", "repeat"):
                     label = f"engine {backend} cache={'on' if cached else 'off'} {round_label}"
-                    engine_render = self._render(engine, spec, managed=cached)
+                    engine_render = self._render(engine, spec, cache=engine_cache)
                     direct_render = self._direct_render(backend, spec, direct_cache)
                     for name in ("image", "depth", "alpha"):
                         a = getattr(engine_render, name)
@@ -711,8 +697,7 @@ class DifferentialRunner:
             failures.extend(
                 self._verify_sharded_faulted(spec, flat, losses, flat_grads, diffs)
             )
-        cached_failures = self._verify_sharded_cached(spec, diffs)
-        failures.extend(cached_failures)
+        failures.extend(self._verify_sharded_cached(spec, diffs))
         return diffs, failures
 
     def _verify_sharded_faulted(
@@ -795,14 +780,14 @@ class DifferentialRunner:
         return failures
 
     def _verify_sharded_cached(self, spec: SceneSpec, diffs: dict[str, float]) -> list[str]:
-        """Pin worker-resident sharded caching bitwise against the flat cache.
+        """Pin cached sharded batches bitwise against the flat cache.
 
-        The same batch rendered through a sharded engine (worker-resident
-        geometry caches, exact configuration) and a flat engine (parent-
-        resident cache, same configuration) must agree bitwise on every
-        forward output, report identical per-view cache statuses, and produce
-        bitwise-equal fused backward gradients — across a miss round, a hit
-        round and a refresh round (appearance-only mutation).
+        The same batch rendered through the geometry cache of a sharded
+        engine (which runs a cached batch serially in the parent) and of a
+        flat engine must agree bitwise on every forward output, report
+        identical per-view cache statuses, and produce bitwise-equal fused
+        backward gradients — across a miss round, a hit round and a refresh
+        round (appearance-only mutation).
         """
         failures: list[str] = []
         poses = spec.view_poses(self.n_batch_views)
@@ -815,13 +800,10 @@ class DifferentialRunner:
                 backend=self.sharded_backend,
                 geom_cache=True,
                 shard_workers=self.n_shard_workers,
-                **_EXACT_ENGINE_CACHE,
             )
         )
         flat_engine = RenderEngine(
-            EngineConfig(
-                backend=self.candidate_backend, geom_cache=True, **_EXACT_ENGINE_CACHE
-            )
+            EngineConfig(backend=self.candidate_backend, geom_cache=True)
         )
 
         def batch_through(engine: RenderEngine):
@@ -832,6 +814,8 @@ class DifferentialRunner:
                 backgrounds=backgrounds,
                 tile_size=spec.tile_size,
                 subtile_size=spec.subtile_size,
+                cache=engine.cache,
+                managed=False,
             )
 
         def compare_round(label: str, expected_statuses: set[str]) -> None:
@@ -905,9 +889,6 @@ class DifferentialRunner:
                 d_colors=np.full((len(cloud), 3), 0.01),
             )
             compare_round("refresh", {"refresh"})
-        # Eagerly free the per-scenario worker-resident entries (also
-        # exercises the cross-process invalidation broadcast).
-        sharded_engine.invalidate_cache()
         return failures
 
     def verify_async(self, spec: SceneSpec) -> tuple[dict[str, float], list[str]]:
@@ -928,9 +909,7 @@ class DifferentialRunner:
            ``drained``) and the next render equals flat.
 
         With a ``fault_schedule`` set, phase 2 is repeated under injected
-        faults through a dedicated short-deadline engine; a cached variant
-        re-runs speculate -> consume with exact-configuration geometry caches
-        on both sides.  On platforms where worker processes cannot spawn, the
+        faults through a dedicated short-deadline engine.  On platforms where worker processes cannot spawn, the
         inner sharded backend degrades to the serial flat path and the checks
         pin that degradation's equivalence instead.
         """
@@ -938,7 +917,6 @@ class DifferentialRunner:
             "async_image": 0.0,
             "async_grad": 0.0,
             "async_fault": 0.0,
-            "async_cached": 0.0,
         }
         failures: list[str] = []
         if self.async_backend not in REGISTRY:
@@ -1064,7 +1042,6 @@ class DifferentialRunner:
 
         if self.fault_schedule:
             failures.extend(self._verify_async_faulted(spec, flat, diffs))
-        failures.extend(self._verify_async_cached(spec, diffs))
         flat_engine.release()
         return diffs, failures
 
@@ -1127,82 +1104,6 @@ class DifferentialRunner:
         engine.drain()
         return failures
 
-    def _verify_async_cached(self, spec: SceneSpec, diffs) -> list[str]:
-        """Speculate -> consume with exact-configuration caches on both sides.
-
-        Two rounds (a miss round, then a speculated round over warm caches):
-        the async engine's worker-resident cache entries are keyed by the
-        same cloud epochs the flat parent cache uses, so in exact mode both
-        sides must stay bit-identical regardless of which tier served them.
-        """
-        failures: list[str] = []
-        async_cached = RenderEngine(
-            EngineConfig(
-                backend=self.async_backend,
-                geom_cache=True,
-                shard_workers=self.n_shard_workers,
-                **_EXACT_ENGINE_CACHE,
-            )
-        )
-        flat_cached = RenderEngine(
-            EngineConfig(
-                backend=self.candidate_backend, geom_cache=True, **_EXACT_ENGINE_CACHE
-            )
-        )
-        poses = spec.view_poses(self.n_batch_views)
-        cameras = [spec.camera] * self.n_batch_views
-        backgrounds = [spec.background] * self.n_batch_views
-
-        def batch_through(engine: RenderEngine):
-            return engine.render_batch(
-                spec.cloud,
-                cameras,
-                poses,
-                backgrounds=backgrounds,
-                tile_size=spec.tile_size,
-                subtile_size=spec.subtile_size,
-            )
-
-        for round_label in ("miss", "warm"):
-            if round_label == "warm":
-                handle = async_cached.speculate_batch(
-                    spec.cloud,
-                    cameras,
-                    poses,
-                    backgrounds=backgrounds,
-                    tile_size=spec.tile_size,
-                    subtile_size=spec.subtile_size,
-                )
-            else:
-                handle = None
-            async_batch = batch_through(async_cached)
-            flat_batch = batch_through(flat_cached)
-            if round_label == "warm" and handle is not None and not handle.consumed:
-                failures.append(
-                    "async cached warm round: speculative plan was not "
-                    f"consumed (status {handle.status})"
-                )
-            for index, (async_view, flat_view) in enumerate(
-                zip(async_batch.views, flat_batch.views)
-            ):
-                for name in ("image", "depth", "alpha"):
-                    a = getattr(async_view, name)
-                    b = getattr(flat_view, name)
-                    if not np.array_equal(a, b):
-                        worst = _max_abs_diff(a, b)
-                        diffs["async_cached"] = max(diffs["async_cached"], worst)
-                        failures.append(
-                            f"async cached {round_label} round view {index}: "
-                            f"{name} differs from the flat cached batch "
-                            f"(max diff {worst:.3e})"
-                        )
-            async_cached.release(async_batch)
-            flat_cached.release(flat_batch)
-        async_cached.drain()
-        async_cached.invalidate_cache()
-        flat_cached.invalidate_cache()
-        return failures
-
     def verify_service(self, spec: SceneSpec) -> tuple[dict[str, float], list[str]]:
         """Pin interleaved service sessions bitwise against solo engines.
 
@@ -1213,8 +1114,7 @@ class DifferentialRunner:
         truly interleaves the tenants — and requires each session's stitched
         batch to be **bit-identical**, forward and fused backward, to a solo
         private engine rendering the same window.  The cached variant runs
-        the same tenants with per-session exact-configuration geometry caches
-        (a miss round then a hit round; the parent-resident cached path is
+        the same tenants with per-session geometry caches (a miss round then a hit round; the parent-resident cached path is
         bitwise against uncached by the cache phase's guarantee), and a
         ``fault_schedule`` adds a run under injected faults compared against
         the healthy solo batches.  Each batch must also carry its session's
@@ -1356,13 +1256,12 @@ class DifferentialRunner:
             )
         service.close()
 
-        # -- cache-on tenants (parent-resident exact caches) ---------------
+        # -- cache-on tenants (parent-resident caches) ---------------------
         service = RenderService(
             EngineConfig(
                 backend=self.sharded_backend,
                 geom_cache=True,
                 shard_workers=self.n_shard_workers,
-                **_EXACT_ENGINE_CACHE,
             ),
             round_quantum=2,
         )
@@ -1374,7 +1273,7 @@ class DifferentialRunner:
                     f"service cached session {s}: first-round statuses "
                     f"{statuses}, expected all misses"
                 )
-        # Exact-mode cached renders are bitwise against uncached, so the solo
+        # Cached renders are bitwise against uncached, so the solo
         # uncached batches remain the reference.  compare() also runs the
         # backward, which consumes each session's arena claim and unblocks
         # the hit round below.
@@ -1496,7 +1395,6 @@ class DifferentialRunner:
             async_image_diff=async_diffs["async_image"],
             async_gradient_diff=async_diffs["async_grad"],
             async_fault_diff=async_diffs["async_fault"],
-            async_cached_diff=async_diffs["async_cached"],
             fault_image_diff=sharded_diffs["fault_image"],
             fault_gradient_diff=sharded_diffs["fault_grad"],
             fault_events=int(sharded_diffs["fault_events"]),

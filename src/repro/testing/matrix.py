@@ -8,8 +8,9 @@ adversarial growth set) against four execution axes:
   path), ``sharded`` (multi-process flat), ``async`` (speculative
   double-buffered pipelining over the sharded pool — its mapper cells
   exercise the speculate/consume/discard machinery end-to-end);
-* ``cache`` — geometry cache ``off`` / ``on`` (exact configuration: only the
-  bit-identical reuse tiers);
+* ``cache`` — geometry cache ``off`` / ``on``: render cells pass the
+  engine's cache in; mapper cells run on a cache-enabled engine, which the
+  mapper never consults, so they pin that it stays exact;
 * ``batch`` — ``single`` view / ``multi`` view
   (:meth:`repro.engine.RenderEngine.render_batch`);
 * ``mapping`` — a direct ``render`` or a short
@@ -28,26 +29,17 @@ instead of silently running a substitute:
 * ``capability:*`` — the backend's typed capabilities report ``cache=False``
   / ``batch=False`` (e.g. tile batch cells, where the engine would silently
   fall back to a flat batch and the cell would not exercise tile; sharded
-  cache-on cells execute — worker-resident caches — so tile is the only
+  cache-on cells execute — serially in the parent — so tile is the only
   backend skipping cache cells);
 * ``backend-unavailable:*`` — :meth:`repro.engine.RenderEngine.availability`
   reported a config/host limitation (e.g. the sharded backend resolving to
-  fewer than two worker processes, with the knob and core count named);
-* ``fault-schedule:*`` — the cell is not meaningfully comparable under an
-  active fault schedule (cache-on mapper cells: losing worker-resident
-  entries to a fault legitimately diverges from an uninterrupted cached
-  reference at Adam-amplified ulp scale).
+  fewer than two worker processes, with the knob and core count named).
 
 Tolerances are inherited from :class:`repro.testing.differential
 .DifferentialRunner` and documented per cell: flat and sharded cells must
-match the reference **bitwise** (tolerance 0 — same work units, and the exact
-cache configuration keeps only bit-identical reuse tiers); tile cells inherit
-``forward_tol`` (reduction regrouping).  Cached mapper cells are pinned
-bitwise against an *independent* cached flat run (determinism + engine-state
-isolation) rather than the uncached run: Adam's gradient normalisation
-amplifies the cached backward's last-ulp regrouping unboundedly on
-near-degenerate scenes, so cache-vs-uncached equivalence is pinned at render
-level instead.
+match the reference **bitwise** (tolerance 0 — same work units, and every
+cache tier is bit-identical); tile cells inherit ``forward_tol`` (reduction
+regrouping).
 
 A matrix constructed with a ``fault_schedule`` (the
 :mod:`repro.engine.faults` grammar, also reachable via ``--faults`` or the
@@ -77,11 +69,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.engine import EngineConfig, FaultPlan, RenderEngine, fault_plan
-from repro.testing.differential import (
-    _EXACT_ENGINE_CACHE,
-    DifferentialRunner,
-    _max_abs_diff,
-)
+from repro.testing.differential import DifferentialRunner, _max_abs_diff
 from repro.testing.scenarios import ScenarioLibrary, SceneSpec, matrix_library
 from repro.utils.random import derive_seed
 
@@ -325,8 +313,7 @@ class ScenarioMatrix:
 
         Cache-off cells share the :class:`DifferentialRunner` engines (the
         very engines the per-scenario differential gates run through);
-        cache-on cells get a per-backend engine whose geometry cache is in
-        its exact configuration, so cached cells stay bitwise-comparable.
+        cache-on cells get a per-backend engine with a geometry cache.
         """
         if not cell.cache_enabled:
             return self.runner.engine_for(cell.backend)
@@ -339,12 +326,7 @@ class ScenarioMatrix:
                 else {}
             )
             self._cache_engines[cell.backend] = RenderEngine(
-                EngineConfig(
-                    backend=cell.backend,
-                    geom_cache=True,
-                    **_EXACT_ENGINE_CACHE,
-                    **extra,
-                )
+                EngineConfig(backend=cell.backend, geom_cache=True, **extra)
             )
         return self._cache_engines[cell.backend]
 
@@ -372,29 +354,6 @@ class ScenarioMatrix:
                 "batch=False; the engine would silently substitute a flat "
                 "batch, so the cell would not exercise this backend)"
             )
-        if (
-            self.fault_schedule
-            and cell.cache_enabled
-            and cell.mapping == "mapper"
-            and cell.backend
-            in (self.runner.sharded_backend, self.runner.async_backend)
-        ):
-            # A fault irrecoverably loses worker-resident cache entries, so
-            # later iterations legitimately rebuild tiers the healthy cached
-            # reference serves from its retained entries; the
-            # cached backward's last-ulp regrouping then diverges, and Adam
-            # amplifies it unboundedly on near-degenerate scenes (the same
-            # reason cache-on mapper cells are pinned against an independent
-            # *cached* run rather than an uncached one).  Faulted cached
-            # coverage stays at render granularity, where every tier is
-            # bitwise.
-            return (
-                "fault-schedule:cached-mapper-not-comparable (a fault drops "
-                "worker-resident cache entries, so the run legitimately "
-                "diverges from an uninterrupted cached mapper at Adam-"
-                "amplified ulp scale; faulted cache-on coverage is pinned "
-                "at render granularity instead)"
-            )
         return None
 
     # -- tolerances ----------------------------------------------------------
@@ -404,13 +363,6 @@ class ScenarioMatrix:
             return (
                 self.runner.forward_tol,
                 "tile reduction regrouping (DifferentialRunner.forward_tol)",
-            )
-        if cell.mapping == "mapper" and cell.cache_enabled:
-            return (
-                0.0,
-                "bitwise (vs an independent cached flat mapper run: pins cached-mapper "
-                "determinism and engine-state isolation; cache-vs-uncached equivalence "
-                "is pinned at render level, where Adam cannot amplify rounding)",
             )
         return 0.0, "bitwise (same work units as the flat reference)"
 
@@ -529,31 +481,17 @@ class ScenarioMatrix:
         return cloud, result
 
     def _mapper_reference(self, cell: MatrixCell) -> tuple:
-        """The flat mapper run this cell's mapper outcome must match bitwise.
+        """The flat cache-off mapper run this cell's outcome must match bitwise.
 
-        Cache-off cells share one memoized flat cache-off run.  Cache-on
-        cells compare against an *independent* flat run with the same exact
-        cache configuration (a fresh engine, so cross-cell engine state
-        cannot leak into the reference): comparing a cached mapper against an
-        uncached one is not meaningful at mapper granularity, because Adam's
-        gradient normalisation amplifies the cached backward's last-ulp
-        reduction regrouping unboundedly on near-degenerate scenes
-        (collapsed covariances drive the second-moment estimate toward zero).
+        Memoized per (scenario, batch): the mapper never consults a geometry
+        cache, so cache-on cells share the cache-off reference.
         """
-        key = (cell.scenario, cell.batch, cell.cache)
+        key = (cell.scenario, cell.batch)
         if key not in self._mapper_refs:
             reference_cell = replace(cell, backend=self.runner.candidate_backend)
-            if cell.cache_enabled:
-                engine = RenderEngine(
-                    EngineConfig(
-                        backend=self.runner.candidate_backend,
-                        geom_cache=True,
-                        **_EXACT_ENGINE_CACHE,
-                    )
-                )
-            else:
-                engine = self._reference_engine()
-            self._mapper_refs[key] = self._run_mapper(reference_cell, engine)
+            self._mapper_refs[key] = self._run_mapper(
+                reference_cell, self._reference_engine()
+            )
         return self._mapper_refs[key]
 
     # -- execution -----------------------------------------------------------
@@ -605,7 +543,9 @@ class ScenarioMatrix:
         spec = self.spec(cell.scenario)
         engine = self.engine_for(cell)
         reference_views = self._render_reference(cell.scenario, cell.batch)
-        managed = cell.cache_enabled
+        # Cache-on cells pass the engine's cache in: no engine path consults
+        # it on its own.
+        cache = engine.cache if cell.cache_enabled else None
         if cell.batch == "single":
             renders = [
                 engine.render(
@@ -615,10 +555,9 @@ class ScenarioMatrix:
                     background=spec.background,
                     tile_size=spec.tile_size,
                     subtile_size=spec.subtile_size,
-                    managed=managed,
+                    cache=cache,
                 )
             ]
-            claimed = renders[0] if managed else None
         else:
             n_views = self.options_for(cell.scenario).n_views
             batch = engine.render_batch(
@@ -628,50 +567,46 @@ class ScenarioMatrix:
                 backgrounds=[spec.background] * n_views,
                 tile_size=spec.tile_size,
                 subtile_size=spec.subtile_size,
-                managed=managed,
+                cache=cache,
+                managed=False,
             )
             renders = list(batch.views)
             result.shardings.append(batch.sharding)
-            claimed = batch if managed else None
-        try:
-            result.n_views = len(renders)
-            result.n_fragments = sum(view.n_fragments for view in renders)
-            statuses = sorted({view.cache_status for view in renders})
-            result.notes += f"; cache_status={','.join(statuses)}"
-            for index, (view, reference) in enumerate(zip(renders, reference_views)):
-                label = f"view {index}"
-                for name in ("image", "depth", "alpha"):
-                    diff = _max_abs_diff(getattr(view, name), getattr(reference, name))
-                    result.max_abs_diff = max(result.max_abs_diff, diff)
-                    if not diff <= result.tolerance:
-                        result.failures.append(
-                            f"{label}: {name} diff {diff:.3e} exceeds tolerance "
-                            f"{result.tolerance:.1e} vs the flat reference"
-                        )
-                if not np.array_equal(
-                    view.fragments_per_pixel, reference.fragments_per_pixel
-                ):
+        result.n_views = len(renders)
+        result.n_fragments = sum(view.n_fragments for view in renders)
+        statuses = sorted({view.cache_status for view in renders})
+        result.notes += f"; cache_status={','.join(statuses)}"
+        for index, (view, reference) in enumerate(zip(renders, reference_views)):
+            label = f"view {index}"
+            for name in ("image", "depth", "alpha"):
+                diff = _max_abs_diff(getattr(view, name), getattr(reference, name))
+                result.max_abs_diff = max(result.max_abs_diff, diff)
+                if not diff <= result.tolerance:
                     result.failures.append(
-                        f"{label}: per-pixel fragment counts differ from the flat reference"
+                        f"{label}: {name} diff {diff:.3e} exceeds tolerance "
+                        f"{result.tolerance:.1e} vs the flat reference"
                     )
-                result.snapshots.append(
-                    engine.snapshot(
-                        view,
-                        None,
-                        stage="matrix",
-                        frame_index=0,
-                        iteration=0,
-                        is_keyframe=True,
-                        loss=0.0,
-                        n_gaussians_total=spec.cloud.n_total,
-                        n_gaussians_active=spec.cloud.n_active,
-                        batch_size=len(renders),
-                        view_index=index,
-                    )
+            if not np.array_equal(
+                view.fragments_per_pixel, reference.fragments_per_pixel
+            ):
+                result.failures.append(
+                    f"{label}: per-pixel fragment counts differ from the flat reference"
                 )
-        finally:
-            if claimed is not None:
-                engine.release(claimed)
+            result.snapshots.append(
+                engine.snapshot(
+                    view,
+                    None,
+                    stage="matrix",
+                    frame_index=0,
+                    iteration=0,
+                    is_keyframe=True,
+                    loss=0.0,
+                    n_gaussians_total=spec.cloud.n_total,
+                    n_gaussians_active=spec.cloud.n_active,
+                    batch_size=len(renders),
+                    view_index=index,
+                )
+            )
 
     def _execute_mapper_cell(self, cell: MatrixCell, result: ScenarioCellResult) -> None:
         cloud, mapped = self._run_mapper(cell, self.engine_for(cell))

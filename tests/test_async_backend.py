@@ -192,17 +192,6 @@ class TestSpeculationLifecycle:
         assert handle.pending
         engine.drain()
 
-    def test_cache_invalidation_discards_pending(self):
-        spec = DEFAULT_LIBRARY.get("dense_random").build()
-        cameras, poses = _window(spec)
-        engine = RenderEngine(
-            EngineConfig(backend="async", geom_cache=True, shard_workers=0)
-        )
-        handle = _speculate(engine, spec, cameras, poses)
-        engine.invalidate_cache()
-        assert handle.status == "discarded"
-        engine.drain()
-
     def test_non_pipelining_backend_returns_none_and_drain_is_noop(self):
         spec = DEFAULT_LIBRARY.get("dense_random").build()
         cameras, poses = _window(spec)

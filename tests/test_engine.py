@@ -50,6 +50,10 @@ class TestEngineConfig:
         assert config.geom_cache
 
     def test_from_env_reads_consolidated_knobs(self):
+        from dataclasses import fields
+
+        from repro.engine.config import ENGINE_ENV_VARS
+
         env = {
             "REPRO_RASTER_BACKEND": "tile",
             "REPRO_GEOM_CACHE": "off",
@@ -58,8 +62,13 @@ class TestEngineConfig:
         }
         config = EngineConfig.from_env(env)
         assert config.backend == "tile"
-        assert not config.geom_cache
         assert config.tile_size == 8 and config.subtile_size == 2
+        # The geometry cache has no environment switch and no tolerance: the
+        # variable is ignored and every cache tier is exact.
+        assert config.geom_cache
+        assert "REPRO_GEOM_CACHE" not in ENGINE_ENV_VARS
+        assert "cache_tolerance_px" not in {field.name for field in fields(EngineConfig)}
+        assert len(fields(EngineConfig)) == 13
 
     def test_from_env_defaults_and_overrides(self):
         config = EngineConfig.from_env({}, geom_cache=False, tile_size=32)
@@ -101,7 +110,7 @@ class TestEngineConfig:
         assert "REPRO_SHARD_DEADLINE_S" in ENGINE_ENV_VARS
         assert "REPRO_SHARD_RETRIES" not in ENGINE_ENV_VARS
         assert "REPRO_SHARD_BACKOFF_S" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 10
+        assert len(ENGINE_ENV_VARS) == 9
         for name in ("shard_retry_limit", "shard_backoff_s"):
             assert not hasattr(config, name)
             with pytest.raises(TypeError, match=name):
@@ -167,7 +176,6 @@ class TestEngineConfig:
             {
                 "REPRO_RASTER_BACKEND": "tile",
                 "REPRO_SHARD_WORKERS": "4",
-                "REPRO_GEOM_CACHE": "1",
             },
             backend="sharded",
             shard_workers=2,
@@ -291,13 +299,6 @@ class TestEngineConfig:
         assert mapper.engine.config.tile_size == 8
         assert mapper.engine.config.subtile_size == 2
 
-    def test_geom_cache_env_parsing_matches_legacy(self):
-        from repro.engine.config import geom_cache_enabled_from_env
-
-        assert geom_cache_enabled_from_env({})
-        for value in ("0", "false", "OFF"):
-            assert not geom_cache_enabled_from_env({"REPRO_GEOM_CACHE": value})
-
     # -- render-service knobs -------------------------------------------------
     def test_from_env_service_knobs(self):
         config = EngineConfig.from_env({})
@@ -310,7 +311,6 @@ class TestEngineConfig:
                 "REPRO_SERVICE_MAX_SESSIONS": "3",
                 "REPRO_SERVICE_CACHE_BUDGET": "65536",
                 "REPRO_SERVICE_FAIR_WEIGHTS": "2.0,tracking=3,mapping=0.5",
-                "REPRO_GEOM_CACHE": "on",
             }
         )
         assert config.service_max_sessions == 3
@@ -357,17 +357,13 @@ class TestEngineConfig:
         # A cross-session cache budget is unenforceable without the geometry
         # cache; the conflict must fail at config time naming both knobs.
         with pytest.raises(ValueError, match="REPRO_SERVICE_CACHE_BUDGET") as excinfo:
-            EngineConfig.from_env(
-                {"REPRO_SERVICE_CACHE_BUDGET": "4096", "REPRO_GEOM_CACHE": "0"}
-            )
-        assert "REPRO_GEOM_CACHE" in str(excinfo.value)
+            EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "4096"}, geom_cache=False)
+        assert "geom_cache" in str(excinfo.value)
         # A cache-enabled config resolves it; so does a zero budget.
-        config = EngineConfig.from_env(
-            {"REPRO_SERVICE_CACHE_BUDGET": "4096", "REPRO_GEOM_CACHE": "on"}
-        )
+        config = EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "4096"})
         assert config.service_cache_budget_bytes == 4096
         assert EngineConfig.from_env(
-            {"REPRO_SERVICE_CACHE_BUDGET": "0", "REPRO_GEOM_CACHE": "0"}
+            {"REPRO_SERVICE_CACHE_BUDGET": "0"}, geom_cache=False
         ).service_cache_budget_bytes == 0
 
     def test_service_overrides_beat_env(self):
@@ -439,16 +435,6 @@ class TestArenaOwnership:
         batch = engine.render_batch(spec.cloud, [spec.camera], [spec.pose_cw])
         engine.release(batch)
         engine.render_batch(spec.cloud, [spec.camera], [spec.pose_cw])
-
-    def test_managed_cached_single_render_claims_too(self):
-        spec = _spec()
-        engine = RenderEngine(EngineConfig(backend="flat", geom_cache=True))
-        render = _render(engine, spec, managed=True)
-        with pytest.raises(ArenaInUseError):
-            _render(engine, spec, managed=True)
-        engine.backward(render, spec.cloud, np.zeros_like(render.image))
-        _render(engine, spec, managed=True)
-        engine.release()
 
     def test_live_views_keep_the_claim_after_wrapper_dropped(self):
         """Per-view results alias the arena too, not just the batch wrapper."""
@@ -558,7 +544,6 @@ class TestBackendRegistry:
         assert isinstance(capabilities, BackendCapabilities)
         assert capabilities.batch and capabilities.cache
         assert not capabilities.distributed_planning
-        assert not capabilities.worker_resident_cache
         assert capabilities.availability is None
         tile = engine.capabilities("tile")
         assert tile.reference and not tile.batch

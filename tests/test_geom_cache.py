@@ -15,8 +15,6 @@ from repro.testing.scenarios import DEFAULT_LIBRARY
 
 ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
-EXACT = GeomCacheConfig(tolerance_px=0.0)
-
 
 def _spec(name: str = "dense_random"):
     return DEFAULT_LIBRARY.get(name).build()
@@ -81,7 +79,7 @@ class TestCloudEpochs:
         """bump_epoch forces a rebuild of prior entries without lasting damage."""
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         _render(cloud, spec, cache)
         # Direct array edit: no movement bound, so the entry must not be
         # served from any reuse tier — not even refresh.
@@ -97,7 +95,7 @@ class TestCloudEpochs:
     def test_manual_structural_bump_invalidates(self):
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         _render(cloud, spec, cache)
         cloud.bump_epoch(structural=True)
         assert _render(cloud, spec, cache).cache_status == "miss"
@@ -109,8 +107,6 @@ class TestCloudEpochs:
         assert other.epoch == 0
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="tolerance_px"):
-            GeomCacheConfig(tolerance_px=-1.0)
         with pytest.raises(ValueError, match="max_entries"):
             GeomCacheConfig(max_entries=0)
 
@@ -149,15 +145,17 @@ class TestArenaRecycling:
 
 class TestCacheTiers:
     @pytest.mark.parametrize(
-        "config", [EXACT, GeomCacheConfig()], ids=["exact", "default"]
+        "make_cache",
+        [GeometryCache, lambda: RenderEngine(EngineConfig()).cache],
+        ids=["exact", "default"],
     )
-    def test_statuses_and_bitwise_equality(self, config):
-        """Exact tiers replay the full fragment list under any configuration,
-        so hits and refreshes equal a cache-off render bit for bit, fragment
-        counts included."""
+    def test_statuses_and_bitwise_equality(self, make_cache):
+        """Every tier replays the full fragment list, so hits and refreshes
+        equal a cache-off render bit for bit, fragment counts included — for
+        a cache built directly and for a default engine's cache alike."""
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(config)
+        cache = make_cache()
         first = _render(cloud, spec, cache)
         assert first.cache_status == "miss"
         _assert_bitwise_equal(first, _render(cloud, spec))
@@ -168,35 +166,18 @@ class TestCacheTiers:
         third = _render(cloud, spec, cache)
         assert third.cache_status == "refresh"
         _assert_bitwise_equal(third, _render(cloud, spec))
-        # A move past any tolerance: geometry moved, so the view rebuilds.
+        # Geometry moved, so the view rebuilds.
         cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 0.5))
         fourth = _render(cloud, spec, cache)
         assert fourth.cache_status == "miss"
         _assert_bitwise_equal(fourth, _render(cloud, spec))
         assert cache.stats.as_dict()["reuse_fraction"] == pytest.approx(0.5)
 
-    def test_incremental_tier_within_tolerance(self):
-        spec = _spec()
-        cloud = spec.cloud.copy()
-        cache = GeometryCache(GeomCacheConfig(tolerance_px=2.0))
-        _render(cloud, spec, cache)
-        cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 1e-4))
-        stale = _render(cloud, spec, cache)
-        assert stale.cache_status == "incremental"
-        exact = _render(cloud, spec)
-        # Stale geometry: approximate, bounded by the (generous) tolerance.
-        assert float(np.max(np.abs(stale.image - exact.image))) < 0.05
-        # A move past the tolerance falls back to a full rebuild.
-        cloud.apply_parameter_step(d_positions=np.full((len(cloud), 3), 0.5))
-        rebuilt = _render(cloud, spec, cache)
-        assert rebuilt.cache_status == "miss"
-        _assert_bitwise_equal(rebuilt, _render(cloud, spec))
-
     def test_different_cloud_same_epoch_misses(self):
         spec = _spec()
         cloud_a = spec.cloud.copy()
         cloud_b = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         _render(cloud_a, spec, cache)
         assert _render(cloud_b, spec, cache).cache_status == "miss"
 
@@ -205,7 +186,7 @@ class TestCacheTiers:
 
         spec = _spec("single_gaussian")
         cloud = spec.cloud.copy()
-        cache = GeometryCache(GeomCacheConfig(tolerance_px=0.0, max_entries=2))
+        cache = GeometryCache(GeomCacheConfig(max_entries=2))
         poses = [
             SE3.exp(k * np.array([0.01, 0.0, 0.0, 0.02, 0.0, 0.0])) @ spec.pose_cw
             for k in range(3)
@@ -221,7 +202,7 @@ class TestCacheTiers:
     def test_clear_drops_entries(self):
         spec = _spec("single_gaussian")
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         _render(cloud, spec, cache)
         cache.clear()
         assert len(cache) == 0
@@ -233,10 +214,10 @@ class TestCacheTiers:
         scale=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]),
     )
     def test_property_exact_mode_always_bitwise(self, seed, scale):
-        """Any parameter step under tolerance 0 yields bit-identical renders."""
+        """Any parameter step, however small, yields bit-identical renders."""
         spec = _spec("overlapping_opaque")
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         rng = np.random.default_rng(seed)
         _render(cloud, spec, cache)
         n = len(cloud)
@@ -247,7 +228,7 @@ class TestCacheTiers:
             d_colors=rng.normal(0.0, scale, size=(n, 3)),
         )
         cached = _render(cloud, spec, cache)
-        assert cached.cache_status == "miss"  # tolerance 0: geometry moved
+        assert cached.cache_status == "miss"  # geometry moved
         _assert_bitwise_equal(cached, _render(cloud, spec))
 
 
@@ -255,7 +236,7 @@ class TestBatchCache:
     def test_batch_served_from_cache_matches_uncached(self):
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         poses = spec.view_poses(3)
         cameras = [spec.camera] * 3
         first = ENGINE.render_batch(cloud, cameras, poses, cache=cache, managed=False)
@@ -271,7 +252,7 @@ class TestBatchCache:
     def test_batch_arena_is_cache_arena(self):
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         poses = spec.view_poses(2)
         batch = ENGINE.render_batch(cloud, [spec.camera] * 2, poses, cache=cache, managed=False)
         assert batch.arena is cache._arena
@@ -298,54 +279,58 @@ class TestMapperIntegration:
         mapper.initialize_map(cloud, keyframes[0], stride=6)
         return cloud, keyframes
 
-    def test_window_iterations_reuse_after_densify_miss(self, sequence):
-        mapper = StreamingMapper(MappingConfig(n_iterations=4, batch_views=2))
-        assert mapper.engine.cache is not None
-        cloud, keyframes = self._seeded(sequence, mapper)
-        result = mapper.map(cloud, keyframes)
-        statuses = [s.cache_status for s in result.snapshots]
-        # Densify mutates the cloud structurally, so iteration 0 rebuilds;
-        # later iterations of the window are served from the cache.
-        assert statuses[0] == "miss"
-        assert any(s in ("hit", "refresh", "incremental") for s in statuses[2:])
-        assert all(np.isfinite(loss) for loss in result.losses)
+    def test_mapping_is_exact_whatever_the_cache_setting(self, sequence):
+        """SLAM never consults the geometry cache; a passed cache stays exact.
 
-    def test_geom_cache_config_escape_hatch(self, sequence):
-        mapper = StreamingMapper(MappingConfig(n_iterations=1, geom_cache=False))
-        assert mapper.engine.cache is None
-        cloud, keyframes = self._seeded(sequence, mapper)
-        result = mapper.map(cloud, keyframes)
-        assert all(s.cache_status == "uncached" for s in result.snapshots)
+        A mapper window on a ``geom_cache=True`` engine gives bitwise the
+        same losses and final cloud as on a ``geom_cache=False`` engine, on
+        ``flat`` and (with two workers available) ``sharded``.  A 3-view
+        ``sharded`` batch rendered through a cache it is handed equals the
+        ``flat`` cached batch bitwise, cache statuses included.
+        """
+        backends = ["flat"]
+        probe = RenderEngine(EngineConfig(backend="sharded", shard_workers=2))
+        if probe.availability() is None:
+            backends.append("sharded")
+        for backend in backends:
+            runs = []
+            for geom_cache in (True, False):
+                engine = RenderEngine(
+                    EngineConfig(backend=backend, geom_cache=geom_cache, shard_workers=2)
+                )
+                mapper = StreamingMapper(
+                    MappingConfig(n_iterations=3, batch_views=3), engine=engine
+                )
+                cloud, keyframes = self._seeded(sequence, mapper)
+                result = mapper.map(cloud, keyframes)
+                runs.append((result, cloud))
+            (cached, cached_cloud), (plain, plain_cloud) = runs
+            assert cached.losses == plain.losses, backend
+            for name in ("positions", "log_scales", "rotations", "opacity_logits", "colors"):
+                np.testing.assert_array_equal(
+                    getattr(cached_cloud, name), getattr(plain_cloud, name), err_msg=backend
+                )
+            assert {s.cache_status for s in cached.snapshots} == {"uncached"}
 
-    def test_geom_cache_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEOM_CACHE", "0")
-        assert StreamingMapper(MappingConfig()).engine.cache is None
-        monkeypatch.setenv("REPRO_GEOM_CACHE", "1")
-        assert StreamingMapper(MappingConfig()).engine.cache is not None
-
-    def test_notify_removed_clears_cache(self, sequence):
-        mapper = StreamingMapper(MappingConfig(n_iterations=2, batch_views=2))
-        cloud, keyframes = self._seeded(sequence, mapper)
-        mapper.map(cloud, keyframes)
-        assert len(mapper.engine.cache) > 0
-        keep = np.ones(cloud.n_total, dtype=bool)
-        keep[::2] = False
-        cloud.keep_only(keep)
-        mapper.notify_removed(keep)
-        assert len(mapper.engine.cache) == 0
-        follow_up = mapper.map(cloud, keyframes)
-        assert np.isfinite(follow_up.losses[0])
-
-    def test_prune_clears_cache(self, sequence):
-        mapper = StreamingMapper(
-            MappingConfig(n_iterations=1, batch_views=2, opacity_prune_threshold=0.02)
-        )
-        cloud, keyframes = self._seeded(sequence, mapper)
-        mapper.map(cloud, keyframes)
-        cloud.opacity_logits[::2] = -12.0
-        result = mapper.map(cloud, keyframes)
-        assert result.n_pruned > 0
-        assert len(mapper.engine.cache) == 0
+        if "sharded" not in backends:
+            return
+        spec = _spec()
+        cameras, poses = [spec.camera] * 3, spec.view_poses(3)
+        engines = [
+            RenderEngine(EngineConfig(backend=backend, geom_cache=True, shard_workers=2))
+            for backend in ("sharded", "flat")
+        ]
+        for expected in ("miss", "hit"):
+            sharded, flat = (
+                engine.render_batch(
+                    spec.cloud, cameras, poses, cache=engine.cache, managed=False
+                )
+                for engine in engines
+            )
+            assert [v.cache_status for v in sharded.views] == [expected] * 3
+            assert [v.cache_status for v in flat.views] == [expected] * 3
+            for sharded_view, flat_view in zip(sharded.views, flat.views):
+                _assert_bitwise_equal(sharded_view, flat_view)
 
     def test_covisibility_overlaps_match_intersect1d(self):
         rng = np.random.default_rng(3)
@@ -402,7 +387,7 @@ class TestModelAndProfiling:
 
         spec = _spec()
         cloud = spec.cloud.copy()
-        cache = GeometryCache(EXACT)
+        cache = GeometryCache()
         snapshots = []
         from repro.slam.records import WorkloadSnapshot
 

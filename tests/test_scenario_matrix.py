@@ -89,8 +89,8 @@ class TestMatrixCoverage:
 
     def test_every_scenario_has_executed_cells(self):
         # Each scenario must actually execute on flat (all 8 cells), the tile
-        # reference (single render) and sharded (all 8 cells — cache-on cells
-        # run against the worker-resident geometry caches).
+        # reference (single render) and sharded (all 8 cells — cache-on render
+        # cells run serially in the parent against the engine's cache).
         for name in matrix_library().names():
             executed = {
                 (cell.backend, cell.cache, cell.batch, cell.mapping)
@@ -125,9 +125,9 @@ class TestSkipPlanning:
         assert "silently substitute" in reason
 
     def test_cache_cells_skip_on_cacheless_backends(self):
-        # Only the tile reference lacks cache support now: the sharded
-        # backend composes with the geometry cache via worker-resident
-        # entries, so its cache-on cells execute instead of skipping.
+        # Only the tile reference lacks cache support: the sharded backend
+        # runs cached batches serially in the parent, so its cache-on cells
+        # execute instead of skipping.
         reason = MATRIX.plan_cell(
             MatrixCell("single_gaussian", "tile", "on", "single", "render")
         )
@@ -194,8 +194,9 @@ class TestFiltersAndReporting:
         assert counts["pass"] > 0 and counts["fail"] == 0
 
     def test_summary_table_attributes_the_plan_site(self):
-        # Sharded multi-view cells plan inside the workers; flat cells plan
-        # in the parent — and the per-cell report says which.
+        # Uncached sharded multi-view cells plan inside the workers; flat
+        # cells, and sharded cells whose batch carries a cache, plan in the
+        # parent — and the per-cell report says which.
         results = MATRIX.run(
             filters={
                 "scenario": {"single_gaussian"},
@@ -208,9 +209,10 @@ class TestFiltersAndReporting:
             (result.cell.backend, result.cell.cache): result for result in results
         }
         for cache in ("off", "on"):
-            assert by_backend[("sharded", cache)].plan_site == "worker"
             assert by_backend[("flat", cache)].plan_site == "parent"
-            assert by_backend[("sharded", cache)].to_json()["attribution"]["plan_site"] == "worker"
+        assert by_backend[("sharded", "off")].plan_site == "worker"
+        assert by_backend[("sharded", "off")].to_json()["attribution"]["plan_site"] == "worker"
+        assert by_backend[("sharded", "on")].plan_site == "parent"
         table = summary_table(results)
         assert "| worker |" in table and "| parent |" in table
 

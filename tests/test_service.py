@@ -28,9 +28,6 @@ from repro.testing.scenarios import DEFAULT_LIBRARY
 
 N_WORKERS = 2
 
-# Exact cache configuration: cached sessions stay bitwise against uncached.
-_EXACT = dict(cache_tolerance_px=0.0)
-
 
 def _spec(name: str = "dense_random"):
     return DEFAULT_LIBRARY.get(name).build()
@@ -45,13 +42,11 @@ def _window(spec, n_views: int = 4):
 
 
 def _service(geom_cache: bool = False, **kwargs) -> RenderService:
-    extra = _EXACT if geom_cache else {}
     return RenderService(
         EngineConfig(
             backend="sharded",
             geom_cache=geom_cache,
             shard_workers=N_WORKERS,
-            **extra,
         ),
         round_quantum=2,
         **kwargs,
@@ -59,13 +54,11 @@ def _service(geom_cache: bool = False, **kwargs) -> RenderService:
 
 
 def _solo_engine(geom_cache: bool = False) -> RenderEngine:
-    extra = _EXACT if geom_cache else {}
     return RenderEngine(
         EngineConfig(
             backend="sharded",
             geom_cache=geom_cache,
             shard_workers=N_WORKERS,
-            **extra,
         )
     )
 

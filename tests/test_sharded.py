@@ -53,7 +53,7 @@ from repro.gaussians.batch import (
     rasterize_batch_views,
 )
 from repro.gaussians.fast_raster import allocate_flat_arena
-from repro.gaussians.geom_cache import GeomCacheConfig, GeometryCache
+from repro.gaussians.geom_cache import GeometryCache
 from repro.testing.scenarios import DEFAULT_LIBRARY
 
 N_WORKERS = 2
@@ -329,30 +329,24 @@ class TestShardedBackend:
         assert batch.sharding is None
         engine.release(batch)
 
-    def test_cache_carrying_requests_shard_with_worker_resident_entries(self):
-        """Cached batches shard: planning and cache entries live in the workers.
+    def test_cache_carrying_requests_run_in_the_parent(self):
+        """Workers hold no cache: a cached batch runs the serial parent path.
 
-        Exact and default configurations alike serve hits bitwise against
-        uncached, fragment counts included.
+        Its hits are bitwise against uncached, fragment counts included.
         """
         spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
         engine = _sharded_engine()
         uncached = rasterize_batch_views(*args, **kwargs)
-        for config in (GeomCacheConfig(tolerance_px=0.0), GeomCacheConfig()):
-            cache = GeometryCache(config)
-            batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-            assert batch.sharding is not None
-            assert batch.sharding.plan_site == "worker"
-            assert [view.cache_status for view in batch.views] == ["miss", "miss"]
-            _assert_views_equal(batch.views, uncached.views)
-            # Parent-side stats mirror the worker-reported statuses, and the
-            # repeat window is served from the worker-resident entries.
-            assert cache.stats.misses == 2
-            repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-            assert [view.cache_status for view in repeat.views] == ["hit", "hit"]
-            assert cache.stats.hits == 2
-            _assert_views_equal(repeat.views, uncached.views)
+        cache = GeometryCache()
+        batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
+        assert batch.sharding is None
+        assert [view.cache_status for view in batch.views] == ["miss", "miss"]
+        _assert_views_equal(batch.views, uncached.views)
+        repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
+        assert [view.cache_status for view in repeat.views] == ["hit", "hit"]
+        assert (cache.stats.misses, cache.stats.hits) == (2, 2)
+        _assert_views_equal(repeat.views, uncached.views)
 
     def test_sharded_capabilities_are_honest(self):
         engine = _sharded_engine()
@@ -360,7 +354,6 @@ class TestShardedBackend:
         assert capabilities.batch
         assert capabilities.cache
         assert capabilities.distributed_planning
-        assert capabilities.worker_resident_cache
         assert not capabilities.reference
 
     def test_worker_side_eviction_heals_via_parent_recompute(self):
@@ -519,14 +512,13 @@ class TestFaultInjection:
     fresh pool.
     """
 
-    def _engine(self, deadline: float = 10.0, geom_cache: bool = False) -> RenderEngine:
+    def _engine(self, deadline: float = 10.0) -> RenderEngine:
         return RenderEngine(
             EngineConfig(
                 backend="sharded",
-                geom_cache=geom_cache,
+                geom_cache=False,
                 shard_workers=N_WORKERS,
                 shard_deadline_s=deadline,
-                cache_tolerance_px=0.0,
             )
         )
 
@@ -691,56 +683,6 @@ class TestFaultInjection:
             )
         events = [event["event"] for event in batch_a.sharding.fault_events]
         assert events == ["stale-handle"] * batch_a.n_views
-
-    def test_crash_with_cache_rewarns_worker_entries(self, monkeypatch, _no_leak):
-        """After a close, cached views rebuild on the fresh pool, then hit.
-
-        The fresh pool empties the parent's classification mirror, so the
-        first batch after the close predicts every view a miss and ships the
-        shared Step 1 payload up front: one dispatch, no desync resend, and
-        never a stale "hit" against worker state the close destroyed.
-        """
-        from repro.engine.sharded import ShardedBackend
-
-        dispatches = []
-        original = ShardedBackend._dispatch_sharded
-
-        def counting_dispatch(backend, *dispatch_args, **dispatch_kwargs):
-            dispatches.append(1)
-            return original(backend, *dispatch_args, **dispatch_kwargs)
-
-        monkeypatch.setattr(ShardedBackend, "_dispatch_sharded", counting_dispatch)
-        spec = _spec()
-        args, kwargs = _batch_args(spec)
-        engine = self._engine(geom_cache=True)
-        uncached = rasterize_batch_views(*args, **kwargs)
-        warm = engine.render_batch(*args, **kwargs)
-        assert [view.cache_status for view in warm.views] == ["miss"] * 3
-        _assert_views_equal(warm.views, uncached.views)
-        engine.release(warm)
-        with fault_plan("crash@0.*"):
-            batch = engine.render_batch(*args, **kwargs)
-        _assert_views_equal(batch.views, uncached.views)
-        events = [event["event"] for event in batch.sharding.fault_events]
-        assert "died" in events
-        # Worker 1 served its entry before the close; worker 0's views ran
-        # uncached in the parent.
-        assert [view.cache_status for view in batch.views] == ["uncached", "hit", "uncached"]
-        closed_pool = batch.views[1].shard_info.pool
-        assert closed_pool.closed
-        engine.release(batch)
-
-        dispatches.clear()
-        rebuilt = engine.render_batch(*args, **kwargs)
-        assert [view.cache_status for view in rebuilt.views] == ["miss"] * 3
-        assert len(dispatches) == 1
-        assert rebuilt.views[0].shard_info.pool is not closed_pool
-        _assert_views_equal(rebuilt.views, uncached.views)
-        engine.release(rebuilt)
-        repeat = engine.render_batch(*args, **kwargs)
-        assert [view.cache_status for view in repeat.views] == ["hit"] * 3
-        _assert_views_equal(repeat.views, uncached.views)
-        engine.release(repeat)
 
     def test_wedged_worker_is_killed_not_leaked(self, _no_leak):
         """A SIGTERM-ignoring hung worker is killed by the pool close."""
@@ -955,137 +897,6 @@ class TestPlanExecuteSeam:
             backend.plan_batch(request)
 
 
-class TestWorkerResidentCache:
-    """Cross-process cache coherence: worker-resident entries never go stale."""
-
-    def _adversarial(self, name: str):
-        from repro.testing.scenarios import ADVERSARIAL_LIBRARY
-
-        return ADVERSARIAL_LIBRARY.get(name).build()
-
-    def _cached_sharded_engine(self) -> RenderEngine:
-        # Exact cache configuration: every served tier must be bitwise
-        # against an uncached render, so a stale worker entry cannot hide
-        # behind the toleranced tier.
-        return RenderEngine(
-            EngineConfig(
-                backend="sharded",
-                geom_cache=True,
-                shard_workers=N_WORKERS,
-                cache_tolerance_px=0.0,
-            )
-        )
-
-    def _assert_matches_uncached(self, engine, cloud, spec, n_views: int = 3):
-        """Render a window cached+sharded and pin it bitwise to uncached flat.
-
-        Bitwise equality holds on miss rounds (entries rebuilt from the live
-        cloud), which is exactly what every mid-window mutation must produce;
-        serving a pre-mutation worker entry would diverge visibly.
-        """
-        poses = spec.view_poses(n_views)
-        kwargs = dict(
-            backgrounds=[spec.background] * n_views,
-            tile_size=spec.tile_size,
-            subtile_size=spec.subtile_size,
-        )
-        cached = engine.render_batch(cloud, [spec.camera] * n_views, poses, **kwargs)
-        uncached = rasterize_batch_views(cloud, [spec.camera] * n_views, poses, **kwargs)
-        _assert_views_equal(cached.views, uncached.views)
-        statuses = [view.cache_status for view in cached.views]
-        engine.release(cached)
-        return statuses
-
-    @pytest.mark.parametrize("scenario", ["densify_churn", "aggressive_motion"])
-    def test_densify_mid_window_invalidates_worker_entries(self, scenario):
-        spec = self._adversarial(scenario)
-        cloud = spec.cloud.copy()
-        engine = self._cached_sharded_engine()
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["hit"] * 3
-        from repro.gaussians import GaussianCloud
-
-        cloud.extend(
-            GaussianCloud.from_points(
-                np.array([[0.02, -0.05, 0.1], [-0.08, 0.04, 0.15]]),
-                np.array([[0.9, 0.2, 0.1], [0.1, 0.4, 0.8]]),
-                scale=0.1,
-                opacity=0.8,
-            )
-        )
-        # Densification mid-window: the structure epoch moved, so every
-        # worker-resident entry must re-key to a miss — never a stale serve.
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-
-    @pytest.mark.parametrize("scenario", ["densify_churn", "aggressive_motion"])
-    def test_prune_mid_window_invalidates_worker_entries(self, scenario):
-        spec = self._adversarial(scenario)
-        cloud = spec.cloud.copy()
-        engine = self._cached_sharded_engine()
-        self._assert_matches_uncached(engine, cloud, spec)
-        cloud.remove(np.array([0, len(cloud) - 1]))
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-
-    def test_notify_removed_mid_window_invalidates_worker_entries(self):
-        spec = self._adversarial("densify_churn")
-        cloud = spec.cloud.copy()
-        engine = self._cached_sharded_engine()
-        self._assert_matches_uncached(engine, cloud, spec)
-        cloud.mask(np.array([1, 3]))
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-        # remove_inactive compacts the masked rows away (the notify_removed
-        # path); the worker entries keyed on the old structure must miss.
-        cloud.remove_inactive()
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-
-    def test_invalidate_cache_broadcasts_to_worker_pools(self):
-        spec = _spec()
-        cloud = spec.cloud.copy()
-        engine = self._cached_sharded_engine()
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["hit"] * 3
-        engine.invalidate_cache()
-        # The broadcast dropped the worker-resident namespace: the next
-        # window rebuilds instead of hitting ghost entries.
-        assert self._assert_matches_uncached(engine, cloud, spec) == ["miss"] * 3
-
-    def test_worker_cache_matches_parent_cache_through_appearance_refresh(self):
-        """Worker-resident and parent-resident caches agree bitwise per tier."""
-        spec = _spec()
-        cloud = spec.cloud.copy()
-        sharded_engine = self._cached_sharded_engine()
-        flat_engine = RenderEngine(
-            EngineConfig(
-                backend="flat",
-                geom_cache=True,
-                cache_tolerance_px=0.0,
-            )
-        )
-        n_views = 3
-        poses = spec.view_poses(n_views)
-        kwargs = dict(
-            backgrounds=[spec.background] * n_views,
-            tile_size=spec.tile_size,
-            subtile_size=spec.subtile_size,
-        )
-
-        def round_trip(expected_status):
-            sharded = sharded_engine.render_batch(
-                cloud, [spec.camera] * n_views, poses, **kwargs
-            )
-            flat = flat_engine.render_batch(cloud, [spec.camera] * n_views, poses, **kwargs)
-            assert [v.cache_status for v in sharded.views] == [expected_status] * n_views
-            assert [v.cache_status for v in flat.views] == [expected_status] * n_views
-            _assert_views_equal(sharded.views, flat.views)
-            sharded_engine.release(sharded)
-            flat_engine.release(flat)
-
-        round_trip("miss")
-        round_trip("hit")
-        cloud.apply_parameter_step(d_colors=np.full((len(cloud), 3), 0.015))
-        round_trip("refresh")
-
-
 class TestShardedMapping:
     @pytest.fixture(scope="class")
     def sequence(self):
@@ -1108,7 +919,7 @@ class TestShardedMapping:
     def test_mapping_through_sharded_engine_matches_flat(self, sequence):
         from repro.slam import MappingConfig, StreamingMapper
 
-        config = MappingConfig(n_iterations=2, batch_views=3, geom_cache=False)
+        config = MappingConfig(n_iterations=2, batch_views=3)
         flat_mapper = StreamingMapper(config, engine=_flat_engine())
         cloud_flat, keyframes = self._seeded(sequence, flat_mapper)
         sharded_mapper = StreamingMapper(config, engine=_sharded_engine())
@@ -1123,7 +934,7 @@ class TestShardedMapping:
     def test_snapshots_carry_shard_attribution(self, sequence):
         from repro.slam import MappingConfig, StreamingMapper
 
-        config = MappingConfig(n_iterations=1, batch_views=2, geom_cache=False)
+        config = MappingConfig(n_iterations=1, batch_views=2)
         mapper = StreamingMapper(config, engine=_sharded_engine())
         cloud, keyframes = self._seeded(sequence, mapper)
         result = mapper.map(cloud, keyframes)
@@ -1152,7 +963,7 @@ class TestShardedMapping:
         from repro.slam import MappingConfig, StreamingMapper
         from repro.slam.records import WorkloadSnapshot
 
-        config = MappingConfig(n_iterations=2, batch_views=3, geom_cache=False)
+        config = MappingConfig(n_iterations=2, batch_views=3)
         flat_mapper = StreamingMapper(config, engine=_flat_engine())
         cloud_flat, keyframes = self._seeded(sequence, flat_mapper)
         sharded_mapper = StreamingMapper(config, engine=_sharded_engine())
@@ -1187,7 +998,7 @@ class TestShardedMapping:
         """
         from repro.slam import MappingConfig, StreamingMapper
 
-        config = MappingConfig(n_iterations=2, batch_views=3, geom_cache=False)
+        config = MappingConfig(n_iterations=2, batch_views=3)
         flat_mapper = StreamingMapper(config, engine=_flat_engine())
         cloud_flat, keyframes = self._seeded(sequence, flat_mapper)
         faulted_engine = RenderEngine(
