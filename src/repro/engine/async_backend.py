@@ -230,7 +230,9 @@ class AsyncBackend:
     def execute_units(
         self, plan: "RenderPlan", request: BatchRenderRequest
     ) -> "BatchRenderResult":
-        return self._inner.execute_units(plan, request)
+        # The units may run on the worker pool.
+        with self._pool:
+            return self._inner.execute_units(plan, request)
 
     def render_batch(self, request: BatchRenderRequest) -> "BatchRenderResult":
         key = _speculation_key(request)

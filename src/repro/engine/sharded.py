@@ -1,12 +1,12 @@
-"""``sharded``: multi-process, worker-planned execution of batched renders.
+"""``sharded``: multi-process execution of batched renders.
 
 The mapping workload is embarrassingly parallel across the views of a
-keyframe window.  Earlier revisions of this backend planned every view's
-Step 1-2 (projection, tiling, fragment build) in the parent and shipped the
-finished work units to a worker pool; planning is now *worker-resident*: the
-parent computes only the view-independent Step 1 half
+keyframe window.  An uncached batch is planned *in the workers*: the parent
+computes only the view-independent Step 1 half
 (:func:`~repro.gaussians.projection.shared_preprocess`) and each worker runs
 its views' projection, tile assignment, sorting and fragment build itself.
+A batch that carries a geometry cache is planned in the parent, against the
+cache, and its work units are rasterized on the same pool.
 
 Execution model
 ---------------
@@ -30,10 +30,13 @@ Execution model
   attaching per-shard attribution with ``plan_site="worker"``
   (:class:`~repro.gaussians.batch.ShardAttribution`).
 * **Geometry cache** — workers hold no cache.  A request that carries a
-  :class:`~repro.gaussians.geom_cache.GeometryCache` runs the serial parent
-  path (:meth:`ShardedBackend.plan_batch` then
-  :meth:`ShardedBackend.execute_units`) against that cache, so the pool
-  serves only uncached batches.
+  :class:`~repro.gaussians.geom_cache.GeometryCache` is planned in the
+  parent (:meth:`ShardedBackend.plan_batch`), so tiers, stats and byte
+  budgets stay with the cache; :meth:`ShardedBackend.execute_units` then
+  ships each unit's Step 1-2 products (projection arrays, per-tile row
+  lists) in the batch's shared-memory block, and the worker rebuilds the
+  fragment list and rasterizes into its own arena, with
+  ``plan_site="parent"``.  The parent allocates no arena for these views.
 * **Backward** — each worker retains the per-fragment tile caches of the
   views it rendered, so Step 4 *Rendering BP* runs in parallel where the
   data already lives; workers return screen-space gradients and fill
@@ -59,20 +62,26 @@ Execution model
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
   with the worker traceback: it signals a caller bug (e.g. a legitimately
-  superseded batch), not a fault.  Deterministic fault injection for all of
-  the above lives in :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
+  superseded batch), not a fault.  Worker-planned batches and shipped
+  work units share this path: a lost unit runs
+  :func:`~repro.gaussians.batch.execute_view` in the parent, against its
+  cache's shared arena on a cached plan.  Deterministic fault injection for
+  all of the above lives in :mod:`repro.engine.faults`
+  (``REPRO_SHARD_FAULTS``).
 * **Backward under faults** — a view whose pool was closed (by a fault in
   its own batch or in any later batch on the shared pool), or whose batch
   rotated out of its worker's retained set, recomputes its backward pass in
-  the parent (re-deriving the worker's exact tile caches from the cloud,
+  the parent (rebuilding the worker's exact tile caches from the view's own
+  Step 1-2 products when it was planned in the parent, else from the cloud,
   which is unchanged between forward and backward in every engine
   consumer), again bitwise-identical to the worker result.  A fault during
   a backward dispatch closes the pool and recomputes that dispatch's views
   the same way.
 
-Sharded per-view results carry no parent-side tile caches or per-tile lists
-(those are worker-resident); their backward pass must run through the
-engine/backend that produced them, which routes it to the owning worker.
+Sharded per-view results carry no parent-side tile caches (those are
+worker-resident, as are a worker-planned view's per-tile lists); their
+backward pass must run through the engine/backend that produced them, which
+routes it to the owning worker.
 """
 
 from __future__ import annotations
@@ -84,7 +93,7 @@ import time
 import traceback
 from collections import OrderedDict, deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -104,6 +113,8 @@ from repro.gaussians.batch import (
     ShardAttribution,
     _normalise_backgrounds,
     execute_plan,
+    execute_view,
+    plan_arena,
     plan_batch_views,
     render_backward_batch_views,
 )
@@ -137,8 +148,12 @@ _SHM_ALIGN = 64
 
 _TOKENS = itertools.count(1)
 
-#: Shared Step 1 arrays shipped parent -> worker with every batch.
+#: Shared Step 1 arrays shipped parent -> worker with every worker-planned batch.
 _SHARED_FIELDS = ("indices", "positions", "cov3d", "opacities", "colors")
+#: Projection arrays shipped parent -> worker with every parent-planned unit.
+_UNIT_PROJECTED_FIELDS = tuple(
+    field.name for field in fields(ProjectedGaussians) if field.name not in ("camera", "pose_cw")
+)
 #: Heavy per-view projection intermediates shipped worker -> parent at
 #: backward time (everything Step 5 reads beyond what the parent already
 #: holds), keyed to the trailing shape after the visible-row dimension.
@@ -301,8 +316,38 @@ def _write_view_outputs(shm, outputs: dict, result) -> None:
     _shm_view(shm, outputs["fragments_per_pixel"])[...] = result.fragments_per_pixel
 
 
+def _meta_grid(meta: dict) -> TileGrid:
+    camera = meta["camera"]
+    return TileGrid.interned(camera.width, camera.height, meta["tile_size"], meta["subtile_size"])
+
+
+def _unit_products(shm, meta: dict) -> tuple[ProjectedGaussians, TileIntersections]:
+    """A parent-planned unit's Step 1-2 products, copied out of the block.
+
+    Nothing the worker retains for backward may map the block, which the
+    parent unlinks as soon as the dispatch ends.
+    """
+    unit = meta["unit"]
+    projected = ProjectedGaussians(
+        **{name: np.array(_shm_view(shm, spec)) for name, spec in unit["projected"].items()},
+        camera=meta["camera"],
+        pose_cw=meta["pose_cw"],
+    )
+    rows = np.array(_shm_view(shm, unit["rows"]))
+    per_tile = np.split(rows, np.cumsum(_shm_view(shm, unit["counts"]))[:-1])
+    return projected, TileIntersections(
+        grid=_meta_grid(meta), per_tile=per_tile, projected=projected
+    )
+
+
 def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> dict:
-    """Plan (Step 1-2) and rasterize this worker's views of one batch."""
+    """Rasterize this worker's views of one batch.
+
+    A view whose meta carries a ``unit`` was planned in the parent (cached
+    batches, :meth:`ShardedBackend.execute_units`) and ships its Step 1-2
+    products; every other view is planned here (Step 1-2) from the batch's
+    shared Step 1 arrays.
+    """
     from repro.gaussians.fast_raster import (
         build_flat_fragments,
         ensure_flat_arena,
@@ -311,11 +356,12 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
     from repro.gaussians.projection import project_gaussians
     from repro.gaussians.sorting import build_tile_lists
 
-    active_only = batch["active_only"]
     views = batch["views"]
-    shared = SharedGaussianData(
-        **{name: _shm_view(shm, batch["shared"][name]) for name in _SHARED_FIELDS}
-    )
+    shared = None
+    if "shared" in batch:
+        shared = SharedGaussianData(
+            **{name: _shm_view(shm, batch["shared"][name]) for name in _SHARED_FIELDS}
+        )
     slot = ctx.render_count % _MAX_RETAINED_BATCHES
     ctx.render_count += 1
     for stale_token, entry in list(ctx.batches.items()):
@@ -325,18 +371,19 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
     total = 0
     for meta in views:
         start = time.perf_counter()
-        # ``project_gaussians`` reads nothing from the cloud once shared
-        # data is donated, so no cloud object crosses the process line.
-        projected = project_gaussians(
-            None, meta["camera"], meta["pose_cw"], active_only=active_only, shared=shared
-        )
-        grid = TileGrid.interned(
-            meta["camera"].width,
-            meta["camera"].height,
-            meta["tile_size"],
-            meta["subtile_size"],
-        )
-        intersections = build_tile_lists(projected, grid)
+        if "unit" in meta:
+            projected, intersections = _unit_products(shm, meta)
+        else:
+            # ``project_gaussians`` reads nothing from the cloud once shared
+            # data is donated, so no cloud object crosses the process line.
+            projected = project_gaussians(
+                None,
+                meta["camera"],
+                meta["pose_cw"],
+                active_only=batch["active_only"],
+                shared=shared,
+            )
+            intersections = build_tile_lists(projected, _meta_grid(meta))
         fragments = build_flat_fragments(intersections)
         planned.append((projected, intersections, fragments, time.perf_counter() - start))
         total += fragments.n_fragments
@@ -356,7 +403,8 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
         view_replies.append(
             {
                 "index": meta["index"],
-                "indices": projected.indices,
+                # The parent already holds a shipped unit's projection.
+                "indices": None if "unit" in meta else projected.indices,
                 "n_pairs": int(intersections.n_pairs),
                 "plan_seconds": plan_seconds,
                 "raster_seconds": time.perf_counter() - start,
@@ -412,7 +460,8 @@ def _worker_handle_render(ctx: _WorkerContext, payload) -> tuple:
             reply["fault_sites"] = slow_keys
     finally:
         # Everything the render keeps from the block is gathered or copied
-        # (projection gathers candidate rows, outputs are copied in), so the
+        # (projection gathers candidate rows, shipped unit products are
+        # copied out, outputs are copied in), so the
         # mapping drops as soon as the handler finishes.  On an error the
         # traceback frames can briefly pin views; the BufferError then leaves
         # the mapping to die with the worker — rare and bounded.
@@ -868,12 +917,13 @@ def _validate_backward_reply(payload, expected_views: Sequence[int]) -> "str | N
 
 
 class ShardedBackend:
-    """Multi-process worker-planned batch execution behind the backend seam.
+    """Multi-process batch execution behind the backend seam.
 
     Uncached batches plan *and* rasterize inside the worker pool
-    (``distributed_planning``).  Single-view renders, batches that carry a
-    geometry cache and degraded batches (no usable pool) run the serial flat
-    path in the parent.
+    (``distributed_planning``); batches that carry a geometry cache plan in
+    the parent and rasterize on the pool (:meth:`execute_units`).
+    Single-view renders and degraded batches (no usable pool) run the serial
+    flat path in the parent.
     """
 
     name = "sharded"
@@ -974,7 +1024,8 @@ class ShardedBackend:
         With a live pool :meth:`render_batch` does *not* go through this plan
         for an uncached batch — planning is distributed to the workers
         (``distributed_planning``); this seam covers cached batches, the
-        degraded serial path and callers that schedule the units themselves.
+        degraded serial path and callers that schedule the units themselves
+        (the render service's cached sessions).
         """
         return plan_batch_views(
             request.cloud,
@@ -990,11 +1041,87 @@ class ShardedBackend:
     def execute_units(
         self, plan: RenderPlan, request: BatchRenderRequest
     ) -> BatchRenderResult:
-        """Serial execution of a parent-side plan (see :meth:`plan_batch`)."""
-        return execute_plan(plan, arena=request.arena)
+        """Rasterize a parent-side plan's units (see :meth:`plan_batch`).
+
+        With a usable pool each unit's Step 1-2 products (its projection
+        arrays and per-tile row lists) ship in the batch's shared-memory
+        block; the worker rebuilds the fragment list, rasterizes into its own
+        arena and keeps the result for backward, exactly as for a view it
+        planned itself.  The parent never reserves an arena for these views.
+        It counts each cached unit's tier in the cache's ``CacheStats`` and
+        sets the view's ``cache_status``, as :meth:`GeometryCache.render_view`
+        would have.  Lost units (the pool failed) run :func:`execute_view` in
+        the parent, against the cache's shared arena on a cached plan.
+        Without a pool the plan runs serially (:func:`execute_plan`).
+        """
+        pool = self._pool_for(plan.n_views)
+        if pool is None:
+            return execute_plan(plan, arena=request.arena)
+        units = sorted(plan.units, key=lambda unit: unit.index)
+        layout = _ShmLayout()
+        view_metas = []
+        for index, unit in enumerate(units):
+            projected = unit.projected
+            per_tile = unit.intersections.per_tile
+            view_metas.append(
+                {
+                    "index": index,
+                    "camera": projected.camera,
+                    "pose_cw": projected.pose_cw,
+                    "background": unit.background,
+                    "tile_size": unit.tile_size,
+                    "subtile_size": unit.subtile_size,
+                    "unit": {
+                        "projected": {
+                            name: layout.add(getattr(projected, name))
+                            for name in _UNIT_PROJECTED_FIELDS
+                        },
+                        "rows": layout.add(np.concatenate(per_tile)),
+                        "counts": layout.add(
+                            np.array([rows.size for rows in per_tile], dtype=np.int64)
+                        ),
+                    },
+                }
+            )
+        arena = None
+
+        def escalate(index: int):
+            nonlocal arena
+            if arena is None:
+                arena = plan_arena(plan, request.arena)
+            start = time.perf_counter()
+            result = execute_view(units[index], arena, cache=plan.cache)
+            return result, time.perf_counter() - start
+
+        views, view_seconds, sharding = self._dispatch_render(
+            pool,
+            layout,
+            view_metas,
+            {"active_only": request.active_only},
+            lambda index, _reply: (units[index].projected, units[index].intersections),
+            escalate,
+            plan_site="parent",
+        )
+        for index, unit in enumerate(units):
+            view_seconds[index] += unit.plan_seconds
+            if unit.cache_plan is not None and index not in sharding.escalated_views:
+                # Escalated units counted theirs in GeometryCache.render_view.
+                views[index].cache_status = unit.cache_plan.status
+                plan.cache.stats.count(unit.cache_plan.status)
+        return BatchRenderResult(
+            views=views,
+            shared=plan.shared,
+            # Only lost units rasterized into a parent arena.
+            arena=request.arena if arena is None else arena,
+            shared_seconds=plan.shared_seconds,
+            view_seconds=view_seconds,
+            sharding=sharding,
+        )
 
     def render_batch(self, request: BatchRenderRequest) -> BatchRenderResult:
-        # A cache holds parent-resident entries, so a cached batch runs here.
+        # A cached batch plans here, where its cache's entries live, and its
+        # units run on the pool through execute_units; an uncached batch is
+        # planned by the workers themselves.
         pool = None if request.cache is not None else self._pool_for(len(request.cameras))
         if pool is None:
             return self.execute_units(self.plan_batch(request), request)
@@ -1030,53 +1157,94 @@ class ShardedBackend:
     ) -> BatchRenderResult:
         """Worker-planned execution: ship the shared Step 1 arrays, dispatch.
 
-        Fans the views out over the pool and waits once, for
-        ``shard_deadline_s``.  On any fault (a crash, a hang, a failed send,
-        a poisoned reply or a worker-reported render error) the whole pool
-        is closed and the lost views run in the parent
-        (:meth:`_render_view_serial`); views a healthy worker finished keep
-        their outputs.  The stitched result is total: every view completes
-        on one of the two paths.
+        Lost views run in the parent (:meth:`_render_view_serial`); see
+        :meth:`_dispatch_render` for the failure path.
         """
-        from repro.gaussians.rasterizer import RenderResult
-
         start = time.perf_counter()
         shared = shared_preprocess(request.cloud, active_only=request.active_only)
         shared_seconds = time.perf_counter() - start
 
-        cameras = list(request.cameras)
-        poses_cw = list(request.poses_cw)
-        n_views = len(cameras)
-        backgrounds = _normalise_backgrounds(request.backgrounds, n_views)
-        plan, op_index = self._next_fault_op()
-
-        dispatch_start = time.perf_counter()
+        backgrounds = _normalise_backgrounds(request.backgrounds, len(request.cameras))
         layout = _ShmLayout()
         shared_specs = {name: layout.add(getattr(shared, name)) for name in _SHARED_FIELDS}
-        view_metas = []
-        for index, (camera, pose_cw) in enumerate(zip(cameras, poses_cw)):
-            height, width = camera.height, camera.width
-            view_metas.append(
-                {
-                    "index": index,
-                    "camera": camera,
-                    "pose_cw": pose_cw,
-                    "background": backgrounds[index],
-                    "tile_size": request.tile_size,
-                    "subtile_size": request.subtile_size,
-                    "outputs": {
-                        "image": layout.reserve((height, width, 3), np.float64),
-                        "depth": layout.reserve((height, width), np.float64),
-                        "alpha": layout.reserve((height, width), np.float64),
-                        "fragments_per_pixel": layout.reserve((height, width), np.int64),
-                    },
-                }
-            )
+        view_metas = [
+            {
+                "index": index,
+                "camera": camera,
+                "pose_cw": pose_cw,
+                "background": backgrounds[index],
+                "tile_size": request.tile_size,
+                "subtile_size": request.subtile_size,
+            }
+            for index, (camera, pose_cw) in enumerate(zip(request.cameras, request.poses_cw))
+        ]
+
+        def products(index: int, reply: dict):
+            meta = view_metas[index]
+            projected = _stitched_projection(reply["indices"], meta["camera"], meta["pose_cw"])
+            return projected, _StitchedIntersections(_meta_grid(meta), projected, reply["n_pairs"])
+
+        views, view_seconds, sharding = self._dispatch_render(
+            pool,
+            layout,
+            view_metas,
+            {"shared": shared_specs, "active_only": request.active_only},
+            products,
+            lambda index: self._render_view_serial(request, view_metas[index], shared),
+            plan_site="worker",
+        )
+        return BatchRenderResult(
+            views=views,
+            shared=shared,
+            # Workers own the arenas the views' tile caches live in; the
+            # caller-supplied arena passes through untouched so a later
+            # serial batch can still recycle it.
+            arena=request.arena,
+            shared_seconds=shared_seconds,
+            view_seconds=view_seconds,
+            sharding=sharding,
+        )
+
+    def _dispatch_render(
+        self,
+        pool: ShardedPool,
+        layout: _ShmLayout,
+        view_metas: list[dict],
+        batch_fields: dict,
+        products,
+        escalate,
+        plan_site: str,
+    ) -> "tuple[list[RenderResult], list[float], ShardAttribution]":
+        """Fan ``view_metas`` out over ``pool`` in one shared-memory block.
+
+        Reserves every view's forward outputs in ``layout`` and waits once,
+        for ``shard_deadline_s``.  On any fault (a crash, a hang, a failed
+        send, a poisoned reply or a worker-reported render error) the whole
+        pool is closed and ``escalate(index) -> (RenderResult, seconds)``
+        finishes each lost view in the parent; views a healthy worker
+        finished keep their outputs.  Those become parent-side views carrying
+        the ``(projected, intersections)`` that ``products(index, reply)``
+        returns and a :class:`_ShardHandle` to the worker holding their tile
+        caches.  The result is total: every view completes on one of the two
+        paths.  Returns the views in order, per-view seconds and the
+        attribution.
+        """
+        from repro.gaussians.rasterizer import RenderResult
+
+        n_views = len(view_metas)
+        plan, op_index = self._next_fault_op()
+        dispatch_start = time.perf_counter()
+        for meta in view_metas:
+            height, width = meta["camera"].height, meta["camera"].width
+            meta["outputs"] = {
+                "image": layout.reserve((height, width, 3), np.float64),
+                "depth": layout.reserve((height, width), np.float64),
+                "alpha": layout.reserve((height, width), np.float64),
+                "fragments_per_pixel": layout.reserve((height, width), np.int64),
+            }
         shm = layout.create()
-        plan_seconds = [0.0] * n_views
-        raster_seconds = [0.0] * n_views
-        indices_by_view: dict[int, np.ndarray] = {}
-        n_pairs_by_view: dict[int, int] = {}
+        view_seconds = [0.0] * n_views
+        view_replies: dict[int, dict] = {}
         local_results: dict[int, "RenderResult"] = {}  # escalated views
         fault_log: list[dict] = []
         lost: list[int] = []  # views of faulted workers
@@ -1105,8 +1273,7 @@ class ShardedBackend:
                         token,
                         shm.name,
                         {
-                            "shared": shared_specs,
-                            "active_only": request.active_only,
+                            **batch_fields,
                             "views": [view_metas[i] for i in view_ids],
                             "faults": fault_sites.get(worker_id),
                         },
@@ -1155,18 +1322,15 @@ class ShardedBackend:
                     )
                 pool.note_resident(worker_id, token)
                 for view in payload["views"]:
-                    index = view["index"]
-                    plan_seconds[index] = view["plan_seconds"]
-                    raster_seconds[index] = view["raster_seconds"]
-                    indices_by_view[index] = np.asarray(view["indices"])
-                    n_pairs_by_view[index] = view["n_pairs"]
-                    worker_seconds[worker_id] += view["plan_seconds"] + view["raster_seconds"]
+                    seconds = view["plan_seconds"] + view["raster_seconds"]
+                    view_replies[view["index"]] = view
+                    view_seconds[view["index"]] = seconds
+                    worker_seconds[worker_id] += seconds
 
             if lost:
                 # The one failure path: close the whole pool (the next batch
                 # gets a fresh one) and finish every unrendered view here,
-                # running exactly the worker's uncached plan+raster sequence
-                # so the batch output stays bitwise-identical.
+                # bitwise-identical to what its worker would have stitched.
                 _discard_pool(pool)
                 for index in sorted(lost):
                     fault_log.append(
@@ -1178,12 +1342,7 @@ class ShardedBackend:
                             "detail": "serial parent execution",
                         }
                     )
-                    result, view_plan_s, view_raster_s = self._render_view_serial(
-                        request, view_metas[index], shared
-                    )
-                    local_results[index] = result
-                    plan_seconds[index] = view_plan_s
-                    raster_seconds[index] = view_raster_s
+                    local_results[index], view_seconds[index] = escalate(index)
 
             stitch_start = time.perf_counter()
             views: list[RenderResult] = []
@@ -1199,18 +1358,9 @@ class ShardedBackend:
                     view.shard_escalated = True
                     views.append(view)
                     continue
-                camera = cameras[index]
-                pose_cw = poses_cw[index]
                 outputs = meta["outputs"]
-                background = (
-                    np.zeros(3)
-                    if backgrounds[index] is None
-                    else np.asarray(backgrounds[index], dtype=np.float64).reshape(3)
-                )
-                projected = _stitched_projection(indices_by_view[index], camera, pose_cw)
-                grid = TileGrid.interned(
-                    camera.width, camera.height, request.tile_size, request.subtile_size
-                )
+                background = meta["background"]
+                projected, intersections = products(index, view_replies[index])
                 view = RenderResult(
                     image=np.array(_shm_view(shm, outputs["image"])),
                     depth=np.array(_shm_view(shm, outputs["depth"])),
@@ -1219,13 +1369,15 @@ class ShardedBackend:
                         _shm_view(shm, outputs["fragments_per_pixel"])
                     ),
                     projected=projected,
-                    intersections=_StitchedIntersections(
-                        grid, projected, n_pairs_by_view[index]
-                    ),
+                    intersections=intersections,
                     tile_caches=[],
-                    camera=camera,
-                    pose_cw=pose_cw,
-                    background=background,
+                    camera=meta["camera"],
+                    pose_cw=meta["pose_cw"],
+                    background=(
+                        np.zeros(3)
+                        if background is None
+                        else np.asarray(background, dtype=np.float64).reshape(3)
+                    ),
                     backend="sharded",
                 )
                 # After a fault this handle points at the closed pool, so it
@@ -1235,7 +1387,7 @@ class ShardedBackend:
                     token=token,
                     worker_id=worker_of[index],
                     view_index=index,
-                    active_only=request.active_only,
+                    active_only=batch_fields["active_only"],
                 )
                 views.append(view)
         finally:
@@ -1245,18 +1397,10 @@ class ShardedBackend:
             except FileNotFoundError:
                 pass
 
-        return BatchRenderResult(
-            views=views,
-            shared=shared,
-            # Workers own the arenas the views' tile caches live in; the
-            # caller-supplied arena passes through untouched so a later
-            # serial batch can still recycle it.
-            arena=request.arena,
-            shared_seconds=shared_seconds,
-            view_seconds=[
-                plan_seconds[index] + raster_seconds[index] for index in range(n_views)
-            ],
-            sharding=ShardAttribution(
+        return (
+            views,
+            view_seconds,
+            ShardAttribution(
                 n_workers=len(assignment),
                 worker_ids=[
                     -1 if index in local_results else worker_of[index]
@@ -1265,19 +1409,20 @@ class ShardedBackend:
                 worker_seconds=worker_seconds,
                 dispatch_seconds=dispatch_seconds,
                 stitch_seconds=time.perf_counter() - stitch_start,
-                plan_site="worker",
+                plan_site=plan_site,
                 fault_events=fault_log,
                 escalated_views=sorted(local_results),
             ),
         )
 
     def _render_view_serial(self, request, meta: dict, shared: SharedGaussianData):
-        """Escalated serial execution of one lost view.
+        """Escalated serial execution of one lost worker-planned view.
 
         Runs exactly the worker's uncached plan+raster sequence
         (project -> tile -> fragments -> ``rasterize_flat_into``) against a
         private arena, so the escalated result is bitwise-identical to what
-        a healthy worker would have stitched in.
+        a healthy worker would have stitched in.  Returns ``(result,
+        seconds)``.
         """
         from repro.gaussians.fast_raster import (
             allocate_flat_arena,
@@ -1295,21 +1440,13 @@ class ShardedBackend:
             active_only=request.active_only,
             shared=shared,
         )
-        grid = TileGrid.interned(
-            meta["camera"].width,
-            meta["camera"].height,
-            meta["tile_size"],
-            meta["subtile_size"],
-        )
-        intersections = build_tile_lists(projected, grid)
+        intersections = build_tile_lists(projected, _meta_grid(meta))
         fragments = build_flat_fragments(intersections)
-        plan_seconds = time.perf_counter() - start
-        start = time.perf_counter()
         arena = allocate_flat_arena(fragments.n_fragments)
         result = rasterize_flat_into(
             projected, intersections, fragments, meta["background"], arena, 0
         )
-        return result, plan_seconds, time.perf_counter() - start
+        return result, time.perf_counter() - start
 
     # -- backward ------------------------------------------------------------
     def _shard_backward(
@@ -1499,11 +1636,13 @@ class ShardedBackend:
     ) -> "ScreenSpaceGradients":
         """Parent-side backward for a view whose worker state is gone.
 
-        Re-derives the worker's exact forward plan (projection, tile lists,
-        fragments, tile caches) from the cloud — which is unchanged between
+        A parent-planned view (:meth:`execute_units`) replays its own Step 1-2
+        products; a worker-planned one re-derives the worker's exact plan
+        (projection, tile lists) from the cloud — which is unchanged between
         forward and backward in every engine consumer (mapping applies
-        updates only after the backward pass) — then runs the flat Step 4,
-        so the gradients are bitwise-identical to the worker's.
+        updates only after the backward pass).  Either way the fragments and
+        tile caches are rebuilt and the flat Step 4 runs, so the gradients
+        are bitwise-identical to the worker's.
         """
         from repro.gaussians.fast_raster import (
             allocate_flat_arena,
@@ -1514,12 +1653,15 @@ class ShardedBackend:
         from repro.gaussians.projection import project_gaussians
         from repro.gaussians.sorting import build_tile_lists
 
-        if shared is None:
-            shared = shared_preprocess(cloud, active_only=active_only)
-        projected = project_gaussians(
-            None, view.camera, view.pose_cw, active_only=active_only, shared=shared
-        )
-        intersections = build_tile_lists(projected, view.grid)
+        if isinstance(view.intersections, _StitchedIntersections):
+            if shared is None:
+                shared = shared_preprocess(cloud, active_only=active_only)
+            projected = project_gaussians(
+                None, view.camera, view.pose_cw, active_only=active_only, shared=shared
+            )
+            intersections = build_tile_lists(projected, view.grid)
+        else:
+            projected, intersections = view.projected, view.intersections
         fragments = build_flat_fragments(intersections)
         arena = allocate_flat_arena(fragments.n_fragments)
         fresh = rasterize_flat_into(
@@ -1660,24 +1802,20 @@ class ShardedBackend:
             )
             screens.update(worker_screens)
             recompute.extend(failed)
-        if recompute:
-            shared = shared_preprocess(
-                cloud, active_only=worker_entries[0][0].active_only
-                if worker_entries
-                else next(
-                    handle.active_only for handle in handles if handle is not None
-                ),
+        shared = None  # built once, for the first worker-planned recompute
+        for index in sorted(set(recompute)):
+            view = batch.views[index]
+            handle = handles[index]
+            if shared is None and isinstance(view.intersections, _StitchedIntersections):
+                shared = shared_preprocess(cloud, active_only=handle.active_only)
+            screens[index] = self._recompute_backward_view(
+                cloud,
+                view,
+                dL_dimages[index],
+                dL_ddepths[index],
+                handle.active_only,
+                shared,
             )
-            for index in sorted(set(recompute)):
-                handle = handles[index]
-                screens[index] = self._recompute_backward_view(
-                    cloud,
-                    batch.views[index],
-                    dL_dimages[index],
-                    dL_ddepths[index],
-                    handle.active_only,
-                    shared,
-                )
         screen = [screens[index] for index in range(batch.n_views)]
         cloud_grads, per_view_twists = preprocess_backward_batch(
             screen, cloud, compute_pose_gradient=compute_pose_gradient

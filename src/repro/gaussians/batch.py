@@ -32,10 +32,10 @@ The batch pipeline is an explicit **plan/execute** split:
   other unit, and :func:`execute_plan` runs all units serially and stitches
   the per-view results back into a :class:`BatchRenderResult` in view order.
 
-Uncached work units are picklable and carry everything a worker process needs
-(projected Gaussians, tile layout, background, arena slice), which is the
-seam the ``sharded`` backend (:mod:`repro.engine.sharded`) executes in
-parallel across a worker pool.  The flat backend executes the *same* plan
+Work units carry everything a worker process needs (projected Gaussians,
+tile lists, background, arena slice), which is the seam the ``sharded``
+backend (:mod:`repro.engine.sharded`) executes in parallel across a worker
+pool, cached units included.  The flat backend executes the *same* plan
 serially, so both backends are behaviour-preserving by construction.
 
 :func:`render_backward_batch_views` runs the per-view Step 4 Rendering BP (tile
@@ -54,7 +54,7 @@ sequential calls).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -108,8 +108,9 @@ class ShardAttribution:
     # pipe sends themselves overlap with worker execution).
     dispatch_seconds: float
     stitch_seconds: float  # parent-side gather + result assembly overhead
-    # Where per-view Step 1-2 planning ran: "parent" (pre-planned units
-    # shipped to workers) or "worker" (workers project/tile/cache themselves).
+    # Where per-view Step 1-2 planning ran: "parent" (pre-planned units,
+    # cached ones included, shipped to workers) or "worker" (workers
+    # project and tile themselves).
     plan_site: str = "parent"
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
@@ -333,10 +334,11 @@ class ViewWorkUnit:
     A unit carries everything :func:`execute_view` needs — the view's Step 1-2
     products, its background, tile granularity and its reserved base-offset
     slice of the batch arena — and nothing else, so units can be executed in
-    any order, in any process.  Uncached units are picklable (the ``sharded``
-    backend ships them to worker processes); units planned through a geometry
-    cache additionally reference the parent-process cache entry via
-    ``cache_plan`` and must be executed in the planning process.
+    any order, in any process.  Units planned through a geometry cache also
+    reference the parent-process cache entry via ``cache_plan``, which stays
+    in the planning process: the ``sharded`` backend ships only a unit's
+    Step 1-2 products to its workers and counts the cache tier itself
+    (:meth:`repro.engine.sharded.ShardedBackend.execute_units`).
     """
 
     index: int  # position of this view within its batch
@@ -376,6 +378,21 @@ class RenderPlan:
     @property
     def n_views(self) -> int:
         return len(self.units)
+
+    def select(self, indices: Sequence[int]) -> "RenderPlan":
+        """The units at ``indices`` as a plan of their own, re-indexed in order.
+
+        Units keep their arena bases and the selection keeps the whole
+        reservation, so units selected in different rounds (the render
+        service's) never overlap in a shared arena.
+        """
+        return RenderPlan(
+            units=[replace(self.units[index], index=slot) for slot, index in enumerate(indices)],
+            shared=self.shared,
+            shared_seconds=0.0,
+            total_fragments=self.total_fragments,
+            cache=self.cache,
+        )
 
 
 def plan_batch_views(
@@ -535,6 +552,14 @@ def execute_view(
     )
 
 
+def plan_arena(plan: RenderPlan, arena: FlatArena | None = None) -> FlatArena:
+    """The arena ``plan``'s units rasterize into in this process: the geometry
+    cache's shared arena on a cached plan, else ``arena`` recycled grow-only."""
+    if plan.cache is not None:
+        return plan.cache.ensure_arena(plan.total_fragments)
+    return ensure_flat_arena(arena, plan.total_fragments)
+
+
 def execute_plan(plan: RenderPlan, arena: FlatArena | None = None) -> BatchRenderResult:
     """Execute every work unit of ``plan`` serially and stitch the batch result.
 
@@ -545,11 +570,7 @@ def execute_plan(plan: RenderPlan, arena: FlatArena | None = None) -> BatchRende
     between the iterations of one mapping window), every unit rasterized into
     its reserved slice, results stitched in view order.
     """
-    if plan.cache is not None:
-        arena = plan.cache.ensure_arena(plan.total_fragments)
-    else:
-        arena = ensure_flat_arena(arena, plan.total_fragments)
-
+    arena = plan_arena(plan, arena)
     views: list[RenderResult] = [None] * plan.n_views  # type: ignore[list-item]
     view_seconds = [0.0] * plan.n_views
     for unit in plan.units:

@@ -38,7 +38,7 @@ offset, so all views of one batch coexist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -180,6 +180,9 @@ class _CacheEntry:
     # repeated lookups at one epoch splice at most once.
     current_epoch: int = 0
     last_used: int = 0
+    # The root buffers of every array above, as counted in the cache's
+    # running byte total (see GeometryCache._retain).
+    roots: tuple = field(default=(), repr=False)
 
     @property
     def n_fragments(self) -> int:
@@ -222,6 +225,11 @@ class GeometryCache:
         self.config = config or GeomCacheConfig()
         self.stats = CacheStats()
         self._entries: dict[tuple, _CacheEntry] = {}
+        # Running resident-byte total: every root buffer held by an entry is
+        # counted once, however many entries share it (an interned TileGrid's
+        # pixel ids, say).  id(root) -> [root, number of entries holding it].
+        self._root_refs: dict[int, list] = {}
+        self._total_bytes = 0
         self._arena: FlatArena | None = None
         self._clock = 0
         self._shared_clock: CacheClock | None = None
@@ -244,6 +252,8 @@ class GeometryCache:
     def clear(self) -> None:
         """Drop every cached entry (the arena's high-water mark is kept)."""
         self._entries.clear()
+        self._root_refs.clear()
+        self._total_bytes = 0
 
     def ensure_arena(self, n_fragments: int) -> FlatArena:
         """Return the shared grow-only arena, grown to at least ``n_fragments``."""
@@ -322,6 +332,10 @@ class GeometryCache:
             fragments=fragments,
             current_epoch=cloud.epoch,
         )
+        self._retain(entry)
+        replaced = self._entries.pop(plan.key, None)
+        if replaced is not None:
+            self._release(replaced.roots)
         self._entries[plan.key] = entry
         self._touch(entry)
         self._evict()
@@ -369,6 +383,7 @@ class GeometryCache:
             projected=projected,
         )
         entry.current_epoch = cloud.epoch
+        self._retain(entry)
 
     def _touch(self, entry: _CacheEntry) -> None:
         if self._shared_clock is not None:
@@ -380,16 +395,47 @@ class GeometryCache:
     def _evict(self) -> None:
         while len(self._entries) > max(1, self.config.max_entries):
             oldest = min(self._entries.values(), key=lambda entry: entry.last_used)
-            del self._entries[oldest.key]
+            self._drop(oldest.key)
             self.stats.evictions += 1
 
+    def _drop(self, key: tuple) -> None:
+        self._release(self._entries.pop(key).roots)
+
     # -- byte accounting / budgeted eviction --------------------------------
+    def _retain(self, entry: _CacheEntry) -> None:
+        """Count ``entry``'s current buffers, then release the ones it held.
+
+        Retaining before releasing keeps a buffer the entry still shares (a
+        splice keeps the geometry arrays) from leaving and re-entering the
+        total.
+        """
+        roots = _entry_roots(entry)
+        for root in roots:
+            ref = self._root_refs.get(id(root))
+            if ref is None:
+                self._root_refs[id(root)] = [root, 1]
+                self._total_bytes += int(root.nbytes)
+            else:
+                ref[1] += 1
+        released, entry.roots = entry.roots, roots
+        self._release(released)
+
+    def _release(self, roots: tuple) -> None:
+        for root in roots:
+            ref = self._root_refs[id(root)]
+            ref[1] -= 1
+            if ref[1] == 0:
+                del self._root_refs[id(root)]
+                self._total_bytes -= int(root.nbytes)
+
     def total_bytes(self) -> int:
-        """Resident bytes of every cached entry (shared buffers counted once)."""
-        seen: set[int] = set()
-        return sum(
-            _entry_nbytes(entry, seen) for entry in self._entries.values()
-        )
+        """Resident bytes of every cached entry (shared buffers counted once).
+
+        A running total, kept by :meth:`_retain` / :meth:`_release` as
+        entries are built, spliced, evicted and cleared; it equals
+        :func:`_entry_nbytes` summed over the entries with one ``seen`` set.
+        """
+        return self._total_bytes
 
     def oldest_entry(self) -> "tuple[int, tuple] | None":
         """``(last_used, key)`` of the least-recently-used entry, or ``None``.
@@ -415,10 +461,37 @@ class GeometryCache:
         if not self._entries:
             return None
         oldest = min(self._entries.values(), key=lambda entry: entry.last_used)
-        del self._entries[oldest.key]
+        self._drop(oldest.key)
         self.stats.evictions += 1
         self.stats.budget_evictions += 1
         return oldest.key
+
+
+def _entry_roots(entry: _CacheEntry) -> tuple:
+    """The distinct root buffers of every array an entry holds.
+
+    Walks the same object graph as :func:`_entry_nbytes`, which stays the
+    reference the running total is tested against.
+    """
+    roots: dict[int, np.ndarray] = {}
+    visited: set[int] = set()
+    stack: list = [entry.projected, entry.intersections, entry.fragments]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            root = obj
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            roots[id(root)] = root
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif is_dataclass(obj) and not isinstance(obj, type):
+            if id(obj) not in visited:
+                visited.add(id(obj))
+                stack.extend(getattr(obj, item.name) for item in fields(obj))
+    return tuple(roots.values())
 
 
 def _entry_nbytes(obj, seen: set[int]) -> int:

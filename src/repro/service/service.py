@@ -10,10 +10,11 @@ of letting every tenant monopolise a private backend:
   that interleaves tenants over it.  Cache-off sessions dispatch each round
   as a sub-batch through ``RenderEngine.render_batch(..., managed=False)``
   (worker-side planning, parallel execution, serial fallback on worker
-  faults); cache-on
-  sessions plan through the public ``plan_batch`` seam against their
-  parent-resident geometry cache and execute elected units in the parent,
-  which is what makes cross-session byte budgets observable and enforceable.
+  faults).  Cache-on sessions plan a whole job at submit, through the
+  backend's public ``plan_batch`` seam against their parent-resident
+  geometry cache — which is what makes cross-session byte budgets
+  observable and enforceable — and each round hands the elected units to
+  the backend's ``execute_units``, which rasterizes them on the same pool.
   Either way the per-view outputs are bitwise-identical to a private solo
   engine — grouping work units into rounds never changes a view's pixels
   (pinned by the differential runner's service phase).
@@ -44,12 +45,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.engine import EngineConfig, RenderEngine
+from repro.engine.registry import BatchRenderRequest
 from repro.gaussians.batch import (
     BatchRenderResult,
     ShardAttribution,
     _normalise_backgrounds,
-    execute_view,
-    plan_batch_views,
 )
 from repro.gaussians.geom_cache import CacheClock
 from repro.service.budget import CacheBudgetManager
@@ -115,7 +115,9 @@ class ServiceJob:
         self.tile_size = tile_size
         self.subtile_size = subtile_size
         self.cancelled = False
-        self.plan = None  # RenderPlan on the cached path (planned at submit)
+        # Cached path: the whole job, planned at submit, and its request.
+        self.plan = None
+        self.request: BatchRenderRequest | None = None
         now = time.perf_counter()
         self._pending = deque(range(self.n_views))
         self._enqueued_at = [now] * self.n_views
@@ -123,9 +125,8 @@ class ServiceJob:
         self._view_seconds = [0.0] * self.n_views
         self._queue_wait = [0.0] * self.n_views
         self._service_seconds = [0.0] * self.n_views
-        # Pool path: [(dispatched indices, sub-batch result)] per round, kept
-        # for attribution merging; cached rounds execute in the parent and
-        # leave this empty.
+        # [(dispatched indices, sub-batch result)] per round, kept for
+        # attribution merging.
         self._rounds: list[tuple[list[int], BatchRenderResult]] = []
         self._stitched: BatchRenderResult | None = None
 
@@ -216,18 +217,19 @@ class ServiceJob:
         batch = BatchRenderResult(
             views=list(self._results),
             shared=shared,
-            # Cached units rasterized into the session cache's shared arena,
-            # pool units into worker-owned arenas: either way there is no
-            # parent arena for the caller to recycle.
+            # Pool units rasterized into worker-owned arenas, cached units
+            # that ran in the parent into the session cache's shared arena:
+            # either way there is no parent arena for the caller to recycle.
             arena=None,
             shared_seconds=shared_seconds,
             view_seconds=list(self._view_seconds),
             sharding=self._merged_attribution(),
         )
         if self.plan is not None:
-            # Cached results alias the session cache's arena until consumed;
-            # reuse the engine's ownership rail so a premature next submit
-            # fails loudly instead of overwriting pixels.
+            # Cached units that ran in the parent (no pool, or a lost unit)
+            # alias the session cache's arena until consumed; reuse the
+            # engine's ownership rail so a premature next submit fails
+            # loudly instead of overwriting pixels.
             self.session.engine._claim(batch, "service render_batch")
         return batch
 
@@ -267,6 +269,11 @@ class RenderSession:
     def cache_enabled(self) -> bool:
         return self.engine.config.geom_cache
 
+    @property
+    def backend(self):
+        """The batch backend this session's engine renders through."""
+        return self.engine._batch_capable(self.engine.backend(), None)
+
     # -- scheduling state ----------------------------------------------------
     def _front_job(self) -> ServiceJob | None:
         while self._jobs and self._jobs[0].done:
@@ -292,8 +299,8 @@ class RenderSession:
         Admission-checked: raises :class:`AdmissionError` when the submission
         would push the service past ``max_queued_units``.  On cache-on
         sessions the batch is planned here, through the session cache (the
-        ``plan_batch`` seam), and cache budgets are enforced right after
-        planning.
+        backend's ``plan_batch`` seam), and cache budgets are enforced right
+        after planning.
         """
         if self.closed:
             raise SessionClosedError(
@@ -324,15 +331,16 @@ class RenderSession:
                     "cached job; consume or cancel it before submitting more "
                     "(cache-on sessions schedule one job at a time)"
                 )
-            job.plan = plan_batch_views(
-                job.cloud,
-                job.cameras,
-                job.poses_cw,
+            job.request = BatchRenderRequest(
+                cloud=job.cloud,
+                cameras=job.cameras,
+                poses_cw=job.poses_cw,
                 backgrounds=job.backgrounds,
                 tile_size=job.tile_size,
                 subtile_size=job.subtile_size,
                 cache=self.engine.cache,
             )
+            job.plan = self.backend.plan_batch(job.request)
             self.service._budget.enforce()
         self._jobs.append(job)
         self.service._queued_units += job.n_views
@@ -621,10 +629,7 @@ class RenderService:
         started = time.perf_counter()
         for index in indices:
             job._queue_wait[index] = started - job._enqueued_at[index]
-        if job.plan is not None:
-            self._execute_cached_round(session, job, indices)
-        else:
-            self._execute_pool_round(session, job, indices)
+        self._execute_round(session, job, indices)
         elapsed = time.perf_counter() - started
         for index in indices:
             job._service_seconds[index] = elapsed / count
@@ -652,46 +657,29 @@ class RenderService:
                 f"{self.max_queued_units}; wait for in-flight work to drain"
             )
 
-    def _execute_pool_round(
-        self, session: RenderSession, job: ServiceJob, indices: list[int]
-    ) -> None:
+    def _execute_round(self, session: RenderSession, job: ServiceJob, indices: list[int]) -> None:
         """Dispatch the elected units as one sub-batch over the shared pool.
 
-        ``managed=False`` keeps the engine's arena/claim machinery out of the
-        way (each view's stitched output is copied out of shared memory by
-        the sharded backend, so round results stay valid across later rounds
-        on the same pool).
+        A cached job's units were planned at submit; the round hands them to
+        the backend's ``execute_units``.  An uncached round renders through
+        ``render_batch(..., managed=False)``, which keeps the engine's
+        arena/claim machinery out of the way.  Either way each view's output
+        is copied out of shared memory, so round results stay valid across
+        later rounds on the same pool.
         """
-        sub = session.engine.render_batch(
-            job.cloud,
-            [job.cameras[index] for index in indices],
-            [job.poses_cw[index] for index in indices],
-            backgrounds=[job.backgrounds[index] for index in indices],
-            tile_size=job.tile_size,
-            subtile_size=job.subtile_size,
-            managed=False,
-        )
+        if job.plan is not None:
+            sub = session.backend.execute_units(job.plan.select(indices), job.request)
+        else:
+            sub = session.engine.render_batch(
+                job.cloud,
+                [job.cameras[index] for index in indices],
+                [job.poses_cw[index] for index in indices],
+                backgrounds=[job.backgrounds[index] for index in indices],
+                tile_size=job.tile_size,
+                subtile_size=job.subtile_size,
+                managed=False,
+            )
         for slot, index in enumerate(indices):
             job._results[index] = sub.views[slot]
             job._view_seconds[index] = sub.view_seconds[slot]
         job._rounds.append((list(indices), sub))
-
-    def _execute_cached_round(
-        self, session: RenderSession, job: ServiceJob, indices: list[int]
-    ) -> None:
-        """Execute the elected pre-planned units against the session cache.
-
-        Cached units must run in the process that planned them (they
-        reference parent-resident cache entries), which is exactly what
-        makes the cross-session byte budgets enforceable: every tenant's
-        entries are visible to the service.
-        """
-        cache = session.engine.cache
-        arena = cache.ensure_arena(job.plan.total_fragments)
-        for index in indices:
-            unit = job.plan.units[index]
-            started = time.perf_counter()
-            job._results[index] = execute_view(unit, arena, cache=cache)
-            job._view_seconds[index] = unit.plan_seconds + (
-                time.perf_counter() - started
-            )

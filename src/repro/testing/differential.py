@@ -36,8 +36,9 @@ to the direct implementation it wraps, and
 :meth:`DifferentialRunner.verify_sharded` pins the sharded batch — forward
 views, fragment counts, fused backward gradients and per-view pose twists —
 bitwise against the flat batch on every scenario, cache off *and* on: a
-cached sharded batch runs in the parent and must equal the flat cached batch,
-cache statuses included, through miss, hit and refresh rounds.  A
+cached sharded batch (planned in the parent, rasterized on the pool) must
+equal the flat cached batch, cache statuses and tier counts included,
+through miss, hit and refresh rounds.  A
 runner constructed with a ``fault_schedule`` (:mod:`repro.engine.faults`
 grammar) additionally re-renders each scenario's window under that schedule
 and requires the sharded dispatch's fault path (close the pool, finish the
@@ -783,11 +784,12 @@ class DifferentialRunner:
         """Pin cached sharded batches bitwise against the flat cache.
 
         The same batch rendered through the geometry cache of a sharded
-        engine (which runs a cached batch serially in the parent) and of a
-        flat engine must agree bitwise on every forward output, report
-        identical per-view cache statuses, and produce bitwise-equal fused
-        backward gradients — across a miss round, a hit round and a refresh
-        round (appearance-only mutation).
+        engine (which plans a cached batch in the parent and rasterizes its
+        units on the pool, so its attribution reads ``plan_site="parent"``)
+        and of a flat engine must agree bitwise on every forward output,
+        report identical per-view cache statuses and tier counts, and
+        produce bitwise-equal fused backward gradients — across a miss
+        round, a hit round and a refresh round (appearance-only mutation).
         """
         failures: list[str] = []
         poses = spec.view_poses(self.n_batch_views)
@@ -821,6 +823,18 @@ class DifferentialRunner:
         def compare_round(label: str, expected_statuses: set[str]) -> None:
             sharded = batch_through(sharded_engine)
             flat = batch_through(flat_engine)
+            if sharded.sharding is not None and sharded.sharding.plan_site != "parent":
+                failures.append(
+                    f"sharded cache {label}: plan_site "
+                    f"{sharded.sharding.plan_site!r}, expected 'parent'"
+                )
+            sharded_counts = sharded_engine.cache_stats().as_dict()
+            flat_counts = flat_engine.cache_stats().as_dict()
+            if sharded_counts != flat_counts:
+                failures.append(
+                    f"sharded cache {label}: cache stats {sharded_counts} != "
+                    f"flat cache stats {flat_counts}"
+                )
             sharded_statuses = [view.cache_status for view in sharded.views]
             flat_statuses = [view.cache_status for view in flat.views]
             if sharded_statuses != flat_statuses:
@@ -1114,9 +1128,11 @@ class DifferentialRunner:
         truly interleaves the tenants — and requires each session's stitched
         batch to be **bit-identical**, forward and fused backward, to a solo
         private engine rendering the same window.  The cached variant runs
-        the same tenants with per-session geometry caches (a miss round then a hit round; the parent-resident cached path is
-        bitwise against uncached by the cache phase's guarantee), and a
-        ``fault_schedule`` adds a run under injected faults compared against
+        the same tenants with per-session geometry caches (a miss round then
+        a hit round; cached units are planned in the parent and rasterized
+        on the pool, bitwise against uncached by the cache phase's
+        guarantee), and a ``fault_schedule`` adds a run under injected
+        faults, cache-on and cache-off tenants alternating, compared against
         the healthy solo batches.  Each batch must also carry its session's
         id on the attribution.
         """
@@ -1174,9 +1190,10 @@ class DifferentialRunner:
             for solo, loss in zip(solos, losses)
         ]
 
-        def interleave(service: RenderService, label: str):
+        def interleave(service: RenderService, label: str, mixed: bool = False):
             sessions = [
-                service.open_session(f"svc-{label}-{s}") for s in range(n_sessions)
+                service.open_session(f"svc-{label}-{s}", geom_cache=(s % 2 == 0) if mixed else None)
+                for s in range(n_sessions)
             ]
             jobs = [
                 session.submit(spec.cloud, cameras, window, **batch_kwargs)
@@ -1302,14 +1319,14 @@ class DifferentialRunner:
             service = RenderService(
                 EngineConfig(
                     backend=self.sharded_backend,
-                    geom_cache=False,
+                    geom_cache=True,
                     shard_workers=self.n_shard_workers,
                     shard_deadline_s=self.fault_deadline_s,
                 ),
                 round_quantum=2,
             )
             with fault_plan(self.fault_schedule):
-                sessions, batches = interleave(service, "fault")
+                sessions, batches = interleave(service, "fault", mixed=True)
             for batch in batches:
                 if batch.sharding is not None:
                     diffs["service_fault_events"] += float(

@@ -29,8 +29,9 @@ instead of silently running a substitute:
 * ``capability:*`` — the backend's typed capabilities report ``cache=False``
   / ``batch=False`` (e.g. tile batch cells, where the engine would silently
   fall back to a flat batch and the cell would not exercise tile; sharded
-  cache-on cells execute — serially in the parent — so tile is the only
-  backend skipping cache cells);
+  cache-on cells execute — planned in the parent, rasterized on the pool,
+  drawing faults under a fault schedule — so tile is the only backend
+  skipping cache cells);
 * ``backend-unavailable:*`` — :meth:`repro.engine.RenderEngine.availability`
   reported a config/host limitation (e.g. the sharded backend resolving to
   fewer than two worker processes, with the knob and core count named).
@@ -179,8 +180,9 @@ class ScenarioCellResult:
     def plan_site(self) -> str:
         """Where Step 1-2 planning ran for this cell's renders.
 
-        ``worker`` when any batch reports worker-resident planning (sharded
-        batches), ``parent`` for executed serial/parent-planned cells, ``-``
+        ``worker`` when any batch reports worker-resident planning (uncached
+        sharded batches), ``parent`` for executed serial/parent-planned cells
+        (cached sharded batches too: they plan here, rasterize on the pool), ``-``
         for skips and cells that emitted no snapshots.
         """
         if not self.snapshots:

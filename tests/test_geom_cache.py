@@ -208,6 +208,49 @@ class TestCacheTiers:
         assert len(cache) == 0
         assert _render(cloud, spec, cache).cache_status == "miss"
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.just("render"), st.integers(0, 3)),
+                st.tuples(st.sampled_from(["recolor", "move", "evict", "clear"]), st.just(0)),
+            ),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    def test_property_running_byte_total_equals_the_walker(self, operations):
+        """The running ``total_bytes`` equals the object-graph walker after
+        every build, splice (refresh), replacement (miss on a kept key),
+        capacity and budget eviction and clear.  All views share one
+        interned ``TileGrid``, whose pixel-id arrays every entry's fragment
+        list holds, so shared buffers must be counted once."""
+        from repro.gaussians import SE3
+        from repro.gaussians.geom_cache import _entry_nbytes
+
+        spec = _spec("dense_random")
+        cloud = spec.cloud.copy()
+        cache = GeometryCache(GeomCacheConfig(max_entries=3))
+        poses = [
+            SE3.exp(k * np.array([0.01, 0.0, 0.0, 0.02, 0.0, 0.0])) @ spec.pose_cw
+            for k in range(4)
+        ]
+        n = len(cloud)
+        for operation, view in operations:
+            if operation == "render":
+                ENGINE.render(cloud, spec.camera, poses[view], backend="flat", cache=cache)
+            elif operation == "recolor":
+                cloud.apply_parameter_step(d_colors=np.full((n, 3), 0.01))
+            elif operation == "move":
+                cloud.apply_parameter_step(d_positions=np.full((n, 3), 1e-3))
+            elif operation == "evict":
+                cache.evict_lru()
+            else:
+                cache.clear()
+            seen: set[int] = set()
+            walked = sum(_entry_nbytes(entry, seen) for entry in cache._entries.values())
+            assert cache.total_bytes() == walked
+
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**16),

@@ -4,7 +4,9 @@ Covers admission control (session cap, queued-unit cap, slots freed by
 close), weighted-fair scheduling (deterministic interleaving, weight shares,
 the starvation bound), graceful close (drain vs cancel), cross-session
 geometry-cache byte budgets (global and per-session LRU eviction, evicted
-sessions re-plan and stay bitwise), the differential service phase
+sessions re-plan and stay bitwise), cache-on jobs on the pool (no parent
+arena, the fault path, backward against a flat cached session and after
+the worker rotated the job out), the differential service phase
 (interleaved sessions bitwise vs solo engines, cache off/on and under an
 injected fault schedule), per-tenant attribution (per-view queue-wait and
 service seconds on the batch's ``ShardAttribution``, per-session totals on
@@ -352,6 +354,119 @@ class TestCacheBudgets:
         assert rounds == 8
         assert report["sessions"]["alpha"]["budget_evictions"] > 0
         service.close()
+
+
+class TestCachedJobsOnThePool:
+    """Cache-on jobs plan in the parent and run their rounds on the pool."""
+
+    def _losses(self, batch, seed: int):
+        rng = np.random.default_rng(seed)
+        return (
+            [rng.uniform(-1, 1, size=view.image.shape) for view in batch.views],
+            [rng.uniform(-1, 1, size=view.depth.shape) for view in batch.views],
+        )
+
+    def _assert_grads_close(self, grads, reference):
+        tolerance = DifferentialRunner().grad_tol
+        for name in ("positions", "log_scales", "rotations", "opacity_logits", "colors"):
+            np.testing.assert_allclose(
+                np.asarray(getattr(grads.cloud, name)),
+                np.asarray(getattr(reference.cloud, name)),
+                rtol=0.0,
+                atol=tolerance,
+                err_msg=name,
+            )
+        np.testing.assert_allclose(
+            grads.per_view_pose_twists, reference.per_view_pose_twists, rtol=0.0, atol=tolerance
+        )
+
+    def test_cached_rounds_never_allocate_a_parent_arena(self):
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        service = _service(geom_cache=True)
+        session = service.open_session("cached")
+        batch = session.submit(*args, **kwargs).result()
+        assert session.engine.cache._arena is None
+        assert batch.sharding.plan_site == "parent"
+        assert all(worker >= 0 for worker in batch.sharding.worker_ids)
+        assert session.stats.rounds == 2
+        assert [view.cache_status for view in batch.views] == ["miss"] * 4
+        session.engine.release()
+        service.close()
+
+    def test_crash_in_a_cached_round_finishes_lost_units_in_the_parent(self):
+        """A crash in a cached round closes the pool; the lost unit runs
+        ``execute_view`` against the session cache's arena, bitwise equal to
+        a flat cached render with the same statuses and tier counts, and the
+        next round runs on a fresh pool."""
+        from repro.engine import fault_plan
+
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        service = RenderService(
+            EngineConfig(
+                backend="sharded",
+                geom_cache=True,
+                shard_workers=N_WORKERS,
+                shard_deadline_s=5.0,
+            ),
+            round_quantum=2,
+        )
+        session = service.open_session("cached")
+        flat = RenderEngine(EngineConfig(backend="flat"))
+        with fault_plan("crash@0.0"):
+            batch = session.submit(*args, **kwargs).result()
+        reference = flat.render_batch(*args, **kwargs, cache=flat.cache, managed=False)
+        _assert_batches_equal(batch, reference)
+        assert [view.cache_status for view in batch.views] == [
+            view.cache_status for view in reference.views
+        ]
+        assert session.cache_stats().as_dict() == flat.cache_stats().as_dict()
+        events = [event["event"] for event in batch.sharding.fault_events]
+        assert "died" in events
+        assert batch.sharding.escalated_views == [0]
+        assert batch.sharding.worker_ids[0] == -1
+        first_pool = batch.views[1].shard_info.pool
+        assert first_pool.closed
+        assert batch.views[2].shard_info.pool is not first_pool
+        assert not batch.views[2].shard_info.pool.closed
+        session.engine.release()
+        service.close()
+
+    def test_backward_matches_a_flat_cached_session_and_heals_after_rotation(self):
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        service = _service(geom_cache=True)
+        session = service.open_session("cached")
+        flat_service = RenderService(EngineConfig(backend="flat", geom_cache=True), round_quantum=2)
+        flat_session = flat_service.open_session("cached")
+        for seed in (3, 5):
+            batch = session.submit(*args, **kwargs).result()
+            reference = flat_session.submit(*args, **kwargs).result()
+            assert all(view.shard_info.usable() for view in batch.views)
+            if seed == 5:
+                # Newer batches on the shared pool rotate the job's tokens
+                # out of every worker's retained set (_MAX_RETAINED_BATCHES).
+                other = service.open_session("uncached", geom_cache=False)
+                for _ in range(3):
+                    other.submit(spec.cloud, [spec.camera] * 2, spec.view_poses(2)).result()
+                assert not any(view.shard_info.usable() for view in batch.views)
+            dL_dimages, dL_ddepths = self._losses(reference, seed)
+            grads = session.backward_batch(
+                batch, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+            )
+            expected = flat_session.backward_batch(
+                reference, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+            )
+            self._assert_grads_close(grads, expected)
+        stale = [
+            event["event"]
+            for event in batch.sharding.fault_events
+            if event["phase"] == "backward"
+        ]
+        assert stale == ["stale-handle"] * 4
+        service.close()
+        flat_service.close()
 
 
 class TestDifferentialServicePhase:

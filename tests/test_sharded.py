@@ -2,8 +2,9 @@
 
 Covers: work-unit self-containment (pickling round-trip, out-of-order
 execution, disjoint arena reservations), the sharded backend's bitwise
-equivalence to the flat path (forward + fused backward), its graceful
-degradations (workers<=1, cached batches, single views), worker-side batch
+equivalence to the flat path (forward + fused backward), cached batches
+planned in the parent and rasterized on the pool, its graceful
+degradations (workers<=1, single views), worker-side batch
 eviction, the shard attribution ``StreamingMapper`` keeps per fused
 iteration (and snapshots that stay equal to the flat backend's), and the
 one failure path: an injected crash/hang/slow/poison fault
@@ -329,10 +330,12 @@ class TestShardedBackend:
         assert batch.sharding is None
         engine.release(batch)
 
-    def test_cache_carrying_requests_run_in_the_parent(self):
-        """Workers hold no cache: a cached batch runs the serial parent path.
+    def test_cache_carrying_requests_run_on_the_pool(self):
+        """A cached batch plans in the parent and rasterizes on the pool.
 
-        Its hits are bitwise against uncached, fragment counts included.
+        Its hits are bitwise against uncached, fragment counts included.  The
+        parent counts every tier but never allocates the cache's arena: the
+        views' tile caches live in the workers.
         """
         spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
@@ -340,13 +343,17 @@ class TestShardedBackend:
         uncached = rasterize_batch_views(*args, **kwargs)
         cache = GeometryCache()
         batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-        assert batch.sharding is None
+        assert batch.sharding.plan_site == "parent"
+        assert batch.sharding.worker_ids == [0, 1]
+        assert all(view.shard_info.usable() for view in batch.views)
         assert [view.cache_status for view in batch.views] == ["miss", "miss"]
         _assert_views_equal(batch.views, uncached.views)
         repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
         assert [view.cache_status for view in repeat.views] == ["hit", "hit"]
         assert (cache.stats.misses, cache.stats.hits) == (2, 2)
         _assert_views_equal(repeat.views, uncached.views)
+        assert cache._arena is None
+        assert batch.arena is None and repeat.arena is None
 
     def test_sharded_capabilities_are_honest(self):
         engine = _sharded_engine()
@@ -837,6 +844,77 @@ class TestFaultInjection:
         _assert_views_equal(batch.views, flat.views)
 
 
+class TestCachedBatchesOnThePool:
+    """Cached batches run on the pool and share its one failure path."""
+
+    def _engines(self, deadline: float = 5.0):
+        sharded = RenderEngine(
+            EngineConfig(
+                backend="sharded",
+                shard_workers=N_WORKERS,
+                shard_deadline_s=deadline,
+            )
+        )
+        return sharded, RenderEngine(EngineConfig(backend="flat"))
+
+    def _batch(self, engine, args, kwargs):
+        return engine.render_batch(*args, **kwargs, cache=engine.cache, managed=False)
+
+    def test_crash_finishes_lost_cached_units_in_the_parent(self, _no_leak):
+        """A crash in a cached ``render_batch`` closes the pool; worker 0's
+        units run ``execute_view`` against the cache's arena in the parent.
+
+        Every round stays bitwise equal to the flat cached render, with the
+        same statuses and tier counts, forward and backward; the next batch
+        runs on a fresh pool.
+        """
+        spec = _spec()
+        args, kwargs = _batch_args(spec)
+        sharded, flat = self._engines()
+        with fault_plan("crash@0.0"):
+            batch = self._batch(sharded, args, kwargs)
+        reference = self._batch(flat, args, kwargs)
+        _assert_views_equal(batch.views, reference.views)
+        assert [view.cache_status for view in batch.views] == ["miss"] * 3
+        assert sharded.cache_stats().as_dict() == flat.cache_stats().as_dict()
+        sharding = batch.sharding
+        events = [event["event"] for event in sharding.fault_events]
+        assert "died" in events
+        assert events.count("escalated") == 2
+        assert sharding.escalated_views == [0, 2]
+        assert sharding.worker_ids == [-1, 1, -1]
+        pool = batch.views[1].shard_info.pool
+        assert pool.closed
+        assert sharded.cache._arena is not None  # the lost units ran here
+        rng = np.random.default_rng(19)
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in batch.views]
+        grads = sharded.backward_batch(batch, spec.cloud, dL_dimages)
+        flat_grads = flat.backward_batch(reference, spec.cloud, dL_dimages)
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_array_equal(
+                np.asarray(getattr(grads.cloud, name)),
+                np.asarray(getattr(flat_grads.cloud, name)),
+                err_msg=name,
+            )
+
+        after = self._batch(sharded, args, kwargs)
+        reference = self._batch(flat, args, kwargs)
+        _assert_views_equal(after.views, reference.views)
+        assert [view.cache_status for view in after.views] == ["hit"] * 3
+        assert sharded.cache_stats().as_dict() == flat.cache_stats().as_dict()
+        assert after.sharding.fault_events == []
+        assert after.views[0].shard_info.pool is not pool
+
+    def test_async_backend_executes_planned_units_on_the_pool(self):
+        spec = _spec()
+        args, kwargs = _batch_args(spec, n_views=2)
+        engine = RenderEngine(EngineConfig(backend="async", shard_workers=N_WORKERS))
+        batch = self._batch(engine, args, kwargs)
+        assert batch.sharding.plan_site == "parent"
+        assert engine.cache._arena is None
+        _assert_views_equal(batch.views, rasterize_batch_views(*args, **kwargs).views)
+
+
 class TestPlanExecuteSeam:
     """The formalised RenderBackend plan/execute protocol methods."""
 
@@ -870,6 +948,33 @@ class TestPlanExecuteSeam:
         composed = backend.execute_units(plan, request)
         direct = _flat_engine().backend("flat").render_batch(request)
         _assert_views_equal(composed.views, direct.views)
+
+    def test_sharded_execute_units_runs_planned_units_on_the_pool(self):
+        """Uncached parent-planned units run on the pool too, bitwise, and
+        their backward replays the units' own products once the pool is
+        gone."""
+        spec = _spec()
+        request = self._request(spec, n_views=3)
+        backend = _sharded_engine().backend("sharded")
+        batch = backend.execute_units(backend.plan_batch(request), request)
+        assert batch.sharding.plan_site == "parent"
+        assert batch.sharding.worker_ids == [0, 1, 0]
+        assert [view.cache_status for view in batch.views] == ["uncached"] * 3
+        direct = _flat_engine().backend("flat").render_batch(request)
+        _assert_views_equal(batch.views, direct.views)
+        rng = np.random.default_rng(23)
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in direct.views]
+        flat_grads = _flat_engine().backward_batch(direct, spec.cloud, dL_dimages)
+        on_workers = backend.backward_batch(batch, spec.cloud, dL_dimages, None, False)
+        batch.views[0].shard_info.pool.close()
+        recomputed = backend.backward_batch(batch, spec.cloud, dL_dimages, None, False)
+        for grads in (on_workers, recomputed):
+            for name in GRADIENT_FIELDS:
+                np.testing.assert_array_equal(
+                    np.asarray(getattr(grads.cloud, name)),
+                    np.asarray(getattr(flat_grads.cloud, name)),
+                    err_msg=name,
+                )
 
     def test_external_scheduler_can_reorder_units(self):
         """plan_batch units stay self-contained under the protocol methods too."""
