@@ -11,14 +11,14 @@ cache, and its work units are rasterized on the same pool.
 Execution model
 ---------------
 
-* **Pool** — a lazily started, spawn-safe pool of ``shard_workers``
-  processes (``EngineConfig(shard_workers=N)`` / ``REPRO_SHARD_WORKERS``;
-  unset sizes it from ``os.cpu_count()``).  Pools are shared process-wide per
-  worker count, each worker seeded deterministically via
-  :func:`repro.utils.random.derive_seed` so sharded runs are reproducible
-  regardless of scheduling order.  Worker BLAS pools are pinned to one
-  thread at spawn so shards do not oversubscribe the cores they were created
-  to use.
+* **Pool** — a lazily started pool of ``shard_workers`` worker
+  subprocesses (``EngineConfig(shard_workers=N)`` / ``REPRO_SHARD_WORKERS``;
+  unset sizes it from ``os.cpu_count()``), shared process-wide per worker
+  count.  Each worker is a fresh ``python -c`` interpreter that imports only
+  this module — never the caller's ``__main__`` — and talks to the parent
+  over one end of a socket pair.  Worker BLAS/OpenMP pools default to one
+  thread through the worker's environment, so shards do not oversubscribe
+  the cores they were created to use.  Workers draw no random numbers.
 * **Forward** — the parent packs the shared per-Gaussian Step 1 arrays plus
   per-view camera/pose metadata and per-view output reservations into one
   :mod:`multiprocessing.shared_memory` block; workers plan and rasterize
@@ -45,8 +45,8 @@ Execution model
   opacities) that the parent's one fused Step 5 pass
   (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads.
 * **Degradation** — ``workers <= 1``, single-view batches and platforms
-  whose spawn fails all fall back to the serial flat execution of the same
-  request.
+  where a worker cannot be started all fall back to the serial flat
+  execution of the same request.
 * **Fault tolerance** — a dispatched batch *always completes*, through one
   failure path.  Each render or backward dispatch waits once, for
   ``shard_deadline_s`` (:class:`~repro.engine.config.EngineConfig` /
@@ -89,11 +89,15 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import socket
+import subprocess
+import sys
 import time
 import traceback
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from multiprocessing.connection import Connection
+from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -126,7 +130,6 @@ from repro.gaussians.projection import (
 )
 from repro.gaussians.sorting import TileIntersections
 from repro.gaussians.tiling import TileGrid
-from repro.utils.random import derive_seed
 
 if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
@@ -534,13 +537,9 @@ def _worker_drop_batch(ctx: _WorkerContext, token: int) -> None:
     entry["results"].clear()
 
 
-def _worker_main(conn, worker_id: int, seed_base: int | None) -> None:
-    """Entry point of one shard worker (spawn-safe: importable top-level)."""
-    seed = derive_seed(seed_base, worker_id)
-    np.random.seed(seed % 2**32)
-    # Deterministic per-worker generator for any stochastic kernel a future
-    # backend feature runs shard-side.
-    globals()["_WORKER_RNG"] = np.random.default_rng(seed)
+def _worker_main(fd: int, worker_id: int) -> None:
+    """Entry point of one shard worker: serve the parent over socket ``fd``."""
+    conn = Connection(fd)
     ctx = _WorkerContext()
     conn.send(("ready", worker_id))
     while True:
@@ -570,56 +569,51 @@ def _worker_main(conn, worker_id: int, seed_base: int | None) -> None:
 
 # -- pool ----------------------------------------------------------------------
 _BLAS_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# The worker's whole program: import this module and serve.  ``-P`` keeps the
+# working directory off the worker's ``sys.path``; ``-m`` is avoided because
+# runpy would import this module a second time as ``__main__``.
+_WORKER_CODE = (
+    "import sys; from repro.engine.sharded import _worker_main; "
+    "_worker_main(int(sys.argv[1]), int(sys.argv[2]))"
+)
 
 
-@contextmanager
-def _single_threaded_blas_for_children():
-    """Pin child BLAS pools to one thread (workers parallelise across shards).
+def _worker_env() -> dict[str, str]:
+    """The environment a shard worker starts with.
 
-    The variables are set around ``Process.start()`` only — spawn snapshots
-    the environment at exec — and restored so the parent keeps its own BLAS
-    configuration.  Explicit user settings are left untouched.
+    BLAS/OpenMP pools default to one thread (workers parallelise across
+    shards; values the caller set explicitly are kept), and the directory
+    holding this ``repro`` package goes first on ``PYTHONPATH`` so the worker
+    imports the same copy of the code as the parent.
     """
-    previous = {name: os.environ.get(name) for name in _BLAS_ENV_VARS}
+    env = dict(os.environ)
     for name in _BLAS_ENV_VARS:
-        os.environ.setdefault(name, "1")
-    try:
-        yield
-    finally:
-        for name, value in previous.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        env.setdefault(name, "1")
+    package_root = str(Path(__file__).absolute().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 @dataclass
 class _Worker:
-    process: object
-    conn: object
+    process: subprocess.Popen
+    conn: Connection
     worker_id: int
 
 
 class ShardedPool:
-    """Persistent pool of spawn-started shard workers with pipe transports.
+    """Persistent pool of shard worker subprocesses with socket transports.
 
     A pool is all-or-nothing: any worker fault closes it (see
-    :meth:`ShardedBackend._dispatch_sharded`), and a pool with a dead worker
+    :meth:`ShardedBackend._dispatch_render`), and a pool with a dead worker
     reads ``broken`` so :func:`_shared_pool` replaces it before the next
     dispatch.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        seed_base: int | None = None,
-        start_timeout: float = _READY_TIMEOUT_S,
-    ):
-        import multiprocessing
-
-        self._context = multiprocessing.get_context("spawn")
+    def __init__(self, n_workers: int, start_timeout: float = _READY_TIMEOUT_S):
         self.n_workers = int(n_workers)
-        self.seed_base = seed_base
         self._start_timeout = start_timeout
         self._closed = False
         self._workers: list[_Worker] = []
@@ -631,26 +625,31 @@ class ShardedPool:
         # path instead of surfacing the worker's residency error.
         self._resident: dict[int, deque] = {}
         try:
-            with _single_threaded_blas_for_children():
-                for worker_id in range(self.n_workers):
-                    self._workers.append(self._spawn(worker_id))
+            env = _worker_env()
+            for worker_id in range(self.n_workers):
+                self._workers.append(self._start(worker_id, env))
             for worker in self._workers:
                 self._handshake(worker)
         except BaseException:
             self.close()
             raise
 
-    def _spawn(self, worker_id: int) -> _Worker:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main,
-            args=(child_conn, worker_id, self.seed_base),
-            name=f"repro-shard-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process, parent_conn, worker_id)
+    @staticmethod
+    def _start(worker_id: int, env: dict[str, str]) -> _Worker:
+        parent_sock, child_sock = socket.socketpair()
+        fd = child_sock.fileno()
+        with child_sock:
+            try:
+                process = subprocess.Popen(
+                    [sys.executable, "-P", "-c", _WORKER_CODE, str(fd), str(worker_id)],
+                    env=env,
+                    stdin=subprocess.DEVNULL,
+                    pass_fds=(fd,),
+                )
+            except BaseException:
+                parent_sock.close()
+                raise
+        return _Worker(process, Connection(parent_sock.detach()), worker_id)
 
     def _handshake(self, worker: _Worker) -> None:
         reply = self._receive(worker, timeout=self._start_timeout)
@@ -667,8 +666,8 @@ class ShardedPool:
     @property
     def broken(self) -> bool:
         """True when the pool is closed or lost a worker and must be replaced."""
-        return self._closed or not all(
-            worker.process.is_alive() for worker in self._workers
+        return self._closed or any(
+            worker.process.poll() is not None for worker in self._workers
         )
 
     def note_resident(self, worker_id: int, token: int) -> None:
@@ -728,11 +727,11 @@ class ShardedPool:
 
     def _receive_until(self, worker: _Worker, deadline: float):
         while not worker.conn.poll(0.02):
-            if not worker.process.is_alive():
+            if worker.process.poll() is not None:
                 raise _WorkerGone(
                     "died",
                     f"shard worker {worker.worker_id} died before replying "
-                    f"(exit code {worker.process.exitcode})",
+                    f"(exit code {worker.process.returncode})",
                 )
             if time.monotonic() > deadline:
                 raise _WorkerGone(
@@ -767,15 +766,18 @@ class ShardedPool:
             except (BrokenPipeError, OSError):
                 pass
         for worker in self._workers:
-            worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                # A wedged (SIGTERM-ignoring) worker must not outlive the
-                # pool: SIGKILL cannot be ignored.
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
+            process = worker.process
+            try:
+                process.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                process.terminate()
+                try:
+                    process.wait(timeout=2.0)
+                except subprocess.TimeoutExpired:
+                    # A wedged (SIGTERM-ignoring) worker must not outlive the
+                    # pool: SIGKILL cannot be ignored.
+                    process.kill()
+                    process.wait()
             try:
                 worker.conn.close()
             except OSError:
@@ -784,22 +786,22 @@ class ShardedPool:
         self._closed = True
 
 
-# Pools are shared process-wide per (worker count, seed): spawn + numpy import
-# costs seconds per worker, and every engine pinned to the same configuration
-# can safely share workers because batch state is token-keyed.
-_POOLS: dict[tuple[int, int | None], ShardedPool] = {}
+# Pools are shared process-wide per worker count: a worker's start-up (a fresh
+# interpreter importing numpy and this module) costs about 0.4 s and 30 MB,
+# and every engine pinned to the same worker count can safely share workers
+# because batch state is token-keyed.
+_POOLS: dict[int, ShardedPool] = {}
 
 
-def _shared_pool(n_workers: int, seed_base: int | None = None) -> ShardedPool:
-    key = (n_workers, seed_base)
-    pool = _POOLS.get(key)
+def _shared_pool(n_workers: int) -> ShardedPool:
+    pool = _POOLS.get(n_workers)
     if pool is not None and pool.broken:
         pool.close()
-        del _POOLS[key]
+        del _POOLS[n_workers]
         pool = None
     if pool is None:
-        pool = ShardedPool(n_workers, seed_base=seed_base)
-        _POOLS[key] = pool
+        pool = ShardedPool(n_workers)
+        _POOLS[n_workers] = pool
     return pool
 
 

@@ -24,7 +24,7 @@ one, so a faulted test never poisons a later one.
 
 from __future__ import annotations
 
-import multiprocessing
+import json
 import os
 import pickle
 import subprocess
@@ -118,6 +118,32 @@ def _shm_segments() -> set[str] | None:
     return {entry.name for entry in shm_dir.iterdir() if entry.name.startswith("psm_")}
 
 
+def _child_processes() -> dict[int, str] | None:
+    """This process's child processes as ``{pid: state}``, read from /proc.
+
+    Every child counts, whatever started it, except multiprocessing's
+    resource tracker (a helper that outlives every pool by design).  A
+    state of ``"Z"`` is an exited child nobody reaped.  Returns ``None``
+    where /proc does not exist; the leak fixture degrades to a no-op there.
+    """
+    proc = Path("/proc")
+    if not proc.is_dir():
+        return None
+    me = str(os.getpid())
+    children: dict[int, str] = {}
+    for entry in proc.glob("[0-9]*"):
+        try:
+            state, ppid = (entry / "stat").read_text().rsplit(")", 1)[1].split()[:2]
+            if ppid != me:
+                continue
+            if b"multiprocessing.resource_tracker" in (entry / "cmdline").read_bytes():
+                continue
+        except (OSError, IndexError, ValueError):
+            continue  # the process ended while we read it
+        children[int(entry.name)] = state
+    return children
+
+
 def _live_pool_pids() -> set[int]:
     """Pids of the workers of every open process-wide shard pool."""
     from repro.engine.sharded import _POOLS
@@ -130,6 +156,22 @@ def _live_pool_pids() -> set[int]:
     }
 
 
+def _run_script(script: Path) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's ``repro``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
 @contextmanager
 def _leak_guard():
     """Fail if the block leaves shm segments, pool processes or threads behind.
@@ -137,8 +179,9 @@ def _leak_guard():
     Every dispatch creates one segment and must unlink it on *every* path —
     healthy, faulted, escalated.  Every child process still alive afterwards
     must belong to an open shard pool: a process of a closed pool (a worker
-    that survived ``close()``, e.g. a SIGTERM-ignoring one) is a leak.  So is
-    any non-daemon thread the block started and did not join.  A short grace
+    that survived ``close()``, e.g. a SIGTERM-ignoring one) is a leak, and so
+    is an exited child that was never reaped (a zombie).  So is any
+    non-daemon thread the block started and did not join.  A short grace
     loop absorbs teardown that is already under way.
     """
     shm_before = _shm_segments()
@@ -149,7 +192,11 @@ def _leak_guard():
             set() if shm_before is None else (_shm_segments() or set()) - shm_before
         )
         live = _live_pool_pids()
-        orphans = [p for p in multiprocessing.active_children() if p.pid not in live]
+        orphans = sorted(
+            (pid, state)
+            for pid, state in (_child_processes() or {}).items()
+            if state == "Z" or pid not in live
+        )
         threads = [
             thread
             for thread in threading.enumerate()
@@ -159,7 +206,7 @@ def _leak_guard():
             return
         time.sleep(0.1)
     assert not leaked_shm, f"leaked shared-memory segments: {sorted(leaked_shm)}"
-    assert not orphans, f"processes of closed shard pools still alive: {orphans}"
+    assert not orphans, f"child processes left behind (pid, state): {orphans}"
     assert not threads, f"leaked non-daemon threads: {threads}"
 
 
@@ -433,7 +480,7 @@ class TestShardedBackend:
         processes = [worker.process for worker in pool._workers]
 
         processes[0].terminate()
-        processes[0].join(timeout=5.0)
+        processes[0].wait(timeout=5.0)
         assert pool.broken
         assert not any(view.shard_info.usable() for view in warm.views)
         healed = engine.render_batch(*args, **kwargs, managed=False)
@@ -444,7 +491,7 @@ class TestShardedBackend:
         assert not sharding.escalated_views
         fresh_pool = healed.views[0].shard_info.pool
         assert fresh_pool is not pool and pool.closed
-        assert not any(process.is_alive() for process in processes)
+        assert all(process.returncode is not None for process in processes)
         assert not fresh_pool.broken
 
     def test_worker_crash_during_backward_recomputes_in_parent(self):
@@ -466,7 +513,7 @@ class TestShardedBackend:
         pool = batch.views[0].shard_info.pool
         for worker in pool._workers:
             worker.process.terminate()
-            worker.process.join(timeout=5.0)
+            worker.process.wait(timeout=5.0)
         rng = np.random.default_rng(7)
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
         grads = engine.backward_batch(batch, spec.cloud, dL_dimages)
@@ -567,7 +614,7 @@ class TestFaultInjection:
             assert batch.views[1].shard_info.pool is pool
             assert not batch.views[1].shard_info.usable()
             assert pool.closed
-            assert not any(process.is_alive() for process in processes)
+            assert all(process.returncode is not None for process in processes)
             assert after.views[0].shard_info.pool is not pool
         else:
             # A slow worker is an observation, not a failure.
@@ -709,7 +756,7 @@ class TestFaultInjection:
         # terminate() was ignored (the wedge), so the close escalated to
         # kill(): the 60s-sleep process must be dead, not orphaned.
         assert pool.closed
-        assert not any(process.is_alive() for process in processes)
+        assert all(process.returncode is not None for process in processes)
         after = engine.render_batch(*args, **kwargs, managed=False)
         assert after.views[0].shard_info.pool is not pool
         _assert_views_equal(after.views, flat.views)
@@ -747,7 +794,8 @@ class TestFaultInjection:
             pool.close()
             elapsed = time.perf_counter() - start
         assert pool.closed and pool.broken
-        assert not process.is_alive()
+        # returncode is set only once the worker was reaped: close() waited.
+        assert process.returncode is not None
         # shutdown-send (ignored) + join(2) + terminate (ignored) + join(2)
         # + kill: well under the 120s the wedge would otherwise sleep.
         assert elapsed < 30.0
@@ -755,7 +803,7 @@ class TestFaultInjection:
     def test_shard_pools_shut_down_at_interpreter_exit(self, tmp_path, _no_leak):
         """Exiting without shutdown_shard_pools() must not hang or orphan.
 
-        The atexit guard (and daemonized workers) reap the pool: the child
+        The atexit guard shuts the pool down and reaps its workers: the child
         interpreter exits cleanly and promptly on its own.
         """
         script = tmp_path / "atexit_child.py"
@@ -794,18 +842,7 @@ class TestFaultInjection:
                 """
             )
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        result = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
+        result = _run_script(script)
         assert result.returncode == 0, result.stderr
         assert "rendered" in result.stdout
 
@@ -842,6 +879,113 @@ class TestFaultInjection:
             with fault_plan(f"random:{seed}:0.3"):
                 batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs Linux /proc")
+class TestWorkerStart:
+    """Workers start as lean interpreters with a pinned, explicit environment."""
+
+    def test_unguarded_script_gets_a_real_pool(self, tmp_path, _no_leak):
+        """A script with no main guard renders on a pool of lean workers.
+
+        The workers import only the worker module, so the script body runs
+        once, the pool starts without a warning, and no worker maps a file
+        of the ``scipy`` package the script's ``repro.slam`` import pulled in.
+        """
+        marker = tmp_path / "body_runs.txt"
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""
+                import json
+                import os
+                import warnings
+
+                with open({str(marker)!r}, "a") as handle:
+                    handle.write("ran\\n")
+
+                import scipy
+
+                import repro.slam  # noqa: F401  (a heavy main module)
+                from repro.engine import EngineConfig, RenderEngine
+                from repro.engine.sharded import _POOLS
+                from repro.testing.scenarios import DEFAULT_LIBRARY
+
+                spec = DEFAULT_LIBRARY.get("single_gaussian").build()
+                engine = RenderEngine(
+                    EngineConfig(backend="sharded", geom_cache=False, shard_workers=2)
+                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    batch = engine.render_batch(
+                        spec.cloud,
+                        [spec.camera] * 2,
+                        spec.view_poses(2),
+                        backgrounds=[spec.background] * 2,
+                        tile_size=spec.tile_size,
+                        subtile_size=spec.subtile_size,
+                        managed=False,
+                    )
+                scipy_dir = os.path.dirname(os.path.realpath(scipy.__file__)) + os.sep
+                scipy_maps = {{}}
+                for pool in _POOLS.values():
+                    for worker in pool._workers:
+                        with open(f"/proc/{{worker.process.pid}}/maps") as maps:
+                            paths = {{line.split(maxsplit=5)[-1].strip() for line in maps}}
+                        scipy_maps[worker.process.pid] = sorted(
+                            path for path in paths if path.startswith(scipy_dir)
+                        )
+                print(json.dumps({{
+                    "sharded": batch.sharding is not None,
+                    "runtime_warnings": [
+                        str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+                    ],
+                    "scipy_maps": scipy_maps,
+                }}))
+                """
+            )
+        )
+        result = _run_script(script)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.strip().splitlines()[-1])
+        assert marker.read_text().splitlines() == ["ran"]
+        assert report["runtime_warnings"] == []
+        assert report["sharded"]
+        assert len(report["scipy_maps"]) == N_WORKERS
+        assert all(paths == [] for paths in report["scipy_maps"].values()), report
+
+    @pytest.mark.parametrize("explicit", [None, "3"], ids=["unset", "user-set"])
+    def test_blas_pinning_reaches_the_workers(self, explicit, monkeypatch, _no_leak):
+        """Worker BLAS pools default to one thread; a user's value is kept.
+
+        The variables reach the worker through its own environment: the
+        parent's ``os.environ`` is never touched.
+        """
+        from repro.engine.sharded import ShardedPool
+
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        if explicit is not None:
+            monkeypatch.setenv("MKL_NUM_THREADS", explicit)
+        before = dict(os.environ)
+        pool = ShardedPool(1)
+        try:
+            pid = pool._workers[0].process.pid
+            assert dict(os.environ) == before
+            raw = Path(f"/proc/{pid}/environ").read_bytes().split(b"\0")
+        finally:
+            pool.close()
+        environ = dict(item.decode().split("=", 1) for item in raw if b"=" in item)
+        expected = {name: "1" for name in names}
+        if explicit is not None:
+            expected["MKL_NUM_THREADS"] = explicit
+        assert {name: environ.get(name) for name in names} == expected
+        # The worker imports the same repro package as this process.
+        import repro
+
+        package_root = str(Path(repro.__file__).absolute().parents[1])
+        assert environ["PYTHONPATH"].split(os.pathsep)[0] == package_root
 
 
 class TestCachedBatchesOnThePool:
