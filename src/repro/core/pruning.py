@@ -44,7 +44,6 @@ class PruningConfig:
     prune_fraction_per_window: float = 0.15
     max_prune_ratio: float = 0.5
     min_gaussians: int = 64
-    protect_keyframes: bool = True
 
 
 @dataclass

@@ -4,8 +4,9 @@ The mapping loop is a strict serial chain per window *k*: plan (Step 1-2) ->
 rasterize (Step 3) -> backward (Step 4-5) -> optimiser update.  The fused
 Step-5 backward and the parent-side bookkeeping that follows it (visibility
 recording, snapshot emission, window selection) keep the parent busy while
-the shard workers sit idle — yet window *k+1*'s Step 1-2 planning touches a
-*disjoint* arena and could already be running on those workers.
+the shard workers sit idle — yet window *k+1*'s render (its Step 1-2 plan,
+then Step 3 on the workers) touches a *disjoint* arena and could already be
+running.
 
 :class:`AsyncBackend` exploits exactly that slack.  It wraps a
 :class:`~repro.engine.sharded.ShardedBackend` and adds one verb:
@@ -124,7 +125,6 @@ class AsyncBackend:
         return BackendCapabilities(
             batch=True,
             cache=True,
-            distributed_planning=True,
             reference=False,
             description=(
                 "double-buffered speculative planning over the sharded pool "

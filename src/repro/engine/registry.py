@@ -51,10 +51,6 @@ class BackendCapabilities:
         The backend renders through a caller-passed :class:`GeometryCache`;
         backends without it silently render uncached (the reference loop's
         legacy contract).
-    ``distributed_planning``
-        Per-view Step 1-2 planning (projection, tiling, fragment build) runs
-        inside the backend's workers rather than the parent process; batch
-        attribution then reports ``plan_site="worker"``.
     ``reference``
         Marks the bit-exact reference implementation golden fixtures pin.
     ``availability``
@@ -65,7 +61,6 @@ class BackendCapabilities:
 
     batch: bool = False
     cache: bool = False
-    distributed_planning: bool = False
     reference: bool = False
     description: str = ""
     availability: str | None = None
@@ -118,8 +113,8 @@ class RenderBackend(Protocol):
     def render_batch(self, request: BatchRenderRequest) -> "BatchRenderResult":
         """Run one multi-view forward pass sharing per-Gaussian work.
 
-        Canonically ``execute_units(plan_batch(request), request)``; backends
-        with ``distributed_planning`` may instead plan inside their workers.
+        Equivalent to ``execute_units(plan_batch(request), request)``; Step
+        1-2 planning runs in the calling process.
         """
         ...
 

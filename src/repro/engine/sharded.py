@@ -1,12 +1,12 @@
 """``sharded``: multi-process execution of batched renders.
 
 The mapping workload is embarrassingly parallel across the views of a
-keyframe window.  An uncached batch is planned *in the workers*: the parent
-computes only the view-independent Step 1 half
-(:func:`~repro.gaussians.projection.shared_preprocess`) and each worker runs
-its views' projection, tile assignment, sorting and fragment build itself.
-A batch that carries a geometry cache is planned in the parent, against the
-cache, and its work units are rasterized on the same pool.
+keyframe window.  Every batch is planned in the parent
+(:meth:`ShardedBackend.plan_batch`: shared Step 1, per-view projection, tile
+assignment and sorting, against the geometry cache when the request carries
+one) and its work units are rasterized on a pool of worker processes
+(:meth:`ShardedBackend.execute_units`).  Step 2 is a small share of a view's
+time; the workers run the Step 3 rasterization and Step 4 *Rendering BP*.
 
 Execution model
 ---------------
@@ -19,34 +19,30 @@ Execution model
   over one end of a socket pair.  Worker BLAS/OpenMP pools default to one
   thread through the worker's environment, so shards do not oversubscribe
   the cores they were created to use.  Workers draw no random numbers.
-* **Forward** — the parent packs the shared per-Gaussian Step 1 arrays plus
-  per-view camera/pose metadata and per-view output reservations into one
-  :mod:`multiprocessing.shared_memory` block; workers plan and rasterize
-  their views, write the forward outputs (image, depth, alpha, fragment
-  counts) into the block and reply with the small per-view planning products
-  the parent-side bookkeeping needs (visible-row indices, intersection pair
-  counts, timings).  The parent stitches per-view
-  :class:`~repro.gaussians.rasterizer.RenderResult` objects in view order,
-  attaching per-shard attribution with ``plan_site="worker"``
-  (:class:`~repro.gaussians.batch.ShardAttribution`).
-* **Geometry cache** — workers hold no cache.  A request that carries a
-  :class:`~repro.gaussians.geom_cache.GeometryCache` is planned in the
-  parent (:meth:`ShardedBackend.plan_batch`), so tiers, stats and byte
-  budgets stay with the cache; :meth:`ShardedBackend.execute_units` then
-  ships each unit's Step 1-2 products (projection arrays, per-tile row
-  lists) in the batch's shared-memory block, and the worker rebuilds the
-  fragment list and rasterizes into its own arena, with
-  ``plan_site="parent"``.  The parent allocates no arena for these views.
+* **Forward** — the parent packs each unit's Step 1-2 products (projection
+  arrays, per-tile row lists) plus per-view camera/pose metadata and output
+  reservations into one :mod:`multiprocessing.shared_memory` block; each
+  worker rebuilds its views' fragment lists, rasterizes them into its own
+  arena, writes the forward outputs (image, depth, alpha, fragment counts)
+  into the block and replies with per-view timings.  The parent stitches
+  per-view :class:`~repro.gaussians.rasterizer.RenderResult` objects in view
+  order, each carrying its unit's real projection and tile lists, and
+  attaches per-shard attribution
+  (:class:`~repro.gaussians.batch.ShardAttribution`).  The parent allocates
+  no arena for these views.
+* **Geometry cache** — workers hold no cache.  A cached request plans
+  against the cache in the parent, so tiers, stats and byte budgets stay
+  with it; :meth:`ShardedBackend.execute_units` counts each unit's tier as
+  :meth:`~repro.gaussians.geom_cache.GeometryCache.render_view` would have.
 * **Backward** — each worker retains the per-fragment tile caches of the
-  views it rendered, so Step 4 *Rendering BP* runs in parallel where the
-  data already lives; workers return screen-space gradients and fill
-  parent-reserved shared-memory regions with the heavy projection
-  intermediates (camera-frame points, Jacobians, 3D covariances, conics,
-  opacities) that the parent's one fused Step 5 pass
-  (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads.
+  views it rendered, so Step 4 runs in parallel where the data already
+  lives; loss gradients ship worker-ward in one shared-memory block and the
+  workers return screen-space gradients, which the parent's one fused Step 5
+  pass (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads
+  alongside the projection it already holds.
 * **Degradation** — ``workers <= 1``, single-view batches and platforms
   where a worker cannot be started all fall back to the serial flat
-  execution of the same request.
+  execution of the same plan.
 * **Fault tolerance** — a dispatched batch *always completes*, through one
   failure path.  Each render or backward dispatch waits once, for
   ``shard_deadline_s`` (:class:`~repro.engine.config.EngineConfig` /
@@ -54,34 +50,27 @@ Execution model
   past the deadline, cannot be sent to, returns a structurally invalid
   ("poisoned") reply or reports a render error — the parent **closes the
   whole pool** (shutdown, then ``terminate()``, then ``kill()``, so a
-  SIGTERM-ignoring worker cannot leak) and **finishes the lost views
-  itself**, running the exact plan+raster sequence a worker would have run,
-  so the stitched batch is bitwise identical to an all-healthy run.  The
-  next batch gets a fresh pool from :func:`_shared_pool`.  Every fault and
-  escalated view is recorded on
+  SIGTERM-ignoring worker cannot leak) and **finishes the lost units
+  itself** with :func:`~repro.gaussians.batch.execute_view` (against the
+  cache's shared arena on a cached plan), so the stitched batch is bitwise
+  identical to an all-healthy run.  The next batch gets a fresh pool from
+  :func:`_shared_pool`.  Every fault and escalated view is recorded on
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
   with the worker traceback: it signals a caller bug (e.g. a legitimately
-  superseded batch), not a fault.  Worker-planned batches and shipped
-  work units share this path: a lost unit runs
-  :func:`~repro.gaussians.batch.execute_view` in the parent, against its
-  cache's shared arena on a cached plan.  Deterministic fault injection for
-  all of the above lives in :mod:`repro.engine.faults`
-  (``REPRO_SHARD_FAULTS``).
+  superseded batch), not a fault.  Deterministic fault injection for all of
+  the above lives in :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
 * **Backward under faults** — a view whose pool was closed (by a fault in
   its own batch or in any later batch on the shared pool), or whose batch
   rotated out of its worker's retained set, recomputes its backward pass in
-  the parent (rebuilding the worker's exact tile caches from the view's own
-  Step 1-2 products when it was planned in the parent, else from the cloud,
-  which is unchanged between forward and backward in every engine
-  consumer), again bitwise-identical to the worker result.  A fault during
-  a backward dispatch closes the pool and recomputes that dispatch's views
-  the same way.
+  the parent, rebuilding the worker's exact tile caches from the view's own
+  Step 1-2 products, so the gradients are bitwise-identical to the worker
+  result.  A fault during a backward dispatch closes the pool and
+  recomputes that dispatch's views the same way.
 
 Sharded per-view results carry no parent-side tile caches (those are
-worker-resident, as are a worker-planned view's per-tile lists); their
-backward pass must run through the engine/backend that produced them, which
-routes it to the owning worker.
+worker-resident); their backward pass must run through the engine/backend
+that produced them, which routes it to the owning worker.
 """
 
 from __future__ import annotations
@@ -95,7 +84,7 @@ import sys
 import time
 import traceback
 from collections import OrderedDict, deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -115,7 +104,6 @@ from repro.gaussians.batch import (
     BatchRenderResult,
     RenderPlan,
     ShardAttribution,
-    _normalise_backgrounds,
     execute_plan,
     execute_view,
     plan_arena,
@@ -123,17 +111,14 @@ from repro.gaussians.batch import (
     render_backward_batch_views,
 )
 from repro.gaussians.fast_raster import rasterize_flat
-from repro.gaussians.projection import (
-    ProjectedGaussians,
-    SharedGaussianData,
-    shared_preprocess,
-)
+from repro.gaussians.projection import ProjectedGaussians
 from repro.gaussians.sorting import TileIntersections
 from repro.gaussians.tiling import TileGrid
 
 if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
     from repro.gaussians.backward import CloudGradients, ScreenSpaceGradients
+    from repro.gaussians.batch import ViewWorkUnit
     from repro.gaussians.gaussian_model import GaussianCloud
     from repro.gaussians.rasterizer import RenderResult
 
@@ -151,21 +136,9 @@ _SHM_ALIGN = 64
 
 _TOKENS = itertools.count(1)
 
-#: Shared Step 1 arrays shipped parent -> worker with every worker-planned batch.
-_SHARED_FIELDS = ("indices", "positions", "cov3d", "opacities", "colors")
-#: Projection arrays shipped parent -> worker with every parent-planned unit.
+#: Projection arrays shipped parent -> worker with every unit.
 _UNIT_PROJECTED_FIELDS = tuple(
     field.name for field in fields(ProjectedGaussians) if field.name not in ("camera", "pose_cw")
-)
-#: Heavy per-view projection intermediates shipped worker -> parent at
-#: backward time (everything Step 5 reads beyond what the parent already
-#: holds), keyed to the trailing shape after the visible-row dimension.
-_BACKWARD_PROJECTED_FIELDS = (
-    ("points_cam", (3,)),
-    ("jacobians", (2, 3)),
-    ("cov3d", (3, 3)),
-    ("conics", (2, 2)),
-    ("opacities", ()),
 )
 
 
@@ -253,49 +226,6 @@ def _attach_shm(name: str):
             resource_tracker.register = original_register
 
 
-# -- parent-side stand-ins for worker-resident planning products ---------------
-def _stitched_projection(indices: np.ndarray, camera, pose_cw) -> ProjectedGaussians:
-    """Parent-side stand-in for a worker-resident projection.
-
-    Carries the real visible-row ``indices`` (visibility recording and
-    ``n_visible`` accounting read them) and the view's camera/pose; the heavy
-    per-row intermediates stay in the worker and are swapped in by the
-    backward pass before the fused Step 5 runs.
-    """
-    return ProjectedGaussians(
-        indices=np.asarray(indices),
-        means2d=np.zeros((0, 2)),
-        depths=np.zeros(0),
-        cov2d=np.zeros((0, 2, 2)),
-        conics=np.zeros((0, 2, 2)),
-        radii=np.zeros(0),
-        colors=np.zeros((0, 3)),
-        opacities=np.zeros(0),
-        points_cam=np.zeros((0, 3)),
-        jacobians=np.zeros((0, 2, 3)),
-        cov3d=np.zeros((0, 3, 3)),
-        rotation_cw=pose_cw.rotation,
-        camera=camera,
-        pose_cw=pose_cw,
-    )
-
-
-class _StitchedIntersections(TileIntersections):
-    """Intersections of a worker-planned view, seen from the parent.
-
-    The per-tile lists are worker-resident, but the worker reports the true
-    pair count so workload snapshots (which read ``n_pairs``) stay faithful.
-    """
-
-    def __init__(self, grid: TileGrid, projected: ProjectedGaussians, n_pairs: int):
-        super().__init__(grid=grid, per_tile=[], projected=projected)
-        self._n_pairs = int(n_pairs)
-
-    @property
-    def n_pairs(self) -> int:
-        return self._n_pairs
-
-
 # -- worker process ------------------------------------------------------------
 class _WorkerContext:
     """Per-worker persistent state: retained batches and their arenas.
@@ -319,52 +249,38 @@ def _write_view_outputs(shm, outputs: dict, result) -> None:
     _shm_view(shm, outputs["fragments_per_pixel"])[...] = result.fragments_per_pixel
 
 
-def _meta_grid(meta: dict) -> TileGrid:
-    camera = meta["camera"]
-    return TileGrid.interned(camera.width, camera.height, meta["tile_size"], meta["subtile_size"])
-
-
 def _unit_products(shm, meta: dict) -> tuple[ProjectedGaussians, TileIntersections]:
-    """A parent-planned unit's Step 1-2 products, copied out of the block.
+    """A unit's Step 1-2 products, copied out of the block.
 
     Nothing the worker retains for backward may map the block, which the
     parent unlinks as soon as the dispatch ends.
     """
-    unit = meta["unit"]
+    camera = meta["camera"]
     projected = ProjectedGaussians(
-        **{name: np.array(_shm_view(shm, spec)) for name, spec in unit["projected"].items()},
-        camera=meta["camera"],
+        **{name: np.array(_shm_view(shm, spec)) for name, spec in meta["projected"].items()},
+        camera=camera,
         pose_cw=meta["pose_cw"],
     )
-    rows = np.array(_shm_view(shm, unit["rows"]))
-    per_tile = np.split(rows, np.cumsum(_shm_view(shm, unit["counts"]))[:-1])
-    return projected, TileIntersections(
-        grid=_meta_grid(meta), per_tile=per_tile, projected=projected
-    )
+    rows = np.array(_shm_view(shm, meta["rows"]))
+    per_tile = np.split(rows, np.cumsum(_shm_view(shm, meta["counts"]))[:-1])
+    grid = TileGrid.interned(camera.width, camera.height, meta["tile_size"], meta["subtile_size"])
+    return projected, TileIntersections(grid=grid, per_tile=per_tile, projected=projected)
 
 
 def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> dict:
-    """Rasterize this worker's views of one batch.
+    """Rasterize this worker's units of one batch.
 
-    A view whose meta carries a ``unit`` was planned in the parent (cached
-    batches, :meth:`ShardedBackend.execute_units`) and ships its Step 1-2
-    products; every other view is planned here (Step 1-2) from the batch's
-    shared Step 1 arrays.
+    Each view meta carries its unit's Step 1-2 products
+    (:meth:`ShardedBackend.execute_units`); the worker rebuilds the fragment
+    list and rasterizes into the arena slot the batch occupies.
     """
     from repro.gaussians.fast_raster import (
         build_flat_fragments,
         ensure_flat_arena,
         rasterize_flat_into,
     )
-    from repro.gaussians.projection import project_gaussians
-    from repro.gaussians.sorting import build_tile_lists
 
     views = batch["views"]
-    shared = None
-    if "shared" in batch:
-        shared = SharedGaussianData(
-            **{name: _shm_view(shm, batch["shared"][name]) for name in _SHARED_FIELDS}
-        )
     slot = ctx.render_count % _MAX_RETAINED_BATCHES
     ctx.render_count += 1
     for stale_token, entry in list(ctx.batches.items()):
@@ -374,19 +290,7 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
     total = 0
     for meta in views:
         start = time.perf_counter()
-        if "unit" in meta:
-            projected, intersections = _unit_products(shm, meta)
-        else:
-            # ``project_gaussians`` reads nothing from the cloud once shared
-            # data is donated, so no cloud object crosses the process line.
-            projected = project_gaussians(
-                None,
-                meta["camera"],
-                meta["pose_cw"],
-                active_only=batch["active_only"],
-                shared=shared,
-            )
-            intersections = build_tile_lists(projected, _meta_grid(meta))
+        projected, intersections = _unit_products(shm, meta)
         fragments = build_flat_fragments(intersections)
         planned.append((projected, intersections, fragments, time.perf_counter() - start))
         total += fragments.n_fragments
@@ -406,9 +310,6 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
         view_replies.append(
             {
                 "index": meta["index"],
-                # The parent already holds a shipped unit's projection.
-                "indices": None if "unit" in meta else projected.indices,
-                "n_pairs": int(intersections.n_pairs),
                 "plan_seconds": plan_seconds,
                 "raster_seconds": time.perf_counter() - start,
             }
@@ -462,9 +363,8 @@ def _worker_handle_render(ctx: _WorkerContext, payload) -> tuple:
         if slow_keys:
             reply["fault_sites"] = slow_keys
     finally:
-        # Everything the render keeps from the block is gathered or copied
-        # (projection gathers candidate rows, shipped unit products are
-        # copied out, outputs are copied in), so the
+        # Everything the render keeps from the block is copied (unit
+        # products are copied out, outputs are copied in), so the
         # mapping drops as soon as the handler finishes.  On an error the
         # traceback frames can briefly pin views; the BufferError then leaves
         # the mapping to die with the worker — rare and bounded.
@@ -488,7 +388,7 @@ def _worker_handle_backward(ctx: _WorkerContext, payload) -> tuple:
         # Items carry per-view tokens: a batch stitched from several
         # dispatches (the render service's rounds) holds views of one
         # worker under several tokens.
-        for token, view_index, image_spec, depth_spec, projected_specs in items:
+        for token, view_index, image_spec, depth_spec in items:
             entry = ctx.batches.get(token)
             if entry is None:
                 raise RuntimeError(
@@ -501,11 +401,6 @@ def _worker_handle_backward(ctx: _WorkerContext, payload) -> tuple:
             dL_ddepth = None if depth_spec is None else _shm_view(shm, depth_spec)
             result = entry["results"][view_index]
             screen = rasterize_backward_flat(result, dL_dimage, dL_ddepth)
-            # The parent's stitched views carry only the visible-row indices;
-            # fill its reservations with the heavy projection intermediates
-            # the fused Step 5 reads.
-            for name, spec in projected_specs.items():
-                _shm_view(shm, spec)[...] = getattr(result.projected, name)
             # trace.fragments_per_pixel is a copy of the forward counts the
             # parent already holds (stitched from this very render), so it
             # is rebuilt parent-side instead of pickled back per view.
@@ -838,7 +733,6 @@ class _ShardHandle:
     token: int
     worker_id: int
     view_index: int
-    active_only: bool = True
 
     def usable(self) -> bool:
         return not self.pool.broken and self.pool.token_resident(
@@ -861,12 +755,7 @@ def _assign_round_robin(n_workers: int, n_views: int) -> dict[int, list[int]]:
     return assignment
 
 
-_RENDER_REPLY_VIEW_FIELDS = (
-    "indices",
-    "n_pairs",
-    "plan_seconds",
-    "raster_seconds",
-)
+_RENDER_REPLY_VIEW_FIELDS = ("plan_seconds", "raster_seconds")
 
 
 def _validate_render_reply(payload, expected_views: Sequence[int]) -> "str | None":
@@ -921,9 +810,8 @@ def _validate_backward_reply(payload, expected_views: Sequence[int]) -> "str | N
 class ShardedBackend:
     """Multi-process batch execution behind the backend seam.
 
-    Uncached batches plan *and* rasterize inside the worker pool
-    (``distributed_planning``); batches that carry a geometry cache plan in
-    the parent and rasterize on the pool (:meth:`execute_units`).
+    Every batch is planned in the parent (:meth:`plan_batch`, cached or not)
+    and its units are rasterized on the worker pool (:meth:`execute_units`).
     Single-view renders and degraded batches (no usable pool) run the serial
     flat path in the parent.
     """
@@ -944,11 +832,10 @@ class ShardedBackend:
         return BackendCapabilities(
             batch=True,
             cache=True,
-            distributed_planning=True,
             reference=False,
             description=(
-                "multi-process sharded execution with worker-resident Step 1-2 "
-                "planning (repro.engine.sharded)"
+                "multi-process sharded execution: parent-side Step 1-2 planning, "
+                "pooled rasterization and Rendering BP (repro.engine.sharded)"
             ),
             availability=self.availability(),
         )
@@ -1021,13 +908,11 @@ class ShardedBackend:
         )
 
     def plan_batch(self, request: BatchRenderRequest) -> RenderPlan:
-        """Parent-side Step 1-2 planning (the serial/external-scheduler seam).
+        """Parent-side Step 1-2 planning of every batch.
 
-        With a live pool :meth:`render_batch` does *not* go through this plan
-        for an uncached batch — planning is distributed to the workers
-        (``distributed_planning``); this seam covers cached batches, the
-        degraded serial path and callers that schedule the units themselves
-        (the render service's cached sessions).
+        :meth:`render_batch` is this plan followed by :meth:`execute_units`;
+        callers that schedule units themselves (the render service) call the
+        two halves separately.
         """
         return plan_batch_views(
             request.cloud,
@@ -1043,15 +928,15 @@ class ShardedBackend:
     def execute_units(
         self, plan: RenderPlan, request: BatchRenderRequest
     ) -> BatchRenderResult:
-        """Rasterize a parent-side plan's units (see :meth:`plan_batch`).
+        """Rasterize a plan's units on the pool (see :meth:`plan_batch`).
 
         With a usable pool each unit's Step 1-2 products (its projection
         arrays and per-tile row lists) ship in the batch's shared-memory
-        block; the worker rebuilds the fragment list, rasterizes into its own
-        arena and keeps the result for backward, exactly as for a view it
-        planned itself.  The parent never reserves an arena for these views.
-        It counts each cached unit's tier in the cache's ``CacheStats`` and
-        sets the view's ``cache_status``, as :meth:`GeometryCache.render_view`
+        block (:meth:`_dispatch_render`); the worker rebuilds the fragment
+        list, rasterizes into its own arena and keeps the result for
+        backward.  The parent never reserves an arena for these views.  It
+        counts each cached unit's tier in the cache's ``CacheStats`` and sets
+        the view's ``cache_status``, as :meth:`GeometryCache.render_view`
         would have.  Lost units (the pool failed) run :func:`execute_view` in
         the parent, against the cache's shared arena on a cached plan.
         Without a pool the plan runs serially (:func:`execute_plan`).
@@ -1060,31 +945,6 @@ class ShardedBackend:
         if pool is None:
             return execute_plan(plan, arena=request.arena)
         units = sorted(plan.units, key=lambda unit: unit.index)
-        layout = _ShmLayout()
-        view_metas = []
-        for index, unit in enumerate(units):
-            projected = unit.projected
-            per_tile = unit.intersections.per_tile
-            view_metas.append(
-                {
-                    "index": index,
-                    "camera": projected.camera,
-                    "pose_cw": projected.pose_cw,
-                    "background": unit.background,
-                    "tile_size": unit.tile_size,
-                    "subtile_size": unit.subtile_size,
-                    "unit": {
-                        "projected": {
-                            name: layout.add(getattr(projected, name))
-                            for name in _UNIT_PROJECTED_FIELDS
-                        },
-                        "rows": layout.add(np.concatenate(per_tile)),
-                        "counts": layout.add(
-                            np.array([rows.size for rows in per_tile], dtype=np.int64)
-                        ),
-                    },
-                }
-            )
         arena = None
 
         def escalate(index: int):
@@ -1095,15 +955,7 @@ class ShardedBackend:
             result = execute_view(units[index], arena, cache=plan.cache)
             return result, time.perf_counter() - start
 
-        views, view_seconds, sharding = self._dispatch_render(
-            pool,
-            layout,
-            view_metas,
-            {"active_only": request.active_only},
-            lambda index, _reply: (units[index].projected, units[index].intersections),
-            escalate,
-            plan_site="parent",
-        )
+        views, view_seconds, sharding = self._dispatch_render(pool, units, escalate)
         for index, unit in enumerate(units):
             view_seconds[index] += unit.plan_seconds
             if unit.cache_plan is not None and index not in sharding.escalated_views:
@@ -1121,13 +973,7 @@ class ShardedBackend:
         )
 
     def render_batch(self, request: BatchRenderRequest) -> BatchRenderResult:
-        # A cached batch plans here, where its cache's entries live, and its
-        # units run on the pool through execute_units; an uncached batch is
-        # planned by the workers themselves.
-        pool = None if request.cache is not None else self._pool_for(len(request.cameras))
-        if pool is None:
-            return self.execute_units(self.plan_batch(request), request)
-        return self._render_batch_sharded(request, pool)
+        return self.execute_units(self.plan_batch(request), request)
 
     def _next_fault_op(self):
         """The active fault plan (if any) and this dispatch's operation index.
@@ -1154,99 +1000,60 @@ class ShardedBackend:
                 if site["key"] not in sticky:
                     self._fault_fired.add(site["key"])
 
-    def _render_batch_sharded(
-        self, request: BatchRenderRequest, pool: ShardedPool
-    ) -> BatchRenderResult:
-        """Worker-planned execution: ship the shared Step 1 arrays, dispatch.
-
-        Lost views run in the parent (:meth:`_render_view_serial`); see
-        :meth:`_dispatch_render` for the failure path.
-        """
-        start = time.perf_counter()
-        shared = shared_preprocess(request.cloud, active_only=request.active_only)
-        shared_seconds = time.perf_counter() - start
-
-        backgrounds = _normalise_backgrounds(request.backgrounds, len(request.cameras))
-        layout = _ShmLayout()
-        shared_specs = {name: layout.add(getattr(shared, name)) for name in _SHARED_FIELDS}
-        view_metas = [
-            {
-                "index": index,
-                "camera": camera,
-                "pose_cw": pose_cw,
-                "background": backgrounds[index],
-                "tile_size": request.tile_size,
-                "subtile_size": request.subtile_size,
-            }
-            for index, (camera, pose_cw) in enumerate(zip(request.cameras, request.poses_cw))
-        ]
-
-        def products(index: int, reply: dict):
-            meta = view_metas[index]
-            projected = _stitched_projection(reply["indices"], meta["camera"], meta["pose_cw"])
-            return projected, _StitchedIntersections(_meta_grid(meta), projected, reply["n_pairs"])
-
-        views, view_seconds, sharding = self._dispatch_render(
-            pool,
-            layout,
-            view_metas,
-            {"shared": shared_specs, "active_only": request.active_only},
-            products,
-            lambda index: self._render_view_serial(request, view_metas[index], shared),
-            plan_site="worker",
-        )
-        return BatchRenderResult(
-            views=views,
-            shared=shared,
-            # Workers own the arenas the views' tile caches live in; the
-            # caller-supplied arena passes through untouched so a later
-            # serial batch can still recycle it.
-            arena=request.arena,
-            shared_seconds=shared_seconds,
-            view_seconds=view_seconds,
-            sharding=sharding,
-        )
-
     def _dispatch_render(
-        self,
-        pool: ShardedPool,
-        layout: _ShmLayout,
-        view_metas: list[dict],
-        batch_fields: dict,
-        products,
-        escalate,
-        plan_site: str,
+        self, pool: ShardedPool, units: "list[ViewWorkUnit]", escalate
     ) -> "tuple[list[RenderResult], list[float], ShardAttribution]":
-        """Fan ``view_metas`` out over ``pool`` in one shared-memory block.
+        """Fan ``units`` out over ``pool`` in one shared-memory block.
 
-        Reserves every view's forward outputs in ``layout`` and waits once,
-        for ``shard_deadline_s``.  On any fault (a crash, a hang, a failed
-        send, a poisoned reply or a worker-reported render error) the whole
-        pool is closed and ``escalate(index) -> (RenderResult, seconds)``
-        finishes each lost view in the parent; views a healthy worker
-        finished keep their outputs.  Those become parent-side views carrying
-        the ``(projected, intersections)`` that ``products(index, reply)``
-        returns and a :class:`_ShardHandle` to the worker holding their tile
-        caches.  The result is total: every view completes on one of the two
-        paths.  Returns the views in order, per-view seconds and the
-        attribution.
+        Packs every unit's Step 1-2 products and reserves its forward
+        outputs in the block, then waits once, for ``shard_deadline_s``.  On
+        any fault (a crash, a hang, a failed send, a poisoned reply or a
+        worker-reported render error) the whole pool is closed and
+        ``escalate(index) -> (RenderResult, seconds)`` finishes each lost
+        unit in the parent; views a healthy worker finished keep their
+        outputs.  Those become parent-side views carrying the unit's
+        projection and tile lists and a :class:`_ShardHandle` to the worker
+        holding their tile caches.  The result is total: every view completes
+        on one of the two paths.  Returns the views in order, per-view
+        seconds and the attribution.
         """
         from repro.gaussians.rasterizer import RenderResult
 
-        n_views = len(view_metas)
+        n_views = len(units)
         plan, op_index = self._next_fault_op()
         dispatch_start = time.perf_counter()
-        for meta in view_metas:
-            height, width = meta["camera"].height, meta["camera"].width
-            meta["outputs"] = {
-                "image": layout.reserve((height, width, 3), np.float64),
-                "depth": layout.reserve((height, width), np.float64),
-                "alpha": layout.reserve((height, width), np.float64),
-                "fragments_per_pixel": layout.reserve((height, width), np.int64),
-            }
+        layout = _ShmLayout()
+        view_metas = []
+        for index, unit in enumerate(units):
+            projected = unit.projected
+            per_tile = unit.intersections.per_tile
+            height, width = projected.camera.height, projected.camera.width
+            view_metas.append(
+                {
+                    "index": index,
+                    "camera": projected.camera,
+                    "pose_cw": projected.pose_cw,
+                    "background": unit.background,
+                    "tile_size": unit.tile_size,
+                    "subtile_size": unit.subtile_size,
+                    "projected": {
+                        name: layout.add(getattr(projected, name))
+                        for name in _UNIT_PROJECTED_FIELDS
+                    },
+                    "rows": layout.add(np.concatenate(per_tile)),
+                    "counts": layout.add(
+                        np.array([rows.size for rows in per_tile], dtype=np.int64)
+                    ),
+                    "outputs": {
+                        "image": layout.reserve((height, width, 3), np.float64),
+                        "depth": layout.reserve((height, width), np.float64),
+                        "alpha": layout.reserve((height, width), np.float64),
+                        "fragments_per_pixel": layout.reserve((height, width), np.int64),
+                    },
+                }
+            )
         shm = layout.create()
         view_seconds = [0.0] * n_views
-        view_replies: dict[int, dict] = {}
         local_results: dict[int, "RenderResult"] = {}  # escalated views
         fault_log: list[dict] = []
         lost: list[int] = []  # views of faulted workers
@@ -1275,7 +1082,6 @@ class ShardedBackend:
                         token,
                         shm.name,
                         {
-                            **batch_fields,
                             "views": [view_metas[i] for i in view_ids],
                             "faults": fault_sites.get(worker_id),
                         },
@@ -1325,7 +1131,6 @@ class ShardedBackend:
                 pool.note_resident(worker_id, token)
                 for view in payload["views"]:
                     seconds = view["plan_seconds"] + view["raster_seconds"]
-                    view_replies[view["index"]] = view
                     view_seconds[view["index"]] = seconds
                     worker_seconds[worker_id] += seconds
 
@@ -1362,7 +1167,6 @@ class ShardedBackend:
                     continue
                 outputs = meta["outputs"]
                 background = meta["background"]
-                projected, intersections = products(index, view_replies[index])
                 view = RenderResult(
                     image=np.array(_shm_view(shm, outputs["image"])),
                     depth=np.array(_shm_view(shm, outputs["depth"])),
@@ -1370,8 +1174,8 @@ class ShardedBackend:
                     fragments_per_pixel=np.array(
                         _shm_view(shm, outputs["fragments_per_pixel"])
                     ),
-                    projected=projected,
-                    intersections=intersections,
+                    projected=units[index].projected,
+                    intersections=units[index].intersections,
                     tile_caches=[],
                     camera=meta["camera"],
                     pose_cw=meta["pose_cw"],
@@ -1389,7 +1193,6 @@ class ShardedBackend:
                     token=token,
                     worker_id=worker_of[index],
                     view_index=index,
-                    active_only=batch_fields["active_only"],
                 )
                 views.append(view)
         finally:
@@ -1411,44 +1214,10 @@ class ShardedBackend:
                 worker_seconds=worker_seconds,
                 dispatch_seconds=dispatch_seconds,
                 stitch_seconds=time.perf_counter() - stitch_start,
-                plan_site=plan_site,
                 fault_events=fault_log,
                 escalated_views=sorted(local_results),
             ),
         )
-
-    def _render_view_serial(self, request, meta: dict, shared: SharedGaussianData):
-        """Escalated serial execution of one lost worker-planned view.
-
-        Runs exactly the worker's uncached plan+raster sequence
-        (project -> tile -> fragments -> ``rasterize_flat_into``) against a
-        private arena, so the escalated result is bitwise-identical to what
-        a healthy worker would have stitched in.  Returns ``(result,
-        seconds)``.
-        """
-        from repro.gaussians.fast_raster import (
-            allocate_flat_arena,
-            build_flat_fragments,
-            rasterize_flat_into,
-        )
-        from repro.gaussians.projection import project_gaussians
-        from repro.gaussians.sorting import build_tile_lists
-
-        start = time.perf_counter()
-        projected = project_gaussians(
-            None,
-            meta["camera"],
-            meta["pose_cw"],
-            active_only=request.active_only,
-            shared=shared,
-        )
-        intersections = build_tile_lists(projected, _meta_grid(meta))
-        fragments = build_flat_fragments(intersections)
-        arena = allocate_flat_arena(fragments.n_fragments)
-        result = rasterize_flat_into(
-            projected, intersections, fragments, meta["background"], arena, 0
-        )
-        return result, time.perf_counter() - start
 
     # -- backward ------------------------------------------------------------
     def _shard_backward(
@@ -1461,11 +1230,10 @@ class ShardedBackend:
 
         ``entries`` holds ``(handle, view_index, dL_dimage, dL_ddepth)``
         tuples whose handles are usable on one pool; ``view_results`` maps
-        each view index to its parent-side :class:`RenderResult`.  Loss
-        gradients ship worker-ward and the heavy projection intermediates
-        (everything the fused Step 5 reads that the stitched stub lacks)
-        ship parent-ward through one shared-memory block; the small
-        screen-gradient arrays and traces ride the reply pipes.
+        each view index to its parent-side :class:`RenderResult`, whose
+        projection the fused Step 5 reads.  Loss gradients ship worker-ward
+        through one shared-memory block; the small screen-gradient arrays
+        and traces ride the reply pipes.
 
         A worker that dies, times out or replies poisoned closes the pool,
         and its views come back in the failed list for the caller's
@@ -1481,7 +1249,6 @@ class ShardedBackend:
         layout = _ShmLayout()
         per_worker: dict[int, list] = {}
         views_by_worker: dict[int, list[int]] = {}
-        projected_specs_by_view: dict[int, dict] = {}
         for handle, view_index, dL_dimage, dL_ddepth in entries:
             image_spec = layout.add(np.asarray(dL_dimage, dtype=np.float64))
             depth_spec = (
@@ -1489,12 +1256,6 @@ class ShardedBackend:
                 if dL_ddepth is None
                 else layout.add(np.asarray(dL_ddepth, dtype=np.float64))
             )
-            n_visible = int(view_results[view_index].projected.indices.shape[0])
-            projected_specs = {
-                name: layout.reserve((n_visible, *trailing), np.float64)
-                for name, trailing in _BACKWARD_PROJECTED_FIELDS
-            }
-            projected_specs_by_view[view_index] = projected_specs
             # Per-item tokens: a batch stitched from several dispatches holds
             # one worker's views under several tokens.  The index sent
             # worker-ward is the handle's *dispatch-local* one — the key the
@@ -1503,7 +1264,7 @@ class ShardedBackend:
             # batch (the render service's round-based scheduling); replies
             # are mapped back to caller indices by position.
             per_worker.setdefault(handle.worker_id, []).append(
-                (handle.token, handle.view_index, image_spec, depth_spec, projected_specs)
+                (handle.token, handle.view_index, image_spec, depth_spec)
             )
             views_by_worker.setdefault(handle.worker_id, []).append(view_index)
         fault_sites = (
@@ -1589,18 +1350,8 @@ class ShardedBackend:
                     # the stitched rounds of a service batch.
                     view_index = views_by_worker[worker_id][slot]
                     view_result = view_results[view_index]
-                    # Swap the worker's heavy projection intermediates into
-                    # the stitched stub so the fused Step 5 sees the same
-                    # arrays a parent-planned render would have kept.
-                    projected = replace(
-                        view_result.projected,
-                        **{
-                            name: np.array(_shm_view(shm, spec))
-                            for name, spec in projected_specs_by_view[view_index].items()
-                        },
-                    )
                     screen_by_view[view_index] = ScreenSpaceGradients(
-                        projected=projected,
+                        projected=view_result.projected,
                         colors=colors,
                         opacities=opacities,
                         means2d=means2d,
@@ -1627,24 +1378,15 @@ class ShardedBackend:
                 pass
         return screen_by_view, failed
 
+    @staticmethod
     def _recompute_backward_view(
-        self,
-        cloud: "GaussianCloud",
-        view: "RenderResult",
-        dL_dimage: np.ndarray,
-        dL_ddepth: "np.ndarray | None",
-        active_only: bool,
-        shared: "SharedGaussianData | None" = None,
+        view: "RenderResult", dL_dimage: np.ndarray, dL_ddepth: "np.ndarray | None"
     ) -> "ScreenSpaceGradients":
         """Parent-side backward for a view whose worker state is gone.
 
-        A parent-planned view (:meth:`execute_units`) replays its own Step 1-2
-        products; a worker-planned one re-derives the worker's exact plan
-        (projection, tile lists) from the cloud — which is unchanged between
-        forward and backward in every engine consumer (mapping applies
-        updates only after the backward pass).  Either way the fragments and
-        tile caches are rebuilt and the flat Step 4 runs, so the gradients
-        are bitwise-identical to the worker's.
+        Replays the view's own Step 1-2 products: the fragments and tile
+        caches are rebuilt exactly as the worker built them and the flat
+        Step 4 runs, so the gradients are bitwise-identical to the worker's.
         """
         from repro.gaussians.fast_raster import (
             allocate_flat_arena,
@@ -1652,22 +1394,11 @@ class ShardedBackend:
             rasterize_backward_flat,
             rasterize_flat_into,
         )
-        from repro.gaussians.projection import project_gaussians
-        from repro.gaussians.sorting import build_tile_lists
 
-        if isinstance(view.intersections, _StitchedIntersections):
-            if shared is None:
-                shared = shared_preprocess(cloud, active_only=active_only)
-            projected = project_gaussians(
-                None, view.camera, view.pose_cw, active_only=active_only, shared=shared
-            )
-            intersections = build_tile_lists(projected, view.grid)
-        else:
-            projected, intersections = view.projected, view.intersections
-        fragments = build_flat_fragments(intersections)
+        fragments = build_flat_fragments(view.intersections)
         arena = allocate_flat_arena(fragments.n_fragments)
         fresh = rasterize_flat_into(
-            projected, intersections, fragments, view.background, arena, 0
+            view.projected, view.intersections, fragments, view.background, arena, 0
         )
         return rasterize_backward_flat(fresh, dL_dimage, dL_ddepth)
 
@@ -1710,9 +1441,7 @@ class ShardedBackend:
         if screen is None:
             # Pool closed, batch evicted, or a fault mid-request: recompute
             # locally.
-            screen = self._recompute_backward_view(
-                cloud, result, dL_dimage, dL_ddepth, handle.active_only
-            )
+            screen = self._recompute_backward_view(result, dL_dimage, dL_ddepth)
         return preprocess_backward(screen, cloud, compute_pose_gradient=compute_pose_gradient)
 
     def backward_batch(
@@ -1804,19 +1533,9 @@ class ShardedBackend:
             )
             screens.update(worker_screens)
             recompute.extend(failed)
-        shared = None  # built once, for the first worker-planned recompute
         for index in sorted(set(recompute)):
-            view = batch.views[index]
-            handle = handles[index]
-            if shared is None and isinstance(view.intersections, _StitchedIntersections):
-                shared = shared_preprocess(cloud, active_only=handle.active_only)
             screens[index] = self._recompute_backward_view(
-                cloud,
-                view,
-                dL_dimages[index],
-                dL_ddepths[index],
-                handle.active_only,
-                shared,
+                batch.views[index], dL_dimages[index], dL_ddepths[index]
             )
         screen = [screens[index] for index in range(batch.n_views)]
         cloud_grads, per_view_twists = preprocess_backward_batch(

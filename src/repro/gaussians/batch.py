@@ -108,10 +108,6 @@ class ShardAttribution:
     # pipe sends themselves overlap with worker execution).
     dispatch_seconds: float
     stitch_seconds: float  # parent-side gather + result assembly overhead
-    # Where per-view Step 1-2 planning ran: "parent" (pre-planned units,
-    # cached ones included, shipped to workers) or "worker" (workers
-    # project and tile themselves).
-    plan_site: str = "parent"
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
     # send-failed | poisoned | slow | worker-error | escalated |

@@ -8,7 +8,6 @@ non-keyframe redundancy).
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 
 def _to_float(image: np.ndarray) -> np.ndarray:
@@ -68,6 +67,11 @@ def ssim(
             for ch in range(a.shape[2])
         ]
         return float(np.mean(channels))
+
+    # SciPy is imported here, not at module level: only Fig. 5's similarity
+    # profile computes SSIM, and every importer of ``repro.slam`` would
+    # otherwise pay for ``scipy.ndimage``.
+    from scipy.ndimage import uniform_filter
 
     window = min(window, min(a.shape))
     c1 = (0.01 * data_range) ** 2

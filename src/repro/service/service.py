@@ -9,12 +9,13 @@ of letting every tenant monopolise a private backend:
   configs resolve to one OS pool) — the service adds the scheduling layer
   that interleaves tenants over it.  Cache-off sessions dispatch each round
   as a sub-batch through ``RenderEngine.render_batch(..., managed=False)``
-  (worker-side planning, parallel execution, serial fallback on worker
-  faults).  Cache-on sessions plan a whole job at submit, through the
-  backend's public ``plan_batch`` seam against their parent-resident
-  geometry cache — which is what makes cross-session byte budgets
-  observable and enforceable — and each round hands the elected units to
-  the backend's ``execute_units``, which rasterizes them on the same pool.
+  (the backend plans the round and rasterizes it on the pool, with a
+  serial fallback on worker faults).  Cache-on sessions plan a whole job
+  at submit, through the backend's public ``plan_batch`` seam against their
+  parent-resident geometry cache — which is what makes cross-session byte
+  budgets observable and enforceable — and each round hands the elected
+  units to the backend's ``execute_units``, which rasterizes them on the
+  same pool.
   Either way the per-view outputs are bitwise-identical to a private solo
   engine — grouping work units into rounds never changes a view's pixels
   (pinned by the differential runner's service phase).
@@ -164,14 +165,12 @@ class ServiceJob:
         worker_seconds: dict[int, float] = {}
         dispatch_seconds = 0.0
         stitch_seconds = 0.0
-        plan_site = "parent"
         fault_events: list = []
         escalated: list[int] = []
         for indices, sub in self._rounds:
             sharding = sub.sharding
             if sharding is None:
                 continue  # degraded serial round: defaults already apply
-            plan_site = sharding.plan_site
             for slot, index in enumerate(indices):
                 worker_ids[index] = sharding.worker_ids[slot]
             for worker_id, seconds in sharding.worker_seconds.items():
@@ -196,7 +195,6 @@ class ServiceJob:
             worker_seconds=worker_seconds,
             dispatch_seconds=dispatch_seconds,
             stitch_seconds=stitch_seconds,
-            plan_site=plan_site,
             fault_events=fault_events,
             escalated_views=sorted(escalated),
             view_queue_wait_seconds=list(self._queue_wait),

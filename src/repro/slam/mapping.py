@@ -108,7 +108,7 @@ class MappingResult:
     snapshots: list[WorkloadSnapshot] = field(default_factory=list)
     batch_sizes: list[int] = field(default_factory=list)  # window size per iteration
     # Execution record of each fused iteration's batch (None when it ran
-    # unsharded): workers, plan site, worker/stitch seconds and fault events.
+    # unsharded): workers, worker/stitch seconds and fault events.
     shardings: list[ShardAttribution | None] = field(default_factory=list)
 
     @property

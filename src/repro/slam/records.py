@@ -29,7 +29,7 @@ class WorkloadSnapshot:
 
     A snapshot records the work that was rendered, never where it ran: a
     flat and a sharded render of the same window give equal snapshots.  How
-    a batch was executed (workers, plan site, shard/stitch seconds, faults)
+    a batch was executed (workers, shard/stitch seconds, faults)
     lives on its :class:`~repro.gaussians.batch.ShardAttribution`
     (``BatchRenderResult.sharding``, collected per fused mapping iteration in
     ``MappingResult.shardings``); per-tenant queueing lives on

@@ -177,20 +177,6 @@ class ScenarioCellResult:
         return [sharding for sharding in self.shardings if sharding is not None]
 
     @property
-    def plan_site(self) -> str:
-        """Where Step 1-2 planning ran for this cell's renders.
-
-        ``worker`` when any batch reports worker-resident planning (uncached
-        sharded batches), ``parent`` for executed serial/parent-planned cells
-        (cached sharded batches too: they plan here, rasterize on the pool), ``-``
-        for skips and cells that emitted no snapshots.
-        """
-        if not self.snapshots:
-            return "-"
-        sites = {sharding.plan_site for sharding in self._executed}
-        return "worker" if "worker" in sites else "parent"
-
-    @property
     def fault_events(self) -> int:
         """Total fault events of this cell's batches (0 on a healthy run)."""
         return sum(len(sharding.fault_events) for sharding in self._executed)
@@ -205,7 +191,6 @@ class ScenarioCellResult:
             "n_snapshots": len(self.snapshots),
             "shard_workers": sorted({s.n_workers for s in executed}) or [1],
             "cache_statuses": statuses,
-            "plan_site": self.plan_site,
             "faults": {
                 "events": self.fault_events,
                 "escalated_views": sum(len(s.escalated_views) for s in executed),
@@ -230,7 +215,6 @@ class ScenarioCellResult:
             "n_views": self.n_views,
             "failures": self.failures,
             "notes": self.notes,
-            "plan_site": self.plan_site,
             "attribution": self.attribution(),
         }
 
@@ -707,9 +691,9 @@ def summary_table(results: list[ScenarioCellResult]) -> str:
         f"{counts['pass']} passed, {counts['fail']} failed, "
         f"{counts['skip']} skipped — {counts['unexplained_skips']} UNEXPLAINED",
         "",
-        "| scenario | backend | cache | batch | mapping | plan_site | status "
+        "| scenario | backend | cache | batch | mapping | status "
         "| faults | max diff | tolerance | wall (ms) | fragments | detail |",
-        "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for result in results:
         cell = result.cell
@@ -722,7 +706,7 @@ def summary_table(results: list[ScenarioCellResult]) -> str:
         detail = detail.replace("|", "\\|")
         lines.append(
             f"| {cell.scenario} | {cell.backend} | {cell.cache} | {cell.batch} "
-            f"| {cell.mapping} | {result.plan_site} | {result.status} "
+            f"| {cell.mapping} | {result.status} "
             f"| {result.fault_events} "
             f"| {result.max_abs_diff:.2e} | {result.tolerance:.1e} "
             f"| {result.wall_seconds * 1e3:.1f} | {result.n_fragments} | {detail} |"

@@ -543,7 +543,6 @@ class TestBackendRegistry:
         capabilities = engine.capabilities("flat")
         assert isinstance(capabilities, BackendCapabilities)
         assert capabilities.batch and capabilities.cache
-        assert not capabilities.distributed_planning
         assert capabilities.availability is None
         tile = engine.capabilities("tile")
         assert tile.reference and not tile.batch

@@ -1,5 +1,10 @@
 """Tests for image, trajectory and performance metrics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +46,22 @@ class TestImageMetrics:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             rmse(np.zeros((4, 4)), np.zeros((5, 5)))
+
+    def test_slam_import_does_not_load_scipy(self):
+        # Only SSIM needs scipy.ndimage; a SLAM process must not pay for it.
+        code = (
+            "import sys, repro.slam, repro.core.rtgs; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        output = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert output.strip() == "[]"
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.01, 0.5, allow_nan=False))

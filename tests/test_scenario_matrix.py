@@ -187,16 +187,15 @@ class TestFiltersAndReporting:
         )
         table = summary_table(results)
         assert "| scenario | backend | cache |" in table
-        assert "| plan_site |" in table
+        assert "| mapping | status |" in table
         assert table.count("| single_gaussian |") == len(results)
         counts = summarize(results)
         assert counts["unexplained_skips"] == 0
         assert counts["pass"] > 0 and counts["fail"] == 0
 
-    def test_summary_table_attributes_the_plan_site(self):
-        # Uncached sharded multi-view cells plan inside the workers; flat
-        # cells, and sharded cells whose batch carries a cache, plan in the
-        # parent — and the per-cell report says which.
+    def test_summary_table_attributes_sharded_execution(self):
+        # Sharded multi-view cells, cached or not, run on the pool and their
+        # attribution names its workers; flat cells run in one process.
         results = MATRIX.run(
             filters={
                 "scenario": {"single_gaussian"},
@@ -209,12 +208,10 @@ class TestFiltersAndReporting:
             (result.cell.backend, result.cell.cache): result for result in results
         }
         for cache in ("off", "on"):
-            assert by_backend[("flat", cache)].plan_site == "parent"
-        assert by_backend[("sharded", "off")].plan_site == "worker"
-        assert by_backend[("sharded", "off")].to_json()["attribution"]["plan_site"] == "worker"
-        assert by_backend[("sharded", "on")].plan_site == "parent"
-        table = summary_table(results)
-        assert "| worker |" in table and "| parent |" in table
+            flat = by_backend[("flat", cache)].to_json()["attribution"]
+            assert flat["shard_workers"] == [1]
+            sharded = by_backend[("sharded", cache)].to_json()["attribution"]
+            assert sharded["shard_workers"] == [2]
 
     def test_cell_results_serialize(self):
         result = MATRIX.run_cell(

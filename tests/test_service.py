@@ -387,7 +387,6 @@ class TestCachedJobsOnThePool:
         session = service.open_session("cached")
         batch = session.submit(*args, **kwargs).result()
         assert session.engine.cache._arena is None
-        assert batch.sharding.plan_site == "parent"
         assert all(worker >= 0 for worker in batch.sharding.worker_ids)
         assert session.stats.rounds == 2
         assert [view.cache_status for view in batch.views] == ["miss"] * 4

@@ -326,6 +326,81 @@ class TestShardedBackend:
                 == flat_screen.trace.total_pixel_level_updates
             )
 
+    def test_uncached_views_carry_the_parent_plan(self, _no_leak):
+        """An uncached pooled batch is planned in the parent like flat's.
+
+        Every view keeps its real projection and per-tile lists, bitwise
+        equal to a flat batch's, and the fused backward reads them: its
+        gradients equal flat's healthy and when worker 0 crashes mid-backward
+        (the lost views recompute in the parent from the same products).
+        """
+        from dataclasses import fields
+
+        from repro.gaussians.projection import ProjectedGaussians
+
+        spec = _spec()
+        args, kwargs = _batch_args(spec)
+        flat_engine = _flat_engine()
+        flat = flat_engine.render_batch(*args, **kwargs, managed=False)
+        engine = RenderEngine(
+            EngineConfig(
+                backend="sharded",
+                geom_cache=False,
+                shard_workers=N_WORKERS,
+                shard_deadline_s=10.0,
+            )
+        )
+        batches = [engine.render_batch(*args, **kwargs, managed=False) for _ in range(2)]
+        projected_fields = [
+            field.name
+            for field in fields(ProjectedGaussians)
+            if field.name not in ("camera", "pose_cw")
+        ]
+        for batch in batches:
+            assert batch.sharding.worker_ids == [0, 1, 0]
+            for index, (view, reference) in enumerate(zip(batch.views, flat.views)):
+                for name in projected_fields:
+                    np.testing.assert_array_equal(
+                        getattr(view.projected, name),
+                        getattr(reference.projected, name),
+                        err_msg=f"{name} {index}",
+                    )
+                assert view.intersections.n_pairs == reference.intersections.n_pairs
+                assert len(view.intersections.per_tile) == len(
+                    reference.intersections.per_tile
+                )
+                for rows, reference_rows in zip(
+                    view.intersections.per_tile, reference.intersections.per_tile
+                ):
+                    np.testing.assert_array_equal(rows, reference_rows)
+
+        rng = np.random.default_rng(17)
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
+        dL_ddepths = [rng.uniform(-1, 1, size=v.depth.shape) for v in flat.views]
+        flat_grads = flat_engine.backward_batch(
+            flat, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+        )
+        healthy_batch, faulted_batch = batches
+        healthy = engine.backward_batch(
+            healthy_batch, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+        )
+        with fault_plan("crash@0.*"):
+            faulted = engine.backward_batch(
+                faulted_batch, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+            )
+        events = [event["event"] for event in faulted_batch.sharding.fault_events]
+        assert "died" in events
+        for grads in (healthy, faulted):
+            for name in GRADIENT_FIELDS:
+                np.testing.assert_array_equal(
+                    np.asarray(getattr(grads.cloud, name)),
+                    np.asarray(getattr(flat_grads.cloud, name)),
+                    err_msg=name,
+                )
+            np.testing.assert_array_equal(
+                grads.per_view_pose_twists, flat_grads.per_view_pose_twists
+            )
+
     def test_single_view_backward_through_worker_matches_flat(self):
         spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
@@ -390,7 +465,6 @@ class TestShardedBackend:
         uncached = rasterize_batch_views(*args, **kwargs)
         cache = GeometryCache()
         batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
-        assert batch.sharding.plan_site == "parent"
         assert batch.sharding.worker_ids == [0, 1]
         assert all(view.shard_info.usable() for view in batch.views)
         assert [view.cache_status for view in batch.views] == ["miss", "miss"]
@@ -407,7 +481,6 @@ class TestShardedBackend:
         capabilities = engine.capabilities("sharded")
         assert capabilities.batch
         assert capabilities.cache
-        assert capabilities.distributed_planning
         assert not capabilities.reference
 
     def test_worker_side_eviction_heals_via_parent_recompute(self):
@@ -1054,7 +1127,7 @@ class TestCachedBatchesOnThePool:
         args, kwargs = _batch_args(spec, n_views=2)
         engine = RenderEngine(EngineConfig(backend="async", shard_workers=N_WORKERS))
         batch = self._batch(engine, args, kwargs)
-        assert batch.sharding.plan_site == "parent"
+        assert batch.sharding.worker_ids == [0, 1]
         assert engine.cache._arena is None
         _assert_views_equal(batch.views, rasterize_batch_views(*args, **kwargs).views)
 
@@ -1101,7 +1174,6 @@ class TestPlanExecuteSeam:
         request = self._request(spec, n_views=3)
         backend = _sharded_engine().backend("sharded")
         batch = backend.execute_units(backend.plan_batch(request), request)
-        assert batch.sharding.plan_site == "parent"
         assert batch.sharding.worker_ids == [0, 1, 0]
         assert [view.cache_status for view in batch.views] == ["uncached"] * 3
         direct = _flat_engine().backend("flat").render_batch(request)
@@ -1197,8 +1269,6 @@ class TestShardedMapping:
             assert set(sharding.worker_ids) <= set(range(N_WORKERS))
             assert all(seconds >= 0.0 for seconds in sharding.worker_seconds.values())
             assert sharding.stitch_seconds >= 0.0
-            # Step 1-2 planning ran inside the workers.
-            assert sharding.plan_site == "worker"
 
     def test_snapshots_and_modelled_latency_are_backend_independent(self, sequence):
         """A snapshot records the rendered work, not where it ran.
