@@ -24,6 +24,7 @@ JSON in the same commit.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -160,3 +161,30 @@ def best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def best_of_interleaved(first, second, repeats: int = 3) -> tuple[float, float]:
+    """Best-of-N wall-clock of two functions, sampled alternately.
+
+    Each round times one call of each side, and the side that goes first
+    flips every round.  A slow spell of the host (a noisy neighbour, a
+    frequency change) then costs both sides alike, where timing all of one
+    side before the other lets it land on one side only and skew the ratio.
+    The cyclic garbage collector is off while timing, as in :mod:`timeit`:
+    a collection of the test process's whole heap lands on whichever side
+    happens to cross the allocation threshold.  Returns
+    ``(best_first, best_second)``.
+    """
+    sides = (first, second)
+    best = [float("inf"), float("inf")]
+    gc.collect()
+    gc.disable()
+    try:
+        for round_index in range(repeats):
+            for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                sides[side]()
+                best[side] = min(best[side], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best[0], best[1]

@@ -28,7 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import get_sequence, print_table
-from benchmarks.perf_gate import best_of, check_speedup, perf_gate_active
+from benchmarks.perf_gate import (
+    best_of,
+    best_of_interleaved,
+    check_speedup,
+    perf_gate_active,
+)
 from repro.engine import EngineConfig, RenderEngine
 from repro.gaussians import GaussianCloud
 from repro.slam.frame import Frame
@@ -182,8 +187,11 @@ def test_scheduler_map_call_not_slower_than_round_robin():
         return mapper.map(cloud.copy(), frames)
 
     run(batched_config, cloud_batched)  # warm caches
-    time_batched = best_of(lambda: run(batched_config, cloud_batched))
-    time_legacy = best_of(lambda: run(legacy_config, cloud_legacy))
+    time_batched, time_legacy = best_of_interleaved(
+        lambda: run(batched_config, cloud_batched),
+        lambda: run(legacy_config, cloud_legacy),
+        repeats=5,
+    )
     result_batched = run(batched_config, cloud_batched)
     result_legacy = run(legacy_config, cloud_legacy)
     views_batched = sum(result_batched.batch_sizes)

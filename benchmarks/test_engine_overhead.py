@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import get_sequence, print_table
-from benchmarks.perf_gate import best_of, check_speedup
+from benchmarks.perf_gate import best_of_interleaved, check_speedup
 from repro.engine import EngineConfig, RenderEngine
 from repro.gaussians import GaussianCloud
 from repro.gaussians.batch import rasterize_batch_views
@@ -70,8 +70,9 @@ def test_engine_batch_dispatch_overhead():
         )
 
     # Dispatch overhead is µs against a ~10 ms render, so the signal is far
-    # below scheduler noise; lengthen each sample (3 batches) and take the
-    # best of many so the ratio converges to the true floor-to-floor one.
+    # below scheduler noise; lengthen each sample (4 batches), alternate the
+    # two sides sample by sample and take the best of many so the ratio
+    # converges to the true floor-to-floor one.
     def run_direct():
         for _ in range(4):
             direct()
@@ -80,8 +81,7 @@ def test_engine_batch_dispatch_overhead():
         for _ in range(4):
             engined()
 
-    time_direct = best_of(run_direct, repeats=12)
-    time_engine = best_of(run_engine, repeats=12)
+    time_direct, time_engine = best_of_interleaved(run_direct, run_engine, repeats=12)
     ratio = time_direct / time_engine
 
     print_table(

@@ -11,7 +11,7 @@ def test_fig10_pair_symmetry(benchmark):
     def compute():
         return [subtile_pair_symmetry(snapshot) for snapshot in snapshots[:6]]
 
-    results = benchmark(compute)
+    results = benchmark.pedantic(compute, rounds=1, iterations=1)
     fraction = sum(r["symmetric_fraction"] for r in results) / len(results)
     rows = [
         ["mean symmetric subtile fraction", f"{fraction:.2%}"],

@@ -23,7 +23,9 @@ def _fps(run):
 
 def test_fig13a_accuracy_efficiency_tradeoff(benchmark):
     runs = {name: get_run("mono_gs", "replica", variant=name) for name in PRUNERS_13A}
-    fps = benchmark(lambda: {name: _fps(run) for name, run in runs.items()})
+    fps = benchmark.pedantic(
+        lambda: {name: _fps(run) for name, run in runs.items()}, rounds=1, iterations=1
+    )
     rows = [
         [name, f"{run.ate():.2f}", f"{fps[name]:.2f}"] for name, run in runs.items()
     ]
@@ -38,7 +40,9 @@ def test_fig13b_drift_vs_pruning_ratio(benchmark):
         ratio: get_run("mono_gs", "replica", variant="fixed" if ratio > 0 else "base", prune_ratio=ratio)
         for ratio in RATIOS_13B
     }
-    curves = benchmark(lambda: {ratio: run.drift_curve() for ratio, run in runs.items()})
+    curves = benchmark.pedantic(
+        lambda: {ratio: run.drift_curve() for ratio, run in runs.items()}, rounds=1, iterations=1
+    )
     rows = [
         [f"{ratio:.0%} pruning", f"{curves[ratio][-1]:.2f}", f"{runs[ratio].cloud.n_total}"]
         for ratio in RATIOS_13B

@@ -25,7 +25,11 @@ def test_fig14a_pruning_ratio_sweep(benchmark):
         ratio: get_run("mono_gs", "replica", variant="fixed" if ratio > 0 else "base", prune_ratio=ratio)
         for ratio in RATIOS
     }
-    latency = benchmark(lambda: {ratio: _per_frame_latency(run) for ratio, run in runs.items()})
+    latency = benchmark.pedantic(
+        lambda: {ratio: _per_frame_latency(run) for ratio, run in runs.items()},
+        rounds=1,
+        iterations=1,
+    )
     rows = [
         [f"{ratio:.2f}", f"{runs[ratio].ate():.2f}", f"{latency[ratio] * 1e3:.1f}"]
         for ratio in RATIOS
@@ -50,7 +54,7 @@ def test_fig14b_algorithm_speedup_breakdown(benchmark):
 
         return split(base), split(ours)
 
-    (base_ff, base_bp), (ours_ff, ours_bp) = benchmark(workloads)
+    (base_ff, base_bp), (ours_ff, ours_bp) = benchmark.pedantic(workloads, rounds=1, iterations=1)
     rows = [
         ["forward (FF) workload reduction", f"{base_ff / max(ours_ff, 1):.2f}x"],
         ["backward (BP) workload reduction", f"{base_bp / max(ours_bp, 1):.2f}x"],

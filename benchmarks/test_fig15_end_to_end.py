@@ -29,7 +29,7 @@ def test_fig15_fps_and_energy(benchmark):
             for key, run in runs.items()
         }
 
-    evaluations = benchmark(evaluate_all)
+    evaluations = benchmark.pedantic(evaluate_all, rounds=1, iterations=1)
 
     fps_rows, energy_rows = [], []
     for (dataset, algorithm), configs in evaluations.items():

@@ -35,7 +35,7 @@ def test_fig16_per_scene(benchmark):
             }
         return out
 
-    evaluations = benchmark(evaluate)
+    evaluations = benchmark.pedantic(evaluate, rounds=1, iterations=1)
     rows = []
     for scene in SCENES:
         entry = evaluations[scene]

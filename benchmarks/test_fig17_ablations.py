@@ -35,7 +35,7 @@ def test_fig17a_workload_balancing(benchmark):
             )
         }
 
-    cycles = benchmark(schedule_all)
+    cycles = benchmark.pedantic(schedule_all, rounds=1, iterations=1)
     baseline = cycles["none"]
     rows = [
         [mode, cycles[mode], f"{baseline / max(cycles[mode], 1):.2f}x"]
@@ -70,7 +70,7 @@ def test_fig17b_speedup_breakdown(benchmark):
         latencies["+ pruning & downsampling"] = full.frame_latency(ours_run.all_snapshots()).total
         return latencies
 
-    latencies = benchmark(compute)
+    latencies = benchmark.pedantic(compute, rounds=1, iterations=1)
     rows = [["ONX baseline", f"{gpu_latency * 1e3:.1f} ms", "1.00x"]]
     previous = gpu_latency
     cumulative = []

@@ -13,8 +13,10 @@ ALGORITHMS = ["gs_slam", "mono_gs", "photo_slam"]
 
 def test_fig3a_stage_shares(benchmark):
     runs = {name: get_run(name, "tum") for name in ALGORITHMS}
-    breakdowns = benchmark(
-        lambda: {name: latency_breakdown(run.all_snapshots()) for name, run in runs.items()}
+    breakdowns = benchmark.pedantic(
+        lambda: {name: latency_breakdown(run.all_snapshots()) for name, run in runs.items()},
+        rounds=1,
+        iterations=1,
     )
     rows = [
         [name, f"{b['tracking']:.2%}", f"{b['mapping']:.2%}", f"{b['other']:.2%}"]
@@ -27,7 +29,9 @@ def test_fig3a_stage_shares(benchmark):
 
 def test_fig3b_step_breakdown(benchmark):
     run = get_run("mono_gs", "tum")
-    shares = benchmark(lambda: stage_breakdown(run.all_snapshots(), stage="tracking"))
+    shares = benchmark.pedantic(
+        lambda: stage_breakdown(run.all_snapshots(), stage="tracking"), rounds=1, iterations=1
+    )
     rows = [[step, f"{value:.2%}"] for step, value in shares.items()]
     print_table("Fig. 3(b): per-step share of a MonoGS tracking iteration", ["step", "share"], rows)
     assert rendering_dominance(shares) > 0.6  # Observation 2

@@ -26,7 +26,7 @@ def test_fig4_gradient_skew(benchmark):
         grads = engine.backward(render, cloud, loss.dL_dimage, loss.dL_ddepth)
         return gradient_distribution(grads)
 
-    distribution = benchmark(compute)
+    distribution = benchmark.pedantic(compute, rounds=1, iterations=1)
     rows = [
         ["top 14% share of gradient mass", f"{distribution.top_fraction_share(0.14):.2%}"],
         ["fraction needed for 80% of mass", f"{distribution.fraction_needed_for_share(0.8):.2%}"],

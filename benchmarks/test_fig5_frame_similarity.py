@@ -11,7 +11,9 @@ from repro.profiling.similarity import similarity_by_keyframe_distance
 
 def test_fig5_similarity(benchmark):
     sequence = get_sequence("tum", n_frames=8)
-    series = benchmark(lambda: frame_similarity_series(sequence, keyframe_interval=4))
+    series = benchmark.pedantic(
+        lambda: frame_similarity_series(sequence, keyframe_interval=4), rounds=1, iterations=1
+    )
     grouped = similarity_by_keyframe_distance(series)
     rows = [
         [f"distance {distance}", f"{stats['rmse']:.4f}", f"{stats['ssim']:.3f}", stats["count"]]

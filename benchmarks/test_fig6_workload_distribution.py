@@ -22,7 +22,7 @@ def test_fig6_workload_similarity(benchmark):
             cross_frame_workload_similarity(snapshots),
         )
 
-    within, across = benchmark(compute)
+    within, across = benchmark.pedantic(compute, rounds=1, iterations=1)
     first = pixel_workload_distribution(snapshots[0])
     rows = [
         ["within-frame iteration correlation", f"{within.mean():.4f}"],

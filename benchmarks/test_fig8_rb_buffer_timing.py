@@ -20,7 +20,7 @@ def test_fig8_rb_buffer(benchmark):
         without_reuse = RenderingEngine(arch, use_rb_buffer=False).backward_cycles(fragments)
         return with_reuse, without_reuse
 
-    with_reuse, without_reuse = benchmark(compute)
+    with_reuse, without_reuse = benchmark.pedantic(compute, rounds=1, iterations=1)
     buffer = RBBuffer(capacity_kb=arch.rb_buffer_kb)
     rows = [
         ["alpha grad latency w/o reuse (cycles)", arch.alpha_grad_cycles_baseline],

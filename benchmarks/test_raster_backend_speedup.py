@@ -4,8 +4,8 @@ Measured on the Fig. 15 end-to-end benchmark scene (the TUM synthetic
 sequence at benchmark resolution): the Step-3 forward render plus the
 Step-4/5 backward pass — the iteration the paper identifies as the SLAM
 bottleneck — must be measurably faster through a flat-pinned
-:class:`repro.engine.RenderEngine` while producing outputs the differential
-harness pins to the tile backend.  A short end-to-end SLAM segment run with
+:class:`repro.engine.RenderEngine` while producing outputs the scenario
+matrix pins to the tile backend.  A short end-to-end SLAM segment run with
 per-backend injected engines double-checks that the speedup survives the
 full pipeline.
 """

@@ -6,7 +6,11 @@ from repro.hardware import DEVICE_SPECS, RTGSArchitectureConfig, scale_device
 
 def test_table5_device_specs(benchmark):
     arch = RTGSArchitectureConfig()
-    scaled = benchmark(lambda: {nm: scale_device(DEVICE_SPECS["rtgs"], nm) for nm in (12, 8)})
+    scaled = benchmark.pedantic(
+        lambda: {nm: scale_device(DEVICE_SPECS["rtgs"], nm) for nm in (12, 8)},
+        rounds=1,
+        iterations=1,
+    )
     rows = [
         [spec.name, spec.technology_nm, f"{spec.sram_kb:.0f}", spec.core_description,
          f"{spec.area_mm2:.2f}", f"{spec.power_w:.2f}"]

@@ -18,8 +18,8 @@ Reduction.  The package provides:
   GauSPU and the RTGS plug-in (RE, WSU, R&B Buffer, GMU, PE)
 * ``repro.profiling`` and ``repro.metrics`` - the measurements behind the
   paper's profiling and evaluation sections
-* ``repro.testing`` - differential and golden verification harness pinning
-  the rasterizer backends against each other and against committed fixtures
+* ``repro.testing`` - the scenario matrix and golden fixtures pinning every
+  backend against the direct implementations and committed reference outputs
 """
 
 __version__ = "0.1.0"

@@ -28,9 +28,10 @@ running.
   the request renders synchronously.
 * :meth:`drain` is the barrier: it retires every in-flight speculation
   (statuses become ``drained``) so subsequent renders are exactly the serial
-  sharded/flat computation.  The differential harness pins ``async == flat``
-  bitwise after ``drain()`` on every scenario, under seeded fault
-  schedules.
+  sharded/flat computation.  ``tests/test_async_backend.py`` pins
+  ``async == flat`` bitwise after ``drain()`` on a real pool, and the
+  scenario matrix pins async batches on every scenario, under seeded fault
+  schedules too.
 
 Consumed-or-discarded is the whole correctness story: a speculation is the
 same pure function evaluated early, and it is only ever used when its inputs
@@ -206,7 +207,7 @@ class AsyncBackend:
 
         After ``drain()`` the backend holds no speculative state — the next
         render is exactly the serial sharded computation, which is what the
-        differential harness's bitwise pin relies on.
+        bitwise pins of the async tests and the scenario matrix rely on.
         """
         with self._state:
             pending, self._pending = self._pending, []

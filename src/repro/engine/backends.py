@@ -3,7 +3,8 @@
 Both are thin strategy wrappers over the existing rasterizer internals —
 ``rasterize_flat`` / ``rasterize_batch_views`` and ``rasterize_tile`` — so an
 engine-mediated render is the *same code path* as calling them directly and
-stays bit-identical (pinned by ``DifferentialRunner.verify_engine``).
+stays bit-identical (pinned by the scenario matrix, which compares every
+flat and tile cell against those direct calls).
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ Environment variables (the full table also lives in the README):
                          sizes the pool from ``os.cpu_count()``; ``0`` or
                          ``1`` degrade sharded batches to the serial flat
                          path.  Must be a non-negative integer.  A batch
-                         that carries a geometry cache runs serially in the
-                         parent, against that cache.
+                         that carries a geometry cache is planned in the
+                         parent, against that cache, and rasterized on the
+                         pool like any other batch.
 ``REPRO_SHARD_DEADLINE_S``
                          Per-dispatch reply deadline in seconds for sharded
                          requests (default 600).  A worker that has not

@@ -335,8 +335,8 @@ class RenderEngine:
         """Barrier: retire any in-flight speculative work on the backend.
 
         A no-op on non-pipelining backends.  After ``drain()`` the engine's
-        next render is exactly the serial computation — the differential
-        harness's ``async == flat`` bitwise pin holds from this point.
+        next render is exactly the serial computation — the ``async == flat``
+        bitwise pin holds from this point.
         """
         impl = self.backend(backend)
         drain = getattr(impl, "drain", None)

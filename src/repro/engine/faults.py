@@ -17,7 +17,7 @@ pays only a ``None`` check.
 Plans come from three places, in precedence order:
 
 1. :func:`set_fault_plan` / the :func:`fault_plan` context manager
-   (tests, :mod:`repro.testing.differential`),
+   (tests, :mod:`repro.testing.matrix`),
 2. the ``REPRO_SHARD_FAULTS`` environment variable (CI chaos job),
 3. nothing — the default.
 

@@ -136,10 +136,10 @@ _SHM_ALIGN = 64
 
 _TOKENS = itertools.count(1)
 
-#: Projection arrays shipped parent -> worker with every unit.
-_UNIT_PROJECTED_FIELDS = tuple(
-    field.name for field in fields(ProjectedGaussians) if field.name not in ("camera", "pose_cw")
-)
+#: Projection arrays shipped parent -> worker with every unit: what the
+#: worker's Step 3 rasterization and Step 4 backward read.  Step 5 runs in the
+#: parent, on the parent's own projection.
+_UNIT_PROJECTED_FIELDS = ("indices", "means2d", "depths", "conics", "colors", "opacities")
 
 
 class ShardWorkerError(RuntimeError):
@@ -253,13 +253,18 @@ def _unit_products(shm, meta: dict) -> tuple[ProjectedGaussians, TileIntersectio
     """A unit's Step 1-2 products, copied out of the block.
 
     Nothing the worker retains for backward may map the block, which the
-    parent unlinks as soon as the dispatch ends.
+    parent unlinks as soon as the dispatch ends.  The projection carries only
+    the shipped fields; the Step 5 ones are ``None``, so a read of them fails
+    loudly instead of using stale or made-up values.
     """
     camera = meta["camera"]
     projected = ProjectedGaussians(
-        **{name: np.array(_shm_view(shm, spec)) for name, spec in meta["projected"].items()},
-        camera=camera,
-        pose_cw=meta["pose_cw"],
+        **{
+            **dict.fromkeys(field.name for field in fields(ProjectedGaussians)),
+            **{name: np.array(_shm_view(shm, spec)) for name, spec in meta["projected"].items()},
+            "camera": camera,
+            "pose_cw": meta["pose_cw"],
+        }
     )
     rows = np.array(_shm_view(shm, meta["rows"]))
     per_tile = np.split(rows, np.cumsum(_shm_view(shm, meta["counts"]))[:-1])

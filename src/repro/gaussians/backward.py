@@ -117,7 +117,7 @@ def rasterize_backward(
     :func:`repro.gaussians.fast_raster.rasterize_backward_flat`, tile renders
     take the reference implementation below.  Passing ``"tile"`` or ``"flat"``
     explicitly overrides this (both consume the same cache layout; the
-    differential harness relies on the override to cross-check them).
+    scenario matrix relies on the override to cross-check them).
     """
     if backend is None:
         backend = getattr(result, "backend", "tile")
@@ -273,7 +273,7 @@ def preprocess_backward_batch(
     einsums.  The scatter accumulates contributions in the same view-major
     order a sequential loop would, so the fused result matches the per-view
     sum to floating-point regrouping error (pinned at 1e-8 by the
-    differential harness; ``tests/test_backward.py`` pins the chain at
+    scenario matrix; ``tests/test_backward.py`` pins the chain at
     1e-12 against the einsum form it replaced).
 
     Returns the summed :class:`CloudGradients` (its ``pose_twist`` is the sum

@@ -46,9 +46,8 @@ cloud gradients across views in a single scatter.
 
 Per-view outputs are numerically identical to sequential single-view flat
 renders; the fused backward matches the per-view sum to floating-point
-regrouping error.  The differential harness in :mod:`repro.testing` pins both
-(batch-of-1 against a single view, and a 3-view batch against three
-sequential calls).
+regrouping error.  The scenario matrix in :mod:`repro.testing` pins both
+(every multi-view batch against sequential single-view calls).
 """
 
 from __future__ import annotations

@@ -42,8 +42,8 @@ tile's pixel centres form a grid:
 
 Numerically every forward array is bitwise identical to the tile backend
 (scaling by ``-0.5`` is exact and the association order is the reference's);
-the backward regrouping changes only summation order.  The differential
-harness in :mod:`repro.testing` and ``tests/test_fast_raster.py`` pin both.
+the backward regrouping changes only summation order.  The scenario matrix
+in :mod:`repro.testing` and ``tests/test_fast_raster.py`` pin both.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def rasterize_backward_flat(
 
     Produces the same :class:`~repro.gaussians.backward.ScreenSpaceGradients`
     as the reference ``rasterize_backward`` up to summation order (the
-    differential harness pins agreement) while avoiding its large
+    scenario matrix pins agreement) while avoiding its large
     temporaries:
 
     * colour and depth travel together as 4-vectors: one ``(P, 4) @ (4, M)``

@@ -138,7 +138,7 @@ def rasterize_tile(
     """Reference per-tile render of ``cloud`` from ``pose_cw`` (world-to-camera).
 
     This is the bit-exact reference implementation behind the ``tile``
-    backend, the golden fixtures and the differential harness.  ``precomputed``
+    backend, the golden fixtures and the scenario matrix.  ``precomputed``
     optionally carries a ``(projected, intersections)`` pair — RTGS reuses the
     Step 1-2 results across the iterations of a pruning window (Sec. 4.1);
     passing them skips projection, tile intersection and sorting.

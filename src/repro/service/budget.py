@@ -11,7 +11,7 @@ the victim is the globally coldest entry, whichever tenant owns it.
 Evicting an entry can never corrupt in-flight work: already-planned work
 units hold direct references to their entries, so budget pressure only costs
 the evicted view a rebuild (a ``miss``) on its next lookup — the bitwise
-guarantee is pinned by the differential runner's service phase.
+guarantee is pinned by the scenario matrix's ``service`` cells.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ of letting every tenant monopolise a private backend:
   same pool.
   Either way the per-view outputs are bitwise-identical to a private solo
   engine — grouping work units into rounds never changes a view's pixels
-  (pinned by the differential runner's service phase).
+  (pinned by the scenario matrix's ``service`` cells).
 
 * **Weighted-fair queuing.**  Stride scheduling over per-session ``pass``
   values: each round elects the backlogged session with the smallest pass

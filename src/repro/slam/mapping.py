@@ -222,8 +222,8 @@ class StreamingMapper:
 
         if pipelined:
             # Barrier before structural mutation: nothing speculative may
-            # outlive this mapping call (the matrix and the differential
-            # harness rely on per-call isolation).
+            # outlive this mapping call (the scenario matrix's mapper cells
+            # rely on per-call isolation).
             self.engine.drain()
         n_pruned = self._prune_transparent(cloud)
         return MappingResult(

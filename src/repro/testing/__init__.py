@@ -1,20 +1,14 @@
-"""Differential and golden verification harness for the rendering pipeline.
+"""Equivalence and golden verification harness for the rendering pipeline.
 
 This package is the repo's testing subsystem: deterministic render scenarios
-(:mod:`repro.testing.scenarios`), a differential runner that proves the flat
-fragment-list rasterizer equivalent to the reference per-tile backend
-(:mod:`repro.testing.differential`), and golden ``.npz`` fixtures pinning the
+(:mod:`repro.testing.scenarios`), golden ``.npz`` fixtures pinning the
 reference outputs (:mod:`repro.testing.golden`, regenerated via
-``python -m repro.testing.regold``), and the cross-backend scenario matrix
+``python -m repro.testing.regold``), and the scenario matrix
 (:mod:`repro.testing.matrix`, runnable via ``python -m repro.testing.matrix``)
-sweeping every scenario against backend/cache/batch/mapping axes.
+— the one equivalence harness — which checks every scenario across the
+backend/cache/batch/mapping axes against the direct implementations.
 """
 
-from repro.testing.differential import (
-    GRADIENT_FIELDS,
-    DifferentialRunner,
-    ScenarioReport,
-)
 from repro.testing.golden import (
     GOLDEN_ATOL,
     GOLDEN_DIR,
@@ -38,6 +32,9 @@ from repro.testing.scenarios import (
 # mapper-adjacent machinery stays off the import path until actually used.
 _MATRIX_EXPORTS = (
     "AXES",
+    "FORWARD_TOL",
+    "GRADIENT_FIELDS",
+    "GRAD_TOL",
     "MatrixCell",
     "MatrixOptions",
     "ScenarioCellResult",
@@ -58,17 +55,17 @@ __all__ = [
     "ADVERSARIAL_LIBRARY",
     "AXES",
     "DEFAULT_LIBRARY",
-    "DifferentialRunner",
+    "FORWARD_TOL",
     "GOLDEN_ATOL",
     "GOLDEN_DIR",
     "GRADIENT_FIELDS",
+    "GRAD_TOL",
     "MatrixCell",
     "MatrixOptions",
     "Scenario",
     "ScenarioCellResult",
     "ScenarioLibrary",
     "ScenarioMatrix",
-    "ScenarioReport",
     "SceneSpec",
     "compare_to_golden",
     "golden_path",

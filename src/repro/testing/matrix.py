@@ -1,4 +1,4 @@
-"""Cross-backend scenario matrix: every scenario × every engine configuration.
+"""The equivalence harness: every scenario × every engine configuration.
 
 The :class:`ScenarioMatrix` declaratively crosses the merged scenario library
 (:func:`repro.testing.scenarios.matrix_library` — behavioural corners plus the
@@ -9,51 +9,73 @@ adversarial growth set) against four execution axes:
   double-buffered pipelining over the sharded pool — its mapper cells
   exercise the speculate/consume/discard machinery end-to-end);
 * ``cache`` — geometry cache ``off`` / ``on``: render cells pass the
-  engine's cache in; mapper cells run on a cache-enabled engine, which the
-  mapper never consults, so they pin that it stays exact;
+  engine's cache in and run it through every invalidation path, service
+  cells open cache-on sessions, and mapper cells run on a cache-enabled
+  engine, which the mapper never consults, so they pin that it stays exact;
 * ``batch`` — ``single`` view / ``multi`` view
   (:meth:`repro.engine.RenderEngine.render_batch`);
-* ``mapping`` — a direct ``render`` or a short
+* ``mapping`` — a direct ``render``, a short
   :class:`repro.slam.mapping.StreamingMapper` window driven end-to-end
-  through the cell's engine.
+  through the cell's engine, or ``service``: interleaved
+  :class:`repro.service.RenderService` sessions over the cell's backend.
 
-Each cell executes through a pinned :class:`repro.engine.RenderEngine` and is
-compared against the memoized **flat cache-off reference** of the same
-workload shape, recording a structured :class:`ScenarioCellResult` — status,
-max abs diff, the tolerance it was judged against, wall-clock and the
-per-view :class:`~repro.slam.records.WorkloadSnapshot` attribution.
+Every render and service cell is compared against the **direct
+implementation** the engine wraps — ``rasterize_flat`` (``rasterize_tile``
+for tile cells), then ``rasterize_backward``, then ``preprocess_backward`` —
+under a loss seeded by :func:`repro.utils.random.derive_seed` from the
+workload (scenario, cloud state and view index), so every backend and
+cache setting of one workload backprops the same loss against one memoized
+reference.  Cache-on cells are held to that cache-off reference too: every
+cache tier is exact.  A multi-view batch is compared view by view against N
+sequential single-view renders, its fused backward bitwise against
+``preprocess_backward_batch`` over the sequential views' screen-space
+gradients and within :data:`GRAD_TOL` against the sum of their per-view
+gradients.  Gradients cover every :data:`GRADIENT_FIELDS` entry and the
+per-view pose twists.  Cache-on render cells repeat the check through a
+mutation sequence (:func:`cache_rounds`), each round with its expected
+cache status: miss, hit, two appearance-only refreshes, then — on
+single-view cells — an Adam-style step, densify, prune, mask and
+``remove_inactive``.  Service cells open :data:`N_SERVICE_SESSIONS`
+sessions with round quantum :data:`SERVICE_ROUND_QUANTUM`, submit every job
+before consuming any result, and check each session's batch — forward and
+fused backward — against its solo direct reference (cache-on: a miss
+round, then a hit round).  Mapper cells compare their final cloud, losses and densify/prune
+counts against the flat cache-off mapper run.  Each cell records a
+structured :class:`ScenarioCellResult` — status, max abs diff, the
+tolerance it was judged against, wall-clock and the per-view
+:class:`~repro.slam.records.WorkloadSnapshot` attribution.
+
+Tolerances: flat, sharded and async cells must match **bitwise** (tolerance
+0 — same work units, and every cache tier is exact).  Tile cells match a
+direct ``rasterize_tile`` bitwise and the flat reference within
+:data:`FORWARD_TOL` (forward) and :data:`GRAD_TOL` (gradients), per-pixel and
+per-subtile fragment counts equal.
 
 Cells a backend *cannot* execute are skipped with a machine-readable reason
 instead of silently running a substitute:
 
 * ``capability:*`` — the backend's typed capabilities report ``cache=False``
-  / ``batch=False`` (e.g. tile batch cells, where the engine would silently
-  fall back to a flat batch and the cell would not exercise tile; sharded
-  cache-on cells execute — planned in the parent, rasterized on the pool,
-  drawing faults under a fault schedule — so tile is the only backend
-  skipping cache cells);
+  / ``batch=False`` (e.g. tile batch, mapper and service cells, where the
+  engine would silently fall back to a flat batch and the cell would not
+  exercise tile; tile is also the only backend skipping cache cells);
 * ``backend-unavailable:*`` — :meth:`repro.engine.RenderEngine.availability`
   reported a config/host limitation (e.g. the sharded backend resolving to
   fewer than two worker processes, with the knob and core count named).
-
-Tolerances are inherited from :class:`repro.testing.differential
-.DifferentialRunner` and documented per cell: flat and sharded cells must
-match the reference **bitwise** (tolerance 0 — same work units, and every
-cache tier is bit-identical); tile cells inherit ``forward_tol`` (reduction
-regrouping).
 
 A matrix constructed with a ``fault_schedule`` (the
 :mod:`repro.engine.faults` grammar, also reachable via ``--faults`` or the
 ``REPRO_SHARD_FAULTS`` environment variable) runs every cell with that fault
 plan active, its random seed re-derived per cell
-(:meth:`ScenarioMatrix.fault_plan_for`): sharded cells exercise the
-fault path (pool close plus serial parent execution of the lost views) and
-must still pass their bitwise gates, and each cell's fault-event counts land in
-the attribution of the markdown/JSON reports — this is the CI ``chaos`` job.
+(:meth:`ScenarioMatrix.fault_plan_for`): sharded and async cells exercise
+the fault path (pool close plus serial parent execution of the lost views)
+and must still pass their bitwise gates, and each cell's fault-event counts
+land in the attribution of the markdown/JSON reports — this is the CI
+``chaos`` job.
 
 CLI::
 
     python -m repro.testing.matrix --filter backend=sharded
+    python -m repro.testing.matrix --filter mapping=service
     python -m repro.testing.matrix --tier long --markdown matrix.md --json matrix.json
     python -m repro.testing.matrix --faults "random:1234:0.25" --filter backend=sharded,async
 """
@@ -70,16 +92,47 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.engine import EngineConfig, FaultPlan, RenderEngine, fault_plan
-from repro.testing.differential import DifferentialRunner, _max_abs_diff
+from repro.gaussians.backward import (
+    preprocess_backward,
+    preprocess_backward_batch,
+    rasterize_backward,
+)
+from repro.gaussians.fast_raster import rasterize_flat
+from repro.gaussians.gaussian_model import GaussianCloud
+from repro.gaussians.rasterizer import rasterize_tile
 from repro.testing.scenarios import ScenarioLibrary, SceneSpec, matrix_library
 from repro.utils.random import derive_seed
+
+# Tile vs flat: the reference loop regroups reductions, so its forward
+# outputs and gradients agree with the flat path to these bounds only.
+FORWARD_TOL = 1e-10
+GRAD_TOL = 1e-8
+
+GRADIENT_FIELDS = (
+    "positions",
+    "log_scales",
+    "rotations",
+    "opacity_logits",
+    "colors",
+    "cov3d",
+    "pose_twist",
+    "per_gaussian_pose",
+)
+_FORWARD_FIELDS = ("image", "depth", "alpha")
+# CacheStats counter of each per-view cache status.
+_TIER_COUNTERS = {"hit": "hits", "refresh": "refreshes", "miss": "misses"}
+
+# Service cells: that many interleaved tenants, each round a sub-batch of at
+# most this many units, so multi-view jobs genuinely interleave.
+N_SERVICE_SESSIONS = 3
+SERVICE_ROUND_QUANTUM = 2
 
 # The declarative axes every scenario is crossed against, in display order.
 AXES: dict[str, tuple[str, ...]] = {
     "backend": ("tile", "flat", "sharded", "async"),
     "cache": ("off", "on"),
     "batch": ("single", "multi"),
-    "mapping": ("render", "mapper"),
+    "mapping": ("render", "mapper", "service"),
 }
 
 TIERS = ("fast", "long")
@@ -102,7 +155,7 @@ SCENARIO_OPTIONS: dict[str, MatrixOptions] = {
     "mixed_resolution": MatrixOptions(n_views=3),
     # Distorted per-view intrinsics stay pinhole-projected, so every cell
     # keeps its backend's documented tolerance (bitwise flat/sharded,
-    # forward_tol on tile) — tolerance_for needs no scenario carve-out.
+    # FORWARD_TOL on tile) — tolerance_for needs no scenario carve-out.
     "camera_distortion": MatrixOptions(n_views=3),
     # All six row-band poses of the readout in one window: multi cells batch
     # the full intra-frame motion, mapper cells speculate across it.
@@ -119,7 +172,7 @@ class MatrixCell:
     backend: str
     cache: str  # "off" | "on"
     batch: str  # "single" | "multi"
-    mapping: str  # "render" | "mapper"
+    mapping: str  # "render" | "mapper" | "service"
     tier: str = "fast"
 
     @property
@@ -151,8 +204,8 @@ class ScenarioCellResult:
     cell: MatrixCell
     status: str  # "pass" | "fail" | "skip"
     skip_reason: str | None = None  # machine-readable, always set for skips
-    max_abs_diff: float = 0.0  # worst diff vs the flat cache-off reference
-    tolerance: float = 0.0  # the documented tolerance the diff was judged against
+    max_abs_diff: float = 0.0  # worst diff judged against ``tolerance``
+    tolerance: float = 0.0  # the documented tolerance of the cell
     wall_seconds: float = 0.0
     n_fragments: int = 0
     n_views: int = 1
@@ -177,9 +230,19 @@ class ScenarioCellResult:
         return [sharding for sharding in self.shardings if sharding is not None]
 
     @property
+    def _events(self) -> list[dict]:
+        return [event for sharding in self._executed for event in sharding.fault_events]
+
+    @property
     def fault_events(self) -> int:
-        """Total fault events of this cell's batches (0 on a healthy run)."""
-        return sum(len(sharding.fault_events) for sharding in self._executed)
+        """Fault events of this cell's batches (0 on a healthy run).
+
+        A backward that finds its batch rotated out of the workers heals in
+        the parent and logs a ``stale-handle`` event; interleaved service
+        sessions do that routinely, so those are counted apart
+        (:meth:`attribution`).
+        """
+        return sum(event["event"] != "stale-handle" for event in self._events)
 
     def attribution(self) -> dict[str, object]:
         """Workload and execution summary of the cell (JSON-friendly)."""
@@ -193,6 +256,7 @@ class ScenarioCellResult:
             "cache_statuses": statuses,
             "faults": {
                 "events": self.fault_events,
+                "stale_handles": len(self._events) - self.fault_events,
                 "escalated_views": sum(len(s.escalated_views) for s in executed),
             },
         }
@@ -219,39 +283,122 @@ class ScenarioCellResult:
         }
 
 
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return float("inf")
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)))
+
+
+def cache_rounds(cloud: GaussianCloud, structural: bool = True):
+    """Mutate ``cloud`` through the cache's reuse tiers and invalidation paths.
+
+    Yields ``(label, expected cache status)`` after each step: a first
+    lookup (miss), a repeat (hit), two appearance-only steps (refresh), then
+    — with ``structural`` — an Adam-style step that moves geometry, densify,
+    prune, mask and ``remove_inactive`` (the ``notify_removed`` path), each
+    a miss.  The parameter steps need a non-empty cloud and are skipped on
+    an empty one.
+    """
+    yield "initial", "miss"
+    yield "repeat", "hit"
+    rng = np.random.default_rng(97)
+    n = len(cloud)
+    if n:
+        cloud.apply_parameter_step(d_opacity_logits=rng.normal(0.0, 0.05, size=n))
+        yield "opacity-step", "refresh"
+        cloud.apply_parameter_step(d_colors=rng.normal(0.0, 0.02, size=(n, 3)))
+        yield "color-step", "refresh"
+    if not structural:
+        return
+    if n:
+        cloud.apply_parameter_step(
+            d_positions=rng.normal(0.0, 1e-3, size=(n, 3)),
+            d_log_scales=rng.normal(0.0, 1e-3, size=(n, 3)),
+            d_opacity_logits=rng.normal(0.0, 0.05, size=n),
+            d_colors=rng.normal(0.0, 0.02, size=(n, 3)),
+        )
+        yield "adam-step", "miss"
+    cloud.extend(
+        GaussianCloud.from_points(
+            np.array([[0.05, -0.03, 0.08], [-0.1, 0.06, 0.2]]),
+            np.array([[0.8, 0.3, 0.2], [0.2, 0.6, 0.9]]),
+            scale=0.12,
+            opacity=0.75,
+        )
+    )
+    yield "densify", "miss"
+    cloud.remove(np.array([len(cloud) - 1]))
+    yield "prune", "miss"
+    cloud.mask(np.array([0]))
+    yield "mask", "miss"
+    cloud.remove_inactive()
+    yield "remove-inactive", "miss"
+
+
+@dataclass(frozen=True)
+class _ReferenceView:
+    """One view through the direct implementation: what a cell is compared on."""
+
+    image: np.ndarray
+    depth: np.ndarray
+    alpha: np.ndarray
+    fragments_per_pixel: np.ndarray
+    fragments_per_subtile: np.ndarray
+    loss: tuple  # (dL_dimage, dL_ddepth)
+    screen: object  # ScreenSpaceGradients of rasterize_backward under ``loss``
+    gradients: object  # CloudGradients of preprocess_backward on ``screen``
+
+
+@dataclass
+class _Reference:
+    """The direct implementation over one window of views."""
+
+    views: list  # _ReferenceViews, rendered one view at a time
+    fused: object  # CloudGradients of preprocess_backward_batch over the views
+    twists: np.ndarray  # (V, 6) per-view pose twists of the fused pass
+    summed: dict  # GRADIENT_FIELDS name -> sum of the per-view gradients
+
+    @property
+    def losses(self) -> list:
+        return [view.loss for view in self.views]
+
+
 class ScenarioMatrix:
     """Execute scenario × configuration cells through pinned render engines.
 
-    ``shard_workers`` pins the sharded backend's worker-process count (two by
-    default, matching :class:`DifferentialRunner`) so sharded cells execute
-    their multi-process path even on small hosts; passing ``0`` lets the
-    backend's cpu-count default decide, in which case under-provisioned hosts
-    skip sharded cells with the machine-readable ``workers:...`` reason.
+    ``shard_workers`` pins the sharded and async backends' worker-process
+    count (two by default) so their cells execute the multi-process path
+    even on small hosts; passing ``0`` or ``None`` lets the backend's
+    cpu-count default decide, in which case under-provisioned hosts skip
+    those cells with the machine-readable ``workers:...`` reason.
     """
 
     def __init__(
         self,
         library: ScenarioLibrary | None = None,
-        runner: DifferentialRunner | None = None,
         shard_workers: int | None = 2,
         backends: tuple[str, ...] | None = None,
         fault_schedule: str | None = None,
     ):
         self.library = library if library is not None else matrix_library()
         self.shard_workers = shard_workers
-        self.runner = runner if runner is not None else DifferentialRunner(
-            n_shard_workers=shard_workers if shard_workers else 2
-        )
         self.backends = backends if backends is not None else AXES["backend"]
         # A repro.engine.faults schedule kept active while cells execute (the
         # chaos job): sharded cells must survive the faults and still pass
         # their gates.
         self.fault_schedule = fault_schedule
-        self._cache_engines: dict[str, RenderEngine] = {}
+        self._engines: dict[tuple[str, bool], RenderEngine] = {}
         self._specs: dict[str, SceneSpec] = {}
         self._frames: dict[str, list] = {}
-        self._render_refs: dict[tuple[str, str], list] = {}
+        self._orbits: dict[str, tuple[list, list]] = {}
         self._mapper_refs: dict[tuple[str, str], tuple] = {}
+        # Direct references of the scenario being swept (cells run scenario
+        # by scenario, so older scenarios' entries are dropped).
+        self._reference_scenario: str | None = None
+        self._references: dict[tuple, object] = {}
 
     # -- declarative enumeration --------------------------------------------
     def options_for(self, scenario: str) -> MatrixOptions:
@@ -294,30 +441,25 @@ class ScenarioMatrix:
         return cells
 
     # -- engines ------------------------------------------------------------
+    def config_for(self, backend: str, geom_cache: bool) -> EngineConfig:
+        """The engine config of ``backend`` cells (pinned worker count)."""
+        extra = (
+            {"shard_workers": self.shard_workers}
+            if backend in ("sharded", "async") and self.shard_workers
+            else {}
+        )
+        return EngineConfig(backend=backend, geom_cache=geom_cache, **extra)
+
     def engine_for(self, cell: MatrixCell) -> RenderEngine:
-        """The pinned engine executing ``cell`` (shared across same-config cells).
+        """The pinned engine of ``cell``'s configuration (shared across cells).
 
-        Cache-off cells share the :class:`DifferentialRunner` engines (the
-        very engines the per-scenario differential gates run through);
-        cache-on cells get a per-backend engine with a geometry cache.
+        Cache-on render cells mutate a private cloud through a fresh engine
+        instead, so every cell's rounds start from an empty cache.
         """
-        if not cell.cache_enabled:
-            return self.runner.engine_for(cell.backend)
-        if cell.backend not in self._cache_engines:
-            extra = (
-                {"shard_workers": self.shard_workers}
-                if cell.backend
-                in (self.runner.sharded_backend, self.runner.async_backend)
-                and self.shard_workers
-                else {}
-            )
-            self._cache_engines[cell.backend] = RenderEngine(
-                EngineConfig(backend=cell.backend, geom_cache=True, **extra)
-            )
-        return self._cache_engines[cell.backend]
-
-    def _reference_engine(self) -> RenderEngine:
-        return self.runner.engine_for(self.runner.candidate_backend)
+        key = (cell.backend, cell.cache_enabled)
+        if key not in self._engines:
+            self._engines[key] = RenderEngine(self.config_for(*key))
+        return self._engines[key]
 
     # -- capability-aware planning ------------------------------------------
     def plan_cell(self, cell: MatrixCell) -> str | None:
@@ -332,7 +474,7 @@ class ScenarioMatrix:
                 f"capability:no-cache-support (backend {cell.backend!r} reports "
                 "cache=False)"
             )
-        if (cell.batch == "multi" or cell.mapping == "mapper") and not (
+        if (cell.batch == "multi" or cell.mapping != "render") and not (
             capabilities.batch
         ):
             return (
@@ -345,12 +487,12 @@ class ScenarioMatrix:
     # -- tolerances ----------------------------------------------------------
     def tolerance_for(self, cell: MatrixCell) -> tuple[float, str]:
         """The documented tolerance of ``cell`` and why it applies."""
-        if cell.backend == self.runner.reference_backend:
+        if cell.backend == "tile":
             return (
-                self.runner.forward_tol,
-                "tile reduction regrouping (DifferentialRunner.forward_tol)",
+                FORWARD_TOL,
+                "tile reduction regrouping vs flat (bitwise vs rasterize_tile)",
             )
-        return 0.0, "bitwise (same work units as the flat reference)"
+        return 0.0, "bitwise (same work units as the direct implementation)"
 
     # -- memoized scenario state --------------------------------------------
     def spec(self, scenario: str) -> SceneSpec:
@@ -361,22 +503,20 @@ class ScenarioMatrix:
     def frames(self, scenario: str) -> list:
         """Synthetic keyframes of ``scenario``: reference renders as observations.
 
-        Each of the scenario's prescribed views is rendered once through the
-        flat cache-off reference engine; the resulting RGB-D images become
-        ground-truth observations for the mapper cells, so every cell's
-        mapper optimises against identical, deterministic targets.
+        Each of the scenario's prescribed views is rendered once with
+        ``rasterize_flat``; the resulting RGB-D images become ground-truth
+        observations for the mapper cells, so every cell's mapper optimises
+        against identical, deterministic targets.
         """
         if scenario not in self._frames:
             from repro.slam.frame import Frame
 
             spec = self.spec(scenario)
             n_frames = self.options_for(scenario).n_views
-            engine = self._reference_engine()
+            cameras, poses = self._orbit(scenario)
             frames = []
-            for index, (pose, camera) in enumerate(
-                zip(spec.view_poses(n_frames), spec.view_cameras(n_frames))
-            ):
-                observation = engine.render(
+            for index, (pose, camera) in enumerate(zip(poses[:n_frames], cameras)):
+                observation = rasterize_flat(
                     spec.cloud,
                     camera,
                     pose,
@@ -397,43 +537,104 @@ class ScenarioMatrix:
             self._frames[scenario] = frames
         return self._frames[scenario]
 
-    def _render_reference(self, scenario: str, batch: str) -> list:
-        """Flat cache-off reference views of the cell's exact workload shape.
-
-        ``single`` cells compare against one unmanaged flat render of the
-        base pose; ``multi`` cells against an unmanaged flat batch over the
-        scenario's prescribed views (``managed=False`` keeps the memoized
-        results off the engine's recycled arena).
-        """
-        key = (scenario, batch)
-        if key not in self._render_refs:
+    def _orbit(self, scenario: str) -> tuple[list, list]:
+        """Every view camera and pose any cell of ``scenario`` renders."""
+        if scenario not in self._orbits:
             spec = self.spec(scenario)
-            engine = self._reference_engine()
-            if batch == "single":
-                views = [
-                    engine.render(
-                        spec.cloud,
-                        spec.camera,
-                        spec.pose_cw,
-                        background=spec.background,
-                        tile_size=spec.tile_size,
-                        subtile_size=spec.subtile_size,
-                    )
-                ]
-            else:
-                n_views = self.options_for(scenario).n_views
-                reference = engine.render_batch(
-                    spec.cloud,
-                    spec.view_cameras(n_views),
-                    spec.view_poses(n_views),
-                    backgrounds=[spec.background] * n_views,
-                    tile_size=spec.tile_size,
-                    subtile_size=spec.subtile_size,
-                    managed=False,
-                )
-                views = list(reference.views)
-            self._render_refs[key] = views
-        return self._render_refs[key]
+            n_views = self.options_for(scenario).n_views + N_SERVICE_SESSIONS - 1
+            self._orbits[scenario] = (spec.view_cameras(n_views), spec.view_poses(n_views))
+        return self._orbits[scenario]
+
+    def _window(self, cell: MatrixCell, offset: int = 0) -> tuple[list, list]:
+        """The cameras and poses ``cell`` renders, starting ``offset`` views in."""
+        n_views = 1 if cell.batch == "single" else self.options_for(cell.scenario).n_views
+        cameras, poses = self._orbit(cell.scenario)
+        return cameras[offset : offset + n_views], poses[offset : offset + n_views]
+
+    def _reference(
+        self,
+        cell: MatrixCell,
+        cloud: GaussianCloud,
+        round_label: str,
+        offset: int = 0,
+        backend: str = "flat",
+    ) -> _Reference:
+        """The direct implementation of the cell's window, ``offset`` views in.
+
+        Each view renders alone through ``rasterize_flat`` (or
+        ``rasterize_tile``) and runs ``rasterize_backward`` and
+        ``preprocess_backward``; the fused pass is ``preprocess_backward_batch``
+        over the views' screen-space gradients.  Cache-on cells are held to
+        this cache-off reference: every cache tier is exact.  ``cloud`` must
+        be the scenario's cloud at ``round_label`` (:func:`cache_rounds`
+        mutates deterministically), so references are memoized and shared
+        by every cell that renders the same view in the same round.
+        """
+        if cell.scenario != self._reference_scenario:
+            self._reference_scenario = cell.scenario
+            self._references.clear()
+        n_views = len(self._window(cell)[1])
+        key = (cell.batch, offset, round_label, backend)
+        if key not in self._references:
+            views = [
+                self._reference_view(cell.scenario, cloud, round_label, index, backend)
+                for index in range(offset, offset + n_views)
+            ]
+            fused, twists = preprocess_backward_batch(
+                [view.screen for view in views], cloud, compute_pose_gradient=True
+            )
+            summed = {
+                name: sum(np.asarray(getattr(view.gradients, name)) for view in views)
+                for name in GRADIENT_FIELDS
+            }
+            self._references[key] = _Reference(
+                views=views, fused=fused, twists=twists, summed=summed
+            )
+        return self._references[key]
+
+    def _reference_view(
+        self, scenario: str, cloud: GaussianCloud, round_label: str, index: int, backend: str
+    ) -> _ReferenceView:
+        """View ``index`` of the scenario's orbit through the direct implementation.
+
+        The loss is seeded by :func:`derive_seed` from the scenario, the
+        cloud's state and the view index — not from the backend, cache or
+        window — so every cell that renders this view backprops the same
+        loss.  A repeat lookup renders the unchanged cloud of the first.
+        """
+        state = "initial" if round_label == "repeat" else round_label
+        key = (state, index, backend)
+        if key not in self._references:
+            spec = self.spec(scenario)
+            cameras, poses = self._orbit(scenario)
+            render = rasterize_tile if backend == "tile" else rasterize_flat
+            view = render(
+                cloud,
+                cameras[index],
+                poses[index],
+                background=spec.background,
+                tile_size=spec.tile_size,
+                subtile_size=spec.subtile_size,
+            )
+            rng = np.random.default_rng(
+                derive_seed(zlib.crc32(f"{scenario}/{state}".encode()), index)
+            )
+            loss = (
+                rng.uniform(-1.0, 1.0, size=view.image.shape),
+                rng.uniform(-1.0, 1.0, size=view.depth.shape),
+            )
+            screen = rasterize_backward(view, *loss, backend=backend)
+            self._references[key] = _ReferenceView(
+                image=view.image,
+                depth=view.depth,
+                alpha=view.alpha,
+                fragments_per_pixel=view.fragments_per_pixel,
+                fragments_per_subtile=view.fragments_per_subtile(),
+                loss=loss,
+                screen=screen,
+                gradients=preprocess_backward(screen, cloud, compute_pose_gradient=True),
+            )
+        return self._references[key]
 
     def _mapper_config(self, cell: MatrixCell, options: MatrixOptions):
         from repro.slam.mapping import MappingConfig
@@ -474,9 +675,9 @@ class ScenarioMatrix:
         """
         key = (cell.scenario, cell.batch)
         if key not in self._mapper_refs:
-            reference_cell = replace(cell, backend=self.runner.candidate_backend)
+            reference_cell = replace(cell, backend="flat", cache="off")
             self._mapper_refs[key] = self._run_mapper(
-                reference_cell, self._reference_engine()
+                reference_cell, self.engine_for(reference_cell)
             )
         return self._mapper_refs[key]
 
@@ -517,82 +718,270 @@ class ScenarioMatrix:
             with fault_plan(plan) if plan is not None else nullcontext():
                 if cell.mapping == "render":
                     self._execute_render_cell(cell, result)
+                elif cell.mapping == "service":
+                    self._execute_service_cell(cell, result)
                 else:
                     self._execute_mapper_cell(cell, result)
         except Exception as error:  # a crashing cell fails; the sweep continues
             result.failures.append(f"crashed: {error!r}")
         result.wall_seconds = time.perf_counter() - start
         result.status = "pass" if not result.failures else "fail"
+        if result.snapshots:
+            statuses = sorted({snap.cache_status for snap in result.snapshots})
+            result.notes += f"; cache_status={','.join(statuses)}"
         return result
 
     def _execute_render_cell(self, cell: MatrixCell, result: ScenarioCellResult) -> None:
         spec = self.spec(cell.scenario)
-        engine = self.engine_for(cell)
-        reference_views = self._render_reference(cell.scenario, cell.batch)
-        # Cache-on cells pass the engine's cache in: no engine path consults
-        # it on its own.
+        if not cell.cache_enabled:
+            self._check_round(cell, result, self.engine_for(cell), spec.cloud, "initial")
+            return
+        # Cache on: a fresh engine and a private cloud copy, so the rounds'
+        # statuses do not depend on what earlier cells left in a cache.  A
+        # batch looks every view up through the same cache tiers as a single
+        # render, so the structural invalidations run on single-view cells
+        # and multi-view cells stop after the reuse tiers.
+        engine = RenderEngine(self.config_for(cell.backend, geom_cache=True))
+        cloud = spec.cloud.copy()
+        for round_label, expected in cache_rounds(cloud, structural=cell.batch == "single"):
+            self._check_round(cell, result, engine, cloud, round_label, expected)
+
+    def _check_round(
+        self,
+        cell: MatrixCell,
+        result: ScenarioCellResult,
+        engine: RenderEngine,
+        cloud: GaussianCloud,
+        round_label: str,
+        expected_status: str = "uncached",
+    ) -> None:
+        """Render and backprop the cell's window through ``engine``; check it all."""
+        spec = self.spec(cell.scenario)
+        cameras, poses = self._window(cell)
+        kwargs = dict(tile_size=spec.tile_size, subtile_size=spec.subtile_size)
         cache = engine.cache if cell.cache_enabled else None
+        direct = self._reference(
+            cell, cloud, round_label, backend="tile" if cell.backend == "tile" else "flat"
+        )
+        dL_dimages = [image for image, _ in direct.losses]
+        dL_ddepths = [depth for _, depth in direct.losses]
+        before = engine.cache_stats().as_dict() if cache is not None else None
         if cell.batch == "single":
-            renders = [
+            views = [
                 engine.render(
-                    spec.cloud,
-                    spec.camera,
-                    spec.pose_cw,
-                    background=spec.background,
-                    tile_size=spec.tile_size,
-                    subtile_size=spec.subtile_size,
-                    cache=cache,
+                    cloud, cameras[0], poses[0], background=spec.background,
+                    cache=cache, **kwargs,
                 )
             ]
         else:
-            n_views = self.options_for(cell.scenario).n_views
             batch = engine.render_batch(
-                spec.cloud,
-                spec.view_cameras(n_views),
-                spec.view_poses(n_views),
-                backgrounds=[spec.background] * n_views,
-                tile_size=spec.tile_size,
-                subtile_size=spec.subtile_size,
-                cache=cache,
-                managed=False,
+                cloud, cameras, poses, backgrounds=[spec.background] * len(poses),
+                cache=cache, managed=False, **kwargs,
             )
-            renders = list(batch.views)
+            views = list(batch.views)
             result.shardings.append(batch.sharding)
-        result.n_views = len(renders)
-        result.n_fragments = sum(view.n_fragments for view in renders)
-        statuses = sorted({view.cache_status for view in renders})
-        result.notes += f"; cache_status={','.join(statuses)}"
-        for index, (view, reference) in enumerate(zip(renders, reference_views)):
-            label = f"view {index}"
-            for name in ("image", "depth", "alpha"):
-                diff = _max_abs_diff(getattr(view, name), getattr(reference, name))
-                result.max_abs_diff = max(result.max_abs_diff, diff)
-                if not diff <= result.tolerance:
-                    result.failures.append(
-                        f"{label}: {name} diff {diff:.3e} exceeds tolerance "
-                        f"{result.tolerance:.1e} vs the flat reference"
-                    )
+        label = f"{round_label}: " if cell.cache_enabled else ""
+        if cache is not None:
+            # The cache's tier counters must move exactly as the statuses say
+            # (a pooled batch folds its lookups back into the parent cache).
+            after = engine.cache_stats().as_dict()
+            counted = {name: after[name] - before[name] for name in _TIER_COUNTERS.values()}
+            statuses = [_TIER_COUNTERS.get(view.cache_status) for view in views]
+            if counted != {name: statuses.count(name) for name in _TIER_COUNTERS.values()}:
+                result.failures.append(
+                    f"{label}cache tier counts moved by {counted}, statuses "
+                    f"{[view.cache_status for view in views]}"
+                )
+        # Tile cells are bitwise against rasterize_tile; their own tolerance
+        # is the one against flat, below.
+        own = 0.0 if cell.backend == "tile" else None
+        self._check_forward(result, label, views, direct.views, expected_status, own)
+        if cell.batch == "single":
+            grads = engine.backward(views[0], cloud, dL_dimages[0], dL_ddepths[0])
+            self._check_gradients(result, label, grads, direct.views[0].gradients, own)
+        else:
+            fused = engine.backward_batch(
+                batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
+            )
+            self._check_fused(result, label, fused, direct)
+        if cell.backend == "tile":
+            # Same loss: a reference view's loss depends on neither backend.
+            flat = self._reference(cell, cloud, round_label)
+            self._check_forward(result, f"{label}vs flat: ", views, flat.views, expected_status)
+            self._check_gradients(
+                result, f"{label}vs flat: ", grads, flat.views[0].gradients, tolerance=GRAD_TOL
+            )
             if not np.array_equal(
-                view.fragments_per_pixel, reference.fragments_per_pixel
+                views[0].fragments_per_subtile(), flat.views[0].fragments_per_subtile
             ):
                 result.failures.append(
-                    f"{label}: per-pixel fragment counts differ from the flat reference"
+                    f"{label}vs flat: per-subtile fragment counts differ"
                 )
-            result.snapshots.append(
-                engine.snapshot(
-                    view,
-                    None,
-                    stage="matrix",
-                    frame_index=0,
-                    iteration=0,
-                    is_keyframe=True,
-                    loss=0.0,
-                    n_gaussians_total=spec.cloud.n_total,
-                    n_gaussians_active=spec.cloud.n_active,
-                    batch_size=len(renders),
-                    view_index=index,
-                )
+        for index, view in enumerate(views):
+            result.snapshots.append(self._snapshot(engine, cloud, view, index, len(views)))
+        result.n_views = len(views)
+        result.n_fragments = sum(view.n_fragments for view in views)
+
+    def _execute_service_cell(self, cell: MatrixCell, result: ScenarioCellResult) -> None:
+        """Interleaved service sessions, each bitwise against its solo reference.
+
+        Every session submits its job before any result is consumed, so the
+        weighted-fair scheduler interleaves the tenants' units over the
+        backend.  Each session renders its own window (shifted by one view
+        per session, so cross-session contamination cannot hide behind
+        identical inputs).  The backward runs after all jobs of the round
+        completed: on the pool, later rounds may have rotated a session's
+        batch out of the workers, which the backward heals in the parent.
+        """
+        from repro.service import RenderService
+
+        spec = self.spec(cell.scenario)
+        windows = [self._window(cell, offset=s) for s in range(N_SERVICE_SESSIONS)]
+        n_views = len(windows[0][1])
+        service = RenderService(
+            self.config_for(cell.backend, cell.cache_enabled),
+            round_quantum=SERVICE_ROUND_QUANTUM,
+        )
+        try:
+            sessions = [
+                service.open_session(f"session-{s}") for s in range(N_SERVICE_SESSIONS)
+            ]
+            rounds = (
+                (("initial", "miss"), ("repeat", "hit"))
+                if cell.cache_enabled
+                else (("initial", "uncached"),)
             )
+            for round_label, expected in rounds:
+                jobs = [
+                    session.submit(
+                        spec.cloud, cameras, poses,
+                        backgrounds=[spec.background] * n_views,
+                        tile_size=spec.tile_size, subtile_size=spec.subtile_size,
+                    )
+                    for session, (cameras, poses) in zip(sessions, windows)
+                ]
+                batches = [job.result() for job in jobs]
+                result.n_fragments = sum(
+                    view.n_fragments for batch in batches for view in batch.views
+                )
+                for s, (session, batch, (cameras, poses)) in enumerate(
+                    zip(sessions, batches, windows)
+                ):
+                    label = f"{round_label}: session {s}: "
+                    result.shardings.append(batch.sharding)
+                    direct = self._reference(cell, spec.cloud, round_label, offset=s)
+                    self._check_forward(result, label, batch.views, direct.views, expected)
+                    fused = session.backward_batch(
+                        batch, spec.cloud,
+                        [image for image, _ in direct.losses],
+                        [depth for _, depth in direct.losses],
+                        compute_pose_gradient=True,
+                    )
+                    self._check_fused(result, label, fused, direct)
+                    for index, view in enumerate(batch.views):
+                        result.snapshots.append(
+                            self._snapshot(session.engine, spec.cloud, view, index, n_views)
+                        )
+            if n_views > SERVICE_ROUND_QUANTUM and not any(
+                units < n_views for _session, units in service.dispatch_log
+            ):
+                result.failures.append(
+                    "the dispatch log shows no sub-batch rounds: the sessions "
+                    "were not interleaved"
+                )
+        finally:
+            service.close()
+        result.n_views = N_SERVICE_SESSIONS * n_views
+
+    # -- comparisons ---------------------------------------------------------
+    @staticmethod
+    def _check(result, label: str, actual, expected, tolerance: float | None) -> None:
+        """Fail ``result`` when ``|actual - expected|`` exceeds the tolerance.
+
+        ``tolerance=None`` judges against the cell's own tolerance and feeds
+        the reported ``max_abs_diff``; an explicit one only fails.
+        """
+        diff = _max_abs_diff(actual, expected)
+        if tolerance is None:
+            tolerance = result.tolerance
+            result.max_abs_diff = max(result.max_abs_diff, diff)
+        if not diff <= tolerance:
+            result.failures.append(
+                f"{label}diff {diff:.3e} exceeds tolerance {tolerance:.1e}"
+            )
+
+    def _check_forward(
+        self, result, label: str, views, references, expected_status: str,
+        tolerance: float | None = None,
+    ) -> None:
+        """Forward outputs, fragment counts and cache statuses, view by view.
+
+        The statuses are judged against the round's expected status rather
+        than the sequential reference's: a batch plans every view before it
+        stores any, so a pose repeated within one window misses twice in a
+        batch but hits on the second sequential lookup.
+        """
+        if len(views) != len(references):
+            result.failures.append(
+                f"{label}{len(views)} views, expected {len(references)}"
+            )
+        for index, (view, reference) in enumerate(zip(views, references)):
+            prefix = f"{label}view {index}: "
+            for name in _FORWARD_FIELDS:
+                self._check(
+                    result, f"{prefix}{name} ", getattr(view, name),
+                    getattr(reference, name), tolerance,
+                )
+            if not np.array_equal(view.fragments_per_pixel, reference.fragments_per_pixel):
+                result.failures.append(f"{prefix}per-pixel fragment counts differ")
+            if view.cache_status != expected_status:
+                result.failures.append(
+                    f"{prefix}cache status {view.cache_status!r}, expected "
+                    f"{expected_status!r}"
+                )
+
+    def _check_gradients(
+        self, result, label: str, grads, reference, tolerance: float | None
+    ) -> None:
+        for name in GRADIENT_FIELDS:
+            self._check(
+                result, f"{label}gradient {name} ", getattr(grads, name),
+                getattr(reference, name), tolerance,
+            )
+
+    def _check_fused(self, result, label: str, fused, direct: _Reference) -> None:
+        """A fused backward: bitwise against the direct fused pass, and within
+        ``GRAD_TOL`` of the sum of the per-view gradients."""
+        self._check_gradients(result, f"{label}fused ", fused.cloud, direct.fused, None)
+        self._check(
+            result, f"{label}per-view pose twists ", fused.per_view_pose_twists,
+            direct.twists, None,
+        )
+        for name, summed in direct.summed.items():
+            self._check(
+                result, f"{label}fused vs per-view sum: gradient {name} ",
+                getattr(fused.cloud, name), summed, GRAD_TOL,
+            )
+        self._check(
+            result, f"{label}fused vs per-view: pose twists ", fused.per_view_pose_twists,
+            np.stack([view.gradients.pose_twist for view in direct.views]), GRAD_TOL,
+        )
+
+    @staticmethod
+    def _snapshot(engine: RenderEngine, cloud: GaussianCloud, view, index: int, n_views: int):
+        return engine.snapshot(
+            view,
+            None,
+            stage="matrix",
+            frame_index=0,
+            iteration=0,
+            is_keyframe=True,
+            loss=0.0,
+            n_gaussians_total=cloud.n_total,
+            n_gaussians_active=cloud.n_active,
+            batch_size=n_views,
+            view_index=index,
+        )
 
     def _execute_mapper_cell(self, cell: MatrixCell, result: ScenarioCellResult) -> None:
         cloud, mapped = self._run_mapper(cell, self.engine_for(cell))

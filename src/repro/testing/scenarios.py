@@ -1,4 +1,4 @@
-"""Deterministic render scenarios for differential and golden testing.
+"""Deterministic render scenarios for the scenario matrix and golden testing.
 
 Every scenario is a fully reproducible scene (cloud + camera + pose +
 background + tiling): building the same scenario twice yields bitwise
@@ -324,8 +324,8 @@ def _ragged_tiles() -> SceneSpec:
 # Gaussians, sparse and trajectory-driven multi-view batches, mixed camera
 # resolutions, and a churn scene whose mapper cells densify/prune mid-window.
 # They live in their own library (not ``DEFAULT_LIBRARY``) so the committed
-# golden fixtures and the per-scenario differential gates keep their exact
-# historical scope; :func:`matrix_library` merges both for matrix consumers.
+# golden fixtures keep their exact historical scope; :func:`matrix_library`
+# merges both for matrix consumers.
 # ---------------------------------------------------------------------------
 
 ADVERSARIAL_LIBRARY = ScenarioLibrary()

@@ -28,13 +28,13 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
 
 
 def derive_seed(base: int | None, worker_id: int) -> int:
-    """Derive a deterministic per-worker seed from ``base`` and ``worker_id``.
+    """Derive a deterministic seed from ``base`` and an index ``worker_id``.
 
-    Used by the ``sharded`` render backend's pool initializer: every worker
-    process seeds its generators from ``derive_seed(base, worker_id)``, so a
-    sharded run is reproducible regardless of how views are scheduled across
-    workers or in which order workers start.  ``base=None`` uses the
-    library-wide default seed.  Distinct ``(base, worker_id)`` pairs produce
+    Used where one seed must fan out into independent draws:
+    :class:`repro.engine.FaultPlan` draws each (operation, worker) site of a
+    random fault schedule from it, and the scenario matrix derives each
+    cell's fault seed and each reference view's loss from it.  ``base=None``
+    uses the library-wide default seed.  Distinct ``(base, worker_id)`` pairs produce
     decorrelated seeds (via ``numpy.random.SeedSequence``), and the function
     is pure: it does not consume entropy from any shared generator.
     """

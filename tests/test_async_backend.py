@@ -10,11 +10,13 @@ reading the :class:`~repro.slam.pipeline.PublicationBoard` while a mapper
 thread mutates and republishes the live cloud can never observe a
 half-updated snapshot.
 
-The engines here run with ``shard_workers=0`` on purpose: the sharded inner
-backend degrades to the serial flat path, so the speculation machinery
-(threads, keys, arenas, stats) is exercised without paying worker-pool
-startup per test.  Real-pool bitwise equivalence is pinned by the
-differential harness (``verify_async``) and the scenario matrix.
+The lifecycle engines run with ``shard_workers=0`` on purpose: the sharded
+inner backend degrades to the serial flat path, so the speculation
+machinery (threads, keys, arenas, stats) is exercised without paying
+worker-pool startup per test.  ``TestOnTheWorkerPool`` repeats consume,
+discard and drain over a real two-worker pool, bitwise against flat down
+to the fragment counts; the scenario matrix's async cells pin plain
+batches, their fused backward and speculation inside the mapper.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ def _assert_batches_equal(actual, expected):
         assert np.array_equal(got.image, want.image)
         assert np.array_equal(got.depth, want.depth)
         assert np.array_equal(got.alpha, want.alpha)
+        assert np.array_equal(got.fragments_per_pixel, want.fragments_per_pixel)
 
 
 class TestSpeculationLifecycle:
@@ -220,6 +223,43 @@ class TestSpeculationLifecycle:
             active_only=True, cache=None,
         )
         assert bumped != key
+
+
+class TestOnTheWorkerPool:
+    """Speculation over a real two-worker pool: every phase bitwise to flat."""
+
+    def test_consume_discard_and_drain_are_bitwise(self):
+        spec = DEFAULT_LIBRARY.get("dense_random").build()
+        cameras, poses = _window(spec)
+        engine = RenderEngine(EngineConfig(backend="async", geom_cache=False, shard_workers=2))
+        flat = _render_batch(_flat_engine(), spec, cameras, poses)
+
+        # Speculate -> consume: the early result is adopted as is.
+        handle = _speculate(engine, spec, cameras, poses)
+        batch = _render_batch(engine, spec, cameras, poses)
+        assert handle.consumed
+        assert batch.sharding is not None and batch.sharding.n_workers == 2
+        _assert_batches_equal(batch, flat)
+        engine.release(batch)
+
+        # A content-free epoch bump between speculation and render discards.
+        handle = _speculate(engine, spec, cameras, poses)
+        spec.cloud.bump_epoch()
+        batch = _render_batch(engine, spec, cameras, poses)
+        assert handle.status == "discarded"
+        _assert_batches_equal(batch, flat)
+        engine.release(batch)
+
+        # drain() retires the pending speculation; the next render is plain.
+        handle = _speculate(engine, spec, cameras, poses)
+        engine.drain()
+        assert handle.status == "drained"
+        batch = _render_batch(engine, spec, cameras, poses)
+        _assert_batches_equal(batch, flat)
+        engine.release(batch)
+        assert engine.backend().stats == {
+            "speculated": 3, "consumed": 1, "discarded": 1, "drained": 1,
+        }
 
 
 # ---------------------------------------------------------------------------

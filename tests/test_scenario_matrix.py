@@ -3,9 +3,10 @@
 ``test_matrix_cell`` parametrizes over every fast-tier cell of
 :class:`repro.testing.matrix.ScenarioMatrix`, so each (scenario, backend,
 cache, batch, mapping) point is an individually reportable test: executed
-cells must match their flat reference within the cell's documented tolerance,
-and skipped cells must carry a machine-readable reason (capability or
-availability) — an unexplained skip is a failure, not a skip.
+cells must match their direct reference — forward, backward and cache
+statuses — within the cell's documented tolerance, and skipped cells must
+carry a machine-readable reason (capability or availability) — an
+unexplained skip is a failure, not a skip.
 
 The mechanics tests pin the matrix subsystem itself: axis coverage (>= 10
 scenarios x three backends x cache on/off), deterministic skip planning,
@@ -88,9 +89,9 @@ class TestMatrixCoverage:
                 assert covered == scenarios, f"{backend}/cache-{cache} misses scenarios"
 
     def test_every_scenario_has_executed_cells(self):
-        # Each scenario must actually execute on flat (all 8 cells), the tile
-        # reference (single render) and sharded (all 8 cells — cache-on render
-        # cells run serially in the parent against the engine's cache).
+        # Each scenario must actually execute on flat (all 12 cells), the tile
+        # reference (single render) and sharded (all 12 cells — cache-on
+        # cells plan in the parent and rasterize on the pool).
         for name in matrix_library().names():
             executed = {
                 (cell.backend, cell.cache, cell.batch, cell.mapping)
@@ -98,8 +99,8 @@ class TestMatrixCoverage:
                 if MATRIX.plan_cell(cell) is None
             }
             assert ("tile", "off", "single", "render") in executed
-            assert sum(1 for key in executed if key[0] == "flat") == 8
-            assert sum(1 for key in executed if key[0] == "sharded") == 8
+            assert sum(1 for key in executed if key[0] == "flat") == 12
+            assert sum(1 for key in executed if key[0] == "sharded") == 12
 
     def test_no_unexplained_skips_anywhere(self):
         for cell in MATRIX.cells(tier="all"):
@@ -123,11 +124,17 @@ class TestSkipPlanning:
         )
         assert reason is not None and reason.startswith("capability:no-batch-support")
         assert "silently substitute" in reason
+        # Mapper and service cells render batches too.
+        for mapping in ("mapper", "service"):
+            reason = MATRIX.plan_cell(
+                MatrixCell("single_gaussian", "tile", "off", "single", mapping)
+            )
+            assert reason is not None and reason.startswith("capability:no-batch-support")
 
     def test_cache_cells_skip_on_cacheless_backends(self):
         # Only the tile reference lacks cache support: the sharded backend
-        # runs cached batches serially in the parent, so its cache-on cells
-        # execute instead of skipping.
+        # plans cached batches in the parent and rasterizes them on the pool,
+        # so its cache-on cells execute instead of skipping.
         reason = MATRIX.plan_cell(
             MatrixCell("single_gaussian", "tile", "on", "single", "render")
         )
@@ -242,6 +249,7 @@ class TestChaosSchedule:
                 "scenario": {"empty_cloud", "single_gaussian", "alpha_clamp"},
                 "backend": {"async"},
                 "batch": {"multi"},
+                "mapping": {"render", "mapper"},
             }
         )
         executed = [result for result in results if result.status != "skip"]
@@ -271,7 +279,7 @@ class TestCLI:
         printed = capsys.readouterr().out
         assert "0 failed" in printed and "0 unexplained" in printed
         cells = json.loads(json_path.read_text())
-        assert len(cells) == 8  # flat executes every cache/batch/mapping combination
+        assert len(cells) == 12  # flat executes every cache/batch/mapping combination
         assert all(cell["status"] == "pass" for cell in cells)
         assert markdown_path.read_text().startswith("**Scenario matrix**")
 

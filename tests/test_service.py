@@ -6,9 +6,10 @@ the starvation bound), graceful close (drain vs cancel), cross-session
 geometry-cache byte budgets (global and per-session LRU eviction, evicted
 sessions re-plan and stay bitwise), cache-on jobs on the pool (no parent
 arena, the fault path, backward against a flat cached session and after
-the worker rotated the job out), the differential service phase
-(interleaved sessions bitwise vs solo engines, cache off/on and under an
-injected fault schedule), per-tenant attribution (per-view queue-wait and
+the worker rotated the job out), the differential service phase (the
+scenario matrix's ``service`` cells: interleaved sessions bitwise vs their
+solo direct references, cache off/on and under an injected fault
+schedule), per-tenant attribution (per-view queue-wait and
 service seconds on the batch's ``ShardAttribution``, per-session totals on
 ``SessionStats``), and running a whole ``SLAMPipeline`` as one service
 tenant.
@@ -25,7 +26,7 @@ import pytest
 from repro.engine import ArenaInUseError, EngineConfig, RenderEngine
 from repro.service import AdmissionError, RenderService, SessionClosedError
 from repro.slam import SLAMPipeline, mono_gs
-from repro.testing.differential import DifferentialRunner
+from repro.testing.matrix import GRAD_TOL, ScenarioMatrix
 from repro.testing.scenarios import DEFAULT_LIBRARY
 
 N_WORKERS = 2
@@ -367,17 +368,16 @@ class TestCachedJobsOnThePool:
         )
 
     def _assert_grads_close(self, grads, reference):
-        tolerance = DifferentialRunner().grad_tol
         for name in ("positions", "log_scales", "rotations", "opacity_logits", "colors"):
             np.testing.assert_allclose(
                 np.asarray(getattr(grads.cloud, name)),
                 np.asarray(getattr(reference.cloud, name)),
                 rtol=0.0,
-                atol=tolerance,
+                atol=GRAD_TOL,
                 err_msg=name,
             )
         np.testing.assert_allclose(
-            grads.per_view_pose_twists, reference.per_view_pose_twists, rtol=0.0, atol=tolerance
+            grads.per_view_pose_twists, reference.per_view_pose_twists, rtol=0.0, atol=GRAD_TOL
         )
 
     def test_cached_rounds_never_allocate_a_parent_arena(self):
@@ -469,33 +469,25 @@ class TestCachedJobsOnThePool:
 
 
 class TestDifferentialServicePhase:
+    """The matrix's service cells over the sharded pool."""
+
+    FILTERS = {"scenario": {"dense_random"}, "backend": {"sharded"}, "mapping": {"service"}}
+
     def test_interleaved_sessions_bitwise_vs_solo(self):
-        runner = DifferentialRunner(
-            n_shard_workers=N_WORKERS, n_service_sessions=3
-        )
-        spec = _spec()
-        diffs, failures = runner.verify_service(spec)
-        assert not failures, failures
-        assert all(value == 0.0 for value in diffs.values()), diffs
+        results = ScenarioMatrix(shard_workers=N_WORKERS).run(filters=self.FILTERS)
+        assert len(results) == 4  # cache off/on x single/multi
+        for result in results:
+            assert result.passed, f"{result.cell.id}: " + "; ".join(result.failures)
+            assert result.max_abs_diff == 0.0
+            assert all(sharding is not None for sharding in result.shardings)
 
     def test_interleaved_sessions_bitwise_under_faults(self):
-        runner = DifferentialRunner(
-            n_shard_workers=N_WORKERS,
-            n_service_sessions=3,
-            fault_schedule="random:97:0.35",
-            fault_deadline_s=10.0,
-        )
-        spec = _spec()
-        diffs, failures = runner.verify_service(spec)
-        assert not failures, failures
-        assert diffs["service_fault_events"] >= 1  # the schedule demonstrably fired
-        assert diffs["service_fault"] == 0.0
-
-    def test_phase_is_skipped_by_default(self):
-        runner = DifferentialRunner(n_shard_workers=N_WORKERS)
-        diffs, failures = runner.verify_service(_spec("single_gaussian"))
-        assert not failures
-        assert all(value == 0.0 for value in diffs.values())
+        chaos = ScenarioMatrix(shard_workers=N_WORKERS, fault_schedule="random:97:0.35")
+        results = chaos.run(filters={**self.FILTERS, "batch": {"multi"}})
+        for result in results:
+            assert result.passed, f"{result.cell.id}: " + "; ".join(result.failures)
+        # The schedule demonstrably fired.
+        assert sum(result.fault_events for result in results) >= 1
 
 
 class TestAttribution:

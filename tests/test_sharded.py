@@ -919,20 +919,25 @@ class TestFaultInjection:
         assert result.returncode == 0, result.stderr
         assert "rendered" in result.stdout
 
-    def test_differential_runner_fault_phase(self, _no_leak):
-        """The runner's fault phase re-renders the window under the schedule."""
-        from repro.testing.differential import DifferentialRunner
-        from repro.testing.scenarios import DEFAULT_LIBRARY
+    def test_matrix_cells_heal_under_a_crash_schedule(self, _no_leak):
+        """Sharded render cells stay bitwise, forward and backward, while
+        worker 0 crashes on every dispatch."""
+        from repro.testing.matrix import ScenarioMatrix
 
-        runner = DifferentialRunner(
-            fault_schedule="crash@0.*", fault_deadline_s=10.0
+        matrix = ScenarioMatrix(shard_workers=N_WORKERS, fault_schedule="crash@0.*")
+        results = matrix.run(
+            filters={
+                "scenario": {"single_gaussian"},
+                "backend": {"sharded"},
+                "batch": {"multi"},
+                "mapping": {"render"},
+            }
         )
-        report = runner.run_scenario(DEFAULT_LIBRARY.get("single_gaussian"))
-        assert report.passed, report.failures
-        assert report.fault_events >= 1  # the schedule demonstrably fired
-        assert report.fault_image_diff == 0.0
-        assert report.fault_gradient_diff == 0.0
-        assert "fault" in report.summary()
+        assert len(results) == 2  # cache off and on
+        for result in results:
+            assert result.passed, f"{result.cell.id}: " + "; ".join(result.failures)
+            assert result.max_abs_diff == 0.0
+            assert result.fault_events >= 1  # the schedule demonstrably fired
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=5, deadline=None)

@@ -1,16 +1,17 @@
-"""Tests for the repro.testing subsystem: scenarios, differential runner, goldens."""
+"""Tests for the repro.testing subsystem: scenarios, the equivalence matrix, goldens."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.engine.backends import FlatBackend
 from repro.testing import (
     DEFAULT_LIBRARY,
-    GRADIENT_FIELDS,
-    DifferentialRunner,
+    MatrixCell,
     Scenario,
     ScenarioLibrary,
+    ScenarioMatrix,
     SceneSpec,
     compare_to_golden,
     load_golden,
@@ -65,41 +66,40 @@ class TestScenarioLibrary:
         assert 0 < result.projected.n_visible < len(spec.cloud)
 
 
-class TestDifferentialRunner:
-    def test_all_default_scenarios_agree(self):
-        # The acceptance gate of the flat backend: image/depth/alpha within
-        # 1e-10 of the tile backend, gradients within 1e-8, fragment counts
-        # exactly equal — on every scenario.
-        reports = DifferentialRunner(forward_tol=1e-10, grad_tol=1e-8).assert_all()
-        assert len(reports) == len(DEFAULT_LIBRARY)
-        assert {r.name for r in reports} == set(DEFAULT_LIBRARY.names())
-        # At least one scenario must carry a realistic fragment load.
-        assert max(r.n_fragments for r in reports) > 10_000
+class TestMatrixCatchesDefects:
+    """A backend off by one ulp-scale nudge fails its cell: the matrix compares."""
 
-    def test_report_summaries_are_printable(self):
-        report = DifferentialRunner().run_scenario(DEFAULT_LIBRARY.get("single_gaussian"))
-        assert "single_gaussian" in report.summary()
-        assert report.passed
-        assert set(report.gradient_diffs) == set(GRADIENT_FIELDS)
+    CELL = MatrixCell("dense_random", "flat", "off", "multi", "render")
 
-    def test_runner_detects_disagreement(self):
-        # A runner with an impossible tolerance must fail on a non-trivial
-        # scene — proving the harness actually compares something.
-        runner = DifferentialRunner(forward_tol=-1.0)
-        report = runner.run_scenario(DEFAULT_LIBRARY.get("dense_random"))
-        assert not report.passed
-        with pytest.raises(AssertionError, match="differential verification failed"):
-            runner.assert_all()
+    def test_perturbed_view_image_fails_its_cell(self, monkeypatch):
+        render_batch = FlatBackend.render_batch
 
-    @pytest.mark.parametrize("name", DEFAULT_LIBRARY.names())
-    def test_verify_engine_bit_identical_on_every_scenario(self, name):
-        # Engine-mediated renders must equal the direct implementations
-        # bitwise — both backends, cache on and off, miss and hit rounds.
-        runner = DifferentialRunner()
-        diffs, failures = runner.verify_engine(DEFAULT_LIBRARY.get(name).build())
-        assert not failures, failures
-        assert diffs["engine_image"] == 0.0
-        assert diffs["engine_grad"] == 0.0
+        def perturbed(self, request):
+            batch = render_batch(self, request)
+            image = batch.views[1].image
+            image[image.shape[0] // 2, image.shape[1] // 2, 0] += 1e-12
+            return batch
+
+        monkeypatch.setattr(FlatBackend, "render_batch", perturbed)
+        result = ScenarioMatrix().run_cell(self.CELL)
+        assert result.status == "fail"
+        assert any(failure.startswith("view 1: image") for failure in result.failures)
+        assert 0.0 < result.max_abs_diff < 1e-11
+
+    def test_perturbed_gradient_fails_its_cell(self, monkeypatch):
+        backward_batch = FlatBackend.backward_batch
+
+        def perturbed(self, *args, **kwargs):
+            grads = backward_batch(self, *args, **kwargs)
+            grads.cloud.colors[0, 0] += 1e-12
+            return grads
+
+        monkeypatch.setattr(FlatBackend, "backward_batch", perturbed)
+        result = ScenarioMatrix().run_cell(self.CELL)
+        assert result.status == "fail"
+        assert any("fused gradient colors" in failure for failure in result.failures)
+        # The forward outputs are untouched.
+        assert not any("image" in failure for failure in result.failures)
 
 
 class TestGoldens:
@@ -169,5 +169,7 @@ def test_custom_scenario_through_runner():
         )
 
     library = ScenarioLibrary([Scenario("custom", "single splat, 4px tiles", build)])
-    reports = DifferentialRunner().assert_all(library)
-    assert len(reports) == 1 and reports[0].passed
+    results = ScenarioMatrix(library=library, backends=("tile", "flat")).run()
+    assert {result.cell.scenario for result in results} == {"custom"}
+    assert all(result.passed or result.skip_reason for result in results)
+    assert sum(result.passed for result in results) == 13  # tile single render + 12 flat
