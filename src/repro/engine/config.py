@@ -32,27 +32,6 @@ Environment variables (the full table also lives in the README):
                          :mod:`repro.engine.faults` for the grammar).  Not
                          an :class:`EngineConfig` field — it is read by the
                          backend at dispatch time.
-``REPRO_SERVICE_MAX_SESSIONS``
-                         Admission-control cap on concurrently open
-                         :class:`repro.service.RenderService` sessions
-                         (default 8).  Opening one more raises
-                         :class:`repro.service.AdmissionError`.  Must be a
-                         positive integer.
-``REPRO_SERVICE_CACHE_BUDGET``
-                         Global cross-session geometry-cache byte budget of
-                         the render service (default 0 = unbounded).  When
-                         the open sessions' caches exceed it, the service
-                         evicts the globally least-recently-used entry —
-                         whichever session owns it — until back under
-                         budget.  Requires ``EngineConfig.geom_cache``.
-                         Must be a non-negative integer.
-``REPRO_SERVICE_FAIR_WEIGHTS``
-                         Weighted-fair-queuing weights for service sessions.
-                         Either one positive number (the default weight of
-                         every session, e.g. ``2.5``) or comma-separated
-                         ``session_id=weight`` pairs
-                         (``mapper=4,tracker=1``); a session's share of the
-                         shared pool is proportional to its weight.
 ``REPRO_ASYNC_PIPELINE`` ``1`` enables the asynchronous double-buffered
                          pipeline (default off): ``StreamingMapper``
                          speculates the next mapping window on the ``async``
@@ -81,9 +60,6 @@ ENV_TILE_SIZE = "REPRO_TILE_SIZE"
 ENV_SUBTILE_SIZE = "REPRO_SUBTILE_SIZE"
 ENV_SHARD_WORKERS = "REPRO_SHARD_WORKERS"
 ENV_SHARD_DEADLINE_S = "REPRO_SHARD_DEADLINE_S"
-ENV_SERVICE_MAX_SESSIONS = "REPRO_SERVICE_MAX_SESSIONS"
-ENV_SERVICE_CACHE_BUDGET = "REPRO_SERVICE_CACHE_BUDGET"
-ENV_SERVICE_FAIR_WEIGHTS = "REPRO_SERVICE_FAIR_WEIGHTS"
 ENV_ASYNC_PIPELINE = "REPRO_ASYNC_PIPELINE"
 
 ENGINE_ENV_VARS = (
@@ -92,9 +68,6 @@ ENGINE_ENV_VARS = (
     ENV_SUBTILE_SIZE,
     ENV_SHARD_WORKERS,
     ENV_SHARD_DEADLINE_S,
-    ENV_SERVICE_MAX_SESSIONS,
-    ENV_SERVICE_CACHE_BUDGET,
-    ENV_SERVICE_FAIR_WEIGHTS,
     ENV_ASYNC_PIPELINE,
 )
 
@@ -119,56 +92,6 @@ def _float_from_env(env: Mapping[str, str], name: str, default: float) -> float:
         return float(raw)
     except ValueError:
         raise ValueError(f"{name}={raw!r} is not a valid number") from None
-
-
-def _fair_weights_from_env(
-    env: Mapping[str, str],
-) -> tuple[float, tuple[tuple[str, float], ...]]:
-    """Parse ``REPRO_SERVICE_FAIR_WEIGHTS``: ``(default weight, overrides)``.
-
-    The grammar accepts one bare positive number (the default weight of every
-    session) and/or comma-separated ``session_id=weight`` overrides; see the
-    module docstring table.  Positivity and duplicate ids are validated by
-    ``EngineConfig.__post_init__`` so directly-constructed configs get the
-    same checks.
-    """
-    raw = env.get(ENV_SERVICE_FAIR_WEIGHTS)
-    if raw is None or raw.strip() == "":
-        return 1.0, ()
-    default_weight = 1.0
-    saw_default = False
-    pairs: list[tuple[str, float]] = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" in item:
-            session_id, _, value = item.partition("=")
-            session_id = session_id.strip()
-            try:
-                pairs.append((session_id, float(value)))
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_SERVICE_FAIR_WEIGHTS}={raw!r} has a non-numeric "
-                    f"weight for session {session_id!r}; expected "
-                    "'session_id=weight' pairs"
-                ) from None
-        else:
-            if saw_default:
-                raise ValueError(
-                    f"{ENV_SERVICE_FAIR_WEIGHTS}={raw!r} names more than one "
-                    "bare default weight; pass at most one number without a "
-                    "'session_id=' prefix"
-                )
-            try:
-                default_weight = float(item)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_SERVICE_FAIR_WEIGHTS}={raw!r} is not a weight "
-                    "number or a 'session_id=weight' list"
-                ) from None
-            saw_default = True
-    return default_weight, tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -203,15 +126,6 @@ class EngineConfig:
     # serially, so a dispatched batch always completes.
     shard_deadline_s: float = 600.0
     cache_max_entries: int = 8
-    # Multi-tenant render-service knobs (repro.service.RenderService).  They
-    # only matter for engines owned by a service: admission cap on open
-    # sessions, global cross-session geometry-cache byte budget (0 =
-    # unbounded), the fair-queuing weight of sessions that do not name their
-    # own, and per-session-id weight overrides.
-    service_max_sessions: int = 8
-    service_cache_budget_bytes: int = 0
-    service_default_weight: float = 1.0
-    service_fair_weights: tuple[tuple[str, float], ...] = ()
     # Async double-buffered pipeline (repro.engine.async_backend +
     # SLAMPipeline overlap).  ``async_pipeline`` turns on the overlap
     # scheduling: the mapper speculates the next window while the parent
@@ -248,28 +162,6 @@ class EngineConfig:
             )
         if self.cache_max_entries < 1:
             raise ValueError(f"cache_max_entries must be >= 1, got {self.cache_max_entries}")
-        if self.service_max_sessions < 1:
-            raise ValueError(
-                f"service_max_sessions (REPRO_SERVICE_MAX_SESSIONS) must be >= 1, "
-                f"got {self.service_max_sessions}"
-            )
-        if self.service_cache_budget_bytes < 0:
-            raise ValueError(
-                f"service_cache_budget_bytes (REPRO_SERVICE_CACHE_BUDGET) must be "
-                f">= 0 (0 disables the budget), got {self.service_cache_budget_bytes}"
-            )
-        if self.service_cache_budget_bytes > 0 and not self.geom_cache:
-            raise ValueError(
-                "service_cache_budget_bytes > 0 (REPRO_SERVICE_CACHE_BUDGET) "
-                "requires the geometry cache: a cache byte budget cannot apply "
-                "when geom_cache is off — enable geom_cache or set "
-                "service_cache_budget_bytes=0"
-            )
-        if not (self.service_default_weight > 0):
-            raise ValueError(
-                f"service_default_weight (REPRO_SERVICE_FAIR_WEIGHTS) must be > 0, "
-                f"got {self.service_default_weight}"
-            )
         if self.async_pipeline and self.backend == "tile":
             raise ValueError(
                 "async_pipeline (REPRO_ASYNC_PIPELINE) conflicts with "
@@ -286,24 +178,6 @@ class EngineConfig:
                 "there is nothing to overlap the parent's Step-5 backward "
                 "with — raise shard_workers or disable async_pipeline"
             )
-        seen_ids: set[str] = set()
-        for session_id, weight in self.service_fair_weights:
-            if not session_id:
-                raise ValueError(
-                    "service_fair_weights (REPRO_SERVICE_FAIR_WEIGHTS) has an "
-                    "entry with an empty session id"
-                )
-            if session_id in seen_ids:
-                raise ValueError(
-                    f"service_fair_weights (REPRO_SERVICE_FAIR_WEIGHTS) names "
-                    f"session {session_id!r} twice"
-                )
-            seen_ids.add(session_id)
-            if not (weight > 0):
-                raise ValueError(
-                    f"service_fair_weights (REPRO_SERVICE_FAIR_WEIGHTS) weight for "
-                    f"session {session_id!r} must be > 0, got {weight}"
-                )
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None, **overrides) -> "EngineConfig":
@@ -344,19 +218,6 @@ class EngineConfig:
                 f"{ENV_SHARD_DEADLINE_S}={env.get(ENV_SHARD_DEADLINE_S)!r} must be "
                 "a positive number of seconds"
             )
-        max_sessions = _int_from_env(env, ENV_SERVICE_MAX_SESSIONS, 8)
-        if max_sessions < 1:
-            raise ValueError(
-                f"{ENV_SERVICE_MAX_SESSIONS}={env.get(ENV_SERVICE_MAX_SESSIONS)!r} "
-                "must be >= 1 (the admission cap on open service sessions)"
-            )
-        cache_budget = _int_from_env(env, ENV_SERVICE_CACHE_BUDGET, 0)
-        if cache_budget < 0:
-            raise ValueError(
-                f"{ENV_SERVICE_CACHE_BUDGET}={env.get(ENV_SERVICE_CACHE_BUDGET)!r} "
-                "must be >= 0 bytes (0 disables the cross-session cache budget)"
-            )
-        default_weight, fair_weights = _fair_weights_from_env(env)
         async_raw = env.get(ENV_ASYNC_PIPELINE)
         async_pipeline = (
             async_raw is not None
@@ -369,10 +230,6 @@ class EngineConfig:
             subtile_size=_int_from_env(env, ENV_SUBTILE_SIZE, 4),
             shard_workers=shard_workers,
             shard_deadline_s=deadline_s,
-            service_max_sessions=max_sessions,
-            service_cache_budget_bytes=cache_budget,
-            service_default_weight=default_weight,
-            service_fair_weights=fair_weights,
             async_pipeline=async_pipeline,
         )
         return replace(config, **overrides) if overrides else config

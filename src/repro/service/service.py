@@ -7,18 +7,16 @@ of letting every tenant monopolise a private backend:
 * **Shared pool.**  Every session's engine shares the process-wide sharded
   worker pool (``repro.engine.sharded`` keys pools by worker count, so equal
   configs resolve to one OS pool) — the service adds the scheduling layer
-  that interleaves tenants over it.  Cache-off sessions dispatch each round
-  as a sub-batch through ``RenderEngine.render_batch(..., managed=False)``
-  (the backend plans the round and rasterizes it on the pool, with a
-  serial fallback on worker faults).  Cache-on sessions plan a whole job
-  at submit, through the backend's public ``plan_batch`` seam against their
-  parent-resident geometry cache — which is what makes cross-session byte
-  budgets observable and enforceable — and each round hands the elected
-  units to the backend's ``execute_units``, which rasterizes them on the
-  same pool.
-  Either way the per-view outputs are bitwise-identical to a private solo
-  engine — grouping work units into rounds never changes a view's pixels
-  (pinned by the scenario matrix's ``service`` cells).
+  that interleaves tenants over it.  Every job is planned once, at submit,
+  through the backend's public ``plan_batch`` seam (cache-on sessions plan
+  against their parent-resident geometry cache, which is what makes
+  cross-session byte budgets observable and enforceable), and each round
+  hands the elected units to the backend's ``execute_units``, which
+  rasterizes them on the pool with a serial fallback on worker faults.
+  Planning time therefore lands in the views' queue wait, not in a
+  round's service seconds.  The per-view outputs are bitwise-identical to
+  a private solo engine — grouping work units into rounds never changes a
+  view's pixels (pinned by the scenario matrix's ``service`` cells).
 
 * **Weighted-fair queuing.**  Stride scheduling over per-session ``pass``
   values: each round elects the backlogged session with the smallest pass
@@ -42,22 +40,17 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine import EngineConfig, RenderEngine
 from repro.engine.registry import BatchRenderRequest
-from repro.gaussians.batch import (
-    BatchRenderResult,
-    ShardAttribution,
-    _normalise_backgrounds,
-)
+from repro.engine.sharded import ShardedBackend
+from repro.gaussians.batch import BatchRenderResult, RenderPlan, ShardAttribution
 from repro.gaussians.geom_cache import CacheClock
 from repro.service.budget import CacheBudgetManager
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.gaussians import Camera, GaussianCloud, SE3
 
 
@@ -90,35 +83,14 @@ class ServiceJob:
     seconds (the session's totals live on :class:`SessionStats`).
     """
 
-    def __init__(
-        self,
-        session: "RenderSession",
-        cloud: "GaussianCloud",
-        cameras: "Sequence[Camera]",
-        poses_cw: "Sequence[SE3]",
-        backgrounds,
-        tile_size: int,
-        subtile_size: int,
-    ):
+    def __init__(self, session: "RenderSession", request: BatchRenderRequest):
         self.session = session
-        self.cloud = cloud
-        self.cameras = list(cameras)
-        self.poses_cw = list(poses_cw)
-        if len(self.cameras) != len(self.poses_cw):
-            raise ValueError(
-                f"got {len(self.cameras)} cameras but {len(self.poses_cw)} poses; "
-                "one pose per view"
-            )
-        if not self.cameras:
-            raise ValueError("a service job needs at least one view")
-        self.n_views = len(self.cameras)
-        self.backgrounds = _normalise_backgrounds(backgrounds, self.n_views)
-        self.tile_size = tile_size
-        self.subtile_size = subtile_size
+        self.request = request
+        self.n_views = len(request.cameras)
         self.cancelled = False
-        # Cached path: the whole job, planned at submit, and its request.
-        self.plan = None
-        self.request: BatchRenderRequest | None = None
+        # The whole job's Step 1-2, planned right after this job is enqueued
+        # (RenderSession.submit), so planning time counts as queue wait.
+        self.plan: RenderPlan | None = None
         now = time.perf_counter()
         self._pending = deque(range(self.n_views))
         self._enqueued_at = [now] * self.n_views
@@ -202,28 +174,19 @@ class ServiceJob:
         )
 
     def _stitch(self) -> BatchRenderResult:
-        shared = None
-        shared_seconds = 0.0
-        if self.plan is not None:
-            shared = self.plan.shared
-            shared_seconds = self.plan.shared_seconds
-        else:
-            for _indices, sub in self._rounds:
-                if sub.shared is not None:
-                    shared = sub.shared
-                shared_seconds += sub.shared_seconds
         batch = BatchRenderResult(
             views=list(self._results),
-            shared=shared,
-            # Pool units rasterized into worker-owned arenas, cached units
-            # that ran in the parent into the session cache's shared arena:
-            # either way there is no parent arena for the caller to recycle.
+            shared=self.plan.shared,
+            # Pool units rasterized into worker-owned arenas, units that ran
+            # in the parent into a job-local arena or the session cache's
+            # shared one: either way there is no parent arena for the caller
+            # to recycle.
             arena=None,
-            shared_seconds=shared_seconds,
+            shared_seconds=self.plan.shared_seconds,
             view_seconds=list(self._view_seconds),
             sharding=self._merged_attribution(),
         )
-        if self.plan is not None:
+        if self.plan.cache is not None:
             # Cached units that ran in the parent (no pool, or a lost unit)
             # alias the session cache's arena until consumed; reuse the
             # engine's ownership rail so a premature next submit fails
@@ -295,10 +258,10 @@ class RenderSession:
         """Queue a batch render; its units are scheduled across rounds.
 
         Admission-checked: raises :class:`AdmissionError` when the submission
-        would push the service past ``max_queued_units``.  On cache-on
-        sessions the batch is planned here, through the session cache (the
-        backend's ``plan_batch`` seam), and cache budgets are enforced right
-        after planning.
+        would push the service past ``max_queued_units``.  The whole batch is
+        planned here (the backend's ``plan_batch`` seam), through the session
+        cache on cache-on sessions, whose budgets are enforced right after
+        planning.
         """
         if self.closed:
             raise SessionClosedError(
@@ -306,16 +269,16 @@ class RenderSession:
                 "to submit work"
             )
         config = self.engine.config
-        job = ServiceJob(
-            session=self,
+        request = BatchRenderRequest(
             cloud=cloud,
-            cameras=cameras,
-            poses_cw=poses_cw,
+            cameras=list(cameras),
+            poses_cw=list(poses_cw),
             backgrounds=backgrounds,
             tile_size=config.tile_size if tile_size is None else tile_size,
             subtile_size=config.subtile_size if subtile_size is None else subtile_size,
+            cache=self.engine.cache,
         )
-        self.service._admit_units(job.n_views)
+        self.service._admit_units(len(request.cameras))
         if self.cache_enabled:
             # Cached units rasterize into the session cache's single shared
             # arena, so a second in-flight (or unconsumed) cached job would
@@ -329,16 +292,9 @@ class RenderSession:
                     "cached job; consume or cancel it before submitting more "
                     "(cache-on sessions schedule one job at a time)"
                 )
-            job.request = BatchRenderRequest(
-                cloud=job.cloud,
-                cameras=job.cameras,
-                poses_cw=job.poses_cw,
-                backgrounds=job.backgrounds,
-                tile_size=job.tile_size,
-                subtile_size=job.subtile_size,
-                cache=self.engine.cache,
-            )
-            job.plan = self.backend.plan_batch(job.request)
+        job = ServiceJob(self, request)
+        job.plan = self.backend.plan_batch(request)
+        if self.cache_enabled:
             self.service._budget.enforce()
         self._jobs.append(job)
         self.service._queued_units += job.n_views
@@ -387,70 +343,54 @@ class RenderSession:
 class RenderService:
     """Session manager multiplexing tenants over the shared worker pool.
 
-    ``config`` seeds every session's engine (default: the env-derived config
-    pinned to the ``sharded`` backend) and carries the service knobs —
-    ``service_max_sessions``, ``service_cache_budget_bytes``,
-    ``service_default_weight``, ``service_fair_weights`` — all overridable
-    per instance through the keyword arguments.
+    ``config`` seeds every session's engine (default: the ``sharded``
+    backend).  The service's own policy lives here alone: ``max_sessions``
+    caps open sessions, ``max_queued_units`` caps undispatched units,
+    ``cache_budget_bytes`` is the global cross-session geometry-cache budget
+    (0 = unbounded; > 0 requires ``config.geom_cache``) and
+    ``round_quantum`` is the units dispatched per round.  A session's
+    fair-queuing weight is set when it is opened
+    (:meth:`open_session`).
     """
 
     def __init__(
         self,
         config: EngineConfig | None = None,
         *,
-        max_sessions: int | None = None,
+        max_sessions: int = 8,
         max_queued_units: int = 512,
-        default_weight: float | None = None,
-        fair_weights: "Mapping[str, float] | None" = None,
-        cache_budget_bytes: int | None = None,
+        cache_budget_bytes: int = 0,
         round_quantum: int | None = None,
     ):
         if config is None:
             config = EngineConfig(backend="sharded")
-        self.config = config
-        self.max_sessions = (
-            config.service_max_sessions if max_sessions is None else max_sessions
-        )
-        if self.max_sessions < 1:
-            raise ValueError(
-                f"max_sessions (REPRO_SERVICE_MAX_SESSIONS) must be >= 1, "
-                f"got {self.max_sessions}"
-            )
+        if max_sessions < 1:
+            raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
         if max_queued_units < 1:
             raise ValueError(
                 f"max_queued_units must be >= 1, got {max_queued_units}"
             )
+        if cache_budget_bytes < 0:
+            raise ValueError(
+                f"cache_budget_bytes must be >= 0 (0 disables the global "
+                f"budget), got {cache_budget_bytes}"
+            )
+        if cache_budget_bytes > 0 and not config.geom_cache:
+            raise ValueError(
+                "cache_budget_bytes > 0 requires the geometry cache: enable "
+                "geom_cache or set the budget to 0"
+            )
+        self.config = config
+        self.max_sessions = max_sessions
         self.max_queued_units = max_queued_units
-        self.default_weight = (
-            config.service_default_weight if default_weight is None else default_weight
-        )
-        if not (self.default_weight > 0):
-            raise ValueError(
-                f"default_weight (REPRO_SERVICE_FAIR_WEIGHTS) must be > 0, "
-                f"got {self.default_weight}"
-            )
-        self.fair_weights = dict(config.service_fair_weights)
-        if fair_weights:
-            self.fair_weights.update(fair_weights)
-        budget = (
-            config.service_cache_budget_bytes
-            if cache_budget_bytes is None
-            else cache_budget_bytes
-        )
-        if budget > 0 and not config.geom_cache:
-            raise ValueError(
-                "cache_budget_bytes > 0 (REPRO_SERVICE_CACHE_BUDGET) requires "
-                "the geometry cache: enable geom_cache or set the budget to 0"
-            )
         # Units dispatched per scheduling round: the fairness granularity.
-        # Defaults to the shard worker count so one round can occupy the
-        # whole pool (sub-batches below 2 views degrade to serial execution).
-        self.round_quantum = (
-            max(2, config.shard_workers or 4)
-            if round_quantum is None
-            else max(1, round_quantum)
-        )
-        self._budget = CacheBudgetManager(global_budget_bytes=budget)
+        # Defaults to the shard pool's resolved worker count (floored at 2:
+        # sub-batches below 2 views degrade to serial execution), so one
+        # round can occupy the whole pool.
+        if round_quantum is None:
+            round_quantum = max(2, ShardedBackend(config).resolved_workers())
+        self.round_quantum = max(1, round_quantum)
+        self._budget = CacheBudgetManager(global_budget_bytes=cache_budget_bytes)
         self._clock = CacheClock()
         self._sessions: dict[str, RenderSession] = {}
         self._order_counter = 0
@@ -465,31 +405,28 @@ class RenderService:
         self,
         session_id: str | None = None,
         *,
-        weight: float | None = None,
+        weight: float = 1.0,
         cache_budget_bytes: int = 0,
         geom_cache: bool | None = None,
     ) -> RenderSession:
         """Admit one tenant; raises :class:`AdmissionError` at the cap.
 
-        ``weight`` defaults to the service's ``fair_weights`` entry for this
-        id, then to the default weight.  ``geom_cache`` overrides the service
-        config per session; ``cache_budget_bytes`` caps this session's cache
-        (0 = no per-session cap — the global budget still applies).
+        ``weight`` is the session's fair-queuing share.  ``geom_cache``
+        overrides the service config per session; ``cache_budget_bytes``
+        caps this session's cache (0 = no per-session cap — the global
+        budget still applies).
         """
         if self._closed:
             raise SessionClosedError("the render service is closed")
         if len(self._sessions) >= self.max_sessions:
             raise AdmissionError(
                 f"cannot open a new session: max_sessions="
-                f"{self.max_sessions} (REPRO_SERVICE_MAX_SESSIONS) sessions "
-                "are already open; close one first"
+                f"{self.max_sessions} sessions are already open; close one first"
             )
         if session_id is None:
             session_id = f"session-{self._order_counter}"
         if session_id in self._sessions:
             raise ValueError(f"session id {session_id!r} is already open")
-        if weight is None:
-            weight = self.fair_weights.get(session_id, self.default_weight)
         if not (weight > 0):
             raise ValueError(
                 f"session weight must be > 0, got {weight} for {session_id!r}"
@@ -505,16 +442,7 @@ class RenderService:
                 f"{cache_budget_bytes} with its geometry cache disabled; "
                 "enable geom_cache or drop the budget"
             )
-        session_config = replace(
-            self.config,
-            geom_cache=use_cache,
-            # The conflict check budget-without-cache is service-level;
-            # a cache-off session under a budgeted service is legitimate.
-            service_cache_budget_bytes=(
-                self.config.service_cache_budget_bytes if use_cache else 0
-            ),
-        )
-        engine = RenderEngine(session_config)
+        engine = RenderEngine(replace(self.config, geom_cache=use_cache))
         # Late joiners start at the current minimum pass: they neither owe
         # the history they were not present for (which would starve them)
         # nor get credit for it (which would let them monopolise the pool).
@@ -658,25 +586,16 @@ class RenderService:
     def _execute_round(self, session: RenderSession, job: ServiceJob, indices: list[int]) -> None:
         """Dispatch the elected units as one sub-batch over the shared pool.
 
-        A cached job's units were planned at submit; the round hands them to
-        the backend's ``execute_units``.  An uncached round renders through
-        ``render_batch(..., managed=False)``, which keeps the engine's
-        arena/claim machinery out of the way.  Either way each view's output
-        is copied out of shared memory, so round results stay valid across
-        later rounds on the same pool.
+        The job's units were planned at submit; the round hands the elected
+        ones to the backend's ``execute_units``.  Each view's output is
+        copied out of shared memory, so round results stay valid across later
+        rounds on the same pool.
         """
-        if job.plan is not None:
-            sub = session.backend.execute_units(job.plan.select(indices), job.request)
-        else:
-            sub = session.engine.render_batch(
-                job.cloud,
-                [job.cameras[index] for index in indices],
-                [job.poses_cw[index] for index in indices],
-                backgrounds=[job.backgrounds[index] for index in indices],
-                tile_size=job.tile_size,
-                subtile_size=job.subtile_size,
-                managed=False,
-            )
+        sub = session.backend.execute_units(job.plan.select(indices), job.request)
+        if job.plan.cache is None and sub.arena is not None:
+            # Units keep their bases in the job's whole reservation, so the
+            # job's later parent-side rounds share this round's arena.
+            job.request = replace(job.request, arena=sub.arena)
         for slot, index in enumerate(indices):
             job._results[index] = sub.views[slot]
             job._view_seconds[index] = sub.view_seconds[slot]

@@ -60,19 +60,18 @@ class SceneSpec:
         ``extra_view_poses`` (trajectory / aggressive-motion scenes) those are
         used, cycling if more views are requested than prescribed; otherwise
         subsequent poses apply small, fixed left perturbations (a shrinking
-        orbit around the base view), so a batch over them exercises genuinely
-        different projections while staying reproducible — the same property
-        the single-view scenarios guarantee.
+        orbit around the base view: view ``k`` halves view ``k - 1``'s
+        twist), so every view is distinct and a batch over them exercises
+        genuinely different projections while staying reproducible — the
+        same property the single-view scenarios guarantee.
         """
         if self.extra_view_poses:
             pool = [self.pose_cw, *self.extra_view_poses]
             return [pool[k % len(pool)] for k in range(n_views)]
         poses = [self.pose_cw]
+        twist = np.array([0.04, -0.03, 0.02, 0.05, -0.04, 0.03])
         for k in range(1, n_views):
-            twist = 0.5 ** (k - 1) * np.array(
-                [0.04 * k, -0.03 * k, 0.02 * k, 0.05 * k, -0.04 * k, 0.03 * k]
-            )
-            poses.append(SE3.exp(twist) @ self.pose_cw)
+            poses.append(SE3.exp(0.5 ** (k - 1) * twist) @ self.pose_cw)
         return poses
 
     def view_cameras(self, n_views: int) -> list[Camera]:

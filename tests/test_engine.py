@@ -68,7 +68,7 @@ class TestEngineConfig:
         assert config.geom_cache
         assert "REPRO_GEOM_CACHE" not in ENGINE_ENV_VARS
         assert "cache_tolerance_px" not in {field.name for field in fields(EngineConfig)}
-        assert len(fields(EngineConfig)) == 13
+        assert len(fields(EngineConfig)) == 9
 
     def test_from_env_defaults_and_overrides(self):
         config = EngineConfig.from_env({}, geom_cache=False, tile_size=32)
@@ -110,7 +110,7 @@ class TestEngineConfig:
         assert "REPRO_SHARD_DEADLINE_S" in ENGINE_ENV_VARS
         assert "REPRO_SHARD_RETRIES" not in ENGINE_ENV_VARS
         assert "REPRO_SHARD_BACKOFF_S" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 9
+        assert len(ENGINE_ENV_VARS) == 6
         for name in ("shard_retry_limit", "shard_backoff_s"):
             assert not hasattr(config, name)
             with pytest.raises(TypeError, match=name):
@@ -299,84 +299,38 @@ class TestEngineConfig:
         assert mapper.engine.config.tile_size == 8
         assert mapper.engine.config.subtile_size == 2
 
-    # -- render-service knobs -------------------------------------------------
-    def test_from_env_service_knobs(self):
-        config = EngineConfig.from_env({})
-        assert config.service_max_sessions == 8
-        assert config.service_cache_budget_bytes == 0
-        assert config.service_default_weight == 1.0
-        assert config.service_fair_weights == ()
-        config = EngineConfig.from_env(
-            {
-                "REPRO_SERVICE_MAX_SESSIONS": "3",
-                "REPRO_SERVICE_CACHE_BUDGET": "65536",
-                "REPRO_SERVICE_FAIR_WEIGHTS": "2.0,tracking=3,mapping=0.5",
-            }
-        )
-        assert config.service_max_sessions == 3
-        assert config.service_cache_budget_bytes == 65536
-        assert config.service_default_weight == 2.0
-        assert config.service_fair_weights == (("tracking", 3.0), ("mapping", 0.5))
-        # Empty strings fall back to the defaults like every other knob.
-        config = EngineConfig.from_env(
-            {
-                "REPRO_SERVICE_MAX_SESSIONS": "",
-                "REPRO_SERVICE_CACHE_BUDGET": "",
-                "REPRO_SERVICE_FAIR_WEIGHTS": "",
-            }
-        )
-        assert config.service_max_sessions == 8
-        assert config.service_fair_weights == ()
+    def test_render_service_policy_has_no_engine_knob(self):
+        """Admission cap, cache budget and fair weights belong to
+        ``RenderService`` alone: no field and no environment variable."""
+        from dataclasses import fields
 
-    def test_from_env_rejects_bad_service_knobs(self):
-        with pytest.raises(ValueError, match="REPRO_SERVICE_MAX_SESSIONS"):
-            EngineConfig.from_env({"REPRO_SERVICE_MAX_SESSIONS": "many"})
-        with pytest.raises(ValueError, match="REPRO_SERVICE_MAX_SESSIONS"):
-            EngineConfig.from_env({"REPRO_SERVICE_MAX_SESSIONS": "0"})
-        with pytest.raises(ValueError, match="REPRO_SERVICE_CACHE_BUDGET"):
-            EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "-1"})
-        with pytest.raises(ValueError, match="REPRO_SERVICE_CACHE_BUDGET"):
-            EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "unbounded"})
+        from repro.engine.config import ENGINE_ENV_VARS
 
-    def test_from_env_rejects_bad_fair_weights(self):
-        for value in (
-            "fast",  # non-numeric bare weight
-            "0",  # nonpositive default weight
-            "1.0,2.0",  # two bare default weights
-            "=2",  # empty session id
-            "alpha=",  # empty weight
-            "alpha=big",  # non-numeric session weight
-            "alpha=-1",  # nonpositive session weight
-            "alpha=nan",  # NaN never compares > 0
-            "alpha=1,alpha=2",  # duplicate session id
-        ):
-            with pytest.raises(ValueError, match="REPRO_SERVICE_FAIR_WEIGHTS"):
-                EngineConfig.from_env({"REPRO_SERVICE_FAIR_WEIGHTS": value})
+        env = {
+            "REPRO_SERVICE_MAX_SESSIONS": "0",
+            "REPRO_SERVICE_CACHE_BUDGET": "-1",
+            "REPRO_SERVICE_FAIR_WEIGHTS": "fast",
+        }
+        assert EngineConfig.from_env(env) == EngineConfig.from_env({})
+        assert not any(name.startswith("REPRO_SERVICE_") for name in ENGINE_ENV_VARS)
+        assert not any(field.name.startswith("service_") for field in fields(EngineConfig))
 
-    def test_service_budget_without_cache_is_a_named_conflict(self):
-        # A cross-session cache budget is unenforceable without the geometry
-        # cache; the conflict must fail at config time naming both knobs.
-        with pytest.raises(ValueError, match="REPRO_SERVICE_CACHE_BUDGET") as excinfo:
-            EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "4096"}, geom_cache=False)
-        assert "geom_cache" in str(excinfo.value)
-        # A cache-enabled config resolves it; so does a zero budget.
-        config = EngineConfig.from_env({"REPRO_SERVICE_CACHE_BUDGET": "4096"})
-        assert config.service_cache_budget_bytes == 4096
-        assert EngineConfig.from_env(
-            {"REPRO_SERVICE_CACHE_BUDGET": "0"}, geom_cache=False
-        ).service_cache_budget_bytes == 0
+    def test_env_var_tables_match_the_parsed_variables(self):
+        """README's table and the ``engine.config`` docstring table list exactly
+        the variables ``from_env`` parses, plus the fault-injection plan the
+        sharded backend reads at dispatch time."""
+        import re
+        from pathlib import Path
 
-    def test_service_overrides_beat_env(self):
-        config = EngineConfig.from_env(
-            {
-                "REPRO_SERVICE_MAX_SESSIONS": "3",
-                "REPRO_SERVICE_FAIR_WEIGHTS": "7.5",
-            },
-            service_max_sessions=12,
-            service_default_weight=1.5,
-        )
-        assert config.service_max_sessions == 12
-        assert config.service_default_weight == 1.5
+        from repro.engine import config as config_module
+
+        documented = set(config_module.ENGINE_ENV_VARS) | {"REPRO_SHARD_FAULTS"}
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        readme_rows = re.findall(r"^\| `(REPRO_\w+)`", readme.read_text(), flags=re.M)
+        assert len(readme_rows) == len(set(readme_rows))
+        assert set(readme_rows) == documented
+        docstring_rows = re.findall(r"^``(REPRO_\w+)``", config_module.__doc__, flags=re.M)
+        assert set(docstring_rows) == documented
 
 
 class TestEngineRendering:

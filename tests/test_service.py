@@ -1,8 +1,11 @@
 """Tests for the multi-tenant render service (:mod:`repro.service`).
 
 Covers admission control (session cap, queued-unit cap, slots freed by
-close), weighted-fair scheduling (deterministic interleaving, weight shares,
-the starvation bound), graceful close (drain vs cancel), cross-session
+close), the service's own policy knobs (validated on ``RenderService``, the
+round quantum derived from the resolved pool), one job path (every job
+planned once at submit, cache on or off), weighted-fair scheduling
+(deterministic interleaving, weight shares, the starvation bound), graceful
+close (drain vs cancel), cross-session
 geometry-cache byte budgets (global and per-session LRU eviction, evicted
 sessions re-plan and stay bitwise), cache-on jobs on the pool (no parent
 arena, the fault path, backward against a flat cached session and after
@@ -81,7 +84,7 @@ class TestAdmission:
         service = _service(max_sessions=2)
         first = service.open_session("first")
         service.open_session("second")
-        with pytest.raises(AdmissionError, match="REPRO_SERVICE_MAX_SESSIONS"):
+        with pytest.raises(AdmissionError, match="max_sessions=2"):
             service.open_session("third")
         first.close()
         third = service.open_session("third")
@@ -136,6 +139,82 @@ class TestAdmission:
             batch, spec.cloud, [np.zeros_like(v.image) for v in batch.views]
         )
         session.submit(*args, **kwargs).result()
+        session.engine.release()
+        service.close()
+
+
+class TestServicePolicy:
+    """The service's knobs live on ``RenderService`` alone, validated there."""
+
+    def test_removed_weight_knobs_are_not_keywords(self):
+        config = EngineConfig(backend="flat")
+        with pytest.raises(TypeError, match="fair_weights"):
+            RenderService(config, fair_weights={"tracking": 2.0})
+        with pytest.raises(TypeError, match="default_weight"):
+            RenderService(config, default_weight=2.0)
+
+    def test_invalid_policy_is_rejected_by_name(self):
+        config = EngineConfig(backend="flat")
+        with pytest.raises(ValueError, match="cache_budget_bytes"):
+            RenderService(config, cache_budget_bytes=-1)
+        with pytest.raises(ValueError, match="max_sessions"):
+            RenderService(config, max_sessions=0)
+        # A global cache budget is unenforceable without the geometry cache.
+        with pytest.raises(ValueError, match="geom_cache"):
+            RenderService(EngineConfig(backend="flat", geom_cache=False), cache_budget_bytes=4096)
+        RenderService(EngineConfig(backend="flat", geom_cache=False), cache_budget_bytes=0)
+        service = RenderService(config)
+        for weight in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="weight"):
+                service.open_session("tenant", weight=weight)
+        assert service.open_session("tenant").weight == 1.0
+        service.close()
+
+    @pytest.mark.parametrize("shard_workers", [None, 0, 1, 3])
+    def test_default_round_quantum_is_the_resolved_worker_count(self, shard_workers):
+        from repro.engine.sharded import default_shard_workers
+
+        config = EngineConfig(backend="sharded", shard_workers=shard_workers)
+        workers = default_shard_workers() if shard_workers is None else shard_workers
+        assert RenderService(config).round_quantum == max(2, workers)
+        assert RenderService(config, round_quantum=5).round_quantum == 5
+
+
+class TestOneJobPath:
+    """Every job, cached or not, is planned once at submit and its rounds
+    execute the planned units."""
+
+    @pytest.mark.parametrize("backend", ["flat", "sharded"])
+    @pytest.mark.parametrize("geom_cache", [False, True])
+    def test_a_job_is_planned_once(self, monkeypatch, backend, geom_cache):
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        service = RenderService(
+            EngineConfig(backend=backend, geom_cache=geom_cache, shard_workers=N_WORKERS),
+            round_quantum=2,
+        )
+        session = service.open_session("tenant")
+        planner = session.backend
+        plans = []
+
+        def plan_batch(request):
+            plans.append(planner.__class__.plan_batch(planner, request))
+            return plans[-1]
+
+        monkeypatch.setattr(planner, "plan_batch", plan_batch)
+        job = session.submit(*args, **kwargs)
+        assert len(plans) == 1  # planned at submit, before any round
+        batch = job.result()
+        assert session.stats.rounds == 2
+        assert len(plans) == 1
+        # The stitched batch carries the plan's shared Step 1.
+        assert batch.shared is plans[0].shared is not None
+        assert batch.shared_seconds == plans[0].shared_seconds
+        solo = _solo_engine(geom_cache=geom_cache)
+        reference = solo.render_batch(
+            *args, **kwargs, cache=solo.cache, managed=False
+        )
+        _assert_batches_equal(batch, reference)
         session.engine.release()
         service.close()
 

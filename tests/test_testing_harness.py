@@ -19,6 +19,7 @@ from repro.testing import (
     save_golden,
 )
 from repro.testing.regold import main as regold_main
+from repro.testing.scenarios import matrix_library
 
 
 class TestScenarioLibrary:
@@ -42,6 +43,22 @@ class TestScenarioLibrary:
         np.testing.assert_array_equal(a.cloud.colors, b.cloud.colors)
         result_a, result_b = render_reference(a), render_reference(b)
         np.testing.assert_array_equal(result_a.image, result_b.image)
+
+    def test_view_orbit_poses_are_pairwise_distinct(self):
+        """Scenarios without prescribed extra poses orbit the base view with
+        one distinct, small perturbation per view."""
+        specs = [scenario.build() for scenario in matrix_library()]
+        orbiting = [spec for spec in specs if not spec.extra_view_poses]
+        assert len(orbiting) == 16
+        for spec in orbiting:
+            matrices = [pose.matrix() for pose in spec.view_poses(6)]
+            for i in range(len(matrices)):
+                for j in range(i + 1, len(matrices)):
+                    assert not np.array_equal(matrices[i], matrices[j]), (i, j)
+            # A shrinking orbit: each view sits closer to the base than the last.
+            offsets = [np.abs(m - matrices[0]).max() for m in matrices[1:]]
+            assert offsets == sorted(offsets, reverse=True)
+            assert offsets[0] < 0.2
 
     def test_duplicate_registration_rejected(self):
         library = ScenarioLibrary(list(DEFAULT_LIBRARY))
