@@ -33,6 +33,7 @@ from repro.engine.registry import (
     REGISTRY,
     RenderBackend,
     RenderRequest,
+    SubmittedUnits,
     backend_names,
     register_backend,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "RenderRequest",
     "ShardWorkerError",
     "ShardedBackend",
+    "SubmittedUnits",
     "TileBackend",
     "active_fault_plan",
     "backend_names",

@@ -56,6 +56,7 @@ from repro.engine.registry import (
     BackendCapabilities,
     BatchRenderRequest,
     RenderRequest,
+    SubmittedUnits,
     register_backend,
 )
 from repro.engine.sharded import ShardedBackend
@@ -234,6 +235,13 @@ class AsyncBackend:
         # The units may run on the worker pool.
         with self._pool:
             return self._inner.execute_units(plan, request)
+
+    def submit_units(
+        self, plan: "RenderPlan", request: BatchRenderRequest
+    ) -> SubmittedUnits:
+        # Synchronous: the pool lock is held only while the units run, so a
+        # speculation thread never shares the pool with a queued dispatch.
+        return SubmittedUnits(self.execute_units(plan, request))
 
     def render_batch(self, request: BatchRenderRequest) -> "BatchRenderResult":
         key = _speculation_key(request)

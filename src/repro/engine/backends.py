@@ -15,6 +15,7 @@ from repro.engine.registry import (
     BackendCapabilities,
     BatchRenderRequest,
     RenderRequest,
+    SubmittedUnits,
     register_backend,
 )
 from repro.gaussians.backward import preprocess_backward, rasterize_backward
@@ -104,6 +105,11 @@ class FlatBackend:
     ) -> "BatchRenderResult":
         return execute_plan(plan, arena=request.arena)
 
+    def submit_units(
+        self, plan: "RenderPlan", request: BatchRenderRequest
+    ) -> SubmittedUnits:
+        return SubmittedUnits(self.execute_units(plan, request))
+
     def backward(
         self,
         result: "RenderResult",
@@ -178,6 +184,13 @@ class TileBackend:
     def execute_units(
         self, plan: "RenderPlan", request: BatchRenderRequest
     ) -> "BatchRenderResult":
+        raise NotImplementedError(
+            "the tile reference backend does not support batched rendering"
+        )
+
+    def submit_units(
+        self, plan: "RenderPlan", request: BatchRenderRequest
+    ) -> SubmittedUnits:
         raise NotImplementedError(
             "the tile reference backend does not support batched rendering"
         )

@@ -1,7 +1,7 @@
 """The ``RenderBackend`` protocol, its request types and the backend registry.
 
-A backend is a strategy object implementing the five-method
-:class:`RenderBackend` protocol over plain request dataclasses.  The built-in
+A backend is a strategy object implementing the :class:`RenderBackend`
+protocol over plain request dataclasses.  The built-in
 ``tile`` and ``flat`` rasterizers are registered in
 :mod:`repro.engine.backends` and the multi-process ``sharded`` executor in
 :mod:`repro.engine.sharded`; future execution strategies (e.g. ``async``)
@@ -96,6 +96,33 @@ class BatchRenderRequest:
     cache: "GeometryCache | None" = None
 
 
+class SubmittedUnits:
+    """A planned batch handed to :meth:`RenderBackend.submit_units`.
+
+    ``result()`` returns the stitched :class:`BatchRenderResult`, collecting
+    it on the first call when the units still run elsewhere (the ``sharded``
+    backend's worker pool); ``done`` says whether the batch is already there.
+    """
+
+    def __init__(
+        self,
+        batch: "BatchRenderResult | None" = None,
+        collect: "Callable[[], BatchRenderResult] | None" = None,
+    ):
+        self._batch = batch
+        self._collect = collect
+
+    @property
+    def done(self) -> bool:
+        return self._batch is not None
+
+    def result(self) -> "BatchRenderResult":
+        if self._batch is None:
+            collect, self._collect = self._collect, None
+            self._batch = collect()
+        return self._batch
+
+
 @runtime_checkable
 class RenderBackend(Protocol):
     """The strategy interface every registered rasterizer implements."""
@@ -133,6 +160,14 @@ class RenderBackend(Protocol):
     ) -> "BatchRenderResult":
         """Step 3 for a planned batch: rasterize the plan's work units and
         stitch the :class:`BatchRenderResult` in view order."""
+        ...
+
+    def submit_units(
+        self, plan: "RenderPlan", request: BatchRenderRequest
+    ) -> "SubmittedUnits":
+        """Start Step 3 for a planned batch; ``result()`` is what
+        ``execute_units`` returns.  Backends without a worker pool execute
+        before returning."""
         ...
 
     def backward(

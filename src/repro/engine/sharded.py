@@ -19,17 +19,23 @@ Execution model
   over one end of a socket pair.  Worker BLAS/OpenMP pools default to one
   thread through the worker's environment, so shards do not oversubscribe
   the cores they were created to use.  Workers draw no random numbers.
-* **Forward** — the parent packs each unit's Step 1-2 products (projection
-  arrays, per-tile row lists) plus per-view camera/pose metadata and output
-  reservations into one :mod:`multiprocessing.shared_memory` block; each
-  worker rebuilds its views' fragment lists, rasterizes them into its own
-  arena, writes the forward outputs (image, depth, alpha, fragment counts)
-  into the block and replies with per-view timings.  The parent stitches
-  per-view :class:`~repro.gaussians.rasterizer.RenderResult` objects in view
-  order, each carrying its unit's real projection and tile lists, and
-  attaches per-shard attribution
-  (:class:`~repro.gaussians.batch.ShardAttribution`).  The parent allocates
-  no arena for these views.
+* **Forward** — a dispatch has a send half and a collect half
+  (:meth:`ShardedBackend.submit_units` returns between them).  The send
+  half packs each unit's Step 1-2 products (projection arrays, per-tile row
+  lists) plus per-view camera/pose metadata and output reservations into one
+  :mod:`multiprocessing.shared_memory` block and sends each worker its
+  share; each worker rebuilds its views' fragment lists, rasterizes them
+  into its own arena, writes the forward outputs (image, depth, alpha,
+  fragment counts) into the block and replies with per-view timings.  The
+  collect half reads the replies, stitches per-view
+  :class:`~repro.gaussians.rasterizer.RenderResult` objects in view order,
+  each carrying its unit's real projection and tile lists, and attaches
+  per-shard attribution (:class:`~repro.gaussians.batch.ShardAttribution`).
+  The parent allocates no arena for these views.  Between the halves the
+  caller is free to plan, stitch or send more work (the render service
+  keeps its next round queued on the pool while it collects the current
+  one); every reply carries its request's token, so the pool hands each
+  dispatch its own replies whatever else is in flight.
 * **Geometry cache** — workers hold no cache.  A cached request plans
   against the cache in the parent, so tiers, stats and byte budgets stay
   with it; :meth:`ShardedBackend.execute_units` counts each unit's tier as
@@ -46,14 +52,17 @@ Execution model
 * **Fault tolerance** — a dispatched batch *always completes*, through one
   failure path.  Each render or backward dispatch waits once, for
   ``shard_deadline_s`` (:class:`~repro.engine.config.EngineConfig` /
-  ``REPRO_SHARD_DEADLINE_S``).  On any fault — a worker that dies, hangs
-  past the deadline, cannot be sent to, returns a structurally invalid
-  ("poisoned") reply or reports a render error — the parent **closes the
+  ``REPRO_SHARD_DEADLINE_S``), counted from the start of its own collect.
+  On any fault — a worker that dies, hangs past the deadline, cannot be
+  sent to, returns a structurally invalid ("poisoned") reply or reports a
+  render error — the parent **closes the
   whole pool** (shutdown, then ``terminate()``, then ``kill()``, so a
   SIGTERM-ignoring worker cannot leak) and **finishes the lost units
   itself** with :func:`~repro.gaussians.batch.execute_view` (against the
   cache's shared arena on a cached plan), so the stitched batch is bitwise
-  identical to an all-healthy run.  The next batch gets a fresh pool from
+  identical to an all-healthy run.  A dispatch still in flight on the
+  closed pool loses every reply it had not read yet, and the parent
+  finishes those units the same way.  The next batch gets a fresh pool from
   :func:`_shared_pool`.  Every fault and escalated view is recorded on
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
@@ -77,6 +86,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import socket
 import subprocess
@@ -96,6 +106,7 @@ from repro.engine.registry import (
     BackendCapabilities,
     BatchRenderRequest,
     RenderRequest,
+    SubmittedUnits,
     register_backend,
 )
 from repro.gaussians.backward import preprocess_backward, preprocess_backward_batch
@@ -148,9 +159,11 @@ class ShardWorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerFault:
-    """One observed worker failure during a :meth:`ShardedPool.gather`."""
+    """One observed worker failure of a dispatch (:meth:`ShardedPool.collect`)."""
 
-    kind: str  # "died" | "timeout" | "send-failed" | "error"
+    # "closed": another dispatch's fault closed the pool before this
+    # dispatch read the worker's reply.
+    kind: str  # "died" | "timeout" | "send-failed" | "error" | "closed"
     worker_id: int
     detail: str
 
@@ -174,7 +187,7 @@ class _ShmLayout:
     def reserve(self, shape: tuple[int, ...], dtype) -> tuple[int, str, tuple[int, ...]]:
         """Reserve an aligned region; returns its (offset, dtype, shape) spec."""
         dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         offset = self.size
         self.size += -(-nbytes // _SHM_ALIGN) * _SHM_ALIGN
         return (offset, dtype.str, tuple(int(dim) for dim in shape))
@@ -196,6 +209,15 @@ class _ShmLayout:
             del view
         self._pending.clear()
         return shm
+
+
+def _release_shm(shm) -> None:
+    """Unmap and unlink a block the parent created."""
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 def _shm_view(shm, spec: tuple[int, str, tuple[int, ...]]) -> np.ndarray:
@@ -276,7 +298,7 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
     """Rasterize this worker's units of one batch.
 
     Each view meta carries its unit's Step 1-2 products
-    (:meth:`ShardedBackend.execute_units`); the worker rebuilds the fragment
+    (:meth:`ShardedBackend._send_render`); the worker rebuilds the fragment
     list and rasterizes into the arena slot the batch occupies.
     """
     from repro.gaussians.fast_raster import (
@@ -355,8 +377,8 @@ def _apply_worker_faults(faults) -> tuple[list, "str | None"]:
     return slow_keys, poison_key
 
 
-def _worker_handle_render(ctx: _WorkerContext, payload) -> tuple:
-    token, shm_name, batch = payload
+def _worker_handle_render(ctx: _WorkerContext, token: int, payload) -> tuple:
+    shm_name, batch = payload
     # Faults fire before the block is attached so a crashing/hanging worker
     # never holds a mapping the parent's unlink would have to wait out.
     slow_keys, poison_key = _apply_worker_faults(batch.get("faults"))
@@ -447,20 +469,22 @@ def _worker_main(fd: int, worker_id: int) -> None:
             message = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
-        command = message[0]
-        if command == "shutdown":
+        if message[0] == "shutdown":
             break
+        # Every request carries its dispatch's token and every reply echoes
+        # it, so the parent can hand each reply to its own dispatch.
+        command, token, payload = message
         try:
             if command == "render":
-                reply = _worker_handle_render(ctx, message[1])
+                reply = _worker_handle_render(ctx, token, payload)
             elif command == "backward":
-                reply = _worker_handle_backward(ctx, message[1])
+                reply = _worker_handle_backward(ctx, payload)
             else:
                 raise ValueError(f"unknown shard command {command!r}")
         except BaseException:
             reply = ("error", traceback.format_exc())
         try:
-            conn.send(reply)
+            conn.send((token, *reply))
         except (BrokenPipeError, EOFError, OSError):
             break
     for token in list(ctx.batches):
@@ -503,13 +527,24 @@ class _Worker:
     worker_id: int
 
 
+@dataclass
+class _Ticket:
+    """One dispatch sent by :meth:`ShardedPool.send`, until it is collected."""
+
+    token: int
+    sent: list[int]  # worker ids the request reached, in send order
+    faults: list[WorkerFault]  # workers it could not be sent to
+
+
 class ShardedPool:
     """Persistent pool of shard worker subprocesses with socket transports.
 
-    A pool is all-or-nothing: any worker fault closes it (see
-    :meth:`ShardedBackend._dispatch_render`), and a pool with a dead worker
-    reads ``broken`` so :func:`_shared_pool` replaces it before the next
-    dispatch.
+    Work goes out with :meth:`send` and comes back with :meth:`collect`, so
+    several dispatches (a queued service round, another engine's backward)
+    can be in flight on one pool at once.  A pool is all-or-nothing: any
+    worker fault closes it (see :meth:`ShardedBackend._collect_render`), and
+    a pool with a dead worker reads ``broken`` so :func:`_shared_pool`
+    replaces it before the next dispatch.
     """
 
     def __init__(self, n_workers: int, start_timeout: float = _READY_TIMEOUT_S):
@@ -519,11 +554,15 @@ class ShardedPool:
         self._workers: list[_Worker] = []
         # Parent-side mirror of each worker's retained-batch window (see
         # _worker_render_batch): tokens rotate out FIFO once a worker has
-        # acknowledged _MAX_RETAINED_BATCHES newer renders.  Handles consult
+        # been sent _MAX_RETAINED_BATCHES newer renders.  Handles consult
         # the mirror (token_resident) before a backward request is sent, so a
         # batch the worker already evicted heals through the parent-recompute
         # path instead of surfacing the worker's residency error.
         self._resident: dict[int, deque] = {}
+        # Replies read while collecting another dispatch: (token, worker id)
+        # -> (status, payload).
+        self._stash: dict[tuple[int, int], tuple] = {}
+        self._uncollected: set[int] = set()  # tokens sent, not yet collected
         try:
             env = _worker_env()
             for worker_id in range(self.n_workers):
@@ -552,7 +591,10 @@ class ShardedPool:
         return _Worker(process, Connection(parent_sock.detach()), worker_id)
 
     def _handshake(self, worker: _Worker) -> None:
-        reply = self._receive(worker, timeout=self._start_timeout)
+        try:
+            reply = self._receive_until(worker, time.monotonic() + self._start_timeout)
+        except _WorkerGone as error:
+            raise ShardWorkerError(str(error)) from None
         if reply != ("ready", worker.worker_id):
             raise ShardWorkerError(
                 f"shard worker {worker.worker_id} sent unexpected handshake "
@@ -570,11 +612,19 @@ class ShardedPool:
             worker.process.poll() is not None for worker in self._workers
         )
 
+    @property
+    def in_flight(self) -> bool:
+        """Has a dispatch been sent whose replies are not collected yet?"""
+        return bool(self._uncollected)
+
     def note_resident(self, worker_id: int, token: int) -> None:
-        """Mirror a successful render ack: ``token`` is now worker-resident.
+        """Mirror a render sent to a worker: ``token`` is now worker-resident.
 
         Mimics the worker's own retention policy exactly: batches share a
-        FIFO window of ``_MAX_RETAINED_BATCHES`` slots.
+        FIFO window of ``_MAX_RETAINED_BATCHES`` slots, rotated in the order
+        the worker receives them, which is send order.  A render the worker
+        never finishes is a fault, and a fault closes the pool, so the mirror
+        only has to be right for healthy pools.
         """
         self._resident.setdefault(
             worker_id, deque(maxlen=_MAX_RETAINED_BATCHES)
@@ -584,46 +634,78 @@ class ShardedPool:
         """Does the parent-side mirror still consider ``token`` retained?"""
         return token in self._resident.get(worker_id, ())
 
-    def gather(
-        self, messages: dict[int, tuple], timeout: float = _REQUEST_TIMEOUT_S
-    ) -> tuple[dict[int, object], list[WorkerFault]]:
-        """Send one message per worker id, then drain replies without raising.
+    def send(self, command: str, payloads: dict[int, object]) -> _Ticket:
+        """Send one ``command`` request per worker id, without waiting.
 
-        All sends complete before the first receive so the shards execute
-        concurrently; ``timeout`` is one absolute deadline for the whole
-        drain.  Transport failures (send failure, death, timeout, EOF) and
-        ``("error", traceback)`` replies come back as :class:`WorkerFault`
-        records; the caller decides whether to close the pool.  Successful
-        payloads land in the first mapping.
+        Every request carries a fresh dispatch token, which a render also
+        stores its views under.  The workers start at once; the returned
+        ticket is what :meth:`collect` reads the replies for.  Workers that
+        cannot be sent to are recorded on the ticket as ``send-failed``
+        faults.
         """
-        faults: list[WorkerFault] = []
-        sent: list[int] = []
-        for worker_id, message in messages.items():
+        ticket = _Ticket(token=next(_TOKENS), sent=[], faults=[])
+        self._uncollected.add(ticket.token)
+        for worker_id, payload in payloads.items():
             try:
-                self._workers[worker_id].conn.send(message)
-                sent.append(worker_id)
+                self._workers[worker_id].conn.send((command, ticket.token, payload))
             except (BrokenPipeError, OSError) as error:
-                faults.append(
+                ticket.faults.append(
                     WorkerFault(
                         "send-failed",
                         worker_id,
                         f"shard worker {worker_id} is gone (send failed: {error})",
                     )
                 )
+                continue
+            ticket.sent.append(worker_id)
+            if command == "render":
+                self.note_resident(worker_id, ticket.token)
+        return ticket
+
+    def collect(
+        self, ticket: _Ticket, timeout: float = _REQUEST_TIMEOUT_S
+    ) -> tuple[dict[int, object], list[WorkerFault]]:
+        """Wait for ``ticket``'s replies without raising.
+
+        ``timeout`` is one absolute deadline for the whole collect, counted
+        from its start.  A worker answers its requests in send order, so a
+        reply for another in-flight dispatch may come first: it is stashed
+        for that dispatch's own collect, and counts against this deadline.
+        Transport failures (send failure, death, timeout, EOF), a pool
+        another dispatch's fault closed first (``closed``) and
+        ``("error", traceback)`` replies come back as :class:`WorkerFault`
+        records; the caller decides whether to close the pool.  Successful
+        payloads land in the first mapping.
+        """
+        self._uncollected.discard(ticket.token)
+        faults = list(ticket.faults)
         replies: dict[int, object] = {}
         deadline = time.monotonic() + timeout
-        for worker_id in sent:
-            worker = self._workers[worker_id]
+        for worker_id in ticket.sent:
             try:
-                reply = self._receive_until(worker, deadline)
+                status, payload = self._reply(worker_id, ticket.token, deadline)
             except _WorkerGone as error:
                 faults.append(WorkerFault(error.kind, worker_id, str(error)))
                 continue
-            if reply and reply[0] == "error":
-                faults.append(WorkerFault("error", worker_id, reply[1]))
+            if status == "error":
+                faults.append(WorkerFault("error", worker_id, payload))
             else:
-                replies[worker_id] = reply[1] if reply else None
+                replies[worker_id] = payload
         return replies, faults
+
+    def _reply(self, worker_id: int, token: int, deadline: float) -> tuple:
+        """Worker ``worker_id``'s ``(status, payload)`` reply to ``token``."""
+        key = (token, worker_id)
+        while key not in self._stash:
+            if self._closed:
+                raise _WorkerGone(
+                    "closed",
+                    f"the pool was closed before shard worker {worker_id}'s "
+                    "reply was read",
+                )
+            reply_token, *reply = self._receive_until(self._workers[worker_id], deadline)
+            self._stash[(reply_token, worker_id)] = tuple(reply)
+        return self._stash.pop(key)
 
     def _receive_until(self, worker: _Worker, deadline: float):
         while not worker.conn.poll(0.02):
@@ -646,17 +728,6 @@ class ShardedPool:
                 "died",
                 f"shard worker {worker.worker_id} hung up mid-reply: {error}",
             ) from None
-
-    def _receive(self, worker: _Worker, timeout: float = _REQUEST_TIMEOUT_S) -> tuple:
-        try:
-            reply = self._receive_until(worker, time.monotonic() + timeout)
-        except _WorkerGone as error:
-            raise ShardWorkerError(str(error)) from None
-        if reply and reply[0] == "error":
-            raise ShardWorkerError(
-                f"shard worker {worker.worker_id} failed:\n{reply[1]}"
-            )
-        return reply
 
     def close(self) -> None:
         """Shut every worker down; escalate terminate() -> kill() on stragglers."""
@@ -683,6 +754,7 @@ class ShardedPool:
             except OSError:
                 pass
         self._workers.clear()
+        self._stash.clear()
         self._closed = True
 
 
@@ -694,8 +766,14 @@ _POOLS: dict[int, ShardedPool] = {}
 
 
 def _shared_pool(n_workers: int) -> ShardedPool:
+    """The process-wide pool of ``n_workers`` workers, started on demand.
+
+    A broken pool is replaced, unless a dispatch on it is still in flight:
+    then the collect that meets the fault closes it, so each fault has one
+    handler and the units it loses do not depend on when the worker died.
+    """
     pool = _POOLS.get(n_workers)
-    if pool is not None and pool.broken:
+    if pool is not None and (pool.closed or (pool.broken and not pool.in_flight)):
         pool.close()
         del _POOLS[n_workers]
         pool = None
@@ -743,6 +821,19 @@ class _ShardHandle:
         return not self.pool.broken and self.pool.token_resident(
             self.worker_id, self.token
         )
+
+
+@dataclass
+class _RenderDispatch:
+    """A forward dispatch between its send and its collect half."""
+
+    pool: ShardedPool
+    units: "list[ViewWorkUnit]"
+    shm: object  # the dispatch's shared-memory block, unlinked at collect
+    view_metas: list[dict]
+    assignment: dict[int, list[int]]  # worker id -> dispatch-local view indices
+    ticket: _Ticket
+    dispatch_seconds: float
 
 
 def default_shard_workers() -> int:
@@ -916,8 +1007,8 @@ class ShardedBackend:
         """Parent-side Step 1-2 planning of every batch.
 
         :meth:`render_batch` is this plan followed by :meth:`execute_units`;
-        callers that schedule units themselves (the render service) call the
-        two halves separately.
+        callers that schedule units themselves (the render service) plan
+        once and hand selected units to :meth:`submit_units`.
         """
         return plan_batch_views(
             request.cloud,
@@ -930,26 +1021,46 @@ class ShardedBackend:
             cache=request.cache,
         )
 
-    def execute_units(
+    def submit_units(
         self, plan: RenderPlan, request: BatchRenderRequest
-    ) -> BatchRenderResult:
-        """Rasterize a plan's units on the pool (see :meth:`plan_batch`).
+    ) -> SubmittedUnits:
+        """Start rasterizing a plan's units on the pool (see :meth:`plan_batch`).
 
         With a usable pool each unit's Step 1-2 products (its projection
         arrays and per-tile row lists) ship in the batch's shared-memory
-        block (:meth:`_dispatch_render`); the worker rebuilds the fragment
-        list, rasterizes into its own arena and keeps the result for
-        backward.  The parent never reserves an arena for these views.  It
-        counts each cached unit's tier in the cache's ``CacheStats`` and sets
-        the view's ``cache_status``, as :meth:`GeometryCache.render_view`
-        would have.  Lost units (the pool failed) run :func:`execute_view` in
-        the parent, against the cache's shared arena on a cached plan.
-        Without a pool the plan runs serially (:func:`execute_plan`).
+        block and the workers start at once (:meth:`_send_render`); the
+        worker rebuilds the fragment list, rasterizes into its own arena and
+        keeps the result for backward.  The returned handle's ``result()``
+        collects and stitches the batch (:meth:`_finish_units`); the caller
+        may plan, stitch or submit more work in between.  Without a pool the
+        plan runs serially (:func:`execute_plan`) before this returns.
         """
         pool = self._pool_for(plan.n_views)
         if pool is None:
-            return execute_plan(plan, arena=request.arena)
+            return SubmittedUnits(execute_plan(plan, arena=request.arena))
         units = sorted(plan.units, key=lambda unit: unit.index)
+        dispatch = self._send_render(pool, units)
+        return SubmittedUnits(collect=lambda: self._finish_units(plan, request, dispatch))
+
+    def execute_units(
+        self, plan: RenderPlan, request: BatchRenderRequest
+    ) -> BatchRenderResult:
+        """Rasterize a plan's units and wait for the batch: :meth:`submit_units`,
+        then its ``result()``."""
+        return self.submit_units(plan, request).result()
+
+    def _finish_units(
+        self, plan: RenderPlan, request: BatchRenderRequest, dispatch: "_RenderDispatch"
+    ) -> BatchRenderResult:
+        """The collect half of :meth:`submit_units`: the stitched batch.
+
+        The parent never reserves an arena for pooled views.  It counts each
+        cached unit's tier in the cache's ``CacheStats`` and sets the view's
+        ``cache_status``, as :meth:`GeometryCache.render_view` would have.
+        Lost units (the pool failed) run :func:`execute_view` in the parent,
+        against the cache's shared arena on a cached plan.
+        """
+        units = dispatch.units
         arena = None
 
         def escalate(index: int):
@@ -960,7 +1071,7 @@ class ShardedBackend:
             result = execute_view(units[index], arena, cache=plan.cache)
             return result, time.perf_counter() - start
 
-        views, view_seconds, sharding = self._dispatch_render(pool, units, escalate)
+        views, view_seconds, sharding = self._collect_render(dispatch, escalate)
         for index, unit in enumerate(units):
             view_seconds[index] += unit.plan_seconds
             if unit.cache_plan is not None and index not in sharding.escalated_views:
@@ -997,6 +1108,9 @@ class ShardedBackend:
         return plan, op_index
 
     def _disarm_fault_sites(self, plan, fault_sites: dict[int, list[dict]]) -> None:
+        """Consume the once-sites a dispatch shipped as soon as it is sent,
+        so a dispatch sent while it is still in flight cannot fire them
+        again."""
         if plan is None:
             return
         sticky = plan.sticky_keys()
@@ -1005,26 +1119,15 @@ class ShardedBackend:
                 if site["key"] not in sticky:
                     self._fault_fired.add(site["key"])
 
-    def _dispatch_render(
-        self, pool: ShardedPool, units: "list[ViewWorkUnit]", escalate
-    ) -> "tuple[list[RenderResult], list[float], ShardAttribution]":
-        """Fan ``units`` out over ``pool`` in one shared-memory block.
+    def _send_render(
+        self, pool: ShardedPool, units: "list[ViewWorkUnit]"
+    ) -> "_RenderDispatch":
+        """The send half of a forward dispatch: fan ``units`` out over ``pool``.
 
         Packs every unit's Step 1-2 products and reserves its forward
-        outputs in the block, then waits once, for ``shard_deadline_s``.  On
-        any fault (a crash, a hang, a failed send, a poisoned reply or a
-        worker-reported render error) the whole pool is closed and
-        ``escalate(index) -> (RenderResult, seconds)`` finishes each lost
-        unit in the parent; views a healthy worker finished keep their
-        outputs.  Those become parent-side views carrying the unit's
-        projection and tile lists and a :class:`_ShardHandle` to the worker
-        holding their tile caches.  The result is total: every view completes
-        on one of the two paths.  Returns the views in order, per-view
-        seconds and the attribution.
+        outputs in one shared-memory block, deals the units round-robin and
+        sends each worker its share with the fault sites due to it.
         """
-        from repro.gaussians.rasterizer import RenderResult
-
-        n_views = len(units)
         plan, op_index = self._next_fault_op()
         dispatch_start = time.perf_counter()
         layout = _ShmLayout()
@@ -1058,18 +1161,8 @@ class ShardedBackend:
                 }
             )
         shm = layout.create()
-        view_seconds = [0.0] * n_views
-        local_results: dict[int, "RenderResult"] = {}  # escalated views
-        fault_log: list[dict] = []
-        lost: list[int] = []  # views of faulted workers
         try:
-            assignment = _assign_round_robin(pool.n_workers, n_views)
-            worker_of = {
-                view: worker_id for worker_id, views in assignment.items() for view in views
-            }
-            worker_seconds = {worker_id: 0.0 for worker_id in assignment}
-            dispatch_seconds = time.perf_counter() - dispatch_start
-            token = next(_TOKENS)
+            assignment = _assign_round_robin(pool.n_workers, len(units))
             fault_sites = (
                 {}
                 if plan is None
@@ -1080,23 +1173,65 @@ class ShardedBackend:
                     fired=self._fault_fired,
                 )
             )
-            messages = {
-                worker_id: (
-                    "render",
-                    (
-                        token,
+            dispatch_seconds = time.perf_counter() - dispatch_start
+            ticket = pool.send(
+                "render",
+                {
+                    worker_id: (
                         shm.name,
                         {
                             "views": [view_metas[i] for i in view_ids],
                             "faults": fault_sites.get(worker_id),
                         },
-                    ),
-                )
-                for worker_id, view_ids in assignment.items()
-            }
-            replies, faults = pool.gather(messages, timeout=self.config.shard_deadline_s)
-            self._disarm_fault_sites(plan, fault_sites)
+                    )
+                    for worker_id, view_ids in assignment.items()
+                },
+            )
+        except BaseException:
+            _release_shm(shm)
+            raise
+        self._disarm_fault_sites(plan, fault_sites)
+        return _RenderDispatch(
+            pool=pool,
+            units=units,
+            shm=shm,
+            view_metas=view_metas,
+            assignment=assignment,
+            ticket=ticket,
+            dispatch_seconds=dispatch_seconds,
+        )
 
+    def _collect_render(
+        self, dispatch: "_RenderDispatch", escalate
+    ) -> "tuple[list[RenderResult], list[float], ShardAttribution]":
+        """The collect half of a forward dispatch: wait once, then stitch.
+
+        Waits for the replies for ``shard_deadline_s``.  On any fault (a
+        crash, a hang, a failed send, a poisoned reply, a worker-reported
+        render error, or a pool another dispatch's fault closed first) the
+        whole pool is closed and ``escalate(index) -> (RenderResult,
+        seconds)`` finishes each lost unit in the parent; views a healthy
+        worker finished keep their outputs.  Those become parent-side views
+        carrying the unit's projection and tile lists and a
+        :class:`_ShardHandle` to the worker holding their tile caches.  The
+        result is total: every view completes on one of the two paths.
+        Returns the views in order, per-view seconds and the attribution.
+        """
+        from repro.gaussians.rasterizer import RenderResult
+
+        pool, units, shm = dispatch.pool, dispatch.units, dispatch.shm
+        view_metas, assignment = dispatch.view_metas, dispatch.assignment
+        n_views = len(units)
+        worker_of = {
+            view: worker_id for worker_id, views in assignment.items() for view in views
+        }
+        worker_seconds = {worker_id: 0.0 for worker_id in assignment}
+        view_seconds = [0.0] * n_views
+        local_results: dict[int, "RenderResult"] = {}  # escalated views
+        fault_log: list[dict] = []
+        lost: list[int] = []  # views of faulted workers
+        try:
+            replies, faults = pool.collect(dispatch.ticket, timeout=self.config.shard_deadline_s)
             for fault in faults:
                 fault_log.append(
                     {
@@ -1133,7 +1268,6 @@ class ShardedBackend:
                             "detail": ",".join(map(str, payload["fault_sites"])),
                         }
                     )
-                pool.note_resident(worker_id, token)
                 for view in payload["views"]:
                     seconds = view["plan_seconds"] + view["raster_seconds"]
                     view_seconds[view["index"]] = seconds
@@ -1195,17 +1329,13 @@ class ShardedBackend:
                 # reads unusable and backward recomputes the view here.
                 view.shard_info = _ShardHandle(
                     pool=pool,
-                    token=token,
+                    token=dispatch.ticket.token,
                     worker_id=worker_of[index],
                     view_index=index,
                 )
                 views.append(view)
         finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+            _release_shm(shm)
 
         return (
             views,
@@ -1217,7 +1347,7 @@ class ShardedBackend:
                     for index in range(n_views)
                 ],
                 worker_seconds=worker_seconds,
-                dispatch_seconds=dispatch_seconds,
+                dispatch_seconds=dispatch.dispatch_seconds,
                 stitch_seconds=time.perf_counter() - stitch_start,
                 fault_events=fault_log,
                 escalated_views=sorted(local_results),
@@ -1286,17 +1416,15 @@ class ShardedBackend:
         failed: list[int] = []
         shm = layout.create()
         try:
-            messages = {
-                worker_id: (
-                    "backward",
-                    (shm.name, worker_items, fault_sites.get(worker_id)),
-                )
-                for worker_id, worker_items in per_worker.items()
-            }
-            replies, faults = pool.gather(
-                messages, timeout=self.config.shard_deadline_s
+            ticket = pool.send(
+                "backward",
+                {
+                    worker_id: (shm.name, worker_items, fault_sites.get(worker_id))
+                    for worker_id, worker_items in per_worker.items()
+                },
             )
             self._disarm_fault_sites(plan, fault_sites)
+            replies, faults = pool.collect(ticket, timeout=self.config.shard_deadline_s)
             error = next((fault for fault in faults if fault.kind == "error"), None)
             for fault in faults:
                 if fault.kind == "error":
@@ -1376,11 +1504,7 @@ class ShardedBackend:
                     f"shard worker {error.worker_id} failed:\n{error.detail}"
                 )
         finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+            _release_shm(shm)
         return screen_by_view, failed
 
     @staticmethod

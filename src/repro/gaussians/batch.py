@@ -109,10 +109,12 @@ class ShardAttribution:
     stitch_seconds: float  # parent-side gather + result assembly overhead
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
-    # send-failed | poisoned | slow | worker-error | escalated |
+    # send-failed | closed | poisoned | slow | worker-error | escalated |
     # stale-handle), ``worker``, ``phase`` ("render" | "backward") and
-    # ``views``.  The backward pass appends to this same list, so a record
-    # read after a mapping iteration sees both phases.
+    # ``views``.  ``closed``: a fault in another dispatch closed the pool
+    # before this dispatch's reply was read.  The backward pass appends to
+    # this same list, so a record read after a mapping iteration sees both
+    # phases.
     fault_events: list = field(default_factory=list)
     # Always 0 (no fault is retried); kept because the benchmark's
     # ``engine.sharded.retries`` metric reads it.
@@ -121,9 +123,12 @@ class ShardAttribution:
     # worker_ids entry is -1 and they carry no worker handle).
     escalated_views: list[int] = field(default_factory=list)
     # -- render service ------------------------------------------------------
-    # Per-view scheduler timings of a repro.service.RenderService job: how
-    # long each view waited in its session queue before dispatch and how
-    # long its dispatch round took.  Empty outside the service.
+    # Per-view scheduler timings of a repro.service.RenderService job.
+    # Queue wait: from the job's submit (planning included) until its round
+    # was submitted to the backend.  Service seconds: the round's span from
+    # that submit to the end of its collect, split evenly over its views; a
+    # round queued behind another one on the pool also counts the wait for
+    # the round ahead of it.  Empty outside the service.
     view_queue_wait_seconds: list[float] = field(default_factory=list)
     view_service_seconds: list[float] = field(default_factory=list)
 

@@ -11,12 +11,24 @@ of letting every tenant monopolise a private backend:
   through the backend's public ``plan_batch`` seam (cache-on sessions plan
   against their parent-resident geometry cache, which is what makes
   cross-session byte budgets observable and enforceable), and each round
-  hands the elected units to the backend's ``execute_units``, which
-  rasterizes them on the pool with a serial fallback on worker faults.
-  Planning time therefore lands in the views' queue wait, not in a
-  round's service seconds.  The per-view outputs are bitwise-identical to
-  a private solo engine — grouping work units into rounds never changes a
-  view's pixels (pinned by the scenario matrix's ``service`` cells).
+  hands the elected units to the backend's ``submit_units``, which starts
+  them on the pool (with a serial fallback on worker faults).  The per-view
+  outputs are bitwise-identical to a private solo engine — grouping work
+  units into rounds never changes a view's pixels (pinned by the scenario
+  matrix's ``service`` cells).
+
+* **Pipelined rounds.**  :meth:`RenderService.run_round` starts the next
+  round before it collects the oldest one, so one round stays queued on
+  the pool while the parent collects and stitches a round, plans the jobs
+  submitted in between and elects the next session: the workers do not
+  idle through the parent's share of the work.  The depth is fixed at two
+  rounds in flight.  A round that runs in the parent (the ``flat`` and
+  ``async`` backends submit synchronously, and a one-view round never uses
+  the pool) finishes when it is submitted, and nothing is queued behind
+  it.  Planning therefore overlaps the pool's rounds and lands in the
+  views' queue wait; a round's service seconds run from its submit to the
+  end of its collect, which for a queued round includes the wait for the
+  round ahead of it.
 
 * **Weighted-fair queuing.**  Stride scheduling over per-session ``pass``
   values: each round elects the backlogged session with the smallest pass
@@ -30,8 +42,10 @@ of letting every tenant monopolise a private backend:
   :class:`AdmissionError` instead of queueing unboundedly.
 
 * **Graceful close.**  ``close_session(drain=True)`` runs the scheduler
-  until the session's in-flight units finish; ``drain=False`` cancels its
-  pending units (outstanding :meth:`ServiceJob.result` calls raise
+  until the session's queued and in-flight units finish; ``drain=False``
+  cancels its queued units and waits out its in-flight rounds, discarding
+  them, so no shared-memory block or worker reply is left behind
+  (outstanding :meth:`ServiceJob.result` calls raise
   :class:`SessionClosedError`).
 """
 
@@ -44,7 +58,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.engine import EngineConfig, RenderEngine
-from repro.engine.registry import BatchRenderRequest
+from repro.engine.registry import BatchRenderRequest, SubmittedUnits
 from repro.engine.sharded import ShardedBackend
 from repro.gaussians.batch import BatchRenderResult, RenderPlan, ShardAttribution
 from repro.gaussians.geom_cache import CacheClock
@@ -76,8 +90,8 @@ class ServiceJob:
     """One submitted batch render: per-view units tracked to completion.
 
     Returned by :meth:`RenderSession.submit`; :meth:`result` drives the
-    service scheduler until every unit of *this* job has been dispatched
-    (other sessions' units are interleaved fairly in between) and stitches
+    service scheduler until every unit of *this* job has completed (other
+    sessions' units are interleaved fairly in between) and stitches
     the per-view results into one :class:`BatchRenderResult` whose
     ``sharding`` attribution carries the per-view queue-wait / service
     seconds (the session's totals live on :class:`SessionStats`).
@@ -92,7 +106,8 @@ class ServiceJob:
         # (RenderSession.submit), so planning time counts as queue wait.
         self.plan: RenderPlan | None = None
         now = time.perf_counter()
-        self._pending = deque(range(self.n_views))
+        self._pending = deque(range(self.n_views))  # not yet dispatched
+        self._in_flight = 0  # dispatched in rounds not yet collected
         self._enqueued_at = [now] * self.n_views
         self._results = [None] * self.n_views
         self._view_seconds = [0.0] * self.n_views
@@ -105,11 +120,12 @@ class ServiceJob:
 
     @property
     def pending_units(self) -> int:
-        return len(self._pending)
+        """Units not yet completed: queued or in a round still in flight."""
+        return len(self._pending) + self._in_flight
 
     @property
     def done(self) -> bool:
-        return not self._pending
+        return self.pending_units == 0
 
     def result(self) -> BatchRenderResult:
         """Drive the scheduler until this job completes; the stitched batch."""
@@ -118,8 +134,8 @@ class ServiceJob:
             if self.cancelled:
                 break
             if service.run_round() == 0:
-                # No session has pending units, yet this job is incomplete:
-                # it was cancelled out of the queues by a close.
+                # Nothing is queued or in flight, yet this job is
+                # incomplete: it was cancelled out of the queues by a close.
                 break
         if self.cancelled or not self.done:
             raise SessionClosedError(
@@ -237,9 +253,15 @@ class RenderSession:
 
     # -- scheduling state ----------------------------------------------------
     def _front_job(self) -> ServiceJob | None:
+        """The oldest job not yet completed."""
         while self._jobs and self._jobs[0].done:
             self._jobs.popleft()
         return self._jobs[0] if self._jobs else None
+
+    def _next_job(self) -> ServiceJob | None:
+        """The oldest job with units not yet dispatched."""
+        self._front_job()  # let go of completed jobs
+        return next((job for job in self._jobs if job._pending), None)
 
     def pending_units(self) -> int:
         return sum(job.pending_units for job in self._jobs)
@@ -340,6 +362,21 @@ class RenderSession:
         self.service.close_session(self, drain=drain)
 
 
+# Rounds in flight on the pool: one collected while the next one runs.
+_ROUNDS_IN_FLIGHT = 2
+
+
+@dataclass
+class _Round:
+    """One scheduling round from its submit to its collect."""
+
+    session: RenderSession
+    job: ServiceJob
+    indices: list[int]
+    started: float
+    units: SubmittedUnits
+
+
 class RenderService:
     """Session manager multiplexing tenants over the shared worker pool.
 
@@ -395,6 +432,7 @@ class RenderService:
         self._sessions: dict[str, RenderSession] = {}
         self._order_counter = 0
         self._queued_units = 0
+        self._in_flight: deque[_Round] = deque()  # oldest first
         self._closed = False
         # (session_id, units) per scheduling round, in dispatch order —
         # the observable the fairness/starvation tests assert on.
@@ -471,7 +509,8 @@ class RenderService:
 
         Draining runs whole scheduler rounds, so other sessions keep their
         fair share while this one finishes.  Cancelling marks the session's
-        jobs cancelled — pending units are dropped and outstanding
+        jobs cancelled — queued units are dropped, rounds already on the pool
+        are waited out and discarded, and outstanding
         :meth:`ServiceJob.result` calls raise :class:`SessionClosedError`.
         """
         if session.closed:
@@ -480,11 +519,17 @@ class RenderService:
             while session.pending_units() > 0:
                 if self.run_round() == 0:
                     break
+        for round_ in [r for r in self._in_flight if r.session is session]:
+            self._in_flight.remove(round_)
+            # Collecting releases the round's shared memory and consumes
+            # its replies.
+            round_.units.result()
         for job in session._jobs:
             if not job.done:
                 job.cancelled = True
-                self._queued_units -= job.pending_units
+                self._queued_units -= len(job._pending)
                 job._pending.clear()
+                job._in_flight = 0
         session._jobs.clear()
         session.closed = True
         self._budget.unregister(session.session_id)
@@ -535,43 +580,28 @@ class RenderService:
 
     # -- scheduling ----------------------------------------------------------
     def run_round(self) -> int:
-        """Elect one session, dispatch up to a quantum of its units.
+        """Start the next round, then collect the oldest one in flight.
 
-        Returns the number of units dispatched (0 when every queue is empty).
-        The election is deterministic — smallest pass, ties broken by session
-        open order — so interleavings replay exactly.
+        Elections fill the pipeline to two rounds in flight, so one round
+        stays queued on the pool while this call collects and stitches the
+        oldest.  A round that finished when it was submitted (it ran in the
+        parent) is collected before another one starts.  Returns the number of units
+        the collected round completed: 0 only when no unit is queued or in
+        flight.  The election is deterministic — smallest pass, ties broken
+        by session open order — so interleavings replay exactly.
         """
-        candidates = [
-            session
-            for session in self._sessions.values()
-            if session._front_job() is not None
-        ]
-        if not candidates:
+        while (
+            len(self._in_flight) < _ROUNDS_IN_FLIGHT
+            and not any(round_.units.done for round_ in self._in_flight)
+            and self._start_round()
+        ):
+            pass
+        if not self._in_flight:
             return 0
-        session = min(candidates, key=lambda s: (s._pass, s._order))
-        job = session._front_job()
-        count = min(self.round_quantum, job.pending_units)
-        indices = [job._pending.popleft() for _ in range(count)]
-        started = time.perf_counter()
-        for index in indices:
-            job._queue_wait[index] = started - job._enqueued_at[index]
-        self._execute_round(session, job, indices)
-        elapsed = time.perf_counter() - started
-        for index in indices:
-            job._service_seconds[index] = elapsed / count
-        session._pass += count / session.weight
-        session.stats.units_done += count
-        session.stats.rounds += 1
-        session.stats.queue_wait_seconds += sum(
-            job._queue_wait[index] for index in indices
-        )
-        session.stats.service_seconds += elapsed
-        self._queued_units -= count
-        self.dispatch_log.append((session.session_id, count))
-        return count
+        return self._finish_round(self._in_flight.popleft())
 
     def drain(self) -> None:
-        """Run scheduler rounds until every session's queue is empty."""
+        """Run scheduler rounds until no unit is queued or in flight."""
         while self.run_round() > 0:
             pass
 
@@ -583,15 +613,44 @@ class RenderService:
                 f"{self.max_queued_units}; wait for in-flight work to drain"
             )
 
-    def _execute_round(self, session: RenderSession, job: ServiceJob, indices: list[int]) -> None:
-        """Dispatch the elected units as one sub-batch over the shared pool.
+    def _start_round(self) -> bool:
+        """Elect one session and submit up to a quantum of its queued units.
 
         The job's units were planned at submit; the round hands the elected
-        ones to the backend's ``execute_units``.  Each view's output is
-        copied out of shared memory, so round results stay valid across later
-        rounds on the same pool.
+        ones to the backend's ``submit_units``.  False when no session has a
+        queued unit.
         """
-        sub = session.backend.execute_units(job.plan.select(indices), job.request)
+        candidates = [
+            session
+            for session in self._sessions.values()
+            if session._next_job() is not None
+        ]
+        if not candidates:
+            return False
+        session = min(candidates, key=lambda s: (s._pass, s._order))
+        job = session._next_job()
+        count = min(self.round_quantum, len(job._pending))
+        indices = [job._pending.popleft() for _ in range(count)]
+        started = time.perf_counter()
+        for index in indices:
+            job._queue_wait[index] = started - job._enqueued_at[index]
+        units = session.backend.submit_units(job.plan.select(indices), job.request)
+        job._in_flight += count
+        session._pass += count / session.weight
+        self._queued_units -= count
+        self.dispatch_log.append((session.session_id, count))
+        self._in_flight.append(_Round(session, job, indices, started, units))
+        return True
+
+    def _finish_round(self, round_: _Round) -> int:
+        """Collect one round and file its views with its job.
+
+        Each view's output is copied out of shared memory, so round results
+        stay valid across later rounds on the same pool.
+        """
+        job, indices, count = round_.job, round_.indices, len(round_.indices)
+        sub = round_.units.result()
+        elapsed = time.perf_counter() - round_.started
         if job.plan.cache is None and sub.arena is not None:
             # Units keep their bases in the job's whole reservation, so the
             # job's later parent-side rounds share this round's arena.
@@ -599,4 +658,12 @@ class RenderService:
         for slot, index in enumerate(indices):
             job._results[index] = sub.views[slot]
             job._view_seconds[index] = sub.view_seconds[slot]
+            job._service_seconds[index] = elapsed / count
         job._rounds.append((list(indices), sub))
+        job._in_flight -= count
+        stats = round_.session.stats
+        stats.units_done += count
+        stats.rounds += 1
+        stats.queue_wait_seconds += sum(job._queue_wait[index] for index in indices)
+        stats.service_seconds += elapsed
+        return count

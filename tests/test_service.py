@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from test_sharded import GRADIENT_FIELDS, _leak_guard
 
 from repro.engine import ArenaInUseError, EngineConfig, RenderEngine
 from repro.service import AdmissionError, RenderService, SessionClosedError
@@ -219,25 +220,26 @@ class TestOneJobPath:
         service.close()
 
 
+def _weighted_dispatch_log() -> list[tuple[str, int]]:
+    """The dispatch log of three 8-view jobs, weights 1, 2 and 1, quantum 2."""
+    spec = _spec("single_gaussian")
+    service = _service()
+    sessions = {
+        sid: service.open_session(sid, weight=weight)
+        for sid, weight in (("light", 1.0), ("heavy", 2.0), ("other", 1.0))
+    }
+    args, kwargs = _window(spec, n_views=8)
+    jobs = [sessions[sid].submit(*args, **kwargs) for sid in sessions]
+    for job in jobs:
+        job.result()
+    log = list(service.dispatch_log)
+    service.close()
+    return log
+
+
 class TestFairScheduling:
     def test_interleaving_is_fair_and_deterministic(self):
-        spec = _spec("single_gaussian")
-
-        def run_once():
-            service = _service()
-            sessions = {
-                sid: service.open_session(sid, weight=weight)
-                for sid, weight in (("light", 1.0), ("heavy", 2.0), ("other", 1.0))
-            }
-            args, kwargs = _window(spec, n_views=8)
-            jobs = [sessions[sid].submit(*args, **kwargs) for sid in sessions]
-            for job in jobs:
-                job.result()
-            log = list(service.dispatch_log)
-            service.close()
-            return log
-
-        log = run_once()
+        log = _weighted_dispatch_log()
         units = {}
         for sid, count in log:
             units[sid] = units.get(sid, 0) + count
@@ -263,7 +265,7 @@ class TestFairScheduling:
             assert turns[-1] - turns[0] >= len(turns)  # others ran in between
         # Stride election is deterministic: the same workload replays the
         # exact same dispatch log.
-        assert run_once() == log
+        assert _weighted_dispatch_log() == log
 
     def test_starvation_bound_holds_for_a_light_session(self):
         spec = _spec("single_gaussian")
@@ -473,10 +475,13 @@ class TestCachedJobsOnThePool:
         service.close()
 
     def test_crash_in_a_cached_round_finishes_lost_units_in_the_parent(self):
-        """A crash in a cached round closes the pool; the lost unit runs
+        """A crash in a cached round closes the pool; the lost units run
         ``execute_view`` against the session cache's arena, bitwise equal to
         a flat cached render with the same statuses and tier counts, and the
-        next round runs on a fresh pool."""
+        next job runs on a fresh pool.
+
+        The job's second round was already queued on the pool the crash
+        closed, so its units are lost too and finish in the parent."""
         from repro.engine import fault_plan
 
         spec = _spec()
@@ -502,12 +507,17 @@ class TestCachedJobsOnThePool:
         assert session.cache_stats().as_dict() == flat.cache_stats().as_dict()
         events = [event["event"] for event in batch.sharding.fault_events]
         assert "died" in events
-        assert batch.sharding.escalated_views == [0]
-        assert batch.sharding.worker_ids[0] == -1
+        assert "closed" in events  # the queued round found its pool closed
+        assert batch.sharding.escalated_views == [0, 2, 3]
+        assert batch.sharding.worker_ids == [-1, 1, -1, -1]
         first_pool = batch.views[1].shard_info.pool
         assert first_pool.closed
-        assert batch.views[2].shard_info.pool is not first_pool
-        assert not batch.views[2].shard_info.pool.closed
+        session.engine.release()
+        after = session.submit(*args, **kwargs).result()
+        assert after.sharding.fault_events == []
+        assert after.views[0].shard_info.pool is not first_pool
+        assert not after.views[0].shard_info.pool.closed
+        _assert_batches_equal(after, reference)
         session.engine.release()
         service.close()
 
@@ -545,6 +555,150 @@ class TestCachedJobsOnThePool:
         assert stale == ["stale-handle"] * 4
         service.close()
         flat_service.close()
+
+
+class TestPipelinedRounds:
+    """``run_round`` keeps the next round queued on the pool while it
+    collects the oldest one."""
+
+    def _losses(self, batch, seed: int):
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(-1, 1, size=view.image.shape) for view in batch.views]
+
+    def _assert_grads_equal(self, grads, reference):
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_array_equal(
+                np.asarray(getattr(grads.cloud, name)),
+                np.asarray(getattr(reference.cloud, name)),
+                err_msg=name,
+            )
+
+    def _queue_a_round(self, service) -> None:
+        """Run one round, leaving the next one queued on the pool."""
+        assert service.run_round() > 0
+        assert len(service._in_flight) == 1
+        assert not service._in_flight[0].units.done
+
+    def test_dispatch_log_is_the_synchronous_schedulers(self):
+        """Elections run in the same order as when every round finished
+        before the next one was elected (the log of the synchronous
+        scheduler, written out)."""
+        elected = "light heavy other heavy light heavy other heavy light other light other"
+        assert _weighted_dispatch_log() == [(sid, 2) for sid in elected.split()]
+
+    def test_second_engine_shares_the_pool_with_a_queued_round(self):
+        """Another engine renders and backprops on the shared pool while a
+        service round is queued: its batches stay bitwise equal to ``flat``
+        (its replies never mix with the round's), and so does every job."""
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=3)
+        engine, flat = _solo_engine(), RenderEngine(EngineConfig(backend="flat"))
+        reference = flat.render_batch(*args, **kwargs, managed=False)
+        losses = self._losses(reference, seed=7)
+        expected = flat.backward_batch(reference, spec.cloud, losses)
+        early = engine.render_batch(*args, **kwargs, managed=False)
+
+        service = _service()
+        job_args, job_kwargs = _window(spec, n_views=4)
+        jobs = [
+            service.open_session(sid).submit(*job_args, **job_kwargs) for sid in ("a", "b")
+        ]
+        self._queue_a_round(service)
+        # Two rounds went out after ``early``, so the workers rotated it out;
+        # its backward must heal in the parent, not ask a worker for it.
+        grads = engine.backward_batch(early, spec.cloud, losses)
+        self._assert_grads_equal(grads, expected)
+        assert [e["event"] for e in early.sharding.fault_events] == ["stale-handle"] * 3
+
+        batch = engine.render_batch(*args, **kwargs, managed=False)
+        assert len(service._in_flight) == 1  # its reply is still unread
+        _assert_batches_equal(batch, reference)
+        assert all(view.shard_info.usable() for view in batch.views)
+        grads = engine.backward_batch(batch, spec.cloud, losses)
+        self._assert_grads_equal(grads, expected)
+        assert batch.sharding.fault_events == []
+
+        solo = _solo_engine().render_batch(*job_args, **job_kwargs, managed=False)
+        for job in jobs:
+            _assert_batches_equal(job.result(), solo)
+            assert job.result().sharding.fault_events == []
+        service.close()
+
+    def test_crash_in_a_queued_round_heals_bitwise(self):
+        """Worker 0 crashes on session a's second round, which was queued
+        while session b's first round was collected.  Session b's second
+        round went out to the same pool before the crash was collected, so
+        the crash closes the pool under it too.  Every lost unit finishes in
+        the parent, bitwise, and nothing leaks."""
+        from repro.engine import fault_plan
+
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=4)
+        solo = _solo_engine().render_batch(*args, **kwargs, managed=False)
+        with _leak_guard():
+            service = RenderService(
+                EngineConfig(
+                    backend="sharded",
+                    geom_cache=False,
+                    shard_workers=N_WORKERS,
+                    shard_deadline_s=5.0,
+                ),
+                round_quantum=2,
+            )
+            sessions = [service.open_session(sid) for sid in ("a", "b")]
+            with fault_plan("crash@0.1"):
+                jobs = [session.submit(*args, **kwargs) for session in sessions]
+                batches = [job.result() for job in jobs]
+            service.close()
+        for batch in batches:
+            _assert_batches_equal(batch, solo)
+        crashed, queued = (batch.sharding for batch in batches)
+        assert "died" in [event["event"] for event in crashed.fault_events]
+        assert crashed.escalated_views == [2]
+        assert "closed" in [event["event"] for event in queued.fault_events]
+        assert queued.escalated_views == [2, 3]
+        after = _solo_engine().render_batch(*args, **kwargs, managed=False)
+        assert after.sharding.fault_events == []
+        _assert_batches_equal(after, solo)
+
+    def test_completed_jobs_are_let_go(self):
+        """A session drops each completed job at its next election, so a
+        long-running tenant holds only its latest results."""
+        spec = _spec("single_gaussian")
+        args, kwargs = _window(spec, n_views=4)
+        service = _service()
+        session = service.open_session("tenant")
+        for _ in range(3):
+            session.submit(*args, **kwargs).result()
+        assert len(session._jobs) == 1
+        service.close()
+
+    @pytest.mark.parametrize("close", ["session", "service"])
+    def test_close_with_a_round_queued_leaves_nothing_behind(self, close):
+        spec = _spec("single_gaussian")
+        args, kwargs = _window(spec, n_views=4)
+        with _leak_guard():
+            service = _service()
+            sessions = [service.open_session(sid) for sid in ("a", "b")]
+            jobs = [session.submit(*args, **kwargs) for session in sessions]
+            self._queue_a_round(service)
+            assert service._in_flight[0].session is sessions[1]
+            if close == "session":
+                sessions[1].close(drain=False)
+                assert not service._in_flight
+                assert service.queued_units() == 2  # session a's second round
+                with pytest.raises(SessionClosedError):
+                    jobs[1].result()
+                finished = jobs[0].result()
+            service.close(drain=False)
+            assert not service._in_flight and service.queued_units() == 0
+        flat = RenderEngine(EngineConfig(backend="flat"))
+        reference = flat.render_batch(*args, **kwargs, managed=False)
+        if close == "session":
+            _assert_batches_equal(finished, reference)
+        # The next dispatch on the shared pool is bitwise too.
+        after = _solo_engine().render_batch(*args, **kwargs, managed=False)
+        _assert_batches_equal(after, reference)
 
 
 class TestDifferentialServicePhase:

@@ -845,8 +845,8 @@ class TestFaultInjection:
             worker.conn.send(
                 (
                     "render",
+                    999,
                     (
-                        999,
                         "bogus",
                         {
                             "faults": [
