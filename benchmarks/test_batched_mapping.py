@@ -167,47 +167,48 @@ def test_batched_mapping_iteration_speedup():
     check_speedup("batched_mapping", "batched_vs_flat_sequential", vs_flat)
 
 
-def test_scheduler_map_call_not_slower_than_round_robin():
-    """`StreamingMapper.map` per view-render: batched vs legacy round-robin.
+def test_scheduler_map_call_not_slower_than_single_view():
+    """`StreamingMapper.map` per view-render: fused windows vs one view per iteration.
 
-    The batched scheduler renders ``batch_views`` views per iteration where
-    the legacy loop rendered one, so total per-call work differs; normalising
-    by rendered views isolates the scheduling overhead, which must stay small.
+    The batched scheduler renders ``batch_views`` views per iteration where a
+    ``batch_views=1`` mapper renders one, so total per-call work differs;
+    normalising by rendered views isolates the scheduling overhead, which
+    must stay small.
     """
     from repro.slam.mapping import MappingConfig, StreamingMapper
 
     cloud_batched, frames = _mapping_scene()
-    cloud_legacy = cloud_batched.copy()
+    cloud_single = cloud_batched.copy()
 
-    batched_config = MappingConfig(n_iterations=4, batch_views=3, batched=True)
-    legacy_config = MappingConfig(n_iterations=4, batched=False)
+    batched_config = MappingConfig(n_iterations=4, batch_views=3)
+    single_config = MappingConfig(n_iterations=4, batch_views=1)
 
     def run(mapper_config, cloud):
         mapper = StreamingMapper(mapper_config)
         return mapper.map(cloud.copy(), frames)
 
     run(batched_config, cloud_batched)  # warm caches
-    time_batched, time_legacy = best_of_interleaved(
+    time_batched, time_single = best_of_interleaved(
         lambda: run(batched_config, cloud_batched),
-        lambda: run(legacy_config, cloud_legacy),
+        lambda: run(single_config, cloud_single),
         repeats=5,
     )
     result_batched = run(batched_config, cloud_batched)
-    result_legacy = run(legacy_config, cloud_legacy)
+    result_single = run(single_config, cloud_single)
     views_batched = sum(result_batched.batch_sizes)
-    views_legacy = sum(result_legacy.batch_sizes)
+    views_single = sum(result_single.batch_sizes)
     per_view_batched = time_batched / max(views_batched, 1)
-    per_view_legacy = time_legacy / max(views_legacy, 1)
+    per_view_single = time_single / max(views_single, 1)
 
     print_table(
-        "StreamingMapper.map: batched scheduler vs legacy round-robin",
+        "StreamingMapper.map: fused windows vs one view per iteration",
         ["scheduler", "views rendered", "wall-clock", "per view"],
         [
             [
-                "round-robin (1 view/iter)",
-                str(views_legacy),
-                f"{time_legacy * 1e3:.1f} ms",
-                f"{per_view_legacy * 1e3:.1f} ms",
+                "single view (1 view/iter)",
+                str(views_single),
+                f"{time_single * 1e3:.1f} ms",
+                f"{per_view_single * 1e3:.1f} ms",
             ],
             [
                 "batched (fused window)",
@@ -218,8 +219,8 @@ def test_scheduler_map_call_not_slower_than_round_robin():
         ],
     )
     if perf_gate_active():
-        assert per_view_batched < per_view_legacy * 1.2, (
-            "the batched scheduler's per-view cost must stay within 20% of the "
-            f"round-robin loop: {per_view_batched * 1e3:.1f} ms vs "
-            f"{per_view_legacy * 1e3:.1f} ms per view"
+        assert per_view_batched < per_view_single * 1.2, (
+            "the batched scheduler's per-view cost must stay within 20% of "
+            f"single-view iterations: {per_view_batched * 1e3:.1f} ms vs "
+            f"{per_view_single * 1e3:.1f} ms per view"
         )

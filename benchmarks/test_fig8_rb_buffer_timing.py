@@ -13,11 +13,11 @@ from repro.hardware import RBBuffer, RTGSArchitectureConfig, RenderingEngine
 
 def test_fig8_rb_buffer(benchmark):
     arch = RTGSArchitectureConfig()
-    fragments = np.full(16, 48)  # a busy subtile
+    fragments = np.full((1, 16), 48)  # a busy subtile
 
     def compute():
-        with_reuse = RenderingEngine(arch, use_rb_buffer=True).backward_cycles(fragments)
-        without_reuse = RenderingEngine(arch, use_rb_buffer=False).backward_cycles(fragments)
+        _, (with_reuse,) = RenderingEngine(arch, use_rb_buffer=True).cycles(fragments)
+        _, (without_reuse,) = RenderingEngine(arch, use_rb_buffer=False).cycles(fragments)
         return with_reuse, without_reuse
 
     with_reuse, without_reuse = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.hardware.config import DEVICE_SPECS, RTGSArchitectureConfig
-from repro.hardware.gpu_model import StageLatency
+from repro.hardware.energy import EnergyBreakdown
+from repro.hardware.gpu_model import CostModel, StageLatency
 from repro.hardware.plugin import RTGSFeatureFlags, RTGSPlugin
 from repro.slam.records import WorkloadSnapshot
 
@@ -39,7 +40,7 @@ def gauspu_architecture() -> RTGSArchitectureConfig:
 
 
 @dataclass
-class GauSPUModel:
+class GauSPUModel(CostModel):
     """Latency/energy model of a GauSPU-accelerated GPU."""
 
     host_device: str = "rtx3090"
@@ -62,8 +63,11 @@ class GauSPUModel:
             workload_scale=self.workload_scale,
         )
 
-    def iteration_latency(self, snapshot: WorkloadSnapshot) -> StageLatency:
-        latency = self._plugin.iteration_latency(snapshot)
+    def iteration_cost(
+        self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
+    ) -> tuple[StageLatency, EnergyBreakdown]:
+        """Latency with sparse sampling applied; energy on the plug-in's full latency."""
+        latency, energy = self._plugin.iteration_cost(snapshot, reference)
         if snapshot.stage == "tracking":
             # Sparse pixel sampling thins the rendering / BP workload during
             # tracking (its Gaussian set is fixed), but not during mapping.
@@ -75,16 +79,7 @@ class GauSPUModel:
                 rendering_bp=latency.rendering_bp * factor,
                 preprocessing_bp=latency.preprocessing_bp,
             )
-        return latency
-
-    def frame_latency(self, snapshots: list[WorkloadSnapshot]) -> StageLatency:
-        total = StageLatency()
-        for snapshot in snapshots:
-            total = total + self.iteration_latency(snapshot)
-        return total
-
-    def frame_energy(self, snapshots: list[WorkloadSnapshot]):
-        return self._plugin.frame_energy(snapshots)
+        return latency, energy
 
     @property
     def device_power_w(self) -> float:

@@ -60,6 +60,32 @@ class StageLatency:
         )
 
 
+class CostModel:
+    """Frame latency and energy from a subclass's ``iteration_cost(snapshot, reference)``.
+
+    ``frame_cost`` prices each snapshot once, passing the snapshot before it
+    as the pairing reference (the first is paired on itself); models without
+    a pairing ignore the reference.
+    """
+
+    def frame_cost(self, snapshots: list[WorkloadSnapshot]) -> tuple[StageLatency, EnergyBreakdown]:
+        latency, energy = StageLatency(), EnergyBreakdown()
+        reference = None
+        for snapshot in snapshots:
+            iteration_latency, iteration_energy = self.iteration_cost(snapshot, reference)
+            latency = latency + iteration_latency
+            energy = energy + iteration_energy
+            reference = snapshot
+        return latency, energy
+
+    def frame_latency(self, snapshots: list[WorkloadSnapshot]) -> StageLatency:
+        """Total per-stage latency over all iterations of one frame."""
+        return self.frame_cost(snapshots)[0]
+
+    def frame_energy(self, snapshots: list[WorkloadSnapshot]) -> EnergyBreakdown:
+        return self.frame_cost(snapshots)[1]
+
+
 @dataclass(frozen=True)
 class GPUCostParameters:
     """Per-item cycle costs of the CUDA kernels (per core)."""
@@ -88,7 +114,7 @@ class GPUCostParameters:
     cache_splice_preprocess_fraction: float = 0.15
 
 
-class EdgeGPUModel:
+class EdgeGPUModel(CostModel):
     """Latency + energy model of a base algorithm running on a CUDA GPU."""
 
     def __init__(
@@ -166,17 +192,12 @@ class EdgeGPUModel:
             preprocessing_bp=self._seconds(preprocessing_bp),
         )
 
-    def frame_latency(self, snapshots: list[WorkloadSnapshot]) -> StageLatency:
-        """Total per-stage latency over all iterations of one frame."""
-        total = StageLatency()
-        for snapshot in snapshots:
-            total = total + self.iteration_latency(snapshot)
-        return total
-
     # -- energy ---------------------------------------------------------------------
-    def iteration_energy(self, snapshot: WorkloadSnapshot) -> EnergyBreakdown:
-        """Energy of one iteration: dynamic op/memory energy + static power x latency."""
-        latency = self.iteration_latency(snapshot).total
+    def iteration_cost(
+        self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
+    ) -> tuple[StageLatency, EnergyBreakdown]:
+        """Latency of one iteration and its energy: op/memory energy + static power x latency."""
+        latency = self.iteration_latency(snapshot)
         scale = self.workload_scale
         fragments = snapshot.total_fragments * scale
         updates = snapshot.total_pixel_level_updates * scale
@@ -186,16 +207,10 @@ class EdgeGPUModel:
         # Gaussian parameters from DRAM each iteration.
         l2_accesses = fragments * 2 + updates * 3
         dram_accesses = n_projected * 14 + updates * 1.5
-        return self.energy_model.energy(
+        return latency, self.energy_model.energy(
             compute_ops=compute_ops,
             sram_accesses=fragments,
             l2_accesses=l2_accesses,
             dram_accesses=dram_accesses,
-            latency_s=latency,
+            latency_s=latency.total,
         )
-
-    def frame_energy(self, snapshots: list[WorkloadSnapshot]) -> EnergyBreakdown:
-        total = EnergyBreakdown()
-        for snapshot in snapshots:
-            total = total + self.iteration_energy(snapshot)
-        return total

@@ -21,7 +21,7 @@ from repro.hardware.atomic import AtomicAddModel
 from repro.hardware.config import DEVICE_SPECS, DeviceSpec, RTGSArchitectureConfig
 from repro.hardware.energy import EnergyBreakdown, EnergyModel, EnergyParameters
 from repro.hardware.gmu import GradientMergingUnit
-from repro.hardware.gpu_model import EdgeGPUModel, GPUCostParameters, StageLatency
+from repro.hardware.gpu_model import CostModel, EdgeGPUModel, GPUCostParameters, StageLatency
 from repro.hardware.preprocessing_engine import PreprocessingEngine
 from repro.hardware.rendering_engine import RenderingEngine
 from repro.hardware.wsu import SchedulingMode, WorkloadSchedulingUnit
@@ -50,7 +50,7 @@ class RTGSFeatureFlags:
         return SchedulingMode.NONE
 
 
-class RTGSPlugin:
+class RTGSPlugin(CostModel):
     """Latency/energy model of a GPU with the RTGS plug-in attached."""
 
     def __init__(
@@ -88,17 +88,25 @@ class RTGSPlugin:
     def _seconds(self, cycles: float) -> float:
         return cycles / self.architecture.frequency_hz
 
-    def iteration_latency(self, snapshot: WorkloadSnapshot) -> StageLatency:
-        """Per-stage latency of one iteration on GPU + RTGS plug-in."""
+    def iteration_latency(
+        self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
+    ) -> StageLatency:
+        """Per-stage latency of one iteration on GPU + RTGS plug-in.
+
+        The WSU pairs pixels on ``reference``'s workloads (the previous
+        iteration), or on ``snapshot``'s own when there is none; forward and
+        backward share that pairing.
+        """
         host = self._host_gpu.iteration_latency(snapshot)
         sorting_reuse = 0.25 if self.features.reuse_sorting else 1.0
 
-        subtiles = snapshot.pixel_workloads_per_subtile()
         mode = self.features.scheduling_mode()
-        combined = self.wsu.schedule(subtiles, mode, include_backward=snapshot.includes_backward)
-        forward_only = self.wsu.schedule(subtiles, mode, include_backward=False)
-        forward_cycles = forward_only.total_cycles
-        backward_cycles = max(combined.total_cycles - forward_cycles, 0)
+        forward, backward = self.wsu.subtile_cycles(
+            snapshot.pixel_workloads_per_subtile(),
+            mode,
+            None if reference is None else reference.pixel_workloads_per_subtile(),
+        )
+        forward_cycles = self.wsu.dispatch(forward, mode).total_cycles
 
         scale = self.workload_scale
         rendering = self._seconds(forward_cycles * scale)
@@ -106,6 +114,8 @@ class RTGSPlugin:
         rendering_bp = 0.0
         preprocessing_bp = 0.0
         if snapshot.includes_backward:
+            combined_cycles = self.wsu.dispatch(forward + backward, mode).total_cycles
+            backward_cycles = max(combined_cycles - forward_cycles, 0)
             if self.features.use_gmu:
                 merge_cycles = self.gmu.merging_cycles(snapshot)
                 # The GMU pipeline overlaps with the RBCs; only the excess shows.
@@ -126,16 +136,11 @@ class RTGSPlugin:
             preprocessing_bp=preprocessing_bp,
         )
 
-    def frame_latency(self, snapshots: list[WorkloadSnapshot]) -> StageLatency:
-        total = StageLatency()
-        for snapshot in snapshots:
-            total = total + self.iteration_latency(snapshot)
-        return total
-
-    # -- energy --------------------------------------------------------------------
-    def iteration_energy(self, snapshot: WorkloadSnapshot) -> EnergyBreakdown:
-        """Energy of one iteration: plug-in dynamic energy + static power x latency."""
-        latency = self.iteration_latency(snapshot)
+    def iteration_cost(
+        self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
+    ) -> tuple[StageLatency, EnergyBreakdown]:
+        """Latency of one iteration and its energy: plug-in dynamic energy + static power x latency."""
+        latency = self.iteration_latency(snapshot, reference)
         scale = self.workload_scale
         fragments = snapshot.total_fragments * scale
         updates = snapshot.total_pixel_level_updates * scale
@@ -147,7 +152,7 @@ class RTGSPlugin:
         sram_accesses = fragments * 3 + updates * 2
         l2_accesses = n_projected * 4
         dram_accesses = n_projected * 2
-        dynamic = self.energy_model.energy(
+        energy = self.energy_model.energy(
             compute_ops=compute_ops,
             sram_accesses=sram_accesses,
             l2_accesses=l2_accesses,
@@ -155,15 +160,8 @@ class RTGSPlugin:
             latency_s=latency.total,
         )
         # Host GPU static power while it performs preprocessing + sorting.
-        host_static = self.host_device.power_w * (latency.preprocessing + latency.sorting)
-        dynamic.static_j += host_static
-        return dynamic
-
-    def frame_energy(self, snapshots: list[WorkloadSnapshot]) -> EnergyBreakdown:
-        total = EnergyBreakdown()
-        for snapshot in snapshots:
-            total = total + self.iteration_energy(snapshot)
-        return total
+        energy.static_j += self.host_device.power_w * (latency.preprocessing + latency.sorting)
+        return latency, energy
 
 
 # -- system-level evaluation helpers ------------------------------------------------
@@ -203,16 +201,14 @@ def evaluate_system(
     """
     meter = FPSMeter()
     energy_total = 0.0
-    for frame_index, stages in sorted(_group_snapshots_by_frame(snapshots).items()):
-        tracking_latency = model.frame_latency(stages["tracking"]).total
-        if accelerate_mapping or baseline_mapping_model is None:
-            mapping_model = model
-        else:
-            mapping_model = baseline_mapping_model
-        mapping_latency = mapping_model.frame_latency(stages["mapping"]).total
-        meter.add_frame(tracking=tracking_latency, mapping=mapping_latency)
-        energy_total += model.frame_energy(stages["tracking"]).total_j
-        energy_total += mapping_model.frame_energy(stages["mapping"]).total_j
+    accelerated = accelerate_mapping or baseline_mapping_model is None
+    mapping_model = model if accelerated else baseline_mapping_model
+    for _, stages in sorted(_group_snapshots_by_frame(snapshots).items()):
+        tracking_latency, tracking_energy = model.frame_cost(stages["tracking"])
+        mapping_latency, mapping_energy = mapping_model.frame_cost(stages["mapping"])
+        meter.add_frame(tracking=tracking_latency.total, mapping=mapping_latency.total)
+        energy_total += tracking_energy.total_j
+        energy_total += mapping_energy.total_j
     n_frames = max(meter.n_frames, 1)
     return SystemEvaluation(
         name=name,

@@ -55,7 +55,7 @@ class RBBuffer:
 
 @dataclass
 class RenderingEngine:
-    """Cycle model of one RE processing one subtile."""
+    """Cycle model of the REs, one subtile per RE."""
 
     config: RTGSArchitectureConfig
     use_rb_buffer: bool = True
@@ -66,37 +66,49 @@ class RenderingEngine:
         if self.rb_buffer is None:
             self.rb_buffer = RBBuffer(capacity_kb=self.config.rb_buffer_kb)
 
-    # -- forward -------------------------------------------------------------
-    def forward_cycles(self, pixel_fragments: np.ndarray, pairing: np.ndarray | None = None) -> int:
-        """Step 3 cycles for a subtile given per-pixel fragment counts.
+    def subtile_rows(self, workloads: np.ndarray) -> np.ndarray:
+        """``(S, P)`` per-pixel fragment counts as int64, zero-padded to fill the RE's lanes.
 
-        ``pairing`` is an optional ``(n_lanes, 2)`` array of pixel indices
-        assigning two pixels to each RC lane (produced by the WSU); without it
-        pixels are paired in storage order.
+        A subtile smaller than the RE leaves lanes idle, so rows narrower than
+        ``pixels_per_subtile`` (or of odd width) gain zero-workload pixels.
         """
-        lane_loads = self._lane_loads(pixel_fragments, pairing)
-        if lane_loads.size == 0:
-            return 0
+        rows = np.asarray(workloads, dtype=np.int64)
+        width = rows.shape[1]
+        missing = max(self.config.pixels_per_subtile, width + width % 2) - width
+        return np.pad(rows, ((0, 0), (0, missing))) if missing else rows
+
+    def cycles(
+        self, workloads: np.ndarray, pairing: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step 3 and Step 4 (pixel-level gradient) cycles of each subtile.
+
+        ``workloads`` holds one row of per-pixel fragment counts per subtile;
+        ``pairing`` is an optional ``(S, P/2, 2)`` array of pixel indices
+        assigning two pixels to each RC lane (produced by the WSU).  Without
+        it pixels are paired in storage order.  Returns ``(forward,
+        backward)`` int64 arrays of shape ``(S,)``; empty subtiles cost 0.
+        """
+        rows = self.subtile_rows(workloads)
+        n_subtiles, width = rows.shape
+        if pairing is not None:
+            rows = np.take_along_axis(rows, np.reshape(pairing, (n_subtiles, width)), axis=1)
+        # A lane's time grows with its load, so the heaviest lane sets the subtile's.
+        heaviest = rows.reshape(n_subtiles, width // 2, 2).sum(axis=2).max(axis=1).astype(float)
+        config = self.config
+
         if self.use_pipeline_balancing:
             # One fragment per cycle steady state after the pipeline fills.
-            per_lane = lane_loads + self.config.alpha_compute_cycles + self.config.alpha_blend_cycles
+            forward = heaviest + config.alpha_compute_cycles + config.alpha_blend_cycles
         else:
             # Unbalanced resources: blending serialises behind alpha computing.
-            interval = 1 + self.config.alpha_blend_cycles / max(self.config.alpha_compute_cycles, 1)
-            per_lane = lane_loads * interval + self.config.alpha_compute_cycles
-        return int(np.ceil(per_lane.max()))
+            interval = 1 + config.alpha_blend_cycles / max(config.alpha_compute_cycles, 1)
+            forward = heaviest * interval + config.alpha_compute_cycles
 
-    # -- backward --------------------------------------------------------------
-    def backward_cycles(self, pixel_fragments: np.ndarray, pairing: np.ndarray | None = None) -> int:
-        """Step 4 (pixel-level gradient) cycles for a subtile."""
-        lane_loads = self._lane_loads(pixel_fragments, pairing)
-        if lane_loads.size == 0:
-            return 0
         if self.use_rb_buffer:
-            alpha_grad = self.rb_buffer.alpha_grad_cycles(self.config)
+            alpha_grad = self.rb_buffer.alpha_grad_cycles(config)
         else:
-            alpha_grad = self.config.alpha_grad_cycles_baseline
-        grad_2d = self.config.grad_2d_cycles
+            alpha_grad = config.alpha_grad_cycles_baseline
+        grad_2d = config.grad_2d_cycles
         if self.use_pipeline_balancing:
             # The initiation interval is set by the slower of the two units
             # relative to the per-fragment budget (Fig. 8): with reuse both fit
@@ -104,30 +116,10 @@ class RenderingEngine:
             interval = max(1.0, alpha_grad / grad_2d)
         else:
             interval = (alpha_grad + grad_2d) / grad_2d
-        per_lane = lane_loads * interval + alpha_grad + grad_2d
-        return int(np.ceil(per_lane.max()))
+        backward = heaviest * interval + alpha_grad + grad_2d
 
-    def subtile_cycles(
-        self,
-        pixel_fragments: np.ndarray,
-        pairing: np.ndarray | None = None,
-        include_backward: bool = True,
-    ) -> int:
-        """Total RE cycles for one subtile (forward plus optional backward)."""
-        cycles = self.forward_cycles(pixel_fragments, pairing)
-        if include_backward:
-            cycles += self.backward_cycles(pixel_fragments, pairing)
-        return cycles
-
-    # -- internals ---------------------------------------------------------------
-    def _lane_loads(self, pixel_fragments: np.ndarray, pairing: np.ndarray | None) -> np.ndarray:
-        fragments = np.asarray(pixel_fragments, dtype=np.int64).ravel()
-        if fragments.size == 0 or fragments.sum() == 0:
-            return np.zeros(0)
-        expected = self.config.pixels_per_subtile
-        if fragments.size < expected:
-            fragments = np.pad(fragments, (0, expected - fragments.size))
-        if pairing is None:
-            pairing = np.arange(expected).reshape(-1, 2)
-        pairing = np.asarray(pairing, dtype=int)
-        return fragments[pairing].sum(axis=1).astype(np.float64)
+        busy = heaviest > 0
+        return (
+            np.where(busy, np.ceil(forward), 0).astype(np.int64),
+            np.where(busy, np.ceil(backward), 0).astype(np.int64),
+        )

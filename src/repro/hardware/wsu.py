@@ -5,19 +5,21 @@ The WSU attacks workload imbalance at two levels (Sec. 5.2):
 * *pixel level*: within a subtile, pixels with heavy and light fragment counts
   are paired onto the same RC lane, using the completion order recorded in the
   previous iteration (a FIFO of light pixels and a LIFO of heavy pixels) - the
-  model reuses the previous iteration's fragment counts the same way, so the
-  pairing is slightly stale, exactly like the hardware;
+  model ranks pixels on the previous iteration's fragment counts, passed in
+  explicitly as ``reference``, so the pairing is slightly stale, exactly like
+  the hardware;
 * *subtile level*: subtiles are streamed to whichever RE frees up first rather
   than being statically mapped, which is list scheduling in arrival order.
 
 ``schedule`` returns the modelled RE cycles for a whole iteration under a
 selectable combination of the two techniques plus the ideal bound, enabling
-the Fig. 17(a) ablation.
+the Fig. 17(a) ablation.  It is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -36,6 +38,9 @@ class SchedulingMode(str, Enum):
     IDEAL = "ideal"
 
 
+_PAIRED_MODES = (SchedulingMode.PAIRING, SchedulingMode.BOTH, SchedulingMode.IDEAL)
+
+
 @dataclass
 class WSUResult:
     """Outcome of scheduling one iteration's subtiles onto the REs."""
@@ -52,56 +57,56 @@ class WorkloadSchedulingUnit:
 
     config: RTGSArchitectureConfig
     engine: RenderingEngine | None = None
-    _previous_fragments: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.engine is None:
             self.engine = RenderingEngine(self.config)
 
-    def reset(self) -> None:
-        """Forget the previous iteration (start of a new frame)."""
-        self._previous_fragments = None
-
     # -- pixel-level pairing -----------------------------------------------------
-    def pairing_for(self, pixel_fragments: np.ndarray) -> np.ndarray:
-        """Heavy/light pairing of a subtile's pixels: rank k with rank n-1-k."""
-        fragments = np.asarray(pixel_fragments).ravel()
-        expected = self.config.pixels_per_subtile
-        if fragments.size < expected:
-            fragments = np.pad(fragments, (0, expected - fragments.size))
-        order = np.argsort(fragments)
-        n = order.size
-        return np.stack([order[: n // 2], order[::-1][: n // 2]], axis=1)
+    def pairing(self, current: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
+        """Heavy/light pairing of each subtile's pixels: rank k with rank n-1-k.
+
+        Pixels are ranked by ``reference`` (the previous iteration's counts)
+        when its shape matches ``current``, else by ``current`` itself.
+        Returns ``(S, P/2, 2)`` pixel indices into the padded subtile rows.
+        """
+        stale = reference is not None and np.shape(reference) == np.shape(current)
+        source = self.engine.subtile_rows(reference if stale else current)
+        order = np.argsort(source, axis=1, kind="stable")
+        half = order.shape[1] // 2
+        return np.stack([order[:, :half], order[:, ::-1][:, :half]], axis=2)
+
+    def subtile_cycles(
+        self,
+        current: np.ndarray,
+        mode: SchedulingMode = SchedulingMode.BOTH,
+        reference: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-subtile ``(forward, backward)`` RE cycles under ``mode``'s pairing."""
+        paired = SchedulingMode(mode) in _PAIRED_MODES
+        return self.engine.cycles(current, self.pairing(current, reference) if paired else None)
 
     # -- iteration-level scheduling --------------------------------------------------
     def schedule(
         self,
-        subtile_pixel_fragments: list[np.ndarray],
+        current: np.ndarray,
         mode: SchedulingMode = SchedulingMode.BOTH,
         include_backward: bool = True,
+        reference: np.ndarray | None = None,
     ) -> WSUResult:
-        """Model RE cycles for an iteration's subtiles under ``mode``.
+        """Model RE cycles for an iteration's ``(S, P)`` subtile workloads under ``mode``.
 
-        Pairing decisions are taken from the *previous* iteration's fragment
-        counts when available (inter-iteration reuse); the current counts are
-        stored for the next call.
+        Pairing ranks pixels on ``reference`` (the previous iteration's
+        workloads) and falls back to ``current`` when it is ``None`` or
+        shaped differently.
         """
+        forward, backward = self.subtile_cycles(current, mode, reference)
+        return self.dispatch(forward + backward if include_backward else forward, mode)
+
+    def dispatch(self, subtile_cycles: np.ndarray, mode: SchedulingMode) -> WSUResult:
+        """Distribute per-subtile cycles over the REs as ``mode`` dictates."""
         mode = SchedulingMode(mode)
         n_engines = self.config.n_rendering_engines
-        reference = self._reference_fragments(subtile_pixel_fragments)
-
-        subtile_cycles = []
-        for index, fragments in enumerate(subtile_pixel_fragments):
-            pairing = None
-            if mode in (SchedulingMode.PAIRING, SchedulingMode.BOTH, SchedulingMode.IDEAL):
-                source = reference[index] if index < len(reference) else fragments
-                pairing = self.pairing_for(source)
-            subtile_cycles.append(
-                self.engine.subtile_cycles(fragments, pairing, include_backward)
-            )
-        subtile_cycles = np.asarray(subtile_cycles, dtype=np.int64)
-        self._previous_fragments = [np.asarray(f).copy() for f in subtile_pixel_fragments]
-
         if subtile_cycles.size == 0:
             return WSUResult(0, np.zeros(n_engines, dtype=np.int64), 0.0, mode)
 
@@ -110,7 +115,9 @@ class WorkloadSchedulingUnit:
         elif mode in (SchedulingMode.STREAMING, SchedulingMode.BOTH):
             per_engine = self._stream(subtile_cycles, n_engines)
         else:
-            per_engine = self._static_map(subtile_cycles, n_engines)
+            # Fixed subtile-to-RE mapping: subtile s runs on RE s mod n.
+            engines = np.arange(subtile_cycles.size) % n_engines
+            per_engine = np.bincount(engines, weights=subtile_cycles, minlength=n_engines)
 
         total = int(np.ceil(per_engine.max()))
         mean = float(per_engine.mean())
@@ -118,24 +125,17 @@ class WorkloadSchedulingUnit:
         return WSUResult(total, per_engine, imbalance, mode)
 
     # -- internals ----------------------------------------------------------------
-    def _reference_fragments(self, current: list[np.ndarray]) -> list[np.ndarray]:
-        if self._previous_fragments is not None and len(self._previous_fragments) == len(current):
-            return self._previous_fragments
-        return current
-
-    @staticmethod
-    def _static_map(subtile_cycles: np.ndarray, n_engines: int) -> np.ndarray:
-        """Fixed subtile-to-RE mapping (subtile s runs on RE s mod n)."""
-        per_engine = np.zeros(n_engines, dtype=np.float64)
-        for index, cycles in enumerate(subtile_cycles):
-            per_engine[index % n_engines] += cycles
-        return per_engine
-
     @staticmethod
     def _stream(subtile_cycles: np.ndarray, n_engines: int) -> np.ndarray:
-        """Streaming dispatch: the next subtile goes to the earliest-free RE."""
+        """Streaming dispatch: the next subtile goes to the earliest-free RE.
+
+        Ties go to the lowest engine index: the heap orders ``(load, engine)``.
+        """
+        heap = [(0, engine) for engine in range(n_engines)]
+        for cycles in subtile_cycles.tolist():
+            load, engine = heap[0]
+            heapq.heapreplace(heap, (load + cycles, engine))
         per_engine = np.zeros(n_engines, dtype=np.float64)
-        for cycles in subtile_cycles:
-            target = int(np.argmin(per_engine))
-            per_engine[target] += cycles
+        for load, engine in heap:
+            per_engine[engine] = load
         return per_engine

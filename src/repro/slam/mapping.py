@@ -81,9 +81,6 @@ class MappingConfig:
     covisibility_pool: int = 12
     # Per-keyframe visible-row caches kept for covisibility scoring.
     visibility_cache_size: int = 64
-    # Escape hatch back to the pre-scheduler round-robin loop (one view per
-    # iteration, cycling through the trailing window).
-    batched: bool = True
     # -- rasterization ------------------------------------------------------
     # Tile granularity of the mapping renders (fine tiles suit small-splat
     # late-SLAM maps).  None inherits the engine's configuration — and with
@@ -91,11 +88,6 @@ class MappingConfig:
     # explicit value pins the mapping renders regardless of the engine.
     tile_size: int | None = None
     subtile_size: int | None = None
-    # Worker-process count for the `sharded` backend when mapping renders
-    # resolve to it (REPRO_RASTER_BACKEND=sharded / an engine pinned to it).
-    # None inherits the engine/env default (REPRO_SHARD_WORKERS, else
-    # cpu-count-aware); forwarded into the mapper-built engine only.
-    shard_workers: int | None = None
 
 
 @dataclass
@@ -126,8 +118,8 @@ class StreamingMapper:
     live).  The engine owns the recycled fragment arena: fused iterations
     consume each batch via the fused backward before the next render may
     overwrite the storage, enforced by the engine's arena ownership
-    tracking.  The legacy round-robin loop and the densify render are
-    single-view renders, which never touch that arena.
+    tracking.  The densify render is a single-view render, which never
+    touches that arena.
     """
 
     def __init__(self, config: MappingConfig | None = None, engine: RenderEngine | None = None):
@@ -148,9 +140,6 @@ class StreamingMapper:
                 tile_size=base.tile_size if config.tile_size is None else config.tile_size,
                 subtile_size=(
                     base.subtile_size if config.subtile_size is None else config.subtile_size
-                ),
-                shard_workers=(
-                    base.shard_workers if config.shard_workers is None else config.shard_workers
                 ),
             )
         )
@@ -190,21 +179,10 @@ class StreamingMapper:
         # issued only once the cloud is final for the next iteration, so the
         # speculation key matches at consume time; any structural surprise
         # (densify/prune between hints) invalidates it and it is discarded.
-        pipelined = config.batched and hasattr(
-            self.engine.backend(), "speculate_batch"
-        )
+        pipelined = hasattr(self.engine.backend(), "speculate_batch")
         for iteration in range(config.n_iterations):
-            if config.batched:
-                window = self._select_window(keyframes)
-                loss = self._fused_iteration(
-                    cloud, window, newest, iteration, snapshots, shardings
-                )
-            else:
-                trailing = keyframes[-config.keyframe_window :]
-                window = [trailing[iteration % len(trailing)]]
-                loss = self._single_view_iteration(
-                    cloud, window[0], newest, iteration, snapshots
-                )
+            window = self._select_window(keyframes)
+            loss = self._fused_iteration(cloud, window, newest, iteration, snapshots, shardings)
             losses.append(loss)
             batch_sizes.append(len(window))
             if pipelined and iteration + 1 < config.n_iterations:
@@ -308,58 +286,6 @@ class StreamingMapper:
         starts = ends - lengths
         overlaps[[index for index, _ in known]] = hit_counts[ends] - hit_counts[starts]
         return overlaps
-
-    def _single_view_iteration(
-        self,
-        cloud: GaussianCloud,
-        frame: Frame,
-        newest: Frame,
-        iteration: int,
-        snapshots: list[WorkloadSnapshot],
-    ) -> float:
-        """Legacy round-robin iteration: one unmanaged view render.
-
-        Unlike the batched path (flat by design — the arena layout *is* the
-        batch), this goes through the regular backend dispatch, so
-        a ``tile`` engine (``REPRO_RASTER_BACKEND=tile``) gives a full
-        reference-backend mapping stage when combined with ``batched=False``.
-        """
-        config = self.config
-        pose = frame.estimated_pose_cw or frame.gt_pose_cw
-        render = self.engine.render(
-            cloud,
-            frame.camera,
-            pose,
-            tile_size=config.tile_size,
-            subtile_size=config.subtile_size,
-        )
-        loss = photometric_geometric_loss(
-            render,
-            frame,
-            lambda_photometric=config.lambda_photometric,
-            use_depth=config.use_depth,
-        )
-        gradients = self.engine.backward(
-            render, cloud, loss.dL_dimage, loss.dL_ddepth, compute_pose_gradient=False
-        )
-        self._record_visibility([frame], [render])
-        if config.record_workloads:
-            snapshots.append(
-                self.engine.snapshot(
-                    render,
-                    gradients,
-                    stage="mapping",
-                    frame_index=newest.index,
-                    iteration=iteration,
-                    is_keyframe=True,
-                    loss=loss.total,
-                    n_gaussians_total=cloud.n_total,
-                    n_gaussians_active=cloud.n_active,
-                    resolution_fraction=frame.resolution_fraction,
-                )
-            )
-        self._apply_updates(cloud, gradients)
-        return loss.total
 
     def _fused_iteration(
         self,

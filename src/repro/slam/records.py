@@ -153,29 +153,19 @@ class WorkloadSnapshot:
         """(tile, Gaussian) pairs carrying a merged gradient."""
         return int(sum(len(ids) for ids in self.per_tile_gaussian_ids))
 
-    def fragments_per_subtile(self) -> np.ndarray:
-        """Per-subtile fragment totals, flattened over all tiles."""
-        sub = self.subtile_size
-        n_sub_y = (self.height + sub - 1) // sub
-        n_sub_x = (self.width + sub - 1) // sub
-        padded = np.zeros((n_sub_y * sub, n_sub_x * sub), dtype=np.int64)
-        padded[: self.height, : self.width] = self.fragments_per_pixel
-        blocks = padded.reshape(n_sub_y, sub, n_sub_x, sub)
-        return blocks.sum(axis=(1, 3)).ravel()
+    def pixel_workloads_per_subtile(self) -> np.ndarray:
+        """``(S, subtile_size**2)`` per-pixel fragment counts (the WSU's input).
 
-    def pixel_workloads_per_subtile(self) -> list[np.ndarray]:
-        """Per-subtile arrays of per-pixel fragment counts (the WSU's input)."""
+        One row per subtile in row-major subtile order, each row the
+        subtile's pixels in row-major order; edge subtiles are zero-padded.
+        """
         sub = self.subtile_size
         n_sub_y = (self.height + sub - 1) // sub
         n_sub_x = (self.width + sub - 1) // sub
         padded = np.zeros((n_sub_y * sub, n_sub_x * sub), dtype=np.int64)
         padded[: self.height, : self.width] = self.fragments_per_pixel
-        out: list[np.ndarray] = []
-        for sy in range(n_sub_y):
-            for sx in range(n_sub_x):
-                block = padded[sy * sub : (sy + 1) * sub, sx * sub : (sx + 1) * sub]
-                out.append(block.ravel().copy())
-        return out
+        blocks = padded.reshape(n_sub_y, sub, n_sub_x, sub).swapaxes(1, 2)
+        return blocks.reshape(n_sub_y * n_sub_x, sub * sub)
 
     def gaussian_update_histogram(self) -> np.ndarray:
         """Pixel-level update counts per Gaussian, summed over tiles."""

@@ -24,10 +24,12 @@ from repro.hardware import (
     RTGSStatus,
     RenderingEngine,
     SchedulingMode,
+    StageLatency,
     WorkloadSchedulingUnit,
     aggregation_reduction,
     energy_efficiency_improvement,
     evaluate_configurations,
+    evaluate_system,
     scale_device,
 )
 
@@ -110,7 +112,7 @@ class TestGPUBaseline:
         assert large > 5 * small
 
     def test_energy_positive(self, tracking_snapshot):
-        energy = EdgeGPUModel("onx").iteration_energy(tracking_snapshot)
+        _, energy = EdgeGPUModel("onx").iteration_cost(tracking_snapshot)
         assert energy.total_j > 0
 
 
@@ -134,36 +136,35 @@ class TestAggregationModels:
 class TestRenderingEngine:
     def test_forward_cycles_scale_with_fragments(self, arch):
         engine = RenderingEngine(arch)
-        light = engine.forward_cycles(np.full(16, 5))
-        heavy = engine.forward_cycles(np.full(16, 50))
+        (light, heavy), _ = engine.cycles(np.array([np.full(16, 5), np.full(16, 50)]))
         assert heavy > light
 
     def test_rb_buffer_reduces_backward_cycles(self, arch):
-        fragments = np.full(16, 40)
-        with_rb = RenderingEngine(arch, use_rb_buffer=True).backward_cycles(fragments)
-        without_rb = RenderingEngine(arch, use_rb_buffer=False).backward_cycles(fragments)
-        assert with_rb < without_rb
+        fragments = np.full((1, 16), 40)
+        _, with_rb = RenderingEngine(arch, use_rb_buffer=True).cycles(fragments)
+        _, without_rb = RenderingEngine(arch, use_rb_buffer=False).cycles(fragments)
+        assert with_rb[0] < without_rb[0]
 
     def test_pipeline_balancing_reduces_cycles(self, arch):
-        fragments = np.full(16, 40)
-        balanced = RenderingEngine(arch, use_pipeline_balancing=True).subtile_cycles(fragments)
-        unbalanced = RenderingEngine(arch, use_pipeline_balancing=False).subtile_cycles(fragments)
-        assert balanced < unbalanced
+        fragments = np.full((1, 16), 40)
+        balanced = sum(RenderingEngine(arch, use_pipeline_balancing=True).cycles(fragments))
+        unbalanced = sum(RenderingEngine(arch, use_pipeline_balancing=False).cycles(fragments))
+        assert balanced[0] < unbalanced[0]
 
     def test_pairing_reduces_imbalanced_subtile_cycles(self, arch):
         engine = RenderingEngine(arch)
-        fragments = np.zeros(16, dtype=int)
-        fragments[:8] = 100  # heavy half
-        fragments[8:] = 2  # light half
-        naive = engine.forward_cycles(fragments, pairing=np.arange(16).reshape(-1, 2))
-        order = np.argsort(fragments)
-        paired = np.stack([order[:8], order[::-1][:8]], axis=1)
-        scheduled = engine.forward_cycles(fragments, pairing=paired)
-        assert scheduled < naive
+        fragments = np.zeros((1, 16), dtype=int)
+        fragments[0, :8] = 100  # heavy half
+        fragments[0, 8:] = 2  # light half
+        naive, _ = engine.cycles(fragments, pairing=np.arange(16).reshape(1, -1, 2))
+        order = np.argsort(fragments[0])
+        paired = np.stack([order[:8], order[::-1][:8]], axis=1)[None]
+        scheduled, _ = engine.cycles(fragments, pairing=paired)
+        assert scheduled[0] < naive[0]
 
     def test_empty_subtile_zero_cycles(self, arch):
-        engine = RenderingEngine(arch)
-        assert engine.subtile_cycles(np.zeros(16, dtype=int)) == 0
+        forward, backward = RenderingEngine(arch).cycles(np.zeros((1, 16), dtype=int))
+        assert forward[0] == backward[0] == 0
 
     def test_rb_buffer_capacity_check(self, arch):
         assert RBBuffer(capacity_kb=16.0).supports_reuse(16)
@@ -172,11 +173,8 @@ class TestRenderingEngine:
 
 class TestWSU:
     def _subtiles(self, rng, n=64, heavy_fraction=0.2):
-        subtiles = []
-        for index in range(n):
-            base = 60 if rng.random() < heavy_fraction else 8
-            subtiles.append(rng.integers(0, base + 1, size=16))
-        return subtiles
+        bases = np.where(rng.random(n) < heavy_fraction, 60, 8)
+        return np.stack([rng.integers(0, base + 1, size=16) for base in bases])
 
     def test_streaming_and_pairing_reduce_cycles(self, arch):
         rng = np.random.default_rng(3)
@@ -203,20 +201,184 @@ class TestWSU:
         both = wsu.schedule(subtiles, SchedulingMode.BOTH)
         assert both.imbalance <= none.imbalance + 1e-9
 
-    def test_pairing_uses_previous_iteration(self, arch):
+    def test_results_do_not_depend_on_call_order(self, arch):
+        rng = np.random.default_rng(11)
+        first, second = self._subtiles(rng), self._subtiles(rng)
+        calls = [
+            (current, reference, mode)
+            for current, reference in ((first, None), (second, first), (first, second))
+            for mode in SchedulingMode
+        ]
+
+        def result(wsu, call):
+            current, reference, mode = call
+            outcome = wsu.schedule(current, mode, reference=reference)
+            return outcome.total_cycles, outcome.per_engine_cycles.tolist()
+
+        expected = [result(WorkloadSchedulingUnit(arch), call) for call in calls]
+        shared = WorkloadSchedulingUnit(arch)
+        for order in (range(len(calls)), range(len(calls))[::-1], rng.permutation(len(calls))):
+            for index in order:
+                assert result(shared, calls[index]) == expected[index]
+
+    def test_reference_sets_the_pairing(self, arch):
         wsu = WorkloadSchedulingUnit(arch)
-        first = [np.arange(16)]
-        second = [np.arange(16)[::-1]]
-        wsu.schedule(first, SchedulingMode.PAIRING)
-        result = wsu.schedule(second, SchedulingMode.PAIRING)
-        assert result.total_cycles > 0
-        wsu.reset()
-        assert wsu._previous_fragments is None
+        current = np.array([[100] * 8 + [2] * 8])
+        # Ranks the heavy pixels 0-3 lowest and 4-7 highest, so rank pairing
+        # puts two heavy pixels on each of four lanes.
+        stale = np.array([[0, 1, 2, 3, 12, 13, 14, 15, 4, 5, 6, 7, 8, 9, 10, 11]])
+        oracle = wsu.subtile_cycles(current, SchedulingMode.PAIRING)
+        paired_on_stale = wsu.subtile_cycles(current, SchedulingMode.PAIRING, reference=stale)
+        assert paired_on_stale[0][0] > oracle[0][0]
+        assert paired_on_stale[1][0] > oracle[1][0]
+        assert (
+            wsu.schedule(current, SchedulingMode.BOTH, reference=stale).total_cycles
+            > wsu.schedule(current, SchedulingMode.BOTH).total_cycles
+        )
+        # Without pairing the reference is not consulted.
+        assert np.array_equal(
+            wsu.subtile_cycles(current, SchedulingMode.STREAMING, reference=stale),
+            wsu.subtile_cycles(current, SchedulingMode.STREAMING),
+        )
+
+    def test_reference_of_another_shape_falls_back_to_current(self, arch):
+        rng = np.random.default_rng(13)
+        current = self._subtiles(rng)
+        wsu = WorkloadSchedulingUnit(arch)
+        for reference in (current[:-1], current[:, :8]):
+            for mode in SchedulingMode:
+                expected = wsu.schedule(current, mode)
+                result = wsu.schedule(current, mode, reference=reference)
+                assert result.total_cycles == expected.total_cycles
+                assert np.array_equal(result.per_engine_cycles, expected.per_engine_cycles)
 
     def test_empty_iteration(self, arch):
         wsu = WorkloadSchedulingUnit(arch)
-        result = wsu.schedule([], SchedulingMode.BOTH)
+        result = wsu.schedule(np.zeros((0, 16), dtype=int), SchedulingMode.BOTH)
         assert result.total_cycles == 0
+
+
+# -- scalar reference: the per-subtile RE + WSU model, one subtile at a time ------
+_PAIRED_MODES = (SchedulingMode.PAIRING, SchedulingMode.BOTH, SchedulingMode.IDEAL)
+
+
+def _scalar_pairing(arch, fragments):
+    """Rank k with rank n-1-k of one subtile's (zero-padded) pixels; stable ties."""
+    fragments = np.asarray(fragments).ravel()
+    if fragments.size < arch.pixels_per_subtile:
+        fragments = np.pad(fragments, (0, arch.pixels_per_subtile - fragments.size))
+    order = np.argsort(fragments, kind="stable")
+    n = order.size
+    return np.stack([order[: n // 2], order[::-1][: n // 2]], axis=1)
+
+
+def _scalar_subtile_cycles(engine, fragments, pairing):
+    """``(forward, backward)`` cycles of one subtile from its RC lane loads."""
+    arch = engine.config
+    fragments = np.asarray(fragments, dtype=np.int64).ravel()
+    if fragments.sum() == 0:
+        return 0, 0
+    if fragments.size < arch.pixels_per_subtile:
+        fragments = np.pad(fragments, (0, arch.pixels_per_subtile - fragments.size))
+    if pairing is None:
+        pairing = np.arange(arch.pixels_per_subtile).reshape(-1, 2)
+    loads = fragments[pairing].sum(axis=1).astype(np.float64)
+    if engine.use_pipeline_balancing:
+        forward = loads + arch.alpha_compute_cycles + arch.alpha_blend_cycles
+    else:
+        interval = 1 + arch.alpha_blend_cycles / max(arch.alpha_compute_cycles, 1)
+        forward = loads * interval + arch.alpha_compute_cycles
+    if engine.use_rb_buffer:
+        alpha_grad = engine.rb_buffer.alpha_grad_cycles(arch)
+    else:
+        alpha_grad = arch.alpha_grad_cycles_baseline
+    grad_2d = arch.grad_2d_cycles
+    if engine.use_pipeline_balancing:
+        interval = max(1.0, alpha_grad / grad_2d)
+    else:
+        interval = (alpha_grad + grad_2d) / grad_2d
+    backward = loads * interval + alpha_grad + grad_2d
+    return int(np.ceil(forward.max())), int(np.ceil(backward.max()))
+
+
+def _scalar_dispatch(subtile_cycles, mode, n_engines):
+    """Per-RE cycles: ideal split, earliest-free streaming or static s mod n."""
+    per_engine = np.zeros(n_engines, dtype=np.float64)
+    if mode == SchedulingMode.IDEAL:
+        per_engine[:] = sum(subtile_cycles) / n_engines
+    elif mode in (SchedulingMode.STREAMING, SchedulingMode.BOTH):
+        for cycles in subtile_cycles:
+            per_engine[int(np.argmin(per_engine))] += cycles
+    else:
+        for index, cycles in enumerate(subtile_cycles):
+            per_engine[index % n_engines] += cycles
+    return per_engine
+
+
+@pytest.fixture(scope="module")
+def figure_subtiles():
+    """``(current, reference)`` subtile workloads of two figure runs.
+
+    The Fig. 17 MonoGS run and the Fig. 15 Photo-SLAM run with dynamic
+    downsampling (so consecutive snapshots change shape); each snapshot's
+    reference is the one before it, the first has none.
+    """
+    from benchmarks.conftest import get_run
+
+    pairs = []
+    for run in (
+        get_run("mono_gs", "replica", variant="base"),
+        get_run("photo_slam", "tum", variant="rtgs"),
+    ):
+        reference = None
+        for snapshot in run.all_snapshots():
+            current = snapshot.pixel_workloads_per_subtile()
+            pairs.append((current, reference))
+            reference = current
+    return pairs
+
+
+@pytest.mark.parametrize("use_pipeline_balancing", [True, False])
+@pytest.mark.parametrize("use_rb_buffer", [True, False])
+def test_cycles_and_schedule_match_scalar_reference(
+    figure_subtiles, use_rb_buffer, use_pipeline_balancing
+):
+    arch = RTGSArchitectureConfig()
+    engine = RenderingEngine(
+        arch, use_rb_buffer=use_rb_buffer, use_pipeline_balancing=use_pipeline_balancing
+    )
+    wsu = WorkloadSchedulingUnit(arch, engine=engine)
+    assert any(
+        reference is not None and reference.shape != current.shape
+        for current, reference in figure_subtiles
+    )
+    for current, reference in figure_subtiles:
+        stale = reference is not None and reference.shape == current.shape
+        source = reference if stale else current
+        for paired in (False, True):
+            expected = np.array(
+                [
+                    _scalar_subtile_cycles(engine, row, _scalar_pairing(arch, rank) if paired else None)
+                    for row, rank in zip(current, source)
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            forward, backward = engine.cycles(
+                current, wsu.pairing(current, reference) if paired else None
+            )
+            assert np.array_equal(forward, expected[:, 0])
+            assert np.array_equal(backward, expected[:, 1])
+            for mode in SchedulingMode:
+                if (mode in _PAIRED_MODES) != paired:
+                    continue
+                for include_backward in (True, False):
+                    subtile_cycles = expected.sum(axis=1) if include_backward else expected[:, 0]
+                    per_engine = _scalar_dispatch(
+                        subtile_cycles.tolist(), mode, arch.n_rendering_engines
+                    )
+                    result = wsu.schedule(current, mode, include_backward, reference)
+                    assert result.total_cycles == int(np.ceil(per_engine.max()))
+                    assert np.array_equal(result.per_engine_cycles, per_engine)
 
 
 class TestGMU:
@@ -293,6 +455,55 @@ class TestRTGSPlugin:
         assert rtgs < baseline
 
 
+    def test_frame_latency_pairs_each_snapshot_on_the_one_before(
+        self, tiny_slam_result, monkeypatch
+    ):
+        snapshots = tiny_slam_result.all_snapshots()[:8]
+        plugin = RTGSPlugin()
+        expected = StageLatency()
+        for reference, snapshot in zip([None, *snapshots[:-1]], snapshots):
+            expected = expected + plugin.iteration_latency(snapshot, reference)
+
+        seen = []
+        subtile_cycles = WorkloadSchedulingUnit.subtile_cycles
+
+        def spy(wsu, current, mode=SchedulingMode.BOTH, reference=None):
+            seen.append((current, reference))
+            return subtile_cycles(wsu, current, mode, reference)
+
+        monkeypatch.setattr(WorkloadSchedulingUnit, "subtile_cycles", spy)
+        assert plugin.frame_latency(snapshots) == expected
+        assert len(seen) == len(snapshots)
+        assert seen[0][1] is None
+        for (previous, _), (_, reference) in zip(seen, seen[1:]):
+            assert np.array_equal(reference, previous)
+        assert plugin.frame_latency(snapshots) == expected  # no state carried over
+
+    def test_evaluate_system_schedules_each_snapshot_once(self, tiny_slam_result, monkeypatch):
+        calls = []
+        cycles = RenderingEngine.cycles
+
+        def counted(engine, workloads, pairing=None):
+            calls.append(len(workloads))
+            return cycles(engine, workloads, pairing)
+
+        monkeypatch.setattr(RenderingEngine, "cycles", counted)
+        snapshots = tiny_slam_result.all_snapshots()
+        for model in (RTGSPlugin(), GauSPUModel()):
+            calls.clear()
+            evaluate_system(snapshots, model, "accelerated")
+            assert len(calls) == len(snapshots)
+        calls.clear()
+        evaluate_system(
+            snapshots,
+            RTGSPlugin(),
+            "tracking only",
+            accelerate_mapping=False,
+            baseline_mapping_model=EdgeGPUModel(),
+        )
+        assert len(calls) == len(tiny_slam_result.tracking_snapshots())
+
+
 class TestInterface:
     def test_keyframe_and_nonkeyframe_protocol(self):
         interface = RTGSInterface()
@@ -331,7 +542,7 @@ def test_wsu_pairing_never_worse_than_adjacent(pixel_loads):
     arch = RTGSArchitectureConfig()
     engine = RenderingEngine(arch)
     wsu = WorkloadSchedulingUnit(arch, engine=engine)
-    fragments = np.asarray(pixel_loads)
-    adjacent = engine.forward_cycles(fragments, pairing=np.arange(16).reshape(-1, 2))
-    paired = engine.forward_cycles(fragments, pairing=wsu.pairing_for(fragments))
-    assert paired <= adjacent
+    fragments = np.asarray([pixel_loads])
+    adjacent, _ = engine.cycles(fragments)
+    paired, _ = engine.cycles(fragments, pairing=wsu.pairing(fragments))
+    assert paired[0] <= adjacent[0]

@@ -93,13 +93,6 @@ class TestBatchedScheduler:
         result = mapper.map(cloud, keyframes)
         assert result.losses[-1] <= result.losses[0]
 
-    def test_legacy_round_robin_escape_hatch(self, sequence):
-        mapper = StreamingMapper(MappingConfig(n_iterations=4, batched=False))
-        cloud, keyframes = _seeded(sequence, mapper)
-        result = mapper.map(cloud, keyframes)
-        assert result.batch_sizes == [1, 1, 1, 1]
-        assert len(result.snapshots) == 4
-
 
 class TestPruneRemapRegression:
     """Pruning mid-window must remap every cached per-keyframe row index."""

@@ -1348,9 +1348,3 @@ class TestShardedMapping:
             if sharding is not None
         )
         assert total_events >= 1
-
-    def test_mapping_config_threads_shard_workers_into_engine(self):
-        from repro.slam import MappingConfig, StreamingMapper
-
-        mapper = StreamingMapper(MappingConfig(shard_workers=3))
-        assert mapper.engine.config.shard_workers == 3
