@@ -16,6 +16,9 @@ import pytest
 
 from repro.core import FixedRatioPruner, RTGSAlgorithmConfig, build_pipeline, make_pruner
 from repro.datasets import make_sequence
+from repro.engine import RenderEngine
+from repro.gaussians.backward import preprocess_backward, rasterize_backward
+from repro.gaussians.rasterizer import rasterize_tile
 from repro.metrics import format_db  # noqa: F401  (re-exported for benchmark tables)
 from repro.slam import make_algorithm
 
@@ -26,6 +29,33 @@ WORKLOAD_SCALE = 150.0
 
 _SEQUENCE_CACHE: dict[tuple, object] = {}
 _RUN_CACHE: dict[tuple, object] = {}
+
+
+class TileLoopEngine(RenderEngine):
+    """An engine whose single views run the per-tile reference loop.
+
+    ``render`` is :func:`rasterize_tile` and ``backward`` is
+    ``rasterize_backward(backend="tile")`` + ``preprocess_backward``; batches
+    keep the engine's flat path.  It is the baseline the speedup gates time
+    the flat path against, not a render backend.
+    """
+
+    def render(self, cloud, camera, pose_cw, *, background=None, tile_size=None,
+               subtile_size=None, active_only=True):
+        return rasterize_tile(
+            cloud,
+            camera,
+            pose_cw,
+            background=background,
+            tile_size=self.config.tile_size if tile_size is None else tile_size,
+            subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
+            active_only=active_only,
+        )
+
+    def backward(self, result, cloud, dL_dimage, dL_ddepth=None, *,
+                 compute_pose_gradient=True):
+        screen = rasterize_backward(result, dL_dimage, dL_ddepth, backend="tile")
+        return preprocess_backward(screen, cloud, compute_pose_gradient=compute_pose_gradient)
 
 
 def get_sequence(dataset: str, scene: str | None = None, n_frames: int = N_FRAMES):

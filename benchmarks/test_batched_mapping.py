@@ -5,8 +5,9 @@ one fused backward, one averaged Adam update, exactly what the
 ``StreamingMapper`` scheduler runs — is compared against two sequential
 baselines covering the same four views:
 
-* **seed mapping path**: four single-view iterations through the tile
-  backend with one Adam step each — what the mapper executed before the
+* **seed mapping path**: four single-view iterations through the per-tile
+  reference loop (:class:`benchmarks.conftest.TileLoopEngine`) with one
+  Adam step each — what the mapper executed before the
   backend flip and the scheduler rework.  This is the primary gate: the
   batched path must be ≥1.5x faster (acceptance criterion of the scheduler
   PR) and must not regress >20% against the committed baseline.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import get_sequence, print_table
+from benchmarks.conftest import TileLoopEngine, get_sequence, print_table
 from benchmarks.perf_gate import (
     best_of,
     best_of_interleaved,
@@ -133,7 +134,8 @@ def test_batched_mapping_iteration_speedup():
         assert np.array_equal(view.fragments_per_pixel, single.fragments_per_pixel)
     agreement_engine.release(batch)
 
-    tile_engine, flat_engine = _engine("tile"), _engine("flat")
+    tile_engine = TileLoopEngine(EngineConfig(geom_cache=False))
+    flat_engine = _engine("flat")
     batched = _BatchedIteration(cloud, frames)
     batched()  # warm the arena and caches, as in a mapping window
     _sequential_iterations(cloud, frames, tile_engine)
@@ -150,7 +152,7 @@ def test_batched_mapping_iteration_speedup():
         " iterations (Fig. 15 scene)",
         ["mapping path", "wall-clock", "speedup"],
         [
-            ["seed (tile backend, sequential)", f"{time_tile * 1e3:.1f} ms", "1.00x"],
+            ["seed (tile loop, sequential)", f"{time_tile * 1e3:.1f} ms", "1.00x"],
             [
                 "flat backend, sequential",
                 f"{time_flat * 1e3:.1f} ms",

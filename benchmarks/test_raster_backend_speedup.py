@@ -1,13 +1,15 @@
-"""Wall-clock comparison of the flat fragment-list backend vs the tile backend.
+"""Wall-clock comparison of the flat fragment-list backend vs the tile loop.
 
 Measured on the Fig. 15 end-to-end benchmark scene (the TUM synthetic
 sequence at benchmark resolution): the Step-3 forward render plus the
 Step-4/5 backward pass — the iteration the paper identifies as the SLAM
 bottleneck — must be measurably faster through a flat-pinned
-:class:`repro.engine.RenderEngine` while producing outputs the scenario
-matrix pins to the tile backend.  A short end-to-end SLAM segment run with
-per-backend injected engines double-checks that the speedup survives the
-full pipeline.
+:class:`repro.engine.RenderEngine` than through the per-tile reference loop
+(``rasterize_tile`` + ``rasterize_backward(backend="tile")`` +
+``preprocess_backward``, run by :class:`benchmarks.conftest.TileLoopEngine`),
+while producing outputs ``tests/test_fast_raster.py`` pins to that loop.  A
+short end-to-end SLAM segment run with each injected engine double-checks
+that the speedup survives the full pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import get_sequence, print_table
+from benchmarks.conftest import TileLoopEngine, get_sequence, print_table
 from benchmarks.perf_gate import best_of as _best_of
 from benchmarks.perf_gate import check_speedup, perf_gate_active
 from repro.engine import EngineConfig, RenderEngine
@@ -43,8 +45,8 @@ def test_flat_backend_is_faster_on_fig15_scene():
     dL_ddepth = rng.uniform(-1.0, 1.0, size=(first.camera.height, first.camera.width))
 
     engines = {
-        backend: RenderEngine(EngineConfig(backend=backend, geom_cache=False))
-        for backend in ("tile", "flat")
+        "tile": TileLoopEngine(EngineConfig(geom_cache=False)),
+        "flat": RenderEngine(EngineConfig(backend="flat", geom_cache=False)),
     }
 
     def iteration(backend: str) -> None:
@@ -63,7 +65,7 @@ def test_flat_backend_is_faster_on_fig15_scene():
     assert np.array_equal(candidate.fragments_per_pixel, reference.fragments_per_pixel)
 
     print_table(
-        "Flat fragment-list backend vs tile backend (Fig. 15 scene, fwd+bwd)",
+        "Flat fragment-list backend vs tile loop (Fig. 15 scene, fwd+bwd)",
         ["backend", f"time for {len(frames)} frames", "speedup"],
         [
             ["tile", f"{timings['tile'] * 1e3:.1f} ms", "1.00x"],
@@ -89,9 +91,10 @@ def test_flat_backend_speeds_up_slam_segment():
         config.tracking.n_iterations = 3
         config.mapping.n_iterations = 3
         # One injected engine drives the whole pipeline; batched mapping
-        # falls back to the flat batch path under the tile engine.  Seeding
-        # from the environment keeps the REPRO_TILE_SIZE knobs working.
-        engine = RenderEngine(EngineConfig.from_env(backend=backend))
+        # stays on the flat batch path under the tile loop.  Seeding from
+        # the environment keeps the REPRO_TILE_SIZE knobs working.
+        engine_type = TileLoopEngine if backend == "tile" else RenderEngine
+        engine = engine_type(EngineConfig.from_env(backend="flat"))
         start = time.perf_counter()
         result = SLAMPipeline(config, engine=engine).run(sequence, n_frames=4)
         elapsed = time.perf_counter() - start

@@ -12,12 +12,12 @@ This package is the one way to render:
   :class:`~repro.gaussians.geom_cache.GeometryCache` for callers that pass
   it in, and workload-snapshot emission.
 * :class:`BackendRegistry` / :func:`register_backend` — the pluggable
-  strategy seam.  ``flat``, ``tile``, ``sharded`` (multi-process execution
-  of the flat batch plan, :mod:`repro.engine.sharded`) and ``async``
-  (speculative double-buffered pipelining over the sharded pool,
+  strategy seam.  ``flat``, ``sharded`` (multi-process execution of the
+  flat batch plan, :mod:`repro.engine.sharded`) and ``async`` (speculative
+  double-buffered pipelining over the sharded pool,
   :mod:`repro.engine.async_backend`) are the built-ins; further execution
-  strategies implement :class:`RenderBackend` and register without touching
-  callers.
+  strategies implement the batch-only :class:`RenderBackend` protocol and
+  register without touching callers.  A single view is a batch of one.
 
 An engine's backend is chosen in one place, its :class:`EngineConfig`;
 :meth:`EngineConfig.from_env` reads ``REPRO_RASTER_BACKEND`` when the engine
@@ -32,7 +32,6 @@ from repro.engine.registry import (
     BatchRenderRequest,
     REGISTRY,
     RenderBackend,
-    RenderRequest,
     SubmittedUnits,
     backend_names,
     register_backend,
@@ -40,7 +39,7 @@ from repro.engine.registry import (
 
 # Importing the built-in backends populates the registry as a side effect;
 # keep these imports before anything that resolves backend names.
-from repro.engine.backends import FlatBackend, TileBackend  # noqa: E402
+from repro.engine.backends import FlatBackend  # noqa: E402
 from repro.engine.faults import (  # noqa: E402
     ENV_SHARD_FAULTS,
     FaultPlan,
@@ -77,11 +76,9 @@ __all__ = [
     "REGISTRY",
     "RenderBackend",
     "RenderEngine",
-    "RenderRequest",
     "ShardWorkerError",
     "ShardedBackend",
     "SubmittedUnits",
-    "TileBackend",
     "active_fault_plan",
     "backend_names",
     "default_engine",

@@ -41,9 +41,11 @@ a third live arena the engine does not own.
 
 A single internal pool lock serialises all worker-pool traffic (speculative
 forwards vs. backward passes), so pipe protocols never interleave.
-Single-view renders bypass the pool entirely (the sharded backend degrades
-them to the serial flat path), which is what lets a tracker thread render
-concurrently with mapper speculation in the SLAM-level pipeline overlap.
+One-view plans (every :meth:`~repro.engine.RenderEngine.render`) bypass the
+lock and the pending speculations: the sharded backend runs them serially
+in the parent, with no pool traffic, which is what lets a tracker thread
+render concurrently with mapper speculation in the SLAM-level pipeline
+overlap.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from typing import TYPE_CHECKING
 from repro.engine.registry import (
     BackendCapabilities,
     BatchRenderRequest,
-    RenderRequest,
     SubmittedUnits,
     register_backend,
 )
@@ -66,7 +67,6 @@ if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
     from repro.gaussians.batch import BatchGradients, BatchRenderResult, RenderPlan
     from repro.gaussians.gaussian_model import GaussianCloud
-    from repro.gaussians.rasterizer import RenderResult
 
 
 class _Speculation:
@@ -125,9 +125,7 @@ class AsyncBackend:
     # -- capabilities / sizing ----------------------------------------------
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
-            batch=True,
             cache=True,
-            reference=False,
             description=(
                 "double-buffered speculative planning over the sharded pool "
                 "(repro.engine.async_backend)"
@@ -220,19 +218,17 @@ class AsyncBackend:
         self._retire(pending, "discarded")
 
     # -- forward -------------------------------------------------------------
-    def render(self, request: RenderRequest) -> "RenderResult":
-        # Single views run the serial flat path (no pool traffic), so they
-        # deliberately do NOT take the pool lock: a tracker thread can render
-        # while a speculation is mid-flight on the workers.
-        return self._inner.render(request)
-
     def plan_batch(self, request: BatchRenderRequest) -> "RenderPlan":
         return self._inner.plan_batch(request)
 
     def execute_units(
         self, plan: "RenderPlan", request: BatchRenderRequest
     ) -> "BatchRenderResult":
-        # The units may run on the worker pool.
+        if plan.n_views == 1:
+            # A one-view plan runs in the parent (no pool traffic), so it
+            # deliberately does NOT take the pool lock: a tracker thread can
+            # render while a speculation is mid-flight on the workers.
+            return self._inner.execute_units(plan, request)
         with self._pool:
             return self._inner.execute_units(plan, request)
 
@@ -284,12 +280,6 @@ class AsyncBackend:
             return self._inner.render_batch(request)
 
     # -- backward ------------------------------------------------------------
-    def backward(self, result, cloud, dL_dimage, dL_ddepth=None, compute_pose_gradient=False):
-        with self._pool:
-            return self._inner.backward(
-                result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient
-            )
-
     def backward_batch(
         self,
         batch: "BatchRenderResult",

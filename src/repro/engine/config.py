@@ -8,9 +8,9 @@ no process-wide backend to change afterwards.
 Environment variables (the full table also lives in the README):
 
 ======================== ====================================================
-``REPRO_RASTER_BACKEND`` Backend name: ``flat`` (default fast path), ``tile``
-                         (reference loop) or any name registered through
-                         :func:`repro.engine.register_backend`.
+``REPRO_RASTER_BACKEND`` Backend name: ``flat`` (default fast path),
+                         ``sharded``, ``async`` or any name registered
+                         through :func:`repro.engine.register_backend`.
 ``REPRO_TILE_SIZE``      Tile edge in pixels (default 16).
 ``REPRO_SUBTILE_SIZE``   Subtile edge in pixels (default 4; must divide the
                          tile edge).
@@ -40,9 +40,8 @@ Environment variables (the full table also lives in the README):
                          latency behind tracking (the tracker renders the
                          last *published* cloud snapshot while the mapper
                          optimises in the background).  Requires a
-                         batch-capable backend (conflicts with
-                         ``backend="tile"``) and a multi-process worker pool
-                         (conflicts with ``shard_workers=0``).
+                         multi-process worker pool (conflicts with
+                         ``shard_workers=0``).
 ======================== ====================================================
 """
 
@@ -162,14 +161,6 @@ class EngineConfig:
             )
         if self.cache_max_entries < 1:
             raise ValueError(f"cache_max_entries must be >= 1, got {self.cache_max_entries}")
-        if self.async_pipeline and self.backend == "tile":
-            raise ValueError(
-                "async_pipeline (REPRO_ASYNC_PIPELINE) conflicts with "
-                "backend='tile' (REPRO_RASTER_BACKEND): the tile reference "
-                "loop has no batch path to pipeline, so the overlap could "
-                "never engage — pick a batch-capable backend (e.g. 'async' "
-                "or 'sharded') or disable async_pipeline"
-            )
         if self.async_pipeline and self.shard_workers == 0:
             raise ValueError(
                 "async_pipeline (REPRO_ASYNC_PIPELINE) conflicts with "

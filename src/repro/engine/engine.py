@@ -21,9 +21,15 @@ The engine owns everything a render needs besides its inputs:
 Managed vs unmanaged batches: ``render_batch(managed=True)`` asks the engine
 to supply its recycled arena and to track ownership; it is the mode the SLAM
 mapper runs in.  ``managed=False`` is stateless — fresh arena,
-caller-supplied ``cache=`` / ``arena=`` passed through verbatim.  Single-view
-:meth:`RenderEngine.render` is always unmanaged: each render gets a fresh
-arena, or the arena of the cache passed in.
+caller-supplied ``cache=`` / ``arena=`` passed through verbatim.
+
+A single view is a batch of one: :meth:`RenderEngine.render` plans and
+executes a one-view batch through the backend's ``plan_batch`` /
+``execute_units``, always unmanaged (a fresh arena, or the arena of the cache
+passed in), and :meth:`RenderEngine.backward` runs the backend's
+``backward_batch`` over it.  Neither goes through :meth:`render_batch` or
+:meth:`backward_batch`, so the arena claim only ever covers batches a caller
+asked for.
 """
 
 from __future__ import annotations
@@ -37,15 +43,15 @@ from repro.engine.registry import (
     BatchRenderRequest,
     REGISTRY,
     RenderBackend,
-    RenderRequest,
 )
+from repro.gaussians.batch import BatchRenderResult, plan_precomputed_view
 from repro.gaussians.geom_cache import GeometryCache
 
 if TYPE_CHECKING:
     import numpy as np
 
     from repro.gaussians.backward import CloudGradients
-    from repro.gaussians.batch import BatchGradients, BatchRenderResult
+    from repro.gaussians.batch import BatchGradients
     from repro.gaussians.camera import Camera
     from repro.gaussians.fast_raster import FlatArena
     from repro.gaussians.gaussian_model import GaussianCloud
@@ -118,27 +124,6 @@ class RenderEngine:
             return f"unknown-backend:{error}"
         return impl.capabilities().availability
 
-    def _batch_capable(self, impl: RenderBackend, override: str | None) -> RenderBackend:
-        """Resolve a batch-capable backend.
-
-        Batched rendering is flat *by design*: even on a ``tile`` engine the
-        batch path stays flat.  So when the resolved backend lacks batch
-        support and the caller did not name one explicitly, fall back to the
-        first registered batch-capable backend; an explicit batch-incapable
-        override is an error.
-        """
-        if impl.capabilities().batch:
-            return impl
-        if override is not None:
-            raise ValueError(
-                f"backend {override!r} does not support batched rendering"
-            )
-        for name in REGISTRY.names():
-            candidate = self.backend(name)
-            if candidate.capabilities().batch:
-                return candidate
-        raise ValueError("no registered rasterizer backend supports batched rendering")
-
     # -- owned state ---------------------------------------------------------
     @property
     def cache(self) -> GeometryCache | None:
@@ -205,6 +190,29 @@ class RenderEngine:
             self._release_if_claimed(result)
 
     # -- rendering -----------------------------------------------------------
+    def _request(
+        self,
+        cloud: "GaussianCloud",
+        cameras: "Sequence[Camera]",
+        poses_cw: "Sequence[SE3]",
+        backgrounds: "np.ndarray | Sequence[np.ndarray | None] | None",
+        tile_size: int | None,
+        subtile_size: int | None,
+        active_only: bool,
+        **state,
+    ) -> BatchRenderRequest:
+        """A batch request; tile/subtile sizes default to the engine config."""
+        return BatchRenderRequest(
+            cloud=cloud,
+            cameras=cameras,
+            poses_cw=poses_cw,
+            backgrounds=backgrounds,
+            tile_size=self.config.tile_size if tile_size is None else tile_size,
+            subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
+            active_only=active_only,
+            **state,
+        )
+
     def render(
         self,
         cloud: "GaussianCloud",
@@ -219,24 +227,22 @@ class RenderEngine:
         backend: str | None = None,
         cache: GeometryCache | None = None,
     ) -> "RenderResult":
-        """Render one view.
+        """Render one view: a one-view batch through the backend, unmanaged.
 
-        ``cache=`` renders through that geometry cache.  Tile/subtile sizes
-        default to the engine config.
+        ``cache=`` renders through that geometry cache;
+        ``precomputed=(projected, intersections)`` skips Step 1-2 and the
+        cache.  Tile/subtile sizes default to the engine config.
         """
         impl = self.backend(backend)
-        request = RenderRequest(
-            cloud=cloud,
-            camera=camera,
-            pose_cw=pose_cw,
-            background=background,
-            tile_size=self.config.tile_size if tile_size is None else tile_size,
-            subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
-            active_only=active_only,
-            precomputed=precomputed,
+        request = self._request(
+            cloud, [camera], [pose_cw], [background], tile_size, subtile_size, active_only,
             cache=cache,
         )
-        return impl.render(request)
+        if precomputed is None:
+            plan = impl.plan_batch(request)
+        else:
+            plan = plan_precomputed_view(*precomputed, background)
+        return impl.execute_units(plan, request).views[0]
 
     def render_batch(
         self,
@@ -253,7 +259,7 @@ class RenderEngine:
         arena: "FlatArena | None" = None,
         managed: bool = True,
     ) -> "BatchRenderResult":
-        """Render a multi-view batch through a batch-capable backend.
+        """Render a multi-view batch.
 
         ``managed=True`` (the default) supplies the engine's recycled
         grow-only arena and claims ownership until the batch is consumed by
@@ -261,7 +267,7 @@ class RenderEngine:
         passes caller-supplied ``cache`` / ``arena`` through verbatim and
         allocates a fresh arena when neither is given.
         """
-        impl = self._batch_capable(self.backend(backend), backend)
+        impl = self.backend(backend)
         if managed:
             if cache is not None or arena is not None:
                 raise ValueError(
@@ -269,16 +275,9 @@ class RenderEngine:
                 )
             self._claim_guard("render_batch")
             arena = self._arena
-        request = BatchRenderRequest(
-            cloud=cloud,
-            cameras=cameras,
-            poses_cw=poses_cw,
-            backgrounds=backgrounds,
-            tile_size=self.config.tile_size if tile_size is None else tile_size,
-            subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
-            active_only=active_only,
-            arena=arena,
-            cache=cache,
+        request = self._request(
+            cloud, cameras, poses_cw, backgrounds, tile_size, subtile_size, active_only,
+            arena=arena, cache=cache,
         )
         batch = impl.render_batch(request)
         if managed:
@@ -320,16 +319,11 @@ class RenderEngine:
         speculate = getattr(impl, "speculate_batch", None)
         if speculate is None:
             return None
-        request = BatchRenderRequest(
-            cloud=cloud,
-            cameras=cameras,
-            poses_cw=poses_cw,
-            backgrounds=backgrounds,
-            tile_size=self.config.tile_size if tile_size is None else tile_size,
-            subtile_size=self.config.subtile_size if subtile_size is None else subtile_size,
-            active_only=active_only,
+        return speculate(
+            self._request(
+                cloud, cameras, poses_cw, backgrounds, tile_size, subtile_size, active_only
+            )
         )
-        return speculate(request)
 
     def drain(self, backend: str | None = None) -> None:
         """Barrier: retire any in-flight speculative work on the backend.
@@ -344,6 +338,15 @@ class RenderEngine:
             drain()
 
     # -- backward ------------------------------------------------------------
+    def _producer(self, view: "RenderResult", backend: str | None) -> RenderBackend:
+        """``backend``, else the registered backend that produced ``view``,
+        else the engine's default."""
+        if backend is None:
+            produced_by = getattr(view, "backend", None)
+            if produced_by in REGISTRY:
+                backend = produced_by
+        return self.backend(backend)
+
     def backward(
         self,
         result: "RenderResult",
@@ -354,18 +357,22 @@ class RenderEngine:
         compute_pose_gradient: bool = True,
         backend: str | None = None,
     ) -> "CloudGradients":
-        """Steps 4-5 for one render.
+        """Steps 4-5 for one render: ``backward_batch`` over a batch of one.
 
         ``backend=None`` follows the backend that produced ``result``,
         falling back to the engine's default for results tagged with an
         unregistered name.
         """
-        if backend is None:
-            produced_by = getattr(result, "backend", None)
-            if produced_by in REGISTRY:
-                backend = produced_by
-        impl = self.backend(backend)
-        return impl.backward(result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient)
+        batch = BatchRenderResult(
+            views=[result], shared=None, arena=None, shared_seconds=0.0, view_seconds=[0.0]
+        )
+        gradients = self._producer(result, backend).backward_batch(
+            batch, cloud, [dL_dimage], [dL_ddepth], compute_pose_gradient
+        )
+        # The view's own trace, as preprocess_backward keeps it (the batch
+        # trace is a merged copy without the per-pixel fragment counts).
+        gradients.cloud.trace = gradients.screen[0].trace
+        return gradients.cloud
 
     def backward_batch(
         self,
@@ -378,11 +385,7 @@ class RenderEngine:
         backend: str | None = None,
     ) -> "BatchGradients":
         """Fused Steps 4-5 for a batch; releases its arena claim when managed."""
-        if backend is None and batch.views:
-            produced_by = getattr(batch.views[0], "backend", None)
-            if produced_by in REGISTRY:
-                backend = produced_by
-        impl = self._batch_capable(self.backend(backend), backend)
+        impl = self._producer(batch.views[0], backend) if batch.views else self.backend(backend)
         gradients = impl.backward_batch(
             batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient
         )

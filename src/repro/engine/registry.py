@@ -1,12 +1,15 @@
 """The ``RenderBackend`` protocol, its request types and the backend registry.
 
 A backend is a strategy object implementing the :class:`RenderBackend`
-protocol over plain request dataclasses.  The built-in
-``tile`` and ``flat`` rasterizers are registered in
-:mod:`repro.engine.backends` and the multi-process ``sharded`` executor in
-:mod:`repro.engine.sharded`; future execution strategies (e.g. ``async``)
-register the same way (:func:`register_backend`) and become addressable by
-every engine without touching any caller code.
+protocol over the :class:`BatchRenderRequest` dataclass.  The protocol is
+batch-only: a single view is a batch of one, which
+:meth:`repro.engine.RenderEngine.render` plans and executes through the same
+verbs.  The built-in ``flat`` rasterizer is registered in
+:mod:`repro.engine.backends`, the multi-process ``sharded`` executor in
+:mod:`repro.engine.sharded` and the speculative ``async`` pipeline in
+:mod:`repro.engine.async_backend`; further execution strategies register
+the same way (:func:`register_backend`) and become addressable by every
+engine without touching any caller code.
 
 This module is deliberately dependency-light: it must be importable from
 :meth:`repro.engine.EngineConfig.from_env` (for backend-name validation)
@@ -23,67 +26,38 @@ if TYPE_CHECKING:
     import numpy as np
 
     from repro.engine.config import EngineConfig
-    from repro.gaussians.backward import CloudGradients
-    from repro.gaussians.batch import BatchGradients, BatchRenderResult
+    from repro.gaussians.batch import BatchGradients, BatchRenderResult, RenderPlan
     from repro.gaussians.camera import Camera
     from repro.gaussians.fast_raster import FlatArena
     from repro.gaussians.gaussian_model import GaussianCloud
     from repro.gaussians.geom_cache import GeometryCache
-    from repro.gaussians.projection import ProjectedGaussians
-    from repro.gaussians.rasterizer import RenderResult
     from repro.gaussians.se3 import SE3
-    from repro.gaussians.sorting import TileIntersections
 
 
 @dataclass(frozen=True)
 class BackendCapabilities:
     """Typed description of what a backend supports and whether it can run.
 
-    The engine picks a batch-capable backend and the scenario matrix plans
-    its skips from these fields — no magic strings.
+    The scenario matrix plans its skips from these fields — no magic
+    strings.
 
-    ``batch``
-        ``render_batch`` / ``backward_batch`` are implemented.  Engines fall
-        back to the first batch-capable registered backend when a batch is
-        requested from a backend without one (batched mapping is flat by
-        design even on a ``tile`` engine).
     ``cache``
         The backend renders through a caller-passed :class:`GeometryCache`;
-        backends without it silently render uncached (the reference loop's
-        legacy contract).
-    ``reference``
-        Marks the bit-exact reference implementation golden fixtures pin.
+        the matrix skips cache-on cells of a backend without it.
     ``availability``
         ``None`` when the backend can run here and now; otherwise a
         machine-readable reason (e.g. ``"workers:1<2 (...)"``) — the probe
         formerly exposed only via a separate ``availability()`` method.
     """
 
-    batch: bool = False
     cache: bool = False
-    reference: bool = False
     description: str = ""
     availability: str | None = None
 
 
 @dataclass(frozen=True)
-class RenderRequest:
-    """One single-view render, fully described."""
-
-    cloud: "GaussianCloud"
-    camera: "Camera"
-    pose_cw: "SE3"
-    background: "np.ndarray | None" = None
-    tile_size: int = 16
-    subtile_size: int = 4
-    active_only: bool = True
-    precomputed: "tuple[ProjectedGaussians, TileIntersections] | None" = None
-    cache: "GeometryCache | None" = None
-
-
-@dataclass(frozen=True)
 class BatchRenderRequest:
-    """One multi-view batch render, fully described."""
+    """One batch render of one or more views, fully described."""
 
     cloud: "GaussianCloud"
     cameras: "Sequence[Camera]"
@@ -133,12 +107,8 @@ class RenderBackend(Protocol):
         """Static description of what this backend supports."""
         ...
 
-    def render(self, request: RenderRequest) -> "RenderResult":
-        """Run one single-view forward pass."""
-        ...
-
     def render_batch(self, request: BatchRenderRequest) -> "BatchRenderResult":
-        """Run one multi-view forward pass sharing per-Gaussian work.
+        """Run one batch forward pass sharing per-Gaussian work.
 
         Equivalent to ``execute_units(plan_batch(request), request)``; Step
         1-2 planning runs in the calling process.
@@ -168,17 +138,6 @@ class RenderBackend(Protocol):
         """Start Step 3 for a planned batch; ``result()`` is what
         ``execute_units`` returns.  Backends without a worker pool execute
         before returning."""
-        ...
-
-    def backward(
-        self,
-        result: "RenderResult",
-        cloud: "GaussianCloud",
-        dL_dimage: "np.ndarray",
-        dL_ddepth: "np.ndarray | None",
-        compute_pose_gradient: bool,
-    ) -> "CloudGradients":
-        """Steps 4-5 for one render."""
         ...
 
     def backward_batch(

@@ -46,7 +46,7 @@ Execution model
   workers return screen-space gradients, which the parent's one fused Step 5
   pass (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads
   alongside the projection it already holds.
-* **Degradation** — ``workers <= 1``, single-view batches and platforms
+* **Degradation** — ``workers <= 1``, one-view plans and platforms
   where a worker cannot be started all fall back to the serial flat
   execution of the same plan.
 * **Fault tolerance** — a dispatched batch *always completes*, through one
@@ -61,8 +61,9 @@ Execution model
   itself** with :func:`~repro.gaussians.batch.execute_view` (against the
   cache's shared arena on a cached plan), so the stitched batch is bitwise
   identical to an all-healthy run.  A dispatch still in flight on the
-  closed pool loses every reply it had not read yet, and the parent
-  finishes those units the same way.  The next batch gets a fresh pool from
+  closed pool keeps the replies its healthy workers had already sent (the
+  close reads them off the pipes first) and loses the rest, which the
+  parent finishes the same way.  The next batch gets a fresh pool from
   :func:`_shared_pool`.  Every fault and escalated view is recorded on
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
@@ -105,11 +106,10 @@ from repro.engine.faults import active_fault_plan
 from repro.engine.registry import (
     BackendCapabilities,
     BatchRenderRequest,
-    RenderRequest,
     SubmittedUnits,
     register_backend,
 )
-from repro.gaussians.backward import preprocess_backward, preprocess_backward_batch
+from repro.gaussians.backward import preprocess_backward_batch
 from repro.gaussians.batch import (
     BatchGradients,
     BatchRenderResult,
@@ -121,14 +121,13 @@ from repro.gaussians.batch import (
     plan_batch_views,
     render_backward_batch_views,
 )
-from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.projection import ProjectedGaussians
 from repro.gaussians.sorting import TileIntersections
 from repro.gaussians.tiling import TileGrid
 
 if TYPE_CHECKING:
     from repro.engine.config import EngineConfig
-    from repro.gaussians.backward import CloudGradients, ScreenSpaceGradients
+    from repro.gaussians.backward import ScreenSpaceGradients
     from repro.gaussians.batch import ViewWorkUnit
     from repro.gaussians.gaussian_model import GaussianCloud
     from repro.gaussians.rasterizer import RenderResult
@@ -694,7 +693,10 @@ class ShardedPool:
         return replies, faults
 
     def _reply(self, worker_id: int, token: int, deadline: float) -> tuple:
-        """Worker ``worker_id``'s ``(status, payload)`` reply to ``token``."""
+        """Worker ``worker_id``'s ``(status, payload)`` reply to ``token``.
+
+        A closed pool still serves the replies stashed before it closed.
+        """
         key = (token, worker_id)
         while key not in self._stash:
             if self._closed:
@@ -730,7 +732,13 @@ class ShardedPool:
             ) from None
 
     def close(self) -> None:
-        """Shut every worker down; escalate terminate() -> kill() on stragglers."""
+        """Shut every worker down; escalate terminate() -> kill() on stragglers.
+
+        Replies a live worker already sent for a dispatch not yet collected
+        are read into the stash first, so that dispatch keeps them and only
+        the units whose replies never came are lost.
+        """
+        self._stash_sent_replies()
         for worker in self._workers:
             try:
                 worker.conn.send(("shutdown",))
@@ -754,8 +762,21 @@ class ShardedPool:
             except OSError:
                 pass
         self._workers.clear()
-        self._stash.clear()
         self._closed = True
+
+    def _stash_sent_replies(self) -> None:
+        """Read every reply already waiting on a live worker's pipe, without
+        blocking, and stash those of dispatches still to be collected."""
+        for worker in self._workers:
+            if worker.process.poll() is not None:
+                continue
+            try:
+                while worker.conn.poll(0):
+                    reply_token, *reply = worker.conn.recv()
+                    if reply_token in self._uncollected:
+                        self._stash[(reply_token, worker.worker_id)] = tuple(reply)
+            except (EOFError, OSError):
+                continue
 
 
 # Pools are shared process-wide per worker count: a worker's start-up (a fresh
@@ -908,8 +929,8 @@ class ShardedBackend:
 
     Every batch is planned in the parent (:meth:`plan_batch`, cached or not)
     and its units are rasterized on the worker pool (:meth:`execute_units`).
-    Single-view renders and degraded batches (no usable pool) run the serial
-    flat path in the parent.
+    One-view plans (every :meth:`RenderEngine.render`) and degraded
+    batches (no usable pool) run the serial flat path in the parent.
     """
 
     name = "sharded"
@@ -926,9 +947,7 @@ class ShardedBackend:
     # -- capabilities / sizing ----------------------------------------------
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
-            batch=True,
             cache=True,
-            reference=False,
             description=(
                 "multi-process sharded execution: parent-side Step 1-2 planning, "
                 "pooled rasterization and Rendering BP (repro.engine.sharded)"
@@ -987,22 +1006,6 @@ class ShardedBackend:
             return None
 
     # -- forward -------------------------------------------------------------
-    def render(self, request: RenderRequest) -> "RenderResult":
-        # Single views gain nothing from sharding; run the flat fast path
-        # (cache/precomputed dispatch included) so the result keeps its tile
-        # caches and its backward pass stays local.
-        return rasterize_flat(
-            request.cloud,
-            request.camera,
-            request.pose_cw,
-            background=request.background,
-            tile_size=request.tile_size,
-            subtile_size=request.subtile_size,
-            active_only=request.active_only,
-            precomputed=request.precomputed,
-            cache=request.cache,
-        )
-
     def plan_batch(self, request: BatchRenderRequest) -> RenderPlan:
         """Parent-side Step 1-2 planning of every batch.
 
@@ -1530,48 +1533,6 @@ class ShardedBackend:
             view.projected, view.intersections, fragments, view.background, arena, 0
         )
         return rasterize_backward_flat(fresh, dL_dimage, dL_ddepth)
-
-    def backward(
-        self,
-        result: "RenderResult",
-        cloud: "GaussianCloud",
-        dL_dimage: np.ndarray,
-        dL_ddepth: "np.ndarray | None",
-        compute_pose_gradient: bool,
-    ) -> "CloudGradients":
-        handle = getattr(result, "shard_info", None)
-        if handle is None:
-            if (
-                getattr(result, "backend", None) == "sharded"
-                and not result.tile_caches
-                and not getattr(result, "shard_escalated", False)
-            ):
-                raise ShardWorkerError(
-                    "sharded render result carries no worker handle (was it "
-                    "copied or unpickled?); its backward pass cannot run"
-                )
-            # Escalated views (and plain flat results routed here) carry
-            # parent-resident tile caches: run the local flat backward.
-            from repro.engine.backends import _render_backward_core
-
-            return _render_backward_core(
-                "flat", result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient
-            )
-        self._check_loss_shapes(result, dL_dimage, dL_ddepth)
-        screen = None
-        if handle.usable():
-            screens, failed = self._shard_backward(
-                [(handle, handle.view_index, dL_dimage, dL_ddepth)],
-                {handle.view_index: result},
-                [],
-            )
-            if handle.view_index not in failed:
-                screen = screens[handle.view_index]
-        if screen is None:
-            # Pool closed, batch evicted, or a fault mid-request: recompute
-            # locally.
-            screen = self._recompute_backward_view(result, dL_dimage, dL_ddepth)
-        return preprocess_backward(screen, cloud, compute_pose_gradient=compute_pose_gradient)
 
     def backward_batch(
         self,

@@ -85,6 +85,8 @@ from repro.gaussians.tiling import TileGrid
 
 if TYPE_CHECKING:
     from repro.gaussians.geom_cache import GeometryCache
+    from repro.gaussians.projection import ProjectedGaussians
+    from repro.gaussians.sorting import TileIntersections
 
 
 @dataclass
@@ -522,6 +524,34 @@ def plan_batch_views(
         shared=shared,
         shared_seconds=shared_seconds,
         total_fragments=base,
+    )
+
+
+def plan_precomputed_view(
+    projected: ProjectedGaussians,
+    intersections: TileIntersections,
+    background: np.ndarray | None = None,
+) -> RenderPlan:
+    """A one-view plan over Step 1-2 products the caller already holds.
+
+    The unit rasterizes exactly what ``rasterize_flat(precomputed=...)``
+    does: no shared preprocessing and no geometry cache.
+    """
+    start = time.perf_counter()
+    fragments = build_flat_fragments(intersections)
+    unit = ViewWorkUnit(
+        index=0,
+        projected=projected,
+        intersections=intersections,
+        fragments=fragments,
+        background=background,
+        tile_size=intersections.grid.tile_size,
+        subtile_size=intersections.grid.subtile_size,
+        base=0,
+        plan_seconds=time.perf_counter() - start,
+    )
+    return RenderPlan(
+        units=[unit], shared=None, shared_seconds=0.0, total_fragments=fragments.n_fragments
     )
 
 

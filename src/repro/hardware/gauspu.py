@@ -66,8 +66,9 @@ class GauSPUModel(CostModel):
     def iteration_cost(
         self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
     ) -> tuple[StageLatency, EnergyBreakdown]:
-        """Latency with sparse sampling applied; energy on the plug-in's full latency."""
-        latency, energy = self._plugin.iteration_cost(snapshot, reference)
+        """Latency and energy with sparse sampling applied to tracking."""
+        latency = self._plugin.iteration_latency(snapshot, reference)
+        factor = 1.0
         if snapshot.stage == "tracking":
             # Sparse pixel sampling thins the rendering / BP workload during
             # tracking (its Gaussian set is fixed), but not during mapping.
@@ -79,7 +80,9 @@ class GauSPUModel(CostModel):
                 rendering_bp=latency.rendering_bp * factor,
                 preprocessing_bp=latency.preprocessing_bp,
             )
-        return latency, energy
+        # Energy is priced on the sampled latency and the sampled per-pixel
+        # counts, like the latency.
+        return latency, self._plugin.iteration_energy(snapshot, latency, pixel_fraction=factor)
 
     @property
     def device_power_w(self) -> float:

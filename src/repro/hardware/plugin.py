@@ -139,11 +139,22 @@ class RTGSPlugin(CostModel):
     def iteration_cost(
         self, snapshot: WorkloadSnapshot, reference: WorkloadSnapshot | None = None
     ) -> tuple[StageLatency, EnergyBreakdown]:
-        """Latency of one iteration and its energy: plug-in dynamic energy + static power x latency."""
+        """Latency of one iteration and its energy (:meth:`iteration_energy`)."""
         latency = self.iteration_latency(snapshot, reference)
+        return latency, self.iteration_energy(snapshot, latency)
+
+    def iteration_energy(
+        self, snapshot: WorkloadSnapshot, latency: StageLatency, pixel_fraction: float = 1.0
+    ) -> EnergyBreakdown:
+        """Plug-in dynamic energy of the iteration's counts + static power x ``latency``.
+
+        ``pixel_fraction`` scales the per-pixel counts (fragments and
+        pixel-level updates) for a model that renders only that fraction of
+        the pixels.
+        """
         scale = self.workload_scale
-        fragments = snapshot.total_fragments * scale
-        updates = snapshot.total_pixel_level_updates * scale
+        fragments = snapshot.total_fragments * scale * pixel_fraction
+        updates = snapshot.total_pixel_level_updates * scale * pixel_fraction
         n_projected = snapshot.n_projected * scale
         compute_ops = fragments * 40 + updates * 60 + n_projected * 220
         # Dedicated SRAMs capture almost all intermediate traffic; the Gaussian
@@ -161,7 +172,7 @@ class RTGSPlugin(CostModel):
         )
         # Host GPU static power while it performs preprocessing + sorting.
         energy.static_j += self.host_device.power_w * (latency.preprocessing + latency.sorting)
-        return latency, energy
+        return energy
 
 
 # -- system-level evaluation helpers ------------------------------------------------

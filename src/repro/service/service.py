@@ -248,8 +248,8 @@ class RenderSession:
 
     @property
     def backend(self):
-        """The batch backend this session's engine renders through."""
-        return self.engine._batch_capable(self.engine.backend(), None)
+        """The backend this session's engine renders through."""
+        return self.engine.backend()
 
     # -- scheduling state ----------------------------------------------------
     def _front_job(self) -> ServiceJob | None:

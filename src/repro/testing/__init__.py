@@ -32,7 +32,6 @@ from repro.testing.scenarios import (
 # mapper-adjacent machinery stays off the import path until actually used.
 _MATRIX_EXPORTS = (
     "AXES",
-    "FORWARD_TOL",
     "GRADIENT_FIELDS",
     "GRAD_TOL",
     "MatrixCell",
@@ -55,7 +54,6 @@ __all__ = [
     "ADVERSARIAL_LIBRARY",
     "AXES",
     "DEFAULT_LIBRARY",
-    "FORWARD_TOL",
     "GOLDEN_ATOL",
     "GOLDEN_DIR",
     "GRADIENT_FIELDS",

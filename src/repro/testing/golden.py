@@ -1,7 +1,7 @@
 """Golden ``.npz`` fixtures pinning the reference rasterizer's outputs.
 
 Each scenario of the default library has one committed fixture under
-``src/repro/testing/goldens/`` holding the reference (tile backend) forward
+``src/repro/testing/goldens/`` holding the reference (tile loop) forward
 outputs.  The golden tests re-render the scenario and compare against the
 fixture, so any refactor of projection, sorting, tiling or compositing that
 changes observable behaviour fails loudly instead of silently shifting every
@@ -36,7 +36,7 @@ def golden_path(name: str, directory: Path | None = None) -> Path:
 
 
 def render_reference(spec: SceneSpec) -> RenderResult:
-    """Render ``spec`` with the reference backend (the golden source of truth)."""
+    """Render ``spec`` with the reference tile loop (the golden source of truth)."""
     return rasterize_tile(
         spec.cloud,
         spec.camera,
@@ -48,7 +48,7 @@ def render_reference(spec: SceneSpec) -> RenderResult:
 
 
 def save_golden(scenario: Scenario, directory: Path | None = None) -> Path:
-    """Render ``scenario`` with the reference backend and write its fixture."""
+    """Render ``scenario`` with the reference tile loop and write its fixture."""
     result = render_reference(scenario.build())
     path = golden_path(scenario.name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,7 @@ The :class:`ScenarioMatrix` declaratively crosses the merged scenario library
 (:func:`repro.testing.scenarios.matrix_library` — behavioural corners plus the
 adversarial growth set) against four execution axes:
 
-* ``backend`` — ``tile`` (reference loop), ``flat`` (fragment-list fast
+* ``backend`` — every registered backend: ``flat`` (fragment-list fast
   path), ``sharded`` (multi-process flat), ``async`` (speculative
   double-buffered pipelining over the sharded pool — its mapper cells
   exercise the speculate/consume/discard machinery end-to-end);
@@ -12,7 +12,8 @@ adversarial growth set) against four execution axes:
   engine's cache in and run it through every invalidation path, service
   cells open cache-on sessions, and mapper cells run on a cache-enabled
   engine, which the mapper never consults, so they pin that it stays exact;
-* ``batch`` — ``single`` view / ``multi`` view
+* ``batch`` — ``single`` view (:meth:`repro.engine.RenderEngine.render`, a
+  batch of one) / ``multi`` view
   (:meth:`repro.engine.RenderEngine.render_batch`);
 * ``mapping`` — a direct ``render``, a short
   :class:`repro.slam.mapping.StreamingMapper` window driven end-to-end
@@ -20,8 +21,8 @@ adversarial growth set) against four execution axes:
   :class:`repro.service.RenderService` sessions over the cell's backend.
 
 Every render and service cell is compared against the **direct
-implementation** the engine wraps — ``rasterize_flat`` (``rasterize_tile``
-for tile cells), then ``rasterize_backward``, then ``preprocess_backward`` —
+implementation** the engine wraps — ``rasterize_flat``, then
+``rasterize_backward``, then ``preprocess_backward`` —
 under a loss seeded by :func:`repro.utils.random.derive_seed` from the
 workload (scenario, cloud state and view index), so every backend and
 cache setting of one workload backprops the same loss against one memoized
@@ -45,19 +46,16 @@ structured :class:`ScenarioCellResult` — status, max abs diff, the
 tolerance it was judged against, wall-clock and the per-view
 :class:`~repro.slam.records.WorkloadSnapshot` attribution.
 
-Tolerances: flat, sharded and async cells must match **bitwise** (tolerance
-0 — same work units, and every cache tier is exact).  Tile cells match a
-direct ``rasterize_tile`` bitwise and the flat reference within
-:data:`FORWARD_TOL` (forward) and :data:`GRAD_TOL` (gradients), per-pixel and
-per-subtile fragment counts equal.
+Tolerance: every cell must match **bitwise** (tolerance 0 — same work
+units, and every cache tier is exact).  The per-tile reference loop
+(``rasterize_tile``) is not a backend; ``tests/test_fast_raster.py`` holds
+the flat path to it on every matrix scenario.
 
 Cells a backend *cannot* execute are skipped with a machine-readable reason
 instead of silently running a substitute:
 
 * ``capability:*`` — the backend's typed capabilities report ``cache=False``
-  / ``batch=False`` (e.g. tile batch, mapper and service cells, where the
-  engine would silently fall back to a flat batch and the cell would not
-  exercise tile; tile is also the only backend skipping cache cells);
+  (no built-in backend does; a registered one may);
 * ``backend-unavailable:*`` — :meth:`repro.engine.RenderEngine.availability`
   reported a config/host limitation (e.g. the sharded backend resolving to
   fewer than two worker processes, with the knob and core count named).
@@ -99,13 +97,11 @@ from repro.gaussians.backward import (
 )
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.gaussian_model import GaussianCloud
-from repro.gaussians.rasterizer import rasterize_tile
 from repro.testing.scenarios import ScenarioLibrary, SceneSpec, matrix_library
 from repro.utils.random import derive_seed
 
-# Tile vs flat: the reference loop regroups reductions, so its forward
-# outputs and gradients agree with the flat path to these bounds only.
-FORWARD_TOL = 1e-10
+# A fused backward regroups the per-view sums, so it agrees with the sum of
+# per-view gradients to this bound only (the flat-vs-tile tests use it too).
 GRAD_TOL = 1e-8
 
 GRADIENT_FIELDS = (
@@ -129,7 +125,7 @@ SERVICE_ROUND_QUANTUM = 2
 
 # The declarative axes every scenario is crossed against, in display order.
 AXES: dict[str, tuple[str, ...]] = {
-    "backend": ("tile", "flat", "sharded", "async"),
+    "backend": ("flat", "sharded", "async"),
     "cache": ("off", "on"),
     "batch": ("single", "multi"),
     "mapping": ("render", "mapper", "service"),
@@ -154,8 +150,7 @@ SCENARIO_OPTIONS: dict[str, MatrixOptions] = {
     "aggressive_motion": MatrixOptions(n_views=6),
     "mixed_resolution": MatrixOptions(n_views=3),
     # Distorted per-view intrinsics stay pinhole-projected, so every cell
-    # keeps its backend's documented tolerance (bitwise flat/sharded,
-    # FORWARD_TOL on tile) — tolerance_for needs no scenario carve-out.
+    # stays bitwise: no scenario carve-out.
     "camera_distortion": MatrixOptions(n_views=3),
     # All six row-band poses of the readout in one window: multi cells batch
     # the full intra-frame motion, mapper cells speculate across it.
@@ -346,7 +341,6 @@ class _ReferenceView:
     depth: np.ndarray
     alpha: np.ndarray
     fragments_per_pixel: np.ndarray
-    fragments_per_subtile: np.ndarray
     loss: tuple  # (dL_dimage, dL_ddepth)
     screen: object  # ScreenSpaceGradients of rasterize_backward under ``loss``
     gradients: object  # CloudGradients of preprocess_backward on ``screen``
@@ -468,31 +462,12 @@ class ScenarioMatrix:
         unavailable = engine.availability()
         if unavailable is not None:
             return f"backend-unavailable:{unavailable}"
-        capabilities = engine.capabilities()
-        if cell.cache_enabled and not capabilities.cache:
+        if cell.cache_enabled and not engine.capabilities().cache:
             return (
                 f"capability:no-cache-support (backend {cell.backend!r} reports "
                 "cache=False)"
             )
-        if (cell.batch == "multi" or cell.mapping != "render") and not (
-            capabilities.batch
-        ):
-            return (
-                f"capability:no-batch-support (backend {cell.backend!r} reports "
-                "batch=False; the engine would silently substitute a flat "
-                "batch, so the cell would not exercise this backend)"
-            )
         return None
-
-    # -- tolerances ----------------------------------------------------------
-    def tolerance_for(self, cell: MatrixCell) -> tuple[float, str]:
-        """The documented tolerance of ``cell`` and why it applies."""
-        if cell.backend == "tile":
-            return (
-                FORWARD_TOL,
-                "tile reduction regrouping vs flat (bitwise vs rasterize_tile)",
-            )
-        return 0.0, "bitwise (same work units as the direct implementation)"
 
     # -- memoized scenario state --------------------------------------------
     def spec(self, scenario: str) -> SceneSpec:
@@ -557,12 +532,11 @@ class ScenarioMatrix:
         cloud: GaussianCloud,
         round_label: str,
         offset: int = 0,
-        backend: str = "flat",
     ) -> _Reference:
         """The direct implementation of the cell's window, ``offset`` views in.
 
-        Each view renders alone through ``rasterize_flat`` (or
-        ``rasterize_tile``) and runs ``rasterize_backward`` and
+        Each view renders alone through ``rasterize_flat`` and runs
+        ``rasterize_backward`` and
         ``preprocess_backward``; the fused pass is ``preprocess_backward_batch``
         over the views' screen-space gradients.  Cache-on cells are held to
         this cache-off reference: every cache tier is exact.  ``cloud`` must
@@ -574,10 +548,10 @@ class ScenarioMatrix:
             self._reference_scenario = cell.scenario
             self._references.clear()
         n_views = len(self._window(cell)[1])
-        key = (cell.batch, offset, round_label, backend)
+        key = (cell.batch, offset, round_label)
         if key not in self._references:
             views = [
-                self._reference_view(cell.scenario, cloud, round_label, index, backend)
+                self._reference_view(cell.scenario, cloud, round_label, index)
                 for index in range(offset, offset + n_views)
             ]
             fused, twists = preprocess_backward_batch(
@@ -593,7 +567,7 @@ class ScenarioMatrix:
         return self._references[key]
 
     def _reference_view(
-        self, scenario: str, cloud: GaussianCloud, round_label: str, index: int, backend: str
+        self, scenario: str, cloud: GaussianCloud, round_label: str, index: int
     ) -> _ReferenceView:
         """View ``index`` of the scenario's orbit through the direct implementation.
 
@@ -603,12 +577,11 @@ class ScenarioMatrix:
         loss.  A repeat lookup renders the unchanged cloud of the first.
         """
         state = "initial" if round_label == "repeat" else round_label
-        key = (state, index, backend)
+        key = (state, index)
         if key not in self._references:
             spec = self.spec(scenario)
             cameras, poses = self._orbit(scenario)
-            render = rasterize_tile if backend == "tile" else rasterize_flat
-            view = render(
+            view = rasterize_flat(
                 cloud,
                 cameras[index],
                 poses[index],
@@ -623,13 +596,12 @@ class ScenarioMatrix:
                 rng.uniform(-1.0, 1.0, size=view.image.shape),
                 rng.uniform(-1.0, 1.0, size=view.depth.shape),
             )
-            screen = rasterize_backward(view, *loss, backend=backend)
+            screen = rasterize_backward(view, *loss)
             self._references[key] = _ReferenceView(
                 image=view.image,
                 depth=view.depth,
                 alpha=view.alpha,
                 fragments_per_pixel=view.fragments_per_pixel,
-                fragments_per_subtile=view.fragments_per_subtile(),
                 loss=loss,
                 screen=screen,
                 gradients=preprocess_backward(screen, cloud, compute_pose_gradient=True),
@@ -704,14 +676,9 @@ class ScenarioMatrix:
     def run_cell(self, cell: MatrixCell) -> ScenarioCellResult:
         """Execute one cell (or skip it with its machine-readable reason)."""
         skip_reason = self.plan_cell(cell)
-        tolerance, tolerance_why = self.tolerance_for(cell)
         if skip_reason is not None:
-            return ScenarioCellResult(
-                cell=cell, status="skip", skip_reason=skip_reason, tolerance=tolerance
-            )
-        result = ScenarioCellResult(
-            cell=cell, status="pass", tolerance=tolerance, notes=f"tolerance: {tolerance_why}"
-        )
+            return ScenarioCellResult(cell=cell, status="skip", skip_reason=skip_reason)
+        result = ScenarioCellResult(cell=cell, status="pass")
         start = time.perf_counter()
         try:
             plan = self.fault_plan_for(cell)
@@ -728,7 +695,7 @@ class ScenarioMatrix:
         result.status = "pass" if not result.failures else "fail"
         if result.snapshots:
             statuses = sorted({snap.cache_status for snap in result.snapshots})
-            result.notes += f"; cache_status={','.join(statuses)}"
+            result.notes = f"cache_status={','.join(statuses)}"
         return result
 
     def _execute_render_cell(self, cell: MatrixCell, result: ScenarioCellResult) -> None:
@@ -760,9 +727,7 @@ class ScenarioMatrix:
         cameras, poses = self._window(cell)
         kwargs = dict(tile_size=spec.tile_size, subtile_size=spec.subtile_size)
         cache = engine.cache if cell.cache_enabled else None
-        direct = self._reference(
-            cell, cloud, round_label, backend="tile" if cell.backend == "tile" else "flat"
-        )
+        direct = self._reference(cell, cloud, round_label)
         dL_dimages = [image for image, _ in direct.losses]
         dL_ddepths = [depth for _, depth in direct.losses]
         before = engine.cache_stats().as_dict() if cache is not None else None
@@ -792,31 +757,15 @@ class ScenarioMatrix:
                     f"{label}cache tier counts moved by {counted}, statuses "
                     f"{[view.cache_status for view in views]}"
                 )
-        # Tile cells are bitwise against rasterize_tile; their own tolerance
-        # is the one against flat, below.
-        own = 0.0 if cell.backend == "tile" else None
-        self._check_forward(result, label, views, direct.views, expected_status, own)
+        self._check_forward(result, label, views, direct.views, expected_status)
         if cell.batch == "single":
             grads = engine.backward(views[0], cloud, dL_dimages[0], dL_ddepths[0])
-            self._check_gradients(result, label, grads, direct.views[0].gradients, own)
+            self._check_gradients(result, label, grads, direct.views[0].gradients)
         else:
             fused = engine.backward_batch(
                 batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
             )
             self._check_fused(result, label, fused, direct)
-        if cell.backend == "tile":
-            # Same loss: a reference view's loss depends on neither backend.
-            flat = self._reference(cell, cloud, round_label)
-            self._check_forward(result, f"{label}vs flat: ", views, flat.views, expected_status)
-            self._check_gradients(
-                result, f"{label}vs flat: ", grads, flat.views[0].gradients, tolerance=GRAD_TOL
-            )
-            if not np.array_equal(
-                views[0].fragments_per_subtile(), flat.views[0].fragments_per_subtile
-            ):
-                result.failures.append(
-                    f"{label}vs flat: per-subtile fragment counts differ"
-                )
         for index, view in enumerate(views):
             result.snapshots.append(self._snapshot(engine, cloud, view, index, len(views)))
         result.n_views = len(views)
@@ -911,8 +860,7 @@ class ScenarioMatrix:
             )
 
     def _check_forward(
-        self, result, label: str, views, references, expected_status: str,
-        tolerance: float | None = None,
+        self, result, label: str, views, references, expected_status: str
     ) -> None:
         """Forward outputs, fragment counts and cache statuses, view by view.
 
@@ -930,7 +878,7 @@ class ScenarioMatrix:
             for name in _FORWARD_FIELDS:
                 self._check(
                     result, f"{prefix}{name} ", getattr(view, name),
-                    getattr(reference, name), tolerance,
+                    getattr(reference, name), None,
                 )
             if not np.array_equal(view.fragments_per_pixel, reference.fragments_per_pixel):
                 result.failures.append(f"{prefix}per-pixel fragment counts differ")
@@ -940,19 +888,17 @@ class ScenarioMatrix:
                     f"{expected_status!r}"
                 )
 
-    def _check_gradients(
-        self, result, label: str, grads, reference, tolerance: float | None
-    ) -> None:
+    def _check_gradients(self, result, label: str, grads, reference) -> None:
         for name in GRADIENT_FIELDS:
             self._check(
                 result, f"{label}gradient {name} ", getattr(grads, name),
-                getattr(reference, name), tolerance,
+                getattr(reference, name), None,
             )
 
     def _check_fused(self, result, label: str, fused, direct: _Reference) -> None:
         """A fused backward: bitwise against the direct fused pass, and within
         ``GRAD_TOL`` of the sum of the per-view gradients."""
-        self._check_gradients(result, f"{label}fused ", fused.cloud, direct.fused, None)
+        self._check_gradients(result, f"{label}fused ", fused.cloud, direct.fused)
         self._check(
             result, f"{label}per-view pose twists ", fused.per_view_pose_twists,
             direct.twists, None,

@@ -6,7 +6,7 @@ Usage::
     PYTHONPATH=src python -m repro.testing.regold -s dense_random -s alpha_clamp
     PYTHONPATH=src python -m repro.testing.regold --check    # drift check (CI)
 
-Without ``--check``, renders each scenario with the reference (tile) backend
+Without ``--check``, renders each scenario with the reference tile loop
 and rewrites the ``.npz`` fixture under ``src/repro/testing/goldens/``.  Only
 run this after an intentional change to rendering behaviour, and commit the
 fixtures together with that change.

@@ -195,6 +195,54 @@ class TestSpeculationLifecycle:
         assert handle.pending
         engine.drain()
 
+    def test_one_view_render_runs_while_a_speculation_holds_the_pool(self, monkeypatch):
+        # A tracker renders a batch of one while the mapper's speculation
+        # holds the pool lock: the render must neither wait for the lock nor
+        # touch the pending speculation.
+        from repro.gaussians.fast_raster import rasterize_flat
+
+        spec = DEFAULT_LIBRARY.get("dense_random").build()
+        cameras, poses = _window(spec)
+        engine = _async_engine()
+        backend = engine.backend()
+        holding, release = threading.Event(), threading.Event()
+        render_batch = backend._inner.render_batch
+
+        def held_render_batch(request):
+            holding.set()
+            release.wait(timeout=60.0)
+            return render_batch(request)
+
+        monkeypatch.setattr(backend._inner, "render_batch", held_render_batch)
+        handle = _speculate(engine, spec, cameras, poses)
+        try:
+            assert holding.wait(timeout=60.0) and backend._pool.locked()
+            rendered = []
+            tracker = threading.Thread(
+                target=lambda: rendered.append(
+                    engine.render(
+                        spec.cloud, cameras[0], poses[0], background=spec.background,
+                        tile_size=spec.tile_size, subtile_size=spec.subtile_size,
+                    )
+                ),
+                daemon=True,
+            )
+            tracker.start()
+            tracker.join(timeout=10.0)
+            assert rendered, "the one-view render waited for the pool lock"
+            assert handle.pending and backend.stats["discarded"] == 0
+        finally:
+            release.set()
+        direct = rasterize_flat(
+            spec.cloud, cameras[0], poses[0], background=spec.background,
+            tile_size=spec.tile_size, subtile_size=spec.subtile_size,
+        )
+        assert np.array_equal(rendered[0].image, direct.image)
+        batch = _render_batch(engine, spec, cameras, poses)
+        assert handle.consumed
+        engine.release(batch)
+        engine.drain()
+
     def test_non_pipelining_backend_returns_none_and_drain_is_noop(self):
         spec = DEFAULT_LIBRARY.get("dense_random").build()
         cameras, poses = _window(spec)

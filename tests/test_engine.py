@@ -1,29 +1,34 @@
 """Tests for the unified RenderEngine session API (`repro.engine`).
 
 Covers: EngineConfig validation + env consolidation, backend registry
-plumbing (including an end-to-end dummy third backend), managed arena
-ownership (the unmanaged-batch aliasing footgun regression), the batch
-fallback that keeps batched rendering flat under a tile default, the backend
-read from the environment once per engine, and profiling-sink snapshot
-emission.
+plumbing (including an end-to-end dummy batch-only backend), managed arena
+ownership (the unmanaged-batch aliasing footgun regression), the single view
+as a batch of one (bitwise against the direct flat functions on every
+backend and matrix scenario), the backend read from the environment once per
+engine, and profiling-sink snapshot emission.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.engine
 from repro.engine import (
     ArenaInUseError,
     EngineConfig,
     FlatBackend,
     REGISTRY,
+    RenderBackend,
     RenderEngine,
     register_backend,
 )
+from repro.gaussians.backward import preprocess_backward, rasterize_backward
 from repro.gaussians.fast_raster import rasterize_flat
-from repro.gaussians.rasterizer import rasterize_tile
-from repro.testing.scenarios import DEFAULT_LIBRARY
+from repro.testing.matrix import GRADIENT_FIELDS
+from repro.testing.scenarios import DEFAULT_LIBRARY, matrix_library
 
 
 def _spec(name: str = "dense_random"):
@@ -55,13 +60,13 @@ class TestEngineConfig:
         from repro.engine.config import ENGINE_ENV_VARS
 
         env = {
-            "REPRO_RASTER_BACKEND": "tile",
+            "REPRO_RASTER_BACKEND": "sharded",
             "REPRO_GEOM_CACHE": "off",
             "REPRO_TILE_SIZE": "8",
             "REPRO_SUBTILE_SIZE": "2",
         }
         config = EngineConfig.from_env(env)
-        assert config.backend == "tile"
+        assert config.backend == "sharded"
         assert config.tile_size == 8 and config.subtile_size == 2
         # The geometry cache has no environment switch and no tolerance: the
         # variable is ignored and every cache tier is exact.
@@ -77,8 +82,10 @@ class TestEngineConfig:
         assert config.tile_size == 32
 
     def test_from_env_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="REPRO_RASTER_BACKEND"):
-            EngineConfig.from_env({"REPRO_RASTER_BACKEND": "cuda"})
+        # The tile loop is the tests' reference function, not a backend.
+        for name in ("cuda", "tile"):
+            with pytest.raises(ValueError, match="REPRO_RASTER_BACKEND"):
+                EngineConfig.from_env({"REPRO_RASTER_BACKEND": name})
 
     def test_from_env_rejects_bad_integer(self):
         with pytest.raises(ValueError, match="REPRO_TILE_SIZE"):
@@ -132,15 +139,15 @@ class TestEngineConfig:
     def test_shard_workers_with_non_sharded_backend_is_recorded_but_inert(self):
         # REPRO_SHARD_WORKERS alongside a backend that never shards is not a
         # conflict: the knob is recorded verbatim (any sharded render through
-        # the same engine would honour it) and tile renders are unaffected.
+        # the same engine would honour it) and flat renders are unaffected.
         config = EngineConfig.from_env(
-            {"REPRO_SHARD_WORKERS": "4", "REPRO_RASTER_BACKEND": "tile"}
+            {"REPRO_SHARD_WORKERS": "4", "REPRO_RASTER_BACKEND": "flat"}
         )
-        assert config.backend == "tile"
+        assert config.backend == "flat"
         assert config.shard_workers == 4
         spec = DEFAULT_LIBRARY.get("single_gaussian").build()
         render = _render(RenderEngine(config), spec)
-        reference = _render(RenderEngine(EngineConfig(backend="tile")), spec)
+        reference = _render(RenderEngine(EngineConfig(backend="flat")), spec)
         assert np.array_equal(render.image, reference.image)
 
     def test_sharded_backend_with_zero_workers_is_valid_serial_degradation(self):
@@ -174,7 +181,7 @@ class TestEngineConfig:
         # combination with them the override decides.
         config = EngineConfig.from_env(
             {
-                "REPRO_RASTER_BACKEND": "tile",
+                "REPRO_RASTER_BACKEND": "async",
                 "REPRO_SHARD_WORKERS": "4",
             },
             backend="sharded",
@@ -194,22 +201,6 @@ class TestEngineConfig:
         # the other boolean env knobs.
         for raw in ("", "0", "off", "false", "OFF"):
             assert not EngineConfig.from_env({"REPRO_ASYNC_PIPELINE": raw}).async_pipeline
-
-    def test_async_pipeline_conflicts_with_tile_backend(self):
-        # The tile reference loop has no batch path, so the overlap could
-        # never engage; the conflict must fail at config time and name both
-        # offending knobs so an env-driven misconfiguration is attributable.
-        with pytest.raises(ValueError, match="REPRO_ASYNC_PIPELINE") as excinfo:
-            EngineConfig.from_env(
-                {"REPRO_ASYNC_PIPELINE": "1", "REPRO_RASTER_BACKEND": "tile"}
-            )
-        assert "REPRO_RASTER_BACKEND" in str(excinfo.value)
-        # Batch-capable backends accept the overlap.
-        for backend in (None, "flat", "sharded", "async"):
-            config = EngineConfig.from_env(
-                {"REPRO_ASYNC_PIPELINE": "1"}, backend=backend
-            )
-            assert config.async_pipeline
 
     def test_async_pipeline_conflicts_with_zero_shard_workers(self):
         # shard_workers=0 degrades every window to the serial flat path, so
@@ -250,7 +241,7 @@ class TestEngineConfig:
         from repro.slam import MappingConfig, StreamingMapper
 
         spec = _spec("single_gaussian")
-        monkeypatch.setenv("REPRO_RASTER_BACKEND", "tile")
+        monkeypatch.setenv("REPRO_RASTER_BACKEND", "sharded")
         previous_engine = set_default_engine(None)
         try:
             built = [
@@ -259,11 +250,13 @@ class TestEngineConfig:
                 default_engine(),
             ]
             # Changing the variable afterwards moves none of them.
-            for env_value in ("tile", "flat"):
+            for env_value in ("sharded", "flat"):
                 monkeypatch.setenv("REPRO_RASTER_BACKEND", env_value)
                 for engine in built:
-                    assert engine.backend_name == "tile"
-                    assert engine.render(spec.cloud, spec.camera, spec.pose_cw).backend == "tile"
+                    assert engine.backend_name == "sharded"
+                    assert engine.backend().name == "sharded"
+                    render = engine.render(spec.cloud, spec.camera, spec.pose_cw)
+                    assert render.image.shape == (spec.camera.height, spec.camera.width, 3)
             assert default_engine() is built[2]
         finally:
             set_default_engine(previous_engine)
@@ -336,18 +329,13 @@ class TestEngineConfig:
 class TestEngineRendering:
     def test_engine_matches_internal_backends_bitwise(self):
         spec = _spec()
-        flat = _render(RenderEngine(EngineConfig(backend="flat", geom_cache=False)), spec)
-        tile = _render(RenderEngine(EngineConfig(backend="tile", geom_cache=False)), spec)
         direct_flat = rasterize_flat(
             spec.cloud, spec.camera, spec.pose_cw, background=spec.background,
             tile_size=spec.tile_size, subtile_size=spec.subtile_size,
         )
-        direct_tile = rasterize_tile(
-            spec.cloud, spec.camera, spec.pose_cw, background=spec.background,
-            tile_size=spec.tile_size, subtile_size=spec.subtile_size,
-        )
-        np.testing.assert_array_equal(flat.image, direct_flat.image)
-        np.testing.assert_array_equal(tile.image, direct_tile.image)
+        for name in REGISTRY.names():
+            engine = RenderEngine(EngineConfig(backend=name, geom_cache=False))
+            np.testing.assert_array_equal(_render(engine, spec).image, direct_flat.image)
 
     def test_unknown_backend_rejected(self):
         spec = _spec("single_gaussian")
@@ -355,14 +343,46 @@ class TestEngineRendering:
         with pytest.raises(ValueError, match="unknown rasterizer backend"):
             _render(engine, spec, backend="cuda")
 
-    def test_batch_falls_back_to_flat_under_tile_default(self):
-        spec = _spec("single_gaussian")
-        engine = RenderEngine(EngineConfig(backend="tile", geom_cache=False))
-        batch = engine.render_batch(spec.cloud, [spec.camera], [spec.pose_cw])
-        assert batch.views[0].backend == "flat"
-        engine.release(batch)
-        with pytest.raises(ValueError, match="does not support batched"):
-            engine.render_batch(spec.cloud, [spec.camera], [spec.pose_cw], backend="tile")
+
+_BATCH_OF_ONE_ENGINES: dict[str, RenderEngine] = {}
+
+
+class TestBatchOfOne:
+    """``render``/``backward`` run a one-view batch through every backend."""
+
+    @pytest.mark.parametrize("name", matrix_library().names())
+    @pytest.mark.parametrize("backend", ["flat", "sharded", "async"])
+    def test_render_and_backward_match_the_direct_functions(self, backend, name):
+        # The check bench/probe.py makes: engine render + backward equal
+        # rasterize_flat + rasterize_backward + preprocess_backward bitwise.
+        if backend not in _BATCH_OF_ONE_ENGINES:
+            _BATCH_OF_ONE_ENGINES[backend] = RenderEngine(
+                EngineConfig(backend=backend, geom_cache=False, shard_workers=2)
+            )
+        engine = _BATCH_OF_ONE_ENGINES[backend]
+        spec = matrix_library().get(name).build()
+        render = _render(engine, spec)
+        direct = rasterize_flat(
+            spec.cloud, spec.camera, spec.pose_cw, background=spec.background,
+            tile_size=spec.tile_size, subtile_size=spec.subtile_size,
+        )
+        for output in ("image", "depth", "alpha", "fragments_per_pixel"):
+            assert np.array_equal(getattr(render, output), getattr(direct, output)), output
+        assert engine.arena is None  # unmanaged: the engine's arena is untouched
+        rng = np.random.default_rng(5)
+        dL_dimage = rng.uniform(-1.0, 1.0, size=direct.image.shape)
+        dL_ddepth = rng.uniform(-1.0, 1.0, size=direct.depth.shape)
+        gradients = engine.backward(render, spec.cloud, dL_dimage, dL_ddepth)
+        expected = preprocess_backward(
+            rasterize_backward(direct, dL_dimage, dL_ddepth),
+            spec.cloud,
+            compute_pose_gradient=True,
+        )
+        for field in GRADIENT_FIELDS:
+            assert np.array_equal(getattr(gradients, field), getattr(expected, field)), field
+        assert np.array_equal(
+            gradients.trace.fragments_per_pixel, expected.trace.fragments_per_pixel
+        )
 
 
 class TestArenaOwnership:
@@ -429,7 +449,7 @@ class TestArenaOwnership:
 
 
 class _EchoBackend:
-    """Dummy third backend: wraps the flat path and re-tags its results."""
+    """Dummy third backend: wraps the flat batch path and re-tags its results."""
 
     name = "echo"
 
@@ -439,20 +459,23 @@ class _EchoBackend:
     def capabilities(self):
         return self._inner.capabilities()
 
-    def render(self, request):
-        result = self._inner.render(request)
-        result.backend = "echo"
-        return result
+    def plan_batch(self, request):
+        return self._inner.plan_batch(request)
+
+    def execute_units(self, plan, request):
+        batch = self._inner.execute_units(plan, request)
+        for view in batch.views:
+            view.backend = "echo"
+        return batch
 
     def render_batch(self, request):
-        return self._inner.render_batch(request)
-
-    def backward(self, result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient):
-        return self._inner.backward(result, cloud, dL_dimage, dL_ddepth, compute_pose_gradient)
+        return self.execute_units(self.plan_batch(request), request)
 
     def backward_batch(self, batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient):
+        # Step 4 follows a result's tag; an echo result is a flat render.
+        views = [replace(view, backend="flat") for view in batch.views]
         return self._inner.backward_batch(
-            batch, cloud, dL_dimages, dL_ddepths, compute_pose_gradient
+            replace(batch, views=views), cloud, dL_dimages, dL_ddepths, compute_pose_gradient
         )
 
 
@@ -496,10 +519,17 @@ class TestBackendRegistry:
         engine = RenderEngine(EngineConfig(backend="flat", geom_cache=False))
         capabilities = engine.capabilities("flat")
         assert isinstance(capabilities, BackendCapabilities)
-        assert capabilities.batch and capabilities.cache
+        assert capabilities.cache
         assert capabilities.availability is None
-        tile = engine.capabilities("tile")
-        assert tile.reference and not tile.batch
+        # One batch protocol: every backend is batch-capable, so there is no
+        # batch or reference flag, no single-view verb and no fallback.
+        assert REGISTRY.names() == ("flat", "sharded", "async")
+        assert not hasattr(capabilities, "batch")
+        assert not hasattr(capabilities, "reference")
+        assert not hasattr(RenderBackend, "render")
+        assert not hasattr(RenderBackend, "backward")
+        assert not hasattr(repro.engine, "RenderRequest")
+        assert not hasattr(RenderEngine, "_batch_capable")
 
     def test_legacy_dict_capabilities_with_unknown_keys_rejected(self):
         class _TypoBackend(_EchoBackend):

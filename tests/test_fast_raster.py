@@ -1,21 +1,30 @@
-"""Unit tests for the flat fragment-list rasterizer backend."""
+"""Unit tests for the flat fragment-list rasterizer and its tile reference.
+
+The per-tile loop (``rasterize_tile``) is the reference function, not an
+engine backend; ``TestFlatMatchesTile`` holds the flat path to it on every
+scenario of the matrix library.
+"""
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from repro.engine import EngineConfig, RenderEngine
+from repro.engine import AsyncBackend, EngineConfig, FlatBackend, RenderEngine, ShardedBackend
 from repro.gaussians import Camera, GaussianCloud, SE3, build_flat_fragments
-from repro.gaussians.backward import rasterize_backward
+from repro.gaussians.backward import preprocess_backward, rasterize_backward
 from repro.gaussians.fast_raster import rasterize_flat
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.rasterizer import rasterize_tile
 from repro.gaussians.sorting import build_tile_lists
 from repro.gaussians.tiling import INTERNED_GRIDS, TileGrid, _interned_grid
-from repro.testing.scenarios import DEFAULT_LIBRARY
+from repro.testing.matrix import GRAD_TOL, GRADIENT_FIELDS
+from repro.testing.scenarios import DEFAULT_LIBRARY, matrix_library
 
 ENGINE = RenderEngine(EngineConfig(geom_cache=False))
+MATRIX_LIBRARY = matrix_library()
 
 # Every array the forward pass exposes per tile; the flat kernel must
 # reproduce the tile reference's values bit for bit.
@@ -30,8 +39,13 @@ TILE_CACHE_ARRAYS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _scenario(name: str):
+    return MATRIX_LIBRARY.get(name).build()
+
+
 def _render_scenario(name: str, backend: str):
-    spec = DEFAULT_LIBRARY.get(name).build()
+    spec = _scenario(name)
     render = {"tile": rasterize_tile, "flat": rasterize_flat}[backend]
     return render(
         spec.cloud,
@@ -43,6 +57,13 @@ def _render_scenario(name: str, backend: str):
     )
 
 
+def _render_with(backend: str, cloud, camera, pose, **kwargs):
+    """``tile``: the reference loop, called directly; else the engine's backend."""
+    if backend == "tile":
+        return rasterize_tile(cloud, camera, pose, **kwargs)
+    return ENGINE.render(cloud, camera, pose, backend=backend, **kwargs)
+
+
 @pytest.fixture()
 def scene(small_cloud, small_camera, simple_pose):
     return small_cloud, small_camera, simple_pose
@@ -50,29 +71,36 @@ def scene(small_cloud, small_camera, simple_pose):
 
 class TestBackendSelection:
     def test_default_backend_is_flat(self):
-        # The flat fast path is the production default since the backend
-        # flip; REPRO_RASTER_BACKEND=tile is the escape hatch back to the
-        # reference loop.
+        # The flat fast path is the production default.
         assert RenderEngine(EngineConfig()).backend_name == "flat"
 
     def test_backend_argument_selects_implementation(self, scene):
         cloud, camera, pose = scene
-        assert ENGINE.render(cloud, camera, pose, backend="tile").backend == "tile"
-        assert ENGINE.render(cloud, camera, pose, backend="flat").backend == "flat"
+        for name, implementation in (
+            ("flat", FlatBackend),
+            ("sharded", ShardedBackend),
+            ("async", AsyncBackend),
+        ):
+            assert isinstance(ENGINE.backend(name), implementation)
+            # A single view is a batch of one, run in the parent on every
+            # backend: its result is a flat render.
+            assert ENGINE.render(cloud, camera, pose, backend=name).backend == "flat"
 
     def test_unknown_backend_rejected(self, scene):
         cloud, camera, pose = scene
-        with pytest.raises(ValueError, match="unknown rasterizer backend"):
-            ENGINE.render(cloud, camera, pose, backend="cuda")
-        with pytest.raises(ValueError, match="unknown rasterizer backend"):
-            RenderEngine(EngineConfig(backend="cuda")).render(cloud, camera, pose)
+        # The tile loop is the tests' reference function, not a backend.
+        for name in ("cuda", "tile"):
+            with pytest.raises(ValueError, match="unknown rasterizer backend"):
+                ENGINE.render(cloud, camera, pose, backend=name)
+            with pytest.raises(ValueError, match="unknown rasterizer backend"):
+                RenderEngine(EngineConfig(backend=name)).render(cloud, camera, pose)
 
 
 class TestFlatMatchesTile:
     def test_forward_outputs_match(self, scene):
         cloud, camera, pose = scene
         bg = np.array([0.1, 0.2, 0.3])
-        tile = ENGINE.render(cloud, camera, pose, background=bg, backend="tile")
+        tile = rasterize_tile(cloud, camera, pose, background=bg)
         flat = ENGINE.render(cloud, camera, pose, background=bg, backend="flat")
         np.testing.assert_allclose(flat.image, tile.image, atol=1e-10)
         np.testing.assert_allclose(flat.depth, tile.depth, atol=1e-10)
@@ -84,7 +112,7 @@ class TestFlatMatchesTile:
         # The flat forward pass is bitwise identical to the tile reference
         # on every scenario: separable evaluation keeps the reference's
         # association order and only rescales by the exact factor -0.5.
-        for name in DEFAULT_LIBRARY.names():
+        for name in MATRIX_LIBRARY.names():
             tile = _render_scenario(name, "tile")
             flat = _render_scenario(name, "flat")
             for output in ("image", "depth", "alpha", "fragments_per_pixel"):
@@ -92,6 +120,7 @@ class TestFlatMatchesTile:
                     name,
                     output,
                 )
+            assert np.array_equal(flat.fragments_per_subtile(), tile.fragments_per_subtile())
             assert len(flat.tile_caches) == len(tile.tile_caches), name
             for ct, cf in zip(tile.tile_caches, flat.tile_caches):
                 assert ct.tile_id == cf.tile_id
@@ -104,7 +133,7 @@ class TestFlatMatchesTile:
                     )
 
     @pytest.mark.parametrize("with_depth", [False, True], ids=["color", "color+depth"])
-    @pytest.mark.parametrize("name", DEFAULT_LIBRARY.names())
+    @pytest.mark.parametrize("name", MATRIX_LIBRARY.names())
     def test_backward_matches_tile_on_every_scenario(self, name, with_depth):
         # The flat backward merges pixel contributions per tile axis; only
         # summation order may differ from the dense tile reference.
@@ -131,20 +160,49 @@ class TestFlatMatchesTile:
         ):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", MATRIX_LIBRARY.names())
+    def test_gradients_match_tile(self, name):
+        # Step 5 over each path's screen-space gradients: every cloud
+        # gradient and the pose twist agree within GRAD_TOL.
+        spec = _scenario(name)
+        tile = _render_scenario(name, "tile")
+        flat = _render_scenario(name, "flat")
+        rng = np.random.default_rng(13)
+        dL_dimage = rng.uniform(-1.0, 1.0, size=tile.image.shape)
+        dL_ddepth = rng.uniform(-1.0, 1.0, size=tile.depth.shape)
+        reference = preprocess_backward(
+            rasterize_backward(tile, dL_dimage, dL_ddepth, backend="tile"),
+            spec.cloud,
+            compute_pose_gradient=True,
+        )
+        candidate = preprocess_backward(
+            rasterize_backward(flat, dL_dimage, dL_ddepth, backend="flat"),
+            spec.cloud,
+            compute_pose_gradient=True,
+        )
+        for field in GRADIENT_FIELDS:
+            np.testing.assert_allclose(
+                getattr(candidate, field),
+                getattr(reference, field),
+                rtol=0.0,
+                atol=GRAD_TOL,
+                err_msg=field,
+            )
+
     def test_backward_dispatches_on_result_backend(self, scene):
         cloud, camera, pose = scene
         flat = ENGINE.render(cloud, camera, pose, backend="flat")
-        tile = ENGINE.render(cloud, camera, pose, backend="tile")
+        tile = rasterize_tile(cloud, camera, pose)
         rng = np.random.default_rng(3)
         dL = rng.uniform(-1, 1, size=tile.image.shape)
-        grads_tile = ENGINE.backward(tile, cloud, dL)
+        grads_tile = ENGINE.backward(tile, cloud, dL)  # a tile result takes the tile BP
         grads_flat = ENGINE.backward(flat, cloud, dL)  # auto-selects flat BP
         np.testing.assert_allclose(grads_flat.positions, grads_tile.positions, atol=1e-8)
         np.testing.assert_allclose(grads_flat.pose_twist, grads_tile.pose_twist, atol=1e-8)
 
     def test_precomputed_projection_reuse(self, scene):
         cloud, camera, pose = scene
-        tile = ENGINE.render(cloud, camera, pose, backend="tile")
+        tile = rasterize_tile(cloud, camera, pose)
         flat = ENGINE.render(
             cloud,
             camera,
@@ -164,7 +222,7 @@ class TestDegenerateInputs:
         camera = Camera.from_fov(20, 12, fov_x_degrees=70.0)
         pose = SE3.identity()
         bg = np.array([0.2, 0.4, 0.6])
-        result = ENGINE.render(GaussianCloud.empty(), camera, pose, background=bg, backend=backend)
+        result = _render_with(backend, GaussianCloud.empty(), camera, pose, background=bg)
         assert result.n_fragments == 0
         assert result.tile_caches == []
         np.testing.assert_allclose(result.image, np.tile(bg, (12, 20, 1)))
@@ -178,7 +236,7 @@ class TestDegenerateInputs:
         points = np.array([[0.0, 0.0, -5.0], [0.2, -0.1, -3.0], [1.0, 1.0, -9.0]])
         cloud = GaussianCloud.from_points(points, np.full((3, 3), 0.5), scale=0.1)
         camera = Camera.from_fov(20, 12, fov_x_degrees=70.0)
-        result = ENGINE.render(cloud, camera, SE3.identity(), backend=backend)
+        result = _render_with(backend, cloud, camera, SE3.identity())
         assert result.projected.n_visible == 0
         assert result.n_fragments == 0
         assert result.tile_caches == []
@@ -190,8 +248,8 @@ class TestDegenerateInputs:
             np.array([[0.0, 0.0, 1.0]]), np.array([[0.9, 0.1, 0.1]]), scale=0.3, opacity=0.8
         )
         camera = Camera.from_fov(1, 1, fov_x_degrees=70.0)
-        result = ENGINE.render(
-            cloud, camera, SE3.identity(), tile_size=1, subtile_size=1, backend=backend
+        result = _render_with(
+            backend, cloud, camera, SE3.identity(), tile_size=1, subtile_size=1
         )
         assert result.image.shape == (1, 1, 3)
         assert result.grid.n_tiles == 1
@@ -205,7 +263,7 @@ class TestDegenerateInputs:
             np.array([[0.0, 0.0, 1.5]]), np.array([[0.2, 0.9, 0.3]]), scale=0.2
         )
         camera = Camera.from_fov(16, 16, fov_x_degrees=70.0)
-        result = ENGINE.render(cloud, camera, SE3.identity(), backend=backend)
+        result = _render_with(backend, cloud, camera, SE3.identity())
         assert result.grid.n_tiles == 1
         assert len(result.tile_caches) == 1
 

@@ -13,8 +13,10 @@ finitely many pixels sit near those boundaries.  The scene below keeps
 opacities moderate (no clamp) and transmittance far from the termination
 threshold, leaving only the alpha-cutoff crossings, whose contribution is
 O(cutoff * h) per crossing pixel.  With ``h = 1e-6`` the checks hold to
-``rtol=5e-4, atol=5e-7`` on every parameter; both backends are checked
-against the same numeric reference.
+``rtol=5e-4, atol=5e-7`` on every parameter; the flat engine path and the
+per-tile reference loop (``rasterize_tile`` + ``rasterize_backward(backend=
+"tile")`` + ``preprocess_backward``) are checked against the same numeric
+reference.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import pytest
 
 from repro.engine import EngineConfig, RenderEngine
 from repro.gaussians import Camera, GaussianCloud, SE3
+from repro.gaussians.backward import preprocess_backward, rasterize_backward
+from repro.gaussians.rasterizer import rasterize_tile
 
 ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
@@ -46,8 +50,22 @@ def _scene():
     return cloud, camera, pose, weight_img, weight_depth
 
 
+def _render(cloud, camera, pose, backend):
+    """``tile``: the per-tile reference loop, called directly; ``flat``: the engine."""
+    if backend == "tile":
+        return rasterize_tile(cloud, camera, pose)
+    return ENGINE.render(cloud, camera, pose)
+
+
+def _backward(result, cloud, weight_img, weight_depth, backend):
+    if backend == "tile":
+        screen = rasterize_backward(result, weight_img, weight_depth, backend="tile")
+        return preprocess_backward(screen, cloud, compute_pose_gradient=True)
+    return ENGINE.backward(result, cloud, weight_img, weight_depth)
+
+
 def _loss(cloud, camera, pose, weight_img, weight_depth, backend):
-    result = ENGINE.render(cloud, camera, pose, backend=backend)
+    result = _render(cloud, camera, pose, backend)
     return float(np.sum(result.image * weight_img) + np.sum(result.depth * weight_depth))
 
 
@@ -55,8 +73,8 @@ def _loss(cloud, camera, pose, weight_img, weight_depth, backend):
 def grads_and_scene(request):
     backend = request.param
     cloud, camera, pose, weight_img, weight_depth = _scene()
-    result = ENGINE.render(cloud, camera, pose, backend=backend)
-    grads = ENGINE.backward(result, cloud, weight_img, weight_depth, backend=backend)
+    result = _render(cloud, camera, pose, backend)
+    grads = _backward(result, cloud, weight_img, weight_depth, backend)
     return backend, cloud, camera, pose, weight_img, weight_depth, grads
 
 
@@ -147,8 +165,8 @@ def test_backends_produce_matching_gradients():
     cloud, camera, pose, wi, wd = _scene()
     grads = {}
     for backend in ("tile", "flat"):
-        result = ENGINE.render(cloud, camera, pose, backend=backend)
-        grads[backend] = ENGINE.backward(result, cloud, wi, wd, backend=backend)
+        result = _render(cloud, camera, pose, backend)
+        grads[backend] = _backward(result, cloud, wi, wd, backend)
     for name in ("positions", "log_scales", "rotations", "opacity_logits", "colors", "pose_twist"):
         np.testing.assert_allclose(
             getattr(grads["flat"], name), getattr(grads["tile"], name), atol=1e-8,

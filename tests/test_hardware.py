@@ -28,6 +28,7 @@ from repro.hardware import (
     WorkloadSchedulingUnit,
     aggregation_reduction,
     energy_efficiency_improvement,
+    gauspu_architecture,
     evaluate_configurations,
     evaluate_system,
     scale_device,
@@ -454,6 +455,42 @@ class TestRTGSPlugin:
         assert rtgs < gauspu
         assert rtgs < baseline
 
+
+    def test_gauspu_tracking_energy_is_priced_on_the_sampled_work(
+        self, tracking_snapshot, tiny_slam_result
+    ):
+        model = GauSPUModel(workload_scale=3.0)
+        latency, energy = model.iteration_cost(tracking_snapshot)
+        factor = model.tracking_pixel_sampling
+        full = model._plugin.iteration_latency(tracking_snapshot)
+        assert latency.rendering == full.rendering * factor
+        assert latency.rendering_bp == full.rendering_bp * factor
+        # By hand: the plug-in's counts with fragments and pixel-level
+        # updates thinned by the sampling, over the sampled latency.
+        fragments = tracking_snapshot.total_fragments * 3.0 * factor
+        updates = tracking_snapshot.total_pixel_level_updates * 3.0 * factor
+        n_projected = tracking_snapshot.n_projected * 3.0
+        expected = EnergyModel(
+            EnergyParameters.for_technology(28),
+            static_power_w=gauspu_architecture().power_w,
+        ).energy(
+            compute_ops=fragments * 40 + updates * 60 + n_projected * 220,
+            sram_accesses=fragments * 3 + updates * 2,
+            l2_accesses=n_projected * 4,
+            dram_accesses=n_projected * 2,
+            latency_s=latency.total,
+        )
+        expected.static_j += DEVICE_SPECS["rtx3090"].power_w * (
+            latency.preprocessing + latency.sorting
+        )
+        for name in ("compute_j", "sram_j", "l2_j", "dram_j", "static_j"):
+            assert getattr(energy, name) == pytest.approx(getattr(expected, name), rel=1e-12)
+        assert energy.total_j < model._plugin.iteration_cost(tracking_snapshot)[1].total_j
+        # Mapping is not sampled: the plug-in's own price.
+        mapping = next(
+            snap for snap in tiny_slam_result.all_snapshots() if snap.stage == "mapping"
+        )
+        assert model.iteration_cost(mapping) == model._plugin.iteration_cost(mapping)
 
     def test_frame_latency_pairs_each_snapshot_on_the_one_before(
         self, tiny_slam_result, monkeypatch

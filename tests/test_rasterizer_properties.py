@@ -1,8 +1,9 @@
 """Property-based (hypothesis) tests for rasterizer invariants.
 
 Scenes are generated from a drawn RNG seed plus drawn scene parameters, so
-every example is deterministic and shrinkable.  The invariants hold for both
-backends and for arbitrary clouds:
+every example is deterministic and shrinkable.  The invariants hold for the
+flat engine path and the per-tile reference loop (``rasterize_tile``) alike,
+and for arbitrary clouds:
 
 * per-pixel blending weights sum to at most 1 (accumulated alpha <= 1);
 * transmittance is monotonically non-increasing front-to-back;
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, RenderEngine
 from repro.gaussians import Camera, GaussianCloud, SE3
+from repro.gaussians.rasterizer import rasterize_tile
 
 ENGINE = RenderEngine(EngineConfig(geom_cache=False))
 
@@ -58,10 +60,8 @@ def _build_scene(params):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_rasterizer_invariants(backend, params):
     cloud, camera, pose, tile_size = _build_scene(params)
-    result = ENGINE.render(
-        cloud, camera, pose, tile_size=tile_size, subtile_size=tile_size // 2 or 1,
-        backend=backend,
-    )
+    render = rasterize_tile if backend == "tile" else ENGINE.render
+    result = render(cloud, camera, pose, tile_size=tile_size, subtile_size=tile_size // 2 or 1)
 
     # Weights sum to at most one per pixel (alpha compositing conservation).
     assert np.all(result.alpha <= 1.0 + 1e-9)
@@ -99,10 +99,10 @@ def test_rasterizer_invariants(backend, params):
 @given(params=scene_strategy)
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_backends_agree_on_random_scenes(params):
-    """Differential property: both backends agree on arbitrary scenes."""
+    """Differential property: the flat path and the tile loop agree on arbitrary scenes."""
     cloud, camera, pose, tile_size = _build_scene(params)
     kwargs = dict(tile_size=tile_size, subtile_size=tile_size // 2 or 1)
-    tile = ENGINE.render(cloud, camera, pose, backend="tile", **kwargs)
+    tile = rasterize_tile(cloud, camera, pose, **kwargs)
     flat = ENGINE.render(cloud, camera, pose, backend="flat", **kwargs)
     np.testing.assert_allclose(flat.image, tile.image, atol=1e-10)
     np.testing.assert_allclose(flat.depth, tile.depth, atol=1e-10)

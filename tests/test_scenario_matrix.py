@@ -9,7 +9,7 @@ carry a machine-readable reason (capability or availability) — an
 unexplained skip is a failure, not a skip.
 
 The mechanics tests pin the matrix subsystem itself: axis coverage (>= 10
-scenarios x three backends x cache on/off), deterministic skip planning,
+scenarios x every registered backend x cache on/off), deterministic skip planning,
 filter parsing, the markdown summary and the ``python -m repro.testing.matrix``
 CLI.  The hypothesis property test closes the loop with the golden machinery:
 *any* matrix scene — adversarial library included — round-trips through
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import REGISTRY, BackendCapabilities, FlatBackend, register_backend
 from repro.testing.golden import (
     compare_to_golden,
     load_golden,
@@ -72,14 +73,15 @@ def test_matrix_cell(cell):
 
 class TestMatrixCoverage:
     def test_required_axis_coverage(self):
-        # Acceptance floor: >= 10 scenarios crossed with all three backends
-        # and both cache settings, every combination enumerated.
+        # Acceptance floor: >= 10 scenarios crossed with every registered
+        # backend and both cache settings, every combination enumerated.
         cells = MATRIX.cells(tier="all")
         scenarios = {cell.scenario for cell in cells}
         assert len(scenarios) >= 10
         assert scenarios >= set(DEFAULT_LIBRARY.names())
         assert scenarios >= set(ADVERSARIAL_LIBRARY.names())
-        for backend in ("tile", "flat", "sharded"):
+        assert AXES["backend"] == REGISTRY.names()
+        for backend in AXES["backend"]:
             for cache in ("off", "on"):
                 covered = {
                     cell.scenario
@@ -89,18 +91,17 @@ class TestMatrixCoverage:
                 assert covered == scenarios, f"{backend}/cache-{cache} misses scenarios"
 
     def test_every_scenario_has_executed_cells(self):
-        # Each scenario must actually execute on flat (all 12 cells), the tile
-        # reference (single render) and sharded (all 12 cells — cache-on
-        # cells plan in the parent and rasterize on the pool).
+        # Each scenario must actually execute all 12 cells on every backend
+        # (sharded cache-on cells plan in the parent and rasterize on the
+        # pool).
         for name in matrix_library().names():
             executed = {
                 (cell.backend, cell.cache, cell.batch, cell.mapping)
                 for cell in MATRIX.cells(tier="all", filters={"scenario": {name}})
                 if MATRIX.plan_cell(cell) is None
             }
-            assert ("tile", "off", "single", "render") in executed
-            assert sum(1 for key in executed if key[0] == "flat") == 12
-            assert sum(1 for key in executed if key[0] == "sharded") == 12
+            for backend in AXES["backend"]:
+                assert sum(1 for key in executed if key[0] == backend) == 12
 
     def test_no_unexplained_skips_anywhere(self):
         for cell in MATRIX.cells(tier="all"):
@@ -118,27 +119,31 @@ class TestMatrixCoverage:
 
 
 class TestSkipPlanning:
-    def test_tile_batch_cells_skip_instead_of_silently_running_flat(self):
-        reason = MATRIX.plan_cell(
-            MatrixCell("single_gaussian", "tile", "off", "multi", "render")
-        )
-        assert reason is not None and reason.startswith("capability:no-batch-support")
-        assert "silently substitute" in reason
-        # Mapper and service cells render batches too.
-        for mapping in ("mapper", "service"):
-            reason = MATRIX.plan_cell(
-                MatrixCell("single_gaussian", "tile", "off", "single", mapping)
-            )
-            assert reason is not None and reason.startswith("capability:no-batch-support")
-
     def test_cache_cells_skip_on_cacheless_backends(self):
-        # Only the tile reference lacks cache support: the sharded backend
-        # plans cached batches in the parent and rasterizes them on the pool,
-        # so its cache-on cells execute instead of skipping.
-        reason = MATRIX.plan_cell(
-            MatrixCell("single_gaussian", "tile", "on", "single", "render")
-        )
-        assert reason is not None and reason.startswith("capability:no-cache-support")
+        # Every built-in backend renders through the cache, so none skips; a
+        # registered backend without cache support skips its cache-on cells
+        # instead of silently rendering uncached.
+        for backend in AXES["backend"]:
+            cell = MatrixCell("single_gaussian", backend, "on", "single", "render")
+            assert MATRIX.plan_cell(cell) is None, f"{cell.id} should execute"
+
+        class _Cacheless(FlatBackend):
+            name = "cacheless"
+
+            def capabilities(self):
+                return BackendCapabilities(cache=False)
+
+        register_backend("cacheless", _Cacheless)
+        try:
+            matrix = ScenarioMatrix(backends=("cacheless",))
+            reason = matrix.plan_cell(
+                MatrixCell("single_gaussian", "cacheless", "on", "single", "render")
+            )
+            assert reason is not None and reason.startswith("capability:no-cache-support")
+            off = MatrixCell("single_gaussian", "cacheless", "off", "single", "render")
+            assert matrix.plan_cell(off) is None
+        finally:
+            REGISTRY.unregister("cacheless")
 
     def test_sharded_cache_cells_execute(self):
         for batch in ("single", "multi"):
@@ -190,7 +195,7 @@ class TestFiltersAndReporting:
 
     def test_summary_table_lists_every_cell(self):
         results = MATRIX.run(
-            filters={"scenario": {"single_gaussian"}, "backend": {"flat", "tile"}}
+            filters={"scenario": {"single_gaussian"}, "backend": {"flat"}}
         )
         table = summary_table(results)
         assert "| scenario | backend | cache |" in table
@@ -284,9 +289,9 @@ class TestCLI:
         assert markdown_path.read_text().startswith("**Scenario matrix**")
 
     def test_cli_list(self, capsys):
-        assert main(["--list", "--tier", "all", "--filter", "backend=tile"]) == 0
+        assert main(["--list", "--tier", "all", "--filter", "backend=async"]) == 0
         printed = capsys.readouterr().out
-        assert "long_trajectory/tile/cache-off/single/render" in printed
+        assert "long_trajectory/async/cache-off/single/render" in printed
 
     def test_cli_rejects_unknown_filter_axis(self, capsys):
         with pytest.raises(SystemExit):
@@ -304,7 +309,7 @@ def test_any_matrix_scene_roundtrips_through_golden_machinery(name):
     """Every matrix scene survives the exact ``regold --check`` comparison.
 
     Save a fresh fixture to a temporary directory, load it back, re-render
-    with the reference backend and compare with the committed-golden
+    with the reference tile loop and compare with the committed-golden
     tolerance: any nondeterminism in a scenario builder (adversarial library
     included, which has no committed fixtures) or any asymmetry in the
     save/load/compare machinery shows up as drift here.

@@ -23,6 +23,10 @@ tests, so the spawn cost is paid once per pytest session.
 
 from __future__ import annotations
 
+import socket
+import struct
+import time
+
 import numpy as np
 import pytest
 from test_sharded import GRADIENT_FIELDS, _leak_guard
@@ -68,6 +72,25 @@ def _solo_engine(geom_cache: bool = False) -> RenderEngine:
             shard_workers=N_WORKERS,
         )
     )
+
+
+def _replies_waiting(pool, worker_id: int) -> int:
+    """Complete replies buffered on a worker's pipe, counted without reading
+    them (each message is a 4-byte big-endian length, then the payload)."""
+    fd = pool._workers[worker_id].conn.fileno()
+    with socket.fromfd(fd, socket.AF_UNIX, socket.SOCK_STREAM) as peek:
+        try:
+            data = peek.recv(1 << 20, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return 0
+    count = 0
+    while len(data) >= 4:
+        (size,) = struct.unpack("!i", data[:4])
+        if size < 0 or len(data) < 4 + size:
+            break
+        data = data[4 + size :]
+        count += 1
+    return count
 
 
 def _assert_batches_equal(batch, reference):
@@ -656,10 +679,53 @@ class TestPipelinedRounds:
         assert "died" in [event["event"] for event in crashed.fault_events]
         assert crashed.escalated_views == [2]
         assert "closed" in [event["event"] for event in queued.fault_events]
-        assert queued.escalated_views == [2, 3]
+        # Worker 1's unit of the queued round survives the close when its
+        # reply had arrived by then (pinned by the next test), else it
+        # escalates too.
+        assert queued.escalated_views in ([2], [2, 3])
         after = _solo_engine().render_batch(*args, **kwargs, managed=False)
         assert after.sharding.fault_events == []
         _assert_batches_equal(after, solo)
+
+    def test_close_keeps_the_replies_a_healthy_worker_already_sent(self, monkeypatch):
+        """Two rounds in flight; worker 0 crashes in the first.  Worker 1 has
+        replied to both rounds before the first one is collected, so the
+        close that the crash triggers reads its second reply off the pipe:
+        only worker 0's units escalate, in both rounds."""
+        from repro.engine import fault_plan
+        from repro.engine.sharded import ShardedPool
+
+        collect = ShardedPool.collect
+
+        def collect_once_both_replies_wait(pool, ticket, timeout):
+            deadline = time.monotonic() + 60.0
+            while _replies_waiting(pool, worker_id=1) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return collect(pool, ticket, timeout)
+
+        spec = _spec()
+        args, kwargs = _window(spec, n_views=2)
+        solo = _solo_engine().render_batch(*args, **kwargs, managed=False)
+        with _leak_guard():
+            service = _service()
+            sessions = [service.open_session(sid) for sid in ("a", "b")]
+            monkeypatch.setattr(ShardedPool, "collect", collect_once_both_replies_wait)
+            with fault_plan("crash@0.0:phase=render"):
+                jobs = [session.submit(*args, **kwargs) for session in sessions]
+                assert service.run_round() == 2  # the first round, collected
+                monkeypatch.setattr(ShardedPool, "collect", collect)
+                batches = [job.result() for job in jobs]
+            service.close()
+        for batch in batches:
+            _assert_batches_equal(batch, solo)
+        crashed, queued = (batch.sharding for batch in batches)
+        assert "died" in [event["event"] for event in crashed.fault_events]
+        # Worker 0 died before or after the queued round reached it
+        # (``send-failed`` or ``closed``); worker 1 logs no fault.
+        faults = [e for e in queued.fault_events if e["event"] != "escalated"]
+        assert [e["worker"] for e in faults] == [0]
+        assert crashed.escalated_views == [0]
+        assert queued.escalated_views == [0]
 
     def test_completed_jobs_are_let_go(self):
         """A session drops each completed job at its next election, so a

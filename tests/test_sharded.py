@@ -479,9 +479,9 @@ class TestShardedBackend:
     def test_sharded_capabilities_are_honest(self):
         engine = _sharded_engine()
         capabilities = engine.capabilities("sharded")
-        assert capabilities.batch
         assert capabilities.cache
-        assert not capabilities.reference
+        assert capabilities.availability is None
+        assert "multi-process" in capabilities.description
 
     def test_worker_side_eviction_heals_via_parent_recompute(self):
         """Backward on a batch evicted from its workers recomputes locally.
@@ -1212,15 +1212,6 @@ class TestPlanExecuteSeam:
         stitched = backend.execute_units(shuffled, request)
         direct = backend.render_batch(request)
         _assert_views_equal(stitched.views, direct.views)
-
-    def test_tile_backend_refuses_the_seam(self):
-        spec = _spec("single_gaussian")
-        request = self._request(spec)
-        backend = RenderEngine(EngineConfig(backend="tile", geom_cache=False)).backend(
-            "tile"
-        )
-        with pytest.raises(NotImplementedError, match="batched"):
-            backend.plan_batch(request)
 
 
 class TestShardedMapping:
