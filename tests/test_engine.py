@@ -202,6 +202,22 @@ class TestEngineConfig:
         for raw in ("", "0", "off", "false", "OFF"):
             assert not EngineConfig.from_env({"REPRO_ASYNC_PIPELINE": raw}).async_pipeline
 
+    def test_async_pipeline_conflicts_with_tile_backend(self):
+        # The tile loop is no longer a backend, so the overlap cannot be paired
+        # with it: the combination still fails at config time, and the error
+        # names the offending knob so an env-driven misconfiguration is
+        # attributable.
+        with pytest.raises(ValueError, match="REPRO_RASTER_BACKEND"):
+            EngineConfig.from_env(
+                {"REPRO_ASYNC_PIPELINE": "1", "REPRO_RASTER_BACKEND": "tile"}
+            )
+        # Every backend is batch-capable and accepts the overlap.
+        for backend in (None, "flat", "sharded", "async"):
+            config = EngineConfig.from_env(
+                {"REPRO_ASYNC_PIPELINE": "1"}, backend=backend
+            )
+            assert config.async_pipeline
+
     def test_async_pipeline_conflicts_with_zero_shard_workers(self):
         # shard_workers=0 degrades every window to the serial flat path, so
         # there is no background execution to overlap with: a conflict, again
