@@ -163,28 +163,29 @@ def best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def best_of_interleaved(first, second, repeats: int = 3) -> tuple[float, float]:
-    """Best-of-N wall-clock of two functions, sampled alternately.
+def best_of_interleaved(*sides, repeats: int = 3) -> tuple[float, ...]:
+    """Best-of-N wall-clock of several functions, sampled alternately.
 
     Each round times one call of each side, and the side that goes first
-    flips every round.  A slow spell of the host (a noisy neighbour, a
-    frequency change) then costs both sides alike, where timing all of one
-    side before the other lets it land on one side only and skew the ratio.
-    The cyclic garbage collector is off while timing, as in :mod:`timeit`:
-    a collection of the test process's whole heap lands on whichever side
-    happens to cross the allocation threshold.  Returns
-    ``(best_first, best_second)``.
+    rotates every round (two sides alternate which one goes first).  A slow
+    spell of the host (a noisy neighbour, a frequency change) then costs
+    every side alike, where timing all of one side before the next lets it
+    land on one side only and skew the ratio.  The cyclic garbage collector
+    is off while timing, as in :mod:`timeit`: a collection of the test
+    process's whole heap lands on whichever side happens to cross the
+    allocation threshold.  Returns each side's best time, in argument order.
     """
-    sides = (first, second)
-    best = [float("inf"), float("inf")]
+    count = len(sides)
+    best = [float("inf")] * count
     gc.collect()
     gc.disable()
     try:
         for round_index in range(repeats):
-            for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+            for offset in range(count):
+                side = (round_index + offset) % count
                 start = time.perf_counter()
                 sides[side]()
                 best[side] = min(best[side], time.perf_counter() - start)
     finally:
         gc.enable()
-    return best[0], best[1]
+    return tuple(best)

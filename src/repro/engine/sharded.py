@@ -25,8 +25,10 @@ Execution model
   lists) plus per-view camera/pose metadata and output reservations into one
   :mod:`multiprocessing.shared_memory` block and sends each worker its
   share; each worker rebuilds its views' fragment lists, rasterizes them
-  into its own arena, writes the forward outputs (image, depth, alpha,
-  fragment counts) into the block and replies with per-view timings.  The
+  tile by tile through one scratch sized to the largest tile, writes the
+  forward outputs (image, depth, alpha, fragment counts) into the block and
+  replies with per-view timings.  Workers keep nothing between dispatches:
+  no arena, no tile caches, no batch state.  The
   collect half reads the replies, stitches per-view
   :class:`~repro.gaussians.rasterizer.RenderResult` objects in view order,
   each carrying its unit's real projection and tile lists, and attaches
@@ -40,9 +42,14 @@ Execution model
   against the cache in the parent, so tiers, stats and byte budgets stay
   with it; :meth:`ShardedBackend.execute_units` counts each unit's tier as
   :meth:`~repro.gaussians.geom_cache.GeometryCache.render_view` would have.
-* **Backward** — each worker retains the per-fragment tile caches of the
-  views it rendered, so Step 4 runs in parallel where the data already
-  lives; loss gradients ship worker-ward in one shared-memory block and the
+* **Backward** — a pooled view holds its unit's projection and tile lists,
+  so its backward ships the unit again (the same fields its forward
+  shipped) with its loss gradients, dealt round-robin to any worker.  The
+  worker recomputes the view's tile caches one tile at a time into one
+  scratch and runs Step 4 on each tile while it is hot
+  (:func:`~repro.gaussians.fast_raster.rasterize_backward_streamed`), as the
+  reference 3DGS rasterizer re-evaluates alphas in its backward pass; the
+  gradients are bitwise those of a ``flat`` backward on kept caches.  The
   workers return screen-space gradients, which the parent's one fused Step 5
   pass (:func:`~repro.gaussians.backward.preprocess_backward_batch`) reads
   alongside the projection it already holds.
@@ -67,20 +74,19 @@ Execution model
   :func:`_shared_pool`.  Every fault and escalated view is recorded on
   :attr:`~repro.gaussians.batch.ShardAttribution.fault_events`.  A
   worker-*reported* backward error still raises :class:`ShardWorkerError`
-  with the worker traceback: it signals a caller bug (e.g. a legitimately
-  superseded batch), not a fault.  Deterministic fault injection for all of
-  the above lives in :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
-* **Backward under faults** — a view whose pool was closed (by a fault in
-  its own batch or in any later batch on the shared pool), or whose batch
-  rotated out of its worker's retained set, recomputes its backward pass in
-  the parent, rebuilding the worker's exact tile caches from the view's own
-  Step 1-2 products, so the gradients are bitwise-identical to the worker
-  result.  A fault during a backward dispatch closes the pool and
-  recomputes that dispatch's views the same way.
+  with the worker traceback: it signals a caller bug, not a fault.
+  Deterministic fault injection for all of the above lives in
+  :mod:`repro.engine.faults` (``REPRO_SHARD_FAULTS``).
+* **Backward under faults** — since no worker holds a view's state, a view
+  whose forward pool was closed (by a fault in its own batch or in any
+  later batch on the shared pool) simply backpropagates on whatever pool is
+  current.  A fault during a backward dispatch closes the pool and the
+  parent runs the lost views through the same tile-streaming recompute, so
+  the gradients stay bitwise.
 
-Sharded per-view results carry no parent-side tile caches (those are
-worker-resident); their backward pass must run through the engine/backend
-that produced them, which routes it to the owning worker.
+Pooled per-view results carry no parent-side tile caches; their backward
+pass runs through this backend, which the engine picks from the views'
+``backend`` tag.
 """
 
 from __future__ import annotations
@@ -94,7 +100,6 @@ import subprocess
 import sys
 import time
 import traceback
-from collections import OrderedDict, deque
 from dataclasses import dataclass, fields
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -138,10 +143,6 @@ if TYPE_CHECKING:
 DEFAULT_MAX_WORKERS = 8
 _READY_TIMEOUT_S = 120.0
 _REQUEST_TIMEOUT_S = 600.0
-# Worker-retained batches (each holds its views' tile caches).  Two
-# tolerates an interleaved second engine without letting a long run
-# accumulate arenas.
-_MAX_RETAINED_BATCHES = 2
 _SHM_ALIGN = 64
 
 _TOKENS = itertools.count(1)
@@ -248,21 +249,6 @@ def _attach_shm(name: str):
 
 
 # -- worker process ------------------------------------------------------------
-class _WorkerContext:
-    """Per-worker persistent state: retained batches and their arenas.
-
-    Batches rotate over ``_MAX_RETAINED_BATCHES`` grow-only arena slots (the
-    worker-side mirror of the parent's ``ensure_flat_arena`` recycling); the
-    batch occupying a slot is dropped before its arena is reused.
-    """
-
-    def __init__(self) -> None:
-        # token -> {"results": {index: RenderResult}, "slot": int}
-        self.batches: OrderedDict = OrderedDict()
-        self.arenas: dict[int, object] = {}  # slot -> FlatArena
-        self.render_count = 0
-
-
 def _write_view_outputs(shm, outputs: dict, result) -> None:
     _shm_view(shm, outputs["image"])[...] = result.image
     _shm_view(shm, outputs["depth"])[...] = result.depth
@@ -273,10 +259,10 @@ def _write_view_outputs(shm, outputs: dict, result) -> None:
 def _unit_products(shm, meta: dict) -> tuple[ProjectedGaussians, TileIntersections]:
     """A unit's Step 1-2 products, copied out of the block.
 
-    Nothing the worker retains for backward may map the block, which the
-    parent unlinks as soon as the dispatch ends.  The projection carries only
-    the shipped fields; the Step 5 ones are ``None``, so a read of them fails
-    loudly instead of using stale or made-up values.
+    Copies keep every view of the block local to this function, so the
+    handler can unmap the block as soon as it finishes.  The projection
+    carries only the shipped fields; the Step 5 ones are ``None``, so a read
+    of them fails loudly instead of using stale or made-up values.
     """
     camera = meta["camera"]
     projected = ProjectedGaussians(
@@ -293,46 +279,50 @@ def _unit_products(shm, meta: dict) -> tuple[ProjectedGaussians, TileIntersectio
     return projected, TileIntersections(grid=grid, per_tile=per_tile, projected=projected)
 
 
-def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> dict:
-    """Rasterize this worker's units of one batch.
+def _worker_units(shm, metas: list[dict]) -> tuple[list[tuple], object]:
+    """Rebuild ``metas``' units and the one scratch they stream through.
 
-    Each view meta carries its unit's Step 1-2 products
-    (:meth:`ShardedBackend._send_render`); the worker rebuilds the fragment
-    list and rasterizes into the arena slot the batch occupies.
+    Returns ``[(projected, intersections, fragments, seconds)]`` in meta
+    order and a :class:`~repro.gaussians.fast_raster.FlatArena` sized to the
+    largest tile of any of them.
     """
     from repro.gaussians.fast_raster import (
+        allocate_flat_arena,
         build_flat_fragments,
-        ensure_flat_arena,
-        rasterize_flat_into,
+        largest_tile,
     )
 
-    views = batch["views"]
-    slot = ctx.render_count % _MAX_RETAINED_BATCHES
-    ctx.render_count += 1
-    for stale_token, entry in list(ctx.batches.items()):
-        if entry["slot"] == slot:
-            _worker_drop_batch(ctx, stale_token)
-    planned = []
-    total = 0
-    for meta in views:
+    units = []
+    for meta in metas:
         start = time.perf_counter()
         projected, intersections = _unit_products(shm, meta)
         fragments = build_flat_fragments(intersections)
-        planned.append((projected, intersections, fragments, time.perf_counter() - start))
-        total += fragments.n_fragments
-    arena = ensure_flat_arena(ctx.arenas.get(slot), total)
-    ctx.arenas[slot] = arena
-    base = 0
+        units.append((projected, intersections, fragments, time.perf_counter() - start))
+    scratch = allocate_flat_arena(
+        max((largest_tile(unit[2]) for unit in units), default=0)
+    )
+    return units, scratch
+
+
+def _worker_render_batch(shm, batch: dict) -> dict:
+    """Rasterize this worker's units of one batch, tile by tile.
+
+    Each view meta carries its unit's Step 1-2 products
+    (:meth:`ShardedBackend._send_render`); the worker streams every view
+    through one scratch sized to the largest tile, writes the outputs into
+    the block and keeps nothing.
+    """
+    from repro.gaussians.fast_raster import rasterize_streamed
+
+    views = batch["views"]
+    units, scratch = _worker_units(shm, views)
     view_replies: list[dict] = []
-    results: dict[int, object] = {}
-    for meta, (projected, intersections, fragments, plan_seconds) in zip(views, planned):
+    for meta, (projected, intersections, fragments, plan_seconds) in zip(views, units):
         start = time.perf_counter()
-        result = rasterize_flat_into(
-            projected, intersections, fragments, meta["background"], arena, base
+        result = rasterize_streamed(
+            projected, intersections, fragments, meta["background"], scratch
         )
-        base += fragments.n_fragments
         _write_view_outputs(shm, meta["outputs"], result)
-        results[meta["index"]] = result
         view_replies.append(
             {
                 "index": meta["index"],
@@ -340,7 +330,6 @@ def _worker_render_batch(ctx: _WorkerContext, token: int, shm, batch: dict) -> d
                 "raster_seconds": time.perf_counter() - start,
             }
         )
-    ctx.batches[token] = {"results": results, "slot": slot}
     return {"views": view_replies}
 
 
@@ -376,24 +365,28 @@ def _apply_worker_faults(faults) -> tuple[list, "str | None"]:
     return slow_keys, poison_key
 
 
-def _worker_handle_render(ctx: _WorkerContext, token: int, payload) -> tuple:
-    shm_name, batch = payload
-    # Faults fire before the block is attached so a crashing/hanging worker
-    # never holds a mapping the parent's unlink would have to wait out.
-    slow_keys, poison_key = _apply_worker_faults(batch.get("faults"))
+def _worker_handle(handler, payload) -> tuple:
+    """Run ``handler(shm, request)`` on one request's block.
+
+    Faults fire before the block is attached so a crashing/hanging worker
+    never holds a mapping the parent's unlink would have to wait out.
+    """
+    shm_name, request = payload
+    slow_keys, poison_key = _apply_worker_faults(request.get("faults"))
     if poison_key is not None:
         return ("ok", {"poisoned": True, "fault_sites": slow_keys + [poison_key]})
     shm = _attach_shm(shm_name)
     try:
-        reply = _worker_render_batch(ctx, token, shm, batch)
+        reply = handler(shm, request)
         if slow_keys:
             reply["fault_sites"] = slow_keys
     finally:
-        # Everything the render keeps from the block is copied (unit
-        # products are copied out, outputs are copied in), so the
-        # mapping drops as soon as the handler finishes.  On an error the
-        # traceback frames can briefly pin views; the BufferError then leaves
-        # the mapping to die with the worker — rare and bounded.
+        # Nothing the handler returns maps the block (unit products are
+        # copied out, loss gradients are read in place and dropped, outputs
+        # are copied in), so the mapping drops as soon as the handler
+        # finishes.  On an error the traceback frames can briefly pin views;
+        # the BufferError then leaves the mapping to die with the worker —
+        # rare and bounded.
         try:
             shm.close()
         except BufferError:
@@ -401,67 +394,59 @@ def _worker_handle_render(ctx: _WorkerContext, token: int, payload) -> tuple:
     return ("ok", reply)
 
 
-def _worker_handle_backward(ctx: _WorkerContext, payload) -> tuple:
-    from repro.gaussians.fast_raster import rasterize_backward_flat
+def _worker_backward_batch(shm, request: dict) -> dict:
+    """Step 4 for this worker's views of one backward dispatch.
 
-    shm_name, items, faults = payload
-    slow_keys, poison_key = _apply_worker_faults(faults)
-    if poison_key is not None:
-        return ("ok", {"poisoned": True, "fault_sites": slow_keys + [poison_key]})
-    shm = _attach_shm(shm_name)
-    try:
-        replies = []
-        # Items carry per-view tokens: a batch stitched from several
-        # dispatches (the render service's rounds) holds views of one
-        # worker under several tokens.
-        for token, view_index, image_spec, depth_spec in items:
-            entry = ctx.batches.get(token)
-            if entry is None:
-                raise RuntimeError(
-                    f"batch {token} is no longer resident in this worker "
-                    "(superseded by newer batches); run the backward pass "
-                    "before rendering further batches"
-                )
-            start = time.perf_counter()
-            dL_dimage = _shm_view(shm, image_spec)
-            dL_ddepth = None if depth_spec is None else _shm_view(shm, depth_spec)
-            result = entry["results"][view_index]
-            screen = rasterize_backward_flat(result, dL_dimage, dL_ddepth)
-            # trace.fragments_per_pixel is a copy of the forward counts the
-            # parent already holds (stitched from this very render), so it
-            # is rebuilt parent-side instead of pickled back per view.
-            replies.append(
-                (
-                    view_index,
-                    screen.colors,
-                    screen.opacities,
-                    screen.means2d,
-                    screen.conics,
-                    screen.depths,
-                    screen.trace.tile_ids,
-                    screen.trace.per_tile_source_indices,
-                    screen.trace.per_tile_pixel_counts,
-                    time.perf_counter() - start,
-                )
+    Each view meta carries the unit its forward shipped plus its loss
+    gradients; the worker recomputes the view's tile caches one tile at a
+    time into one scratch and runs Step 4 on each tile while it is hot
+    (:func:`~repro.gaussians.fast_raster.rasterize_backward_streamed`).
+    """
+    from repro.gaussians.fast_raster import rasterize_backward_streamed
+
+    views = request["views"]
+    units, scratch = _worker_units(shm, views)
+    replies = []
+    for meta, (projected, intersections, fragments, plan_seconds) in zip(views, units):
+        start = time.perf_counter()
+        depth_spec = meta["dL_ddepth"]
+        screen = rasterize_backward_streamed(
+            projected,
+            intersections,
+            _shm_view(shm, meta["dL_dimage"]),
+            None if depth_spec is None else _shm_view(shm, depth_spec),
+            fragments=fragments,
+            scratch=scratch,
+        )
+        # trace.fragments_per_pixel is the forward counts the parent
+        # already holds, so it is filled in parent-side.
+        replies.append(
+            (
+                meta["index"],
+                screen.colors,
+                screen.opacities,
+                screen.means2d,
+                screen.conics,
+                screen.depths,
+                screen.trace.tile_ids,
+                screen.trace.per_tile_source_indices,
+                screen.trace.per_tile_pixel_counts,
+                plan_seconds + time.perf_counter() - start,
             )
-            del dL_dimage, dL_ddepth
-        return ("ok", {"views": replies, "fault_sites": slow_keys})
-    finally:
-        try:
-            shm.close()
-        except BufferError:
-            pass
+        )
+    return {"views": replies}
 
 
-def _worker_drop_batch(ctx: _WorkerContext, token: int) -> None:
-    entry = ctx.batches.pop(token)
-    entry["results"].clear()
+_WORKER_HANDLERS = {"render": _worker_render_batch, "backward": _worker_backward_batch}
 
 
 def _worker_main(fd: int, worker_id: int) -> None:
-    """Entry point of one shard worker: serve the parent over socket ``fd``."""
+    """Entry point of one shard worker: serve the parent over socket ``fd``.
+
+    The worker keeps nothing between requests: every request ships the
+    Step 1-2 products it needs.
+    """
     conn = Connection(fd)
-    ctx = _WorkerContext()
     conn.send(("ready", worker_id))
     while True:
         try:
@@ -474,20 +459,16 @@ def _worker_main(fd: int, worker_id: int) -> None:
         # it, so the parent can hand each reply to its own dispatch.
         command, token, payload = message
         try:
-            if command == "render":
-                reply = _worker_handle_render(ctx, token, payload)
-            elif command == "backward":
-                reply = _worker_handle_backward(ctx, payload)
-            else:
+            handler = _WORKER_HANDLERS.get(command)
+            if handler is None:
                 raise ValueError(f"unknown shard command {command!r}")
+            reply = _worker_handle(handler, payload)
         except BaseException:
             reply = ("error", traceback.format_exc())
         try:
             conn.send((token, *reply))
         except (BrokenPipeError, EOFError, OSError):
             break
-    for token in list(ctx.batches):
-        _worker_drop_batch(ctx, token)
 
 
 # -- pool ----------------------------------------------------------------------
@@ -551,13 +532,6 @@ class ShardedPool:
         self._start_timeout = start_timeout
         self._closed = False
         self._workers: list[_Worker] = []
-        # Parent-side mirror of each worker's retained-batch window (see
-        # _worker_render_batch): tokens rotate out FIFO once a worker has
-        # been sent _MAX_RETAINED_BATCHES newer renders.  Handles consult
-        # the mirror (token_resident) before a backward request is sent, so a
-        # batch the worker already evicted heals through the parent-recompute
-        # path instead of surfacing the worker's residency error.
-        self._resident: dict[int, deque] = {}
         # Replies read while collecting another dispatch: (token, worker id)
         # -> (status, payload).
         self._stash: dict[tuple[int, int], tuple] = {}
@@ -616,28 +590,11 @@ class ShardedPool:
         """Has a dispatch been sent whose replies are not collected yet?"""
         return bool(self._uncollected)
 
-    def note_resident(self, worker_id: int, token: int) -> None:
-        """Mirror a render sent to a worker: ``token`` is now worker-resident.
-
-        Mimics the worker's own retention policy exactly: batches share a
-        FIFO window of ``_MAX_RETAINED_BATCHES`` slots, rotated in the order
-        the worker receives them, which is send order.  A render the worker
-        never finishes is a fault, and a fault closes the pool, so the mirror
-        only has to be right for healthy pools.
-        """
-        self._resident.setdefault(
-            worker_id, deque(maxlen=_MAX_RETAINED_BATCHES)
-        ).append(token)
-
-    def token_resident(self, worker_id: int, token: int) -> bool:
-        """Does the parent-side mirror still consider ``token`` retained?"""
-        return token in self._resident.get(worker_id, ())
-
     def send(self, command: str, payloads: dict[int, object]) -> _Ticket:
         """Send one ``command`` request per worker id, without waiting.
 
-        Every request carries a fresh dispatch token, which a render also
-        stores its views under.  The workers start at once; the returned
+        Every request carries a fresh dispatch token, which its replies
+        echo.  The workers start at once; the returned
         ticket is what :meth:`collect` reads the replies for.  Workers that
         cannot be sent to are recorded on the ticket as ``send-failed``
         faults.
@@ -657,8 +614,6 @@ class ShardedPool:
                 )
                 continue
             ticket.sent.append(worker_id)
-            if command == "render":
-                self.note_resident(worker_id, ticket.token)
         return ticket
 
     def collect(
@@ -782,7 +737,7 @@ class ShardedPool:
 # Pools are shared process-wide per worker count: a worker's start-up (a fresh
 # interpreter importing numpy and this module) costs about 0.4 s and 30 MB,
 # and every engine pinned to the same worker count can safely share workers
-# because batch state is token-keyed.
+# because workers keep nothing between dispatches.
 _POOLS: dict[int, ShardedPool] = {}
 
 
@@ -823,28 +778,6 @@ atexit.register(shutdown_shard_pools)
 
 # -- the backend ---------------------------------------------------------------
 @dataclass
-class _ShardHandle:
-    """Links a parent-side view result to the worker holding its tile caches.
-
-    Backward treats an unusable handle (a closed or broken pool, or a token
-    that later dispatches on the shared pool rotated out of the worker's
-    retained set — the pool mirrors that rotation parent-side) as lost and
-    recomputes the view's backward pass in the parent instead of asking the
-    worker.
-    """
-
-    pool: ShardedPool
-    token: int
-    worker_id: int
-    view_index: int
-
-    def usable(self) -> bool:
-        return not self.pool.broken and self.pool.token_resident(
-            self.worker_id, self.token
-        )
-
-
-@dataclass
 class _RenderDispatch:
     """A forward dispatch between its send and its collect half."""
 
@@ -855,6 +788,36 @@ class _RenderDispatch:
     assignment: dict[int, list[int]]  # worker id -> dispatch-local view indices
     ticket: _Ticket
     dispatch_seconds: float
+
+
+def _pack_view(
+    layout: _ShmLayout,
+    index: int,
+    projected: ProjectedGaussians,
+    intersections: TileIntersections,
+    background,
+) -> dict:
+    """The wire meta of one view's unit: what a worker's Step 3 and Step 4 read.
+
+    The shipped projection fields and the concatenated per-tile rows are
+    scheduled into ``layout``; camera, pose, background and tile sizes ride
+    the meta itself.  A forward ships it once and a backward ships it again,
+    because workers keep nothing between dispatches.
+    """
+    per_tile = intersections.per_tile
+    return {
+        "index": index,
+        "camera": projected.camera,
+        "pose_cw": projected.pose_cw,
+        "background": background,
+        "tile_size": intersections.grid.tile_size,
+        "subtile_size": intersections.grid.subtile_size,
+        "projected": {
+            name: layout.add(getattr(projected, name)) for name in _UNIT_PROJECTED_FIELDS
+        },
+        "rows": layout.add(np.concatenate(per_tile)),
+        "counts": layout.add(np.array([rows.size for rows in per_tile], dtype=np.int64)),
+    }
 
 
 def default_shard_workers() -> int:
@@ -916,11 +879,8 @@ def _validate_backward_reply(payload, expected_views: Sequence[int]) -> "str | N
         if not isinstance(item, tuple) or len(item) != 10:
             return "malformed per-view gradient reply"
         got.append(item[0])
-    # Order-sensitive: the parent maps replies back to caller views by
-    # position, and dispatch-local indices can repeat across the stitched
-    # rounds of a service batch, so a reordered reply is structurally bad.
-    if got != list(expected_views):
-        return f"reply covers views {got}, expected {list(expected_views)}"
+    if sorted(got) != sorted(expected_views):
+        return f"reply covers views {sorted(got)}, expected {sorted(expected_views)}"
     return None
 
 
@@ -980,15 +940,15 @@ class ShardedBackend:
             return f"spawn-failed:{self._unavailable_reason}"
         return None
 
-    def _pool_for(self, n_views: int) -> ShardedPool | None:
-        """The pool to shard over, or ``None`` when serial execution is right.
+    def _pool(self) -> ShardedPool | None:
+        """The pool to shard over, or ``None`` when this backend runs serially.
 
         Spawn failures (platforms without working process support) latch the
         backend into serial mode; runtime worker faults do *not* — they
         close the pool and the next batch gets a fresh one.
         """
         workers = self.resolved_workers()
-        if workers <= 1 or n_views <= 1 or self._unavailable_reason is not None:
+        if workers <= 1 or self._unavailable_reason is not None:
             return None
         try:
             return _shared_pool(workers)
@@ -1032,13 +992,13 @@ class ShardedBackend:
         With a usable pool each unit's Step 1-2 products (its projection
         arrays and per-tile row lists) ship in the batch's shared-memory
         block and the workers start at once (:meth:`_send_render`); the
-        worker rebuilds the fragment list, rasterizes into its own arena and
-        keeps the result for backward.  The returned handle's ``result()``
+        worker rebuilds the fragment list, rasterizes it tile by tile and
+        keeps nothing once it replies.  The returned handle's ``result()``
         collects and stitches the batch (:meth:`_finish_units`); the caller
         may plan, stitch or submit more work in between.  Without a pool the
         plan runs serially (:func:`execute_plan`) before this returns.
         """
-        pool = self._pool_for(plan.n_views)
+        pool = self._pool() if plan.n_views > 1 else None
         if pool is None:
             return SubmittedUnits(execute_plan(plan, arena=request.arena))
         units = sorted(plan.units, key=lambda unit: unit.index)
@@ -1136,33 +1096,15 @@ class ShardedBackend:
         layout = _ShmLayout()
         view_metas = []
         for index, unit in enumerate(units):
-            projected = unit.projected
-            per_tile = unit.intersections.per_tile
-            height, width = projected.camera.height, projected.camera.width
-            view_metas.append(
-                {
-                    "index": index,
-                    "camera": projected.camera,
-                    "pose_cw": projected.pose_cw,
-                    "background": unit.background,
-                    "tile_size": unit.tile_size,
-                    "subtile_size": unit.subtile_size,
-                    "projected": {
-                        name: layout.add(getattr(projected, name))
-                        for name in _UNIT_PROJECTED_FIELDS
-                    },
-                    "rows": layout.add(np.concatenate(per_tile)),
-                    "counts": layout.add(
-                        np.array([rows.size for rows in per_tile], dtype=np.int64)
-                    ),
-                    "outputs": {
-                        "image": layout.reserve((height, width, 3), np.float64),
-                        "depth": layout.reserve((height, width), np.float64),
-                        "alpha": layout.reserve((height, width), np.float64),
-                        "fragments_per_pixel": layout.reserve((height, width), np.int64),
-                    },
-                }
-            )
+            meta = _pack_view(layout, index, unit.projected, unit.intersections, unit.background)
+            height, width = unit.projected.camera.height, unit.projected.camera.width
+            meta["outputs"] = {
+                "image": layout.reserve((height, width, 3), np.float64),
+                "depth": layout.reserve((height, width), np.float64),
+                "alpha": layout.reserve((height, width), np.float64),
+                "fragments_per_pixel": layout.reserve((height, width), np.int64),
+            }
+            view_metas.append(meta)
         shm = layout.create()
         try:
             assignment = _assign_round_robin(pool.n_workers, len(units))
@@ -1215,9 +1157,9 @@ class ShardedBackend:
         whole pool is closed and ``escalate(index) -> (RenderResult,
         seconds)`` finishes each lost unit in the parent; views a healthy
         worker finished keep their outputs.  Those become parent-side views
-        carrying the unit's projection and tile lists and a
-        :class:`_ShardHandle` to the worker holding their tile caches.  The
-        result is total: every view completes on one of the two paths.
+        carrying the unit's projection and tile lists, which is all their
+        backward pass needs.  The result is total: every view completes on
+        one of the two paths.
         Returns the views in order, per-view seconds and the attribution.
         """
         from repro.gaussians.rasterizer import RenderResult
@@ -1300,11 +1242,7 @@ class ShardedBackend:
                     view = local_results[index]
                     # Stays "sharded" so the engine routes the batch's
                     # backward pass through this backend's mixed handling.
-                    # The escalation marker keeps the detached-view guards
-                    # honest: an escalated view of an empty/all-culled scene
-                    # legitimately has no tile caches AND no worker handle.
                     view.backend = "sharded"
-                    view.shard_escalated = True
                     views.append(view)
                     continue
                 outputs = meta["outputs"]
@@ -1327,14 +1265,6 @@ class ShardedBackend:
                         else np.asarray(background, dtype=np.float64).reshape(3)
                     ),
                     backend="sharded",
-                )
-                # After a fault this handle points at the closed pool, so it
-                # reads unusable and backward recomputes the view here.
-                view.shard_info = _ShardHandle(
-                    pool=pool,
-                    token=dispatch.ticket.token,
-                    worker_id=worker_of[index],
-                    view_index=index,
                 )
                 views.append(view)
         finally:
@@ -1360,51 +1290,50 @@ class ShardedBackend:
     # -- backward ------------------------------------------------------------
     def _shard_backward(
         self,
-        entries: "list[tuple[_ShardHandle, int, np.ndarray, np.ndarray | None]]",
-        view_results,
+        pool: ShardedPool,
+        indices: "list[int]",
+        views: "Sequence[RenderResult]",
+        dL_dimages: "Sequence[np.ndarray]",
+        dL_ddepths: "Sequence[np.ndarray | None]",
         fault_log: list[dict],
     ) -> "tuple[dict[int, ScreenSpaceGradients], list[int]]":
-        """Run Step 4 on the owning workers; ``(screens, failed view ids)``.
+        """Run Step 4 for ``views[indices]`` on ``pool``; ``(screens, lost)``.
 
-        ``entries`` holds ``(handle, view_index, dL_dimage, dL_ddepth)``
-        tuples whose handles are usable on one pool; ``view_results`` maps
-        each view index to its parent-side :class:`RenderResult`, whose
-        projection the fused Step 5 reads.  Loss gradients ship worker-ward
-        through one shared-memory block; the small screen-gradient arrays
-        and traces ride the reply pipes.
+        Each view's unit ships again in one shared-memory block (the same
+        projection fields, per-tile rows and background its forward
+        shipped) together with its loss gradients, dealt round-robin over
+        the workers; a worker recomputes the view's tile caches one tile at
+        a time and runs Step 4 on each while it is hot.  The small
+        screen-gradient arrays and traces ride the reply pipes, and the
+        caller's fused Step 5 reads them with the projection it already
+        holds.
 
         A worker that dies, times out or replies poisoned closes the pool,
-        and its views come back in the failed list for the caller's
+        and its views come back in the lost list for the caller's
         parent-side recompute.  A worker-*reported* error raises
-        :class:`ShardWorkerError` — the worker is healthy and the request
-        was bad (e.g. a legitimately superseded batch), a usage error the
-        fault path must not mask.
+        :class:`ShardWorkerError`: the worker is healthy and the request was
+        bad (a caller bug), which the fault path must not mask.
         """
         from repro.gaussians.backward import GradientTrace, ScreenSpaceGradients
 
-        pool = entries[0][0].pool
         plan, op_index = self._next_fault_op()
         layout = _ShmLayout()
-        per_worker: dict[int, list] = {}
-        views_by_worker: dict[int, list[int]] = {}
-        for handle, view_index, dL_dimage, dL_ddepth in entries:
-            image_spec = layout.add(np.asarray(dL_dimage, dtype=np.float64))
-            depth_spec = (
-                None
-                if dL_ddepth is None
-                else layout.add(np.asarray(dL_ddepth, dtype=np.float64))
+        metas = []
+        for local, index in enumerate(indices):
+            view = views[index]
+            meta = _pack_view(layout, local, view.projected, view.intersections, view.background)
+            meta["dL_dimage"] = layout.add(np.asarray(dL_dimages[index], dtype=np.float64))
+            dL_ddepth = dL_ddepths[index]
+            meta["dL_ddepth"] = (
+                None if dL_ddepth is None else layout.add(np.asarray(dL_ddepth, dtype=np.float64))
             )
-            # Per-item tokens: a batch stitched from several dispatches holds
-            # one worker's views under several tokens.  The index sent
-            # worker-ward is the handle's *dispatch-local* one — the key the
-            # worker stored the view under — which differs from the caller's
-            # batch index when several dispatches were stitched into one
-            # batch (the render service's round-based scheduling); replies
-            # are mapped back to caller indices by position.
-            per_worker.setdefault(handle.worker_id, []).append(
-                (handle.token, handle.view_index, image_spec, depth_spec)
-            )
-            views_by_worker.setdefault(handle.worker_id, []).append(view_index)
+            metas.append(meta)
+        assignment = _assign_round_robin(pool.n_workers, len(indices))
+        # Fault sites and events name the caller's batch indices.
+        views_by_worker = {
+            worker_id: [indices[local] for local in locals_]
+            for worker_id, locals_ in assignment.items()
+        }
         fault_sites = (
             {}
             if plan is None
@@ -1416,14 +1345,20 @@ class ShardedBackend:
             )
         )
         screen_by_view: dict[int, ScreenSpaceGradients] = {}
-        failed: list[int] = []
+        lost: list[int] = []
         shm = layout.create()
         try:
             ticket = pool.send(
                 "backward",
                 {
-                    worker_id: (shm.name, worker_items, fault_sites.get(worker_id))
-                    for worker_id, worker_items in per_worker.items()
+                    worker_id: (
+                        shm.name,
+                        {
+                            "views": [metas[local] for local in locals_],
+                            "faults": fault_sites.get(worker_id),
+                        },
+                    )
+                    for worker_id, locals_ in assignment.items()
                 },
             )
             self._disarm_fault_sites(plan, fault_sites)
@@ -1441,11 +1376,9 @@ class ShardedBackend:
                         "detail": fault.detail,
                     }
                 )
-                failed.extend(views_by_worker[fault.worker_id])
+                lost.extend(views_by_worker[fault.worker_id])
             for worker_id, payload in replies.items():
-                problem = _validate_backward_reply(
-                    payload, [item[1] for item in per_worker[worker_id]]
-                )
+                problem = _validate_backward_reply(payload, assignment[worker_id])
                 if problem is not None:
                     fault_log.append(
                         {
@@ -1456,7 +1389,7 @@ class ShardedBackend:
                             "detail": problem,
                         }
                     )
-                    failed.extend(views_by_worker[worker_id])
+                    lost.extend(views_by_worker[worker_id])
                     continue
                 if payload.get("fault_sites"):
                     fault_log.append(
@@ -1468,8 +1401,8 @@ class ShardedBackend:
                             "detail": ",".join(map(str, payload["fault_sites"])),
                         }
                     )
-                for slot, (
-                    _local_index,
+                for (
+                    local,
                     colors,
                     opacities,
                     means2d,
@@ -1479,15 +1412,10 @@ class ShardedBackend:
                     trace_sources,
                     trace_counts,
                     _seconds,
-                ) in enumerate(payload["views"]):
-                    # Workers answer items in send order (validated above),
-                    # so the slot maps the reply back to the caller's batch
-                    # index even when dispatch-local indices collide across
-                    # the stitched rounds of a service batch.
-                    view_index = views_by_worker[worker_id][slot]
-                    view_result = view_results[view_index]
-                    screen_by_view[view_index] = ScreenSpaceGradients(
-                        projected=view_result.projected,
+                ) in payload["views"]:
+                    view = views[indices[local]]
+                    screen_by_view[indices[local]] = ScreenSpaceGradients(
+                        projected=view.projected,
                         colors=colors,
                         opacities=opacities,
                         means2d=means2d,
@@ -1497,10 +1425,10 @@ class ShardedBackend:
                             tile_ids=list(trace_tile_ids),
                             per_tile_source_indices=list(trace_sources),
                             per_tile_pixel_counts=list(trace_counts),
-                            fragments_per_pixel=view_result.fragments_per_pixel.copy(),
+                            fragments_per_pixel=view.fragments_per_pixel.copy(),
                         ),
                     )
-            if failed:
+            if lost:
                 _discard_pool(pool)
             if error is not None:
                 raise ShardWorkerError(
@@ -1508,31 +1436,25 @@ class ShardedBackend:
                 )
         finally:
             _release_shm(shm)
-        return screen_by_view, failed
+        return screen_by_view, lost
 
     @staticmethod
     def _recompute_backward_view(
         view: "RenderResult", dL_dimage: np.ndarray, dL_ddepth: "np.ndarray | None"
     ) -> "ScreenSpaceGradients":
-        """Parent-side backward for a view whose worker state is gone.
+        """Parent-side Step 4 for a pooled view no worker answered for.
 
-        Replays the view's own Step 1-2 products: the fragments and tile
-        caches are rebuilt exactly as the worker built them and the flat
-        Step 4 runs, so the gradients are bitwise-identical to the worker's.
+        Runs the workers' own tile-streaming recompute on the view's Step
+        1-2 products, so the gradients are bitwise-identical to a worker's
+        and no whole-view arena is allocated.
         """
-        from repro.gaussians.fast_raster import (
-            allocate_flat_arena,
-            build_flat_fragments,
-            rasterize_backward_flat,
-            rasterize_flat_into,
-        )
+        from repro.gaussians.fast_raster import rasterize_backward_streamed
 
-        fragments = build_flat_fragments(view.intersections)
-        arena = allocate_flat_arena(fragments.n_fragments)
-        fresh = rasterize_flat_into(
-            view.projected, view.intersections, fragments, view.background, arena, 0
+        screen = rasterize_backward_streamed(
+            view.projected, view.intersections, dL_dimage, dL_ddepth
         )
-        return rasterize_backward_flat(fresh, dL_dimage, dL_ddepth)
+        screen.trace.fragments_per_pixel = view.fragments_per_pixel.copy()
+        return screen
 
     def backward_batch(
         self,
@@ -1542,24 +1464,17 @@ class ShardedBackend:
         dL_ddepths: "Sequence[np.ndarray | None] | None",
         compute_pose_gradient: bool,
     ) -> BatchGradients:
+        """Fused Steps 4-5 over a batch of pooled, escalated and local views.
+
+        A pooled view (``backend == "sharded"``, no tile caches) runs Step 4
+        on the pool (:meth:`_shard_backward`), or in the parent through the
+        same tile-streaming recompute when there is no pool or its worker
+        failed.  Views with tile caches (escalated or local) run the flat
+        Step 4 on them.  Step 5 is one fused pass over every view.
+        """
         from repro.gaussians.fast_raster import rasterize_backward_flat
 
-        handles = [getattr(view, "shard_info", None) for view in batch.views]
-        for view, handle in zip(batch.views, handles):
-            if (
-                handle is None
-                and getattr(view, "backend", None) == "sharded"
-                and not view.tile_caches
-                and not getattr(view, "shard_escalated", False)
-            ):
-                raise ShardWorkerError(
-                    "some views of this sharded batch carry no worker handle "
-                    "(were they copied or unpickled?); its backward pass "
-                    "cannot run"
-                )
-        if all(handle is None for handle in handles) and all(
-            getattr(view, "backend", None) != "sharded" for view in batch.views
-        ):
+        if all(getattr(view, "backend", None) != "sharded" for view in batch.views):
             # Serial-fallback batches (and flat batches routed here
             # explicitly) have parent-resident tile caches.
             return render_backward_batch_views(
@@ -1589,41 +1504,23 @@ class ShardedBackend:
         fault_log: list[dict] = (
             sharding.fault_events if sharding is not None else []
         )
-        # Partition: worker-resident views run Step 4 where the tile caches
-        # live; escalated/local views run it here; views whose worker state
-        # is gone (closed pool, evicted batch, mid-request fault) recompute
-        # here — same gradients, different path.
-        worker_entries = []
-        recompute: list[int] = []
         screens: dict[int, object] = {}
-        for index, (view, handle, dL_dimage, dL_ddepth) in enumerate(
-            zip(batch.views, handles, dL_dimages, dL_ddepths)
+        pooled: list[int] = []
+        for index, (view, dL_dimage, dL_ddepth) in enumerate(
+            zip(batch.views, dL_dimages, dL_ddepths)
         ):
-            if handle is None:
+            if view.tile_caches:
                 screens[index] = rasterize_backward_flat(view, dL_dimage, dL_ddepth)
-            elif handle.usable():
-                worker_entries.append((handle, index, dL_dimage, dL_ddepth))
             else:
-                fault_log.append(
-                    {
-                        "event": "stale-handle",
-                        "worker": handle.worker_id,
-                        "phase": "backward",
-                        "views": [index],
-                        "detail": (
-                            "worker state lost (pool closed or batch evicted); "
-                            "recomputing backward in the parent"
-                        ),
-                    }
-                )
-                recompute.append(index)
-        if worker_entries:
-            worker_screens, failed = self._shard_backward(
-                worker_entries, batch.views, fault_log
+                pooled.append(index)
+        lost = pooled
+        pool = self._pool() if pooled else None
+        if pool is not None:
+            pool_screens, lost = self._shard_backward(
+                pool, pooled, batch.views, dL_dimages, dL_ddepths, fault_log
             )
-            screens.update(worker_screens)
-            recompute.extend(failed)
-        for index in sorted(set(recompute)):
+            screens.update(pool_screens)
+        for index in lost:
             screens[index] = self._recompute_backward_view(
                 batch.views[index], dL_dimages[index], dL_ddepths[index]
             )

@@ -111,8 +111,8 @@ class ShardAttribution:
     stitch_seconds: float  # parent-side gather + result assembly overhead
     # -- fault accounting (all empty/zero on a healthy run) ------------------
     # Chronological fault log: dicts with at least ``event`` (died | timeout |
-    # send-failed | closed | poisoned | slow | worker-error | escalated |
-    # stale-handle), ``worker``, ``phase`` ("render" | "backward") and
+    # send-failed | closed | poisoned | slow | worker-error | escalated),
+    # ``worker``, ``phase`` ("render" | "backward") and
     # ``views``.  ``closed``: a fault in another dispatch closed the pool
     # before this dispatch's reply was read.  The backward pass appends to
     # this same list, so a record read after a mapping iteration sees both
@@ -122,7 +122,7 @@ class ShardAttribution:
     # ``engine.sharded.retries`` metric reads it.
     fault_retries: int = 0
     # Views that fell back to serial flat execution in the parent (their
-    # worker_ids entry is -1 and they carry no worker handle).
+    # worker_ids entry is -1 and they keep their tile caches).
     escalated_views: list[int] = field(default_factory=list)
     # -- render service ------------------------------------------------------
     # Per-view scheduler timings of a repro.service.RenderService job.
@@ -234,8 +234,7 @@ class SpeculationKey:
     parent finishes window *k*) may only be consumed if the batch it was built
     for is still *bitwise* the batch being requested.  The key captures every
     input that influences the rendered pixels: the cloud's identity and full
-    mutation-epoch state (the same scalars the sharded workers key their
-    resident caches by), per-view camera geometry, poses and backgrounds, the
+    mutation-epoch state, per-view camera geometry, poses and backgrounds, the
     tiling knobs, and the cache identity.  The arena is deliberately excluded
     — it is an allocation detail, and double-buffering swaps it by design.
 

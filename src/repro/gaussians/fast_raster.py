@@ -38,7 +38,18 @@ tile's pixel centres form a grid:
   opacity, mean and conic gradients per tile axis before the scatter —
   ``M``-length dot products with ``dx``, ``dy``, ``dx^2`` and ``dy^2``
   instead of dense per-fragment reductions.  It scatters with unique-index
-  fancy assignment instead of ``np.add.at``.
+  fancy assignment instead of ``np.add.at``;
+* one per-tile Step 3 kernel (:func:`_tile_caches`) and one Step 4 tile
+  loop (:func:`_backward`) serve two storage modes.  A kept render
+  (:func:`rasterize_flat_into`) writes each tile into its own slice of a
+  whole-view (or whole-batch) arena and keeps the caches, so Step 4 reuses
+  them.  A streamed pass writes every tile into one scratch sized to the
+  largest tile (:func:`largest_tile`): :func:`rasterize_streamed` keeps only
+  the outputs, and :func:`rasterize_backward_streamed` recomputes each
+  tile's caches and runs Step 4 on it while it is hot, as the reference
+  3DGS rasterizer re-evaluates alphas in its backward pass.  The shard
+  workers use the streamed passes, so they hold no fragment arena between
+  dispatches; the serial paths keep their caches.
 
 Numerically every forward array is bitwise identical to the tile backend
 (scaling by ``-0.5`` is exact and the association order is the reference's);
@@ -49,7 +60,7 @@ in :mod:`repro.testing` and ``tests/test_fast_raster.py`` pin both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -227,121 +238,88 @@ def rasterize_flat_into(
     :func:`build_flat_fragments`) and ``arena`` must have at least
     ``base + fragments.n_fragments`` rows.  Single-view rendering passes a
     private arena with ``base=0``; the batch path shares one arena across all
-    views.
+    views.  Every tile's cache stays a view of the arena, for Step 4.
     """
-    if background is None:
-        background = np.zeros(3)
-    background = np.asarray(background, dtype=np.float64).reshape(3)
-    grid = intersections.grid
-    camera = projected.camera
-    height, width = camera.height, camera.width
     if arena.n_fragments < base + fragments.n_fragments:
         raise ValueError(
             f"arena holds {arena.n_fragments} fragments but view needs "
             f"[{base}, {base + fragments.n_fragments})"
         )
+    return _forward(projected, intersections, fragments, background, arena, base)
+
+
+def rasterize_streamed(
+    projected: ProjectedGaussians,
+    intersections: TileIntersections,
+    fragments: FlatFragments,
+    background: np.ndarray | None,
+    scratch: FlatArena,
+) -> RenderResult:
+    """The flat forward pass tile by tile through one reused ``scratch``.
+
+    Every tile rasterizes into ``scratch[0:]`` (at least
+    :func:`largest_tile` rows), so the render needs no whole-view arena; it
+    keeps the outputs and no tile caches.  Forward outputs are bitwise those
+    of :func:`rasterize_flat_into`: the same kernel runs on the same inputs.
+    """
+    _check_scratch(scratch, fragments)
+    return _forward(projected, intersections, fragments, background, scratch, None)
+
+
+def largest_tile(fragments: FlatFragments) -> int:
+    """Fragments of the view's largest tile: the scratch a streamed pass needs."""
+    return max((stop - start for _, start, stop in fragments.tile_slices), default=0)
+
+
+def _check_scratch(scratch: FlatArena, fragments: FlatFragments) -> None:
+    if scratch.n_fragments < largest_tile(fragments):
+        raise ValueError(
+            f"scratch holds {scratch.n_fragments} fragments but the largest "
+            f"tile needs {largest_tile(fragments)}"
+        )
+
+
+def _forward(
+    projected: ProjectedGaussians,
+    intersections: TileIntersections,
+    fragments: FlatFragments,
+    background: np.ndarray | None,
+    arena: FlatArena,
+    base: int | None,
+) -> RenderResult:
+    """Steps 3-1/3-2 on every tile plus the per-pixel accumulation.
+
+    ``base=None`` streams: each tile overwrites ``arena[0:]`` and no cache is
+    kept.  Otherwise tile caches are views of ``arena[base:]``.
+    """
+    if background is None:
+        background = np.zeros(3)
+    background = np.asarray(background, dtype=np.float64).reshape(3)
+    camera = projected.camera
+    height, width = camera.height, camera.width
 
     image = np.tile(background, (height, width, 1))
     depth = np.zeros((height, width))
     alpha_map = np.zeros((height, width))
     frag_counts = np.zeros((height, width), dtype=int)
-
-    # Per-tile compute below writes into contiguous views of the arena, so the
-    # TileRenderCache entries are free views rather than per-tile copies.
-    gauss_flat = arena.gauss
-    alphas_flat = arena.alphas
-    trans_flat = arena.trans
-    weights_flat = arena.weights
-    processed_flat = arena.processed
-    clamp_flat = arena.clamp
-
-    means2d = projected.means2d
-    conics = projected.conics
-    opacities = projected.opacities
     colors = projected.colors
     depths = projected.depths
     tile_caches: list[TileRenderCache] = []
 
-    for (tile_id, start, stop), rows, pixel_lin in zip(
-        fragments.tile_slices, fragments.tile_rows, fragments.tile_pixel_lin
-    ):
-        p_count = pixel_lin.shape[0]
-        m_count = rows.shape[0]
-        shape = (p_count, m_count)
-        xs, ys = grid.tile_pixel_axes(tile_id)
-        lo, hi = base + start, base + stop
-
-        gauss = gauss_flat[lo:hi].reshape(shape)
-        alphas = alphas_flat[lo:hi].reshape(shape)
-        trans_before = trans_flat[lo:hi].reshape(shape)
-        weights = weights_flat[lo:hi].reshape(shape)
-        processed = processed_flat[lo:hi].reshape(shape)
-        clamp_mask = clamp_flat[lo:hi].reshape(shape)
-
-        # Step 3-1 Alpha computing, separably.  Pixel p = (row y, column x)
-        # sits at (xs[x], ys[y]), so its power -0.5 (a dx^2 + 2b dx dy + c dy^2)
-        # is built from (W_t, M) column terms and (H_t, M) row terms in three
-        # broadcast passes.  Scaling by -0.5 is exact and the association order
-        # is the tile backend's, so the result is bitwise identical to it.
-        means = means2d[rows]
-        dx = xs[:, None] - means[None, :, 0]  # (W_t, M)
-        dy = ys[:, None] - means[None, :, 1]  # (H_t, M)
-        conic = conics[rows]
-        sq_x = conic[:, 0, 0] * np.square(dx)
-        sq_x *= -0.5
-        lin_x = (2.0 * conic[:, 0, 1]) * dx
-        lin_x *= -0.5
-        sq_y = conic[:, 1, 1] * np.square(dy)
-        sq_y *= -0.5
-        power = gauss.reshape(ys.shape[0], xs.shape[0], m_count)
-        np.multiply(lin_x[None, :, :], dy[:, None, :], out=power)
-        power += sq_x[None, :, :]
-        power += sq_y[:, None, :]
-        np.minimum(gauss, 0.0, out=gauss)
-        np.exp(gauss, out=gauss)
-
-        np.multiply(opacities[rows][None, :], gauss, out=alphas)
-        np.greater(alphas, ALPHA_CLAMP, out=clamp_mask)
-        np.minimum(alphas, ALPHA_CLAMP, out=alphas)
-        alphas *= alphas >= ALPHA_CUTOFF
-
-        # Step 3-2 Alpha blending: exclusive cumprod written straight into the
-        # arena (no concatenate), then termination masking.
-        # ``weights`` is not yet written, so it holds 1 - alpha for the scan.
-        one_minus = np.subtract(1.0, alphas, out=weights)
-        trans_before[:, 0] = 1.0
-        if m_count > 1:
-            np.cumprod(one_minus[:, :-1], axis=1, out=trans_before[:, 1:])
-        np.greater_equal(trans_before, TRANSMITTANCE_EPS, out=processed)
-        np.multiply(trans_before, alphas, out=weights)
-        weights *= processed
-
+    for cache in _tile_caches(projected, intersections.grid, fragments, arena, base):
         # Per-pixel accumulation (small BLAS products per tile).
+        rows = cache.rows
+        weights = cache.weights
         pixel_color = weights @ colors[rows]
         pixel_depth = weights @ depths[rows]
         pixel_alpha = weights.sum(axis=1)
-        v_idx, u_idx = grid.tile_pixel_indices(tile_id)
+        v_idx, u_idx = cache.pixel_indices
         image[v_idx, u_idx] = pixel_color + (1.0 - pixel_alpha)[:, None] * background
         depth[v_idx, u_idx] = pixel_depth
         alpha_map[v_idx, u_idx] = pixel_alpha
-        frag_counts[v_idx, u_idx] = np.count_nonzero(processed, axis=1)
-
-        tile_caches.append(
-            TileRenderCache(
-                tile_id=tile_id,
-                rows=rows,
-                pixel_coords=grid.tile_pixel_coordinates(tile_id),
-                pixel_indices=(v_idx, u_idx),
-                dx=dx,
-                dy=dy,
-                gauss_values=gauss,
-                alphas=alphas,
-                transmittance_before=trans_before,
-                weights=weights,
-                processed=processed,
-                clamp_mask=clamp_mask,
-            )
-        )
+        frag_counts[v_idx, u_idx] = np.count_nonzero(cache.processed, axis=1)
+        if base is not None:
+            tile_caches.append(cache)
 
     return RenderResult(
         image=np.clip(image, 0.0, 1.0),
@@ -358,17 +336,166 @@ def rasterize_flat_into(
     )
 
 
+def _tile_caches(
+    projected: ProjectedGaussians,
+    grid: TileGrid,
+    fragments: FlatFragments,
+    arena: FlatArena,
+    base: int | None,
+) -> Iterator[TileRenderCache]:
+    """The Step 3 kernel: alphas and blending of every non-empty tile, in order.
+
+    Tile ``t`` writes ``arena[base + start_t:]``; with ``base=None`` every
+    tile writes ``arena[0:]``, so each yielded cache is valid only until the
+    next one is produced (the streamed passes consume it at once).  Every
+    dense intermediate is a contiguous ``(P, M)`` view of the arena, written
+    in place, so a cache is free of per-tile copies.
+
+    One tile's small temporaries stay alive until the next tile replaces
+    them, while the caller consumes the cache.  Freeing them before the
+    caller's per-pixel accumulation changes the C heap's layout so that the
+    freed arena of a single-view render ends at the heap top and is trimmed,
+    and the next render page-faults a fresh arena in (measured on the
+    ``mono_rtgs`` benchmark workload's set-up, which renders 16 frames: about
+    40,000 page faults instead of about 500, and a third more set-up time).
+    """
+    for (tile_id, start, stop), rows, pixel_lin in zip(
+        fragments.tile_slices, fragments.tile_rows, fragments.tile_pixel_lin
+    ):
+        lo = 0 if base is None else base + start
+        hi = lo + stop - start
+        m_count = rows.shape[0]
+        shape = (pixel_lin.shape[0], m_count)
+        xs, ys = grid.tile_pixel_axes(tile_id)
+
+        gauss = arena.gauss[lo:hi].reshape(shape)
+        alphas = arena.alphas[lo:hi].reshape(shape)
+        trans_before = arena.trans[lo:hi].reshape(shape)
+        weights = arena.weights[lo:hi].reshape(shape)
+        processed = arena.processed[lo:hi].reshape(shape)
+        clamp_mask = arena.clamp[lo:hi].reshape(shape)
+
+        # Step 3-1 Alpha computing, separably.  Pixel p = (row y, column x)
+        # sits at (xs[x], ys[y]), so its power -0.5 (a dx^2 + 2b dx dy + c dy^2)
+        # is built from (W_t, M) column terms and (H_t, M) row terms in three
+        # broadcast passes.  Scaling by -0.5 is exact and the association order
+        # is the tile backend's, so the result is bitwise identical to it.
+        means = projected.means2d[rows]
+        dx = xs[:, None] - means[None, :, 0]  # (W_t, M)
+        dy = ys[:, None] - means[None, :, 1]  # (H_t, M)
+        conic = projected.conics[rows]
+        sq_x = conic[:, 0, 0] * np.square(dx)
+        sq_x *= -0.5
+        lin_x = (2.0 * conic[:, 0, 1]) * dx
+        lin_x *= -0.5
+        sq_y = conic[:, 1, 1] * np.square(dy)
+        sq_y *= -0.5
+        power = gauss.reshape(ys.shape[0], xs.shape[0], m_count)
+        np.multiply(lin_x[None, :, :], dy[:, None, :], out=power)
+        power += sq_x[None, :, :]
+        power += sq_y[:, None, :]
+        np.minimum(gauss, 0.0, out=gauss)
+        np.exp(gauss, out=gauss)
+
+        np.multiply(projected.opacities[rows][None, :], gauss, out=alphas)
+        np.greater(alphas, ALPHA_CLAMP, out=clamp_mask)
+        np.minimum(alphas, ALPHA_CLAMP, out=alphas)
+        alphas *= alphas >= ALPHA_CUTOFF
+
+        # Step 3-2 Alpha blending: exclusive cumprod written straight into the
+        # arena (no concatenate), then termination masking.
+        # ``weights`` is not yet written, so it holds 1 - alpha for the scan.
+        one_minus = np.subtract(1.0, alphas, out=weights)
+        trans_before[:, 0] = 1.0
+        if m_count > 1:
+            np.cumprod(one_minus[:, :-1], axis=1, out=trans_before[:, 1:])
+        np.greater_equal(trans_before, TRANSMITTANCE_EPS, out=processed)
+        np.multiply(trans_before, alphas, out=weights)
+        weights *= processed
+
+        yield TileRenderCache(
+            tile_id=tile_id,
+            rows=rows,
+            pixel_coords=grid.tile_pixel_coordinates(tile_id),
+            pixel_indices=grid.tile_pixel_indices(tile_id),
+            dx=dx,
+            dy=dy,
+            gauss_values=gauss,
+            alphas=alphas,
+            transmittance_before=trans_before,
+            weights=weights,
+            processed=processed,
+            clamp_mask=clamp_mask,
+        )
+
+
 def rasterize_backward_flat(
     result: RenderResult,
     dL_dimage: np.ndarray,
     dL_ddepth: np.ndarray | None = None,
 ):
-    """Step 4 Rendering BP, with pixel-level gradients merged per tile axis.
+    """Step 4 Rendering BP over a render's tile caches.
 
     Produces the same :class:`~repro.gaussians.backward.ScreenSpaceGradients`
     as the reference ``rasterize_backward`` up to summation order (the
-    scenario matrix pins agreement) while avoiding its large
-    temporaries:
+    scenario matrix pins agreement); see :func:`_backward` for how.
+    """
+    return _backward(
+        result.projected,
+        result.tile_caches,
+        result.image.shape,
+        dL_dimage,
+        dL_ddepth,
+        fragments_per_pixel=result.fragments_per_pixel.copy(),
+    )
+
+
+def rasterize_backward_streamed(
+    projected: ProjectedGaussians,
+    intersections: TileIntersections,
+    dL_dimage: np.ndarray,
+    dL_ddepth: np.ndarray | None = None,
+    fragments: FlatFragments | None = None,
+    scratch: FlatArena | None = None,
+):
+    """Step 4 for a view whose tile caches were not kept: recompute, then BP.
+
+    Each tile's caches are rebuilt into ``scratch[0:]`` by the forward's own
+    Step 3 kernel and consumed by Step 4 while they are hot, so the pass
+    needs one tile's worth of fragment storage instead of the view's arena —
+    the reference 3DGS rasterizer likewise re-evaluates alphas in its
+    backward pass.  The gradients are bitwise those of
+    :func:`rasterize_backward_flat` on a kept render of the same Step 1-2
+    products.  ``fragments`` and ``scratch`` default to fresh ones; the
+    trace's ``fragments_per_pixel`` is left ``None`` (the caller holds the
+    forward counts).
+    """
+    if fragments is None:
+        fragments = build_flat_fragments(intersections)
+    if scratch is None:
+        scratch = allocate_flat_arena(largest_tile(fragments))
+    _check_scratch(scratch, fragments)
+    camera = projected.camera
+    return _backward(
+        projected,
+        _tile_caches(projected, intersections.grid, fragments, scratch, None),
+        (camera.height, camera.width, 3),
+        dL_dimage,
+        dL_ddepth,
+    )
+
+
+def _backward(
+    projected: ProjectedGaussians,
+    tile_caches: Iterable[TileRenderCache],
+    image_shape: tuple[int, ...],
+    dL_dimage: np.ndarray,
+    dL_ddepth: np.ndarray | None,
+    fragments_per_pixel: np.ndarray | None = None,
+):
+    """The Step 4 tile loop, with pixel-level gradients merged per tile axis.
+
+    It avoids the reference's large temporaries:
 
     * colour and depth travel together as 4-vectors: one ``(P, 4) @ (4, M)``
       product gives the per-fragment blend term ``B[p, k] = dL/dC_p . c_k +
@@ -383,28 +510,32 @@ def rasterize_backward_flat(
       before the scatter, the software form of RTGS's gradient merging unit;
     * per-tile Gaussian rows are unique, so scatters use fancy-indexed
       ``+=`` rather than ``np.add.at``.
+
+    ``tile_caches`` is consumed in order, one cache at a time, so a
+    generator that rebuilds each tile into one scratch works as well as a
+    render's kept caches.
     """
     from repro.gaussians.backward import GradientTrace, ScreenSpaceGradients
 
-    projected = result.projected
     n_visible = projected.n_visible
     grads_colors = np.zeros((n_visible, 3))
     grads_opacity = np.zeros(n_visible)
     grads_means2d = np.zeros((n_visible, 2))
     grads_conics = np.zeros((n_visible, 2, 2))
     grads_depths = np.zeros(n_visible)
-    trace = GradientTrace(fragments_per_pixel=result.fragments_per_pixel.copy())
+    trace = GradientTrace(fragments_per_pixel=fragments_per_pixel)
 
     dL_dimage = np.asarray(dL_dimage, dtype=np.float64)
-    if dL_dimage.shape != result.image.shape:
+    if dL_dimage.shape != tuple(image_shape):
         raise ValueError(
-            f"dL_dimage shape {dL_dimage.shape} does not match image {result.image.shape}"
+            f"dL_dimage shape {dL_dimage.shape} does not match image {tuple(image_shape)}"
         )
     if dL_ddepth is not None:
         dL_ddepth = np.asarray(dL_ddepth, dtype=np.float64)
-        if dL_ddepth.shape != result.depth.shape:
+        if dL_ddepth.shape != tuple(image_shape[:2]):
             raise ValueError(
-                f"dL_ddepth shape {dL_ddepth.shape} does not match depth {result.depth.shape}"
+                f"dL_ddepth shape {dL_ddepth.shape} does not match depth "
+                f"{tuple(image_shape[:2])}"
             )
 
     # (H, W, 4) per-pixel [dL/dC | dL/dD] and (N, 4) per-Gaussian [c | d].
@@ -414,7 +545,7 @@ def rasterize_backward_flat(
         pixel_grads[:, :, 3] = dL_ddepth
     features = np.concatenate([projected.colors, projected.depths[:, None]], axis=1)
 
-    for cache in result.tile_caches:
+    for cache in tile_caches:
         rows = cache.rows
         v_idx, u_idx = cache.pixel_indices
         pixel_grad = pixel_grads[v_idx, u_idx]  # (P, 4)

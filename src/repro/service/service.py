@@ -337,14 +337,13 @@ class RenderSession:
     ):
         """Fused backward over a service-stitched batch.
 
-        Routed explicitly to the sharded backend whenever any view still
-        carries a worker handle — a mixed batch (some rounds degraded to
-        serial execution) must not be routed by its first view alone.
+        Routed explicitly to the sharded backend whenever any view came
+        from it (a pooled view has no tile caches; an escalated one does) —
+        a mixed batch (some rounds degraded to serial execution) must not be
+        routed by its first view alone.
         """
         backend = None
-        if any(
-            getattr(view, "shard_info", None) is not None for view in batch.views
-        ):
+        if any(getattr(view, "backend", None) == "sharded" for view in batch.views):
             backend = "sharded"
         return self.engine.backward_batch(
             batch,

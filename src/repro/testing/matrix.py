@@ -225,19 +225,9 @@ class ScenarioCellResult:
         return [sharding for sharding in self.shardings if sharding is not None]
 
     @property
-    def _events(self) -> list[dict]:
-        return [event for sharding in self._executed for event in sharding.fault_events]
-
-    @property
     def fault_events(self) -> int:
-        """Fault events of this cell's batches (0 on a healthy run).
-
-        A backward that finds its batch rotated out of the workers heals in
-        the parent and logs a ``stale-handle`` event; interleaved service
-        sessions do that routinely, so those are counted apart
-        (:meth:`attribution`).
-        """
-        return sum(event["event"] != "stale-handle" for event in self._events)
+        """Fault events of this cell's batches (0 on a healthy run)."""
+        return sum(len(sharding.fault_events) for sharding in self._executed)
 
     def attribution(self) -> dict[str, object]:
         """Workload and execution summary of the cell (JSON-friendly)."""
@@ -251,7 +241,6 @@ class ScenarioCellResult:
             "cache_statuses": statuses,
             "faults": {
                 "events": self.fault_events,
-                "stale_handles": len(self._events) - self.fault_events,
                 "escalated_views": sum(len(s.escalated_views) for s in executed),
             },
         }

@@ -15,7 +15,14 @@ import pytest
 from repro.engine import AsyncBackend, EngineConfig, FlatBackend, RenderEngine, ShardedBackend
 from repro.gaussians import Camera, GaussianCloud, SE3, build_flat_fragments
 from repro.gaussians.backward import preprocess_backward, rasterize_backward
-from repro.gaussians.fast_raster import rasterize_flat
+from repro.gaussians.fast_raster import (
+    allocate_flat_arena,
+    largest_tile,
+    rasterize_backward_flat,
+    rasterize_backward_streamed,
+    rasterize_flat,
+    rasterize_streamed,
+)
 from repro.gaussians.projection import project_gaussians
 from repro.gaussians.rasterizer import rasterize_tile
 from repro.gaussians.sorting import build_tile_lists
@@ -212,6 +219,63 @@ class TestFlatMatchesTile:
         )
         np.testing.assert_allclose(flat.image, tile.image, atol=1e-10)
         assert flat.projected is tile.projected
+
+
+class TestStreamedPasses:
+    """The streamed passes (one scratch sized to the largest tile) are the
+    kept-arena passes bit for bit: same kernel, same Step 4 loop."""
+
+    @pytest.mark.parametrize("name", MATRIX_LIBRARY.names())
+    def test_streamed_forward_and_backward_match_kept(self, name):
+        kept = _render_scenario(name, "flat")
+        fragments = build_flat_fragments(kept.intersections)
+        scratch = allocate_flat_arena(largest_tile(fragments))
+        streamed = rasterize_streamed(
+            kept.projected, kept.intersections, fragments, kept.background, scratch
+        )
+        assert streamed.tile_caches == []
+        for field in ("image", "depth", "alpha", "fragments_per_pixel"):
+            np.testing.assert_array_equal(
+                getattr(streamed, field), getattr(kept, field), err_msg=field
+            )
+        rng = np.random.default_rng(17)
+        dL_dimage = rng.uniform(-1.0, 1.0, size=kept.image.shape)
+        dL_ddepth = rng.uniform(-1.0, 1.0, size=kept.depth.shape)
+        expected = rasterize_backward_flat(kept, dL_dimage, dL_ddepth)
+        # The scratch the forward streamed through is reused as is.
+        actual = rasterize_backward_streamed(
+            kept.projected,
+            kept.intersections,
+            dL_dimage,
+            dL_ddepth,
+            fragments=fragments,
+            scratch=scratch,
+        )
+        for field in ("colors", "opacities", "means2d", "conics", "depths"):
+            np.testing.assert_array_equal(
+                getattr(actual, field), getattr(expected, field), err_msg=field
+            )
+        assert actual.trace.tile_ids == expected.trace.tile_ids
+        for got, want in zip(
+            actual.trace.per_tile_pixel_counts, expected.trace.per_tile_pixel_counts
+        ):
+            assert np.array_equal(got, want)
+        assert actual.trace.fragments_per_pixel is None  # the caller holds the counts
+
+    def test_scratch_smaller_than_the_largest_tile_is_rejected(self):
+        kept = _render_scenario("dense_random", "flat")
+        fragments = build_flat_fragments(kept.intersections)
+        small = allocate_flat_arena(largest_tile(fragments) - 1)
+        with pytest.raises(ValueError, match="largest tile"):
+            rasterize_streamed(kept.projected, kept.intersections, fragments, None, small)
+        with pytest.raises(ValueError, match="largest tile"):
+            rasterize_backward_streamed(
+                kept.projected,
+                kept.intersections,
+                np.zeros_like(kept.image),
+                fragments=fragments,
+                scratch=small,
+            )
 
 
 class TestDegenerateInputs:

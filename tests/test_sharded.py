@@ -4,8 +4,10 @@ Covers: work-unit self-containment (pickling round-trip, out-of-order
 execution, disjoint arena reservations), the sharded backend's bitwise
 equivalence to the flat path (forward + fused backward), cached batches
 planned in the parent and rasterized on the pool, its graceful
-degradations (workers<=1, single views), worker-side batch
-eviction, the shard attribution ``StreamingMapper`` keeps per fused
+degradations (workers<=1, single views), stateless workers (a backward
+runs on whatever pool is current, however many batches came between, and
+a worker's memory does not keep the views it rendered),
+the shard attribution ``StreamingMapper`` keeps per fused
 iteration (and snapshots that stay equal to the flat backend's), and the
 one failure path: an injected crash/hang/slow/poison fault
 (``repro.engine.faults``) closes the whole pool and the parent finishes the
@@ -43,7 +45,6 @@ from hypothesis import strategies as st
 from repro.engine import (
     EngineConfig,
     RenderEngine,
-    ShardWorkerError,
     fault_plan,
 )
 from repro.gaussians.batch import (
@@ -154,6 +155,50 @@ def _live_pool_pids() -> set[int]:
         if not pool.closed
         for worker in pool._workers
     }
+
+
+def _current_pool(workers: int = N_WORKERS):
+    """The process-wide pool of ``workers`` workers the next dispatch uses
+    (the last one's, unless a fault closed it)."""
+    from repro.engine.sharded import _shared_pool
+
+    return _shared_pool(workers)
+
+
+@contextmanager
+def _pool_dispatches():
+    """Record the command of every request sent to a pool, and fail any
+    backward pass that falls back to the parent-side recompute."""
+    from repro.engine import sharded
+
+    commands: list[str] = []
+    send = sharded.ShardedPool.send
+
+    def recording_send(pool, command, payloads):
+        commands.append(command)
+        return send(pool, command, payloads)
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("a pooled view recomputed its backward in the parent")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharded.ShardedPool, "send", recording_send)
+        patch.setattr(
+            sharded.ShardedBackend, "_recompute_backward_view", staticmethod(no_recompute)
+        )
+        yield commands
+
+
+def _assert_grads_equal(grads, reference):
+    for name in GRADIENT_FIELDS:
+        np.testing.assert_array_equal(
+            np.asarray(getattr(grads.cloud, name)),
+            np.asarray(getattr(reference.cloud, name)),
+            err_msg=name,
+        )
+    np.testing.assert_array_equal(
+        grads.per_view_pose_twists, reference.per_view_pose_twists
+    )
 
 
 def _run_script(script: Path) -> subprocess.CompletedProcess:
@@ -456,8 +501,8 @@ class TestShardedBackend:
         """A cached batch plans in the parent and rasterizes on the pool.
 
         Its hits are bitwise against uncached, fragment counts included.  The
-        parent counts every tier but never allocates the cache's arena: the
-        views' tile caches live in the workers.
+        parent counts every tier but never allocates the cache's arena, and
+        no view keeps tile caches.
         """
         spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
@@ -466,7 +511,7 @@ class TestShardedBackend:
         cache = GeometryCache()
         batch = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
         assert batch.sharding.worker_ids == [0, 1]
-        assert all(view.shard_info.usable() for view in batch.views)
+        assert not any(view.tile_caches for view in batch.views)
         assert [view.cache_status for view in batch.views] == ["miss", "miss"]
         _assert_views_equal(batch.views, uncached.views)
         repeat = engine.render_batch(*args, **kwargs, cache=cache, managed=False)
@@ -483,113 +528,97 @@ class TestShardedBackend:
         assert capabilities.availability is None
         assert "multi-process" in capabilities.description
 
-    def test_worker_side_eviction_heals_via_parent_recompute(self):
-        """Backward on a batch evicted from its workers recomputes locally.
-
-        Workers retain a bounded window of batches; the pool mirrors that
-        rotation parent-side, so a handle whose token rotated out reads
-        unusable and backward falls back to the bitwise parent-recompute
-        path (logged as ``stale-handle``) instead of surfacing the worker's
-        residency error.  Interleaved tenants on the shared pool hit this
-        constantly — see ``repro.service``.
-        """
-        spec = _spec("single_gaussian")
-        args, kwargs = _batch_args(spec, n_views=2)
-        engine = _sharded_engine()
-        flat_engine = _flat_engine()
-        stale = engine.render_batch(*args, **kwargs, managed=False)
+    def test_backward_after_newer_batches_runs_on_the_pool(self):
+        """Workers keep nothing, so a backward issued after newer batches
+        (here three) ships its views again and runs on the pool: bitwise
+        equal to ``flat``, no fault event, no parent-side recompute."""
+        spec = _spec()
+        args, kwargs = _batch_args(spec)
+        engine, flat_engine = _sharded_engine(), _flat_engine()
+        early = engine.render_batch(*args, **kwargs, managed=False)
         flat = flat_engine.render_batch(*args, **kwargs, managed=False)
-        assert stale.sharding is not None
-        # Render enough newer batches to push the first out of every
-        # worker's retention window.
+        assert early.sharding is not None
         for _ in range(3):
             engine.render_batch(*args, **kwargs, managed=False)
-        fresh = engine.render_batch(*args, **kwargs, managed=False)
-        pool = fresh.views[0].shard_info.pool
-        assert not any(v.shard_info.usable() for v in stale.views)
+        pool = _current_pool()
         rng = np.random.default_rng(11)
-        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in stale.views]
-        grads = engine.backward_batch(stale, spec.cloud, dL_dimages)
-        flat_grads = flat_engine.backward_batch(flat, spec.cloud, dL_dimages)
-        for name in GRADIENT_FIELDS:
-            np.testing.assert_array_equal(
-                np.asarray(getattr(grads.cloud, name)),
-                np.asarray(getattr(flat_grads.cloud, name)),
-                err_msg=name,
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in early.views]
+        dL_ddepths = [rng.uniform(-1, 1, size=v.depth.shape) for v in early.views]
+        with _pool_dispatches() as commands:
+            grads = engine.backward_batch(
+                early, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
             )
-        events = [
-            event["event"]
-            for event in stale.sharding.fault_events
-            if event["phase"] == "backward"
-        ]
-        assert events.count("stale-handle") == len(stale.views)
-        # Healing is local: the shared pool survives and still-resident
-        # batches keep their fast worker-side backward path.
-        assert not pool.broken
-        grads = engine.backward_batch(
-            fresh, spec.cloud, [np.zeros_like(view.image) for view in fresh.views]
+        assert commands == ["backward"]
+        expected = flat_engine.backward_batch(
+            flat, spec.cloud, dL_dimages, dL_ddepths, compute_pose_gradient=True
         )
-        assert fresh.views[0].shard_info.pool is pool
-        assert not any(
-            event["phase"] == "backward" for event in fresh.sharding.fault_events
-        )
-        assert np.isfinite(grads.cloud.positions).all()
+        _assert_grads_equal(grads, expected)
+        for screen, reference in zip(grads.screen, expected.screen):
+            assert screen.trace.tile_ids == reference.trace.tile_ids
+            np.testing.assert_array_equal(
+                screen.trace.fragments_per_pixel, reference.trace.fragments_per_pixel
+            )
+        assert early.sharding.fault_events == []
+        assert _current_pool() is pool and not pool.broken
 
     def test_worker_crash_before_render_heals_and_completes(self, _no_leak):
         """An externally killed worker gets its whole pool replaced.
 
-        A dead worker makes the shared pool read ``broken``: every handle on
-        it reads unusable, and the next batch closes it and spawns a fresh
-        pool before dispatching.  No request was lost mid-flight, so no
-        fault event is logged, and the batch completes bitwise-identical to
-        flat.
+        A dead worker makes the shared pool read ``broken``, and the next
+        batch closes it and spawns a fresh pool before dispatching.  No
+        request was lost mid-flight, so no fault event is logged, and the
+        batch completes bitwise-identical to flat.
         """
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec, n_views=2)
         engine = _sharded_engine()
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
-        warm = engine.render_batch(*args, **kwargs, managed=False)
-        pool = warm.views[0].shard_info.pool
+        engine.render_batch(*args, **kwargs, managed=False)
+        pool = _current_pool()
         processes = [worker.process for worker in pool._workers]
 
         processes[0].terminate()
         processes[0].wait(timeout=5.0)
         assert pool.broken
-        assert not any(view.shard_info.usable() for view in warm.views)
         healed = engine.render_batch(*args, **kwargs, managed=False)
         sharding = healed.sharding
         assert sharding is not None
         _assert_views_equal(healed.views, flat.views)
         assert sharding.fault_events == []
         assert not sharding.escalated_views
-        fresh_pool = healed.views[0].shard_info.pool
+        fresh_pool = _current_pool()
         assert fresh_pool is not pool and pool.closed
         assert all(process.returncode is not None for process in processes)
         assert not fresh_pool.broken
 
     def test_worker_crash_during_backward_recomputes_in_parent(self):
-        """A managed batch whose workers died still completes its backward.
+        """A managed batch whose workers die mid-backward still completes it.
 
-        The worker handles read unusable (dead process), so every view falls
-        back to the parent-side recompute path — gradients stay bitwise
-        against flat, the stale handles are logged, and the successful
-        backward consumes the managed claim exactly as on the serial path.
+        Every worker crashes on the backward dispatch, so every view falls
+        back to the parent-side recompute (the workers' own tile-streaming
+        Step 4): gradients stay bitwise against flat, the deaths are logged,
+        and the successful backward consumes the managed claim exactly as on
+        the serial path.
         """
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec, n_views=2)
-        engine = _sharded_engine()
+        engine = RenderEngine(
+            EngineConfig(
+                backend="sharded",
+                geom_cache=False,
+                shard_workers=N_WORKERS,
+                shard_deadline_s=10.0,
+            )
+        )
         flat_engine = _flat_engine()
         batch = engine.render_batch(*args, **kwargs)  # managed: claims ownership
         assert batch.sharding is not None
         flat = flat_engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
-        pool = batch.views[0].shard_info.pool
-        for worker in pool._workers:
-            worker.process.terminate()
-            worker.process.wait(timeout=5.0)
         rng = np.random.default_rng(7)
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
-        grads = engine.backward_batch(batch, spec.cloud, dL_dimages)
+        with fault_plan("crash@*.*:phase=backward"):
+            grads = engine.backward_batch(batch, spec.cloud, dL_dimages)
         flat_grads = flat_engine.backward_batch(flat, spec.cloud, dL_dimages)
         for name in GRADIENT_FIELDS:
             np.testing.assert_array_equal(
@@ -602,30 +631,149 @@ class TestShardedBackend:
             for event in batch.sharding.fault_events
             if event["phase"] == "backward"
         ]
-        assert events.count("stale-handle") == 2
+        assert events.count("died") == 2
         # The successful backward released the arena claim: the next managed
         # batch renders without an explicit release.
         fresh = engine.render_batch(*args, **kwargs)
         assert fresh.n_views == 2
         engine.release(fresh)
 
-    def test_backward_on_detached_sharded_result_raises(self):
-        """A sharded view stripped of its worker handle fails loudly, not with
-        silently-empty gradients."""
-        spec = _spec("single_gaussian")
+    def test_backward_on_a_copied_pooled_view_runs_bitwise(self):
+        """A pooled view carries everything its backward needs: a pickled
+        copy of one view, or of the whole batch, backpropagates bitwise."""
+        spec = _spec()
         args, kwargs = _batch_args(spec, n_views=2)
-        engine = _sharded_engine()
+        engine, flat_engine = _sharded_engine(), _flat_engine()
         batch = engine.render_batch(*args, **kwargs, managed=False)
-        view = batch.views[0]
-        del view.shard_info
-        with pytest.raises(ShardWorkerError, match="no worker handle"):
-            engine.backward(view, spec.cloud, np.zeros_like(view.image))
-        # A batch with a mix of detached and attached views fails just as
-        # cleanly instead of dying on the missing handle.
-        with pytest.raises(ShardWorkerError, match="no worker handle"):
-            engine.backward_batch(
-                batch, spec.cloud, [np.zeros_like(v.image) for v in batch.views]
+        flat = flat_engine.render_batch(*args, **kwargs, managed=False)
+        rng = np.random.default_rng(3)
+        dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
+        copy = pickle.loads(pickle.dumps(batch))
+        view = pickle.loads(pickle.dumps(batch.views[0]))
+        grads = engine.backward_batch(copy, spec.cloud, dL_dimages)
+        _assert_grads_equal(grads, flat_engine.backward_batch(flat, spec.cloud, dL_dimages))
+        single = engine.backward(view, spec.cloud, dL_dimages[0])
+        expected = flat_engine.backward(flat.views[0], spec.cloud, dL_dimages[0])
+        for name in GRADIENT_FIELDS:
+            np.testing.assert_array_equal(
+                np.asarray(getattr(single, name)),
+                np.asarray(getattr(expected, name)),
+                err_msg=name,
             )
+
+
+def _vm_rss_bytes(pid: int) -> int:
+    """A process's resident set size, read from ``/proc/<pid>/status``."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError(f"no VmRSS line for pid {pid}")
+
+
+class TestStatelessWorkers:
+    """Workers keep nothing between dispatches: any backward runs on
+    whatever pool is current, bitwise, and a worker's memory does not hold
+    the views it rendered."""
+
+    _WINDOWS = 4  # distinct two-view windows the property draws from
+    _references: dict = {}
+
+    def _reference(self, spec, window: int):
+        """Flat forward + backward of ``window`` and its loss gradients."""
+        if window not in self._references:
+            args, kwargs = self._window(spec, window)
+            flat_engine = _flat_engine()
+            flat = flat_engine.render_batch(*args, **kwargs, managed=False)
+            rng = np.random.default_rng(window)
+            losses = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
+            grads = flat_engine.backward_batch(
+                flat, spec.cloud, losses, compute_pose_gradient=True
+            )
+            self._references[window] = (flat, losses, grads)
+        return self._references[window]
+
+    def _window(self, spec, window: int):
+        poses = spec.view_poses(self._WINDOWS + 1)[window : window + 2]
+        return (spec.cloud, [spec.camera] * 2, poses), dict(
+            backgrounds=[spec.background] * 2,
+            tile_size=spec.tile_size,
+            subtile_size=spec.subtile_size,
+        )
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.booleans(),
+                st.integers(min_value=0, max_value=_WINDOWS - 1),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_two_engines_interleaved_on_one_pool_stay_bitwise(self, steps):
+        """Property: two engines render and backprop in any interleaving on
+        one 2-worker pool; every backward runs on the pool, bitwise equal
+        to ``flat``, and logs no fault event."""
+        spec = _spec()
+        engines = [_sharded_engine(), _sharded_engine()]
+        pending: list[list] = [[], []]
+
+        def backprop(engine_id: int) -> None:
+            window, batch = pending[engine_id].pop(0)
+            flat, losses, expected = self._reference(spec, window)
+            _assert_views_equal(batch.views, flat.views)
+            grads = engines[engine_id].backward_batch(
+                batch, spec.cloud, losses, compute_pose_gradient=True
+            )
+            _assert_grads_equal(grads, expected)
+            assert batch.sharding.fault_events == []
+
+        with _pool_dispatches():
+            for engine_id, render, window in steps:
+                if render or not pending[engine_id]:
+                    args, kwargs = self._window(spec, window)
+                    batch = engines[engine_id].render_batch(*args, **kwargs, managed=False)
+                    pending[engine_id].append((window, batch))
+                else:
+                    backprop(engine_id)
+            for engine_id in (0, 1):
+                while pending[engine_id]:
+                    backprop(engine_id)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_worker_memory_does_not_grow_by_a_view_arena(self):
+        """After a warm-up, a 4-view batch at the render-service benchmark's
+        size (TUM ``fr1_desk``, about 800k fragments a view) and its backward
+        grow no worker's VmRSS by one view's 34 B/fragment arena."""
+        from repro.datasets import make_sequence
+        from repro.gaussians.fast_raster import build_flat_fragments
+
+        sequence = make_sequence("tum", "fr1_desk", n_frames=4)
+        cloud, camera = sequence.scene.cloud, sequence.camera
+        args = (cloud, [camera] * 4, list(sequence.gt_trajectory[:4]))
+        engine = _sharded_engine()
+
+        def render_and_backprop():
+            batch = engine.render_batch(*args, managed=False)
+            engine.backward_batch(
+                batch, cloud, [np.ones_like(view.image) for view in batch.views]
+            )
+            return batch
+
+        warm = render_and_backprop()
+        pool = _current_pool()
+        before = {w.worker_id: _vm_rss_bytes(w.process.pid) for w in pool._workers}
+        batch = render_and_backprop()
+        assert _current_pool() is pool and batch.sharding.fault_events == []
+        after = {w.worker_id: _vm_rss_bytes(w.process.pid) for w in pool._workers}
+        arena_bytes = 34 * min(
+            build_flat_fragments(view.intersections).n_fragments for view in warm.views
+        )
+        assert arena_bytes > 16 * 2**20  # a view this size is worth keeping out
+        for worker_id, rss in after.items():
+            assert rss - before[worker_id] < arena_bytes, (worker_id, before, after)
 
 
 class TestFaultInjection:
@@ -665,8 +813,8 @@ class TestFaultInjection:
         args, kwargs = _batch_args(spec)
         flat = _flat_engine().render_batch(*args, **kwargs, managed=False)
         engine = self._engine(deadline=3.0)
-        warm = engine.render_batch(*args, **kwargs, managed=False)
-        pool = warm.views[0].shard_info.pool
+        engine.render_batch(*args, **kwargs, managed=False)
+        pool = _current_pool()
         processes = [worker.process for worker in pool._workers]
         with fault_plan(schedule):
             batch = engine.render_batch(*args, **kwargs, managed=False)
@@ -680,20 +828,18 @@ class TestFaultInjection:
         assert after.sharding.fault_events == []
         if closes_pool:
             # Worker 0's views (0 and 2) ran in the parent; worker 1's view
-            # kept its output but lost its worker state with the pool.
+            # kept its output.
             assert sharding.escalated_views == [0, 2]
             assert sharding.worker_ids == [-1, 1, -1]
             assert events.count("escalated") == 2
-            assert batch.views[1].shard_info.pool is pool
-            assert not batch.views[1].shard_info.usable()
             assert pool.closed
             assert all(process.returncode is not None for process in processes)
-            assert after.views[0].shard_info.pool is not pool
+            assert _current_pool() is not pool
         else:
             # A slow worker is an observation, not a failure.
             assert not sharding.escalated_views
             assert not pool.closed
-            assert after.views[0].shard_info.pool is pool
+            assert _current_pool() is pool
 
     @pytest.mark.parametrize(
         "schedule, expected_event",
@@ -712,7 +858,7 @@ class TestFaultInjection:
         engine = self._engine(deadline=5.0)
         batch = engine.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch.views, flat.views)
-        pool = batch.views[0].shard_info.pool
+        pool = _current_pool()
         rng = np.random.default_rng(13)
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
         dL_ddepths = [rng.uniform(-1, 1, size=v.depth.shape) for v in flat.views]
@@ -763,8 +909,8 @@ class TestFaultInjection:
         assert events.count("escalated") == batch.n_views
         assert events.count("died") == N_WORKERS
         # Escalated views stay routable: backend "sharded" so the batch
-        # backward flows through the mixed sharded handling, no worker
-        # handles, purely local gradients — still bitwise.
+        # backward flows through the mixed sharded handling; they keep
+        # their tile caches, so the gradients are local — still bitwise.
         assert all(view.backend == "sharded" for view in batch.views)
         assert [view.cache_status for view in batch.views] == ["uncached"] * 3
         rng = np.random.default_rng(17)
@@ -778,12 +924,13 @@ class TestFaultInjection:
                 err_msg=name,
             )
 
-    def test_fault_in_another_engine_drops_retained_batches(self, _no_leak):
+    def test_pool_closed_by_another_engine_backprops_on_a_fresh_pool(self, _no_leak):
         """A fault closes the pool under every engine that shares it.
 
-        Engine A's batch is retained on the process-wide pool when engine
-        B's batch faults; A's handles then read unusable and its backward
-        recomputes every view in the parent — bitwise against flat.
+        Engine A's batch rendered on the process-wide pool before engine
+        B's batch faulted and closed it.  No worker held A's state, so A's
+        backward ships its views to the fresh pool: bitwise against flat,
+        with no backward fault event and no parent-side recompute.
         """
         spec = _spec()
         args, kwargs = _batch_args(spec)
@@ -791,33 +938,29 @@ class TestFaultInjection:
         flat = flat_engine.render_batch(*args, **kwargs, managed=False)
         engine_a, engine_b = self._engine(), self._engine()
         batch_a = engine_a.render_batch(*args, **kwargs, managed=False)
-        pool = batch_a.views[0].shard_info.pool
-        assert all(view.shard_info.usable() for view in batch_a.views)
+        pool = _current_pool()
         with fault_plan("crash@0.*"):
             batch_b = engine_b.render_batch(*args, **kwargs, managed=False)
         _assert_views_equal(batch_b.views, flat.views)
-        assert batch_b.views[1].shard_info.pool is pool and pool.closed
-        assert not any(view.shard_info.usable() for view in batch_a.views)
+        assert pool.closed
         rng = np.random.default_rng(19)
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in flat.views]
-        grads = engine_a.backward_batch(batch_a, spec.cloud, dL_dimages)
+        with _pool_dispatches() as commands:
+            grads = engine_a.backward_batch(batch_a, spec.cloud, dL_dimages)
+        assert commands == ["backward"]
+        fresh = _current_pool()
+        assert fresh is not pool and not fresh.broken
         flat_grads = flat_engine.backward_batch(flat, spec.cloud, dL_dimages)
-        for name in GRADIENT_FIELDS:
-            np.testing.assert_array_equal(
-                np.asarray(getattr(grads.cloud, name)),
-                np.asarray(getattr(flat_grads.cloud, name)),
-                err_msg=name,
-            )
-        events = [event["event"] for event in batch_a.sharding.fault_events]
-        assert events == ["stale-handle"] * batch_a.n_views
+        _assert_grads_equal(grads, flat_grads)
+        assert batch_a.sharding.fault_events == []
 
     def test_wedged_worker_is_killed_not_leaked(self, _no_leak):
         """A SIGTERM-ignoring hung worker is killed by the pool close."""
         spec = _spec("single_gaussian")
         args, kwargs = _batch_args(spec, n_views=2)
         engine = self._engine(deadline=2.0)
-        warm = engine.render_batch(*args, **kwargs, managed=False)
-        pool = warm.views[0].shard_info.pool
+        engine.render_batch(*args, **kwargs, managed=False)
+        pool = _current_pool()
         processes = [worker.process for worker in pool._workers]
         with fault_plan("hang@0.*:delay=60,wedge"):
             batch = engine.render_batch(*args, **kwargs, managed=False)
@@ -831,7 +974,7 @@ class TestFaultInjection:
         assert pool.closed
         assert all(process.returncode is not None for process in processes)
         after = engine.render_batch(*args, **kwargs, managed=False)
-        assert after.views[0].shard_info.pool is not pool
+        assert _current_pool() is not pool
         _assert_views_equal(after.views, flat.views)
 
     def test_close_kills_wedged_worker(self, _no_leak):
@@ -1093,6 +1236,7 @@ class TestCachedBatchesOnThePool:
         spec = _spec()
         args, kwargs = _batch_args(spec)
         sharded, flat = self._engines()
+        pool = _current_pool()
         with fault_plan("crash@0.0"):
             batch = self._batch(sharded, args, kwargs)
         reference = self._batch(flat, args, kwargs)
@@ -1105,7 +1249,6 @@ class TestCachedBatchesOnThePool:
         assert events.count("escalated") == 2
         assert sharding.escalated_views == [0, 2]
         assert sharding.worker_ids == [-1, 1, -1]
-        pool = batch.views[1].shard_info.pool
         assert pool.closed
         assert sharded.cache._arena is not None  # the lost units ran here
         rng = np.random.default_rng(19)
@@ -1125,7 +1268,7 @@ class TestCachedBatchesOnThePool:
         assert [view.cache_status for view in after.views] == ["hit"] * 3
         assert sharded.cache_stats().as_dict() == flat.cache_stats().as_dict()
         assert after.sharding.fault_events == []
-        assert after.views[0].shard_info.pool is not pool
+        assert _current_pool() is not pool
 
     def test_async_backend_executes_planned_units_on_the_pool(self):
         spec = _spec()
@@ -1173,8 +1316,8 @@ class TestPlanExecuteSeam:
 
     def test_sharded_execute_units_runs_planned_units_on_the_pool(self):
         """Uncached parent-planned units run on the pool too, bitwise, and
-        their backward replays the units' own products once the pool is
-        gone."""
+        their backward replays the units' own products on the pool or, on a
+        backend without one, in the parent."""
         spec = _spec()
         request = self._request(spec, n_views=3)
         backend = _sharded_engine().backend("sharded")
@@ -1187,8 +1330,8 @@ class TestPlanExecuteSeam:
         dL_dimages = [rng.uniform(-1, 1, size=v.image.shape) for v in direct.views]
         flat_grads = _flat_engine().backward_batch(direct, spec.cloud, dL_dimages)
         on_workers = backend.backward_batch(batch, spec.cloud, dL_dimages, None, False)
-        batch.views[0].shard_info.pool.close()
-        recomputed = backend.backward_batch(batch, spec.cloud, dL_dimages, None, False)
+        serial = _sharded_engine(workers=0).backend("sharded")
+        recomputed = serial.backward_batch(batch, spec.cloud, dL_dimages, None, False)
         for grads in (on_workers, recomputed):
             for name in GRADIENT_FIELDS:
                 np.testing.assert_array_equal(
